@@ -1,7 +1,9 @@
 """Command-line front end: config ingestion, checks and computations.
 
 Exit codes: 0 for success or a passing check, 1 for a failing check
-(the counterexample is printed), 2 for parse, config or usage errors.
+(the counterexample is printed), 2 for parse, config or usage errors and
+for any internal error (one ``error: internal: <type>: <message>`` line
+on stderr, never a traceback), so a crash never reads as a failed check.
 """
 
 from __future__ import annotations
@@ -143,15 +145,10 @@ def _letter_text(spec: YDSpec):
 
 
 def _render_any(spec: YDSpec):
-    def render(value):
-        if isinstance(value, Element):
-            return render_element(value, _letter_text(spec))
-        if isinstance(value, CotensorElement):
-            return render_cotensor(value)
-        if isinstance(value, SmashElement):
-            return render_smash(value)
-        return str(value)
-    return render
+    letter_text = _letter_text(spec)
+    renderers = {Element: lambda x: render_element(x, letter_text),
+                 CotensorElement: render_cotensor, SmashElement: render_smash}
+    return lambda value: renderers.get(type(value), str)(value)
 
 
 def _pairs_up_to(spec: BraidedAlgebraSpec, total: int):
@@ -248,6 +245,9 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except (ConfigError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

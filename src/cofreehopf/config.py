@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .braid import BraidingTable
-from .elements import Element
+from .elements import Element, accumulate, render_element
 from .errors import ConfigError, StructuralError
 from .expr import (
     ParsedElement,
@@ -262,12 +262,7 @@ def _parse_rule(line: str, lineno: int, index: dict[str, int], names,
         if len(word) != expect_length:
             raise ConfigError(
                 f"words here must have length {expect_length}", lineno)
-        key = tuple(word)
-        s = entry.get(key, Scalar.zero()) + coeff
-        if s.is_zero():
-            entry.pop(key, None)
-        else:
-            entry[key] = s
+        accumulate(entry, tuple(word), coeff)
     return pair, entry
 
 
@@ -307,13 +302,11 @@ def emit_config(doc: ConfigDocument) -> str:
         for (a, b) in sorted(doc.mult):
             entry = doc.mult[(a, b)]
             value = Element({(i,): c for i, c in entry.items()})
-            from .elements import render_element
             rhs = render_element(value, lambda i: doc.names[i])
             lines.append(f"{doc.names[a]} {doc.names[b]} -> {rhs}")
     if doc.braiding is not None:
         lines.append("")
         lines.append("[braiding]")
-        from .elements import render_element
         for (a, b) in sorted(doc.braiding):
             value = Element(dict(doc.braiding[(a, b)]))
             rhs = render_element(value, lambda i: doc.names[i])

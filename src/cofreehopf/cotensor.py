@@ -30,14 +30,14 @@ independent route to the same algebra.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .checks import PASS, CheckResult, fail
-from .elements import Element, word_key
+from .elements import Element, accumulate, render_terms
 from .errors import StructuralError
 from .grouphopf import GroupElement, HElement, YDSpec, braided_spec
 from .qalg import _qsh_words
-from .scalars import Scalar, split_sign
+from .scalars import Scalar
 
 MWord = tuple  # tuple[(letter index, GroupElement), ...]
 Key = object   # GroupElement (degree 0) or MWord (degree >= 1)
@@ -45,12 +45,6 @@ Key = object   # GroupElement (degree 0) or MWord (degree >= 1)
 
 def key_degree(key: Key) -> int:
     return 0 if isinstance(key, GroupElement) else len(key)
-
-
-def key_sort(key: Key):
-    if isinstance(key, GroupElement):
-        return (0, key.sort_key())
-    return (1, word_key(key))
 
 
 def left_degree(spec: YDSpec, key: Key) -> GroupElement:
@@ -75,26 +69,19 @@ def chain_violation(spec: YDSpec, word: MWord) -> int | None:
     return None
 
 
-class CotensorElement:
+class CotensorElement(Element):
     """A finite combination of basis keys of the cotensor coalgebra."""
 
-    __slots__ = ("spec", "_terms")
+    __slots__ = ()
 
     def __init__(self, spec: YDSpec, terms: Mapping[Key, Scalar] | None = None):
-        self.spec = spec
-        canon: dict[Key, Scalar] = {}
-        if terms:
-            for key, c in terms.items():
-                c = Scalar.coerce(c)
-                if not c.is_zero():
-                    canon[key] = c
-        self._terms = canon
+        super().__init__(terms, spec)
+
+    @property
+    def spec(self) -> YDSpec:
+        return self.alphabet
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, spec: YDSpec) -> CotensorElement:
-        return cls(spec)
 
     @classmethod
     def unit(cls, spec: YDSpec) -> CotensorElement:
@@ -103,10 +90,6 @@ class CotensorElement:
     @classmethod
     def from_group(cls, spec: YDSpec, g: GroupElement, coeff=1) -> CotensorElement:
         return cls(spec, {g: Scalar.coerce(coeff)})
-
-    @classmethod
-    def from_h(cls, spec: YDSpec, h: HElement) -> CotensorElement:
-        return cls(spec, dict(h._terms))
 
     @classmethod
     def from_word(cls, spec: YDSpec, word: MWord, coeff=1) -> CotensorElement:
@@ -118,19 +101,6 @@ class CotensorElement:
 
     # -- structure ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def terms(self) -> Iterable[tuple[Key, Scalar]]:
-        for key in sorted(self._terms, key=key_sort):
-            yield key, self._terms[key]
-
-    def coefficient(self, key: Key) -> Scalar:
-        return self._terms.get(key, Scalar.zero())
-
     def h_part(self) -> HElement:
         return HElement(self.spec.group, {
             key: c for key, c in self._terms.items() if isinstance(key, GroupElement)})
@@ -141,41 +111,6 @@ class CotensorElement:
 
     def max_degree(self) -> int:
         return max((key_degree(key) for key in self._terms), default=0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CotensorElement) and self.spec is other.spec \
-            and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        return f"CotensorElement({self._terms!r})"
-
-    # -- linear operations ---------------------------------------------------
-
-    def __add__(self, other: CotensorElement) -> CotensorElement:
-        if self.spec is not other.spec:
-            raise StructuralError("cotensor elements over different module data")
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return CotensorElement(self.spec, out)
-
-    def __neg__(self) -> CotensorElement:
-        return CotensorElement(self.spec, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: CotensorElement) -> CotensorElement:
-        return self + (-other)
-
-    def scale(self, factor) -> CotensorElement:
-        factor = Scalar.coerce(factor)
-        return CotensorElement(self.spec, {k: c * factor for k, c in self._terms.items()})
-
-    def render(self) -> str:
-        return render_cotensor(self)
 
 
 def check_chain_condition(spec: YDSpec, terms) -> CheckResult:
@@ -221,13 +156,8 @@ def coproduct(x: CotensorElement) -> Element:
     out: dict[tuple, Scalar] = {}
     for key, c in x._terms.items():
         for pair in coproduct_pairs(x.spec, key):
-            s = out.get(pair)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(pair, None)
-            else:
-                out[pair] = s
-    return Element(out, _pair_alphabet(x.spec))
+            accumulate(out, pair, c)
+    return Element._wrap(out, _pair_alphabet(x.spec))
 
 
 def counit(x: CotensorElement) -> Scalar:
@@ -254,7 +184,7 @@ def _module_projection(spec: YDSpec, a: Key, b: Key) -> dict[tuple[int, GroupEle
         v, g2 = b[0]
         target = spec.group.multiply(a, g2)
         for (i,), c in spec.act_letter(a, v)._terms.items():
-            out[(i, target)] = out.get((i, target), Scalar.zero()) + c
+            accumulate(out, (i, target), c)
     elif da == 1 and db == 0:
         v, g1 = a[0]
         out[(v, spec.group.multiply(g1, b))] = Scalar.one()
@@ -264,8 +194,8 @@ def _module_projection(spec: YDSpec, a: Key, b: Key) -> dict[tuple[int, GroupEle
         target = spec.group.multiply(g1, g2)
         for (i,), c in spec.act_letter(g1, w)._terms.items():
             for (j,), d in spec.mult_entry(v, i)._terms.items():
-                out[(j, target)] = out.get((j, target), Scalar.zero()) + c * d
-    return {key: c for key, c in out.items() if not c.is_zero()}
+                accumulate(out, (j, target), c * d)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -291,16 +221,15 @@ def _star_key(spec: YDSpec, kx: Key, ky: Key) -> CotensorElement:
                     for letter, d in img.items()
                 ]
             for word, c in words:
-                s = out.get(word)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(word, None)
-                else:
-                    out[word] = s
+                accumulate(out, word, c)
         if n < total:
             state = _split_square(spec, state)
-    result = CotensorElement(spec, out)
-    assert check_chain_condition(spec, result), "product left the cotensor subspace"
+    result = CotensorElement._wrap(out, spec)
+    chain = check_chain_condition(spec, result)
+    if not chain:
+        raise StructuralError(
+            f"product left the cotensor subspace: chain word {chain.witness[0]} "
+            f"breaks at cut {chain.witness[1]}")
     return result
 
 
@@ -312,13 +241,7 @@ def _split_square(spec: YDSpec, state: dict[tuple, Scalar]) -> dict[tuple, Scala
         rest = factors[1:]
         for a1, a2 in coproduct_pairs(spec, a):
             for b1, b2 in coproduct_pairs(spec, b):
-                key = ((a1, b1), (a2, b2)) + rest
-                s = out.get(key)
-                s = coeff if s is None else s + coeff
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                accumulate(out, ((a1, b1), (a2, b2)) + rest, coeff)
     return out
 
 
@@ -364,13 +287,8 @@ def coinvariant_projection_direct(x: CotensorElement) -> CotensorElement:
             target: Key = spec.group.identity()
         else:
             target = right_translate(spec, key, spec.group.inverse(right_degree(spec, key)))
-        s = out.get(target)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(target, None)
-        else:
-            out[target] = s
-    return CotensorElement(spec, out)
+        accumulate(out, target, c)
+    return CotensorElement._wrap(out, spec)
 
 
 def is_coinvariant(x: CotensorElement) -> bool:
@@ -390,13 +308,8 @@ def flatten_coinvariant(x: CotensorElement) -> Element:
     out: dict[tuple, Scalar] = {}
     for key, c in x._terms.items():
         word = () if isinstance(key, GroupElement) else tuple(v for v, _ in key)
-        s = out.get(word)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(word, None)
-        else:
-            out[word] = s
-    return Element(out, x.spec)
+        accumulate(out, word, c)
+    return Element._wrap(out, x.spec)
 
 
 def chain_lift_word(spec: YDSpec, word: tuple[int, ...]) -> Key:
@@ -415,14 +328,8 @@ def chain_lift(spec: YDSpec, x: Element) -> CotensorElement:
     """The coinvariant embedding of the tensor space over the letters."""
     out: dict[Key, Scalar] = {}
     for word, c in x._terms.items():
-        key = chain_lift_word(spec, word)
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return CotensorElement(spec, out)
+        accumulate(out, chain_lift_word(spec, word), c)
+    return CotensorElement._wrap(out, spec)
 
 
 def coinvariant_coproduct(x: CotensorElement) -> Element:
@@ -431,14 +338,8 @@ def coinvariant_coproduct(x: CotensorElement) -> Element:
     out: dict[tuple, Scalar] = {}
     for key, c in x._terms.items():
         for k1, k2 in coproduct_pairs(spec, key):
-            pair = (_project_key(spec, k1), _project_key(spec, k2))
-            s = out.get(pair)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(pair, None)
-            else:
-                out[pair] = s
-    return Element(out, _pair_alphabet(spec))
+            accumulate(out, (_project_key(spec, k1), _project_key(spec, k2)), c)
+    return Element._wrap(out, _pair_alphabet(spec))
 
 
 def _project_key(spec: YDSpec, key: Key) -> Key:
@@ -450,25 +351,18 @@ def _project_key(spec: YDSpec, key: Key) -> Key:
 # -- the smash-product route ---------------------------------------------------
 
 
-class SmashElement:
+class SmashElement(Element):
     """A combination of (tensor word over the letters, group element) pairs."""
 
-    __slots__ = ("spec", "_terms")
+    __slots__ = ()
 
     def __init__(self, spec: YDSpec,
                  terms: Mapping[tuple[tuple[int, ...], GroupElement], Scalar] | None = None):
-        self.spec = spec
-        canon: dict[tuple[tuple[int, ...], GroupElement], Scalar] = {}
-        if terms:
-            for (word, g), c in terms.items():
-                c = Scalar.coerce(c)
-                if not c.is_zero():
-                    canon[(tuple(word), g)] = c
-        self._terms = canon
+        super().__init__(terms, spec)
 
-    @classmethod
-    def zero(cls, spec: YDSpec) -> SmashElement:
-        return cls(spec)
+    @property
+    def spec(self) -> YDSpec:
+        return self.alphabet
 
     @classmethod
     def unit(cls, spec: YDSpec) -> SmashElement:
@@ -480,52 +374,6 @@ class SmashElement:
         if g is None:
             g = spec.group.identity()
         return cls(spec, {(tuple(word), g): Scalar.coerce(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def terms(self):
-        def sort(item):
-            word, g = item
-            return (word_key(word), g.sort_key())
-        for key in sorted(self._terms, key=sort):
-            yield key, self._terms[key]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SmashElement) and self.spec is other.spec \
-            and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        return f"SmashElement({self._terms!r})"
-
-    def __add__(self, other: SmashElement) -> SmashElement:
-        if self.spec is not other.spec:
-            raise StructuralError("smash elements over different module data")
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return SmashElement(self.spec, out)
-
-    def __neg__(self) -> SmashElement:
-        return SmashElement(self.spec, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: SmashElement) -> SmashElement:
-        return self + (-other)
-
-    def scale(self, factor) -> SmashElement:
-        factor = Scalar.coerce(factor)
-        return SmashElement(self.spec, {k: c * factor for k, c in self._terms.items()})
-
-    def render(self) -> str:
-        return render_smash(self)
 
 
 def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
@@ -543,15 +391,8 @@ def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
                 prod = _qsh_words(bspec, u, word2)
                 base = c * d * c3
                 for word3, c4 in prod._terms.items():
-                    key = (word3, tag)
-                    s = out.get(key)
-                    p = base * c4
-                    s = p if s is None else s + p
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-    return SmashElement(spec, out)
+                    accumulate(out, (word3, tag), base * c4)
+    return SmashElement._wrap(out, spec)
 
 
 def to_smash(x: CotensorElement) -> SmashElement:
@@ -564,14 +405,8 @@ def to_smash(x: CotensorElement) -> SmashElement:
                 continue
             proj = _project_key(spec, k1)
             word = () if isinstance(proj, GroupElement) else tuple(v for v, _ in proj)
-            skey = (word, k2)
-            s = out.get(skey)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(skey, None)
-            else:
-                out[skey] = s
-    return SmashElement(spec, out)
+            accumulate(out, (word, k2), c)
+    return SmashElement._wrap(out, spec)
 
 
 def from_smash(s: SmashElement) -> CotensorElement:
@@ -594,53 +429,16 @@ def render_key(spec: YDSpec, key: Key) -> str:
 
 
 def render_cotensor(x: CotensorElement) -> str:
-    if x.is_zero():
-        return "0"
-    from .elements import MINUS
-    chunks: list[str] = []
-    for key, coeff in x.terms():
-        neg, atom = split_sign(coeff)
-        body = render_key(x.spec, key)
-        if atom != "1":
-            body = atom + " " + body
-        if not chunks:
-            chunks.append((MINUS if neg else "") + body)
-        else:
-            chunks.append((f" {MINUS} " if neg else " + ") + body)
-    return "".join(chunks)
+    return render_terms(x, lambda key: render_key(x.spec, key))
 
 
 def render_smash(x: SmashElement) -> str:
-    if x.is_zero():
-        return "0"
-    from .elements import MINUS
-    chunks: list[str] = []
-    for (word, g), coeff in x.terms():
-        neg, atom = split_sign(coeff)
-        wtext = "@".join(x.spec.names[v] for v in word) if word else "1"
-        body = f"{wtext}#{g.render()}"
-        if atom != "1":
-            body = atom + " " + body
-        if not chunks:
-            chunks.append((MINUS if neg else "") + body)
-        else:
-            chunks.append((f" {MINUS} " if neg else " + ") + body)
-    return "".join(chunks)
+    names = x.spec.names
+    return render_terms(
+        x, lambda key: ("@".join(names[v] for v in key[0]) or "1") + "#" + key[1].render())
 
 
-def render_pairs(spec: YDSpec, x: Element, sep: str = " (x) ") -> str:
+def render_pairs(spec: YDSpec, x: Element) -> str:
     """Canonical text for an Element over pairs of basis keys."""
-    if x.is_zero():
-        return "0"
-    from .elements import MINUS
-    chunks: list[str] = []
-    for (a, b), coeff in x.terms():
-        neg, atom = split_sign(coeff)
-        body = render_key(spec, a) + sep + render_key(spec, b)
-        if atom != "1":
-            body = atom + " " + body
-        if not chunks:
-            chunks.append((MINUS if neg else "") + body)
-        else:
-            chunks.append((f" {MINUS} " if neg else " + ") + body)
-    return "".join(chunks)
+    return render_terms(x, lambda pair: render_key(spec, pair[0]) + " (x) "
+                        + render_key(spec, pair[1]))

@@ -1,20 +1,33 @@
-"""Sparse linear combinations of tensor words.
+"""The one sparse linear combination: finitely many basis keys with nonzero scalars.
 
-A word is a tuple of letters.  Letters are opaque hashables: plain
-integers index a declared basis, group elements tag graded letters, and
-an (index, group element) pair is a letter of a module over a group
-algebra.  A whole word may itself appear as a letter, which is how
-tensor squares and higher tensor powers of a space are carried (the key
-``(u, v)`` is a two-letter word whose letters are words).
+Every space of the package is a free vector space on a basis of keys,
+and :class:`Element` is the combination over any of them.  The key kinds:
 
-An :class:`Element` maps words to nonzero scalars.  Canonical form
-(no zero coefficients) is restored by every operation.  The ``alphabet``
-attribute tags which basis declaration the words refer to; combining
-elements over different declared alphabets is a structural error.
+* the tensor algebra T(V): a word, i.e. a tuple of letters.  A letter is
+  an integer index into a declared basis, a group element, or an
+  (index, group element) pair.  A whole word may itself be a letter,
+  which is how tensor squares and higher powers are carried (the key
+  ``(u, v)`` is a two-letter word whose letters are words);
+* the cotensor coalgebra on V tensor K[G] (:class:`CotensorElement`):
+  a group element in degree 0, or a chain word of (index, group
+  element) pairs;
+* the smash product T(V) # K[G] (:class:`SmashElement`): a pair
+  (word, group element);
+* the group algebra K[G] (:class:`HElement`): a group element.
 
-Canonical term order sorts words lexicographically by per-letter sort
-keys; shorter words precede their extensions.  This order is the one
-rendered by the CLI and frozen by the golden tests.
+Canonical form (no zero coefficients) holds after every operation.  The
+``alphabet`` tag names the basis declaration the keys refer to: an
+arbitrary hashable for plain words (``None`` combines with any tag), the
+module data for cotensor and smash elements (read as ``spec``), the group
+for group-algebra elements (read as ``group``).  Adding or comparing two
+elements needs the same class; adding them under different tags is a
+structural error, and such elements are never equal.
+
+There is one canonical term order, :func:`letter_key` applied to whole
+keys: integers, then group elements, then tuples compared letter by
+letter, a word before its extensions.  So degree-0 keys precede words,
+and smash keys sort by word, then group tag.  This is the order the CLI
+renders and the golden tests freeze.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ Word = tuple
 
 
 def letter_key(letter):
-    """Total sort key across the letter kinds used in this package."""
+    """The one canonical sort key: total across letters and whole keys of every kind."""
     if isinstance(letter, int):
         return (0, letter)
     if isinstance(letter, tuple):
@@ -40,10 +53,6 @@ def letter_key(letter):
     return (2, repr(letter))
 
 
-def word_key(word: Word):
-    return tuple(letter_key(letter) for letter in word)
-
-
 def merge_alphabets(a, b):
     if a is None:
         return b
@@ -52,26 +61,44 @@ def merge_alphabets(a, b):
     raise StructuralError(f"alphabet mismatch: {a!r} vs {b!r}")
 
 
+def accumulate(out: dict, key, c: Scalar) -> None:
+    """Add ``c`` to ``out[key]``, dropping the key when the sum cancels."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 class Element:
-    """A finite scalar combination of words over one alphabet."""
+    """A finite scalar combination of basis keys over one alphabet."""
 
     __slots__ = ("_terms", "alphabet")
 
-    def __init__(self, terms: Mapping[Word, Scalar] | None = None, alphabet=None):
-        canon: dict[Word, Scalar] = {}
+    def __init__(self, terms: Mapping | None = None, alphabet=None):
+        canon: dict = {}
         if terms:
-            for w, c in terms.items():
+            for key, c in terms.items():
                 c = Scalar.coerce(c)
                 if not c.is_zero():
-                    canon[tuple(w)] = c
+                    canon[key] = c
         self._terms = canon
         self.alphabet = alphabet
+
+    @classmethod
+    def _wrap(cls, terms: dict, alphabet):
+        """An instance around ``terms``, which must already be canonical."""
+        res = cls.__new__(cls)
+        res._terms = terms
+        res.alphabet = alphabet
+        return res
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, alphabet=None) -> Element:
-        return cls(None, alphabet)
+    def zero(cls, alphabet=None):
+        return cls._wrap({}, alphabet)
 
     @classmethod
     def from_word(cls, word: Word, coeff: Scalar | int | Fraction = 1, alphabet=None) -> Element:
@@ -93,24 +120,21 @@ class Element:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, word: Word) -> Scalar:
-        return self._terms.get(tuple(word), Scalar.zero())
+    def coefficient(self, key) -> Scalar:
+        return self._terms.get(key, Scalar.zero())
 
-    def support(self) -> list[Word]:
-        return sorted(self._terms, key=word_key)
+    def support(self) -> list:
+        return sorted(self._terms, key=letter_key)
 
-    def terms(self) -> Iterable[tuple[Word, Scalar]]:
+    def terms(self) -> Iterable[tuple[object, Scalar]]:
         """Term iteration in canonical order."""
-        for w in self.support():
-            yield w, self._terms[w]
-
-    def max_length(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
+        for key in self.support():
+            yield key, self._terms[key]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        if self._terms != other._terms:
+        if type(other) is not type(self) or self._terms != other._terms:
             return False
         try:
             merge_alphabets(self.alphabet, other.alphabet)
@@ -119,62 +143,38 @@ class Element:
         return True
 
     def __repr__(self) -> str:
-        return f"Element({self._terms!r})"
+        return f"{type(self).__name__}({self._terms!r})"
 
     # -- linear operations --------------------------------------------------
 
-    def __add__(self, other: Element) -> Element:
-        if not isinstance(other, Element):
+    def __add__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
         alphabet = merge_alphabets(self.alphabet, other.alphabet)
         out = dict(self._terms)
-        for w, c in other._terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        res = Element.__new__(Element)
-        res._terms = out
-        res.alphabet = alphabet
-        return res
+        for key, c in other._terms.items():
+            accumulate(out, key, c)
+        return self._wrap(out, alphabet)
 
-    def __neg__(self) -> Element:
-        res = Element.__new__(Element)
-        res._terms = {w: -c for w, c in self._terms.items()}
-        res.alphabet = self.alphabet
-        return res
+    def __neg__(self):
+        return self._wrap({key: -c for key, c in self._terms.items()}, self.alphabet)
 
-    def __sub__(self, other: Element) -> Element:
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, factor: Scalar | int | Fraction) -> Element:
+    def scale(self, factor: Scalar | int | Fraction):
         factor = Scalar.coerce(factor)
         if factor.is_zero():
-            return Element.zero(self.alphabet)
-        res = Element.__new__(Element)
-        res._terms = {w: c * factor for w, c in self._terms.items()}
-        res.alphabet = self.alphabet
-        return res
+            return self.zero(self.alphabet)
+        return self._wrap({key: c * factor for key, c in self._terms.items()}, self.alphabet)
 
     def tensor(self, other: Element) -> Element:
         alphabet = merge_alphabets(self.alphabet, other.alphabet)
         out: dict[Word, Scalar] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
-                w = w1 + w2
-                s = out.get(w)
-                p = c1 * c2
-                s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        res = Element.__new__(Element)
-        res._terms = out
-        res.alphabet = alphabet
-        return res
+                accumulate(out, w1 + w2, c1 * c2)
+        return Element._wrap(out, alphabet)
 
     def map_words(self, fn: Callable[[Word], Element], alphabet=None) -> Element:
         """Linear extension of a word-level map ``fn(word) -> Element``."""
@@ -182,13 +182,6 @@ class Element:
         for w, c in self._terms.items():
             out = out + fn(w).scale(c)
         return out
-
-
-def tensor_all(factors: list[Element], alphabet=None) -> Element:
-    out = Element.unit(alphabet)
-    for f in factors:
-        out = out.tensor(f)
-    return out
 
 
 def apply_local(table: Mapping, pos: int, x: Element) -> Element:
@@ -211,40 +204,37 @@ def apply_local(table: Mapping, pos: int, x: Element) -> Element:
             raise StructuralError(f"no table entry for letter pair {pair!r}")
         head, tail = word[:pos - 1], word[pos + 1:]
         for mid, c2 in entry._terms.items():
-            w = head + mid + tail
-            s = out.get(w)
-            p = c * c2
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-    return Element(out, x.alphabet)
+            accumulate(out, head + mid + tail, c * c2)
+    return Element._wrap(out, x.alphabet)
 
 
 MINUS = "−"  # canonical term separator uses the minus-sign character
 
 
-def render_element(x: Element, letter_text: Callable = str, sep: str = "@") -> str:
+def render_terms(x: Element, key_text: Callable) -> str:
     """Canonical text form: terms in canonical order joined by + / minus.
 
     A coefficient of 1 is omitted; a pure sign is folded into the join;
     any other coefficient is rendered as a grammar atom followed by a
-    space.  The empty word renders as its coefficient alone.
+    space.  A key with empty text (the empty word) renders as its
+    coefficient alone.
     """
     if x.is_zero():
         return "0"
     chunks: list[str] = []
-    for word, coeff in x.terms():
+    for key, coeff in x.terms():
         neg, atom = split_sign(coeff)
-        if word:
-            body = sep.join(letter_text(letter) for letter in word)
-            if atom != "1":
-                body = atom + " " + body
-        else:
+        body = key_text(key)
+        if not body:
             body = atom
-        if not chunks:
-            chunks.append((MINUS if neg else "") + body)
-        else:
+        elif atom != "1":
+            body = atom + " " + body
+        if chunks:
             chunks.append((f" {MINUS} " if neg else " + ") + body)
+        else:
+            chunks.append((MINUS if neg else "") + body)
     return "".join(chunks)
+
+
+def render_element(x: Element, letter_text: Callable = str) -> str:
+    return render_terms(x, lambda word: "@".join(letter_text(letter) for letter in word))

@@ -138,11 +138,6 @@ class _Parser:
             return Scalar.q_power(self.parse_int())
         return Scalar.q_power(1)
 
-    def at_scalar_start(self) -> bool:
-        tok = self.peek()
-        return tok.kind == "INT" or (tok.kind == "IDENT" and tok.text == "q") \
-            or (tok.kind == "SYM" and tok.text == "(")
-
     def parse_scalar_atom(self) -> Scalar:
         tok = self.peek()
         if tok.kind == "INT":

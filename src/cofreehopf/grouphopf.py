@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import linalg
-from .braid import BraidingTable, check_yang_baxter
+from .braid import BraidingTable
 from .checks import PASS, CheckResult, fail
-from .elements import Element
+from .elements import Element, accumulate
 from .errors import StructuralError
 from .scalars import Scalar
 
@@ -95,20 +95,17 @@ class AbelianGroup:
         return out
 
 
-class HElement:
+class HElement(Element):
     """An element of the group algebra K[G]."""
 
-    __slots__ = ("group", "_terms")
+    __slots__ = ()
 
     def __init__(self, group: AbelianGroup, terms: Mapping[GroupElement, Scalar] | None = None):
-        self.group = group
-        canon: dict[GroupElement, Scalar] = {}
-        if terms:
-            for g, c in terms.items():
-                c = Scalar.coerce(c)
-                if not c.is_zero():
-                    canon[g] = c
-        self._terms = canon
+        super().__init__(terms, group)
+
+    @property
+    def group(self) -> AbelianGroup:
+        return self.alphabet
 
     @classmethod
     def of(cls, group: AbelianGroup, g: GroupElement, coeff=1) -> HElement:
@@ -118,40 +115,6 @@ class HElement:
     def unit(cls, group: AbelianGroup) -> HElement:
         return cls.of(group, group.identity())
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self):
-        for g in sorted(self._terms, key=GroupElement.sort_key):
-            yield g, self._terms[g]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HElement) and self.group == other.group \
-            and self._terms == other._terms
-
-    def __add__(self, other: HElement) -> HElement:
-        if self.group != other.group:
-            raise StructuralError("group mismatch")
-        out = dict(self._terms)
-        for g, c in other._terms.items():
-            s = out.get(g)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
-        return HElement(self.group, out)
-
-    def __neg__(self) -> HElement:
-        return HElement(self.group, {g: -c for g, c in self._terms.items()})
-
-    def __sub__(self, other: HElement) -> HElement:
-        return self + (-other)
-
-    def scale(self, factor) -> HElement:
-        factor = Scalar.coerce(factor)
-        return HElement(self.group, {g: c * factor for g, c in self._terms.items()})
-
     def __mul__(self, other: HElement) -> HElement:
         """Group algebra product (convolution of supports)."""
         if self.group != other.group:
@@ -159,15 +122,8 @@ class HElement:
         out: dict[GroupElement, Scalar] = {}
         for g, c in self._terms.items():
             for h, d in other._terms.items():
-                gh = self.group.multiply(g, h)
-                s = out.get(gh)
-                p = c * d
-                s = p if s is None else s + p
-                out[gh] = s
-        return HElement(self.group, out)
-
-    def __repr__(self) -> str:
-        return f"HElement({dict(self._terms)!r})"
+                accumulate(out, self.group.multiply(g, h), c * d)
+        return HElement._wrap(out, self.group)
 
 
 def coproduct(h: HElement) -> Element:
@@ -400,16 +356,12 @@ def check_yetter_drinfeld(spec: YDSpec) -> CheckResult:
         h = group.generator(k)
         for j in range(spec.dim):
             image = spec.act_letter(h, j)
-            lhs = {}
             hd = group.multiply(h, spec.degrees[j])
+            lhs: dict = {}
+            rhs: dict = {}
             for (i,), c in image._terms.items():
-                lhs[(hd, i)] = lhs.get((hd, i), Scalar.zero()) + c
-            rhs = {}
-            for (i,), c in image._terms.items():
-                key = (group.multiply(spec.degrees[i], h), i)
-                rhs[key] = rhs.get(key, Scalar.zero()) + c
-            lhs = {key: c for key, c in lhs.items() if not c.is_zero()}
-            rhs = {key: c for key, c in rhs.items() if not c.is_zero()}
+                accumulate(lhs, (hd, i), c)
+                accumulate(rhs, (group.multiply(spec.degrees[i], h), i), c)
             if lhs != rhs:
                 return fail("yetter-drinfeld", (spec.names[j], k),
                             Element(lhs), Element(rhs))
@@ -475,10 +427,3 @@ def braided_spec(spec: YDSpec):
         )
         spec._cache["braided_spec"] = cached
     return cached
-
-
-def check_induced_braiding(spec: YDSpec) -> CheckResult:
-    result = check_yetter_drinfeld(spec)
-    if not result:
-        return result
-    return check_yang_baxter(spec.induced_braiding())

@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .braid import BraidingTable, block_braiding
 from .checks import PASS, CheckResult, fail
-from .elements import Element, apply_local
+from .elements import Element, accumulate, apply_local
 from .errors import StructuralError
 from .scalars import Scalar
 
@@ -65,11 +65,6 @@ class BraidedAlgebraSpec:
 
     def mult_entry(self, a: int, b: int) -> Element:
         return self.mult[(a, b)]
-
-    def letter_name(self, letter: int) -> str:
-        if self.names is not None:
-            return self.names[letter]
-        return f"a{letter}"
 
     def word(self, *letters: int, coeff=1) -> Element:
         return Element.from_word(tuple(letters), coeff, self.alphabet)
@@ -260,14 +255,8 @@ def deconcat(x: Element) -> Element:
     out: dict[tuple, Scalar] = {}
     for w, c in x._terms.items():
         for k in range(len(w) + 1):
-            key = (w[:k], w[k:])
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return Element(out, _pair_alphabet(x.alphabet))
+            accumulate(out, (w[:k], w[k:]), c)
+    return Element._wrap(out, _pair_alphabet(x.alphabet))
 
 
 def deconcat_reduced(x: Element) -> Element:
@@ -276,11 +265,9 @@ def deconcat_reduced(x: Element) -> Element:
     empty = ()
     corrections: dict[tuple, Scalar] = {}
     for w, c in x._terms.items():
-        for key in ((w, empty), (empty, w)):
-            s = corrections.get(key)
-            s = c if s is None else s + c
-            corrections[key] = s
-    return out - Element(corrections, _pair_alphabet(x.alphabet))
+        accumulate(corrections, (w, empty), c)
+        accumulate(corrections, (empty, w), c)
+    return out - Element._wrap(corrections, _pair_alphabet(x.alphabet))
 
 
 @lru_cache(maxsize=None)
@@ -335,15 +322,8 @@ def check_quasi_shuffle_bialgebra(spec: BraidedAlgebraSpec,
                     right = _qsh_words(spec, word[len(v1):], v2)
                     for wl, cl in left._terms.items():
                         for wr, cr in right._terms.items():
-                            key = (wl, wr)
-                            s = rhs.get(key)
-                            p = c * cl * cr
-                            s = p if s is None else s + p
-                            if s.is_zero():
-                                rhs.pop(key, None)
-                            else:
-                                rhs[key] = s
-        rhs_elem = Element(rhs, _pair_alphabet(spec.alphabet))
+                            accumulate(rhs, (wl, wr), c * cl * cr)
+        rhs_elem = Element._wrap(rhs, _pair_alphabet(spec.alphabet))
         if lhs != rhs_elem:
             return fail("quasi-shuffle-bialgebra", (u, v), lhs, rhs_elem)
     return PASS
@@ -421,12 +401,5 @@ def _split_first_factor(state: Element) -> Element:
             cuts = [(((head[:k]), (head[k:])), Scalar.one())
                     for k in range(1, len(head))]
         for (u, v), sign in cuts:
-            nk = (u, v) + rest
-            s = out.get(nk)
-            p = coeff * sign
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(nk, None)
-            else:
-                out[nk] = s
-    return Element(out, state.alphabet)
+            accumulate(out, (u, v) + rest, coeff * sign)
+    return Element._wrap(out, state.alphabet)

@@ -77,9 +77,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_one(self) -> bool:
-        return self._terms == {0: Fraction(1)}
-
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 

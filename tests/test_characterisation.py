@@ -1,0 +1,131 @@
+"""Byte-for-byte pins of the rendered output of every element kind.
+
+The cases use coefficients beyond the +-1 and 2 of the other goldens
+(1/2, q^-1, -q^2, (1 - q)), degree-0 group keys, the empty word and the
+zero element, in both the text and the JSON output of the CLI.
+"""
+
+from __future__ import annotations
+
+import contextlib
+
+import pytest
+
+from cofreehopf.cli import main
+from cofreehopf.cotensor import (
+    CotensorElement,
+    SmashElement,
+    coproduct,
+    render_cotensor,
+    render_pairs,
+    render_smash,
+)
+from cofreehopf.elements import Element, render_element
+from cofreehopf.grouphopf import AbelianGroup, HElement
+from cofreehopf.scalars import Scalar
+
+CASES = [
+    (('a2', 'qsh', '−E1 + 2 F1', '1/2 E2 + q^-1 xi1'),
+     '−1/2 E1@E2 − q^-1 E1@xi1 − (1/2*q^-1) E2@E1 + q^-1 E2@F1 + F1@E2 + (2*q^-1) F1@xi1 − q^-1 xi1@E1 + (2*q^-1) xi1@F1',
+     '{"kind": "tensor", "terms": [{"coeff": "-1/2", "word": ["E1", "E2"]}, {"coeff": "-q^-1", "word": ["E1", "xi1"]}, {"coeff": "-1/2*q^-1", "word": ["E2", "E1"]}, {"coeff": "q^-1", "word": ["E2", "F1"]}, {"coeff": "1", "word": ["F1", "E2"]}, {"coeff": "2*q^-1", "word": ["F1", "xi1"]}, {"coeff": "-q^-1", "word": ["xi1", "E1"]}, {"coeff": "2*q^-1", "word": ["xi1", "F1"]}]}'),
+    (('a2', 'qsh', '(1 - q)', '−q^2 E1@F1'),
+     '(-q^2 + q^3) E1@F1',
+     '{"kind": "tensor", "terms": [{"coeff": "-q^2 + q^3", "word": ["E1", "F1"]}]}'),
+    (('a2', 'qsh', '0', 'E1'),
+     '0',
+     '{"kind": "tensor", "terms": []}'),
+    (('a2', 'qsh', '(1 - q)', '2'),
+     '(2 - 2*q)',
+     '{"kind": "tensor", "terms": [{"coeff": "2 - 2*q", "word": []}]}'),
+    (('a2', 'qsh', '−1', '1'),
+     '−1',
+     '{"kind": "tensor", "terms": [{"coeff": "-1", "word": []}]}'),
+    (('a2', 'star', '−E1 + q^-1 F1', '1/2 E1'),
+     '(-1/2 - 1/2*q^2) E1.K{1,0}[]E1.K{0,0} + (1/2*q) E1.K{1,0}[]F1.K{0,0} + (1/2*q^-1) F1.K{1,0}[]E1.K{0,0}',
+     '{"kind": "cotensor", "terms": [{"coeff": "-1/2 - 1/2*q^2", "word": ["E1.K{1,0}", "E1.K{0,0}"]}, {"coeff": "1/2*q", "word": ["E1.K{1,0}", "F1.K{0,0}"]}, {"coeff": "1/2*q^-1", "word": ["F1.K{1,0}", "E1.K{0,0}"]}]}'),
+    (('a2', 'star', 'K{1,0}', '−q^2 E1 + (1 - q) F2'),
+     '−q^4 E1.K{1,0} + (q - q^2) F2.K{1,0}',
+     '{"kind": "cotensor", "terms": [{"coeff": "-q^4", "word": ["E1.K{1,0}"]}, {"coeff": "q - q^2", "word": ["F2.K{1,0}"]}]}'),
+    (('a2', 'star', '2', '−K{0,1}'),
+     '−2 K{0,1}',
+     '{"kind": "cotensor", "terms": [{"coeff": "-2", "word": ["K{0,1}"]}]}'),
+    (('a2', 'star', 'E1 - E1', 'F1'),
+     '0',
+     '{"kind": "cotensor", "terms": []}'),
+    (('a2', 'smash-star', 'q^-1 E1@K{1,0}', '−q^2 F1 + 1/2 E2@K{0,1}'),
+     '(1/2*q^-2) E1@E2#K{1,1} − q^-1 E1@F1#K{1,0} + (1/2*q^-3) E2@E1#K{1,1} − q^-3 F1@E1#K{1,0} − q^-1 xi1#K{1,0}',
+     '{"kind": "smash", "terms": [{"coeff": "1/2*q^-2", "group": "K{1,1}", "word": ["E1", "E2"]}, {"coeff": "-q^-1", "group": "K{1,0}", "word": ["E1", "F1"]}, {"coeff": "1/2*q^-3", "group": "K{1,1}", "word": ["E2", "E1"]}, {"coeff": "-q^-3", "group": "K{1,0}", "word": ["F1", "E1"]}, {"coeff": "-q^-1", "group": "K{1,0}", "word": ["xi1"]}]}'),
+    (('a2', 'smash-star', '(1 - q) K{1,0}', '−E1'),
+     '(-q^2 + q^3) E1#K{1,0}',
+     '{"kind": "smash", "terms": [{"coeff": "-q^2 + q^3", "group": "K{1,0}", "word": ["E1"]}]}'),
+    (('a2', 'smash-star', '2 K{0,1}', '(1 - q)'),
+     '(2 - 2*q) 1#K{0,1}',
+     '{"kind": "smash", "terms": [{"coeff": "2 - 2*q", "group": "K{0,1}", "word": []}]}'),
+    (('a2', 'comul', '2 E1@F1 - q^-1 K{1,1}'),
+     '−q^-1 K{1,1} (x) K{1,1} + 2 K{2,0} (x) E1.K{1,0}[]F1.K{0,0} + 2 E1.K{1,0} (x) F1.K{0,0} + 2 E1.K{1,0}[]F1.K{0,0} (x) K{0,0}',
+     '{"kind": "pairs", "terms": [{"coeff": "-q^-1", "left": "K{1,1}", "right": "K{1,1}"}, {"coeff": "2", "left": "K{2,0}", "right": "E1.K{1,0}[]F1.K{0,0}"}, {"coeff": "2", "left": "E1.K{1,0}", "right": "F1.K{0,0}"}, {"coeff": "2", "left": "E1.K{1,0}[]F1.K{0,0}", "right": "K{0,0}"}]}'),
+    (('a2', 'comul', '(1 - q) + 1/2 E2'),
+     '(1 - q) K{0,0} (x) K{0,0} + 1/2 K{0,1} (x) E2.K{0,0} + 1/2 E2.K{0,0} (x) K{0,0}',
+     '{"kind": "pairs", "terms": [{"coeff": "1 - q", "left": "K{0,0}", "right": "K{0,0}"}, {"coeff": "1/2", "left": "K{0,1}", "right": "E2.K{0,0}"}, {"coeff": "1/2", "left": "E2.K{0,0}", "right": "K{0,0}"}]}'),
+    (('a2', 'psi', '−q^2 E1@F2 + (1 - q) + 1/2 xi1 - q^-1 F1'),
+     '(1 - q) K{0,0} − q^2 E1.K{0,1}[]F2.K{0,0} − q^-1 F1.K{0,0} + 1/2 xi1.K{0,0}',
+     '{"kind": "cotensor", "terms": [{"coeff": "1 - q", "word": ["K{0,0}"]}, {"coeff": "-q^2", "word": ["E1.K{0,1}", "F2.K{0,0}"]}, {"coeff": "-q^-1", "word": ["F1.K{0,0}"]}, {"coeff": "1/2", "word": ["xi1.K{0,0}"]}]}'),
+    (('a2', 'psi', '0'),
+     '0',
+     '{"kind": "cotensor", "terms": []}'),
+    (('c2', 'star', '1/2 v1 - v2', '(1 - q) v1 + 2 K{1}'),
+     'v1.K{1} + (1 - q) v1.K{1}[]v2.K{0} − 2 v2.K{1} + (-1 + q) v2.K{1}[]v1.K{0} + (1/4 - 1/4*q) xi11.K{0}',
+     '{"kind": "cotensor", "terms": [{"coeff": "1", "word": ["v1.K{1}"]}, {"coeff": "1 - q", "word": ["v1.K{1}", "v2.K{0}"]}, {"coeff": "-2", "word": ["v2.K{1}"]}, {"coeff": "-1 + q", "word": ["v2.K{1}", "v1.K{0}"]}, {"coeff": "1/4 - 1/4*q", "word": ["xi11.K{0}"]}]}'),
+    (('c2', 'smash-star', '−v1@K{1}', 'q^-1 v2 + 2'),
+     '−2 v1#K{1} + q^-1 v1@v2#K{1} − q^-1 v2@v1#K{1} + q^-1 xi12#K{1}',
+     '{"kind": "smash", "terms": [{"coeff": "-2", "group": "K{1}", "word": ["v1"]}, {"coeff": "q^-1", "group": "K{1}", "word": ["v1", "v2"]}, {"coeff": "-q^-1", "group": "K{1}", "word": ["v2", "v1"]}, {"coeff": "q^-1", "group": "K{1}", "word": ["xi12"]}]}'),
+    (('c2', 'comul', '−q^2 K{1} + 1/2 v1@v2'),
+     '1/2 K{0} (x) v1.K{1}[]v2.K{0} − q^2 K{1} (x) K{1} + 1/2 v1.K{1} (x) v2.K{0} + 1/2 v1.K{1}[]v2.K{0} (x) K{0}',
+     '{"kind": "pairs", "terms": [{"coeff": "1/2", "left": "K{0}", "right": "v1.K{1}[]v2.K{0}"}, {"coeff": "-q^2", "left": "K{1}", "right": "K{1}"}, {"coeff": "1/2", "left": "v1.K{1}", "right": "v2.K{0}"}, {"coeff": "1/2", "left": "v1.K{1}[]v2.K{0}", "right": "K{0}"}]}'),
+]
+
+
+@pytest.fixture(scope="module")
+def configs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("characterisation")
+    cartan = root / "a2.txt"
+    cartan.write_text("2 -1\n-1 2\n", encoding="utf-8")
+    paths = {}
+    for name, argv in (("c2", ["preset", "clifford", "--n", "2"]),
+                       ("a2", ["preset", "uqg", "--cartan", str(cartan)])):
+        path = root / f"{name}.cfg"
+        with open(path, "w", encoding="utf-8") as handle:
+            with contextlib.redirect_stdout(handle):
+                assert main(argv) == 0
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("case,text,json_text", CASES,
+                         ids=[" ".join(c[0][:2]) + f" #{k}" for k, c in enumerate(CASES)])
+def test_cli_output_is_pinned(configs, capsys, case, text, json_text):
+    config, argv = configs[case[0]], list(case[1:])
+    assert main(["--config", config, *argv]) == 0
+    assert capsys.readouterr().out == text + "\n"
+    assert main(["--config", config, "--format", "json", *argv]) == 0
+    assert capsys.readouterr().out == json_text + "\n"
+
+
+def test_group_algebra_term_order():
+    g = AbelianGroup(1, (3,))
+    h = (HElement.of(g, g.element([1, 2]), Scalar.q_power(-1))
+         + HElement.of(g, g.element([-1, 0]), 2)
+         + HElement.of(g, g.element([0, 1]))
+         + HElement.of(g, g.element([1, 0]), -1)
+         + HElement.of(g, g.identity(), Scalar.one() - Scalar.q_power(1)))
+    assert [(k.exponents(), str(c)) for k, c in h.terms()] == [
+        ((-1, 0), "2"), ((0, 0), "1 - q"), ((0, 1), "1"), ((1, 0), "-1"),
+        ((1, 2), "q^-1")]
+
+
+def test_zero_elements_render_as_zero(clifford2):
+    spec = clifford2.spec
+    assert render_element(Element.zero(spec)) == "0"
+    assert render_cotensor(CotensorElement.zero(spec)) == "0"
+    assert render_smash(SmashElement.zero(spec)) == "0"
+    assert render_pairs(spec, coproduct(CotensorElement.zero(spec))) == "0"

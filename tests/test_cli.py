@@ -195,6 +195,19 @@ def test_check_alg_uses_braiding_override(run, tmp_path, clifford2):
     assert out.startswith("FAIL braided-compatibility")
 
 
+def test_internal_error_exits_2_with_one_line(run, clifford_config, monkeypatch):
+    import cofreehopf.cli as cli
+
+    def broken(x, y):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "star", broken)
+    code, out, err = run("--config", clifford_config, "star", "v1", "v2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: internal: RuntimeError: boom\n"
+
+
 def test_preset_requires_arguments(run):
     code, _, err = run("preset", "clifford")
     assert code == 2

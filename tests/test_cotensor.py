@@ -454,3 +454,23 @@ def test_coinvariant_coproduct_flattens_to_deconcatenation(clifford2, uqg_a2):
                 flattened[(w1, w2)] = s
             flattened = {k: v for k, v in flattened.items() if not v.is_zero()}
             assert flattened == deconcat(Element.from_word(word, alphabet=spec))._terms
+
+
+def test_star_raises_when_the_product_leaves_the_chain_words(clifford2, monkeypatch):
+    from cofreehopf import cotensor
+    spec = clifford2.spec
+    e = spec.group.identity()
+    original = cotensor._module_projection
+
+    def untagged(spec, a, b):  # every group component replaced by the identity
+        return {(i, e): c for (i, _), c in original(spec, a, b).items()}
+
+    cotensor._star_key.cache_clear()
+    monkeypatch.setattr(cotensor, "_module_projection", untagged)
+    try:
+        v1 = CotensorElement.from_word(spec, chain_lift_word(spec, (0,)))
+        v2 = CotensorElement.from_word(spec, chain_lift_word(spec, (1,)))
+        with pytest.raises(StructuralError, match="cotensor subspace"):
+            star(v1, v2)
+    finally:
+        cotensor._star_key.cache_clear()

@@ -168,6 +168,8 @@ def _element_pairs_up_to(spec: BraidedAlgebraSpec, total: int):
 
 
 def _run_check(args, doc: ConfigDocument) -> CheckResult:
+    if args.max_degree < 0:
+        raise ConfigError(f"--max-degree must be >= 0, got {args.max_degree}")
     spec = doc.ydspec()
     if args.what == "yb":
         return check_yang_baxter(doc.braiding_table())
@@ -219,18 +221,13 @@ def _json_terms_smash(x: SmashElement):
             for (word, g), c in x.terms()]
 
 
-def _emit(args, payload: str | dict) -> None:
-    if args.format == "json" and not isinstance(payload, str):
-        print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
-    elif isinstance(payload, dict):
-        print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
-    else:
-        print(payload)
+def _emit(payload: dict) -> None:
+    print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
 
 
 def _output_element(args, kind: str, text: str, terms) -> None:
     if args.format == "json":
-        _emit(args, {"kind": kind, "terms": terms})
+        _emit({"kind": kind, "terms": terms})
     else:
         print(text)
 
@@ -278,7 +275,7 @@ def _dispatch(args) -> int:
                     "lhs": render(result.lhs),
                     "rhs": render(result.rhs),
                 })
-            _emit(args, payload)
+            _emit(payload)
         else:
             print(result.describe(render))
         return 0 if result else 1

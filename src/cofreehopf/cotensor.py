@@ -11,12 +11,23 @@ g_n off the last.
 
 The product is evaluated through the universal property of the cotensor
 coalgebra: project the tensor square onto the group algebra (degree-0
-part) and onto the module (degree-1 part: left action, right action and
-the module multiplication), then feed both projections into the
-truncating coalgebra-map series.  The series is iterated on the
-ordinary (flip) coproduct of the tensor square and truncates at the
-total degree, because the degree-1 projection kills any factor that is
-pure group algebra on both legs or has a leg of degree two or more.
+part) and onto the module (degree-1 part pi1: left action, right action
+and the module multiplication).  On two words the product is the series
+S(x, y) = pi1(x, y) + sum of S(x1, y1) . pi1(x2, y2) over the coproduct
+splits of the tensor square (by coassociativity), the dot appending a
+letter.  pi1 kills a pair with a leg of degree two or more, or with both
+legs of degree 0, so only three splits survive: the last pair is (right
+degree, last letter), (last letter, right degree) or (last letter, last
+letter), and the first legs are prefixes (prefix 0 is the left degree,
+prefix n the word).  So S lives on the prefix pairs a_i, b_j of the two
+keys, in one table filled row by row:
+
+    T(i, j) = pi1(a_i, b_j) + T(i, j-1) . pi1(rd a_i, last b_j)
+              + T(i-1, j) . pi1(last a_i, rd b_j)
+              + T(i-1, j-1) . pi1(last a_i, last b_j)
+
+The product of the two keys is T(n, m); two group elements multiply in
+the group.
 
 The coinvariant side: the projection onto right coinvariants is the
 convolution of the identity with the composite
@@ -29,7 +40,6 @@ independent route to the same algebra.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Mapping
 
 from .checks import PASS, CheckResult, fail
@@ -198,51 +208,47 @@ def _module_projection(spec: YDSpec, a: Key, b: Key) -> dict[tuple[int, GroupEle
     return out
 
 
-@lru_cache(maxsize=None)
 def _star_key(spec: YDSpec, kx: Key, ky: Key) -> CotensorElement:
-    total = key_degree(kx) + key_degree(ky)
-    out: dict[Key, Scalar] = {}
-    if total == 0:
-        out[spec.group.multiply(kx, ky)] = Scalar.one()
-        return CotensorElement(spec, out)
-    if key_degree(kx) == 0 and key_degree(ky) == 0:
-        out[spec.group.multiply(kx, ky)] = Scalar.one()
-    state: dict[tuple, Scalar] = {((kx, ky),): Scalar.one()}
-    for n in range(1, total + 1):
-        for factors, coeff in state.items():
-            images = [_module_projection(spec, a, b) for a, b in factors]
-            if any(not img for img in images):
-                continue
-            words: list[tuple[MWord, Scalar]] = [((), coeff)]
-            for img in images:
-                words = [
-                    (word + (letter,), c * d)
-                    for word, c in words
-                    for letter, d in img.items()
-                ]
-            for word, c in words:
-                accumulate(out, word, c)
-        if n < total:
-            state = _split_square(spec, state)
-    result = CotensorElement._wrap(out, spec)
-    chain = check_chain_condition(spec, result)
-    if not chain:
-        raise StructuralError(
-            f"product left the cotensor subspace: chain word {chain.witness[0]} "
-            f"breaks at cut {chain.witness[1]}")
+    memo = spec._cache.setdefault("star", {})
+    result = memo.get((kx, ky))
+    if result is not None:
+        return result
+    if key_degree(kx) + key_degree(ky) == 0:
+        result = CotensorElement(spec, {spec.group.multiply(kx, ky): Scalar.one()})
+    else:
+        result = CotensorElement._wrap(_prefix_table(spec, kx, ky), spec)
+        chain = check_chain_condition(spec, result)
+        if not chain:
+            raise StructuralError(
+                f"product left the cotensor subspace: chain word {chain.witness[0]} "
+                f"breaks at cut {chain.witness[1]}")
+    memo[(kx, ky)] = result
     return result
 
 
-def _split_square(spec: YDSpec, state: dict[tuple, Scalar]) -> dict[tuple, Scalar]:
-    """One more step of the tensor-square coproduct, on the first factor."""
-    out: dict[tuple, Scalar] = {}
-    for factors, coeff in state.items():
-        a, b = factors[0]
-        rest = factors[1:]
-        for a1, a2 in coproduct_pairs(spec, a):
-            for b1, b2 in coproduct_pairs(spec, b):
-                accumulate(out, ((a1, b1), (a2, b2)) + rest, coeff)
-    return out
+def _prefix_table(spec: YDSpec, kx: Key, ky: Key) -> dict[MWord, Scalar]:
+    """T(n, m) of the module docstring, filled one row of prefix pairs at a time."""
+    def prefixes(key):  # (prefix, its right degree, its last letter) for prefix 0 .. n
+        start = left_degree(spec, key)
+        return [(start, start, None)] + [(key[:i], key[i - 1][1], key[i - 1:i])
+                                         for i in range(1, key_degree(key) + 1)]
+
+    prev: list[dict] = []
+    for i, (a, a_right, a_last) in enumerate(prefixes(kx)):
+        row: list[dict] = []
+        for j, (b, b_right, b_last) in enumerate(prefixes(ky)):
+            cell: dict[MWord, Scalar] = {}
+            for words, x, y in (({(): Scalar.one()}, a, b),
+                                (row[j - 1] if j else {}, a_right, b_last),
+                                (prev[j] if i else {}, a_last, b_right),
+                                (prev[j - 1] if i and j else {}, a_last, b_last)):
+                if words:
+                    for letter, d in _module_projection(spec, x, y).items():
+                        for word, c in words.items():
+                            accumulate(cell, word + (letter,), c * d)
+            row.append(cell)
+        prev = row
+    return prev[-1]
 
 
 def star(x: CotensorElement, y: CotensorElement) -> CotensorElement:
@@ -283,22 +289,12 @@ def coinvariant_projection_direct(x: CotensorElement) -> CotensorElement:
     spec = x.spec
     out: dict[Key, Scalar] = {}
     for key, c in x._terms.items():
-        if isinstance(key, GroupElement):
-            target: Key = spec.group.identity()
-        else:
-            target = right_translate(spec, key, spec.group.inverse(right_degree(spec, key)))
-        accumulate(out, target, c)
+        accumulate(out, _project_key(spec, key), c)
     return CotensorElement._wrap(out, spec)
 
 
 def is_coinvariant(x: CotensorElement) -> bool:
-    for key in x._terms:
-        if isinstance(key, GroupElement):
-            if not key.is_identity():
-                return False
-        elif not right_degree(x.spec, key).is_identity():
-            return False
-    return True
+    return all(right_degree(x.spec, key).is_identity() for key in x._terms)
 
 
 def flatten_coinvariant(x: CotensorElement) -> Element:
@@ -343,8 +339,6 @@ def coinvariant_coproduct(x: CotensorElement) -> Element:
 
 
 def _project_key(spec: YDSpec, key: Key) -> Key:
-    if isinstance(key, GroupElement):
-        return spec.group.identity()
     return right_translate(spec, key, spec.group.inverse(right_degree(spec, key)))
 
 

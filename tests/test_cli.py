@@ -100,6 +100,16 @@ def test_bad_expression_exits_2(run, clifford_config):
     assert code == 2
 
 
+def test_negative_max_degree_exits_2(run, clifford_config):
+    # a negative cap samples nothing, so a PASS would certify nothing
+    for what in ("bialg", "rb"):
+        code, out, err = run("--config", clifford_config, "check", what,
+                             "--max-degree", "-1")
+        assert code == 2, what
+        assert out == ""
+        assert "--max-degree" in err
+
+
 def test_json_star_output(run, clifford_config):
     code, out, _ = run("--config", clifford_config, "--format", "json",
                        "star", "v1", "v2")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -419,6 +420,44 @@ def test_cross_path_product_equality(clifford2, uqg_a2):
                 assert to_smash(star(x, y)) == smash_product(to_smash(x), to_smash(y))
 
 
+def _random_key(r: random.Random, spec, degree: int):
+    """A chain word of the given degree (a group element at degree 0) with a random tag."""
+    g = spec.group
+    tag = g.element([r.randint(-1, 1) for _ in range(g.n_generators)])
+    if degree == 0:
+        return tag
+    word = tuple(r.randrange(spec.dim) for _ in range(degree))
+    return right_translate(spec, chain_lift_word(spec, word), tag)
+
+
+def _assert_star_matches_smash_route(spec, kx, ky):
+    x = CotensorElement(spec, {kx: Scalar.one()})
+    y = CotensorElement(spec, {ky: Scalar.one()})
+    assert to_smash(star(x, y)) == smash_product(to_smash(x), to_smash(y)), (kx, ky)
+
+
+def test_star_matches_the_smash_route_on_random_pairs_up_to_6_plus_6(clifford2, uqg_a2):
+    for seed, preset in enumerate((clifford2, uqg_a2)):
+        r = random.Random(seed)
+        degrees = [(6, 6)] + [(r.randint(0, 6), r.randint(0, 6)) for _ in range(24)]
+        for n, m in degrees:
+            _assert_star_matches_smash_route(
+                preset.spec, _random_key(r, preset.spec, n), _random_key(r, preset.spec, m))
+
+
+def test_star_matches_the_smash_route_at_5_plus_5(clifford2, clifford3, uqg_a1, uqg_a2):
+    for seed, preset in enumerate((clifford2, clifford3, uqg_a1, uqg_a2)):
+        r = random.Random(seed)
+        _assert_star_matches_smash_route(
+            preset.spec, _random_key(r, preset.spec, 5), _random_key(r, preset.spec, 5))
+
+
+def test_star_matches_the_smash_route_on_a_long_times_short_pair(uqg_a2):
+    r = random.Random(40)
+    _assert_star_matches_smash_route(
+        uqg_a2.spec, _random_key(r, uqg_a2.spec, 40), _random_key(r, uqg_a2.spec, 1))
+
+
 # -- coinvariant coproduct -----------------------------------------------------------
 
 
@@ -465,7 +504,7 @@ def test_star_raises_when_the_product_leaves_the_chain_words(clifford2, monkeypa
     def untagged(spec, a, b):  # every group component replaced by the identity
         return {(i, e): c for (i, _), c in original(spec, a, b).items()}
 
-    cotensor._star_key.cache_clear()
+    spec._cache.pop("star", None)
     monkeypatch.setattr(cotensor, "_module_projection", untagged)
     try:
         v1 = CotensorElement.from_word(spec, chain_lift_word(spec, (0,)))
@@ -473,4 +512,4 @@ def test_star_raises_when_the_product_leaves_the_chain_words(clifford2, monkeypa
         with pytest.raises(StructuralError, match="cotensor subspace"):
             star(v1, v2)
     finally:
-        cotensor._star_key.cache_clear()
+        spec._cache.pop("star", None)

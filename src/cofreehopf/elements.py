@@ -166,6 +166,8 @@ class Element:
         factor = Scalar.coerce(factor)
         if factor.is_zero():
             return self.zero(self.alphabet)
+        if factor == Scalar.one():
+            return self
         return self._wrap({key: c * factor for key, c in self._terms.items()}, self.alphabet)
 
     def tensor(self, other: Element) -> Element:

@@ -2,8 +2,14 @@
 
 A scalar is a finite sum ``sum(c_k * q**k)`` with ``k`` ranging over
 integers (negative exponents allowed) and ``c_k`` exact rationals.
-Canonical form stores no zero coefficients, so equality is dictionary
-equality.  Instances are immutable; every operation returns a new object.
+Canonical form stores no zero coefficients, and stores each coefficient
+as a plain ``int`` when it is integral and as a ``Fraction`` only when it
+is not, so equality is dictionary equality and the representation
+depends only on the value.  Almost every coefficient the presets produce
+is an integer, so most arithmetic never enters ``Fraction``.  A float is
+never stored: integer division always goes through ``Fraction`` and the
+quotient is then normalised back.  Instances are immutable; every
+operation returns a new object.
 
 Division is deliberately restricted: units of the Laurent ring are the
 nonzero monomials ``c*q**k``, and only those can be inverted.  The
@@ -22,12 +28,23 @@ from .errors import StructuralError
 Rational = Union[int, Fraction]
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _as_fraction(c) -> Rational:
+    """The canonical coefficient of ``c``: an ``int`` if integral, else a ``Fraction``."""
+    if type(c) is int:
         return c
-    if isinstance(c, int):
-        return Fraction(c)
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, (int, Fraction)):
+        return _as_fraction(Fraction(c))
     raise TypeError(f"exact rational expected, got {type(c).__name__}")
+
+
+def _wrap(terms: dict[int, Rational]) -> Scalar:
+    """A scalar around ``terms``, which must already be canonical."""
+    res = Scalar.__new__(Scalar)
+    res._terms = terms
+    res._hash = None
+    return res
 
 
 class Scalar:
@@ -36,7 +53,7 @@ class Scalar:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[int, Rational] | None = None):
-        canon: dict[int, Fraction] = {}
+        canon: dict[int, Rational] = {}
         if terms:
             for k, c in terms.items():
                 c = _as_fraction(c)
@@ -65,13 +82,13 @@ class Scalar:
 
     @staticmethod
     def coerce(value: Scalar | Rational) -> Scalar:
-        if isinstance(value, Scalar):
+        if type(value) is Scalar:
             return value
         return Scalar({0: value})
 
     # -- structure ---------------------------------------------------------
 
-    def items(self) -> Iterable[tuple[int, Fraction]]:
+    def items(self) -> Iterable[tuple[int, Rational]]:
         return sorted(self._terms.items())
 
     def is_zero(self) -> bool:
@@ -80,7 +97,7 @@ class Scalar:
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
-    def monomial(self) -> tuple[int, Fraction]:
+    def monomial(self) -> tuple[int, Rational]:
         """The (exponent, coefficient) pair of a monomial scalar."""
         if len(self._terms) != 1:
             raise StructuralError("scalar is not a monomial")
@@ -96,10 +113,10 @@ class Scalar:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Scalar.coerce(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
@@ -110,26 +127,21 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: Scalar | Rational) -> Scalar:
-        other = Scalar.coerce(other)
         out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, _F0) + c
+        for k, c in Scalar.coerce(other)._terms.items():
+            s = out.get(k, 0) + c
+            if type(s) is not int:
+                s = _as_fraction(s)
             if s:
                 out[k] = s
             else:
-                out.pop(k, None)
-        res = Scalar.__new__(Scalar)
-        res._terms = out
-        res._hash = None
-        return res
+                del out[k]
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Scalar:
-        res = Scalar.__new__(Scalar)
-        res._terms = {k: -c for k, c in self._terms.items()}
-        res._hash = None
-        return res
+        return _wrap({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: Scalar | Rational) -> Scalar:
         return self + (-Scalar.coerce(other))
@@ -138,27 +150,37 @@ class Scalar:
         return Scalar.coerce(other) + (-self)
 
     def __mul__(self, other: Scalar | Rational) -> Scalar:
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return _ZERO
-            res = Scalar.__new__(Scalar)
-            res._terms = {k: v * c for k, v in self._terms.items()}
-            res._hash = None
-            return res
-        out: dict[int, Fraction] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar.coerce(other)
+        a, b = self._terms, other._terms
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            # A monomial times anything: exponents shift, nothing collides.
+            ((k1, c1),) = a.items()
+            if len(b) == 1:
+                ((k2, c2),) = b.items()
+                c = c1 * c2
+                return _wrap({k1 + k2: c if type(c) is int else _as_fraction(c)})
+            out = {}
+            for k2, c2 in b.items():
+                c = c1 * c2
+                out[k1 + k2] = c if type(c) is int else _as_fraction(c)
+            return _wrap(out)
+        out = {}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 k = k1 + k2
-                s = out.get(k, _F0) + c1 * c2
+                s = out.get(k, 0) + c1 * c2
+                if type(s) is not int:
+                    s = _as_fraction(s)
                 if s:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        res = Scalar.__new__(Scalar)
-        res._terms = out
-        res._hash = None
-        return res
+        return _wrap(out)
 
     __rmul__ = __mul__
 
@@ -177,7 +199,7 @@ class Scalar:
     def inverse(self) -> Scalar:
         """Invert a monomial unit c*q**k; other scalars are not units."""
         k, c = self.monomial()
-        return Scalar({-k: 1 / c})
+        return Scalar({-k: Fraction(1, c)})
 
     # -- rendering ----------------------------------------------------------
 
@@ -188,14 +210,13 @@ class Scalar:
         return f"Scalar({self._terms!r})"
 
 
-_F0 = Fraction(0)
 _ZERO = Scalar()
 _ONE = Scalar({0: 1})
 
 Q = Scalar({1: 1})
 
 
-def _monomial_text(c: Fraction, k: int) -> str:
+def _monomial_text(c: Rational, k: int) -> str:
     """Positive-coefficient monomial as text: 5, 5/2, q, q^3, 2*q^-1."""
     if k == 0:
         return str(c)
@@ -256,19 +277,21 @@ def divexact(a: Scalar, b: Scalar) -> Scalar:
     lead = b._terms[bmax]
     kmin = a.min_exp() - b.min_exp()
     rem = dict(a._terms)
-    quot: dict[int, Fraction] = {}
+    quot: dict[int, Rational] = {}
     while rem:
         rdeg = max(rem)
         k = rdeg - bmax
         if k < kmin:
             raise StructuralError("scalar division is not exact")
-        c = rem[rdeg] / lead
+        c = _as_fraction(Fraction(rem[rdeg], lead))
         quot[k] = c
         for be, bc in b._terms.items():
             e = be + k
-            s = rem.get(e, _F0) - c * bc
+            s = rem.get(e, 0) - c * bc
+            if type(s) is not int:
+                s = _as_fraction(s)
             if s:
                 rem[e] = s
             else:
                 rem.pop(e, None)
-    return Scalar(quot)
+    return _wrap(quot)

@@ -16,6 +16,23 @@ def _random_scalar(rnd: random.Random) -> Scalar:
     return Scalar(terms)
 
 
+def _random_int_scalar(rnd: random.Random) -> Scalar:
+    terms = {}
+    for _ in range(rnd.randint(0, 4)):
+        terms[rnd.randint(-3, 3)] = rnd.randint(-5, 5)
+    return Scalar(terms)
+
+
+def _random_monomial(rnd: random.Random) -> Scalar:
+    c = Fraction(rnd.choice([-3, -2, -1, 1, 2, 3]), rnd.randint(1, 3))
+    return Scalar.q_power(rnd.randint(-3, 3), c)
+
+
+def _assert_canonical_coefficients(s: Scalar) -> None:
+    for c in s._terms.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction), repr(s)
+
+
 def test_canonical_form_drops_zeros():
     s = Scalar({0: Fraction(0), 2: 1})
     assert s == Scalar.q_power(2)
@@ -80,3 +97,81 @@ def test_atom_rendering_and_sign_split():
     assert split_sign(Scalar.rational(-2)) == (True, "2")
     assert split_sign(Scalar.q_power(2, -1)) == (True, "q^2")
     assert split_sign(Scalar.one() - Scalar.q_power(1))[0] is False
+
+
+def test_coefficients_are_ints_when_integral_and_fractions_otherwise():
+    half = Scalar.rational(2).inverse()
+    assert type(half._terms[0]) is Fraction and half._terms[0] == Fraction(1, 2)
+    one = Scalar.rational(Fraction(1, 2)) * 2
+    assert type(one._terms[0]) is int and one._terms[0] == 1
+    assert one == Scalar.one() and hash(one) == hash(Scalar.one())
+    assert type(Scalar({0: Fraction(4, 2)})._terms[0]) is int
+    assert Scalar({0: Fraction(4, 2)})._terms[0] == 2
+    assert divexact(Scalar({0: 1, 1: 2}), Scalar({0: 2, 1: 4}))._terms == {0: Fraction(1, 2)}
+    two = divexact(Scalar({0: 2, 1: 4}), Scalar({0: 1, 1: 2}))
+    assert type(two._terms[0]) is int and two._terms == {0: 2}
+
+    rnd = random.Random(4242)
+    for draw in (_random_scalar, _random_int_scalar):
+        for _ in range(150):
+            a, b = draw(rnd), draw(rnd)
+            m = _random_monomial(rnd)
+            results = [a + b, a - b, a * b, 3 * a, a * Fraction(1, 2), -a,
+                       a ** rnd.randint(0, 3), m ** rnd.randint(-3, 3), m.inverse(),
+                       divexact(a * b, b) if b else a, divexact(a, m)]
+            for r in results:
+                _assert_canonical_coefficients(r)
+
+
+def _sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def to_sympy(s: Scalar):
+        return sum((sympy.Rational(c.numerator, c.denominator) * q ** k for k, c in s.items()),
+                   sympy.Integer(0))
+
+    def same(s: Scalar, expr) -> bool:
+        return sympy.expand(to_sympy(s) - expr) == 0
+
+    return sympy, q, to_sympy, same
+
+
+def test_ring_operations_match_sympy_laurent_arithmetic():
+    sympy, q, to_sympy, same = _sympy_oracle()
+    rnd = random.Random(20261018)
+    for draw in (_random_scalar, _random_int_scalar):
+        for _ in range(60):
+            a, b = draw(rnd), draw(rnd)
+            sa, sb = to_sympy(a), to_sympy(b)
+            assert same(a + b, sa + sb)
+            assert same(a - b, sa - sb)
+            assert same(a * b, sa * sb)
+            n = rnd.randint(0, 3)
+            assert same(a ** n, sa ** n)
+            m = _random_monomial(rnd)
+            assert same(m.inverse(), 1 / to_sympy(m))
+            n = rnd.randint(-3, 3)
+            assert same(m ** n, to_sympy(m) ** n)
+
+
+def test_divexact_matches_sympy_laurent_division():
+    sympy, q, to_sympy, same = _sympy_oracle()
+    rnd = random.Random(7)
+    exact = inexact = 0
+    for draw in (_random_scalar, _random_int_scalar):
+        for _ in range(60):
+            a, b = draw(rnd), draw(rnd)
+            if not b:
+                continue
+            for num in (a * b, a):
+                quotient = sympy.cancel(to_sympy(num) / to_sympy(b))
+                den = sympy.fraction(quotient)[1]
+                if len(sympy.Poly(den, q).terms()) == 1:
+                    assert same(divexact(num, b), quotient)
+                    exact += 1
+                else:
+                    with pytest.raises(StructuralError):
+                        divexact(num, b)
+                    inexact += 1
+    assert exact >= 60 and inexact >= 20

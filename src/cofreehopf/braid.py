@@ -14,6 +14,14 @@ Conventions, fixed once and pinned down by tests:
   satisfying the Yang-Baxter equation the result is independent of the
   reduced word chosen, and for the flip braiding it reproduces the
   position action.
+* The block braiding of a degree-i block past a degree-j block is one
+  adjacent sweep, with no permutation built: for k = 1..j, apply the
+  braiding at positions i+k-1 down to k, which moves the k-th letter of
+  the right block to position k.  That is the braid lift of the block
+  rotation along ``reduced_word(block_rotation(i, j))``, generator for
+  generator.  Block rotations are 321-avoiding, so their reduced words
+  differ only by swapping commuting generators, and every one of them
+  gives this operator on any table, Yang-Baxter or not.
 """
 
 from __future__ import annotations
@@ -217,14 +225,11 @@ def braid_lift(table: BraidingTable, w: Permutation, x: Element) -> Element:
     validity of the table is the caller's contract; it is what makes the
     result independent of the chosen reduced word.
     """
-    for word in x.support():
+    for word in x._terms:
         if len(word) != w.size:
             raise StructuralError(
                 f"word length {len(word)} does not match permutation size {w.size}")
-    out = x
-    for i in reversed(reduced_word(w)):
-        out = table.apply(out, i)
-    return out
+    return braid_lift_word(table, reduced_word(w), x)
 
 
 def braid_lift_word(table: BraidingTable, generators: tuple[int, ...], x: Element) -> Element:
@@ -238,9 +243,14 @@ def braid_lift_word(table: BraidingTable, generators: tuple[int, ...], x: Elemen
 def block_braiding(table: BraidingTable, i: int, j: int, x: Element) -> Element:
     """The braiding between a degree-i block and a degree-j block.
 
-    For i = 0 or j = 0 this is the identity on the nontrivial factor
-    (the flip across a scalar leg).
+    The adjacent sweep of the module docstring; for i = 0 or j = 0 it
+    applies nothing (the flip across a scalar leg is the identity).
     """
-    if i == 0 or j == 0:
-        return x
-    return braid_lift(table, block_rotation(i, j), x)
+    for word in x._terms:
+        if len(word) != i + j:
+            raise StructuralError(f"word length {len(word)} does not match blocks {i} + {j}")
+    out = x
+    for k in range(1, j + 1):
+        for pos in range(i + k - 1, k - 1, -1):
+            out = table.apply(out, pos)
+    return out

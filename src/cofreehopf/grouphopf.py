@@ -157,14 +157,16 @@ def _coerce_matrix(rows, dim: int) -> Matrix:
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product, skipping zero entries: action matrices are mostly diagonal."""
     n = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(n)), Scalar.zero())
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    out = [[Scalar.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if not a[i][k].is_zero():
+                for j in range(n):
+                    if not b[k][j].is_zero():
+                        out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    return tuple(tuple(row) for row in out)
 
 
 def _mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -237,26 +239,8 @@ class YDSpec:
 
     # -- action -------------------------------------------------------------
 
-    def _generator_power(self, k: int, e: int) -> Matrix:
-        key = ("genpow", k, e)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if e == 0:
-            out = _identity_matrix(self.dim)
-        elif e > 0:
-            out = _matmul(self._generator_power(k, e - 1), self.action[k])
-        else:
-            inv = self._cache.get(("geninv", k))
-            if inv is None:
-                inv = tuple(tuple(row) for row in linalg.inverse(
-                    [list(row) for row in self.action[k]]))
-                self._cache[("geninv", k)] = inv
-            out = _matmul(self._generator_power(k, e + 1), inv)
-        self._cache[key] = out
-        return out
-
     def action_matrix(self, g: GroupElement) -> Matrix:
+        """The matrix of g, generator powers taken by square-and-multiply."""
         key = ("act", g)
         cached = self._cache.get(key)
         if cached is not None:
@@ -267,7 +251,16 @@ class YDSpec:
             raise StructuralError("group element has the wrong number of exponents")
         out = _identity_matrix(self.dim)
         for k, e in enumerate(exps):
-            out = _matmul(out, self._generator_power(k, e))
+            base = self.action[k]
+            if e < 0:
+                base = tuple(tuple(row) for row in linalg.inverse([list(row) for row in base]))
+                e = -e
+            while e:
+                if e & 1:
+                    out = _matmul(out, base)
+                e >>= 1
+                if e:
+                    base = _matmul(base, base)
         self._cache[key] = out
         return out
 

@@ -6,8 +6,15 @@ braiding.  On its tensor space the quasi-shuffle product interleaves
 three moves, dispatched on the lengths of the two factor words: keep the
 left head, braid the right head to the front, or merge the two heads
 through the multiplication.  The two one-sided clauses are implemented
-verbatim in addition to the general clause; an always-general code path
-is kept as an internal cross-check oracle.
+verbatim in addition to the general clause; the one-letter-left clause
+is also the base case (a times b is ab + sigma(ab) + m(a, b)).  An
+always-general code path is kept as an internal cross-check oracle.
+
+Each level braids once: the right head b crosses the left tail u' by
+beta_{i-1,1}, which feeds the merge move, and one more braiding at
+position 1 takes it across the left head u_0 for the braid move.  Each
+level recurses on (u', v) before it braids, so a word too deep for the
+recursion fails before any braiding work is spent on it.
 
 The deconcatenation coproduct, the connectedness filtration and the
 extension of a degree-one letter map to a morphism of the whole tensor
@@ -153,21 +160,11 @@ def _qsh_words(spec: BraidedAlgebraSpec, u: tuple, v: tuple) -> Element:
         return Element.from_word(v, alphabet=spec.alphabet)
     if not v:
         return Element.from_word(u, alphabet=spec.alphabet)
-    i, j = len(u), len(v)
-    if i == 1 and j == 1:
-        return _qsh_base(spec, u[0], v[0])
-    if i == 1:
+    if len(u) == 1:
         return _qsh_one_left(spec, u[0], v)
-    if j == 1:
+    if len(v) == 1:
         return _qsh_one_right(spec, u, v[0])
     return _qsh_general(spec, u, v, _qsh_words)
-
-
-def _qsh_base(spec: BraidedAlgebraSpec, a: int, b: int) -> Element:
-    out = spec.word(a, b)
-    out = out + spec.braiding.entries[(a, b)]
-    out = out + spec.mult_entry(a, b)
-    return out
 
 
 def _qsh_one_left(spec: BraidedAlgebraSpec, a: int, v: tuple) -> Element:
@@ -183,13 +180,10 @@ def _qsh_one_left(spec: BraidedAlgebraSpec, a: int, v: tuple) -> Element:
 
 
 def _qsh_one_right(spec: BraidedAlgebraSpec, u: tuple, b: int) -> Element:
-    i = len(u)
     out = _prepend(u[0], _qsh_words(spec, u[1:], (b,)))
-    moved = block_braiding(
-        spec.braiding, i, 1, Element.from_word(u + (b,), alphabet=spec.alphabet))
-    out = out + moved
     shifted = block_braiding(
-        spec.braiding, i - 1, 1, Element.from_word(u[1:] + (b,), alphabet=spec.alphabet))
+        spec.braiding, len(u) - 1, 1, Element.from_word(u[1:] + (b,), alphabet=spec.alphabet))
+    out = out + spec.sigma(_prepend(u[0], shifted))
     for word, coeff in shifted._terms.items():
         merged = spec.mult_entry(u[0], word[0])
         for (d,), c2 in merged._terms.items():
@@ -198,15 +192,12 @@ def _qsh_one_right(spec: BraidedAlgebraSpec, u: tuple, b: int) -> Element:
 
 
 def _qsh_general(spec: BraidedAlgebraSpec, u: tuple, v: tuple, rec) -> Element:
-    i = len(u)
     out = _prepend(u[0], rec(spec, u[1:], v))
-    moved = block_braiding(
-        spec.braiding, i, 1, Element.from_word(u + (v[0],), alphabet=spec.alphabet))
-    for word, coeff in moved._terms.items():
+    shifted = block_braiding(
+        spec.braiding, len(u) - 1, 1, Element.from_word(u[1:] + v[:1], alphabet=spec.alphabet))
+    for word, coeff in spec.sigma(_prepend(u[0], shifted))._terms.items():
         sub = rec(spec, word[1:], v[1:])
         out = out + _prepend(word[0], sub).scale(coeff)
-    shifted = block_braiding(
-        spec.braiding, i - 1, 1, Element.from_word(u[1:] + (v[0],), alphabet=spec.alphabet))
     for word, coeff in shifted._terms.items():
         merged = spec.mult_entry(u[0], word[0])
         sub = rec(spec, word[1:], v[1:])
@@ -216,7 +207,7 @@ def _qsh_general(spec: BraidedAlgebraSpec, u: tuple, v: tuple, rec) -> Element:
 
 
 def _prepend(letter: int, x: Element) -> Element:
-    return Element({(letter,) + w: c for w, c in x._terms.items()}, x.alphabet)
+    return Element._wrap({(letter,) + w: c for w, c in x._terms.items()}, x.alphabet)
 
 
 @lru_cache(maxsize=None)

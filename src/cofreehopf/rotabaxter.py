@@ -69,7 +69,7 @@ def unit_prepend(spec: BraidedAlgebraSpec, x: Element) -> Element:
     if spec.unit is None:
         raise StructuralError("operator needs a unital spec; adjoin a unit first")
     unit = spec.unit
-    return Element({(unit,) + w: c for w, c in x._terms.items()}, x.alphabet)
+    return Element._wrap({(unit,) + w: c for w, c in x._terms.items()}, x.alphabet)
 
 
 def diamond_product(spec: BraidedAlgebraSpec, u: Element, w: Element) -> Element:
@@ -107,7 +107,7 @@ def head_shift(spec: BraidedAlgebraSpec, x: Element) -> Element:
     for w in x._terms:
         if not w:
             raise StructuralError("head-distinguished words must be nonempty")
-    return Element({(spec.unit,) + w: c for w, c in x._terms.items()}, x.alphabet)
+    return Element._wrap({(spec.unit,) + w: c for w, c in x._terms.items()}, x.alphabet)
 
 
 def qsh_rb_instance(spec: BraidedAlgebraSpec) -> RBInstance:
@@ -145,8 +145,8 @@ def smash_rb_operator(s: SmashElement) -> SmashElement:
     if spec.unit is None:
         raise StructuralError("operator needs a unital module algebra")
     unit = spec.unit
-    return SmashElement(spec, {
-        ((unit,) + word, g): c for (word, g), c in s._terms.items()})
+    return SmashElement._wrap({
+        ((unit,) + word, g): c for (word, g), c in s._terms.items()}, spec)
 
 
 def cotensor_rb_operator(x: CotensorElement) -> CotensorElement:

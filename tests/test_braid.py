@@ -177,6 +177,32 @@ def test_block_braiding_examples():
     assert block_braiding(table, 3, 0, x) == x
     pair = Element.from_word((0, 1))
     assert block_braiding(table, 1, 1, pair) == table.apply(pair)
+    for i, j in ((1, 1), (3, 1), (0, 2)):
+        with pytest.raises(StructuralError):
+            block_braiding(table, i, j, x)
+
+
+def test_block_braiding_follows_the_reduced_word_of_the_block_rotation():
+    # A generic table (invertible, not Yang-Baxter, non-monomial entries)
+    # tells apart generator words that a flip or diagonal braiding would
+    # confuse.  Block rotations are 321-avoiding, so every reduced word of
+    # theirs gives the same operator even here.
+    q = Scalar.q_power(1)
+    table = BraidingTable(2, {
+        (0, 0): Element.from_word((0, 0), q),
+        (0, 1): Element.from_word((1, 0)) + Element.from_word((0, 1)),
+        (1, 0): Element.from_word((0, 1)) + Element.from_word((1, 0), -q),
+        (1, 1): Element.from_word((1, 1), Scalar.rational(2)),
+    })
+    assert not check_yang_baxter(table)
+    for i in range(7):
+        for j in range(7 - i):
+            if i + j == 0:
+                continue
+            for word in itertools.product(range(2), repeat=i + j):
+                x = Element.from_word(word)
+                assert block_braiding(table, i, j, x) \
+                    == braid_lift(table, block_rotation(i, j), x), (i, j, word)
 
 
 def test_block_braiding_hexagon():

@@ -85,6 +85,40 @@ CASES = [
 ]
 
 
+# A [braiding] override that is invertible, has non-monomial entries and
+# fails Yang-Baxter, so these outputs change if a block braiding applies
+# any generator word other than the reduced word of its block rotation.
+NON_YANG_BAXTER = """
+[group]
+rank = 1
+
+[basis]
+a = 1
+b = 1
+
+[action]
+g1 = q, q^-1
+
+[mult]
+a b -> b
+
+[braiding]
+a a -> q a@a
+a b -> b@a + a@b
+b a -> a@b
+b b -> 2 b@b
+"""
+
+NON_YANG_BAXTER_QSH = [
+    (('a@b@a', 'b'),
+     '(1 + q) a@a@b@b + 2 a@b@a@b + a@b@b + 5 a@b@b@a + 2 b@a@b@a + 2 b@b@a'),
+    (('a@b@a', 'b@a'),
+     '(1 + q + q^2) a@a@a@b@b + (1 + q) a@a@b@a@b + (1 + 3*q) a@a@b@b@a + a@b@a@a@b + (2 + 4*q) a@b@a@b@a + a@b@b@a + (5 + 5*q) a@b@b@a@a + (2*q + 2*q^2) b@a@a@b@a + (2*q) b@a@b@a + (2 + 2*q) b@a@b@a@a + (2 + 2*q) b@b@a@a'),
+    (('b@a@b', 'a@b'),
+     '(2*q) a@a@b@b@b + (5*q) a@b@a@b@b + (6*q) a@b@b@a@b + (2*q) a@b@b@b + (3 + 5*q) b@a@a@b@b + (1 + 2*q) b@a@b@a@b + (2*q) b@a@b@b'),
+]
+
+
 @pytest.fixture(scope="module")
 def configs(tmp_path_factory):
     root = tmp_path_factory.mktemp("characterisation")
@@ -109,6 +143,16 @@ def test_cli_output_is_pinned(configs, capsys, case, text, json_text):
     assert capsys.readouterr().out == text + "\n"
     assert main(["--config", config, "--format", "json", *argv]) == 0
     assert capsys.readouterr().out == json_text + "\n"
+
+
+def test_qsh_under_a_non_yang_baxter_override_is_pinned(tmp_path, capsys):
+    path = tmp_path / "non_yb.cfg"
+    path.write_text(NON_YANG_BAXTER, encoding="utf-8")
+    assert main(["--config", str(path), "check", "yb"]) == 1
+    capsys.readouterr()
+    for argv, text in NON_YANG_BAXTER_QSH:
+        assert main(["--config", str(path), "qsh", *argv]) == 0
+        assert capsys.readouterr().out == text + "\n"
 
 
 def test_group_algebra_term_order():

@@ -218,6 +218,18 @@ def test_internal_error_exits_2_with_one_line(run, clifford_config, monkeypatch)
     assert err == "error: internal: RuntimeError: boom\n"
 
 
+def test_large_group_exponents_exit_0(run, tmp_path):
+    cartan = tmp_path / "a2.txt"
+    cartan.write_text("2 -1\n-1 2\n", encoding="utf-8")
+    code, out, _ = run("preset", "uqg", "--cartan", str(cartan))
+    assert code == 0
+    path = tmp_path / "a2.cfg"
+    path.write_text(out, encoding="utf-8")
+    for tag, coeff in (("K{3000,0}", "q^6000"), ("K{-3000,0}", "q^-6000")):
+        assert run("--config", str(path), "smash-star", tag, "E1") \
+            == (0, f"{coeff} E1#{tag}\n", "")
+
+
 def test_preset_requires_arguments(run):
     code, _, err = run("preset", "clifford")
     assert code == 2

@@ -185,8 +185,17 @@ def test_negative_exponent_action_goes_through_matrix_inverse():
     k = g.generator(0)
     one, zero = Scalar.one(), Scalar.zero()
     spec = YDSpec(g, ("a", "b"), (k, k), (((one, one), (zero, one)),))
-    image = spec.act_letter(g.element([-2]), 1)
-    assert image == Element({(0,): Scalar.rational(-2), (1,): one}, spec)
+    for e in (-2, -3001, 3001):  # g^e sends b to e a + b
+        image = spec.act_letter(g.element([e]), 1)
+        assert image == Element({(0,): Scalar.rational(e), (1,): one}, spec)
+
+
+def test_large_exponents_act_without_recursion(uqg_a2):
+    spec = uqg_a2.spec
+    e1 = spec.letter("E1")
+    for e in (3000, -3000):
+        image = spec.act_letter(spec.group.element([e, 0]), e1)
+        assert image == Element.from_word((e1,), Scalar.q_power(2 * e), spec)
 
 
 def test_with_unit_extends_structure(clifford2):

@@ -1,0 +1,77 @@
+"""Property test: the quasi-shuffle against the cotensor star route.
+
+On right coinvariants the cotensor product is the quasi-shuffle product:
+``star`` of two chain lifts flattens back to the quasi-shuffle of the
+plain words.  The star route (the prefix table of ``cotensor``) reads the
+action and the multiplication letter by letter and shares no code with
+``block_braiding`` or the quasi-shuffle clauses, so it checks both the
+one-sided dispatch and the general-clause oracle independently.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cofreehopf.cotensor import chain_lift, flatten_coinvariant, star
+from cofreehopf.elements import Element
+from cofreehopf.grouphopf import AbelianGroup, YDSpec, braided_spec, diagonal_matrix
+from cofreehopf.presets import build_clifford, build_uqg
+from cofreehopf.qalg import quasi_shuffle, quasi_shuffle_general_clause
+from cofreehopf.scalars import Scalar
+
+BOUNDED = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+PRESETS = (build_clifford(2).spec, build_uqg([[2, -1], [-1, 2]]).spec)
+
+
+@st.composite
+def diagonal_yd_specs(draw):
+    """Z or Z^2, random degrees, q-power diagonal actions, zero multiplication."""
+    rank = draw(st.integers(1, 2))
+    dim = draw(st.integers(1, 3))
+    group = AbelianGroup(rank)
+    exponents = st.integers(-2, 2)
+    degrees = tuple(group.element([draw(exponents) for _ in range(rank)])
+                    for _ in range(dim))
+    action = tuple(diagonal_matrix([Scalar.q_power(draw(exponents)) for _ in range(dim)])
+                   for _ in range(rank))
+    names = tuple(f"v{k}" for k in range(dim))
+    return YDSpec(group, names, degrees, action, mult={})
+
+
+@st.composite
+def element_pairs(draw, spec, max_length):
+    """Two combinations of at most two words each, small integer coefficients."""
+    def element():
+        words = draw(st.lists(
+            st.lists(st.integers(0, spec.dim - 1), max_size=max_length).map(tuple),
+            min_size=1, max_size=2))
+        coeffs = st.integers(-2, 2).filter(bool)
+        out = Element.zero(spec)
+        for word in words:
+            out = out + Element.from_word(word, draw(coeffs), spec)
+        return out
+    return element(), element()
+
+
+def _assert_three_routes_agree(spec, x, y):
+    bspec = braided_spec(spec)
+    product = quasi_shuffle(bspec, x, y)
+    assert product == quasi_shuffle_general_clause(bspec, x, y)
+    assert product == flatten_coinvariant(star(chain_lift(spec, x), chain_lift(spec, y)))
+
+
+@BOUNDED
+@given(st.data())
+def test_quasi_shuffle_matches_star_route_on_random_diagonal_data(data):
+    spec = data.draw(diagonal_yd_specs())
+    x, y = data.draw(element_pairs(spec, 5))
+    _assert_three_routes_agree(spec, x, y)
+
+
+@BOUNDED
+@given(st.data())
+def test_quasi_shuffle_matches_star_route_on_preset_words(data):
+    spec = data.draw(st.sampled_from(PRESETS))
+    x, y = data.draw(element_pairs(spec, 4))
+    _assert_three_routes_agree(spec, x, y)

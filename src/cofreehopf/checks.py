@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
+
+from .errors import StructuralError
 
 
 @dataclass
@@ -39,3 +41,14 @@ PASS = CheckResult(True)
 
 def fail(law: str, witness, lhs=None, rhs=None) -> CheckResult:
     return CheckResult(False, law, witness, lhs, rhs)
+
+
+def nonempty(samples: Iterable) -> Iterator:
+    """The samples of a check, then StructuralError if there were none:
+    a check over no samples examined nothing and must not read as a pass."""
+    empty = True
+    for sample in samples:
+        empty = False
+        yield sample
+    if empty:
+        raise StructuralError("the check was given no samples")

@@ -41,7 +41,6 @@ from .expr import parse_element_text
 from .grouphopf import (
     GroupElement,
     YDSpec,
-    braided_spec,
     check_yd_module_algebra,
     check_yetter_drinfeld,
 )
@@ -111,26 +110,6 @@ def _load_document(args) -> ConfigDocument:
     return parse_config(text)
 
 
-def _braided(doc: ConfigDocument) -> BraidedAlgebraSpec:
-    spec = doc.ydspec()
-    if doc.braiding is None:
-        return braided_spec(spec)
-    key = "_braided_override"
-    cached = getattr(doc, key, None)
-    if cached is None:
-        cached = BraidedAlgebraSpec(
-            dim=spec.dim,
-            braiding=doc.braiding_table(),
-            mult={pair: Element(dict(v._terms), alphabet=spec)
-                  for pair, v in (spec.mult or {}).items()},
-            unit=None,
-            names=spec.names,
-            alphabet=spec,
-        )
-        setattr(doc, key, cached)
-    return cached
-
-
 def _letter_text(spec: YDSpec):
     def text(letter):
         if isinstance(letter, int):
@@ -178,11 +157,11 @@ def _run_check(args, doc: ConfigDocument) -> CheckResult:
     if args.what == "alg":
         if doc.braiding is None:
             return check_yd_module_algebra(spec)
-        return check_braided_algebra(_braided(doc))
+        return check_braided_algebra(doc.braided())
     if args.what == "bialg":
-        bspec = _braided(doc)
+        bspec = doc.braided()
         return check_quasi_shuffle_bialgebra(bspec, _pairs_up_to(bspec, args.max_degree))
-    bspec = _braided(doc)
+    bspec = doc.braided()
     unital = bspec if bspec.unit is not None else adjoin_unit(bspec)
     return check_rota_baxter(
         qsh_rb_instance(unital), _element_pairs_up_to(unital, args.max_degree))
@@ -281,7 +260,7 @@ def _dispatch(args) -> int:
         return 0 if result else 1
 
     if args.command == "qsh":
-        bspec = _braided(doc)
+        bspec = doc.braided()
         x = bind_plain_element(spec, parse_element_text(args.x))
         y = bind_plain_element(spec, parse_element_text(args.y))
         out = quasi_shuffle(bspec, x, y)
@@ -365,3 +344,7 @@ def _cmd_preset(args) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

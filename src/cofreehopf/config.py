@@ -32,7 +32,8 @@ from .expr import (
     split_top_level_commas,
     tokenize,
 )
-from .grouphopf import AbelianGroup, GroupElement, YDSpec
+from .grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec
+from .qalg import BraidedAlgebraSpec
 from .scalars import Scalar, split_sign
 from .cotensor import CotensorElement, SmashElement, chain_lift_word, chain_violation
 
@@ -40,7 +41,7 @@ _SECTIONS = ("group", "basis", "action", "mult", "braiding")
 _RESERVED = ("q", "K")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfigDocument:
     group: AbelianGroup
     names: tuple[str, ...]
@@ -49,35 +50,38 @@ class ConfigDocument:
     mult: dict[tuple[int, int], dict[int, Scalar]]
     braiding: dict[tuple[int, int], dict[tuple[int, int], Scalar]] | None = None
     notes: tuple[str, ...] = field(default=(), compare=False)
+    # The specs built from this document: "spec", and "braided" for an override.
+    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def ydspec(self) -> YDSpec:
-        spec = getattr(self, "_spec", None)
+        spec = self._built.get("spec")
         if spec is None:
-            spec = YDSpec(self.group, self.names, self.degrees, self.action, mult={})
-            mult = {
-                pair: Element({(i,): c for i, c in entry.items()}, alphabet=spec)
-                for pair, entry in self.mult.items()
-            }
-            spec.mult = mult
-            self._spec = spec
+            mult = {pair: Element({(i,): c for i, c in entry.items()})
+                    for pair, entry in self.mult.items()}
+            spec = self._built["spec"] = YDSpec(
+                self.group, self.names, self.degrees, self.action, mult)
         return spec
 
-    def braiding_table(self) -> BraidingTable:
+    def braided(self) -> BraidedAlgebraSpec:
+        """The braided algebra of the document: the one its module algebra
+        induces, or the same letters and products under the [braiding] table."""
         spec = self.ydspec()
         if self.braiding is None:
-            return spec.induced_braiding()
-        table = getattr(self, "_braiding_table", None)
-        if table is None:
-            entries = {
-                pair: Element(dict(words), alphabet=spec)
-                for pair, words in self.braiding.items()
-            }
+            return braided_spec(spec)
+        bspec = self._built.get("braided")
+        if bspec is None:
+            entries = {pair: Element(dict(words), alphabet=spec)
+                       for pair, words in self.braiding.items()}
             try:
                 table = BraidingTable(spec.dim, entries, alphabet=spec)
             except StructuralError as exc:
                 raise ConfigError(f"braiding override: {exc}") from exc
-            self._braiding_table = table
-        return table
+            bspec = self._built["braided"] = BraidedAlgebraSpec(
+                spec.dim, table, spec.mult, names=spec.names, alphabet=spec)
+        return bspec
+
+    def braiding_table(self) -> BraidingTable:
+        return self.braided().braiding
 
 
 def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
@@ -229,7 +233,7 @@ def parse_config(text: str) -> ConfigDocument:
                          braiding, tuple(notes))
     doc.ydspec()  # structural validation happens on construction
     if doc.braiding is not None:
-        doc.braiding_table()
+        doc.braided()
     return doc
 
 

@@ -404,13 +404,13 @@ def to_smash(x: CotensorElement) -> SmashElement:
 
 
 def from_smash(s: SmashElement) -> CotensorElement:
-    """Chain-lift the word leg and multiply the group tag back in."""
+    """Chain-lift the word leg and multiply the group tag back in: in closed
+    form, as the right translation, so this route shares no code with star."""
     spec = s.spec
-    out = CotensorElement.zero(spec)
+    out: dict[Key, Scalar] = {}
     for (word, g), c in s._terms.items():
-        lifted = chain_lift_word(spec, word)
-        out = out + _star_key(spec, lifted, g).scale(c)
-    return out
+        accumulate(out, right_translate(spec, chain_lift_word(spec, word), g), c)
+    return CotensorElement._wrap(out, spec)
 
 
 # -- rendering ------------------------------------------------------------------

@@ -210,6 +210,18 @@ def apply_local(table: Mapping, pos: int, x: Element) -> Element:
     return Element._wrap(out, x.alphabet)
 
 
+def letter_table(entries: Mapping, dim: int, alphabet) -> dict:
+    """A copy of ``entries`` over ``alphabet``; each value must combine letters 0..dim-1."""
+    table = {}
+    for pair, value in entries.items():
+        for word in value._terms:
+            if len(word) != 1 or not (0 <= word[0] < dim):
+                raise StructuralError(
+                    f"mult entry for {pair} must be a combination of letters")
+        table[pair] = Element._wrap(dict(value._terms), alphabet)
+    return table
+
+
 MINUS = "−"  # canonical term separator uses the minus-sign character
 
 

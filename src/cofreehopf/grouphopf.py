@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .braid import BraidingTable
 from .checks import PASS, CheckResult, fail
-from .elements import Element, accumulate
+from .elements import Element, accumulate, letter_table
 from .errors import StructuralError
 from .scalars import Scalar
 
@@ -188,7 +188,7 @@ def diagonal_matrix(entries) -> Matrix:
     )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class YDSpec:
     """A based Yetter-Drinfeld module over an abelian group algebra.
 
@@ -197,7 +197,9 @@ class YDSpec:
     of letter j.  ``mult`` optionally carries structure constants making
     the module an algebra in the category (values are Elements over
     one-letter words; missing pairs mean zero).  ``unit`` optionally
-    names a two-sided unit letter.
+    names a two-sided unit letter.  A spec is immutable: ``mult`` is
+    given whole at construction, checked and copied over the spec, and
+    ``_cache`` memoises what is derived from it.
     """
 
     group: AbelianGroup
@@ -214,13 +216,9 @@ class YDSpec:
             raise StructuralError("one degree per letter is required")
         if len(self.action) != self.group.n_generators:
             raise StructuralError("one action matrix per group generator is required")
-        self.action = tuple(_coerce_matrix(m, dim) for m in self.action)
+        object.__setattr__(self, "action", tuple(_coerce_matrix(m, dim) for m in self.action))
         if self.mult is not None:
-            for (a, b), value in self.mult.items():
-                for word in value.support():
-                    if len(word) != 1 or not (0 <= word[0] < dim):
-                        raise StructuralError(
-                            f"mult entry for {(a, b)} must be a combination of letters")
+            object.__setattr__(self, "mult", letter_table(self.mult, dim, self))
 
     @property
     def dim(self) -> int:
@@ -313,16 +311,13 @@ class YDSpec:
             ) + ((Scalar.zero(),) * dim + (Scalar.one(),),)
             for matrix in self.action
         )
-        mult: dict[tuple[int, int], Element] = {}
         unit = dim
-        extended = YDSpec(self.group, names, degrees, action, mult, unit)
-        for (a, b), value in (self.mult or {}).items():
-            mult[(a, b)] = Element(dict(value._terms), alphabet=extended)
+        mult = dict(self.mult)
         for a in range(dim + 1):
-            mult[(unit, a)] = Element.from_word((a,), alphabet=extended)
+            mult[(unit, a)] = Element.from_word((a,))
             if a != unit:
-                mult[(a, unit)] = Element.from_word((a,), alphabet=extended)
-        return extended
+                mult[(a, unit)] = Element.from_word((a,))
+        return YDSpec(self.group, names, degrees, action, mult, unit)
 
 
 def check_yetter_drinfeld(spec: YDSpec) -> CheckResult:
@@ -409,14 +404,7 @@ def braided_spec(spec: YDSpec):
     if cached is None:
         if spec.mult is None:
             raise StructuralError("spec declares no multiplication")
-        cached = BraidedAlgebraSpec(
-            dim=spec.dim,
-            braiding=spec.induced_braiding(),
-            mult={pair: Element(dict(v._terms), alphabet=spec)
-                  for pair, v in spec.mult.items()},
-            unit=spec.unit,
-            names=spec.names,
-            alphabet=spec,
-        )
+        cached = BraidedAlgebraSpec(spec.dim, spec.induced_braiding(), spec.mult,
+                                    spec.unit, spec.names, spec)
         spec._cache["braided_spec"] = cached
     return cached

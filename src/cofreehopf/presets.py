@@ -46,7 +46,7 @@ from .grouphopf import (
 from .scalars import Scalar
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CliffordPreset:
     n: int
     spec: YDSpec
@@ -63,7 +63,7 @@ class CliffordPreset:
         return self.n + offset + (j - i)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class UqgPreset:
     cartan: tuple[tuple[int, ...], ...]
     spec: YDSpec
@@ -101,15 +101,6 @@ def build_clifford(n: int) -> CliffordPreset:
     neutral = group.identity()
     names = [f"v{i}" for i in range(1, n + 1)]
     degrees = [eps] * n
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            names.append(f"xi{i}{j}")
-            degrees.append(neutral)
-    dim = len(names)
-    action = (diagonal_matrix(
-        [Scalar.rational(-1)] * n + [Scalar.one()] * (dim - n)),)
-    spec = YDSpec(group, tuple(names), tuple(degrees), action, mult={})
-    preset = CliffordPreset(n, spec)
     mult: dict[tuple[int, int], Element] = {}
     for i in range(1, n + 1):
         for j in range(i, n + 1):
@@ -117,11 +108,15 @@ def build_clifford(n: int) -> CliffordPreset:
             # does the anticommutator of a generator with itself close on a
             # single bracket letter, since both ordered products coincide.
             coeff = Fraction(1, 2) if i == j else 1
-            mult[(preset.v(i), preset.v(j))] = Element.from_word(
-                (preset.xi(i, j),), coeff, alphabet=spec)
-    spec.mult = mult
+            mult[(i - 1, j - 1)] = Element.from_word((len(names),), coeff)
+            names.append(f"xi{i}{j}")
+            degrees.append(neutral)
+    dim = len(names)
+    action = (diagonal_matrix(
+        [Scalar.rational(-1)] * n + [Scalar.one()] * (dim - n)),)
+    spec = YDSpec(group, tuple(names), tuple(degrees), action, mult)
     _validate(spec)
-    return preset
+    return CliffordPreset(n, spec)
 
 
 def check_clifford_relations(preset: CliffordPreset) -> CheckResult:
@@ -180,15 +175,10 @@ def _build_uqg_cached(cartan: tuple[tuple[int, ...], ...]) -> UqgPreset:
             + [Scalar.q_power(-cartan[k][j]) for j in range(n)] \
             + [Scalar.one()] * n
         action.append(diagonal_matrix(diag))
-    spec = YDSpec(group, tuple(names), tuple(degrees), tuple(action), mult={})
-    preset = UqgPreset(cartan, spec)
-    mult: dict[tuple[int, int], Element] = {}
-    for i in range(1, n + 1):
-        mult[(preset.e(i), preset.f(i))] = Element.from_word(
-            (preset.xi(i),), alphabet=spec)
-    spec.mult = mult
+    mult = {(i, n + i): Element.from_word((2 * n + i,)) for i in range(n)}
+    spec = YDSpec(group, tuple(names), tuple(degrees), tuple(action), mult)
     _validate(spec)
-    return preset
+    return UqgPreset(cartan, spec)
 
 
 def build_uqg(cartan) -> UqgPreset:

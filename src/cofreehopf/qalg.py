@@ -28,20 +28,22 @@ from functools import lru_cache
 from typing import Mapping
 
 from .braid import BraidingTable, block_braiding
-from .checks import PASS, CheckResult, fail
-from .elements import Element, accumulate, apply_local
+from .checks import PASS, CheckResult, fail, nonempty
+from .elements import Element, accumulate, apply_local, letter_table
 from .errors import StructuralError
 from .scalars import Scalar
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class BraidedAlgebraSpec:
     """Structure constants of a finite-dimensional braided algebra.
 
     ``mult`` maps letter pairs to combinations of letters; missing pairs
     are stored explicitly as zero during construction, so the table is
     total.  ``unit``, when present, is a two-sided unit letter that the
-    braiding flips trivially.
+    braiding flips trivially.  ``alphabet`` tags the words (the spec
+    itself when not given).  A spec is immutable: ``mult`` is given whole
+    at construction, checked and copied over ``alphabet``.
     """
 
     dim: int
@@ -56,19 +58,11 @@ class BraidedAlgebraSpec:
         if self.braiding.dim != self.dim:
             raise StructuralError("braiding dimension does not match the basis size")
         if self.alphabet is None:
-            self.alphabet = self
-        total = {}
-        for a in range(self.dim):
-            for b in range(self.dim):
-                value = self.mult.get((a, b))
-                if value is None:
-                    value = Element.zero(self.alphabet)
-                for word in value.support():
-                    if len(word) != 1 or not (0 <= word[0] < self.dim):
-                        raise StructuralError(
-                            f"mult entry for {(a, b)} must be a combination of letters")
-                total[(a, b)] = Element(dict(value._terms), self.alphabet)
-        self.mult = total
+            object.__setattr__(self, "alphabet", self)
+        given = letter_table(self.mult, self.dim, self.alphabet)
+        zero = Element.zero(self.alphabet)
+        object.__setattr__(self, "mult", {
+            (a, b): given.get((a, b), zero) for a in range(self.dim) for b in range(self.dim)})
 
     def mult_entry(self, a: int, b: int) -> Element:
         return self.mult[(a, b)]
@@ -131,19 +125,17 @@ def adjoin_unit(spec: BraidedAlgebraSpec, name: str = "one") -> BraidedAlgebraSp
     dim = spec.dim
     unit = dim
     entries = {}
-    mult = {}
+    mult = dict(spec.mult)
     alphabet = object()
     for (a, b), value in spec.braiding.entries.items():
         entries[(a, b)] = Element(dict(value._terms), alphabet)
-    for (a, b), value in spec.mult.items():
-        mult[(a, b)] = Element(dict(value._terms), alphabet)
     for a in range(dim + 1):
         entries[(a, unit)] = Element.from_word((unit, a), alphabet=alphabet)
         if a != unit:
             entries[(unit, a)] = Element.from_word((a, unit), alphabet=alphabet)
-        mult[(unit, a)] = Element.from_word((a,), alphabet=alphabet)
+        mult[(unit, a)] = Element.from_word((a,))
         if a != unit:
-            mult[(a, unit)] = Element.from_word((a,), alphabet=alphabet)
+            mult[(a, unit)] = Element.from_word((a,))
     names = None
     if spec.names is not None:
         unit_name = name
@@ -296,7 +288,7 @@ def check_quasi_shuffle_bialgebra(spec: BraidedAlgebraSpec,
     must equal multiplying the deconcatenations componentwise after
     braiding the two middle tensor legs across each other.
     """
-    for u, v in pairs:
+    for u, v in nonempty(pairs):
         x = Element.from_word(u, alphabet=spec.alphabet)
         y = Element.from_word(v, alphabet=spec.alphabet)
         lhs = deconcat(quasi_shuffle(spec, x, y))

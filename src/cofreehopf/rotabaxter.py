@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .braid import block_braiding
-from .checks import PASS, CheckResult, fail
+from .checks import PASS, CheckResult, fail, nonempty
 from .cotensor import CotensorElement, SmashElement, from_smash, smash_product, to_smash
 from .elements import Element
 from .errors import StructuralError
@@ -49,7 +49,7 @@ class RBInstance:
 def check_rota_baxter(inst: RBInstance, samples: Iterable[tuple]) -> CheckResult:
     """P(x)P(y) = P(xP(y)) + P(P(x)y) + weight * P(xy) on every sample pair."""
     prod, op, weight = inst.product, inst.operator, inst.weight
-    for x, y in samples:
+    for x, y in nonempty(samples):
         px, py = op(x), op(y)
         lhs = prod(px, py)
         rhs = op(prod(x, py)) + op(prod(px, y)) + op(prod(x, y)).scale(weight)
@@ -131,7 +131,7 @@ def check_double_product_isomorphism(spec: BraidedAlgebraSpec,
     """The double product of the head-distinguished algebra equals the
     quasi-shuffle product under the identity on underlying words."""
     inst = diamond_rb_instance(spec)
-    for u, w in samples:
+    for u, w in nonempty(samples):
         lhs = rb_double_product(inst, u, w)
         rhs = quasi_shuffle(spec, u, w)
         if lhs != rhs:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,22 @@ def hoffman_config(tmp_path):
     path = tmp_path / "hoffman.cfg"
     path.write_text(HOFFMAN, encoding="utf-8")
     return str(path)
+
+
+@pytest.mark.parametrize("module", ["cofreehopf", "cofreehopf.cli"])
+def test_python_dash_m_runs_the_command_line(module, run):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    _, expected, _ = run("preset", "clifford", "--n", "2")
+    done = python_m("preset", "clifford", "--n", "2")
+    assert (done.returncode, done.stdout) == (0, expected)
+    assert python_m("no-such-command").returncode == 2
 
 
 def test_star_golden_rendering(run, clifford_config):

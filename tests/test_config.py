@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from cofreehopf.config import (
@@ -14,7 +16,7 @@ from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word
 from cofreehopf.elements import Element
 from cofreehopf.errors import ConfigError
 from cofreehopf.expr import parse_element_text
-from cofreehopf.grouphopf import check_yetter_drinfeld
+from cofreehopf.grouphopf import braided_spec, check_yetter_drinfeld
 from cofreehopf.scalars import Scalar
 
 HOFFMAN = """
@@ -81,6 +83,27 @@ def test_braiding_override_round_trips(clifford2):
     text = emit_config(doc)
     again = parse_config(text)
     assert again == doc
+
+
+def test_braided_spec_is_built_on_demand_and_once(clifford2):
+    doc = parse_config(emit_config(document_from_spec(clifford2.spec)))
+    spec = doc.ydspec()
+    assert "braiding" not in spec._cache  # parsing alone builds no braiding
+    assert doc.braided() is doc.braided() is braided_spec(spec)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.mult = {}
+
+
+def test_braiding_override_gives_one_braided_spec(clifford2):
+    spec = clifford2.spec
+    doc = parse_config(emit_config(
+        document_from_spec(spec, braiding=spec.induced_braiding())))
+    bspec = doc.braided()
+    assert bspec is doc.braided()
+    assert bspec.unit is None
+    assert bspec.braiding is doc.braiding_table()
+    assert {pair: dict(entry._terms)
+            for pair, entry in bspec.braiding.entries.items()} == doc.braiding
 
 
 def test_missing_group_section_is_an_error():

@@ -495,6 +495,28 @@ def test_coinvariant_coproduct_flattens_to_deconcatenation(clifford2, uqg_a2):
             assert flattened == deconcat(Element.from_word(word, alphabet=spec))._terms
 
 
+def test_smash_route_runs_without_the_prefix_table(clifford2, uqg_a2, monkeypatch):
+    from cofreehopf import cotensor
+    cases = []
+    for preset in (clifford2, uqg_a2):
+        spec = preset.spec
+        g = spec.group.generator(0)
+        for u, v in itertools.product([(0,), (0, 1), (1, 2, 0)], repeat=2):
+            x = CotensorElement.from_word(spec, chain_lift_word(spec, u))
+            y = CotensorElement.from_word(
+                spec, right_translate(spec, chain_lift_word(spec, v), g))
+            cases.append((x, y, star(x, y)))
+
+    def refuse(*args):
+        raise AssertionError("the smash route reached the prefix table")
+
+    for preset in (clifford2, uqg_a2):
+        preset.spec._cache.pop("star", None)
+    monkeypatch.setattr(cotensor, "_prefix_table", refuse)
+    for x, y, expected in cases:
+        assert from_smash(smash_product(to_smash(x), to_smash(y))) == expected
+
+
 def test_star_raises_when_the_product_leaves_the_chain_words(clifford2, monkeypatch):
     from cofreehopf import cotensor
     spec = clifford2.spec

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -172,9 +173,7 @@ def test_yd_module_algebra_rejects_corrupted_degree(uqg_a2):
     base = uqg_a2.spec
     degrees = list(base.degrees)
     degrees[uqg_a2.xi(1)] = base.group.generator(0)  # should be K_1^2
-    spec = YDSpec(base.group, base.names, tuple(degrees), base.action, mult={})
-    spec.mult = {pair: Element(dict(v._terms), alphabet=spec)
-                 for pair, v in base.mult.items()}
+    spec = YDSpec(base.group, base.names, tuple(degrees), base.action, base.mult)
     result = check_yd_module_algebra(spec)
     assert not result
     assert result.law == "mult-degree"
@@ -214,3 +213,14 @@ def test_with_unit_requires_mult():
     spec = YDSpec(g, ("a",), (g.identity(),), (diagonal_matrix([Scalar.one()]),))
     with pytest.raises(StructuralError):
         spec.with_unit()
+
+
+def test_specs_are_frozen_and_own_their_products(clifford2):
+    spec = clifford2.spec.with_unit()
+    bspec = braided_spec(spec)
+    for built in (clifford2, spec, bspec):
+        for f in dataclasses.fields(built):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(built, f.name, getattr(built, f.name))
+    assert all(value.alphabet is spec for value in spec.mult.values())
+    assert all(value.alphabet is spec for value in bspec.mult.values())

@@ -160,6 +160,31 @@ def test_zero_mult_flip_degenerates_to_shuffle_counts():
                     assert got == expected
 
 
+def _gaussian_binomial(n: int, k: int, t: Scalar) -> Scalar:
+    """[n choose k]_t by the q-Pascal rule [n, k] = [n-1, k-1] + t^k [n-1, k]."""
+    if k == 0 or k == n:
+        return Scalar.one()
+    t_k = Scalar.one()
+    for _ in range(k):
+        t_k = t_k * t
+    return _gaussian_binomial(n - 1, k - 1, t) + t_k * _gaussian_binomial(n - 1, k, t)
+
+
+def test_powers_of_one_letter_multiply_by_gaussian_binomials():
+    # Rosso's quantum shuffle (Invent. Math. 133, 1998): with zero
+    # multiplication and sigma(a, a) = t a@a, a^n times a^m is
+    # [n+m choose n]_t a^(n+m).
+    for c in (-2, -1, 0, 1, 3):
+        spec = BraidedAlgebraSpec(1, diagonal_braiding(1, [[c]]), {})
+        for n in range(6):
+            for m in range(6):
+                x, y = _word(spec, *(0,) * n), _word(spec, *(0,) * m)
+                expected = _word(spec, *(0,) * (n + m),
+                                 coeff=_gaussian_binomial(n + m, n, Scalar.q_power(c)))
+                assert quasi_shuffle(spec, x, y) == expected
+                assert quasi_shuffle_general_clause(spec, x, y) == expected
+
+
 def test_one_sided_clauses_match_general_clause(clifford2, uqg_a2, hoffman4):
     specs = [braided_spec(clifford2.spec), braided_spec(uqg_a2.spec), hoffman4]
     for spec in specs:
@@ -199,6 +224,11 @@ def test_bialgebra_compatibility_small(clifford2, hoffman4):
     for spec in (braided_spec(clifford2.spec), hoffman4):
         pairs = [(u, v) for u in [(0,), (1,), (0, 1)] for v in [(0,), (1,)]]
         assert check_quasi_shuffle_bialgebra(spec, pairs)
+
+
+def test_bialgebra_check_over_no_samples_is_an_error(hoffman4):
+    with pytest.raises(StructuralError, match="no samples"):
+        check_quasi_shuffle_bialgebra(hoffman4, [])
 
 
 # -- deconcatenation and the filtration --------------------------------------------

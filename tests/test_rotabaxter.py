@@ -75,6 +75,11 @@ def test_rb_identity_on_scalar_pairs(unital_clifford):
     assert check_rota_baxter(inst, pairs)
 
 
+def test_rb_check_over_no_samples_is_an_error(unital_clifford):
+    with pytest.raises(StructuralError, match="no samples"):
+        check_rota_baxter(qsh_rb_instance(unital_clifford), [])
+
+
 def test_rb_identity_on_basis_words(unital_clifford):
     spec = unital_clifford
     inst = qsh_rb_instance(spec)
@@ -154,6 +159,11 @@ def test_double_product_transports_to_quasi_shuffle(unital_clifford):
         for v in [(0,), (1,), (1, 0)]:
             pairs.append((_elem(spec, u), _elem(spec, v)))
     assert check_double_product_isomorphism(spec, pairs)
+
+
+def test_double_product_check_over_no_samples_is_an_error(unital_clifford):
+    with pytest.raises(StructuralError, match="no samples"):
+        check_double_product_isomorphism(unital_clifford, iter(()))
 
 
 def test_double_product_detects_corrupted_operator(unital_clifford):

@@ -36,6 +36,9 @@ from .elements import Element, apply_local
 from .errors import StructuralError
 from .scalars import Scalar
 
+# Largest dimension of V tensor V whose invertibility a BraidingTable checks.
+INVERTIBILITY_CAP = 64
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -137,16 +140,16 @@ class BraidingTable:
     """A linear operator on V tensor V given on basis letter pairs.
 
     Entries map each ordered pair (a, b) of letters to an Element over
-    two-letter words.  Construction verifies totality and, for ambient
-    dimension at most ``invertibility_cap``, invertibility by exact
-    elimination over the fraction field; larger tables skip the
-    elimination (documented cap, default 64 for V tensor V).
+    two-letter words.  Construction verifies totality and, when V tensor V
+    has dimension at most ``INVERTIBILITY_CAP`` (64), invertibility by
+    exact elimination over the fraction field; larger tables skip the
+    elimination.
     """
 
     __slots__ = ("dim", "entries", "alphabet")
 
     def __init__(self, dim: int, entries: Mapping[tuple[int, int], Element],
-                 alphabet=None, invertibility_cap: int = 64):
+                 alphabet=None):
         self.dim = dim
         self.entries = dict(entries)
         self.alphabet = alphabet
@@ -160,7 +163,7 @@ class BraidingTable:
                             isinstance(l, int) and 0 <= l < dim for l in word):
                         raise StructuralError(
                             f"braiding entry for {(a, b)} has an invalid word {word}")
-        if dim * dim <= invertibility_cap and not self._invertible():
+        if dim * dim <= INVERTIBILITY_CAP and not self._invertible():
             raise StructuralError("braiding table is not invertible on V tensor V")
 
     def _invertible(self) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .braid import check_yang_baxter
 from .checks import CheckResult
@@ -30,6 +31,7 @@ from .cotensor import (
     coproduct,
     flatten_coinvariant,
     render_cotensor,
+    render_key,
     render_pairs,
     render_smash,
     smash_product,
@@ -81,15 +83,11 @@ def build_argparser() -> argparse.ArgumentParser:
     common = _common_flags(True)
 
     p_check = sub.add_parser("check", parents=[common], help="run an axiom checker")
-    p_check.add_argument("what", choices=("yb", "alg", "yd", "bialg", "rb"))
-
-    for name in ("qsh", "star", "smash-star"):
+    p_check.add_argument("what", choices=CHECKS)
+    for name, (arg_names, *_) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
-        p.add_argument("x")
-        p.add_argument("y")
-    for name in ("comul", "rb-apply", "phi", "psi"):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("x")
+        for arg in arg_names:
+            p.add_argument(arg)
 
     p_preset = sub.add_parser("preset", parents=[common], help="emit a built-in config")
     p_preset.add_argument("family", choices=("clifford", "uqg"))
@@ -123,11 +121,57 @@ def _letter_text(spec: YDSpec):
     return text
 
 
+def _render_text(kind: str | None, spec: YDSpec, value) -> str:
+    if kind == "tensor":
+        return render_element(value, _letter_text(spec))
+    if kind == "cotensor":
+        return render_cotensor(value)
+    if kind == "smash":
+        return render_smash(value)
+    if kind == "pairs":
+        return render_pairs(spec, value)
+    return str(value)
+
+
+_KIND_OF_TYPE = {Element: "tensor", CotensorElement: "cotensor", SmashElement: "smash"}
+
+
 def _render_any(spec: YDSpec):
-    letter_text = _letter_text(spec)
-    renderers = {Element: lambda x: render_element(x, letter_text),
-                 CotensorElement: render_cotensor, SmashElement: render_smash}
-    return lambda value: renderers.get(type(value), str)(value)
+    return lambda value: _render_text(_KIND_OF_TYPE.get(type(value)), spec, value)
+
+
+def _json_terms(kind: str, spec: YDSpec, value) -> list[dict]:
+    """One dict per term: ``coeff`` and the key fields of its kind."""
+    text = _letter_text(spec)
+
+    def fields(key) -> dict:
+        if kind == "pairs":
+            return {"left": render_key(spec, key[0]), "right": render_key(spec, key[1])}
+        if kind == "smash":
+            return {"word": [text(v) for v in key[0]], "group": text(key[1])}
+        if isinstance(key, GroupElement):  # a degree-0 cotensor key
+            return {"word": [text(key)]}
+        return {"word": [text(letter) for letter in key]}
+
+    return [{"coeff": render_scalar(c), **fields(key)} for key, c in value.terms()]
+
+
+# command -> (argument names, binder, operation, output kind).  Each
+# operation is built from the document before any argument is read, and
+# looks its function up when called, so patching ``cli.star`` takes effect.
+COMMANDS = {
+    "qsh": (("x", "y"), bind_plain_element,
+            lambda doc: partial(quasi_shuffle, doc.braided()), "tensor"),
+    "star": (("x", "y"), bind_cotensor_element, lambda doc: star, "cotensor"),
+    "smash-star": (("x", "y"), bind_smash_element, lambda doc: smash_product, "smash"),
+    "comul": (("x",), bind_cotensor_element, lambda doc: coproduct, "pairs"),
+    # a config names no unit letter, so rb-apply binds over the spec with one adjoined
+    "rb-apply": (("x",), lambda spec, parsed: bind_cotensor_element(spec.with_unit(), parsed),
+                 lambda doc: cotensor_rb_operator, "cotensor"),
+    "phi": (("x",), bind_cotensor_element, lambda doc: flatten_coinvariant, "tensor"),
+    "psi": (("x",), bind_plain_element,
+            lambda doc: partial(chain_lift, doc.ydspec()), "cotensor"),
+}
 
 
 def _pairs_up_to(spec: BraidedAlgebraSpec, total: int):
@@ -140,75 +184,28 @@ def _pairs_up_to(spec: BraidedAlgebraSpec, total: int):
                 yield u, v
 
 
-def _element_pairs_up_to(spec: BraidedAlgebraSpec, total: int):
-    for u, v in _pairs_up_to(spec, total):
-        yield (Element.from_word(u, alphabet=spec.alphabet),
-               Element.from_word(v, alphabet=spec.alphabet))
+def _check_rb(doc: ConfigDocument, max_degree: int) -> CheckResult:
+    unital = adjoin_unit(doc.braided())  # a config names no unit letter
+    return check_rota_baxter(qsh_rb_instance(unital), (
+        (Element.from_word(u, alphabet=unital.alphabet),
+         Element.from_word(v, alphabet=unital.alphabet))
+        for u, v in _pairs_up_to(unital, max_degree)))
 
 
-def _run_check(args, doc: ConfigDocument) -> CheckResult:
-    if args.max_degree < 0:
-        raise ConfigError(f"--max-degree must be >= 0, got {args.max_degree}")
-    spec = doc.ydspec()
-    if args.what == "yb":
-        return check_yang_baxter(doc.braiding_table())
-    if args.what == "yd":
-        return check_yetter_drinfeld(spec)
-    if args.what == "alg":
-        if doc.braiding is None:
-            return check_yd_module_algebra(spec)
-        return check_braided_algebra(doc.braided())
-    if args.what == "bialg":
-        bspec = doc.braided()
-        return check_quasi_shuffle_bialgebra(bspec, _pairs_up_to(bspec, args.max_degree))
-    bspec = doc.braided()
-    unital = bspec if bspec.unit is not None else adjoin_unit(bspec)
-    return check_rota_baxter(
-        qsh_rb_instance(unital), _element_pairs_up_to(unital, args.max_degree))
-
-
-def _json_terms_plain(spec: YDSpec, x: Element):
-    text = _letter_text(spec)
-    return [{"coeff": render_scalar(c), "word": [text(l) for l in w]}
-            for w, c in x.terms()]
-
-
-def _json_terms_cotensor(x: CotensorElement):
-    from .cotensor import render_key
-    out = []
-    for key, c in x.terms():
-        if isinstance(key, GroupElement):
-            out.append({"coeff": render_scalar(c), "word": [key.render()]})
-        else:
-            out.append({"coeff": render_scalar(c),
-                        "word": [render_key(x.spec, (pair,)) for pair in key]})
-    return out
-
-
-def _json_terms_pairs(spec: YDSpec, x: Element):
-    from .cotensor import render_key
-    return [{"coeff": render_scalar(c),
-             "left": render_key(spec, a),
-             "right": render_key(spec, b)}
-            for (a, b), c in x.terms()]
-
-
-def _json_terms_smash(x: SmashElement):
-    return [{"coeff": render_scalar(c),
-             "word": [x.spec.names[v] for v in word],
-             "group": g.render()}
-            for (word, g), c in x.terms()]
+# check name -> checker(document, --max-degree)
+CHECKS = {
+    "yb": lambda doc, n: check_yang_baxter(doc.braiding_table()),
+    "alg": lambda doc, n: (check_yd_module_algebra(doc.ydspec()) if doc.braiding is None
+                           else check_braided_algebra(doc.braided())),
+    "yd": lambda doc, n: check_yetter_drinfeld(doc.ydspec()),
+    "bialg": lambda doc, n: check_quasi_shuffle_bialgebra(
+        doc.braided(), _pairs_up_to(doc.braided(), n)),
+    "rb": _check_rb,
+}
 
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
-
-
-def _output_element(args, kind: str, text: str, terms) -> None:
-    if args.format == "json":
-        _emit({"kind": kind, "terms": terms})
-    else:
-        print(text)
 
 
 def main(argv=None) -> int:
@@ -230,11 +227,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "preset":
         return _cmd_preset(args)
-    if args.command is None:
-        if args.emit_config:
-            doc = _load_document(args)
-            print(emit_config(doc), end="")
-            return 0
+    if args.command is None and not args.emit_config:
         raise ConfigError("no command given (see --help)")
     doc = _load_document(args)
     if args.emit_config:
@@ -243,7 +236,9 @@ def _dispatch(args) -> int:
     spec = doc.ydspec()
 
     if args.command == "check":
-        result = _run_check(args, doc)
+        if args.max_degree < 0:
+            raise ConfigError(f"--max-degree must be >= 0, got {args.max_degree}")
+        result = CHECKS[args.what](doc, args.max_degree)
         render = _render_any(spec)
         if args.format == "json":
             payload = {"ok": bool(result)}
@@ -259,62 +254,15 @@ def _dispatch(args) -> int:
             print(result.describe(render))
         return 0 if result else 1
 
-    if args.command == "qsh":
-        bspec = doc.braided()
-        x = bind_plain_element(spec, parse_element_text(args.x))
-        y = bind_plain_element(spec, parse_element_text(args.y))
-        out = quasi_shuffle(bspec, x, y)
-        _output_element(args, "tensor",
-                        render_element(out, _letter_text(spec)),
-                        _json_terms_plain(spec, out))
-        return 0
-
-    if args.command == "star":
-        x = bind_cotensor_element(spec, parse_element_text(args.x))
-        y = bind_cotensor_element(spec, parse_element_text(args.y))
-        out = star(x, y)
-        _output_element(args, "cotensor", render_cotensor(out),
-                        _json_terms_cotensor(out))
-        return 0
-
-    if args.command == "comul":
-        x = bind_cotensor_element(spec, parse_element_text(args.x))
-        out = coproduct(x)
-        _output_element(args, "pairs", render_pairs(spec, out),
-                        _json_terms_pairs(spec, out))
-        return 0
-
-    if args.command == "smash-star":
-        x = bind_smash_element(spec, parse_element_text(args.x))
-        y = bind_smash_element(spec, parse_element_text(args.y))
-        out = smash_product(x, y)
-        _output_element(args, "smash", render_smash(out), _json_terms_smash(out))
-        return 0
-
-    if args.command == "rb-apply":
-        unital = spec if spec.unit is not None else spec.with_unit()
-        x = bind_cotensor_element(unital, parse_element_text(args.x))
-        out = cotensor_rb_operator(x)
-        _output_element(args, "cotensor", render_cotensor(out),
-                        _json_terms_cotensor(out))
-        return 0
-
-    if args.command == "phi":
-        x = bind_cotensor_element(spec, parse_element_text(args.x))
-        out = flatten_coinvariant(x)
-        _output_element(args, "tensor",
-                        render_element(out, _letter_text(spec)),
-                        _json_terms_plain(spec, out))
-        return 0
-
-    if args.command == "psi":
-        x = bind_plain_element(spec, parse_element_text(args.x))
-        out = chain_lift(spec, x)
-        _output_element(args, "cotensor", render_cotensor(out),
-                        _json_terms_cotensor(out))
-        return 0
-
-    raise ConfigError(f"unknown command {args.command!r}")
+    arg_names, bind, operation, kind = COMMANDS[args.command]
+    apply = operation(doc)
+    out = apply(*(bind(spec, parse_element_text(getattr(args, name))) for name in arg_names))
+    spec = getattr(out, "spec", spec)  # rb-apply's output lives on the unital spec
+    if args.format == "json":
+        _emit({"kind": kind, "terms": _json_terms(kind, spec, out)})
+    else:
+        print(_render_text(kind, spec, out))
+    return 0
 
 
 def _cmd_preset(args) -> int:
@@ -322,7 +270,6 @@ def _cmd_preset(args) -> int:
         if args.n is None or args.n < 1:
             raise ConfigError("preset clifford needs --n N with N >= 1")
         preset = build_clifford(args.n)
-        spec = preset.spec
     else:
         if not args.cartan:
             raise ConfigError("preset uqg needs --cartan FILE")
@@ -337,8 +284,7 @@ def _cmd_preset(args) -> int:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read cartan matrix: {exc}") from exc
         preset = build_uqg(rows)
-        spec = preset.spec
-    print(emit_config(document_from_spec(spec)), end="")
+    print(emit_config(document_from_spec(preset.spec)), end="")
     return 0
 
 

@@ -319,6 +319,9 @@ def emit_config(doc: ConfigDocument) -> str:
 
 
 def document_from_spec(spec: YDSpec, braiding: BraidingTable | None = None) -> ConfigDocument:
+    if spec.unit is not None:
+        # the format cannot name a unit letter: the document would lose it
+        raise StructuralError("a spec with a unit letter has no config document")
     mult: dict[tuple[int, int], dict[int, Scalar]] = {}
     for pair, value in (spec.mult or {}).items():
         if not value.is_zero():

@@ -211,15 +211,35 @@ def apply_local(table: Mapping, pos: int, x: Element) -> Element:
 
 
 def letter_table(entries: Mapping, dim: int, alphabet) -> dict:
-    """A copy of ``entries`` over ``alphabet``; each value must combine letters 0..dim-1."""
+    """A copy of ``entries`` over ``alphabet``; each key must be a pair of
+    letters 0..dim-1 and each value a combination of such letters."""
     table = {}
     for pair, value in entries.items():
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and all(isinstance(l, int) and 0 <= l < dim for l in pair)):
+            raise StructuralError(f"mult entry key {pair!r} is not a pair of letters")
         for word in value._terms:
             if len(word) != 1 or not (0 <= word[0] < dim):
                 raise StructuralError(
                     f"mult entry for {pair} must be a combination of letters")
         table[pair] = Element._wrap(dict(value._terms), alphabet)
     return table
+
+
+def adjoin_unit_letter(mult: Mapping, dim: int, names, name: str):
+    """``mult`` and ``names`` extended by letter ``dim`` as a two-sided unit.
+
+    The unit is named ``name``, with ``_`` appended until it is fresh;
+    ``names`` may be None (unnamed letters).
+    """
+    table = dict(mult)
+    for a in range(dim + 1):
+        table[(dim, a)] = table[(a, dim)] = Element.from_word((a,))
+    if names is not None:
+        while name in names:
+            name += "_"
+        names = names + (name,)
+    return table, names
 
 
 MINUS = "−"  # canonical term separator uses the minus-sign character

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .braid import BraidingTable
 from .checks import PASS, CheckResult, fail
-from .elements import Element, accumulate, letter_table
+from .elements import Element, accumulate, adjoin_unit_letter, letter_table
 from .errors import StructuralError
 from .scalars import Scalar
 
@@ -300,10 +300,8 @@ class YDSpec:
             raise StructuralError("spec already has a unit letter")
         if self.mult is None:
             raise StructuralError("cannot adjoin a unit without a multiplication")
-        while name in self.names:
-            name += "_"
         dim = self.dim
-        names = self.names + (name,)
+        mult, names = adjoin_unit_letter(self.mult, dim, self.names, name)
         degrees = self.degrees + (self.group.identity(),)
         action = tuple(
             tuple(
@@ -311,13 +309,7 @@ class YDSpec:
             ) + ((Scalar.zero(),) * dim + (Scalar.one(),),)
             for matrix in self.action
         )
-        unit = dim
-        mult = dict(self.mult)
-        for a in range(dim + 1):
-            mult[(unit, a)] = Element.from_word((a,))
-            if a != unit:
-                mult[(a, unit)] = Element.from_word((a,))
-        return YDSpec(self.group, names, degrees, action, mult, unit)
+        return YDSpec(self.group, names, degrees, action, mult, dim)
 
 
 def check_yetter_drinfeld(spec: YDSpec) -> CheckResult:

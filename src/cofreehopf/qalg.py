@@ -29,7 +29,7 @@ from typing import Mapping
 
 from .braid import BraidingTable, block_braiding
 from .checks import PASS, CheckResult, fail, nonempty
-from .elements import Element, accumulate, apply_local, letter_table
+from .elements import Element, accumulate, adjoin_unit_letter, apply_local, letter_table
 from .errors import StructuralError
 from .scalars import Scalar
 
@@ -125,7 +125,6 @@ def adjoin_unit(spec: BraidedAlgebraSpec, name: str = "one") -> BraidedAlgebraSp
     dim = spec.dim
     unit = dim
     entries = {}
-    mult = dict(spec.mult)
     alphabet = object()
     for (a, b), value in spec.braiding.entries.items():
         entries[(a, b)] = Element(dict(value._terms), alphabet)
@@ -133,15 +132,7 @@ def adjoin_unit(spec: BraidedAlgebraSpec, name: str = "one") -> BraidedAlgebraSp
         entries[(a, unit)] = Element.from_word((unit, a), alphabet=alphabet)
         if a != unit:
             entries[(unit, a)] = Element.from_word((a, unit), alphabet=alphabet)
-        mult[(unit, a)] = Element.from_word((a,))
-        if a != unit:
-            mult[(a, unit)] = Element.from_word((a,))
-    names = None
-    if spec.names is not None:
-        unit_name = name
-        while unit_name in spec.names:
-            unit_name += "_"
-        names = spec.names + (unit_name,)
+    mult, names = adjoin_unit_letter(spec.mult, dim, spec.names, name)
     braiding = BraidingTable(dim + 1, entries, alphabet)
     return BraidedAlgebraSpec(dim + 1, braiding, mult, unit, names, alphabet)
 

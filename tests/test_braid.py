@@ -127,7 +127,7 @@ def test_braiding_table_validation():
         BraidingTable(2, entries)
     # beyond the elimination cap construction succeeds without the check
     big = {(a, b): Element.from_word((b, a)) for a in range(9) for b in range(9)}
-    BraidingTable(9, big, invertibility_cap=64)
+    BraidingTable(9, big)
 
 
 def test_braid_lift_matches_position_action_for_flip():

@@ -82,6 +82,28 @@ CASES = [
     (('c2', 'comul', '−q^2 K{1} + 1/2 v1@v2'),
      '1/2 K{0} (x) v1.K{1}[]v2.K{0} − q^2 K{1} (x) K{1} + 1/2 v1.K{1} (x) v2.K{0} + 1/2 v1.K{1}[]v2.K{0} (x) K{0}',
      '{"kind": "pairs", "terms": [{"coeff": "1/2", "left": "K{0}", "right": "v1.K{1}[]v2.K{0}"}, {"coeff": "-q^2", "left": "K{1}", "right": "K{1}"}, {"coeff": "1/2", "left": "v1.K{1}", "right": "v2.K{0}"}, {"coeff": "1/2", "left": "v1.K{1}[]v2.K{0}", "right": "K{0}"}]}'),
+    (('a2', 'phi', 'q^-1 E1.K{1,0}[]F1.K{0,0} + 1/2 K{0,0} - (1 - q) xi1.K{0,0}'),
+     '1/2 + q^-1 E1@F1 + (-1 + q) xi1',
+     '{"kind": "tensor", "terms": [{"coeff": "1/2", "word": []}, {"coeff": "q^-1", "word": ["E1", "F1"]}, {"coeff": "-1 + q", "word": ["xi1"]}]}'),
+    (('a2', 'phi', 'E1@F2 - q^2 F1'),
+     'E1@F2 − q^2 F1',
+     '{"kind": "tensor", "terms": [{"coeff": "1", "word": ["E1", "F2"]}, {"coeff": "-q^2", "word": ["F1"]}]}'),
+    (('c2', 'phi', '0'),
+     '0',
+     '{"kind": "tensor", "terms": []}'),
+    # rb-apply renders over the spec with the unit letter "one" adjoined
+    (('a2', 'rb-apply', 'E1'),
+     'one.K{1,0}[]E1.K{0,0}',
+     '{"kind": "cotensor", "terms": [{"coeff": "1", "word": ["one.K{1,0}", "E1.K{0,0}"]}]}'),
+    (('a2', 'rb-apply', 'E1@F1 - (1 - q) E2'),
+     '(-1 + q) one.K{0,1}[]E2.K{0,0} + one.K{2,0}[]E1.K{1,0}[]F1.K{0,0}',
+     '{"kind": "cotensor", "terms": [{"coeff": "-1 + q", "word": ["one.K{0,1}", "E2.K{0,0}"]}, {"coeff": "1", "word": ["one.K{2,0}", "E1.K{1,0}", "F1.K{0,0}"]}]}'),
+    (('a2', 'rb-apply', '1/2 + xi1@F2'),
+     '1/2 one.K{0,0} + one.K{2,1}[]xi1.K{0,1}[]F2.K{0,0}',
+     '{"kind": "cotensor", "terms": [{"coeff": "1/2", "word": ["one.K{0,0}"]}, {"coeff": "1", "word": ["one.K{2,1}", "xi1.K{0,1}", "F2.K{0,0}"]}]}'),
+    (('c2', 'rb-apply', 'v1@v2 - 1/2 v2'),
+     'one.K{0}[]v1.K{1}[]v2.K{0} − 1/2 one.K{1}[]v2.K{0}',
+     '{"kind": "cotensor", "terms": [{"coeff": "1", "word": ["one.K{0}", "v1.K{1}", "v2.K{0}"]}, {"coeff": "-1/2", "word": ["one.K{1}", "v2.K{0}"]}]}'),
 ]
 
 

@@ -14,7 +14,7 @@ from cofreehopf.config import (
 )
 from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word
 from cofreehopf.elements import Element
-from cofreehopf.errors import ConfigError
+from cofreehopf.errors import ConfigError, StructuralError
 from cofreehopf.expr import parse_element_text
 from cofreehopf.grouphopf import braided_spec, check_yetter_drinfeld
 from cofreehopf.scalars import Scalar
@@ -83,6 +83,12 @@ def test_braiding_override_round_trips(clifford2):
     text = emit_config(doc)
     again = parse_config(text)
     assert again == doc
+
+
+def test_unital_spec_has_no_document(clifford2):
+    # the format cannot name a unit letter, so a document would drop it
+    with pytest.raises(StructuralError, match="unit letter"):
+        document_from_spec(clifford2.spec.with_unit())
 
 
 def test_braided_spec_is_built_on_demand_and_once(clifford2):

@@ -4,8 +4,11 @@ import itertools
 
 import pytest
 
+from cofreehopf.braid import flip_braiding
 from cofreehopf.elements import Element, apply_local, render_element
 from cofreehopf.errors import StructuralError
+from cofreehopf.grouphopf import AbelianGroup, YDSpec, diagonal_matrix
+from cofreehopf.qalg import BraidedAlgebraSpec
 from cofreehopf.scalars import Scalar
 
 
@@ -59,6 +62,18 @@ def test_apply_local_errors():
         apply_local(_flip_table(2), 2, Element.from_word((0, 1)))
     with pytest.raises(StructuralError):
         apply_local({}, 1, Element.from_word((0, 1)))
+
+
+@pytest.mark.parametrize("key", [(0, 5), (0, 99), (-1, 0), (0,), (0, 0, 0), ("a", 0)])
+def test_mult_keys_must_be_pairs_of_letters(key):
+    g = AbelianGroup(rank=1)
+    letter = Element.from_word((0,))
+    assert BraidedAlgebraSpec(1, flip_braiding(1), {(0, 0): letter}).mult[(0, 0)] == letter
+    with pytest.raises(StructuralError, match="not a pair of letters"):
+        BraidedAlgebraSpec(1, flip_braiding(1), {(0, 0): letter, key: letter})
+    with pytest.raises(StructuralError, match="not a pair of letters"):
+        YDSpec(g, ("a",), (g.identity(),), (diagonal_matrix([Scalar.one()]),),
+               {(0, 0): letter, key: letter})
 
 
 def test_disjoint_positions_commute():

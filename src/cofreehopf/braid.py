@@ -26,6 +26,7 @@ Conventions, fixed once and pinned down by tests:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -182,13 +183,7 @@ class BraidingTable:
 
     def basis_words(self, length: int):
         """All basis words of the given tensor power, in index order."""
-        def rec(prefix: tuple, k: int):
-            if k == 0:
-                yield prefix
-                return
-            for a in range(self.dim):
-                yield from rec(prefix + (a,), k - 1)
-        yield from rec((), length)
+        return itertools.product(range(self.dim), repeat=length)
 
 
 def flip_braiding(dim: int, alphabet=None) -> BraidingTable:

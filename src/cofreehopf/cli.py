@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from functools import partial
+from itertools import chain
 
 from .braid import check_yang_baxter
 from .checks import CheckResult
@@ -174,14 +175,15 @@ COMMANDS = {
 }
 
 
+def _words_up_to(spec: BraidedAlgebraSpec, total: int):
+    return chain.from_iterable(spec.basis_words(length) for length in range(total + 1))
+
+
 def _pairs_up_to(spec: BraidedAlgebraSpec, total: int):
-    words: list[tuple] = []
-    for length in range(total + 1):
-        words.extend(spec.basis_words(length))
-    for u in words:
-        for v in words:
-            if len(u) + len(v) <= total:
-                yield u, v
+    """Each word u by length, then each word v with |v| <= total - |u|."""
+    for u in _words_up_to(spec, total):
+        for v in _words_up_to(spec, total - len(u)):
+            yield u, v
 
 
 def _check_rb(doc: ConfigDocument, max_degree: int) -> CheckResult:
@@ -230,6 +232,8 @@ def _dispatch(args) -> int:
     if args.command is None and not args.emit_config:
         raise ConfigError("no command given (see --help)")
     doc = _load_document(args)
+    for note in doc.notes:
+        print(f"note: {note}", file=sys.stderr)
     if args.emit_config:
         print(emit_config(doc), end="")
         return 0

@@ -40,6 +40,7 @@ independent route to the same algebra.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Mapping
 
 from .checks import PASS, CheckResult, fail
@@ -163,11 +164,7 @@ def _pair_alphabet(spec: YDSpec):
 
 def coproduct(x: CotensorElement) -> Element:
     """The coalgebra coproduct as an Element over pairs of basis keys."""
-    out: dict[tuple, Scalar] = {}
-    for key, c in x._terms.items():
-        for pair in coproduct_pairs(x.spec, key):
-            accumulate(out, pair, c)
-    return Element._wrap(out, _pair_alphabet(x.spec))
+    return x.rekey(partial(coproduct_pairs, x.spec), cls=Element, alphabet=_pair_alphabet(x.spec))
 
 
 def counit(x: CotensorElement) -> Scalar:
@@ -255,11 +252,7 @@ def star(x: CotensorElement, y: CotensorElement) -> CotensorElement:
     """The associative product induced by the universal property."""
     if x.spec is not y.spec:
         raise StructuralError("cotensor elements over different module data")
-    out = CotensorElement.zero(x.spec)
-    for kx, cx in x._terms.items():
-        for ky, cy in y._terms.items():
-            out = out + _star_key(x.spec, kx, ky).scale(cx * cy)
-    return out
+    return x.bilinear(y, partial(_star_key, x.spec))
 
 
 # -- right coinvariants --------------------------------------------------------
@@ -273,24 +266,20 @@ def right_translate(spec: YDSpec, key: Key, g: GroupElement) -> Key:
 
 
 def coinvariant_projection(x: CotensorElement) -> CotensorElement:
-    """Convolution of the identity with inclusion-antipode-projection."""
+    """Convolution of the identity with inclusion-antipode-projection: the
+    coproduct, the antipode on degree-0 second legs, then the product."""
     spec = x.spec
-    out = CotensorElement.zero(spec)
-    for key, c in x._terms.items():
-        for k1, k2 in coproduct_pairs(spec, key):
-            if key_degree(k2) == 0:
-                inv = spec.group.inverse(k2)
-                out = out + _star_key(spec, k1, inv).scale(c)
-    return out
+    legs = x.rekey(lambda key: [(k1, spec.group.inverse(k2))
+                                for k1, k2 in coproduct_pairs(spec, key)
+                                if key_degree(k2) == 0],
+                   cls=Element, alphabet=_pair_alphabet(spec))
+    return legs.map_words(lambda pair: _star_key(spec, *pair), cls=CotensorElement, alphabet=spec)
 
 
 def coinvariant_projection_direct(x: CotensorElement) -> CotensorElement:
     """The closed form of the same projection: kill the right degree."""
     spec = x.spec
-    out: dict[Key, Scalar] = {}
-    for key, c in x._terms.items():
-        accumulate(out, _project_key(spec, key), c)
-    return CotensorElement._wrap(out, spec)
+    return x.rekey(lambda key: (_project_key(spec, key),))
 
 
 def is_coinvariant(x: CotensorElement) -> bool:
@@ -301,11 +290,12 @@ def flatten_coinvariant(x: CotensorElement) -> Element:
     """Strip the group components off a right-coinvariant element."""
     if not is_coinvariant(x):
         raise StructuralError("element is not right-coinvariant")
-    out: dict[tuple, Scalar] = {}
-    for key, c in x._terms.items():
-        word = () if isinstance(key, GroupElement) else tuple(v for v, _ in key)
-        accumulate(out, word, c)
-    return Element._wrap(out, x.spec)
+    return x.rekey(lambda key: (_letters(key),), cls=Element)
+
+
+def _letters(key: Key) -> tuple[int, ...]:
+    """The tensor word under a basis key: its letters without the group components."""
+    return () if isinstance(key, GroupElement) else tuple(v for v, _ in key)
 
 
 def chain_lift_word(spec: YDSpec, word: tuple[int, ...]) -> Key:
@@ -322,20 +312,16 @@ def chain_lift_word(spec: YDSpec, word: tuple[int, ...]) -> Key:
 
 def chain_lift(spec: YDSpec, x: Element) -> CotensorElement:
     """The coinvariant embedding of the tensor space over the letters."""
-    out: dict[Key, Scalar] = {}
-    for word, c in x._terms.items():
-        accumulate(out, chain_lift_word(spec, word), c)
-    return CotensorElement._wrap(out, spec)
+    return x.rekey(lambda word: (chain_lift_word(spec, word),),
+                   cls=CotensorElement, alphabet=spec)
 
 
 def coinvariant_coproduct(x: CotensorElement) -> Element:
     """Both coproduct legs pushed into the coinvariants."""
     spec = x.spec
-    out: dict[tuple, Scalar] = {}
-    for key, c in x._terms.items():
-        for k1, k2 in coproduct_pairs(spec, key):
-            accumulate(out, (_project_key(spec, k1), _project_key(spec, k2)), c)
-    return Element._wrap(out, _pair_alphabet(spec))
+    return x.rekey(lambda key: [(_project_key(spec, k1), _project_key(spec, k2))
+                                for k1, k2 in coproduct_pairs(spec, key)],
+                   cls=Element, alphabet=_pair_alphabet(spec))
 
 
 def _project_key(spec: YDSpec, key: Key) -> Key:
@@ -392,25 +378,17 @@ def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
 def to_smash(x: CotensorElement) -> SmashElement:
     """Split off the group tag through the coproduct and the projection."""
     spec = x.spec
-    out: dict[tuple, Scalar] = {}
-    for key, c in x._terms.items():
-        for k1, k2 in coproduct_pairs(spec, key):
-            if key_degree(k2) != 0:
-                continue
-            proj = _project_key(spec, k1)
-            word = () if isinstance(proj, GroupElement) else tuple(v for v, _ in proj)
-            accumulate(out, (word, k2), c)
-    return SmashElement._wrap(out, spec)
+    return x.rekey(lambda key: [(_letters(_project_key(spec, k1)), k2)
+                                for k1, k2 in coproduct_pairs(spec, key)
+                                if key_degree(k2) == 0], cls=SmashElement)
 
 
 def from_smash(s: SmashElement) -> CotensorElement:
     """Chain-lift the word leg and multiply the group tag back in: in closed
     form, as the right translation, so this route shares no code with star."""
     spec = s.spec
-    out: dict[Key, Scalar] = {}
-    for (word, g), c in s._terms.items():
-        accumulate(out, right_translate(spec, chain_lift_word(spec, word), g), c)
-    return CotensorElement._wrap(out, spec)
+    return s.rekey(lambda key: (right_translate(spec, chain_lift_word(spec, key[0]), key[1]),),
+                   cls=CotensorElement)
 
 
 # -- rendering ------------------------------------------------------------------

@@ -15,6 +15,13 @@ and :class:`Element` is the combination over any of them.  The key kinds:
   (word, group element);
 * the group algebra K[G] (:class:`HElement`): a group element.
 
+Every structure of the package is given on basis keys and extended to
+combinations here, and nowhere else: :meth:`Element.map_words` extends a
+rule from a key to a combination linearly, :meth:`Element.bilinear` a
+rule from a pair of keys to a combination bilinearly, and
+:meth:`Element.rekey` / :meth:`Element.relabel` a rule from a key to keys
+with coefficient 1.  Each builds its result in one dict.
+
 Canonical form (no zero coefficients) holds after every operation.  The
 ``alphabet`` tag names the basis declaration the keys refer to: an
 arbitrary hashable for plain words (``None`` combines with any tag), the
@@ -178,12 +185,51 @@ class Element:
                 accumulate(out, w1 + w2, c1 * c2)
         return Element._wrap(out, alphabet)
 
-    def map_words(self, fn: Callable[[Word], Element], alphabet=None) -> Element:
-        """Linear extension of a word-level map ``fn(word) -> Element``."""
-        out = Element.zero(alphabet)
-        for w, c in self._terms.items():
-            out = out + fn(w).scale(c)
-        return out
+    # -- linear extension of basis-level rules --------------------------------
+    # The result is of class ``cls`` over ``alphabet``; both default to those
+    # of ``self`` (for ``bilinear``, the alphabet both factors share).
+
+    def map_words(self, image: Callable[[object], Element], *, cls=None, alphabet=None):
+        """Linear extension of a rule ``image(key) -> Element``."""
+        out = _extend((c, image(key)) for key, c in self._terms.items())
+        return (cls or type(self))._wrap(out, self.alphabet if alphabet is None else alphabet)
+
+    def bilinear(self, other: Element, product: Callable[[object, object], Element],
+                 *, cls=None, alphabet=None):
+        """Bilinear extension of a rule ``product(key, other_key) -> Element``."""
+        if alphabet is None:
+            alphabet = merge_alphabets(self.alphabet, other.alphabet)
+        out = _extend((c * d, product(k, l)) for k, c in self._terms.items()
+                      for l, d in other._terms.items())
+        return (cls or type(self))._wrap(out, alphabet)
+
+    def rekey(self, keys_of: Callable[[object], Iterable], *, cls=None, alphabet=None):
+        """Linear extension of a rule sending a key to keys, each with coefficient 1."""
+        out: dict = {}
+        for key, c in self._terms.items():
+            for new in keys_of(key):
+                accumulate(out, new, c)
+        return (cls or type(self))._wrap(out, self.alphabet if alphabet is None else alphabet)
+
+    def relabel(self, key_of: Callable[[object], object], *, cls=None, alphabet=None):
+        """Linear extension of a one-to-one rule from keys to keys: nothing
+        merges, so nothing is accumulated."""
+        out = {key_of(key): c for key, c in self._terms.items()}
+        return (cls or type(self))._wrap(out, self.alphabet if alphabet is None else alphabet)
+
+
+def _extend(images) -> dict:
+    """Sum ``c * image`` over ``(c, image)`` pairs; a coefficient of 1 multiplies nothing."""
+    out: dict = {}
+    one = Scalar.one()
+    for c, image in images:
+        if c == one:
+            for key, d in image._terms.items():
+                accumulate(out, key, d)
+        else:
+            for key, d in image._terms.items():
+                accumulate(out, key, d * c)
+    return out
 
 
 def apply_local(table: Mapping, pos: int, x: Element) -> Element:
@@ -226,16 +272,17 @@ def letter_table(entries: Mapping, dim: int, alphabet) -> dict:
     return table
 
 
-def adjoin_unit_letter(mult: Mapping, dim: int, names, name: str):
+def adjoin_unit_letter(mult: Mapping, dim: int, names):
     """``mult`` and ``names`` extended by letter ``dim`` as a two-sided unit.
 
-    The unit is named ``name``, with ``_`` appended until it is fresh;
+    The unit is named ``one``, with ``_`` appended until it is fresh;
     ``names`` may be None (unnamed letters).
     """
     table = dict(mult)
     for a in range(dim + 1):
         table[(dim, a)] = table[(a, dim)] = Element.from_word((a,))
     if names is not None:
+        name = "one"
         while name in names:
             name += "_"
         names = names + (name,)

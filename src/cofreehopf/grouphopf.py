@@ -25,8 +25,9 @@ from typing import Mapping, Sequence
 from . import linalg
 from .braid import BraidingTable
 from .checks import PASS, CheckResult, fail
-from .elements import Element, accumulate, adjoin_unit_letter, letter_table
+from .elements import Element, adjoin_unit_letter, letter_table
 from .errors import StructuralError
+from .qalg import BraidedAlgebraSpec, check_braided_algebra
 from .scalars import Scalar
 
 
@@ -119,11 +120,8 @@ class HElement(Element):
         """Group algebra product (convolution of supports)."""
         if self.group != other.group:
             raise StructuralError("group mismatch")
-        out: dict[GroupElement, Scalar] = {}
-        for g, c in self._terms.items():
-            for h, d in other._terms.items():
-                accumulate(out, self.group.multiply(g, h), c * d)
-        return HElement._wrap(out, self.group)
+        group = self.group
+        return self.bilinear(other, lambda g, h: HElement.of(group, group.multiply(g, h)))
 
 
 def coproduct(h: HElement) -> Element:
@@ -143,7 +141,7 @@ def counit(h: HElement) -> Scalar:
 
 
 def antipode(h: HElement) -> HElement:
-    return HElement(h.group, {h.group.inverse(g): c for g, c in h._terms.items()})
+    return h.relabel(h.group.inverse)
 
 
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -167,10 +165,6 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
                     if not b[k][j].is_zero():
                         out[i][j] = out[i][j] + a[i][k] * b[k][j]
     return tuple(tuple(row) for row in out)
-
-
-def _mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def _identity_matrix(n: int) -> Matrix:
@@ -209,6 +203,7 @@ class YDSpec:
     mult: dict[tuple[int, int], Element] | None = None
     unit: int | None = None
     _cache: dict = field(default_factory=dict, repr=False)
+    _inverse_action: tuple[Matrix, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         dim = len(self.names)
@@ -217,6 +212,14 @@ class YDSpec:
         if len(self.action) != self.group.n_generators:
             raise StructuralError("one action matrix per group generator is required")
         object.__setattr__(self, "action", tuple(_coerce_matrix(m, dim) for m in self.action))
+        inverses = []
+        for k, matrix in enumerate(self.action):
+            try:
+                inverses.append(tuple(map(tuple, linalg.inverse(matrix))))
+            except StructuralError as exc:
+                raise StructuralError(f"action matrix of generator g{k + 1} "
+                                      f"has no Laurent inverse: {exc}") from exc
+        object.__setattr__(self, "_inverse_action", tuple(inverses))
         if self.mult is not None:
             object.__setattr__(self, "mult", letter_table(self.mult, dim, self))
 
@@ -249,10 +252,8 @@ class YDSpec:
             raise StructuralError("group element has the wrong number of exponents")
         out = _identity_matrix(self.dim)
         for k, e in enumerate(exps):
-            base = self.action[k]
-            if e < 0:
-                base = tuple(tuple(row) for row in linalg.inverse([list(row) for row in base]))
-                e = -e
+            base = self.action[k] if e >= 0 else self._inverse_action[k]
+            e = abs(e)
             while e:
                 if e & 1:
                     out = _matmul(out, base)
@@ -294,14 +295,14 @@ class YDSpec:
             self._cache["braiding"] = cached
         return cached
 
-    def with_unit(self, name: str = "one") -> YDSpec:
+    def with_unit(self) -> YDSpec:
         """Adjoin a unit letter with neutral degree and trivial action."""
         if self.unit is not None:
             raise StructuralError("spec already has a unit letter")
         if self.mult is None:
             raise StructuralError("cannot adjoin a unit without a multiplication")
         dim = self.dim
-        mult, names = adjoin_unit_letter(self.mult, dim, self.names, name)
+        mult, names = adjoin_unit_letter(self.mult, dim, self.names)
         degrees = self.degrees + (self.group.identity(),)
         action = tuple(
             tuple(
@@ -322,29 +323,24 @@ def check_yetter_drinfeld(spec: YDSpec) -> CheckResult:
     group = spec.group
     for k, matrix in enumerate(spec.action):
         for l in range(k + 1, len(spec.action)):
-            if not _mat_eq(_matmul(matrix, spec.action[l]),
-                           _matmul(spec.action[l], matrix)):
+            if _matmul(matrix, spec.action[l]) != _matmul(spec.action[l], matrix):
                 return fail("action-matrices-commute", (k, l))
     for t, order in enumerate(group.torsion):
         k = group.rank + t
         power = _identity_matrix(spec.dim)
         for _ in range(order):
             power = _matmul(power, spec.action[k])
-        if not _mat_eq(power, _identity_matrix(spec.dim)):
+        if power != _identity_matrix(spec.dim):
             return fail("torsion-order", k)
     for k in range(group.n_generators):
         h = group.generator(k)
         for j in range(spec.dim):
             image = spec.act_letter(h, j)
             hd = group.multiply(h, spec.degrees[j])
-            lhs: dict = {}
-            rhs: dict = {}
-            for (i,), c in image._terms.items():
-                accumulate(lhs, (hd, i), c)
-                accumulate(rhs, (group.multiply(spec.degrees[i], h), i), c)
+            lhs = image.rekey(lambda w: ((hd, w[0]),))
+            rhs = image.rekey(lambda w: ((group.multiply(spec.degrees[w[0]], h), w[0]),))
             if lhs != rhs:
-                return fail("yetter-drinfeld", (spec.names[j], k),
-                            Element(lhs), Element(rhs))
+                return fail("yetter-drinfeld", (spec.names[j], k), lhs, rhs)
     return PASS
 
 
@@ -355,8 +351,6 @@ def check_yd_module_algebra(spec: YDSpec) -> CheckResult:
     equivariance (module morphism), and the braided-algebra axioms for
     the induced braiding; the unit clauses apply when a unit is declared.
     """
-    from .qalg import check_braided_algebra  # local import to avoid a cycle
-
     if spec.mult is None:
         raise StructuralError("spec declares no multiplication")
     group = spec.group
@@ -373,12 +367,8 @@ def check_yd_module_algebra(spec: YDSpec) -> CheckResult:
             for b in range(spec.dim):
                 lhs = spec.mult_entry(a, b).map_words(
                     lambda w: spec.act_letter(g, w[0]), alphabet=spec)
-                rhs = Element.zero(spec)
-                ga = spec.act_letter(g, a)
-                gb = spec.act_letter(g, b)
-                for (i,), c in ga._terms.items():
-                    for (j,), d in gb._terms.items():
-                        rhs = rhs + spec.mult_entry(i, j).scale(c * d)
+                rhs = spec.act_letter(g, a).bilinear(
+                    spec.act_letter(g, b), lambda i, j: spec.mult_entry(i[0], j[0]))
                 if lhs != rhs:
                     return fail("mult-equivariance",
                                 (spec.names[a], spec.names[b], k), lhs, rhs)
@@ -390,8 +380,6 @@ def check_yd_module_algebra(spec: YDSpec) -> CheckResult:
 
 def braided_spec(spec: YDSpec):
     """The braided algebra on the letters of a YD module algebra."""
-    from .qalg import BraidedAlgebraSpec  # local import to avoid a cycle
-
     cached = spec._cache.get("braided_spec")
     if cached is None:
         if spec.mult is None:

@@ -24,7 +24,7 @@ bialgebra live here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from typing import Mapping
 
 from .braid import BraidingTable, block_braiding
@@ -114,7 +114,7 @@ def check_braided_algebra(spec: BraidedAlgebraSpec) -> CheckResult:
     return PASS
 
 
-def adjoin_unit(spec: BraidedAlgebraSpec, name: str = "one") -> BraidedAlgebraSpec:
+def adjoin_unit(spec: BraidedAlgebraSpec) -> BraidedAlgebraSpec:
     """Extend a non-unital spec by a fresh unit letter.
 
     Multiplication gains the unit laws, the braiding flips the unit
@@ -132,7 +132,7 @@ def adjoin_unit(spec: BraidedAlgebraSpec, name: str = "one") -> BraidedAlgebraSp
         entries[(a, unit)] = Element.from_word((unit, a), alphabet=alphabet)
         if a != unit:
             entries[(unit, a)] = Element.from_word((a, unit), alphabet=alphabet)
-    mult, names = adjoin_unit_letter(spec.mult, dim, spec.names, name)
+    mult, names = adjoin_unit_letter(spec.mult, dim, spec.names)
     braiding = BraidingTable(dim + 1, entries, alphabet)
     return BraidedAlgebraSpec(dim + 1, braiding, mult, unit, names, alphabet)
 
@@ -205,19 +205,12 @@ def _qsh_words_general_only(spec: BraidedAlgebraSpec, u: tuple, v: tuple) -> Ele
 
 def quasi_shuffle(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
     """Bilinear quantum quasi-shuffle product on the tensor space."""
-    out = Element.zero(spec.alphabet)
-    for u, cu in x._terms.items():
-        for v, cv in y._terms.items():
-            out = out + _qsh_words(spec, u, v).scale(cu * cv)
-    return out
+    return x.bilinear(y, partial(_qsh_words, spec), cls=Element, alphabet=spec.alphabet)
 
 
 def quasi_shuffle_general_clause(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
-    out = Element.zero(spec.alphabet)
-    for u, cu in x._terms.items():
-        for v, cv in y._terms.items():
-            out = out + _qsh_words_general_only(spec, u, v).scale(cu * cv)
-    return out
+    return x.bilinear(y, partial(_qsh_words_general_only, spec),
+                      cls=Element, alphabet=spec.alphabet)
 
 
 def _pair_alphabet(alphabet):
@@ -226,22 +219,14 @@ def _pair_alphabet(alphabet):
 
 def deconcat(x: Element) -> Element:
     """Full deconcatenation coproduct, as an Element over pairs of words."""
-    out: dict[tuple, Scalar] = {}
-    for w, c in x._terms.items():
-        for k in range(len(w) + 1):
-            accumulate(out, (w[:k], w[k:]), c)
-    return Element._wrap(out, _pair_alphabet(x.alphabet))
+    return x.rekey(lambda w: [(w[:k], w[k:]) for k in range(len(w) + 1)],
+                   cls=Element, alphabet=_pair_alphabet(x.alphabet))
 
 
 def deconcat_reduced(x: Element) -> Element:
     """Reduced coproduct: the full one minus both extremal embeddings."""
-    out = deconcat(x)
-    empty = ()
-    corrections: dict[tuple, Scalar] = {}
-    for w, c in x._terms.items():
-        accumulate(corrections, (w, empty), c)
-        accumulate(corrections, (empty, w), c)
-    return out - Element._wrap(corrections, _pair_alphabet(x.alphabet))
+    return deconcat(x) - x.rekey(lambda w: ((w, ()), ((), w)),
+                                 cls=Element, alphabet=_pair_alphabet(x.alphabet))
 
 
 @lru_cache(maxsize=None)
@@ -332,9 +317,9 @@ def extend_letter_morphism(spec_b: BraidedAlgebraSpec, spec_a: BraidedAlgebraSpe
         fa = f.get(a, zero_a)
         for b in range(spec_b.dim):
             fb = f.get(b, zero_a)
-            lhs = Element.zero(spec_a.alphabet)
-            for (c, d), coeff in spec_b.braiding.entries[(a, b)]._terms.items():
-                lhs = lhs + f.get(c, zero_a).tensor(f.get(d, zero_a)).scale(coeff)
+            lhs = spec_b.braiding.entries[(a, b)].map_words(
+                lambda w: f.get(w[0], zero_a).tensor(f.get(w[1], zero_a)),
+                alphabet=spec_a.alphabet)
             rhs_pair = fa.tensor(fb)
             rhs = apply_local(spec_a.braiding.entries, 1, rhs_pair) if rhs_pair else rhs_pair
             if lhs != rhs:
@@ -342,7 +327,7 @@ def extend_letter_morphism(spec_b: BraidedAlgebraSpec, spec_a: BraidedAlgebraSpe
                     f"letter map does not intertwine the braidings at {(a, b)}")
             m_lhs = apply_local(spec_a.mult, 1, rhs_pair) if rhs_pair else rhs_pair
             m_rhs = spec_b.mult_entry(a, b).map_words(
-                lambda w: _f_letterwise(f, w, zero_a), spec_a.alphabet)
+                lambda w: _f_letterwise(f, w, zero_a), alphabet=spec_a.alphabet)
             if m_lhs != m_rhs:
                 raise StructuralError(
                     f"letter map does not intertwine the multiplications at {(a, b)}")
@@ -352,14 +337,9 @@ def extend_letter_morphism(spec_b: BraidedAlgebraSpec, spec_a: BraidedAlgebraSpe
     state = Element({(w,): c for w, c in x._terms.items()},
                     ("tensorpow", spec_b.alphabet))
     for n in range(1, bound + 1):
-        for key, coeff in state._terms.items():
-            factors = [_f_letterwise(f, w, zero_a) for w in key]
-            if any(factor.is_zero() for factor in factors):
-                continue
-            term = Element.unit(spec_a.alphabet)
-            for factor in factors:
-                term = term.tensor(factor)
-            out = out + term.scale(coeff)
+        out = out + state.map_words(
+            lambda key: reduce(Element.tensor, (_f_letterwise(f, w, zero_a) for w in key),
+                               Element.unit(spec_a.alphabet)), alphabet=spec_a.alphabet)
         if n <= bound - 1:
             state = _split_first_factor(state)
     return out

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 from .braid import block_braiding
 from .checks import PASS, CheckResult, fail, nonempty
-from .cotensor import CotensorElement, SmashElement, from_smash, smash_product, to_smash
+from .cotensor import CotensorElement, SmashElement, from_smash, smash_product, star, to_smash
 from .elements import Element
 from .errors import StructuralError
 from .qalg import BraidedAlgebraSpec, _qsh_words, quasi_shuffle
@@ -69,45 +69,40 @@ def unit_prepend(spec: BraidedAlgebraSpec, x: Element) -> Element:
     if spec.unit is None:
         raise StructuralError("operator needs a unital spec; adjoin a unit first")
     unit = spec.unit
-    return Element._wrap({(unit,) + w: c for w, c in x._terms.items()}, x.alphabet)
+    return x.relabel(lambda w: (unit,) + w)
 
 
 def diamond_product(spec: BraidedAlgebraSpec, u: Element, w: Element) -> Element:
     """Product on head-distinguished words: multiply the heads after
     braiding the right head across the left tail, quasi-shuffle the tails."""
-    out = Element.zero(spec.alphabet)
-    for uw, cu in u._terms.items():
-        if not uw:
+    if () in u._terms:
+        raise StructuralError("head-distinguished words must be nonempty")
+    zero = Element.zero(spec.alphabet)
+
+    def on_words(uw, ww):
+        if not ww:
             raise StructuralError("head-distinguished words must be nonempty")
         a, x = uw[0], uw[1:]
-        for ww, cw in w._terms.items():
-            if not ww:
-                raise StructuralError("head-distinguished words must be nonempty")
-            b, y = ww[0], ww[1:]
-            shifted = block_braiding(
-                spec.braiding, len(x), 1,
-                Element.from_word(x + (b,), alphabet=spec.alphabet))
-            scale = cu * cw
-            for word2, c2 in shifted._terms.items():
-                merged = spec.mult_entry(a, word2[0])
-                if merged.is_zero():
-                    continue
-                tails = _qsh_words(spec, word2[1:], y)
-                for (d,), c3 in merged._terms.items():
-                    for tail, c4 in tails._terms.items():
-                        out = out + Element.from_word(
-                            (d,) + tail, scale * c2 * c3 * c4, spec.alphabet)
-    return out
+        b, y = ww[0], ww[1:]
+
+        def heads_then_tails(word2):  # the tail quasi-shuffle is skipped under a zero head
+            merged = spec.mult_entry(a, word2[0])
+            return merged.tensor(_qsh_words(spec, word2[1:], y)) if merged else zero
+
+        shifted = block_braiding(spec.braiding, len(x), 1,
+                                 Element.from_word(x + (b,), alphabet=spec.alphabet))
+        return shifted.map_words(heads_then_tails, alphabet=spec.alphabet)
+
+    return u.bilinear(w, on_words, cls=Element, alphabet=spec.alphabet)
 
 
 def head_shift(spec: BraidedAlgebraSpec, x: Element) -> Element:
     """The operator of the head-distinguished algebra: new unit head."""
     if spec.unit is None:
         raise StructuralError("operator needs a unital spec; adjoin a unit first")
-    for w in x._terms:
-        if not w:
-            raise StructuralError("head-distinguished words must be nonempty")
-    return Element._wrap({(spec.unit,) + w: c for w, c in x._terms.items()}, x.alphabet)
+    if () in x._terms:
+        raise StructuralError("head-distinguished words must be nonempty")
+    return x.relabel(lambda w: (spec.unit,) + w)
 
 
 def qsh_rb_instance(spec: BraidedAlgebraSpec) -> RBInstance:
@@ -145,8 +140,7 @@ def smash_rb_operator(s: SmashElement) -> SmashElement:
     if spec.unit is None:
         raise StructuralError("operator needs a unital module algebra")
     unit = spec.unit
-    return SmashElement._wrap({
-        ((unit,) + word, g): c for (word, g), c in s._terms.items()}, spec)
+    return s.relabel(lambda key: ((unit,) + key[0], key[1]))
 
 
 def cotensor_rb_operator(x: CotensorElement) -> CotensorElement:
@@ -161,7 +155,6 @@ def smash_rb_instance(spec) -> RBInstance:
 
 
 def star_rb_instance(spec) -> RBInstance:
-    from .cotensor import star
     if spec.unit is None:
         raise StructuralError("operator needs a unital module algebra")
     return RBInstance(star, cotensor_rb_operator, Scalar.one())

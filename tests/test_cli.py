@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from cofreehopf.braid import BraidingTable
-from cofreehopf.cli import main
+from cofreehopf.braid import BraidingTable, flip_braiding
+from cofreehopf.cli import _pairs_up_to, main
 from cofreehopf.config import document_from_spec, emit_config
 from cofreehopf.elements import Element
+from cofreehopf.qalg import BraidedAlgebraSpec
 
 HOFFMAN = """
 [group]
@@ -107,6 +108,36 @@ def test_malformed_config_exits_2(run, tmp_path):
     code, out, err = run("--config", str(path), "check", "yd")
     assert code == 2
     assert "error" in err
+
+
+def test_singular_action_exits_2_with_one_line(run, tmp_path):
+    path = tmp_path / "singular.cfg"
+    path.write_text("[group]\nrank = 1\n\n[basis]\na = 1\nb = 1\n\n[action]\ng1 = 0, 1\n",
+                    encoding="utf-8")
+    for argv in (("check", "yd"), ("star", "a", "b"), ("qsh", "a", "b")):
+        code, out, err = run("--config", str(path), *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: action matrix of generator g1 has no Laurent inverse")
+        assert err.count("\n") == 1
+
+
+def test_config_notes_go_to_stderr(run, tmp_path):
+    path = tmp_path / "torsion.cfg"
+    path.write_text("[group]\ntorsion = 2\n\n[basis]\nu = 1\nv = 3\n\n[action]\ng1 = -1, -1\n",
+                    encoding="utf-8")
+    assert run("--config", str(path), "star", "u", "v") == (
+        0, "u.K{1}[]v.K{0} − v.K{1}[]u.K{0}\n",
+        "note: line 6: torsion exponents normalized to (1,)\n")
+
+
+def test_check_pairs_come_in_a_fixed_order():
+    # each u by length, then each v with |u| + |v| <= 2: the first
+    # counterexample a check prints depends on this order
+    spec = BraidedAlgebraSpec(2, flip_braiding(2), {})
+    words = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+    expected = ([((), v) for v in words] + [((0,), v) for v in words[:3]]
+                + [((1,), v) for v in words[:3]] + [(u, ()) for u in words[3:]])
+    assert list(_pairs_up_to(spec, 2)) == expected
 
 
 def test_missing_config_exits_2(run):

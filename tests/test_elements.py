@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -111,3 +113,82 @@ def test_rendering():
     assert render_element(Element.zero()) == "0"
     z = Element.from_word((), Scalar.one() - Scalar.q_power(1))
     assert render_element(z, str) == "(1 - q)"
+
+
+# -- the linear-extension core against a reference loop over + and scale ------
+
+_COEFFS = [Scalar.one(), Scalar.rational(-1), Scalar.rational(2), Scalar.rational(Fraction(1, 2)),
+           Scalar.q_power(1), Scalar.q_power(-1, -3), Scalar.one() + Scalar.q_power(1)]
+_WORDS = [w for n in range(4) for w in itertools.product(range(2), repeat=n)]
+
+
+class _Tagged(Element):
+    __slots__ = ()
+
+
+def _cancelling_element(rnd, alphabet) -> Element:
+    """Random terms plus (0, 1) and (1, 0) with opposite coefficients, which
+    every rule below sends to one common key."""
+    terms = {w: rnd.choice(_COEFFS) for w in rnd.sample(_WORDS, 5)}
+    c = rnd.choice(_COEFFS)
+    terms[(0, 1)], terms[(1, 0)] = c, -c
+    return Element(terms, alphabet)
+
+
+def _image(w) -> Element:
+    return Element({tuple(sorted(w)): 1, w[:1]: Scalar.q_power(len(w))}, "B")
+
+
+def _product(u, v) -> Element:
+    return Element({tuple(sorted(u + v)): 1, (len(u), len(v)): -1}, "B")
+
+
+def _keys_of(w) -> tuple:
+    return (tuple(sorted(w)), w[:1])
+
+
+def _reference(pairs) -> Element:
+    out = Element.zero("B")
+    for c, image in pairs:
+        out = out + image.scale(c)
+    return out
+
+
+def _assert_result(out, expected):
+    assert type(out) is _Tagged and out.alphabet == "B"
+    assert out._terms == expected._terms
+    assert all(not c.is_zero() for c in out._terms.values())
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_core_matches_reference_loop(seed):
+    rnd = random.Random(seed)
+    x = _cancelling_element(rnd, "A")
+    y = _cancelling_element(rnd, "A") + Element.from_word((), rnd.choice(_COEFFS), "A")
+    one = Scalar.one()
+
+    expected = _reference((c, _image(w)) for w, c in x._terms.items())
+    _assert_result(x.map_words(_image, cls=_Tagged, alphabet="B"), expected)
+
+    expected = _reference((cu * cv, _product(u, v))
+                          for u, cu in x._terms.items() for v, cv in y._terms.items())
+    _assert_result(x.bilinear(y, _product, cls=_Tagged, alphabet="B"), expected)
+
+    expected = _reference((c, Element({k: one}, "B")) for w, c in x._terms.items()
+                          for k in _keys_of(w))
+    out = x.rekey(_keys_of, cls=_Tagged, alphabet="B")
+    _assert_result(out, expected)
+    assert (0, 1) not in out._terms  # the opposite coefficients cancelled
+
+    expected = _reference((c, Element({(7,) + w: one}, "B")) for w, c in x._terms.items())
+    _assert_result(x.relabel(lambda w: (7,) + w, cls=_Tagged, alphabet="B"), expected)
+
+
+def test_core_defaults_to_the_class_and_alphabet_of_the_element():
+    x = _Tagged({(0,): 2}, "A")
+    for out in (x.map_words(lambda w: Element.from_word(w + w)),
+                x.bilinear(_Tagged({(1,): 3}, "A"), lambda u, v: Element.from_word(u + v)),
+                x.rekey(lambda w: (w, w + w)), x.relabel(lambda w: w + w)):
+        assert type(out) is _Tagged and out.alphabet == "A"
+    with pytest.raises(StructuralError):
+        x.bilinear(_Tagged({(1,): 3}, "B"), lambda u, v: Element.from_word(u + v))

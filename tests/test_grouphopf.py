@@ -189,6 +189,14 @@ def test_negative_exponent_action_goes_through_matrix_inverse():
         assert image == Element({(0,): Scalar.rational(e), (1,): one}, spec)
 
 
+@pytest.mark.parametrize("entries", [(0, 1), (1, Scalar.one() + Scalar.q_power(1))])
+def test_action_without_laurent_inverse_is_rejected(entries):
+    g = AbelianGroup(rank=2)
+    fine = diagonal_matrix([Scalar.one(), Scalar.q_power(-1)])
+    with pytest.raises(StructuralError, match="generator g2 has no Laurent inverse"):
+        YDSpec(g, ("a", "b"), (g.identity(), g.identity()), (fine, diagonal_matrix(entries)))
+
+
 def test_large_exponents_act_without_recursion(uqg_a2):
     spec = uqg_a2.spec
     e1 = spec.letter("E1")

@@ -197,8 +197,8 @@ def _check_rb(doc: ConfigDocument, max_degree: int) -> CheckResult:
 # check name -> checker(document, --max-degree)
 CHECKS = {
     "yb": lambda doc, n: check_yang_baxter(doc.braiding_table()),
-    "alg": lambda doc, n: (check_yd_module_algebra(doc.ydspec()) if doc.braiding is None
-                           else check_braided_algebra(doc.braided())),
+    "alg": lambda doc, n: (check_yd_module_algebra(doc.ydspec()) if doc.override is None
+                           else check_braided_algebra(doc.override)),
     "yd": lambda doc, n: check_yetter_drinfeld(doc.ydspec()),
     "bialg": lambda doc, n: check_quasi_shuffle_bialgebra(
         doc.braided(), _pairs_up_to(doc.braided(), n)),
@@ -210,10 +210,18 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
 
 
+def _as_element(arg: str) -> str:
+    """An ASCII '-' before a letter or '(' starts a negated element, not an
+    option: it becomes the minus sign, which the expression grammar reads alike."""
+    if arg != "-h" and arg[:1] == "-" and (arg[1:2].isalpha() or arg[1:2] == "("):
+        return "−" + arg[1:]
+    return arg
+
+
 def main(argv=None) -> int:
     parser = build_argparser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(map(_as_element, sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

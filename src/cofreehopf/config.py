@@ -12,15 +12,23 @@ A document has four sections plus an optional override:
                 induced braiding
 
 Lines may carry ``#`` comments.  Scalars use the expression grammar.
-Torsion exponents out of range are normalized with a note, not an
-error.  Loading performs structural validation only (declared letters,
-shapes, invertibility of tables); the mathematical axiom checkers are
-exposed as commands so that their failures are reportable.
+A repeated [group] key, a second value for ``rank`` and an action line
+that gives a column already given are errors.  Torsion exponents out of
+range are normalized with a note, not an error.  Loading performs
+structural validation only (declared letters, shapes, invertibility of
+tables); the mathematical axiom checkers are exposed as commands so
+that their failures are reportable.
+
+A loaded document (:class:`ConfigDocument`) is the spec itself: the
+module algebra as a :class:`YDSpec`, the :class:`BraidedAlgebraSpec` of
+a [braiding] override (``None`` without one), and the loading notes.
+Emission reads the same objects back out, so a document written by
+:func:`emit_config` parses to the same data and emits the same text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .braid import BraidingTable
 from .elements import Element, accumulate, render_element
@@ -41,47 +49,31 @@ _SECTIONS = ("group", "basis", "action", "mult", "braiding")
 _RESERVED = ("q", "K")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfigDocument:
-    group: AbelianGroup
-    names: tuple[str, ...]
-    degrees: tuple[GroupElement, ...]
-    action: tuple[tuple[tuple[Scalar, ...], ...], ...]
-    mult: dict[tuple[int, int], dict[int, Scalar]]
-    braiding: dict[tuple[int, int], dict[tuple[int, int], Scalar]] | None = None
-    notes: tuple[str, ...] = field(default=(), compare=False)
-    # The specs built from this document: "spec", and "braided" for an override.
-    _built: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    """A loaded config: its module algebra, the braided algebra of its
+    [braiding] override (``None`` without one), and the loading notes."""
+
+    spec: YDSpec
+    override: BraidedAlgebraSpec | None = None
+    notes: tuple[str, ...] = ()
 
     def ydspec(self) -> YDSpec:
-        spec = self._built.get("spec")
-        if spec is None:
-            mult = {pair: Element({(i,): c for i, c in entry.items()})
-                    for pair, entry in self.mult.items()}
-            spec = self._built["spec"] = YDSpec(
-                self.group, self.names, self.degrees, self.action, mult)
-        return spec
+        return self.spec
 
     def braided(self) -> BraidedAlgebraSpec:
-        """The braided algebra of the document: the one its module algebra
-        induces, or the same letters and products under the [braiding] table."""
-        spec = self.ydspec()
-        if self.braiding is None:
-            return braided_spec(spec)
-        bspec = self._built.get("braided")
-        if bspec is None:
-            entries = {pair: Element(dict(words), alphabet=spec)
-                       for pair, words in self.braiding.items()}
-            try:
-                table = BraidingTable(spec.dim, entries, alphabet=spec)
-            except StructuralError as exc:
-                raise ConfigError(f"braiding override: {exc}") from exc
-            bspec = self._built["braided"] = BraidedAlgebraSpec(
-                spec.dim, table, spec.mult, names=spec.names, alphabet=spec)
-        return bspec
+        """The braided algebra of the document: the override, or the one
+        its module algebra induces (built on first use, once per spec)."""
+        return braided_spec(self.spec) if self.override is None else self.override
 
     def braiding_table(self) -> BraidingTable:
         return self.braided().braiding
+
+
+def _override(spec: YDSpec, table: BraidingTable) -> BraidedAlgebraSpec:
+    """The letters and products of ``spec`` under the braiding ``table``."""
+    return BraidedAlgebraSpec(spec.dim, table, spec.mult or {}, names=spec.names,
+                              alphabet=spec)
 
 
 def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
@@ -140,18 +132,19 @@ def parse_config(text: str) -> ConfigDocument:
     if "basis" not in sections:
         raise ConfigError("missing [basis] section")
 
-    rank = 0
-    torsion: list[int] = []
+    values: dict[str, list[int]] = {}
     for lineno, line in sections["group"]:
         key, value = _parse_keyvalue(line, lineno)
-        if key == "rank":
-            rank = _parse_int_list(value, lineno)[0] if value else 0
-        elif key == "torsion":
-            torsion = _parse_int_list(value, lineno)
-        else:
+        if key not in ("rank", "torsion"):
             raise ConfigError(f"unknown [group] key {key!r}", lineno)
+        if key in values:
+            raise ConfigError(f"duplicate [group] key {key!r}", lineno)
+        values[key] = _parse_int_list(value, lineno)
+        if key == "rank" and len(values[key]) > 1:
+            raise ConfigError("rank takes one integer", lineno)
     try:
-        group = AbelianGroup(rank, tuple(torsion))
+        # an empty rank reads as 0
+        group = AbelianGroup(sum(values.get("rank", ())), tuple(values.get("torsion", ())))
     except StructuralError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -177,7 +170,8 @@ def parse_config(text: str) -> ConfigDocument:
     dim = len(names)
     index = {name: i for i, name in enumerate(names)}
 
-    matrices: list[list[list[Scalar]] | None] = [None] * group.n_generators
+    zero = Scalar.zero()
+    columns: dict[tuple[int, int], list[Scalar]] = {}  # (generator, letter) -> image
     generator_names = {f"g{k + 1}": k for k in range(group.n_generators)}
     for lineno, line in sections.get("action", []):
         key, value = _parse_keyvalue(line, lineno)
@@ -185,60 +179,59 @@ def parse_config(text: str) -> ConfigDocument:
                    for chunk in split_top_level_commas(value, lineno)]
         if len(entries) != dim:
             raise ConfigError(f"expected {dim} scalars", lineno)
-        if "." in key:
-            gname, lname = key.split(".", 1)
-            k = generator_names.get(gname.strip())
-            if k is None:
-                raise ConfigError(f"unknown generator {gname!r}", lineno)
+        gname, column, lname = key.partition(".")
+        k = generator_names.get(gname.strip())
+        if k is None:
+            raise ConfigError(f"unknown generator {gname!r}", lineno)
+        if column:
             j = index.get(lname.strip())
             if j is None:
                 raise ConfigError(f"unknown letter {lname!r}", lineno)
-            if matrices[k] is None:
-                matrices[k] = [[Scalar.zero()] * dim for _ in range(dim)]
-            for i in range(dim):
-                matrices[k][i][j] = entries[i]
-        else:
-            k = generator_names.get(key)
-            if k is None:
-                raise ConfigError(f"unknown generator {key!r}", lineno)
-            if matrices[k] is not None:
-                raise ConfigError(f"duplicate action for {key!r}", lineno)
-            matrices[k] = [
-                [entries[i] if i == j else Scalar.zero() for j in range(dim)]
-                for i in range(dim)
-            ]
-    for k, matrix in enumerate(matrices):
-        if matrix is None:
+            given = {(k, j): entries}
+        else:  # a diagonal line gives every column
+            given = {(k, j): [entries[j] if i == j else zero for i in range(dim)]
+                     for j in range(dim)}
+        if any(col in columns for col in given):
+            raise ConfigError(f"duplicate action for {key!r}", lineno)
+        columns.update(given)
+    action = []
+    for k in range(group.n_generators):
+        if not any((k, j) in columns for j in range(dim)):
             raise ConfigError(f"no action given for generator g{k + 1}")
-    action = tuple(tuple(tuple(row) for row in matrix) for matrix in matrices)
+        # the rows of the matrix whose columns are the letters' images
+        action.append(tuple(zip(*(columns.get((k, j), (zero,) * dim) for j in range(dim)))))
 
-    mult: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for lineno, line in sections.get("mult", []):
-        pair, entry = _parse_rule(line, lineno, index, names, expect_length=1)
-        if pair in mult:
-            raise ConfigError(f"duplicate mult entry for {pair}", lineno)
-        if entry:
-            mult[pair] = {w[0]: c for w, c in entry.items()}
-
+    mult = _parse_rules(sections.get("mult", []), index, 1, "mult")
     braiding = None
     if "braiding" in sections:
-        braiding = {}
-        for lineno, line in sections["braiding"]:
-            pair, entry = _parse_rule(line, lineno, index, names, expect_length=2)
-            if pair in braiding:
-                raise ConfigError(f"duplicate braiding entry for {pair}", lineno)
-            braiding[pair] = dict(entry)
+        braiding = _parse_rules(sections["braiding"], index, 2, "braiding")
+    # structural validation happens on construction
+    spec = YDSpec(group, tuple(names), tuple(degrees), tuple(action),
+                  {pair: value for pair, value in mult.items() if value})
+    override = None
+    if braiding is not None:
+        try:  # the entries were parsed before the spec existed: tag them with it
+            table = BraidingTable(dim, {pair: Element(value._terms, spec)
+                                        for pair, value in braiding.items()}, alphabet=spec)
+        except StructuralError as exc:
+            raise ConfigError(f"braiding override: {exc}") from exc
+        override = _override(spec, table)
+    return ConfigDocument(spec, override, tuple(notes))
 
-    doc = ConfigDocument(group, tuple(names), tuple(degrees), action, mult,
-                         braiding, tuple(notes))
-    doc.ydspec()  # structural validation happens on construction
-    if doc.braiding is not None:
-        doc.braided()
-    return doc
+
+def _parse_rules(lines, index: dict[str, int], length: int, section: str) -> dict:
+    """The ``a b -> element`` lines of a section, by letter pair; each
+    element a combination of words of ``length`` letters."""
+    rules: dict[tuple[int, int], Element] = {}
+    for lineno, line in lines:
+        pair, value = _parse_rule(line, lineno, index, length)
+        if pair in rules:
+            raise ConfigError(f"duplicate {section} entry for {pair}", lineno)
+        rules[pair] = value
+    return rules
 
 
-def _parse_rule(line: str, lineno: int, index: dict[str, int], names,
-                expect_length: int):
+def _parse_rule(line: str, lineno: int, index: dict[str, int], length: int):
     if "->" not in line:
         raise ConfigError("expected 'a b -> element'", lineno)
     lhs, rhs = line.split("->", 1)
@@ -250,7 +243,7 @@ def _parse_rule(line: str, lineno: int, index: dict[str, int], names,
     except KeyError as exc:
         raise ConfigError(f"unknown letter {exc.args[0]!r}", lineno) from None
     parsed = parse_element_text(rhs.strip(), lineno)
-    entry: dict[tuple, Scalar] = {}
+    terms: dict[tuple, Scalar] = {}
     for coeff, letters in parsed:
         if not letters:
             if not coeff.is_zero():
@@ -263,11 +256,10 @@ def _parse_rule(line: str, lineno: int, index: dict[str, int], names,
             if letter[1] not in index:
                 raise ConfigError(f"unknown letter {letter[1]!r}", lineno)
             word.append(index[letter[1]])
-        if len(word) != expect_length:
-            raise ConfigError(
-                f"words here must have length {expect_length}", lineno)
-        accumulate(entry, tuple(word), coeff)
-    return pair, entry
+        if len(word) != length:
+            raise ConfigError(f"words here must have length {length}", lineno)
+        accumulate(terms, tuple(word), coeff)
+    return pair, Element._wrap(terms, None)
 
 
 # -- emission -------------------------------------------------------------------
@@ -278,43 +270,40 @@ def _signed_atom(s: Scalar) -> str:
     return ("-" + atom) if neg else atom
 
 
+def _rule_line(names, pair: tuple[int, int], value: Element) -> str:
+    a, b = pair
+    return f"{names[a]} {names[b]} -> {render_element(value, names.__getitem__)}"
+
+
 def emit_config(doc: ConfigDocument) -> str:
-    lines = ["[group]", f"rank = {doc.group.rank}"]
-    if doc.group.torsion:
-        lines.append("torsion = " + ", ".join(str(m) for m in doc.group.torsion))
-    lines.append("")
-    lines.append("[basis]")
-    for name, degree in zip(doc.names, doc.degrees):
+    spec = doc.spec
+    lines = ["[group]", f"rank = {spec.group.rank}"]
+    if spec.group.torsion:
+        lines.append("torsion = " + ", ".join(str(m) for m in spec.group.torsion))
+    lines += ["", "[basis]"]
+    for name, degree in zip(spec.names, spec.degrees):
         lines.append(f"{name} = " + ", ".join(str(e) for e in degree.exponents()))
-    if doc.group.n_generators:
-        lines.append("")
-        lines.append("[action]")
-        for k, matrix in enumerate(doc.action):
-            dim = len(doc.names)
+    if spec.group.n_generators:
+        lines += ["", "[action]"]
+        dim = spec.dim
+        for k, matrix in enumerate(spec.action):
             diagonal = all(
                 matrix[i][j].is_zero() for i in range(dim) for j in range(dim) if i != j)
             if diagonal:
                 lines.append(f"g{k + 1} = " + ", ".join(
                     _signed_atom(matrix[i][i]) for i in range(dim)))
             else:
-                for j, name in enumerate(doc.names):
+                for j, name in enumerate(spec.names):
                     lines.append(f"g{k + 1}.{name} = " + ", ".join(
                         _signed_atom(matrix[i][j]) for i in range(dim)))
-    if doc.mult:
-        lines.append("")
-        lines.append("[mult]")
-        for (a, b) in sorted(doc.mult):
-            entry = doc.mult[(a, b)]
-            value = Element({(i,): c for i, c in entry.items()})
-            rhs = render_element(value, lambda i: doc.names[i])
-            lines.append(f"{doc.names[a]} {doc.names[b]} -> {rhs}")
-    if doc.braiding is not None:
-        lines.append("")
-        lines.append("[braiding]")
-        for (a, b) in sorted(doc.braiding):
-            value = Element(dict(doc.braiding[(a, b)]))
-            rhs = render_element(value, lambda i: doc.names[i])
-            lines.append(f"{doc.names[a]} {doc.names[b]} -> {rhs}")
+    mult = {pair: value for pair, value in (spec.mult or {}).items() if value}
+    if mult:
+        lines += ["", "[mult]"]
+        lines += [_rule_line(spec.names, pair, mult[pair]) for pair in sorted(mult)]
+    if doc.override is not None:
+        entries = doc.override.braiding.entries
+        lines += ["", "[braiding]"]
+        lines += [_rule_line(spec.names, pair, entries[pair]) for pair in sorted(entries)]
     return "\n".join(lines) + "\n"
 
 
@@ -322,18 +311,7 @@ def document_from_spec(spec: YDSpec, braiding: BraidingTable | None = None) -> C
     if spec.unit is not None:
         # the format cannot name a unit letter: the document would lose it
         raise StructuralError("a spec with a unit letter has no config document")
-    mult: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for pair, value in (spec.mult or {}).items():
-        if not value.is_zero():
-            mult[pair] = {w[0]: c for w, c in value._terms.items()}
-    override = None
-    if braiding is not None:
-        override = {
-            pair: dict(entry._terms)
-            for pair, entry in braiding.entries.items()
-        }
-    return ConfigDocument(spec.group, spec.names, spec.degrees, spec.action,
-                          mult, override)
+    return ConfigDocument(spec, None if braiding is None else _override(spec, braiding))
 
 
 # -- binding parsed expressions against a spec -----------------------------------
@@ -355,18 +333,25 @@ def bind_group_element(spec: YDSpec, ref, line: int | None = None) -> GroupEleme
     return group.element(ref)
 
 
+def _bind_terms(cls, spec: YDSpec, parsed: ParsedElement, key_of):
+    """The sum of the parsed terms, the letters of each read to one basis key."""
+    out: dict = {}
+    for coeff, letters in parsed:
+        accumulate(out, key_of(letters), coeff)
+    return cls._wrap(out, spec)
+
+
+def _bare_letter(spec: YDSpec, letter, message: str, line: int | None) -> int:
+    if letter[0] != "L" or letter[2] is not None:
+        raise ConfigError(message, line)
+    return spec.letter(letter[1])
+
+
 def bind_plain_element(spec: YDSpec, parsed: ParsedElement,
                        line: int | None = None) -> Element:
-    out = Element.zero(spec)
-    for coeff, letters in parsed:
-        word = []
-        for letter in letters:
-            if letter[0] != "L" or letter[2] is not None:
-                raise ConfigError(
-                    "this command takes plain tensor words over the letters", line)
-            word.append(spec.letter(letter[1]))
-        out = out + Element.from_word(tuple(word), coeff, spec)
-    return out
+    message = "this command takes plain tensor words over the letters"
+    return _bind_terms(Element, spec, parsed, lambda letters: tuple(
+        _bare_letter(spec, letter, message, line) for letter in letters))
 
 
 def bind_cotensor_element(spec: YDSpec, parsed: ParsedElement,
@@ -374,18 +359,14 @@ def bind_cotensor_element(spec: YDSpec, parsed: ParsedElement,
     """Bare words embed through the chain lift; annotated words are taken
     literally and must satisfy the chain condition; a lone group atom is a
     degree-0 key."""
-    out = CotensorElement.zero(spec)
-    for coeff, letters in parsed:
+    def key_of(letters):
         if not letters:
-            out = out + CotensorElement.unit(spec).scale(coeff)
-            continue
+            return spec.group.identity()
         kinds = {letter[0] for letter in letters}
         if kinds == {"G"}:
             if len(letters) != 1:
                 raise ConfigError("group elements cannot be tensored here", line)
-            g = bind_group_element(spec, letters[0][1], line)
-            out = out + CotensorElement.from_group(spec, g, coeff)
-            continue
+            return bind_group_element(spec, letters[0][1], line)
         if kinds != {"L"}:
             raise ConfigError("cannot mix letters and group atoms in one word", line)
         annotated = [letter[2] is not None for letter in letters]
@@ -396,34 +377,26 @@ def bind_cotensor_element(spec: YDSpec, parsed: ParsedElement,
             bad = chain_violation(spec, word)
             if bad is not None:
                 raise ConfigError(f"chain condition fails at cut {bad}", line)
-            out = out + CotensorElement.from_word(spec, word, coeff)
-        elif not any(annotated):
-            word = tuple(spec.letter(name) for _, name, _ in letters)
-            out = out + CotensorElement.from_word(
-                spec, chain_lift_word(spec, word), coeff)
-        else:
-            raise ConfigError(
-                "either annotate every letter with a group part or none", line)
-    return out
+            return word
+        if not any(annotated):
+            return chain_lift_word(spec, tuple(spec.letter(name) for _, name, _ in letters))
+        raise ConfigError(
+            "either annotate every letter with a group part or none", line)
+
+    return _bind_terms(CotensorElement, spec, parsed, key_of)
 
 
 def bind_smash_element(spec: YDSpec, parsed: ParsedElement,
                        line: int | None = None) -> SmashElement:
     """Bare letters form the word leg; an optional trailing group atom is
     the group tag (identity when absent)."""
-    out = SmashElement.zero(spec)
-    for coeff, letters in parsed:
+    message = "smash words are bare letters with an optional trailing group atom"
+
+    def key_of(letters):
         tag = spec.group.identity()
-        word_letters = letters
         if letters and letters[-1][0] == "G":
             tag = bind_group_element(spec, letters[-1][1], line)
-            word_letters = letters[:-1]
-        word = []
-        for letter in word_letters:
-            if letter[0] != "L" or letter[2] is not None:
-                raise ConfigError(
-                    "smash words are bare letters with an optional trailing group atom",
-                    line)
-            word.append(spec.letter(letter[1]))
-        out = out + SmashElement.of(spec, tuple(word), tag, coeff)
-    return out
+            letters = letters[:-1]
+        return tuple(_bare_letter(spec, letter, message, line) for letter in letters), tag
+
+    return _bind_terms(SmashElement, spec, parsed, key_of)

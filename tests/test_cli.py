@@ -151,6 +151,20 @@ def test_bad_expression_exits_2(run, clifford_config):
     assert code == 2
 
 
+def test_leading_ascii_minus_starts_an_element(run, clifford_config):
+    negated = "−v1.K{1}[]v2.K{0} + v2.K{1}[]v1.K{0} − xi12.K{0}\n"
+    assert run("--config", clifford_config, "star", "-v1", "v2") == (0, negated, "")
+    assert run("--config", clifford_config, "star", "−v1", "v2") == (0, negated, "")
+    assert run("star", "-v1", "v2", "--config", clifford_config) == (0, negated, "")
+    assert run("--config", clifford_config, "qsh", "-(1 + q) v1", "v2") \
+        == run("--config", clifford_config, "qsh", "−(1 + q) v1", "v2") \
+        == (0, "(-1 - q) v1@v2 + (1 + q) v2@v1 + (-1 - q) xi12\n", "")
+    code, out, _ = run("--config", clifford_config, "star", "-h")
+    assert (code, out.startswith("usage: cofreehopf star")) == (0, True)
+    code, _, err = run("--config", clifford_config, "check", "yb", "--max-degree", "-1")
+    assert (code, err) == (2, "error: --max-degree must be >= 0, got -1\n")
+
+
 def test_negative_max_degree_exits_2(run, clifford_config):
     # a negative cap samples nothing, so a PASS would certify nothing
     for what in ("bialg", "rb"):

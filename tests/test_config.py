@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -49,11 +50,61 @@ g1.b = 1, 1
 """
 
 
+# Emitted form: parsing then emitting gives each of these back byte for byte.
+UNIPOTENT_EMITTED = UNIPOTENT.lstrip("\n")
+
+TORSION_EMITTED = """[group]
+rank = 1
+torsion = 2
+
+[basis]
+u = 1, 1
+v = 0, 1
+
+[action]
+g1 = q, -q^-1
+g2 = -1, -1
+
+[mult]
+u u -> 1/2 v
+"""
+
+
+def _zero_entry_override() -> str:
+    # Nine letters, so V tensor V exceeds the invertibility cap and a zero
+    # braiding entry loads; every other pair is flipped.
+    names = [f"x{i}" for i in range(1, 10)]
+    lines = ["[group]", "rank = 0", "", "[basis]"] + [f"{n} = " for n in names]
+    lines += ["", "[mult]", "x1 x2 -> x3 − 1/2 x4", "", "[braiding]"]
+    lines += [f"{a} {b} -> " + ("0" if a == b == "x1" else f"{b}@{a}")
+              for a in names for b in names]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text", [UNIPOTENT_EMITTED, TORSION_EMITTED, _zero_entry_override()],
+                         ids=["column-action", "torsion", "zero-override-entry"])
+def test_emission_is_a_fixed_point(text):
+    assert emit_config(parse_config(text)) == text
+
+
+def test_preset_emission_is_a_fixed_point(clifford2, uqg_a2):
+    for preset in (clifford2, uqg_a2):
+        text = emit_config(document_from_spec(preset.spec))
+        assert emit_config(parse_config(text)) == text
+
+
+def test_emission_normalizes_torsion_and_drops_zero_products():
+    text = TORSION_EMITTED.replace("u = 1, 1", "u = 1, 3") + "v v -> 0\n"
+    doc = parse_config(text)
+    assert doc.notes == ("line 6: torsion exponents normalized to (1, 1)",)
+    assert emit_config(doc) == TORSION_EMITTED
+
+
 def test_parse_hoffman_document():
     doc = parse_config(HOFFMAN)
-    assert doc.group.n_generators == 0
-    assert doc.names == ("x1", "x2", "x3")
     spec = doc.ydspec()
+    assert spec.group.n_generators == 0
+    assert spec.names == ("x1", "x2", "x3")
     assert spec.mult[(0, 0)] == Element.from_word((1,), alphabet=spec)
     table = doc.braiding_table()
     assert table.entries[(0, 1)] == Element.from_word((1, 0), alphabet=spec)
@@ -68,12 +119,20 @@ def test_parse_matrix_action():
     assert check_yetter_drinfeld(spec)
 
 
+def _spec_data(doc):
+    """What a document says of its module algebra, zero products left out."""
+    spec = doc.ydspec()
+    mult = {pair: value._terms for pair, value in (spec.mult or {}).items() if value}
+    return spec.group, spec.names, spec.degrees, spec.action, mult
+
+
 def test_preset_emission_round_trips(clifford2, uqg_a2):
     for preset in (clifford2, uqg_a2):
         doc = document_from_spec(preset.spec)
         text = emit_config(doc)
         again = parse_config(text)
-        assert again == doc
+        assert _spec_data(again) == _spec_data(doc)
+        assert again.override is None
         assert emit_config(again) == text
 
 
@@ -82,7 +141,10 @@ def test_braiding_override_round_trips(clifford2):
     doc = document_from_spec(spec, braiding=spec.induced_braiding())
     text = emit_config(doc)
     again = parse_config(text)
-    assert again == doc
+    assert _spec_data(again) == _spec_data(doc)
+    assert {pair: entry._terms for pair, entry in again.braiding_table().entries.items()} \
+        == {pair: entry._terms for pair, entry in doc.braiding_table().entries.items()}
+    assert emit_config(again) == text
 
 
 def test_unital_spec_has_no_document(clifford2):
@@ -108,8 +170,9 @@ def test_braiding_override_gives_one_braided_spec(clifford2):
     assert bspec is doc.braided()
     assert bspec.unit is None
     assert bspec.braiding is doc.braiding_table()
-    assert {pair: dict(entry._terms)
-            for pair, entry in bspec.braiding.entries.items()} == doc.braiding
+    assert bspec is doc.override
+    assert {pair: dict(entry._terms) for pair, entry in bspec.braiding.entries.items()} \
+        == {pair: dict(entry._terms) for pair, entry in spec.induced_braiding().entries.items()}
 
 
 def test_missing_group_section_is_an_error():
@@ -142,7 +205,7 @@ a = 3
 g1 = -1
 """
     doc = parse_config(text)
-    assert doc.degrees[0].exponents() == (1,)
+    assert doc.ydspec().degrees[0].exponents() == (1,)
     assert any("normalized" in note for note in doc.notes)
 
 
@@ -193,3 +256,111 @@ def test_binding_smash_elements(clifford2):
     assert out == SmashElement.of(spec, (0,))
     out = bind_smash_element(spec, parse_element_text("K{1}"))
     assert out == SmashElement.of(spec, (), eps)
+
+
+PLAIN_ONLY = "this command takes plain tensor words over the letters"
+SMASH_ONLY = "smash words are bare letters with an optional trailing group atom"
+
+# (binder, malformed element, exception type, exact message), line 7 given
+BINDER_ERRORS = [
+    (bind_plain_element, "v1@zz", StructuralError, "unknown letter 'zz'"),
+    (bind_cotensor_element, "v1@zz", StructuralError, "unknown letter 'zz'"),
+    (bind_cotensor_element, "v1.K{1}[]zz.K{0}", StructuralError, "unknown letter 'zz'"),
+    (bind_smash_element, "v1@zz@K{1}", StructuralError, "unknown letter 'zz'"),
+    (bind_plain_element, "v1.K{1}", ConfigError, PLAIN_ONLY + " (line 7)"),
+    (bind_smash_element, "v1.K{1}", ConfigError, SMASH_ONLY + " (line 7)"),
+    (bind_plain_element, "v1@K{1}@v2", ConfigError, PLAIN_ONLY + " (line 7)"),
+    (bind_cotensor_element, "v1@K{1}@v2", ConfigError,
+     "cannot mix letters and group atoms in one word (line 7)"),
+    (bind_cotensor_element, "K{1}@zz", ConfigError,
+     "cannot mix letters and group atoms in one word (line 7)"),
+    (bind_smash_element, "K{1}@v1", ConfigError, SMASH_ONLY + " (line 7)"),
+    (bind_plain_element, "v1.K{1}@v2", ConfigError, PLAIN_ONLY + " (line 7)"),
+    (bind_cotensor_element, "v1.K{1}@v2", ConfigError,
+     "either annotate every letter with a group part or none (line 7)"),
+    (bind_cotensor_element, "zz@v1.K{1}", ConfigError,
+     "either annotate every letter with a group part or none (line 7)"),
+    (bind_smash_element, "v1.K{1}@v2", ConfigError, SMASH_ONLY + " (line 7)"),
+    (bind_plain_element, "v1.K{0}@v2.K{0}", ConfigError, PLAIN_ONLY + " (line 7)"),
+    (bind_cotensor_element, "v1.K{0}@v2.K{0}", ConfigError,
+     "chain condition fails at cut 1 (line 7)"),
+    (bind_smash_element, "v1.K{0}@v2.K{0}", ConfigError, SMASH_ONLY + " (line 7)"),
+    (bind_plain_element, "K{1}@K{1}", ConfigError, PLAIN_ONLY + " (line 7)"),
+    (bind_cotensor_element, "K{1}@K{1}", ConfigError,
+     "group elements cannot be tensored here (line 7)"),
+    (bind_smash_element, "K{1}@K{1}", ConfigError, SMASH_ONLY + " (line 7)"),
+    # the letters of a word are checked left to right, after earlier terms
+    (bind_plain_element, "v1.K{1}@zz", ConfigError, PLAIN_ONLY + " (line 7)"),
+    (bind_plain_element, "zz@v1.K{1}", StructuralError, "unknown letter 'zz'"),
+    (bind_smash_element, "v1.K{1}@zz", ConfigError, SMASH_ONLY + " (line 7)"),
+    (bind_smash_element, "zz@v1.K{1}", StructuralError, "unknown letter 'zz'"),
+    (bind_cotensor_element, "zz.K{1}[]v1.K{2}", StructuralError, "unknown letter 'zz'"),
+    (bind_cotensor_element, "v1.K{1,1}[]zz.K{0}", ConfigError,
+     "group element needs 1 exponents (line 7)"),
+    (bind_cotensor_element, "v1 + K{1}@K{1} + v1@K{1}", ConfigError,
+     "group elements cannot be tensored here (line 7)"),
+    (bind_smash_element, "v1@K{1}@K{1}", ConfigError, SMASH_ONLY + " (line 7)"),
+    (bind_smash_element, "v1@K{1,1}", ConfigError, "group element needs 1 exponents (line 7)"),
+]
+
+
+@pytest.mark.parametrize("bind,text,error,message", BINDER_ERRORS,
+                         ids=[f"{b.__name__[5:-8]} {t}" for b, t, *_ in BINDER_ERRORS])
+def test_binder_error_messages_are_pinned(clifford2, bind, text, error, message):
+    with pytest.raises(error) as info:
+        bind(clifford2.spec, parse_element_text(text), 7)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_binders_sum_repeated_terms(clifford2):
+    spec = clifford2.spec
+    parsed = parse_element_text("v1@v2 + 2 v1@v2 - 3 v1@v2 + 1/2")
+    half = Fraction(1, 2)
+    assert bind_plain_element(spec, parsed) == Element.from_word((), half, spec)
+    assert bind_cotensor_element(spec, parsed) == CotensorElement.unit(spec).scale(half)
+    assert bind_smash_element(spec, parsed) == SmashElement.unit(spec).scale(half)
+    out = bind_cotensor_element(spec, parse_element_text("K{0} - 1 + v1 + v1.K{0}"))
+    assert out == CotensorElement.from_word(spec, chain_lift_word(spec, (0,)), 2)
+
+
+GROUP_ONE_LETTER = "[group]\n{group}\n\n[basis]\na = 1\n\n[action]\ng1 = -1\n"
+
+
+@pytest.mark.parametrize("group,message", [
+    ("rank = 1, 7", "rank takes one integer (line 2)"),
+    ("rank = 1\nrank = 1", "duplicate [group] key 'rank' (line 3)"),
+    ("torsion = 2\ntorsion = 3", "duplicate [group] key 'torsion' (line 3)"),
+    ("rank = 1\ntorsion = 2\nrank = 0", "duplicate [group] key 'rank' (line 4)"),
+])
+def test_repeated_or_extra_group_values_are_rejected(group, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(GROUP_ONE_LETTER.format(group=group))
+    assert str(info.value) == message
+
+
+def test_empty_rank_reads_as_zero():
+    doc = parse_config("[group]\nrank =\n\n[basis]\na =\n")
+    assert doc.ydspec().group.rank == 0
+
+
+TWO_LETTERS = "[group]\nrank = 1\n\n[basis]\na = 1\nb = 1\n\n[action]\n"
+
+
+@pytest.mark.parametrize("action,message", [
+    ("g1.a = 1, 0\ng1.a = 2, 0\ng1.b = 0, 1", "duplicate action for 'g1.a' (line 10)"),
+    ("g1 = q, q\ng1.a = 1, 0", "duplicate action for 'g1.a' (line 10)"),
+    ("g1.b = 0, 1\ng1 = q, q", "duplicate action for 'g1' (line 10)"),
+    ("g1 = q, q\ng1 = q, q", "duplicate action for 'g1' (line 10)"),
+])
+def test_conflicting_action_lines_are_rejected(action, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(TWO_LETTERS + action + "\n")
+    assert str(info.value) == message
+
+
+def test_column_lines_for_different_letters_combine():
+    doc = parse_config(TWO_LETTERS + "g1.b = 1, 1\ng1.a = 1, 0\n")
+    one, zero = Scalar.one(), Scalar.zero()
+    assert doc.ydspec().action == (((one, one), (zero, one)),)
+    assert emit_config(doc) == UNIPOTENT_EMITTED

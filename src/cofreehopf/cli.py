@@ -38,7 +38,7 @@ from .cotensor import (
     smash_product,
     star,
 )
-from .elements import Element, render_element
+from .elements import Element, render_element, render_terms
 from .errors import ConfigError, StructuralError
 from .expr import parse_element_text
 from .grouphopf import (
@@ -50,6 +50,7 @@ from .grouphopf import (
 from .presets import build_clifford, build_uqg
 from .qalg import (
     BraidedAlgebraSpec,
+    _pair_alphabet,
     check_braided_algebra,
     check_quasi_shuffle_bialgebra,
     adjoin_unit,
@@ -131,14 +132,23 @@ def _render_text(kind: str | None, spec: YDSpec, value) -> str:
         return render_smash(value)
     if kind == "pairs":
         return render_pairs(spec, value)
-    return str(value)
+    return _letter_text(spec)(value)  # a group element as K{...}
 
 
 _KIND_OF_TYPE = {Element: "tensor", CotensorElement: "cotensor", SmashElement: "smash"}
 
 
 def _render_any(spec: YDSpec):
-    return lambda value: _render_text(_KIND_OF_TYPE.get(type(value)), spec, value)
+    """Text for any value a check reports; an element over pairs of words
+    (from ``qalg.deconcat``) reads ``u (x) v``."""
+    text = _letter_text(spec)
+
+    def render(value) -> str:
+        if isinstance(value, Element) and value.alphabet == _pair_alphabet(spec):
+            return render_terms(value, lambda pair: " (x) ".join(
+                "@".join(map(text, word)) or "1" for word in pair))
+        return _render_text(_KIND_OF_TYPE.get(type(value)), spec, value)
+    return render
 
 
 def _json_terms(kind: str, spec: YDSpec, value) -> list[dict]:

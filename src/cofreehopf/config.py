@@ -12,7 +12,9 @@ A document has four sections plus an optional override:
                 induced braiding
 
 Lines may carry ``#`` comments.  Scalars use the expression grammar.
-A repeated [group] key, a second value for ``rank`` and an action line
+Letter names are identifiers of the expression grammar.  A malformed
+list reports the expression parser's message and column.  A repeated
+[group] key, a second value for ``rank`` and an action line
 that gives a column already given are errors.  Torsion exponents out of
 range are normalized with a note, not an error.  Loading performs
 structural validation only (declared letters, shapes, invertibility of
@@ -33,13 +35,7 @@ from dataclasses import dataclass
 from .braid import BraidingTable
 from .elements import Element, accumulate, render_element
 from .errors import ConfigError, StructuralError
-from .expr import (
-    ParsedElement,
-    parse_element_text,
-    parse_scalar_text,
-    split_top_level_commas,
-    tokenize,
-)
+from .expr import ParsedElement, parse_element_text, parse_int_list, parse_scalar_list, tokenize
 from .grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec
 from .qalg import BraidedAlgebraSpec
 from .scalars import Scalar, split_sign
@@ -100,24 +96,6 @@ def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
     return sections
 
 
-def _parse_int_list(text: str, lineno: int) -> list[int]:
-    if not text.strip():
-        return []
-    out = []
-    for chunk in split_top_level_commas(text, lineno):
-        chunk = chunk.strip()
-        tokens = tokenize(chunk, lineno)
-        sign = 1
-        pos = 0
-        if tokens[pos].kind == "SYM" and tokens[pos].text == "-":
-            sign = -1
-            pos += 1
-        if tokens[pos].kind != "INT" or tokens[pos + 1].kind != "END":
-            raise ConfigError(f"expected an integer, found {chunk!r}", lineno)
-        out.append(sign * int(tokens[pos].text))
-    return out
-
-
 def _parse_keyvalue(line: str, lineno: int) -> tuple[str, str]:
     if "=" not in line:
         raise ConfigError("expected 'key = value'", lineno)
@@ -139,7 +117,7 @@ def parse_config(text: str) -> ConfigDocument:
             raise ConfigError(f"unknown [group] key {key!r}", lineno)
         if key in values:
             raise ConfigError(f"duplicate [group] key {key!r}", lineno)
-        values[key] = _parse_int_list(value, lineno)
+        values[key] = parse_int_list(value, lineno)
         if key == "rank" and len(values[key]) > 1:
             raise ConfigError("rank takes one integer", lineno)
     try:
@@ -155,9 +133,11 @@ def parse_config(text: str) -> ConfigDocument:
         key, value = _parse_keyvalue(line, lineno)
         if key in _RESERVED:
             raise ConfigError(f"letter name {key!r} is reserved", lineno)
+        if [tok.kind for tok in tokenize(key, lineno)] != ["IDENT", "END"]:
+            raise ConfigError(f"letter name {key!r} is not an identifier", lineno)
         if key in names:
             raise ConfigError(f"duplicate letter {key!r}", lineno)
-        exps = _parse_int_list(value, lineno)
+        exps = parse_int_list(value, lineno)
         if len(exps) != group.n_generators:
             raise ConfigError(
                 f"degree vector needs {group.n_generators} exponents", lineno)
@@ -175,8 +155,7 @@ def parse_config(text: str) -> ConfigDocument:
     generator_names = {f"g{k + 1}": k for k in range(group.n_generators)}
     for lineno, line in sections.get("action", []):
         key, value = _parse_keyvalue(line, lineno)
-        entries = [parse_scalar_text(chunk.strip(), lineno)
-                   for chunk in split_top_level_commas(value, lineno)]
+        entries = parse_scalar_list(value, lineno)
         if len(entries) != dim:
             raise ConfigError(f"expected {dim} scalars", lineno)
         gname, column, lname = key.partition(".")
@@ -322,7 +301,7 @@ def bind_group_element(spec: YDSpec, ref, line: int | None = None) -> GroupEleme
     if isinstance(ref, str):
         if ref == "e":
             return group.identity()
-        if ref.startswith("g") and ref[1:].isdigit():
+        if ref.startswith("g") and ref[1:].isdecimal():
             k = int(ref[1:]) - 1
             if 0 <= k < group.n_generators:
                 return group.generator(k)

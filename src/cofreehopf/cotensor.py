@@ -43,6 +43,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Mapping
 
+from . import grouphopf
 from .checks import PASS, CheckResult, fail
 from .elements import Element, accumulate, render_terms
 from .errors import StructuralError
@@ -168,11 +169,7 @@ def coproduct(x: CotensorElement) -> Element:
 
 
 def counit(x: CotensorElement) -> Scalar:
-    out = Scalar.zero()
-    for key, c in x._terms.items():
-        if isinstance(key, GroupElement):
-            out = out + c
-    return out
+    return grouphopf.counit(x.h_part())
 
 
 # -- the universal-property product ------------------------------------------

@@ -14,6 +14,10 @@ Grammar (ASCII minus and the minus-sign character are interchangeable):
     spoly     := [sign] sterm (sign sterm)*
     sterm     := rational [['*'] qpow] | qpow
 
+A config list is ``item (',' item)*`` (empty text: no items), each item
+``['-'] INT`` or ``['-'] scalar``.  INT digits are decimal digits, so a
+superscript such as ``²`` is an unexpected character.
+
 The identifier ``q`` is reserved for the scalar parameter.  Parsing is
 purely syntactic: letters stay names and group atoms stay raw exponent
 tuples; binding against a declared basis happens in the config layer.
@@ -55,9 +59,9 @@ def tokenize(text: str, line: int | None = None) -> list[Token]:
             tokens.append(Token("SYM", "[]", i + 1))
             i += 2
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", text[i:j], i + 1))
             i = j
@@ -83,8 +87,8 @@ ParsedElement = list  # list[tuple[Scalar, tuple[Letter, ...]]]
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], line: int | None = None):
-        self.tokens = tokens
+    def __init__(self, text: str, line: int | None = None):
+        self.tokens = tokenize(text, line)
         self.pos = 0
         self.line = line
 
@@ -163,21 +167,20 @@ class _Parser:
             return coeff
         return self.parse_qpow()
 
-    def parse_spoly(self) -> Scalar:
-        negative = False
-        if self.at_sym("-"):
-            self.next()
-            negative = True
-        elif self.at_sym("+"):
-            self.next()
-        value = self.parse_sterm()
-        if negative:
-            value = -value
-        while self.at_sym("+") or self.at_sym("-"):
+    def parse_sum(self, item, negate) -> list:
+        """``[sign] item (sign item)*``: the items, each negated after a minus."""
+        sign = self.next().text if self.at_sym("-") or self.at_sym("+") else "+"
+        items = []
+        while True:
+            value = item()
+            items.append(negate(value) if sign == "-" else value)
+            if not (self.at_sym("+") or self.at_sym("-")):
+                return items
             sign = self.next().text
-            term = self.parse_sterm()
-            value = value + (-term if sign == "-" else term)
-        return value
+
+    def parse_spoly(self) -> Scalar:
+        first, *rest = self.parse_sum(self.parse_sterm, Scalar.__neg__)
+        return sum(rest, first)
 
     def parse_signed_scalar(self) -> Scalar:
         """A scalar with an optional leading sign (config entries)."""
@@ -247,54 +250,40 @@ class _Parser:
         return coeff, ()
 
     def parse_element(self) -> ParsedElement:
-        terms: ParsedElement = []
-        negative = False
-        if self.at_sym("-"):
+        return self.parse_sum(self.parse_term, lambda term: (-term[0], term[1]))
+
+    # -- config lists --------------------------------------------------------
+
+    def parse_list(self, item) -> list:
+        """``item (',' item)*``; no items at the end of input."""
+        if self.peek().kind == "END":
+            return []
+        values = [item()]
+        while self.at_sym(","):
             self.next()
-            negative = True
-        elif self.at_sym("+"):
-            self.next()
-        coeff, word = self.parse_term()
-        terms.append(((-coeff if negative else coeff), word))
-        while self.at_sym("+") or self.at_sym("-"):
-            sign = self.next().text
-            coeff, word = self.parse_term()
-            terms.append(((-coeff if sign == "-" else coeff), word))
-        return terms
+            values.append(item())
+        return values
 
 
-def parse_element_text(text: str, line: int | None = None) -> ParsedElement:
-    parser = _Parser(tokenize(text, line), line)
-    terms = parser.parse_element()
-    parser.expect("END")
-    return terms
-
-
-def parse_scalar_text(text: str, line: int | None = None) -> Scalar:
-    parser = _Parser(tokenize(text, line), line)
-    value = parser.parse_signed_scalar()
+def _read(text: str, line: int | None, read):
+    """``read`` applied to the parser of ``text``, which must consume it all."""
+    parser = _Parser(text, line)
+    value = read(parser)
     parser.expect("END")
     return value
 
 
-def split_top_level_commas(text: str, line: int | None = None) -> list[str]:
-    """Split on commas that are not nested in parentheses or braces."""
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-            if depth < 0:
-                raise ConfigError("unbalanced parentheses", line)
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    if depth != 0:
-        raise ConfigError("unbalanced parentheses", line)
-    return parts
+def parse_element_text(text: str, line: int | None = None) -> ParsedElement:
+    return _read(text, line, _Parser.parse_element)
+
+
+def parse_scalar_text(text: str, line: int | None = None) -> Scalar:
+    return _read(text, line, _Parser.parse_signed_scalar)
+
+
+def parse_int_list(text: str, line: int | None = None) -> list[int]:
+    return _read(text, line, lambda parser: parser.parse_list(parser.parse_int))
+
+
+def parse_scalar_list(text: str, line: int | None = None) -> list[Scalar]:
+    return _read(text, line, lambda parser: parser.parse_list(parser.parse_signed_scalar))

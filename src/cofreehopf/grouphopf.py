@@ -80,9 +80,6 @@ class AbelianGroup:
         exps[k] = 1
         return self.element(exps)
 
-    def generators(self) -> list[GroupElement]:
-        return [self.generator(k) for k in range(self.n_generators)]
-
     def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
         return self.element([a + b for a, b in zip(g.exponents(), h.exponents())])
 
@@ -134,10 +131,7 @@ def coproduct(h: HElement) -> Element:
 
 
 def counit(h: HElement) -> Scalar:
-    out = Scalar.zero()
-    for _, c in h._terms.items():
-        out = out + c
-    return out
+    return sum(h._terms.values(), Scalar.zero())
 
 
 def antipode(h: HElement) -> HElement:

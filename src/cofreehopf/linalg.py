@@ -38,9 +38,6 @@ class _Frac:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __add__(self, other: _Frac) -> _Frac:
-        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
-
     def __sub__(self, other: _Frac) -> _Frac:
         return _Frac(self.num * other.den - other.num * self.den, self.den * other.den)
 
@@ -56,21 +53,25 @@ class _Frac:
         return divexact(self.num, self.den)
 
 
-def is_invertible(matrix: list[list[Scalar]]) -> bool:
-    """Full-rank test over the fraction field by forward elimination."""
-    n = len(matrix)
-    rows = [[_Frac.of(entry) for entry in row] for row in matrix]
+def _eliminate(rows: list[list[_Frac]], n: int) -> bool:
+    """Gauss-Jordan on the first ``n`` columns of ``rows``, in place, with
+    the pivots left unscaled.  False as soon as a column has no pivot."""
     for col in range(n):
         pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
         if pivot is None:
             return False
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(col + 1, n):
-            if rows[r][col].is_zero():
+        for r in range(n):
+            if r == col or rows[r][col].is_zero():
                 continue
             factor = rows[r][col] / rows[col][col]
             rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return True
+
+
+def is_invertible(matrix: list[list[Scalar]]) -> bool:
+    """Full-rank test over the fraction field."""
+    return _eliminate([[_Frac.of(entry) for entry in row] for row in matrix], len(matrix))
 
 
 def inverse(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
@@ -85,20 +86,11 @@ def inverse(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
         + [_Frac.of(Scalar.one() if i == j else Scalar.zero()) for j in range(n)]
         for i, row in enumerate(matrix)
     ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            raise StructuralError("matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv_pivot = rows[col][col]
-        rows[col] = [entry / inv_pivot for entry in rows[col]]
-        for r in range(n):
-            if r == col or rows[r][col].is_zero():
-                continue
-            factor = rows[r][col]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    if not _eliminate(rows, n):
+        raise StructuralError("matrix is singular")
     try:
-        return [[rows[i][n + j].to_scalar() for j in range(n)] for i in range(n)]
+        return [[(rows[i][n + j] / rows[i][i]).to_scalar() for j in range(n)]
+                for i in range(n)]
     except StructuralError as exc:
         raise StructuralError(
             "matrix has no inverse with Laurent-polynomial entries") from exc

@@ -119,6 +119,15 @@ def build_clifford(n: int) -> CliffordPreset:
     return CliffordPreset(n, spec)
 
 
+def _routes(spec: YDSpec):
+    """The two product routes of a relation check, by law-name suffix:
+    ``star`` on chain-lifted letters, ``smash_product`` on smash letters."""
+    return (
+        ("", lambda v: CotensorElement.from_word(spec, chain_lift_word(spec, (v,))), star),
+        ("-smash", lambda v: SmashElement.of(spec, (v,)), smash_product),
+    )
+
+
 def check_clifford_relations(preset: CliffordPreset) -> CheckResult:
     """Anticommutators of generator letters equal the bracket letters,
     along both product routes, plus the group-conjugation sign rule."""
@@ -126,19 +135,12 @@ def check_clifford_relations(preset: CliffordPreset) -> CheckResult:
     eps = spec.group.element([1])
     for i in range(1, preset.n + 1):
         for j in range(i, preset.n + 1):
-            vi = CotensorElement.from_word(spec, chain_lift_word(spec, (preset.v(i),)))
-            vj = CotensorElement.from_word(spec, chain_lift_word(spec, (preset.v(j),)))
-            expected = CotensorElement.from_word(
-                spec, chain_lift_word(spec, (preset.xi(i, j),)))
-            got = star(vi, vj) + star(vj, vi)
-            if got != expected:
-                return fail("clifford-anticommutator", (i, j), got, expected)
-            si = SmashElement.of(spec, (preset.v(i),))
-            sj = SmashElement.of(spec, (preset.v(j),))
-            sxi = SmashElement.of(spec, (preset.xi(i, j),))
-            got_smash = smash_product(si, sj) + smash_product(sj, si)
-            if got_smash != sxi:
-                return fail("clifford-anticommutator-smash", (i, j), got_smash, sxi)
+            for suffix, letter, product in _routes(spec):
+                vi, vj = letter(preset.v(i)), letter(preset.v(j))
+                got = product(vi, vj) + product(vj, vi)
+                expected = letter(preset.xi(i, j))
+                if got != expected:
+                    return fail("clifford-anticommutator" + suffix, (i, j), got, expected)
     for i in range(1, preset.n + 1):
         lhs = smash_product(
             SmashElement.of(spec, (), eps), SmashElement.of(spec, (preset.v(i),)))
@@ -194,24 +196,12 @@ def check_uqg_relations(preset: UqgPreset) -> CheckResult:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             c_ij = preset.cartan[i - 1][j - 1]
-            ei = CotensorElement.from_word(spec, chain_lift_word(spec, (preset.e(i),)))
-            fj = CotensorElement.from_word(spec, chain_lift_word(spec, (preset.f(j),)))
-            got = star(ei, fj) - star(fj, ei).scale(Scalar.q_power(-c_ij))
-            expected = CotensorElement.zero(spec)
-            if i == j:
-                expected = CotensorElement.from_word(
-                    spec, chain_lift_word(spec, (preset.xi(i),)))
-            if got != expected:
-                return fail("uqg-commutator", (i, j), got, expected)
-            se = SmashElement.of(spec, (preset.e(i),))
-            sf = SmashElement.of(spec, (preset.f(j),))
-            got_smash = smash_product(se, sf) \
-                - smash_product(sf, se).scale(Scalar.q_power(-c_ij))
-            expected_smash = SmashElement.zero(spec)
-            if i == j:
-                expected_smash = SmashElement.of(spec, (preset.xi(i),))
-            if got_smash != expected_smash:
-                return fail("uqg-commutator-smash", (i, j), got_smash, expected_smash)
+            for suffix, letter, product in _routes(spec):
+                ei, fj = letter(preset.e(i)), letter(preset.f(j))
+                got = product(ei, fj) - product(fj, ei).scale(Scalar.q_power(-c_ij))
+                expected = letter(preset.xi(i)).scale(1 if i == j else 0)
+                if got != expected:
+                    return fail("uqg-commutator" + suffix, (i, j), got, expected)
     for i in range(1, n + 1):
         k_i = group.generator(i - 1)
         k_inv = group.inverse(k_i)

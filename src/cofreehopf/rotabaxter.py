@@ -64,11 +64,16 @@ def rb_double_product(inst: RBInstance, x, y):
     return prod(x, op(y)) + prod(op(x), y) + prod(x, y).scale(inst.weight)
 
 
-def unit_prepend(spec: BraidedAlgebraSpec, x: Element) -> Element:
-    """The weight-1 operator: scalars to the unit letter, words get it prepended."""
+def _unit(spec) -> int:
+    """The unit letter of ``spec``, which every operator here prepends."""
     if spec.unit is None:
         raise StructuralError("operator needs a unital spec; adjoin a unit first")
-    unit = spec.unit
+    return spec.unit
+
+
+def unit_prepend(spec: BraidedAlgebraSpec, x: Element) -> Element:
+    """The weight-1 operator: scalars to the unit letter, words get it prepended."""
+    unit = _unit(spec)
     return x.relabel(lambda w: (unit,) + w)
 
 
@@ -98,11 +103,10 @@ def diamond_product(spec: BraidedAlgebraSpec, u: Element, w: Element) -> Element
 
 def head_shift(spec: BraidedAlgebraSpec, x: Element) -> Element:
     """The operator of the head-distinguished algebra: new unit head."""
-    if spec.unit is None:
-        raise StructuralError("operator needs a unital spec; adjoin a unit first")
+    _unit(spec)  # a missing unit is reported before an empty word
     if () in x._terms:
         raise StructuralError("head-distinguished words must be nonempty")
-    return x.relabel(lambda w: (spec.unit,) + w)
+    return unit_prepend(spec, x)
 
 
 def qsh_rb_instance(spec: BraidedAlgebraSpec) -> RBInstance:
@@ -136,10 +140,7 @@ def check_double_product_isomorphism(spec: BraidedAlgebraSpec,
 
 def smash_rb_operator(s: SmashElement) -> SmashElement:
     """Apply the unit-prepending operator to the word leg, fix the group tag."""
-    spec = s.spec
-    if spec.unit is None:
-        raise StructuralError("operator needs a unital module algebra")
-    unit = spec.unit
+    unit = _unit(s.spec)
     return s.relabel(lambda key: ((unit,) + key[0], key[1]))
 
 
@@ -149,12 +150,10 @@ def cotensor_rb_operator(x: CotensorElement) -> CotensorElement:
 
 
 def smash_rb_instance(spec) -> RBInstance:
-    if spec.unit is None:
-        raise StructuralError("operator needs a unital module algebra")
+    _unit(spec)  # fail when the instance is built, not on its first use
     return RBInstance(smash_product, smash_rb_operator, Scalar.one())
 
 
 def star_rb_instance(spec) -> RBInstance:
-    if spec.unit is None:
-        raise StructuralError("operator needs a unital module algebra")
+    _unit(spec)  # fail when the instance is built, not on its first use
     return RBInstance(star, cotensor_rb_operator, Scalar.one())

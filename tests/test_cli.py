@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 from cofreehopf.braid import BraidingTable, flip_braiding
+from cofreehopf.checks import fail
 from cofreehopf.cli import _pairs_up_to, main
 from cofreehopf.config import document_from_spec, emit_config
 from cofreehopf.elements import Element
-from cofreehopf.qalg import BraidedAlgebraSpec
+from cofreehopf.qalg import BraidedAlgebraSpec, deconcat, quasi_shuffle
 
 HOFFMAN = """
 [group]
@@ -305,3 +306,45 @@ def test_preset_requires_arguments(run):
 def test_no_command_is_an_error(run):
     code, _, err = run()
     assert code == 2
+
+
+def test_unicode_digits_exit_2_without_an_internal_error(run, clifford_config, tmp_path):
+    assert run("--config", clifford_config, "star", "3² v1", "v1") \
+        == (2, "", "error: unexpected character '²'\n")
+    path = tmp_path / "torsion.cfg"
+    path.write_text("[group]\ntorsion = 2²\n\n[basis]\nu = 1\n", encoding="utf-8")
+    assert run("--config", str(path), "star", "u", "u") \
+        == (2, "", "error: unexpected character '²' (line 2, column 2)\n")
+
+
+def test_group_elements_in_a_counterexample_render_as_atoms(run, tmp_path):
+    path = tmp_path / "degree.cfg"
+    path.write_text("[group]\nrank = 1\n\n[basis]\na = 1\nb = 1\n\n[action]\ng1 = q, q^-1\n"
+                    "\n[mult]\na b -> b\n", encoding="utf-8")
+    assert run("--config", str(path), "check", "alg") \
+        == (1, "FAIL mult-degree; at ('a', 'b'); lhs = K{1}; rhs = K{2}\n", "")
+    code, out, _ = run("--config", str(path), "--format", "json", "check", "alg")
+    assert code == 1
+    assert (json.loads(out)["lhs"], json.loads(out)["rhs"]) == ("K{1}", "K{2}")
+
+
+def test_bialgebra_counterexample_renders_pairs_of_words(run, clifford_config, monkeypatch):
+    import cofreehopf.cli as cli
+
+    def failing(spec, pairs):  # no known config makes the real check fail
+        u, v = (0, 1), (1,)
+        lhs = deconcat(quasi_shuffle(spec, Element.from_word(u, alphabet=spec.alphabet),
+                                     Element.from_word(v, alphabet=spec.alphabet)))
+        return fail("quasi-shuffle-bialgebra", (u, v), lhs, lhs.scale(0))
+
+    monkeypatch.setattr(cli, "check_quasi_shuffle_bialgebra", failing)
+    code, out, err = run("--config", clifford_config, "check", "bialg")
+    assert (code, err) == (1, "")
+    assert out.startswith("FAIL quasi-shuffle-bialgebra; at ")
+    assert out.endswith("; lhs = 1/2 1 (x) v1@xi22 + 1 (x) v2@v1@v2 − 1 (x) xi12@v2"
+                        " + 1/2 v1 (x) xi22"
+                        " + 1/2 v1@xi22 (x) 1 + v2 (x) v1@v2 + v2@v1 (x) v2 + v2@v1@v2 (x) 1"
+                        " − xi12 (x) v2 − xi12@v2 (x) 1; rhs = 0\n")
+    code, out, _ = run("--config", clifford_config, "--format", "json", "check", "bialg")
+    assert code == 1
+    assert json.loads(out)["lhs"].startswith("1/2 1 (x) v1@xi22 + ")

@@ -364,3 +364,31 @@ def test_column_lines_for_different_letters_combine():
     one, zero = Scalar.one(), Scalar.zero()
     assert doc.ydspec().action == (((one, one), (zero, one)),)
     assert emit_config(doc) == UNIPOTENT_EMITTED
+
+
+def test_parenthesised_scalars_in_an_action_list():
+    doc = parse_config(TWO_LETTERS + "g1 = (2*q^3), -(q^-1)\n")
+    assert doc.ydspec().action[0][0][0] == Scalar.q_power(3, 2)
+    assert doc.ydspec().action[0][1][1] == Scalar.q_power(-1, -1)
+
+
+@pytest.mark.parametrize("text,message", [
+    (TWO_LETTERS + "g1 = (q, 1\n", "expected ')', found ',' (line 9, column 3)"),
+    (TWO_LETTERS + "g1 = q), 1\n", "expected 'END', found ')' (line 9, column 2)"),
+    (GROUP_ONE_LETTER.format(group="torsion = 2²"),
+     "unexpected character '²' (line 2, column 2)"),
+    (GROUP_ONE_LETTER.format(group="rank = 1").replace("a = 1", "a = 1 1"),
+     "expected 'END', found '1' (line 5, column 3)"),
+])
+def test_malformed_lists_report_the_parser_message(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["1x", "a b", "v@1", "x.y", "x-1", ""])
+def test_letter_names_must_be_identifiers(name):
+    text = GROUP_ONE_LETTER.format(group="rank = 1").replace("a = 1", f"{name} = 1")
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == f"letter name {name!r} is not an identifier (line 5)"

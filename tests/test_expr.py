@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from cofreehopf.errors import ConfigError
-from cofreehopf.expr import parse_element_text, parse_scalar_text, split_top_level_commas
+from cofreehopf.expr import (
+    parse_element_text,
+    parse_int_list,
+    parse_scalar_list,
+    parse_scalar_text,
+)
 from cofreehopf.scalars import Scalar
 
 
@@ -89,8 +94,43 @@ def test_parse_errors_carry_positions():
         parse_element_text("K{1")
 
 
-def test_split_top_level_commas():
-    assert split_top_level_commas("a, b, c") == ["a", " b", " c"]
-    assert split_top_level_commas("(1, 2), K{3,4}, x") == ["(1, 2)", " K{3,4}", " x"]
-    with pytest.raises(ConfigError):
-        split_top_level_commas("(a, b")
+def test_unicode_digits_are_unexpected_characters():
+    for text, column in (("3² v1", 2), ("v1 + ²", 6), ("K{1}@v1.K{2³}", 12)):
+        with pytest.raises(ConfigError) as info:
+            parse_element_text(text, line=4)
+        assert str(info.value) == f"unexpected character {text[column - 1]!r} (line 4, column {column})"
+    with pytest.raises(ConfigError, match="unexpected character '²'"):
+        parse_int_list("2²")
+
+
+def test_lists_read_items_up_to_the_end():
+    assert parse_int_list("") == []
+    assert parse_int_list("1, -2,3") == [1, -2, 3]
+    assert parse_int_list("−4") == [-4]
+    assert parse_scalar_list("q, -(1 - q^2), (2*q^3), 1/2") == [
+        Scalar.q_power(1), Scalar.q_power(2) - Scalar.one(), Scalar.q_power(3, 2),
+        Scalar.rational(Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1,", "expected 'INT', found 'end of input' (line 3, column 3)"),
+    (", 1", "expected 'INT', found ',' (line 3, column 1)"),
+    ("1 2", "expected 'END', found '2' (line 3, column 3)"),
+    ("1, (2)", "expected 'INT', found '(' (line 3, column 4)"),
+    ("1.5", "expected 'END', found '.' (line 3, column 2)"),
+])
+def test_malformed_int_lists_report_a_column(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_int_list(text, line=3)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("(q, 1", "expected ')', found ',' (line 2, column 3)"),
+    ("q), 1", "expected 'END', found ')' (line 2, column 2)"),
+    ("q,, 1", "expected a scalar (line 2, column 3)"),
+])
+def test_malformed_scalar_lists_report_a_column(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_scalar_list(text, line=2)
+    assert str(info.value) == message

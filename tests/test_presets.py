@@ -7,6 +7,7 @@ import pytest
 from cofreehopf.braid import check_yang_baxter
 from cofreehopf.cotensor import (
     CotensorElement,
+    SmashElement,
     chain_lift_word,
     star,
     _module_projection,
@@ -160,3 +161,18 @@ def test_uqg_module_multiplication_eigenvalue(uqg_a2):
 def test_uqg_requires_square_matrix():
     with pytest.raises(StructuralError):
         build_uqg([[2, -1]])
+
+
+def test_relation_checks_name_the_route_that_fails(clifford2, uqg_a2, monkeypatch):
+    import cofreehopf.presets as presets
+
+    asymmetric = check_uqg_relations(build_uqg([[2, 0], [-1, 2]]))
+    assert (asymmetric.law, asymmetric.witness) == ("uqg-commutator", (1, 2))
+    monkeypatch.setattr(presets, "smash_product", lambda x, y: x.scale(0))
+    for result, law, bracket in (
+            (check_clifford_relations(clifford2), "clifford-anticommutator-smash",
+             clifford2.xi(1, 1)),
+            (check_uqg_relations(uqg_a2), "uqg-commutator-smash", uqg_a2.xi(1))):
+        assert (result.law, result.witness) == (law, (1, 1))
+        assert result.lhs.is_zero()
+        assert result.rhs == SmashElement.of(result.rhs.spec, (bracket,))

@@ -5,7 +5,9 @@ On right coinvariants the cotensor product is the quasi-shuffle product:
 plain words.  The star route (the prefix table of ``cotensor``) reads the
 action and the multiplication letter by letter and shares no code with
 ``block_braiding`` or the quasi-shuffle clauses, so it checks both the
-one-sided dispatch and the general-clause oracle independently.
+one-sided dispatch and the general-clause oracle independently.  The
+presets include ``hoffman4``, the flip braiding with a commutative
+product, written as YD data over the trivial group.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cofreehopf.braid import flip_braiding
 from cofreehopf.cotensor import chain_lift, flatten_coinvariant, star
 from cofreehopf.elements import Element
 from cofreehopf.grouphopf import AbelianGroup, YDSpec, braided_spec, diagonal_matrix
@@ -21,7 +24,19 @@ from cofreehopf.qalg import quasi_shuffle, quasi_shuffle_general_clause
 from cofreehopf.scalars import Scalar
 
 BOUNDED = settings(max_examples=60, derandomize=True, deadline=None, database=None)
-PRESETS = (build_clifford(2).spec, build_uqg([[2, -1], [-1, 2]]).spec)
+
+
+def _hoffman4() -> YDSpec:
+    """Hoffman's algebra as YD data over the trivial group: identity
+    degrees, no action matrices, x_a x_b = x_{a+b} truncated above x4."""
+    group = AbelianGroup(0)
+    mult = {(i, j): Element.from_word((i + j + 1,))
+            for i in range(4) for j in range(4) if i + j + 1 < 4}
+    return YDSpec(group, ("x1", "x2", "x3", "x4"), (group.identity(),) * 4, (), mult)
+
+
+HOFFMAN4 = _hoffman4()
+PRESETS = (build_clifford(2).spec, build_uqg([[2, -1], [-1, 2]]).spec, HOFFMAN4)
 
 
 @st.composite
@@ -75,3 +90,14 @@ def test_quasi_shuffle_matches_star_route_on_preset_words(data):
     spec = data.draw(st.sampled_from(PRESETS))
     x, y = data.draw(element_pairs(spec, 4))
     _assert_three_routes_agree(spec, x, y)
+
+
+def test_hoffman4_yd_data_is_the_flip_braided_hoffman_algebra(hoffman4):
+    bspec = braided_spec(HOFFMAN4)
+    flip = flip_braiding(4)
+    assert {pair: entry._terms for pair, entry in bspec.braiding.entries.items()} \
+        == {pair: entry._terms for pair, entry in flip.entries.items()}
+    for u, v in (((0,), (0,)), ((0, 1), (2,)), ((1, 0), (0, 3))):
+        x, y = (Element.from_word(w, alphabet=bspec.alphabet) for w in (u, v))
+        hx, hy = (Element.from_word(w, alphabet=hoffman4.alphabet) for w in (u, v))
+        assert quasi_shuffle(bspec, x, y)._terms == quasi_shuffle(hoffman4, hx, hy)._terms

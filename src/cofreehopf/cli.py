@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import partial
 from itertools import chain
@@ -40,7 +41,7 @@ from .cotensor import (
 )
 from .elements import Element, render_element, render_terms
 from .errors import ConfigError, StructuralError
-from .expr import parse_element_text
+from .expr import parse_element_text, parse_int_list
 from .grouphopf import (
     GroupElement,
     YDSpec,
@@ -287,6 +288,12 @@ def _dispatch(args) -> int:
     return 0
 
 
+# A --cartan row separates its entries by commas or blanks: a blank after
+# a digit, followed by more than blanks and commas, reads as a comma.  The
+# substitution keeps every column where it was.
+_ROW_BLANK = re.compile(r"(?<=\d)\s(?=\s*[^\s,])")
+
+
 def _cmd_preset(args) -> int:
     if args.family == "clifford":
         if args.n is None or args.n < 1:
@@ -297,13 +304,11 @@ def _cmd_preset(args) -> int:
             raise ConfigError("preset uqg needs --cartan FILE")
         try:
             with open(args.cartan, encoding="utf-8") as handle:
-                rows = []
-                for raw in handle:
-                    line = raw.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    rows.append([int(tok) for tok in line.replace(",", " ").split()])
-        except (OSError, ValueError) as exc:
+                rows = [parse_int_list(_ROW_BLANK.sub(",", row), lineno)
+                        for lineno, row in enumerate(
+                            (raw.split("#", 1)[0] for raw in handle), start=1)
+                        if row.strip()]
+        except (OSError, ValueError, ConfigError) as exc:
             raise ConfigError(f"cannot read cartan matrix: {exc}") from exc
         preset = build_uqg(rows)
     print(emit_config(document_from_spec(preset.spec)), end="")

@@ -8,13 +8,13 @@ class StructuralError(Exception):
 class ConfigError(Exception):
     """A config document or expression failed to parse or validate.
 
-    Carries an optional 1-based line number for diagnostics.
+    Carries an optional 1-based line and column for diagnostics; the
+    message ends with whichever of them are known.
     """
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
+        where = ", ".join(f"{name} {value}" for name, value in
+                          (("line", line), ("column", column)) if value is not None)
+        super().__init__(f"{message} ({where})" if where else message)

@@ -10,11 +10,16 @@ verbatim in addition to the general clause; the one-letter-left clause
 is also the base case (a times b is ab + sigma(ab) + m(a, b)).  An
 always-general code path is kept as an internal cross-check oracle.
 
-Each level braids once: the right head b crosses the left tail u' by
-beta_{i-1,1}, which feeds the merge move, and one more braiding at
-position 1 takes it across the left head u_0 for the braid move.  Each
-level recurses on (u', v) before it braids, so a word too deep for the
-recursion fails before any braiding work is spent on it.
+Each level needs the crossing B(u, b) = beta_{|u|,1}(u (x) b) of the right
+head b across the left word: B(u', b) feeds the merge move and B(u, b)
+the braid move.  Since B(u, b) = sigma_1(u_0 . B(u', b)) with B((), b) = b,
+``crossing`` memoises B per (suffix, letter) in ``spec._cache["crossing"]``
+and fills it by a loop from the right end of the word, so each suffix is
+braided once, with one braiding at position 1, however many levels ask
+for it.  Each level recurses on (u', v) before it braids, so a word too
+deep for the recursion fails before any braiding work is spent on it.
+The general-clause oracle reads no memo: it sweeps B(u', b) with
+``block_braiding`` at every level, as an independent check on the memo.
 
 The deconcatenation coproduct, the connectedness filtration and the
 extension of a degree-one letter map to a morphism of the whole tensor
@@ -147,7 +152,7 @@ def _qsh_words(spec: BraidedAlgebraSpec, u: tuple, v: tuple) -> Element:
         return _qsh_one_left(spec, u[0], v)
     if len(v) == 1:
         return _qsh_one_right(spec, u, v[0])
-    return _qsh_general(spec, u, v, _qsh_words)
+    return _qsh_general(spec, u, v, _qsh_words, _memo_crossings)
 
 
 def _qsh_one_left(spec: BraidedAlgebraSpec, a: int, v: tuple) -> Element:
@@ -164,9 +169,8 @@ def _qsh_one_left(spec: BraidedAlgebraSpec, a: int, v: tuple) -> Element:
 
 def _qsh_one_right(spec: BraidedAlgebraSpec, u: tuple, b: int) -> Element:
     out = _prepend(u[0], _qsh_words(spec, u[1:], (b,)))
-    shifted = block_braiding(
-        spec.braiding, len(u) - 1, 1, Element.from_word(u[1:] + (b,), alphabet=spec.alphabet))
-    out = out + spec.sigma(_prepend(u[0], shifted))
+    shifted, moved = _memo_crossings(spec, u, b)
+    out = out + moved
     for word, coeff in shifted._terms.items():
         merged = spec.mult_entry(u[0], word[0])
         for (d,), c2 in merged._terms.items():
@@ -174,11 +178,10 @@ def _qsh_one_right(spec: BraidedAlgebraSpec, u: tuple, b: int) -> Element:
     return out
 
 
-def _qsh_general(spec: BraidedAlgebraSpec, u: tuple, v: tuple, rec) -> Element:
+def _qsh_general(spec: BraidedAlgebraSpec, u: tuple, v: tuple, rec, crossings) -> Element:
     out = _prepend(u[0], rec(spec, u[1:], v))
-    shifted = block_braiding(
-        spec.braiding, len(u) - 1, 1, Element.from_word(u[1:] + v[:1], alphabet=spec.alphabet))
-    for word, coeff in spec.sigma(_prepend(u[0], shifted))._terms.items():
+    shifted, moved = crossings(spec, u, v[0])
+    for word, coeff in moved._terms.items():
         sub = rec(spec, word[1:], v[1:])
         out = out + _prepend(word[0], sub).scale(coeff)
     for word, coeff in shifted._terms.items():
@@ -187,6 +190,35 @@ def _qsh_general(spec: BraidedAlgebraSpec, u: tuple, v: tuple, rec) -> Element:
         for (d,), c2 in merged._terms.items():
             out = out + _prepend(d, sub).scale(coeff * c2)
     return out
+
+
+def crossing(spec: BraidedAlgebraSpec, u: tuple, b: int) -> Element:
+    """B(u, b) = beta_{|u|,1}(u (x) b): the letter b braided across the word u.
+
+    Memoised per (suffix, letter) on the spec; a miss extends the longest
+    memoised suffix of u leftwards by B(u, b) = sigma_1(u_0 . B(u', b)).
+    """
+    memo = spec._cache.setdefault("crossing", {})
+    k = 0
+    while k < len(u) and (u[k:], b) not in memo:
+        k += 1
+    out = memo[(u[k:], b)] if k < len(u) else Element.from_word((b,), alphabet=spec.alphabet)
+    for i in range(k - 1, -1, -1):
+        out = spec.sigma(_prepend(u[i], out))
+        memo[(u[i:], b)] = out
+    return out
+
+
+def _memo_crossings(spec: BraidedAlgebraSpec, u: tuple, b: int) -> tuple[Element, Element]:
+    """(B(u', b), B(u, b)) from the spec's memo."""
+    return crossing(spec, u[1:], b), crossing(spec, u, b)
+
+
+def _swept_crossings(spec: BraidedAlgebraSpec, u: tuple, b: int) -> tuple[Element, Element]:
+    """(B(u', b), B(u, b)) for the oracle: one block sweep, then sigma_1."""
+    shifted = block_braiding(
+        spec.braiding, len(u) - 1, 1, Element.from_word(u[1:] + (b,), alphabet=spec.alphabet))
+    return shifted, spec.sigma(_prepend(u[0], shifted))
 
 
 def _prepend(letter: int, x: Element) -> Element:
@@ -200,7 +232,7 @@ def _qsh_words_general_only(spec: BraidedAlgebraSpec, u: tuple, v: tuple) -> Ele
         return Element.from_word(v, alphabet=spec.alphabet)
     if not v:
         return Element.from_word(u, alphabet=spec.alphabet)
-    return _qsh_general(spec, u, v, _qsh_words_general_only)
+    return _qsh_general(spec, u, v, _qsh_words_general_only, _swept_crossings)
 
 
 def quasi_shuffle(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:

@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .braid import block_braiding
 from .checks import PASS, CheckResult, fail, nonempty
 from .cotensor import CotensorElement, SmashElement, from_smash, smash_product, star, to_smash
 from .elements import Element
 from .errors import StructuralError
-from .qalg import BraidedAlgebraSpec, _qsh_words, quasi_shuffle
+from .qalg import BraidedAlgebraSpec, _qsh_words, crossing, quasi_shuffle
 from .scalars import Scalar
 
 
@@ -94,9 +93,7 @@ def diamond_product(spec: BraidedAlgebraSpec, u: Element, w: Element) -> Element
             merged = spec.mult_entry(a, word2[0])
             return merged.tensor(_qsh_words(spec, word2[1:], y)) if merged else zero
 
-        shifted = block_braiding(spec.braiding, len(x), 1,
-                                 Element.from_word(x + (b,), alphabet=spec.alphabet))
-        return shifted.map_words(heads_then_tails, alphabet=spec.alphabet)
+        return crossing(spec, x, b).map_words(heads_then_tails, alphabet=spec.alphabet)
 
     return u.bilinear(w, on_words, cls=Element, alphabet=spec.alphabet)
 

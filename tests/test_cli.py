@@ -69,6 +69,20 @@ def test_python_dash_m_runs_the_command_line(module, run):
     assert python_m("no-such-command").returncode == 2
 
 
+def test_long_times_one_letter_product_stays_within_the_recursion_limit(clifford_config):
+    # about 3 recursion-limit units per letter: 300 letters leave little room
+    # under the default limit, so a costlier clause fails here
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    word = "@".join(("v1", "v2", "v2", "v1", "v2")[k % 5] for k in range(300))
+    done = subprocess.run([sys.executable, "-m", "cofreehopf", "--config", clifford_config,
+                           "qsh", word, "v1"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "internal" not in done.stderr
+
+
 def test_star_golden_rendering(run, clifford_config):
     code, out, _ = run("--config", clifford_config, "star", "v1", "v2")
     assert code == 0
@@ -222,6 +236,19 @@ def test_preset_uqg_from_cartan_file(run, tmp_path):
     assert "xi1" in out2
 
 
+def test_cartan_rows_report_line_and_column(run, tmp_path):
+    cartan = tmp_path / "a2.txt"
+    cartan.write_text("# A2\n2, -1\n-1 2\n", encoding="utf-8")
+    code, out, _ = run("preset", "uqg", "--cartan", str(cartan))
+    assert code == 0 and "xi2 = 0, 2" in out
+    cartan.write_text("2 x\n-1 2\n", encoding="utf-8")
+    assert run("preset", "uqg", "--cartan", str(cartan)) == (
+        2, "", "error: cannot read cartan matrix: expected 'INT', found 'x' (line 1, column 3)\n")
+    cartan.write_text("# A2\n2 -1\n  -1 2x\n", encoding="utf-8")
+    assert run("preset", "uqg", "--cartan", str(cartan)) == (
+        2, "", "error: cannot read cartan matrix: expected 'END', found 'x' (line 3, column 7)\n")
+
+
 def test_phi_psi_and_smash_commands(run, clifford_config):
     code, out, _ = run("--config", clifford_config, "psi", "v1@v2")
     assert code == 0
@@ -310,7 +337,7 @@ def test_no_command_is_an_error(run):
 
 def test_unicode_digits_exit_2_without_an_internal_error(run, clifford_config, tmp_path):
     assert run("--config", clifford_config, "star", "3² v1", "v1") \
-        == (2, "", "error: unexpected character '²'\n")
+        == (2, "", "error: unexpected character '²' (column 2)\n")
     path = tmp_path / "torsion.cfg"
     path.write_text("[group]\ntorsion = 2²\n\n[basis]\nu = 1\n", encoding="utf-8")
     assert run("--config", str(path), "star", "u", "u") \

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cofreehopf.braid import diagonal_braiding, flip_braiding
+from cofreehopf.braid import block_braiding, diagonal_braiding, flip_braiding
+from cofreehopf.config import parse_config
 from cofreehopf.elements import Element
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import braided_spec
@@ -14,6 +15,7 @@ from cofreehopf.qalg import (
     adjoin_unit,
     check_braided_algebra,
     check_quasi_shuffle_bialgebra,
+    crossing,
     deconcat,
     deconcat_reduced,
     extend_letter_morphism,
@@ -195,6 +197,42 @@ def test_one_sided_clauses_match_general_clause(clifford2, uqg_a2, hoffman4):
                 y = Element.from_word(v, alphabet=spec.alphabet)
                 assert quasi_shuffle(spec, x, y) \
                     == quasi_shuffle_general_clause(spec, x, y)
+
+
+# Invertible, non-monomial and not Yang-Baxter: the crossing is compared
+# with the block sweep where the order of the braidings matters.
+NON_MONOMIAL_OVERRIDE = """
+[group]
+rank = 1
+
+[basis]
+a = 1
+b = 1
+
+[action]
+g1 = q, q^-1
+
+[braiding]
+a a -> q a@a
+a b -> a@b + b@a
+b a -> a@b
+b b -> 2 b@b
+"""
+
+
+def test_crossing_matches_the_block_sweep(clifford2, uqg_a2):
+    override = parse_config(NON_MONOMIAL_OVERRIDE).braided()
+    fresh = hoffman_spec(4)
+    assert "crossing" not in override._cache and "crossing" not in fresh._cache
+    for spec in (braided_spec(clifford2.spec), braided_spec(uqg_a2.spec), fresh, override):
+        # longest words first, so that a miss extends a cold memo over several suffixes
+        for length in range(4, -1, -1):
+            for u in itertools.product(range(spec.dim), repeat=length):
+                for b in range(spec.dim):
+                    swept = block_braiding(spec.braiding, len(u), 1,
+                                           Element.from_word(u + (b,), alphabet=spec.alphabet))
+                    assert crossing(spec, u, b) == swept
+        assert spec._cache["crossing"][((1, 0, 1), 0)] is crossing(spec, (1, 0, 1), 0)
 
 
 def test_associativity_samples(clifford2, hoffman4):

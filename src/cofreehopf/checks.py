@@ -26,10 +26,11 @@ class CheckResult:
     def __bool__(self) -> bool:
         return self.ok
 
-    def describe(self, render: Callable[[Any], str] = str) -> str:
+    def describe(self, render: Callable[[Any], str] = str,
+                 witness: Callable[[Any], str] = repr) -> str:
         if self.ok:
             return "PASS"
-        parts = [f"FAIL {self.law}", f"at {self.witness!r}"]
+        parts = [f"FAIL {self.law}", f"at {witness(self.witness)}"]
         if self.lhs is not None or self.rhs is not None:
             parts.append(f"lhs = {render(self.lhs)}")
             parts.append(f"rhs = {render(self.rhs)}")

@@ -140,16 +140,39 @@ _KIND_OF_TYPE = {Element: "tensor", CotensorElement: "cotensor", SmashElement: "
 
 
 def _render_any(spec: YDSpec):
-    """Text for any value a check reports; an element over pairs of words
-    (from ``qalg.deconcat``) reads ``u (x) v``."""
+    """Text for any value a check reports.  A word of letter indices reads
+    ``a@b`` (``1`` when empty); an element over pairs of words (from
+    ``qalg.deconcat``) reads ``u (x) v``."""
     text = _letter_text(spec)
 
+    def word(letters) -> str:
+        return "@".join(map(text, letters)) or "1"
+
     def render(value) -> str:
+        if type(value) is tuple:
+            return word(value)
         if isinstance(value, Element) and value.alphabet == _pair_alphabet(spec):
-            return render_terms(value, lambda pair: " (x) ".join(
-                "@".join(map(text, word)) or "1" for word in pair))
+            return render_terms(value, lambda pair: " (x) ".join(map(word, pair)))
         return _render_text(_KIND_OF_TYPE.get(type(value)), spec, value)
     return render
+
+
+# Laws whose witness is a word of letter indices, and laws whose witness is
+# a pair of samples (index words or elements).  Every other witness already
+# names its letters, or counts generators, and keeps its repr.
+_WORD_WITNESS = frozenset({"yang-baxter", "associativity", "braided-compatibility-left",
+                           "braided-compatibility-right", "left-unit", "right-unit",
+                           "unit-braiding"})
+_PAIR_WITNESS = frozenset({"quasi-shuffle-bialgebra", "rota-baxter"})
+
+
+def _render_witness(spec: YDSpec, law: str):
+    render = _render_any(spec)
+    if law in _WORD_WITNESS:
+        return render
+    if law in _PAIR_WITNESS:
+        return lambda pair: " (x) ".join(map(render, pair))
+    return repr
 
 
 def _json_terms(kind: str, spec: YDSpec, value) -> list[dict]:
@@ -262,19 +285,19 @@ def _dispatch(args) -> int:
         if args.max_degree < 0:
             raise ConfigError(f"--max-degree must be >= 0, got {args.max_degree}")
         result = CHECKS[args.what](doc, args.max_degree)
-        render = _render_any(spec)
+        render, witness = _render_any(spec), _render_witness(spec, result.law)
         if args.format == "json":
             payload = {"ok": bool(result)}
             if not result:
                 payload.update({
                     "law": result.law,
-                    "witness": repr(result.witness),
+                    "witness": witness(result.witness),
                     "lhs": render(result.lhs),
                     "rhs": render(result.rhs),
                 })
             _emit(payload)
         else:
-            print(result.describe(render))
+            print(result.describe(render, witness))
         return 0 if result else 1
 
     arg_names, bind, operation, kind = COMMANDS[args.command]
@@ -294,6 +317,27 @@ def _dispatch(args) -> int:
 _ROW_BLANK = re.compile(r"(?<=\d)\s(?=\s*[^\s,])")
 
 
+def _read_cartan(path: str) -> list[list[int]]:
+    """The rows of a --cartan file; an error names the line it is on."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            rows = [(lineno, parse_int_list(_ROW_BLANK.sub(",", row), lineno))
+                    for lineno, row in enumerate(
+                        (raw.split("#", 1)[0] for raw in handle), start=1)
+                    if row.strip()]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read cartan matrix: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"cannot read cartan matrix: {exc.message}",
+                          exc.line, exc.column) from exc
+    for lineno, row in rows:
+        if len(row) != len(rows):
+            raise ConfigError(f"cannot read cartan matrix: a square matrix of {len(rows)} "
+                              f"rows needs {len(rows)} entries per row, got {len(row)}",
+                              lineno)
+    return [row for _, row in rows]
+
+
 def _cmd_preset(args) -> int:
     if args.family == "clifford":
         if args.n is None or args.n < 1:
@@ -302,15 +346,7 @@ def _cmd_preset(args) -> int:
     else:
         if not args.cartan:
             raise ConfigError("preset uqg needs --cartan FILE")
-        try:
-            with open(args.cartan, encoding="utf-8") as handle:
-                rows = [parse_int_list(_ROW_BLANK.sub(",", row), lineno)
-                        for lineno, row in enumerate(
-                            (raw.split("#", 1)[0] for raw in handle), start=1)
-                        if row.strip()]
-        except (OSError, ValueError, ConfigError) as exc:
-            raise ConfigError(f"cannot read cartan matrix: {exc}") from exc
-        preset = build_uqg(rows)
+        preset = build_uqg(_read_cartan(args.cartan))
     print(emit_config(document_from_spec(preset.spec)), end="")
     return 0
 

@@ -52,7 +52,7 @@ def letter_key(letter):
     """The one canonical sort key: total across letters and whole keys of every kind."""
     if isinstance(letter, int):
         return (0, letter)
-    if isinstance(letter, tuple):
+    if type(letter) is tuple:  # a word; a group element is a tuple subclass
         return (3, tuple(letter_key(part) for part in letter))
     sk = getattr(letter, "sort_key", None)
     if sk is not None:

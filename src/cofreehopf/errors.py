@@ -9,10 +9,12 @@ class ConfigError(Exception):
     """A config document or expression failed to parse or validate.
 
     Carries an optional 1-based line and column for diagnostics; the
-    message ends with whichever of them are known.
+    text ends with whichever of them are known, and ``message`` holds it
+    without them.
     """
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        self.message = message
         self.line = line
         self.column = column
         where = ", ".join(f"{name} {value}" for name, value in

@@ -2,10 +2,18 @@
 
 The base Hopf algebra is a group algebra K[G] for G finitely generated
 abelian: ``rank`` free generators followed by torsion generators of the
-given orders.  Group elements are exponent vectors, torsion exponents
-normalized into [0, order).  Group-likes make the Hopf structure
-classical: the coproduct is diagonal, the counit is 1 and the antipode
-inverts.
+given orders.  Group-likes make the Hopf structure classical: the
+coproduct is diagonal, the counit is 1 and the antipode inverts.
+
+A group element is an exponent vector, torsion exponents normalized into
+[0, order): a :class:`GroupElement` is a tuple subclass holding the free
+part and the torsion part, so hashing, constructing it and reading its
+fields run in C, as they do for the chain words built from it.  It is
+equal only to a group element with the same exponents, never to a plain
+tuple, a chain word or a smash key.  :meth:`AbelianGroup.element`
+validates and normalizes outside input; :meth:`AbelianGroup.multiply`
+and :meth:`AbelianGroup.inverse` build their results from the exponent
+tuples directly.
 
 A Yetter-Drinfeld module over K[G] is a based vector space carrying a
 G-grading (the coaction sends a letter v to degree(v) tensor v) and a
@@ -20,7 +28,9 @@ into a braided algebra suitable for the quasi-shuffle machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import partial
+from operator import add, neg
+from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .braid import BraidingTable
@@ -31,12 +41,21 @@ from .qalg import BraidedAlgebraSpec, check_braided_algebra
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """Exponent vector of a group element: free part, then torsion part."""
 
     free: tuple[int, ...]
     torsion: tuple[int, ...]
+
+    # Equal only to a group element: the reflected tuple comparison would
+    # otherwise make a plain (free, torsion) tuple compare equal.
+    def __eq__(self, other):
+        return type(other) is GroupElement and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not GroupElement or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
     def sort_key(self):
         return (self.free, self.torsion)
@@ -49,6 +68,10 @@ class GroupElement:
 
     def render(self) -> str:
         return "K{" + ",".join(str(e) for e in self.exponents()) + "}"
+
+
+# GroupElement((free, torsion)) without the Python-level NamedTuple __new__
+_group_element = partial(tuple.__new__, GroupElement)
 
 
 @dataclass(frozen=True)
@@ -65,6 +88,7 @@ class AbelianGroup:
         return self.rank + len(self.torsion)
 
     def element(self, exponents: Sequence[int]) -> GroupElement:
+        """The validating constructor: one integer per generator, torsion reduced."""
         if len(exponents) != self.n_generators:
             raise StructuralError(
                 f"expected {self.n_generators} exponents, got {len(exponents)}")
@@ -73,7 +97,7 @@ class AbelianGroup:
         return GroupElement(free, tors)
 
     def identity(self) -> GroupElement:
-        return GroupElement((0,) * self.rank, (0,) * len(self.torsion))
+        return _group_element(((0,) * self.rank, (0,) * len(self.torsion)))
 
     def generator(self, k: int) -> GroupElement:
         exps = [0] * self.n_generators
@@ -81,10 +105,21 @@ class AbelianGroup:
         return self.element(exps)
 
     def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return self.element([a + b for a, b in zip(g.exponents(), h.exponents())])
+        (g_free, g_tors), (h_free, h_tors) = g, h
+        if not (len(g_free) == len(h_free) == self.rank
+                and len(g_tors) == len(h_tors) == len(self.torsion)):
+            raise StructuralError(f"{g!r} and {h!r} are not both elements of {self!r}")
+        free = tuple(map(add, g_free, h_free))
+        if self.torsion:
+            return _group_element((free, tuple([(a + b) % m for a, b, m in
+                                                zip(g_tors, h_tors, self.torsion)])))
+        return _group_element((free, g_tors))
 
     def inverse(self, g: GroupElement) -> GroupElement:
-        return self.element([-a for a in g.exponents()])
+        free = tuple(map(neg, g.free))
+        if self.torsion:
+            return _group_element((free, tuple([-a % m for a, m in zip(g.torsion, self.torsion)])))
+        return _group_element((free, g.torsion))
 
     def product(self, elems) -> GroupElement:
         out = self.identity()

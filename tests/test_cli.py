@@ -10,9 +10,10 @@ import pytest
 
 from cofreehopf.braid import BraidingTable, flip_braiding
 from cofreehopf.checks import fail
-from cofreehopf.cli import _pairs_up_to, main
+from cofreehopf.cli import _pairs_up_to, _read_cartan, main
 from cofreehopf.config import document_from_spec, emit_config
 from cofreehopf.elements import Element
+from cofreehopf.errors import ConfigError
 from cofreehopf.qalg import BraidedAlgebraSpec, deconcat, quasi_shuffle
 
 HOFFMAN = """
@@ -249,6 +250,26 @@ def test_cartan_rows_report_line_and_column(run, tmp_path):
         2, "", "error: cannot read cartan matrix: expected 'END', found 'x' (line 3, column 7)\n")
 
 
+def test_cartan_rows_of_the_wrong_length_report_their_line(run, tmp_path):
+    cartan = tmp_path / "short.txt"
+    cartan.write_text("# A2, one entry short\n2 -1\n\n-1\n", encoding="utf-8")
+    assert run("preset", "uqg", "--cartan", str(cartan)) == (
+        2, "", "error: cannot read cartan matrix: a square matrix of 2 rows needs "
+               "2 entries per row, got 1 (line 4)\n")
+    cartan.write_text("2 -1 0\n-1 2 -1\n", encoding="utf-8")
+    code, _, err = run("preset", "uqg", "--cartan", str(cartan))
+    assert code == 2 and err.endswith("got 3 (line 1)\n")
+    with pytest.raises(ConfigError) as raised:
+        _read_cartan(str(cartan))
+    assert (raised.value.line, raised.value.column) == (1, None)
+    cartan.write_text("2 -1\n-1 2x\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as raised:
+        _read_cartan(str(cartan))
+    assert (raised.value.line, raised.value.column) == (2, 5)
+    assert str(raised.value) == \
+        "cannot read cartan matrix: expected 'END', found 'x' (line 2, column 5)"
+
+
 def test_phi_psi_and_smash_commands(run, clifford_config):
     code, out, _ = run("--config", clifford_config, "psi", "v1@v2")
     assert code == 0
@@ -279,7 +300,8 @@ def test_cli_counterexample_matches_library_byte_for_byte(run, tmp_path, cliffor
     path.write_text(emit_config(doc), encoding="utf-8")
     code, out, _ = run("--config", str(path), "check", "yb")
     assert code == 1
-    expected = check_yang_baxter(table).describe(_render_any(spec))
+    expected = check_yang_baxter(table).describe(
+        _render_any(spec), lambda word: "@".join(spec.names[v] for v in word))
     assert out == expected + "\n"
 
 
@@ -353,6 +375,38 @@ def test_group_elements_in_a_counterexample_render_as_atoms(run, tmp_path):
     code, out, _ = run("--config", str(path), "--format", "json", "check", "alg")
     assert code == 1
     assert (json.loads(out)["lhs"], json.loads(out)["rhs"]) == ("K{1}", "K{2}")
+
+
+OVERRIDE_CONFIG = ("[group]\nrank = 1\n\n[basis]\na = 1\nb = 1\n\n[action]\ng1 = q, q^-1\n"
+                   "\n[mult]\na b -> b\n\n[braiding]\na a -> q a@a\na b -> a@b + b@a\n"
+                   "b a -> a@b\nb b -> 2 b@b\n")
+
+
+def test_witness_words_render_through_the_letter_names(run, tmp_path):
+    path = tmp_path / "override.cfg"
+    path.write_text(OVERRIDE_CONFIG, encoding="utf-8")
+    for check, law in (("yb", "yang-baxter"), ("alg", "associativity")):
+        code, out, err = run("--config", str(path), "check", check)
+        assert (code, err) == (1, "")
+        assert out.startswith(f"FAIL {law}; at a@a@b; lhs = ")
+        code, out, _ = run("--config", str(path), "--format", "json", "check", check)
+        assert code == 1
+        assert (json.loads(out)["law"], json.loads(out)["witness"]) == (law, "a@a@b")
+
+
+def test_witness_pairs_render_as_tensor_pairs(run, clifford_config, monkeypatch):
+    import cofreehopf.cli as cli
+
+    monkeypatch.setattr(cli, "check_quasi_shuffle_bialgebra", lambda spec, pairs: fail(
+        "quasi-shuffle-bialgebra", ((0, 1), ()), Element.zero(), Element.zero()))
+    assert run("--config", clifford_config, "check", "bialg") \
+        == (1, "FAIL quasi-shuffle-bialgebra; at v1@v2 (x) 1; lhs = 0; rhs = 0\n", "")
+    pair = (Element.from_word((1,), 2) + Element.from_word(()), Element.from_word((0, 0)))
+    monkeypatch.setattr(cli, "check_rota_baxter", lambda inst, samples: fail(
+        "rota-baxter", pair, Element.zero(), Element.zero()))
+    code, out, _ = run("--config", clifford_config, "--format", "json", "check", "rb")
+    assert code == 1
+    assert json.loads(out)["witness"] == "1 + 2 v2 (x) v1@v1"
 
 
 def test_bialgebra_counterexample_renders_pairs_of_words(run, clifford_config, monkeypatch):

@@ -144,6 +144,23 @@ def test_component_accessors(clifford2):
     assert key_degree(eps) == 0 and key_degree(word2) == 2
 
 
+def test_degree_zero_keys_and_chain_words_stay_apart(clifford2):
+    spec = clifford2.spec
+    g = spec.group.element([1])
+    word = chain_lift_word(spec, (0,))
+    x = CotensorElement(spec, {g: 2, word: 3})
+    assert len(x._terms) == 2 and x.h_part()._terms == {g: Scalar.rational(2)}
+    assert [key_degree(key) for key, _ in x.terms()] == [0, 1]
+    assert star(x, CotensorElement.unit(spec)) == x
+    # the plain tuple of g's fields is a word-shaped key, not a second copy of g
+    plain = tuple(g)
+    y = CotensorElement(spec, {g: 2, plain: 5})
+    assert len(y._terms) == 2 and y.h_part()._terms == {g: Scalar.rational(2)}
+    assert key_degree(plain) == 2 and key_degree(g) == 0
+    assert y != CotensorElement(spec, {g: 7})
+    assert CotensorElement(spec, {plain: 1}) != CotensorElement(spec, {g: 1})
+
+
 def test_coassociativity_and_counit_laws(clifford2, uqg_a2):
     for preset in (clifford2, uqg_a2):
         spec = preset.spec

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
 
 from cofreehopf.braid import check_yang_baxter
-from cofreehopf.elements import Element
+from cofreehopf.elements import Element, letter_key
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import (
     AbelianGroup,
+    GroupElement,
     HElement,
     YDSpec,
     antipode,
@@ -232,3 +235,79 @@ def test_specs_are_frozen_and_own_their_products(clifford2):
                 setattr(built, f.name, getattr(built, f.name))
     assert all(value.alphabet is spec for value in spec.mult.values())
     assert all(value.alphabet is spec for value in bspec.mult.values())
+
+
+# -- the group element representation --------------------------------------------
+
+
+def test_group_element_equals_only_group_elements():
+    group = AbelianGroup(rank=1)
+    g = GroupElement((1,), ())
+    plain = ((1,), ())
+    assert g == group.element([1]) and not g != group.element([1])
+    assert hash(g) == hash(group.element([1]))
+    assert g != plain and plain != g
+    assert not g == plain and not plain == g
+    assert len({g: 1, plain: 2}) == 2  # same hash, still two keys
+    identity = AbelianGroup(rank=0).identity()
+    assert identity != ((), ()) and len({identity, ((), ())}) == 2
+
+
+def test_group_element_never_equals_a_chain_word_or_a_smash_key(clifford2):
+    spec = clifford2.spec
+    g = spec.group.generator(0)
+    keys = [g, ((0, g),), ((0, g), (1, spec.group.identity())), ((), g), ((0,), g),
+            tuple(g), g.exponents()]
+    for a, b in itertools.combinations(keys, 2):
+        assert a != b and b != a and not a == b and not b == a
+    assert len(dict.fromkeys(keys)) == len(keys)
+
+
+def test_letter_key_puts_group_elements_between_letters_and_words():
+    group = AbelianGroup(rank=1, torsion=(2,))
+    g, h = group.element([-5, 0]), group.element([3, 1])
+    items = [((0,), g), (), h, 7, (0,), g, 0, ((), h), (g,)]
+    ordered = sorted(items, key=letter_key)
+    assert ordered[:2] == [0, 7]
+    assert ordered[2:4] == [g, h]
+    assert all(type(item) is tuple for item in ordered[4:])
+    assert ordered[4] == ()  # the empty word sorts after every group element
+
+
+def test_group_element_survives_pickle_and_deepcopy():
+    group = AbelianGroup(rank=2, torsion=(3,))
+    g = group.element([4, -1, 2])
+    for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert type(copied) is GroupElement
+        assert copied == g and hash(copied) == hash(g)
+        assert copied.free == (4, -1) and copied.torsion == (2,)
+    assert repr(g) == "GroupElement(free=(4, -1), torsion=(2,))"
+
+
+def test_multiply_rejects_elements_of_another_group():
+    small, large = AbelianGroup(rank=1), AbelianGroup(rank=2)
+    g, h = small.generator(0), large.generator(1)
+    for group in (small, large):
+        with pytest.raises(StructuralError):
+            group.multiply(g, h)
+        with pytest.raises(StructuralError):
+            group.multiply(h, g)
+    with pytest.raises(StructuralError):
+        small.multiply(h, h)
+    torsion = AbelianGroup(rank=1, torsion=(2,))
+    with pytest.raises(StructuralError):
+        torsion.multiply(torsion.generator(1), g)
+
+
+def test_multiply_and_inverse_normalize_like_element():
+    group = AbelianGroup(rank=2, torsion=(2, 5))
+    rng = random.Random(13)
+    for _ in range(200):
+        a = [rng.randrange(-9, 10) for _ in range(4)]
+        b = [rng.randrange(-9, 10) for _ in range(4)]
+        g, h = group.element(a), group.element(b)
+        product = group.multiply(g, h)
+        assert product == group.element([x + y for x, y in zip(a, b)])
+        assert type(product) is GroupElement
+        assert group.inverse(g) == group.element([-x for x in a])
+        assert type(group.inverse(g)) is GroupElement

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -314,6 +315,31 @@ def test_filtration_degree_equals_max_length_up_to_5():
     mixed = Element.from_word((), 2) + Element.from_word((0,)) \
         + Element.from_word((1, 0, 1, 0, 0), 3)
     assert filtration_degree(mixed) == 5
+
+
+@lru_cache(maxsize=None)
+def _in_filtration_step(word: tuple, r: int) -> bool:
+    """The reduced-coproduct definition of the connectedness filtration: the
+    empty word lies in every step, a nonempty one in step r >= 1 when both
+    legs of every term of its reduced coproduct lie in step r - 1."""
+    if not word:
+        return True
+    if r <= 0:
+        return False
+    return all(_in_filtration_step(u, r - 1) and _in_filtration_step(v, r - 1)
+               for u, v in deconcat_reduced(Element.from_word(word))._terms)
+
+
+def test_filtration_degree_matches_the_reduced_coproduct_definition():
+    words = [word for length in range(7) for word in itertools.product(range(2), repeat=length)]
+    for word in words:
+        expected = next(r for r in itertools.count() if _in_filtration_step(word, r))
+        assert filtration_degree(Element.from_word(word, 2)) == expected
+    for u, v in itertools.combinations(words[::9], 2):
+        x = Element.from_word(u) + Element.from_word(v, 3)
+        assert filtration_degree(x) == max(filtration_degree(Element.from_word(u)),
+                                           filtration_degree(Element.from_word(v)))
+    _in_filtration_step.cache_clear()
 
 
 # -- degree-one extension -----------------------------------------------------------

@@ -72,27 +72,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.images, start=1))
 
-    def inversions(self) -> int:
-        return sum(
-            1
-            for a in range(self.size)
-            for b in range(a + 1, self.size)
-            if self.images[a] > self.images[b]
-        )
-
-    def act_on_word(self, word: tuple) -> tuple:
-        """Move the letter at position k to position images[k-1]."""
-        if len(word) != self.size:
-            raise StructuralError("word length does not match permutation size")
-        out = [None] * self.size
-        for k, letter in enumerate(word):
-            out[self.images[k] - 1] = letter
-        return tuple(out)
-
-
-def identity_permutation(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
 
 def transposition(n: int, i: int) -> Permutation:
     images = list(range(1, n + 1))

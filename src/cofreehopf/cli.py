@@ -220,22 +220,24 @@ def _pairs_up_to(spec: BraidedAlgebraSpec, total: int):
             yield u, v
 
 
-def _check_rb(doc: ConfigDocument, max_degree: int) -> CheckResult:
+def _check_rb(doc: ConfigDocument, max_degree: int) -> tuple[BraidedAlgebraSpec, CheckResult]:
     unital = adjoin_unit(doc.braided())  # a config names no unit letter
-    return check_rota_baxter(qsh_rb_instance(unital), (
+    return unital, check_rota_baxter(qsh_rb_instance(unital), (
         (Element.from_word(u, alphabet=unital.alphabet),
          Element.from_word(v, alphabet=unital.alphabet))
         for u, v in _pairs_up_to(unital, max_degree)))
 
 
-# check name -> checker(document, --max-degree)
+# check name -> checker(document, --max-degree) -> (spec, result): the result
+# renders through the letter names of the spec the check ran on, which for rb
+# holds the adjoined unit letter
 CHECKS = {
-    "yb": lambda doc, n: check_yang_baxter(doc.braiding_table()),
-    "alg": lambda doc, n: (check_yd_module_algebra(doc.ydspec()) if doc.override is None
-                           else check_braided_algebra(doc.override)),
-    "yd": lambda doc, n: check_yetter_drinfeld(doc.ydspec()),
-    "bialg": lambda doc, n: check_quasi_shuffle_bialgebra(
-        doc.braided(), _pairs_up_to(doc.braided(), n)),
+    "yb": lambda doc, n: (doc.ydspec(), check_yang_baxter(doc.braiding_table())),
+    "alg": lambda doc, n: (doc.ydspec(), check_yd_module_algebra(doc.ydspec())
+                           if doc.override is None else check_braided_algebra(doc.override)),
+    "yd": lambda doc, n: (doc.ydspec(), check_yetter_drinfeld(doc.ydspec())),
+    "bialg": lambda doc, n: (doc.ydspec(), check_quasi_shuffle_bialgebra(
+        doc.braided(), _pairs_up_to(doc.braided(), n))),
     "rb": _check_rb,
 }
 
@@ -284,7 +286,7 @@ def _dispatch(args) -> int:
     if args.command == "check":
         if args.max_degree < 0:
             raise ConfigError(f"--max-degree must be >= 0, got {args.max_degree}")
-        result = CHECKS[args.what](doc, args.max_degree)
+        spec, result = CHECKS[args.what](doc, args.max_degree)
         render, witness = _render_any(spec), _render_witness(spec, result.law)
         if args.format == "json":
             payload = {"ok": bool(result)}

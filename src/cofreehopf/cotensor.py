@@ -100,10 +100,6 @@ class CotensorElement(Element):
         return cls(spec, {spec.group.identity(): Scalar.one()})
 
     @classmethod
-    def from_group(cls, spec: YDSpec, g: GroupElement, coeff=1) -> CotensorElement:
-        return cls(spec, {g: Scalar.coerce(coeff)})
-
-    @classmethod
     def from_word(cls, spec: YDSpec, word: MWord, coeff=1) -> CotensorElement:
         word = tuple((int(v), g) for v, g in word)
         bad = chain_violation(spec, word)
@@ -116,10 +112,6 @@ class CotensorElement(Element):
     def h_part(self) -> HElement:
         return HElement(self.spec.group, {
             key: c for key, c in self._terms.items() if isinstance(key, GroupElement)})
-
-    def degree_component(self, n: int) -> CotensorElement:
-        return CotensorElement(self.spec, {
-            key: c for key, c in self._terms.items() if key_degree(key) == n})
 
     def max_degree(self) -> int:
         return max((key_degree(key) for key in self._terms), default=0)
@@ -359,17 +351,14 @@ def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
         raise StructuralError("smash elements over different module data")
     spec = x.spec
     bspec = braided_spec(spec)
-    out: dict[tuple, Scalar] = {}
-    for (u, g), c in x._terms.items():
-        for (w, g2), d in y._terms.items():
-            tag = spec.group.multiply(g, g2)
-            acted = spec.act_word(g, w)
-            for word2, c3 in acted._terms.items():
-                prod = _qsh_words(bspec, u, word2)
-                base = c * d * c3
-                for word3, c4 in prod._terms.items():
-                    accumulate(out, (word3, tag), base * c4)
-    return SmashElement._wrap(out, spec)
+
+    def rule(kx, ky):
+        (u, g), (w, g2) = kx, ky
+        tag = spec.group.multiply(g, g2)
+        return spec.act_word(g, w).map_words(partial(_qsh_words, bspec, u)).relabel(
+            lambda word: (word, tag), cls=SmashElement)
+
+    return x.bilinear(y, rule)
 
 
 def to_smash(x: CotensorElement) -> SmashElement:

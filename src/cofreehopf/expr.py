@@ -277,10 +277,6 @@ def parse_element_text(text: str, line: int | None = None) -> ParsedElement:
     return _read(text, line, _Parser.parse_element)
 
 
-def parse_scalar_text(text: str, line: int | None = None) -> Scalar:
-    return _read(text, line, _Parser.parse_signed_scalar)
-
-
 def parse_int_list(text: str, line: int | None = None) -> list[int]:
     return _read(text, line, lambda parser: parser.parse_list(parser.parse_int))
 

@@ -121,12 +121,6 @@ class AbelianGroup:
             return _group_element((free, tuple([-a % m for a, m in zip(g.torsion, self.torsion)])))
         return _group_element((free, g.torsion))
 
-    def product(self, elems) -> GroupElement:
-        out = self.identity()
-        for g in elems:
-            out = self.multiply(out, g)
-        return out
-
 
 class HElement(Element):
     """An element of the group algebra K[G]."""
@@ -303,9 +297,6 @@ class YDSpec:
         for letter in word:
             out = out.tensor(self.act_letter(g, letter))
         return out
-
-    def word_degree(self, word: tuple[int, ...]) -> GroupElement:
-        return self.group.product(self.degrees[letter] for letter in word)
 
     # -- derived structures --------------------------------------------------
 

@@ -5,10 +5,17 @@ constants for an associative multiplication compatible with the
 braiding.  On its tensor space the quasi-shuffle product interleaves
 three moves, dispatched on the lengths of the two factor words: keep the
 left head, braid the right head to the front, or merge the two heads
-through the multiplication.  The two one-sided clauses are implemented
-verbatim in addition to the general clause; the one-letter-left clause
-is also the base case (a times b is ab + sigma(ab) + m(a, b)).  An
-always-general code path is kept as an internal cross-check oracle.
+through the multiplication.  The general clause computes every length
+pattern.  A one-letter right factor takes its own clause, the base case
+(a times b is ab + sigma(ab) + m(a, b)), which adds the braided word
+B(u, b) whole; without it, cold long-times-one-letter products take
+18-29% longer.  An always-general code path is kept as an internal oracle.
+
+The word-pair memo is a module-level ``lru_cache``, which keeps every
+spec it has seen alive.  A dict on the spec is slower per warm lookup,
+and without the wrapper's recursion-limit unit per letter, products of
+460 letters and more would run on and take gigabytes; the memo moves
+once such products can run in isolation.
 
 Each level needs the crossing B(u, b) = beta_{|u|,1}(u (x) b) of the right
 head b across the left word: B(u', b) feeds the merge move and B(u, b)
@@ -148,23 +155,9 @@ def _qsh_words(spec: BraidedAlgebraSpec, u: tuple, v: tuple) -> Element:
         return Element.from_word(v, alphabet=spec.alphabet)
     if not v:
         return Element.from_word(u, alphabet=spec.alphabet)
-    if len(u) == 1:
-        return _qsh_one_left(spec, u[0], v)
     if len(v) == 1:
         return _qsh_one_right(spec, u, v[0])
     return _qsh_general(spec, u, v, _qsh_words, _memo_crossings)
-
-
-def _qsh_one_left(spec: BraidedAlgebraSpec, a: int, v: tuple) -> Element:
-    out = Element.from_word((a,) + v, alphabet=spec.alphabet)
-    rest = v[1:]
-    for (c0, c1), coeff in spec.braiding.entries[(a, v[0])]._terms.items():
-        sub = _qsh_words(spec, (c1,), rest)
-        out = out + _prepend(c0, sub).scale(coeff)
-    merged = spec.mult_entry(a, v[0])
-    for (d,), coeff in merged._terms.items():
-        out = out + Element.from_word((d,) + rest, coeff, spec.alphabet)
-    return out
 
 
 def _qsh_one_right(spec: BraidedAlgebraSpec, u: tuple, b: int) -> Element:

@@ -70,15 +70,18 @@ def test_python_dash_m_runs_the_command_line(module, run):
     assert python_m("no-such-command").returncode == 2
 
 
-def test_long_times_one_letter_product_stays_within_the_recursion_limit(clifford_config):
-    # about 3 recursion-limit units per letter: 300 letters leave little room
-    # under the default limit, so a costlier clause fails here
+@pytest.mark.parametrize("long_first", [True, False], ids=["long-times-v1", "v1-times-long"])
+def test_long_times_one_letter_product_stays_within_the_recursion_limit(
+        clifford_config, long_first):
+    # about 3 recursion-limit units per letter, in either order: 300 letters
+    # leave little room under the default limit, so a costlier clause fails here
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     word = "@".join(("v1", "v2", "v2", "v1", "v2")[k % 5] for k in range(300))
+    factors = [word, "v1"] if long_first else ["v1", word]
     done = subprocess.run([sys.executable, "-m", "cofreehopf", "--config", clifford_config,
-                           "qsh", word, "v1"], env=env, capture_output=True, text=True,
+                           "qsh", *factors], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert "internal" not in done.stderr
@@ -407,6 +410,24 @@ def test_witness_pairs_render_as_tensor_pairs(run, clifford_config, monkeypatch)
     code, out, _ = run("--config", clifford_config, "--format", "json", "check", "rb")
     assert code == 1
     assert json.loads(out)["witness"] == "1 + 2 v2 (x) v1@v1"
+
+
+def test_rb_counterexample_renders_the_adjoined_unit_letter(run, clifford_config, monkeypatch):
+    import cofreehopf.cli as cli
+
+    def failing(inst, samples):  # fails on the first sample holding the unit letter
+        for x, y in samples:
+            if any(5 in word for word in x.support() + y.support()):
+                return fail("rota-baxter", (x, y), inst.operator(x), inst.operator(y))
+
+    monkeypatch.setattr(cli, "check_rota_baxter", failing)
+    assert run("--config", clifford_config, "--max-degree", "1", "check", "rb") \
+        == (1, "FAIL rota-baxter; at 1 (x) one; lhs = one; rhs = one@one\n", "")
+    code, out, err = run("--config", clifford_config, "--max-degree", "1",
+                         "--format", "json", "check", "rb")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"ok": False, "law": "rota-baxter", "witness": "1 (x) one",
+                               "lhs": "one", "rhs": "one@one"}
 
 
 def test_bialgebra_counterexample_renders_pairs_of_words(run, clifford_config, monkeypatch):

@@ -239,7 +239,7 @@ def test_binding_cotensor_elements(clifford2):
     out = bind_cotensor_element(spec, parse_element_text("v1.K{1}[]v2.K{0}"))
     assert out == CotensorElement.from_word(spec, ((0, eps), (1, e)))
     out = bind_cotensor_element(spec, parse_element_text("K{1} + 2"))
-    assert out == CotensorElement.from_group(spec, eps) \
+    assert out == CotensorElement(spec, {eps: 1}) \
         + CotensorElement.unit(spec).scale(2)
     with pytest.raises(ConfigError):
         bind_cotensor_element(spec, parse_element_text("v1.K{0}@v2.K{0}"))

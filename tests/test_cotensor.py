@@ -30,7 +30,8 @@ from cofreehopf.cotensor import (
 )
 from cofreehopf.elements import Element
 from cofreehopf.errors import StructuralError
-from cofreehopf.grouphopf import GroupElement
+from cofreehopf.grouphopf import GroupElement, braided_spec
+from cofreehopf.qalg import quasi_shuffle
 from cofreehopf.scalars import Scalar
 
 
@@ -124,7 +125,7 @@ def test_coproduct_of_degree_two_word_has_three_terms(clifford2):
 def test_counit_kills_positive_degrees(clifford2):
     spec = clifford2.spec
     eps = spec.group.element([1])
-    x = CotensorElement.from_group(spec, eps, 2) \
+    x = CotensorElement(spec, {eps: 2}) \
         + CotensorElement.from_word(spec, chain_lift_word(spec, (0,)), 5)
     assert counit(x) == Scalar.rational(2)
 
@@ -134,14 +135,12 @@ def test_component_accessors(clifford2):
     eps = spec.group.element([1])
     word1 = chain_lift_word(spec, (0,))
     word2 = chain_lift_word(spec, (0, 1))
-    x = CotensorElement.from_group(spec, eps, 2) \
+    x = CotensorElement(spec, {eps: 2}) \
         + CotensorElement.from_word(spec, word1, 3) \
         + CotensorElement.from_word(spec, word2)
     assert x.h_part()._terms == {eps: Scalar.rational(2)}
-    assert x.degree_component(1) == CotensorElement.from_word(spec, word1, 3)
-    assert x.degree_component(2) == CotensorElement.from_word(spec, word2)
+    assert {key: key_degree(key) for key in x.support()} == {eps: 0, word1: 1, word2: 2}
     assert x.max_degree() == 2
-    assert key_degree(eps) == 0 and key_degree(word2) == 2
 
 
 def test_degree_zero_keys_and_chain_words_stay_apart(clifford2):
@@ -191,9 +190,9 @@ def test_star_of_group_elements_is_group_product(uqg_a2):
     spec = uqg_a2.spec
     g = spec.group
     k1, k2 = g.generator(0), g.generator(1)
-    out = star(CotensorElement.from_group(spec, k1),
-               CotensorElement.from_group(spec, g.multiply(k2, k2)))
-    assert out == CotensorElement.from_group(spec, g.element([1, 2]))
+    out = star(CotensorElement(spec, {k1: 1}),
+               CotensorElement(spec, {g.multiply(k2, k2): 1}))
+    assert out == CotensorElement(spec, {g.element([1, 2]): 1})
 
 
 def test_star_with_group_on_the_left_is_the_left_action(clifford2):
@@ -201,7 +200,7 @@ def test_star_with_group_on_the_left_is_the_left_action(clifford2):
     eps = spec.group.element([1])
     e = spec.group.identity()
     m = CotensorElement.from_word(spec, ((0, e),))
-    out = star(CotensorElement.from_group(spec, eps), m)
+    out = star(CotensorElement(spec, {eps: 1}), m)
     assert out == CotensorElement.from_word(spec, ((0, eps),), -1)
 
 
@@ -210,7 +209,7 @@ def test_star_with_group_on_the_right_is_the_right_action(clifford2):
     eps = spec.group.element([1])
     word = chain_lift_word(spec, (0, 1))
     out = star(CotensorElement.from_word(spec, word),
-               CotensorElement.from_group(spec, eps))
+               CotensorElement(spec, {eps: 1}))
     assert out == CotensorElement.from_word(
         spec, right_translate(spec, word, eps))
 
@@ -281,7 +280,7 @@ def test_star_with_group_acts_diagonally_on_higher_degrees(clifford2, uqg_a2):
         h = g.generator(0)
         for word in itertools.islice(itertools.product(range(spec.dim), repeat=2), 8):
             key = chain_lift_word(spec, word)
-            got = star(CotensorElement.from_group(spec, h),
+            got = star(CotensorElement(spec, {h: 1}),
                        CotensorElement.from_word(spec, key))
             combos = [((), Scalar.one())]
             for v, t in key:
@@ -303,7 +302,7 @@ def test_star_with_group_acts_diagonally_on_higher_degrees(clifford2, uqg_a2):
 def test_projection_of_group_element_is_unit(clifford2):
     spec = clifford2.spec
     eps = spec.group.element([1])
-    out = coinvariant_projection(CotensorElement.from_group(spec, eps))
+    out = coinvariant_projection(CotensorElement(spec, {eps: 1}))
     assert out == CotensorElement.unit(spec)
 
 
@@ -342,7 +341,7 @@ def test_flatten_requires_coinvariance(clifford2):
     with pytest.raises(StructuralError):
         flatten_coinvariant(x)
     with pytest.raises(StructuralError):
-        flatten_coinvariant(CotensorElement.from_group(spec, eps))
+        flatten_coinvariant(CotensorElement(spec, {eps: 1}))
 
 
 def test_round_trips_on_words_up_to_degree_three(clifford2, uqg_a2):
@@ -390,10 +389,57 @@ def test_smash_clifford_expansion(clifford2):
     assert expected._terms[((0, 1), e)] == Scalar.one()
 
 
+def _smash_by_definition(x, y):
+    """Sum of c d (u qsh g.w) # gg' over the term pairs, from quasi_shuffle and act_word."""
+    spec = x.spec
+    bspec = braided_spec(spec)
+    out = SmashElement.zero(spec)
+    for (u, g), c in x._terms.items():
+        for (w, g2), d in y._terms.items():
+            word = quasi_shuffle(bspec, Element.from_word(u, alphabet=spec), spec.act_word(g, w))
+            tag = spec.group.multiply(g, g2)
+            out = out + SmashElement(spec, {(v, tag): c * d * e for v, e in word._terms.items()})
+    return out
+
+
+def _random_smash(spec, rnd, tags, n_terms):
+    return SmashElement(spec, {
+        (tuple(rnd.randrange(spec.dim) for _ in range(rnd.randrange(4))), rnd.choice(tags)):
+            Scalar.q_power(rnd.randrange(-2, 3), rnd.choice([1, -1, 2]))
+        for _ in range(n_terms)})
+
+
+def test_smash_product_of_multi_term_elements(clifford2, uqg_a2):
+    rnd = random.Random(14)
+    spec = clifford2.spec
+    v1, v2 = SmashElement.of(spec, (0,)), SmashElement.of(spec, (1,))
+    # v1 v2 + v2 v1 = xi12: the two-letter words of the cross terms cancel
+    cancelling = (v1 + v2, v1 + v2)
+    assert smash_product(*cancelling) == smash_product(v1, v1) + smash_product(v2, v2) \
+        + SmashElement.of(spec, (3,))
+    pairs = [cancelling]
+    for preset in (clifford2, uqg_a2):
+        spec = preset.spec
+        group = spec.group
+        tags = [group.identity()] + [group.generator(k) for k in range(group.n_generators)]
+        tags.append(group.inverse(tags[-1]))
+        pairs.extend((_random_smash(spec, rnd, tags, 4), _random_smash(spec, rnd, tags, 3))
+                     for _ in range(4))
+    for x, y in pairs:
+        assert len(x) > 1 and len(y) > 1
+        out = smash_product(x, y)
+        termwise = SmashElement.zero(x.spec)
+        for k, c in x._terms.items():
+            for l, d in y._terms.items():
+                termwise = termwise + smash_product(SmashElement(x.spec, {k: c}),
+                                                    SmashElement(x.spec, {l: d}))
+        assert out == termwise == _smash_by_definition(x, y)
+
+
 def test_to_smash_values(clifford2):
     spec = clifford2.spec
     eps = spec.group.element([1])
-    assert to_smash(CotensorElement.from_group(spec, eps)) \
+    assert to_smash(CotensorElement(spec, {eps: 1})) \
         == SmashElement.of(spec, (), eps)
     key = right_translate(spec, chain_lift_word(spec, (0, 1)), eps)
     assert to_smash(CotensorElement.from_word(spec, key)) \
@@ -404,7 +450,7 @@ def test_from_smash_values(clifford2):
     spec = clifford2.spec
     eps = spec.group.element([1])
     assert from_smash(SmashElement.of(spec, (), eps)) \
-        == CotensorElement.from_group(spec, eps)
+        == CotensorElement(spec, {eps: 1})
     assert from_smash(SmashElement.of(spec, (0,))) \
         == CotensorElement.from_word(spec, chain_lift_word(spec, (0,)))
 
@@ -489,7 +535,7 @@ def test_coinvariant_coproduct_of_letter(clifford2):
 def test_coinvariant_coproduct_of_scalar(clifford2):
     spec = clifford2.spec
     eps = spec.group.element([1])
-    out = coinvariant_coproduct(CotensorElement.from_group(spec, eps))
+    out = coinvariant_coproduct(CotensorElement(spec, {eps: 1}))
     e = spec.group.identity()
     assert out == Element({(e, e): 1}, out.alphabet)
 

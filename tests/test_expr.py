@@ -9,7 +9,6 @@ from cofreehopf.expr import (
     parse_element_text,
     parse_int_list,
     parse_scalar_list,
-    parse_scalar_text,
 )
 from cofreehopf.scalars import Scalar
 
@@ -48,10 +47,10 @@ def test_q_powers_and_rationals():
 def test_parenthesized_scalar_polynomial():
     coeff = parse_element_text("(1 - q^2) v1")[0][0]
     assert coeff == Scalar.one() - Scalar.q_power(2)
-    assert parse_scalar_text("(2*q^3)") == Scalar.q_power(3, 2)
-    assert parse_scalar_text("-q") == Scalar.q_power(1, -1)
-    assert parse_scalar_text("(1 + q + 3/2*q^2)") \
-        == Scalar({0: 1, 1: 1, 2: Fraction(3, 2)})
+    assert parse_scalar_list("(2*q^3)") == [Scalar.q_power(3, 2)]
+    assert parse_scalar_list("-q") == [Scalar.q_power(1, -1)]
+    assert parse_scalar_list("(1 + q + 3/2*q^2)") \
+        == [Scalar({0: 1, 1: 1, 2: Fraction(3, 2)})]
 
 
 def test_group_annotations_and_atoms():

@@ -223,7 +223,7 @@ def test_star_instance_is_rota_baxter(unital_yd):
     e = spec.group.identity()
     eps = spec.group.element([1])
     elems = [
-        CotensorElement.from_group(spec, eps),
+        CotensorElement(spec, {eps: 1}),
         CotensorElement.from_word(spec, ((0, e),)),
         CotensorElement.from_word(spec, ((1, eps),)),
         CotensorElement.from_word(spec, chain_lift_word(spec, (0, 1))),

@@ -27,7 +27,13 @@ keys, in one table filled row by row:
               + T(i-1, j-1) . pi1(last a_i, last b_j)
 
 The product of the two keys is T(n, m); two group elements multiply in
-the group.
+the group.  pi1 of each pair the table reads is memoised on the spec
+(``spec._cache["pi1"]``) as triples (letter, coefficient or None for 1,
+need), need = degree(v) * g being the component the letter (v, g)
+requires just before it.  The chain condition is guarded there too:
+before a letter is appended to a cell, need is compared with the last
+components of the cell's words, so each cut of each word built is
+checked once, and a product that leaves the chain words raises.
 
 The coinvariant side: the projection onto right coinvariants is the
 convolution of the identity with the composite
@@ -53,6 +59,7 @@ from .scalars import Scalar
 
 MWord = tuple  # tuple[(letter index, GroupElement), ...]
 Key = object   # GroupElement (degree 0) or MWord (degree >= 1)
+_DIRECT = ((0, 1), (1, 0), (1, 1))  # the prefix degrees (i, j) on which pi1 can be nonzero
 
 
 def key_degree(key: Key) -> int:
@@ -203,38 +210,52 @@ def _star_key(spec: YDSpec, kx: Key, ky: Key) -> CotensorElement:
         result = CotensorElement(spec, {spec.group.multiply(kx, ky): Scalar.one()})
     else:
         result = CotensorElement._wrap(_prefix_table(spec, kx, ky), spec)
-        chain = check_chain_condition(spec, result)
-        if not chain:
-            raise StructuralError(
-                f"product left the cotensor subspace: chain word {chain.witness[0]} "
-                f"breaks at cut {chain.witness[1]}")
     memo[(kx, ky)] = result
     return result
 
 
-def _prefix_table(spec: YDSpec, kx: Key, ky: Key) -> dict[MWord, Scalar]:
-    """T(n, m) of the module docstring, filled one row of prefix pairs at a time."""
-    def prefixes(key):  # (prefix, its right degree, its last letter) for prefix 0 .. n
-        start = left_degree(spec, key)
-        return [(start, start, None)] + [(key[:i], key[i - 1][1], key[i - 1:i])
-                                         for i in range(1, key_degree(key) + 1)]
+def _projection_entry(spec: YDSpec, a: Key, b: Key) -> tuple:
+    """pi1(a, b) as (letter, coefficient or None for 1, need = deg(v) * g) per letter (v, g)."""
+    one, multiply = Scalar.one(), spec.group.multiply
+    return tuple((letter, None if d == one else d, multiply(spec.degrees[letter[0]], letter[1]))
+                 for letter, d in _module_projection(spec, a, b).items())
 
-    prev: list[dict] = []
-    for i, (a, a_right, a_last) in enumerate(prefixes(kx)):
-        row: list[dict] = []
-        for j, (b, b_right, b_last) in enumerate(prefixes(ky)):
+
+def _prefix_table(spec: YDSpec, kx: Key, ky: Key) -> dict[MWord, Scalar]:
+    """T(n, m) of the module docstring, filled one row of prefix pairs at a
+    time; a cell holds its words and the set of their last components."""
+    def prefixes(key):  # (right degree, last letter) of prefix 0 .. n; prefix 0 stands for both
+        start = left_degree(spec, key)
+        return [(start, start)] + [(key[i][1], key[i:i + 1]) for i in range(key_degree(key))]
+
+    memo = spec._cache.setdefault("pi1", {})
+    empty = ({}, ())
+    prev: list[tuple] = []
+    for i, (a_right, a_last) in enumerate(prefixes(kx)):
+        row: list[tuple] = []
+        for j, (b_right, b_last) in enumerate(prefixes(ky)):
             cell: dict[MWord, Scalar] = {}
-            for words, x, y in (({(): Scalar.one()}, a, b),
-                                (row[j - 1] if j else {}, a_right, b_last),
-                                (prev[j] if i else {}, a_last, b_right),
-                                (prev[j - 1] if i and j else {}, a_last, b_last)):
+            for (words, ends), x, y in ((({(): Scalar.one()}, ()) if (i, j) in _DIRECT else empty,
+                                         a_last, b_last),
+                                        (row[j - 1] if j else empty, a_right, b_last),
+                                        (prev[j] if i else empty, a_last, b_right),
+                                        (prev[j - 1] if i and j else empty, a_last, b_last)):
                 if words:
-                    for letter, d in _module_projection(spec, x, y).items():
+                    entry = memo.get((x, y))
+                    if entry is None:
+                        entry = memo[(x, y)] = _projection_entry(spec, x, y)
+                    for letter, d, need in entry:
+                        for end in ends:
+                            if end != need:
+                                word = next(w for w in words if w[-1][1] == end) + (letter,)
+                                raise StructuralError(
+                                    "product left the cotensor subspace: chain word "
+                                    f"{render_key(spec, word)} breaks at cut {len(word) - 1}")
                         for word, c in words.items():
-                            accumulate(cell, word + (letter,), c * d)
-            row.append(cell)
+                            accumulate(cell, word + (letter,), c if d is None else c * d)
+            row.append((cell, {word[-1][1] for word in cell}))
         prev = row
-    return prev[-1]
+    return prev[-1][0]
 
 
 def star(x: CotensorElement, y: CotensorElement) -> CotensorElement:

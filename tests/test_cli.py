@@ -369,15 +369,31 @@ def test_unicode_digits_exit_2_without_an_internal_error(run, clifford_config, t
         == (2, "", "error: unexpected character '²' (line 2, column 2)\n")
 
 
+DEGREE_CONFIG = ("[group]\nrank = 1\n\n[basis]\na = 1\nb = 1\n\n[action]\ng1 = q, q^-1\n"
+                 "\n[mult]\na b -> b\n")
+
+
 def test_group_elements_in_a_counterexample_render_as_atoms(run, tmp_path):
     path = tmp_path / "degree.cfg"
-    path.write_text("[group]\nrank = 1\n\n[basis]\na = 1\nb = 1\n\n[action]\ng1 = q, q^-1\n"
-                    "\n[mult]\na b -> b\n", encoding="utf-8")
+    path.write_text(DEGREE_CONFIG, encoding="utf-8")
     assert run("--config", str(path), "check", "alg") \
         == (1, "FAIL mult-degree; at ('a', 'b'); lhs = K{1}; rhs = K{2}\n", "")
     code, out, _ = run("--config", str(path), "--format", "json", "check", "alg")
     assert code == 1
     assert (json.loads(out)["lhs"], json.loads(out)["rhs"]) == ("K{1}", "K{2}")
+
+
+def test_product_leaving_the_chain_words_names_its_word_through_the_spec(run, tmp_path):
+    # a b -> b breaks the degree, so b@a times a@b builds a word off the chain
+    path = tmp_path / "degree.cfg"
+    path.write_text(DEGREE_CONFIG, encoding="utf-8")
+    for fmt in ("text", "json"):
+        code, out, err = run("--config", str(path), "--format", fmt, "star", "b@a", "a@b")
+        assert (code, out) == (2, "")
+        assert "cotensor subspace" in err
+        assert "GroupElement(" not in err and "internal" not in err
+        assert err == ("error: product left the cotensor subspace: "
+                       "chain word b.K{3}[]a.K{2}[]b.K{0} breaks at cut 2\n")
 
 
 OVERRIDE_CONFIG = ("[group]\nrank = 1\n\n[basis]\na = 1\nb = 1\n\n[action]\ng1 = q, q^-1\n"

@@ -7,6 +7,7 @@ import pytest
 
 from cofreehopf.cotensor import (
     CotensorElement,
+    _module_projection,
     SmashElement,
     chain_lift,
     chain_lift_word,
@@ -28,9 +29,9 @@ from cofreehopf.cotensor import (
     star,
     to_smash,
 )
-from cofreehopf.elements import Element
+from cofreehopf.elements import Element, accumulate
 from cofreehopf.errors import StructuralError
-from cofreehopf.grouphopf import GroupElement, braided_spec
+from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec, diagonal_matrix
 from cofreehopf.qalg import quasi_shuffle
 from cofreehopf.scalars import Scalar
 
@@ -589,7 +590,8 @@ def test_star_raises_when_the_product_leaves_the_chain_words(clifford2, monkeypa
     def untagged(spec, a, b):  # every group component replaced by the identity
         return {(i, e): c for (i, _), c in original(spec, a, b).items()}
 
-    spec._cache.pop("star", None)
+    for memo in ("star", "pi1"):
+        spec._cache.pop(memo, None)
     monkeypatch.setattr(cotensor, "_module_projection", untagged)
     try:
         v1 = CotensorElement.from_word(spec, chain_lift_word(spec, (0,)))
@@ -597,4 +599,100 @@ def test_star_raises_when_the_product_leaves_the_chain_words(clifford2, monkeypa
         with pytest.raises(StructuralError, match="cotensor subspace"):
             star(v1, v2)
     finally:
-        spec._cache.pop("star", None)
+        for memo in ("star", "pi1"):
+            spec._cache.pop(memo, None)
+
+
+def test_star_checks_the_chain_in_the_table_not_on_its_output(monkeypatch):
+    from cofreehopf import cotensor
+
+    def refuse(*args):
+        raise AssertionError("star re-checked its whole output")
+
+    monkeypatch.setattr(cotensor, "check_chain_condition", refuse)
+    monkeypatch.setattr(cotensor, "chain_violation", refuse)
+    spec = _two_letter_spec(1, -1, {})
+    x = CotensorElement(spec, {chain_lift_word(spec, (0, 1)): Scalar.one()})
+    assert star(x, x)
+
+
+def _two_letter_spec(e1, e2, mult) -> YDSpec:
+    """Letters a, b of degree K{1}, acted on by q^e1 and q^e2."""
+    group = AbelianGroup(1)
+    k = group.generator(0)
+    return YDSpec(group, ("a", "b"), (k, k),
+                  (diagonal_matrix([Scalar.q_power(e1), Scalar.q_power(e2)]),), mult)
+
+
+def _plain_series(spec, kx, ky):
+    """The prefix-table recursion of the module docstring written out with
+    no memo and no guard: what the product builds before any check."""
+    def prefixes(key):
+        return [left_degree(spec, key)] + [key[:i] for i in range(1, key_degree(key) + 1)]
+
+    def last(prefix):
+        return prefix if isinstance(prefix, GroupElement) else prefix[-1:]
+
+    xs, ys = prefixes(kx), prefixes(ky)
+    table = {}
+    for (i, a), (j, b) in itertools.product(enumerate(xs), enumerate(ys)):
+        sources = [({(): Scalar.one()}, a, b)]
+        if j:
+            sources.append((table[i, j - 1], right_degree(spec, a), last(b)))
+        if i:
+            sources.append((table[i - 1, j], last(a), right_degree(spec, b)))
+        if i and j:
+            sources.append((table[i - 1, j - 1], last(a), last(b)))
+        cell = {}
+        for words, x, y in sources:
+            for letter, d in _module_projection(spec, x, y).items():
+                for word, c in words.items():
+                    accumulate(cell, word + (letter,), c * d)
+        table[i, j] = cell
+    return table[len(xs) - 1, len(ys) - 1]
+
+
+def test_star_raises_exactly_where_the_series_leaves_the_chain_words():
+    # a b -> b breaks the degree, so some products build words off the chain
+    spec = _two_letter_spec(1, -1, {(0, 1): Element.from_word((1,))})
+    tags = [spec.group.identity(), spec.group.generator(0)]
+    keys = tags + [right_translate(spec, chain_lift_word(spec, word), tag)
+                   for n in range(1, 6) for word in itertools.product(range(2), repeat=n)
+                   for tag in tags]
+    raised = kept = 0
+    for kx, ky in itertools.product(keys, repeat=2):
+        if not 0 < key_degree(kx) + key_degree(ky) <= 5:
+            continue
+        series = _plain_series(spec, kx, ky)
+        try:
+            out = star(CotensorElement(spec, {kx: Scalar.one()}),
+                       CotensorElement(spec, {ky: Scalar.one()}))
+        except StructuralError as exc:
+            assert "product left the cotensor subspace: chain word " in str(exc)
+            assert not check_chain_condition(spec, series)
+            raised += 1
+        else:
+            assert check_chain_condition(spec, out)
+            assert out._terms == series
+            kept += 1
+    assert raised and kept
+
+
+def test_a_fresh_spec_has_no_projection_memo_until_a_product():
+    spec = _two_letter_spec(1, -1, {})
+    assert "pi1" not in spec._cache
+    v = CotensorElement.from_word(spec, chain_lift_word(spec, (0,)))
+    star(v, v)
+    assert spec._cache["pi1"]
+
+
+def test_projection_memo_belongs_to_its_spec():
+    # same letters and degrees, so the same key pairs; only the action differs
+    first, second = _two_letter_spec(1, -1, {}), _two_letter_spec(2, 1, {})
+    words = [(0,), (1,), (0, 1), (1, 1, 0)]
+    for u, v in itertools.product(words, repeat=2):
+        for spec in (first, second):
+            x = CotensorElement.from_word(spec, chain_lift_word(spec, u))
+            y = CotensorElement.from_word(spec, right_translate(
+                spec, chain_lift_word(spec, v), spec.group.generator(0)))
+            assert star(x, y) == from_smash(smash_product(to_smash(x), to_smash(y)))

@@ -8,6 +8,9 @@ action and the multiplication letter by letter and shares no code with
 one-sided dispatch and the general-clause oracle independently.  The
 presets include ``hoffman4``, the flip braiding with a commutative
 product, written as YD data over the trivial group.
+
+On the same data, ``star`` is checked against the smash route on
+multi-term elements with group tags, and for associativity.
 """
 
 from __future__ import annotations
@@ -16,7 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cofreehopf.braid import flip_braiding
-from cofreehopf.cotensor import chain_lift, flatten_coinvariant, star
+from cofreehopf.cotensor import (
+    CotensorElement,
+    chain_lift,
+    chain_lift_word,
+    flatten_coinvariant,
+    from_smash,
+    right_translate,
+    smash_product,
+    star,
+    to_smash,
+)
 from cofreehopf.elements import Element
 from cofreehopf.grouphopf import AbelianGroup, YDSpec, braided_spec, diagonal_matrix
 from cofreehopf.presets import build_clifford, build_uqg
@@ -101,3 +114,57 @@ def test_hoffman4_yd_data_is_the_flip_braided_hoffman_algebra(hoffman4):
         x, y = (Element.from_word(w, alphabet=bspec.alphabet) for w in (u, v))
         hx, hy = (Element.from_word(w, alphabet=hoffman4.alphabet) for w in (u, v))
         assert quasi_shuffle(bspec, x, y)._terms == quasi_shuffle(hoffman4, hx, hy)._terms
+
+
+@st.composite
+def tagged_elements(draw, spec, lengths):
+    """One term per word length: the chain lift right-translated by a random
+    group tag (a group element for the empty word), q-power coefficients."""
+    terms = {}
+    for length in lengths:
+        word = tuple(draw(st.lists(st.integers(0, spec.dim - 1),
+                                   min_size=length, max_size=length)))
+        tag = spec.group.element([draw(st.integers(-1, 1))
+                                  for _ in range(spec.group.n_generators)])
+        key = right_translate(spec, chain_lift_word(spec, word), tag)
+        coeff = Scalar.q_power(draw(st.integers(-2, 2)), draw(st.sampled_from((1, -1, 2))))
+        terms[key] = terms.get(key, Scalar.zero()) + coeff
+    return CotensorElement(spec, terms)
+
+
+def _assert_star_matches_smash_route(data, spec):
+    x, y = (data.draw(tagged_elements(spec, data.draw(st.lists(
+        st.integers(0, 3), min_size=1, max_size=3)))) for _ in range(2))
+    assert star(x, y) == from_smash(smash_product(to_smash(x), to_smash(y)))
+
+
+def _assert_star_is_associative(data, spec):
+    first = data.draw(st.integers(0, 4))
+    second = data.draw(st.integers(0, 4 - first))
+    third = data.draw(st.integers(0, 4 - first - second))
+    x, y, z = (data.draw(tagged_elements(spec, [n])) for n in (first, second, third))
+    assert star(star(x, y), z) == star(x, star(y, z))
+
+
+@BOUNDED
+@given(st.data())
+def test_star_matches_smash_route_on_random_diagonal_data(data):
+    _assert_star_matches_smash_route(data, data.draw(diagonal_yd_specs()))
+
+
+@BOUNDED
+@given(st.data())
+def test_star_matches_smash_route_on_presets(data):
+    _assert_star_matches_smash_route(data, data.draw(st.sampled_from(PRESETS)))
+
+
+@BOUNDED
+@given(st.data())
+def test_star_is_associative_on_random_diagonal_data(data):
+    _assert_star_is_associative(data, data.draw(diagonal_yd_specs()))
+
+
+@BOUNDED
+@given(st.data())
+def test_star_is_associative_on_presets(data):
+    _assert_star_is_associative(data, data.draw(st.sampled_from(PRESETS)))

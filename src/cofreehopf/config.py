@@ -39,7 +39,7 @@ from .expr import ParsedElement, parse_element_text, parse_int_list, parse_scala
 from .grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec
 from .qalg import BraidedAlgebraSpec
 from .scalars import Scalar, split_sign
-from .cotensor import CotensorElement, SmashElement, chain_lift_word, chain_violation
+from .cotensor import CotensorElement, SmashElement, chain_lift_word, check_chain_condition
 
 _SECTIONS = ("group", "basis", "action", "mult", "braiding")
 _RESERVED = ("q", "K")
@@ -353,9 +353,9 @@ def bind_cotensor_element(spec: YDSpec, parsed: ParsedElement,
             word = tuple(
                 (spec.letter(name), bind_group_element(spec, g, line))
                 for _, name, g in letters)
-            bad = chain_violation(spec, word)
-            if bad is not None:
-                raise ConfigError(f"chain condition fails at cut {bad}", line)
+            result = check_chain_condition(spec, [word])
+            if not result:
+                raise ConfigError(f"chain condition fails at cut {result.witness[1]}", line)
             return word
         if not any(annotated):
             return chain_lift_word(spec, tuple(spec.letter(name) for _, name, _ in letters))

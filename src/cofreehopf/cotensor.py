@@ -79,15 +79,6 @@ def right_degree(spec: YDSpec, key: Key) -> GroupElement:
     return key[-1][1]
 
 
-def chain_violation(spec: YDSpec, word: MWord) -> int | None:
-    """First cut (1-based) violating the chain condition, or None."""
-    for k in range(len(word) - 1):
-        v_next, g_next = word[k + 1]
-        if word[k][1] != spec.group.multiply(spec.degrees[v_next], g_next):
-            return k + 1
-    return None
-
-
 class CotensorElement(Element):
     """A finite combination of basis keys of the cotensor coalgebra."""
 
@@ -109,9 +100,9 @@ class CotensorElement(Element):
     @classmethod
     def from_word(cls, spec: YDSpec, word: MWord, coeff=1) -> CotensorElement:
         word = tuple((int(v), g) for v, g in word)
-        bad = chain_violation(spec, word)
-        if bad is not None:
-            raise StructuralError(f"chain condition fails at cut {bad} of {word}")
+        result = check_chain_condition(spec, [word])
+        if not result:
+            raise StructuralError(f"chain condition fails at cut {result.witness[1]} of {word}")
         return cls(spec, {word: Scalar.coerce(coeff)})
 
     # -- structure ---------------------------------------------------------
@@ -120,23 +111,22 @@ class CotensorElement(Element):
         return HElement(self.spec.group, {
             key: c for key, c in self._terms.items() if isinstance(key, GroupElement)})
 
-    def max_degree(self) -> int:
-        return max((key_degree(key) for key in self._terms), default=0)
-
 
 def check_chain_condition(spec: YDSpec, terms) -> CheckResult:
     """Validate the chain condition at every cut of every word.
 
-    ``terms`` may be a CotensorElement or any mapping whose keys are
-    group elements or chain words.
+    ``terms`` may be a CotensorElement or any iterable of keys (a mapping
+    iterates its keys), each a group element or a chain word.  A failure's
+    witness is the pair (word, first violating cut, 1-based).
     """
-    mapping = terms._terms if isinstance(terms, CotensorElement) else terms
-    for key in mapping:
+    keys = terms._terms if isinstance(terms, CotensorElement) else terms
+    for key in keys:
         if isinstance(key, GroupElement):
             continue
-        bad = chain_violation(spec, key)
-        if bad is not None:
-            return fail("cotensor-chain", (key, bad))
+        for k in range(len(key) - 1):
+            v_next, g_next = key[k + 1]
+            if key[k][1] != spec.group.multiply(spec.degrees[v_next], g_next):
+                return fail("cotensor-chain", (key, k + 1))
     return PASS
 
 

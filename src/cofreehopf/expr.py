@@ -7,7 +7,7 @@ Grammar (ASCII minus and the minus-sign character are interchangeable):
     word      := mletter (('@' | '[]') mletter)*
     mletter   := LETTER ['.' group] | groupatom
     group     := groupatom | NAME
-    groupatom := 'K{' int (',' int)* '}'
+    groupatom := 'K{' [int (',' int)*] '}'
     scalar    := rational | qpow | '(' spoly ')'
     qpow      := 'q' ['^' int]
     rational  := INT ['/' INT]
@@ -196,8 +196,8 @@ class _Parser:
     def parse_groupatom(self) -> tuple[int, ...]:
         self.expect("IDENT", "K")
         self.expect("SYM", "{")
-        exps = [self.parse_int()]
-        while self.at_sym(","):
+        exps = [] if self.at_sym("}") else [self.parse_int()]
+        while exps and self.at_sym(","):
             self.next()
             exps.append(self.parse_int())
         self.expect("SYM", "}")

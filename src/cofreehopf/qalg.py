@@ -2,20 +2,23 @@
 
 A braided algebra is a based space with a braiding table and structure
 constants for an associative multiplication compatible with the
-braiding.  On its tensor space the quasi-shuffle product interleaves
-three moves, dispatched on the lengths of the two factor words: keep the
-left head, braid the right head to the front, or merge the two heads
-through the multiplication.  The general clause computes every length
-pattern.  A one-letter right factor takes its own clause, the base case
-(a times b is ab + sigma(ab) + m(a, b)), which adds the braided word
-B(u, b) whole; without it, cold long-times-one-letter products take
-18-29% longer.  An always-general code path is kept as an internal oracle.
+braiding.  On its tensor space the quasi-shuffle product is one clause
+for every length pattern, three moves on the heads of the two factor
+words: keep the left head, braid the right head to the front, or merge
+the two heads through the multiplication.  A word times the empty word
+is that word, so a one-letter right factor costs no call on an empty
+tail, and a merge that the multiplication kills costs no tail product.
 
-The word-pair memo is a module-level ``lru_cache``, which keeps every
-spec it has seen alive.  A dict on the spec is slower per warm lookup,
-and without the wrapper's recursion-limit unit per letter, products of
-460 letters and more would run on and take gigabytes; the memo moves
-once such products can run in isolation.
+The clause calls the word-pair memo directly from its own body, so each
+letter of the deeper factor costs about 3 units of the recursion limit
+(the memo's wrapper, the memoised function and the clause); one more
+frame per level, from a helper or a lambda passed to ``map_words``,
+stops one letter times a 300-letter word under the default limit.  The
+memo is a module-level ``lru_cache``, which keeps every spec it has
+seen alive.  A dict on the spec is slower per warm lookup, and without
+the wrapper's recursion-limit unit per letter, products of 460 letters
+and more would run on and take gigabytes; the memo moves once such
+products can run in isolation.
 
 Each level needs the crossing B(u, b) = beta_{|u|,1}(u (x) b) of the right
 head b across the left word: B(u', b) feeds the merge move and B(u, b)
@@ -25,8 +28,9 @@ and fills it by a loop from the right end of the word, so each suffix is
 braided once, with one braiding at position 1, however many levels ask
 for it.  Each level recurses on (u', v) before it braids, so a word too
 deep for the recursion fails before any braiding work is spent on it.
-The general-clause oracle reads no memo: it sweeps B(u', b) with
-``block_braiding`` at every level, as an independent check on the memo.
+An internal oracle runs the same clause with no memo: it sweeps B(u', b)
+with ``block_braiding`` at every level, as an independent check on the
+crossing memo.
 
 The deconcatenation coproduct, the connectedness filtration and the
 extension of a degree-one letter map to a morphism of the whole tensor
@@ -81,9 +85,6 @@ class BraidedAlgebraSpec:
 
     def word(self, *letters: int, coeff=1) -> Element:
         return Element.from_word(tuple(letters), coeff, self.alphabet)
-
-    def one(self) -> Element:
-        return Element.unit(self.alphabet)
 
     def basis_words(self, length: int):
         yield from self.braiding.basis_words(length)
@@ -155,34 +156,25 @@ def _qsh_words(spec: BraidedAlgebraSpec, u: tuple, v: tuple) -> Element:
         return Element.from_word(v, alphabet=spec.alphabet)
     if not v:
         return Element.from_word(u, alphabet=spec.alphabet)
-    if len(v) == 1:
-        return _qsh_one_right(spec, u, v[0])
     return _qsh_general(spec, u, v, _qsh_words, _memo_crossings)
 
 
-def _qsh_one_right(spec: BraidedAlgebraSpec, u: tuple, b: int) -> Element:
-    out = _prepend(u[0], _qsh_words(spec, u[1:], (b,)))
-    shifted, moved = _memo_crossings(spec, u, b)
-    out = out + moved
-    for word, coeff in shifted._terms.items():
-        merged = spec.mult_entry(u[0], word[0])
-        for (d,), c2 in merged._terms.items():
-            out = out + Element.from_word((d,) + word[1:], coeff * c2, spec.alphabet)
-    return out
-
-
 def _qsh_general(spec: BraidedAlgebraSpec, u: tuple, v: tuple, rec, crossings) -> Element:
-    out = _prepend(u[0], rec(spec, u[1:], v))
+    """u qsh v for nonempty u and v: u_0 (u' qsh v), then c w_0 (w' qsh v')
+    for each term c w of B(u, v_0), then c m(u_0, w_0) (w' qsh v') for each
+    term c w of B(u', v_0).  A word times the empty word is that word."""
+    head, rest = u[0], v[1:]
+    out = _prepend(head, rec(spec, u[1:], v))._terms
     shifted, moved = crossings(spec, u, v[0])
-    for word, coeff in moved._terms.items():
-        sub = rec(spec, word[1:], v[1:])
-        out = out + _prepend(word[0], sub).scale(coeff)
+    steps = [(word[0], coeff, word[1:]) for word, coeff in moved._terms.items()]
     for word, coeff in shifted._terms.items():
-        merged = spec.mult_entry(u[0], word[0])
-        sub = rec(spec, word[1:], v[1:])
-        for (d,), c2 in merged._terms.items():
-            out = out + _prepend(d, sub).scale(coeff * c2)
-    return out
+        steps.extend((d, coeff * c, word[1:])
+                     for (d,), c in spec.mult_entry(head, word[0])._terms.items())
+    for letter, coeff, tail in steps:
+        terms = rec(spec, tail, rest).scale(coeff)._terms if rest else {tail: coeff}
+        for w, c in terms.items():
+            accumulate(out, (letter,) + w, c)
+    return Element._wrap(out, spec.alphabet)
 
 
 def crossing(spec: BraidedAlgebraSpec, u: tuple, b: int) -> Element:
@@ -220,7 +212,7 @@ def _prepend(letter: int, x: Element) -> Element:
 
 @lru_cache(maxsize=None)
 def _qsh_words_general_only(spec: BraidedAlgebraSpec, u: tuple, v: tuple) -> Element:
-    """Internal oracle: every length pattern through the general clause."""
+    """Internal oracle: the same clause, with the crossings swept, not memoised."""
     if not u:
         return Element.from_word(v, alphabet=spec.alphabet)
     if not v:
@@ -304,12 +296,6 @@ def check_quasi_shuffle_bialgebra(spec: BraidedAlgebraSpec,
     return PASS
 
 
-def _f_letterwise(f: Mapping[int, Element], word: tuple, zero: Element) -> Element:
-    if len(word) != 1:
-        return zero
-    return f.get(word[0], zero)
-
-
 def extend_letter_morphism(spec_b: BraidedAlgebraSpec, spec_a: BraidedAlgebraSpec,
                            f: Mapping[int, Element], x: Element) -> Element:
     """Extend a degree-one letter map to the tensor-bialgebra morphism.
@@ -317,11 +303,16 @@ def extend_letter_morphism(spec_b: BraidedAlgebraSpec, spec_a: BraidedAlgebraSpe
     The letter map must kill the unit letter (when one is declared),
     intertwine the two braidings, and intertwine the multiplications;
     all three are verified on basis letters before any evaluation.  The
-    extension is the truncating series: counit part plus, for each n up
-    to the filtration degree of x, the n-fold letter map applied to the
-    (n-1)-iterated reduced coproduct.
+    extension is the series: counit part plus, for each n up to the
+    filtration degree of x, the n-fold letter map applied to the
+    (n-1)-iterated reduced coproduct.  That coproduct cuts a word into n
+    nonempty pieces, and the n-fold letter map kills every piece of two
+    or more letters, so on a word of k letters only the term n = k, the
+    cut into single letters, survives.  So the series is evaluated
+    letterwise: a word goes to f(w_1) (x) ... (x) f(w_k), and the empty
+    word to the unit.
     """
-    zero_a = Element.zero(spec_a.alphabet)
+    zero_a, unit_a = Element.zero(spec_a.alphabet), Element.unit(spec_a.alphabet)
     f = {letter: value for letter, value in f.items() if not value.is_zero()}
     for value in f.values():
         for word in value.support():
@@ -329,47 +320,21 @@ def extend_letter_morphism(spec_b: BraidedAlgebraSpec, spec_a: BraidedAlgebraSpe
                 raise StructuralError("letter map values must be combinations of letters")
     if spec_b.unit is not None and spec_b.unit in f:
         raise StructuralError("letter map must vanish on the unit letter")
+
+    def letterwise(word: tuple) -> Element:
+        return reduce(Element.tensor, (f.get(letter, zero_a) for letter in word), unit_a)
+
     for a in range(spec_b.dim):
-        fa = f.get(a, zero_a)
         for b in range(spec_b.dim):
-            fb = f.get(b, zero_a)
-            lhs = spec_b.braiding.entries[(a, b)].map_words(
-                lambda w: f.get(w[0], zero_a).tensor(f.get(w[1], zero_a)),
-                alphabet=spec_a.alphabet)
-            rhs_pair = fa.tensor(fb)
-            rhs = apply_local(spec_a.braiding.entries, 1, rhs_pair) if rhs_pair else rhs_pair
+            pair = letterwise((a, b))
+            lhs = spec_b.braiding.entries[(a, b)].map_words(letterwise, alphabet=spec_a.alphabet)
+            rhs = apply_local(spec_a.braiding.entries, 1, pair) if pair else pair
             if lhs != rhs:
                 raise StructuralError(
                     f"letter map does not intertwine the braidings at {(a, b)}")
-            m_lhs = apply_local(spec_a.mult, 1, rhs_pair) if rhs_pair else rhs_pair
-            m_rhs = spec_b.mult_entry(a, b).map_words(
-                lambda w: _f_letterwise(f, w, zero_a), alphabet=spec_a.alphabet)
+            m_lhs = apply_local(spec_a.mult, 1, pair) if pair else pair
+            m_rhs = spec_b.mult_entry(a, b).map_words(letterwise, alphabet=spec_a.alphabet)
             if m_lhs != m_rhs:
                 raise StructuralError(
                     f"letter map does not intertwine the multiplications at {(a, b)}")
-
-    out = Element({(): x.coefficient(())}, spec_a.alphabet)
-    bound = filtration_degree(x)
-    state = Element({(w,): c for w, c in x._terms.items()},
-                    ("tensorpow", spec_b.alphabet))
-    for n in range(1, bound + 1):
-        out = out + state.map_words(
-            lambda key: reduce(Element.tensor, (_f_letterwise(f, w, zero_a) for w in key),
-                               Element.unit(spec_a.alphabet)), alphabet=spec_a.alphabet)
-        if n <= bound - 1:
-            state = _split_first_factor(state)
-    return out
-
-
-def _split_first_factor(state: Element) -> Element:
-    out: dict[tuple, Scalar] = {}
-    for key, coeff in state._terms.items():
-        head, rest = key[0], key[1:]
-        if len(head) == 0:
-            cuts = [(((), ()), Scalar.rational(-1))]
-        else:
-            cuts = [(((head[:k]), (head[k:])), Scalar.one())
-                    for k in range(1, len(head))]
-        for (u, v), sign in cuts:
-            accumulate(out, (u, v) + rest, coeff * sign)
-    return Element._wrap(out, state.alphabet)
+    return x.map_words(letterwise, alphabet=spec_a.alphabet)

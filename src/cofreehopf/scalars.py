@@ -213,8 +213,6 @@ class Scalar:
 _ZERO = Scalar()
 _ONE = Scalar({0: 1})
 
-Q = Scalar({1: 1})
-
 
 def _monomial_text(c: Rational, k: int) -> str:
     """Positive-coefficient monomial as text: 5, 5/2, q, q^3, 2*q^-1."""

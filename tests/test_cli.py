@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -289,6 +290,36 @@ def test_phi_psi_and_smash_commands(run, clifford_config):
     code, out, _ = run("--config", clifford_config, "rb-apply", "v1")
     assert code == 0
     assert out == "one.K{1}[]v1.K{0}\n"
+
+
+def test_rank_zero_output_reads_back(run, hoffman_config):
+    # a group with no generators renders as K{}; every printed term is input again
+    def output(*argv):
+        code, out, err = run("--config", hoffman_config, *argv)
+        assert (code, err) == (0, ""), argv
+        return out.rstrip("\n")
+
+    def terms(out):
+        return re.split(" [+−] ", out)
+
+    star_out = output("star", "x1", "x1")
+    assert star_out == "2 x1.K{}[]x1.K{} + x2.K{}"
+    legs = [leg for term in terms(output("comul", "x1@x2")) for leg in term.split(" (x) ")]
+    assert "K{}" in legs
+    for term in terms(star_out) + legs:
+        assert output("star", term, "K{}") == term
+        output("phi", term)
+    assert output("phi", star_out) == "2 x1@x1 + x2"
+    for term in terms(output("smash-star", "x1", "x2")):
+        word, tag = term.split("#")
+        assert output("smash-star", f"{word}@{tag}", "K{}") == term
+
+
+def test_empty_group_atom_over_a_generator_is_an_arity_error(run, clifford_config):
+    for argv in (("star", "K{}", "v1"), ("phi", "v1.K{}"), ("smash-star", "v1@K{}", "v2")):
+        code, out, err = run("--config", clifford_config, *argv)
+        assert (code, out, err) == (2, "", "error: group element needs 1 exponents\n"), argv
+        assert "internal" not in err
 
 
 def test_cli_counterexample_matches_library_byte_for_byte(run, tmp_path, clifford2):

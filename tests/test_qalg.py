@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -192,12 +193,16 @@ def test_one_sided_clauses_match_general_clause(clifford2, uqg_a2, hoffman4):
     specs = [braided_spec(clifford2.spec), braided_spec(uqg_a2.spec), hoffman4]
     for spec in specs:
         words = [(0,), (1,), (0, 1), (1, 0), (0, 1, 0)]
-        for u in words:
-            for v in words:
-                x = Element.from_word(u, alphabet=spec.alphabet)
-                y = Element.from_word(v, alphabet=spec.alphabet)
-                assert quasi_shuffle(spec, x, y) \
-                    == quasi_shuffle_general_clause(spec, x, y)
+        pairs = list(itertools.product(words, words))
+        for n in (2, 7, 40):
+            long = tuple((3 * k + 1) % spec.dim for k in range(n))
+            for letter in ((0,), (spec.dim - 1,)):
+                pairs += [(long, letter), (letter, long)]
+        for u, v in pairs:
+            x = Element.from_word(u, alphabet=spec.alphabet)
+            y = Element.from_word(v, alphabet=spec.alphabet)
+            assert quasi_shuffle(spec, x, y) \
+                == quasi_shuffle_general_clause(spec, x, y)
 
 
 # Invertible, non-monomial and not Yang-Baxter: the crossing is compared
@@ -381,6 +386,30 @@ def test_extension_relabels_letters():
     x = Element.from_word((0, 0), alphabet=b.alphabet)
     assert extend_letter_morphism(b, a, f, x) \
         == Element.from_word((1, 1), alphabet=a.alphabet)
+
+
+def test_extension_of_a_group_action_is_the_diagonal_action_and_multiplicative(clifford2, uqg_a2):
+    # universal property of the quasi-shuffle algebra (Jian-Rosso, J. reine
+    # angew. Math. 667, 2012): a generator acting on the letters intertwines
+    # the braiding and the multiplication, so its extension is an algebra map,
+    # and on words it must be the diagonal action
+    for preset in (clifford2, uqg_a2):
+        spec = preset.spec
+        bspec = braided_spec(spec)
+        g = spec.group.generator(0)
+        f = {a: spec.act_letter(g, a) for a in range(spec.dim)}
+
+        def ext(x):
+            return extend_letter_morphism(bspec, bspec, f, x)
+
+        words = [w for n in range(3) for w in itertools.product(range(spec.dim), repeat=n)]
+        for word in words:
+            assert ext(_word(bspec, *word)) == spec.act_word(g, word)
+        sample = {w: _word(bspec, *w) for w in random.Random(16).sample(words, 20)}
+        image = {w: ext(x) for w, x in sample.items()}
+        for u, v in itertools.product(sample, sample):
+            assert ext(quasi_shuffle(bspec, sample[u], sample[v])) \
+                == quasi_shuffle(bspec, image[u], image[v])
 
 
 def test_extension_checks_braiding_compatibility():

@@ -26,15 +26,18 @@ class CheckResult:
     def __bool__(self) -> bool:
         return self.ok
 
+    def sides(self, render: Callable[[Any], str] = str) -> dict[str, str]:
+        """``lhs`` and ``rhs`` as text, or nothing when neither side was evaluated."""
+        if self.lhs is None and self.rhs is None:
+            return {}
+        return {"lhs": render(self.lhs), "rhs": render(self.rhs)}
+
     def describe(self, render: Callable[[Any], str] = str,
                  witness: Callable[[Any], str] = repr) -> str:
         if self.ok:
             return "PASS"
-        parts = [f"FAIL {self.law}", f"at {witness(self.witness)}"]
-        if self.lhs is not None or self.rhs is not None:
-            parts.append(f"lhs = {render(self.lhs)}")
-            parts.append(f"rhs = {render(self.rhs)}")
-        return "; ".join(parts)
+        return "; ".join([f"FAIL {self.law}", f"at {witness(self.witness)}",
+                          *(f"{side} = {text}" for side, text in self.sides(render).items())])
 
 
 PASS = CheckResult(True)

@@ -1,5 +1,8 @@
 """Command-line front end: config ingestion, checks and computations.
 
+Every value it prints goes through one renderer, which picks the text by
+the value's type and never by a law's name.
+
 Exit codes: 0 for success or a passing check, 1 for a failing check
 (the counterexample is printed), 2 for parse, config or usage errors and
 for any internal error (one ``error: internal: <type>: <message>`` line
@@ -29,29 +32,27 @@ from .config import (
 from .cotensor import (
     CotensorElement,
     SmashElement,
+    _pair_alphabet as _key_pairs,
     chain_lift,
     coproduct,
     flatten_coinvariant,
     render_cotensor,
     render_key,
+    render_letter,
     render_pairs,
     render_smash,
+    render_word,
     smash_product,
     star,
 )
 from .elements import Element, render_element, render_terms
 from .errors import ConfigError, StructuralError
 from .expr import parse_element_text, parse_int_list
-from .grouphopf import (
-    GroupElement,
-    YDSpec,
-    check_yd_module_algebra,
-    check_yetter_drinfeld,
-)
+from .grouphopf import GroupElement, YDSpec, check_yd_module_algebra, check_yetter_drinfeld
 from .presets import build_clifford, build_uqg
 from .qalg import (
     BraidedAlgebraSpec,
-    _pair_alphabet,
+    _pair_alphabet as _word_pairs,
     check_braided_algebra,
     check_quasi_shuffle_bialgebra,
     adjoin_unit,
@@ -111,82 +112,47 @@ def _load_document(args) -> ConfigDocument:
     return parse_config(text)
 
 
-def _letter_text(spec: YDSpec):
-    def text(letter):
-        if isinstance(letter, int):
-            return spec.names[letter]
-        if isinstance(letter, GroupElement):
-            return letter.render()
-        if isinstance(letter, tuple) and len(letter) == 2 \
-                and isinstance(letter[0], int):
-            return f"{spec.names[letter[0]]}.{letter[1].render()}"
-        return str(letter)
-    return text
-
-
-def _render_text(kind: str | None, spec: YDSpec, value) -> str:
-    if kind == "tensor":
-        return render_element(value, _letter_text(spec))
-    if kind == "cotensor":
-        return render_cotensor(value)
-    if kind == "smash":
-        return render_smash(value)
-    if kind == "pairs":
-        return render_pairs(spec, value)
-    return _letter_text(spec)(value)  # a group element as K{...}
-
-
-_KIND_OF_TYPE = {Element: "tensor", CotensorElement: "cotensor", SmashElement: "smash"}
+def _is_word(value) -> bool:
+    return type(value) is tuple and all(isinstance(letter, int) for letter in value)
 
 
 def _render_any(spec: YDSpec):
-    """Text for any value a check reports.  A word of letter indices reads
-    ``a@b`` (``1`` when empty); an element over pairs of words (from
-    ``qalg.deconcat``) reads ``u (x) v``."""
-    text = _letter_text(spec)
-
-    def word(letters) -> str:
-        return "@".join(map(text, letters)) or "1"
-
+    """The one renderer of the command line: the text of a value by its type
+    alone, never by the law a check reports; an unknown kind reads as its repr."""
     def render(value) -> str:
-        if type(value) is tuple:
-            return word(value)
-        if isinstance(value, Element) and value.alphabet == _pair_alphabet(spec):
-            return render_terms(value, lambda pair: " (x) ".join(map(word, pair)))
-        return _render_text(_KIND_OF_TYPE.get(type(value)), spec, value)
+        if isinstance(value, CotensorElement):
+            return render_cotensor(value)
+        if isinstance(value, SmashElement):
+            return render_smash(value)
+        if isinstance(value, Element):
+            if value.alphabet == _key_pairs(spec):
+                return render_pairs(spec, value)
+            if value.alphabet == _word_pairs(spec):
+                return render_terms(value, render)
+            return render_element(value, partial(render_letter, spec))
+        if isinstance(value, GroupElement):
+            return render_letter(spec, value)
+        if _is_word(value):
+            return render_word(spec, value)
+        if type(value) is tuple and len(value) == 2 \
+                and all(_is_word(v) or isinstance(v, Element) for v in value):
+            return " (x) ".join(map(render, value))
+        return repr(value)
     return render
-
-
-# Laws whose witness is a word of letter indices, and laws whose witness is
-# a pair of samples (index words or elements).  Every other witness already
-# names its letters, or counts generators, and keeps its repr.
-_WORD_WITNESS = frozenset({"yang-baxter", "associativity", "braided-compatibility-left",
-                           "braided-compatibility-right", "left-unit", "right-unit",
-                           "unit-braiding"})
-_PAIR_WITNESS = frozenset({"quasi-shuffle-bialgebra", "rota-baxter"})
-
-
-def _render_witness(spec: YDSpec, law: str):
-    render = _render_any(spec)
-    if law in _WORD_WITNESS:
-        return render
-    if law in _PAIR_WITNESS:
-        return lambda pair: " (x) ".join(map(render, pair))
-    return repr
 
 
 def _json_terms(kind: str, spec: YDSpec, value) -> list[dict]:
     """One dict per term: ``coeff`` and the key fields of its kind."""
-    text = _letter_text(spec)
+    letter = partial(render_letter, spec)
 
     def fields(key) -> dict:
         if kind == "pairs":
             return {"left": render_key(spec, key[0]), "right": render_key(spec, key[1])}
         if kind == "smash":
-            return {"word": [text(v) for v in key[0]], "group": text(key[1])}
+            return {"word": [letter(v) for v in key[0]], "group": letter(key[1])}
         if isinstance(key, GroupElement):  # a degree-0 cotensor key
-            return {"word": [text(key)]}
-        return {"word": [text(letter) for letter in key]}
+            return {"word": [letter(key)]}
+        return {"word": [letter(v) for v in key]}
 
     return [{"coeff": render_scalar(c), **fields(key)} for key, c in value.terms()]
 
@@ -287,19 +253,15 @@ def _dispatch(args) -> int:
         if args.max_degree < 0:
             raise ConfigError(f"--max-degree must be >= 0, got {args.max_degree}")
         spec, result = CHECKS[args.what](doc, args.max_degree)
-        render, witness = _render_any(spec), _render_witness(spec, result.law)
+        render = _render_any(spec)
         if args.format == "json":
             payload = {"ok": bool(result)}
             if not result:
-                payload.update({
-                    "law": result.law,
-                    "witness": witness(result.witness),
-                    "lhs": render(result.lhs),
-                    "rhs": render(result.rhs),
-                })
+                payload.update(law=result.law, witness=render(result.witness),
+                               **result.sides(render))
             _emit(payload)
         else:
-            print(result.describe(render, witness))
+            print(result.describe(render, render))
         return 0 if result else 1
 
     arg_names, bind, operation, kind = COMMANDS[args.command]
@@ -309,7 +271,7 @@ def _dispatch(args) -> int:
     if args.format == "json":
         _emit({"kind": kind, "terms": _json_terms(kind, spec, out)})
     else:
-        print(_render_text(kind, spec, out))
+        print(_render_any(spec)(out))
     return 0
 
 

@@ -31,6 +31,7 @@ Emission reads the same objects back out, so a document written by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .braid import BraidingTable
 from .elements import Element, accumulate, render_element
@@ -39,7 +40,8 @@ from .expr import ParsedElement, parse_element_text, parse_int_list, parse_scala
 from .grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec
 from .qalg import BraidedAlgebraSpec
 from .scalars import Scalar, split_sign
-from .cotensor import CotensorElement, SmashElement, chain_lift_word, check_chain_condition
+from .cotensor import (CotensorElement, SmashElement, chain_lift_word, check_chain_condition,
+                       render_letter)
 
 _SECTIONS = ("group", "basis", "action", "mult", "braiding")
 _RESERVED = ("q", "K")
@@ -249,9 +251,9 @@ def _signed_atom(s: Scalar) -> str:
     return ("-" + atom) if neg else atom
 
 
-def _rule_line(names, pair: tuple[int, int], value: Element) -> str:
-    a, b = pair
-    return f"{names[a]} {names[b]} -> {render_element(value, names.__getitem__)}"
+def _rule_line(spec: YDSpec, pair: tuple[int, int], value: Element) -> str:
+    letter = partial(render_letter, spec)
+    return f"{letter(pair[0])} {letter(pair[1])} -> {render_element(value, letter)}"
 
 
 def emit_config(doc: ConfigDocument) -> str:
@@ -278,11 +280,11 @@ def emit_config(doc: ConfigDocument) -> str:
     mult = {pair: value for pair, value in (spec.mult or {}).items() if value}
     if mult:
         lines += ["", "[mult]"]
-        lines += [_rule_line(spec.names, pair, mult[pair]) for pair in sorted(mult)]
+        lines += [_rule_line(spec, pair, mult[pair]) for pair in sorted(mult)]
     if doc.override is not None:
         entries = doc.override.braiding.entries
         lines += ["", "[braiding]"]
-        lines += [_rule_line(spec.names, pair, entries[pair]) for pair in sorted(entries)]
+        lines += [_rule_line(spec, pair, entries[pair]) for pair in sorted(entries)]
     return "\n".join(lines) + "\n"
 
 

@@ -391,10 +391,25 @@ def from_smash(s: SmashElement) -> CotensorElement:
 # -- rendering ------------------------------------------------------------------
 
 
+def render_letter(spec, letter) -> str:
+    """The one source of letter text: a letter index reads as its name, a
+    group element as ``K{...}``, a chain letter (index, g) as ``name.K{...}``."""
+    if type(letter) is tuple:
+        v, g = letter
+        return f"{spec.names[v]}.{g.render()}"
+    if isinstance(letter, GroupElement):
+        return letter.render()
+    return spec.names[letter]
+
+
+def render_word(spec, word) -> str:
+    """A tensor word as its letters joined by ``@``; the empty word reads ``1``."""
+    return "@".join(render_letter(spec, letter) for letter in word) or "1"
+
+
 def render_key(spec: YDSpec, key: Key) -> str:
-    if isinstance(key, GroupElement):
-        return key.render()
-    return "[]".join(f"{spec.names[v]}.{g.render()}" for v, g in key)
+    letters = (key,) if isinstance(key, GroupElement) else key  # degree 0: one group element
+    return "[]".join(render_letter(spec, letter) for letter in letters)
 
 
 def render_cotensor(x: CotensorElement) -> str:
@@ -402,12 +417,10 @@ def render_cotensor(x: CotensorElement) -> str:
 
 
 def render_smash(x: SmashElement) -> str:
-    names = x.spec.names
-    return render_terms(
-        x, lambda key: ("@".join(names[v] for v in key[0]) or "1") + "#" + key[1].render())
+    return render_terms(x, lambda key: render_word(x.spec, key[0]) + "#"
+                        + render_letter(x.spec, key[1]))
 
 
 def render_pairs(spec: YDSpec, x: Element) -> str:
     """Canonical text for an Element over pairs of basis keys."""
-    return render_terms(x, lambda pair: render_key(spec, pair[0]) + " (x) "
-                        + render_key(spec, pair[1]))
+    return render_terms(x, lambda pair: " (x) ".join(render_key(spec, key) for key in pair))

@@ -344,14 +344,14 @@ def check_yetter_drinfeld(spec: YDSpec) -> CheckResult:
     for k, matrix in enumerate(spec.action):
         for l in range(k + 1, len(spec.action)):
             if _matmul(matrix, spec.action[l]) != _matmul(spec.action[l], matrix):
-                return fail("action-matrices-commute", (k, l))
+                return fail("action-matrices-commute", (f"g{k + 1}", f"g{l + 1}"))
     for t, order in enumerate(group.torsion):
         k = group.rank + t
         power = _identity_matrix(spec.dim)
         for _ in range(order):
             power = _matmul(power, spec.action[k])
         if power != _identity_matrix(spec.dim):
-            return fail("torsion-order", k)
+            return fail("torsion-order", f"g{k + 1}")
     for k in range(group.n_generators):
         h = group.generator(k)
         for j in range(spec.dim):
@@ -360,7 +360,7 @@ def check_yetter_drinfeld(spec: YDSpec) -> CheckResult:
             lhs = image.rekey(lambda w: ((hd, w[0]),))
             rhs = image.rekey(lambda w: ((group.multiply(spec.degrees[w[0]], h), w[0]),))
             if lhs != rhs:
-                return fail("yetter-drinfeld", (spec.names[j], k), lhs, rhs)
+                return fail("yetter-drinfeld", (spec.names[j], f"g{k + 1}"), lhs, rhs)
     return PASS
 
 
@@ -391,7 +391,7 @@ def check_yd_module_algebra(spec: YDSpec) -> CheckResult:
                     spec.act_letter(g, b), lambda i, j: spec.mult_entry(i[0], j[0]))
                 if lhs != rhs:
                     return fail("mult-equivariance",
-                                (spec.names[a], spec.names[b], k), lhs, rhs)
+                                (spec.names[a], spec.names[b], f"g{k + 1}"), lhs, rhs)
     if spec.unit is not None:
         if not spec.degrees[spec.unit].is_identity():
             return fail("unit-degree", spec.names[spec.unit])

@@ -13,9 +13,11 @@ from cofreehopf.braid import BraidingTable, flip_braiding
 from cofreehopf.checks import fail
 from cofreehopf.cli import _pairs_up_to, _read_cartan, main
 from cofreehopf.config import document_from_spec, emit_config
+from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, coproduct
 from cofreehopf.elements import Element
 from cofreehopf.errors import ConfigError
 from cofreehopf.qalg import BraidedAlgebraSpec, deconcat, quasi_shuffle
+from cofreehopf.scalars import Scalar
 
 HOFFMAN = """
 [group]
@@ -27,6 +29,21 @@ x2 =
 
 [mult]
 x1 x1 -> x2
+"""
+
+# g1 swaps the two letters and g2 scales them apart: the actions do not commute
+NONCOMMUTING = """
+[group]
+rank = 2
+
+[basis]
+a = 1, 0
+b = 1, 0
+
+[action]
+g1.a = 0, 1
+g1.b = 1, 0
+g2 = 2, 1
 """
 
 
@@ -497,3 +514,43 @@ def test_bialgebra_counterexample_renders_pairs_of_words(run, clifford_config, m
     code, out, _ = run("--config", clifford_config, "--format", "json", "check", "bialg")
     assert code == 1
     assert json.loads(out)["lhs"].startswith("1/2 1 (x) v1@xi22 + ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_non_commuting_actions_fail_check_yd_at_the_named_generators(run, tmp_path, fmt):
+    path = tmp_path / "noncommuting.cfg"
+    path.write_text(NONCOMMUTING, encoding="utf-8")
+    code, out, err = run("--config", str(path), "--format", fmt, "check", "yd")
+    assert (code, err) == (1, "")
+    if fmt == "text":
+        assert out == "FAIL action-matrices-commute; at ('g1', 'g2')\n"
+    else:  # no lhs/rhs: the check evaluated no sides
+        assert json.loads(out) == {"law": "action-matrices-commute", "ok": False,
+                                   "witness": "('g1', 'g2')"}
+
+
+def test_render_any_chooses_the_text_by_type(clifford2):
+    from cofreehopf.cli import _render_any
+    spec = clifford2.spec
+    g = spec.group.generator(0)
+    word = Element.from_word((0, 1), alphabet=spec)
+    cases = [
+        (CotensorElement.from_word(spec, chain_lift_word(spec, (0, 1)), Scalar.q_power(-1))
+         + CotensorElement(spec, {g: Scalar.rational(2)}), "2 K{1} + q^-1 v1.K{1}[]v2.K{0}"),
+        (SmashElement.of(spec, (0, 1), g) - SmashElement.of(spec, ()), "−1#K{0} + v1@v2#K{1}"),
+        (coproduct(CotensorElement.from_word(spec, chain_lift_word(spec, (0,)))),
+         "K{1} (x) v1.K{0} + v1.K{0} (x) K{0}"),
+        (deconcat(word), "1 (x) v1@v2 + v1 (x) v2 + v1@v2 (x) 1"),
+        (word.scale(Scalar({0: 1, 1: 1})) + Element.from_word((), 2, spec), "2 + (1 + q) v1@v2"),
+        (g, "K{1}"),
+        ((0, 1, 0), "v1@v2@v1"),
+        ((), "1"),
+        (((0,), ()), "v1 (x) 1"),
+        ((word, Element.from_word((), alphabet=spec)), "v1@v2 (x) 1"),
+        (("g1", "g2"), "('g1', 'g2')"),
+        ("g1", "'g1'"),
+        (("a", "b", "g1"), "('a', 'b', 'g1')"),
+        (None, "None"),
+    ]
+    render = _render_any(spec)
+    assert [render(value) for value, _ in cases] == [text for _, text in cases]

@@ -1,0 +1,96 @@
+"""Property test: what the command line prints reads back as input.
+
+The text the command line prints for a tensor or a cotensor element
+parses (``parse_element_text``) and binds (``bind_plain_element``,
+``bind_cotensor_element``) to the element it was printed from.  The
+elements have several terms, among them the empty word and degree-0
+keys, with q-power, multi-term Laurent and fractional coefficients.  The
+specs are those of ``diagonal_yd_specs``, and the same data over a group
+of rank 0 or with one torsion generator.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cofreehopf.cli import _render_any
+from cofreehopf.config import bind_cotensor_element, bind_plain_element
+from cofreehopf.cotensor import CotensorElement, chain_lift_word, right_translate
+from cofreehopf.elements import Element
+from cofreehopf.expr import parse_element_text
+from cofreehopf.grouphopf import AbelianGroup, YDSpec, diagonal_matrix
+from cofreehopf.scalars import Scalar
+from test_qsh_properties import diagonal_yd_specs
+
+READ_BACK = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def _specs(draw):
+    """A spec of ``diagonal_yd_specs``, or one over a group of rank 0, or over
+    one free and one order-2 torsion generator (which acts by signs)."""
+    kind = draw(st.sampled_from(("free", "rank 0", "torsion")))
+    if kind == "free":
+        return draw(diagonal_yd_specs())
+    group = AbelianGroup(1, (2,)) if kind == "torsion" else AbelianGroup(0)
+    dim = draw(st.integers(1, 3))
+    degrees = tuple(group.element([draw(st.integers(-2, 2))
+                                   for _ in range(group.n_generators)])
+                    for _ in range(dim))
+    action = tuple(diagonal_matrix([Scalar.q_power(draw(st.integers(-2, 2))) if k < group.rank
+                                    else Scalar.rational(draw(st.sampled_from((1, -1))))
+                                    for _ in range(dim)])
+                   for k in range(group.n_generators))
+    return YDSpec(group, tuple(f"v{k}" for k in range(dim)), degrees, action, mult={})
+
+
+_fractions = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+_coefficients = st.one_of(
+    st.builds(Scalar.q_power, st.integers(-3, 3), st.sampled_from((1, -1, 2))),
+    _fractions.map(Scalar.rational),
+    st.dictionaries(st.integers(-2, 2), _fractions, min_size=2, max_size=3).map(Scalar),
+)
+
+
+@st.composite
+def _tensor_elements(draw, spec):
+    words = draw(st.lists(st.lists(st.integers(0, spec.dim - 1), max_size=3).map(tuple),
+                          min_size=1, max_size=4))
+    out = Element.zero(spec)
+    for word in words:
+        out = out + Element.from_word(word, draw(_coefficients), spec)
+    return out
+
+
+@st.composite
+def _cotensor_elements(draw, spec):
+    """Chain lifts right-translated by a group tag; the empty word gives a degree-0 key."""
+    out = CotensorElement.zero(spec)
+    for word in draw(st.lists(st.lists(st.integers(0, spec.dim - 1), max_size=3).map(tuple),
+                              min_size=1, max_size=4)):
+        tag = spec.group.element([draw(st.integers(-2, 2))
+                                  for _ in range(spec.group.n_generators)])
+        key = right_translate(spec, chain_lift_word(spec, word), tag)
+        out = out + CotensorElement(spec, {key: draw(_coefficients)})
+    return out
+
+
+@READ_BACK
+@given(st.data())
+def test_printed_tensor_element_reads_back(data):
+    spec = data.draw(_specs())
+    x = data.draw(_tensor_elements(spec))
+    text = _render_any(spec)(x)
+    assert bind_plain_element(spec, parse_element_text(text)) == x, text
+
+
+@READ_BACK
+@given(st.data())
+def test_printed_cotensor_element_reads_back(data):
+    spec = data.draw(_specs())
+    x = data.draw(_cotensor_elements(spec))
+    text = _render_any(spec)(x)
+    assert bind_cotensor_element(spec, parse_element_text(text)) == x, text

@@ -54,7 +54,7 @@ from .checks import PASS, CheckResult, fail
 from .elements import Element, accumulate, render_terms
 from .errors import StructuralError
 from .grouphopf import GroupElement, HElement, YDSpec, braided_spec
-from .qalg import _qsh_words
+from .qalg import _qsh_memo
 from .scalars import Scalar
 
 MWord = tuple  # tuple[(letter index, GroupElement), ...]
@@ -102,7 +102,8 @@ class CotensorElement(Element):
         word = tuple((int(v), g) for v, g in word)
         result = check_chain_condition(spec, [word])
         if not result:
-            raise StructuralError(f"chain condition fails at cut {result.witness[1]} of {word}")
+            raise StructuralError(f"chain condition fails at cut {result.witness[1]} "
+                                  f"of {render_key(spec, word)}")
         return cls(spec, {word: Scalar.coerce(coeff)})
 
     # -- structure ---------------------------------------------------------
@@ -172,23 +173,20 @@ def _module_projection(spec: YDSpec, a: Key, b: Key) -> dict[tuple[int, GroupEle
     everything else projects to zero.
     """
     da, db = key_degree(a), key_degree(b)
-    out: dict[tuple[int, GroupElement], Scalar] = {}
     if da == 0 and db == 1:
-        v, g2 = b[0]
+        (v, g2), = b
+        image = spec.act_letter(a, v)
         target = spec.group.multiply(a, g2)
-        for (i,), c in spec.act_letter(a, v)._terms.items():
-            accumulate(out, (i, target), c)
     elif da == 1 and db == 0:
-        v, g1 = a[0]
-        out[(v, spec.group.multiply(g1, b))] = Scalar.one()
+        (v, g1), = a
+        return {(v, spec.group.multiply(g1, b)): Scalar.one()}
     elif da == 1 and db == 1:
-        v, g1 = a[0]
-        w, g2 = b[0]
+        ((v, g1),), ((w, g2),) = a, b
+        image = spec.act_letter(g1, w).map_words(lambda i: spec.mult_entry(v, i[0]))
         target = spec.group.multiply(g1, g2)
-        for (i,), c in spec.act_letter(g1, w)._terms.items():
-            for (j,), d in spec.mult_entry(v, i)._terms.items():
-                accumulate(out, (j, target), c * d)
-    return out
+    else:
+        return {}
+    return image.relabel(lambda i: (i[0], target))._terms
 
 
 def _star_key(spec: YDSpec, kx: Key, ky: Key) -> CotensorElement:
@@ -362,11 +360,12 @@ def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
         raise StructuralError("smash elements over different module data")
     spec = x.spec
     bspec = braided_spec(spec)
+    qsh = _qsh_memo(bspec)
 
     def rule(kx, ky):
         (u, g), (w, g2) = kx, ky
         tag = spec.group.multiply(g, g2)
-        return spec.act_word(g, w).map_words(partial(_qsh_words, bspec, u)).relabel(
+        return spec.act_word(g, w).map_words(partial(qsh, bspec, u)).relabel(
             lambda word: (word, tag), cls=SmashElement)
 
     return x.bilinear(y, rule)

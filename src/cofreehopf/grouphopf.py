@@ -18,6 +18,9 @@ tuples directly.
 A Yetter-Drinfeld module over K[G] is a based vector space carrying a
 G-grading (the coaction sends a letter v to degree(v) tensor v) and a
 G-action given per generator by an exact matrix in the letter basis.
+The action is held as letter images, memoised per group element on the
+spec: one-letter Elements, the columns of its matrix.  Generator powers
+compose through ``Element.map_words`` by square-and-multiply.
 The compatibility condition between action and coaction is evaluated
 literally by :func:`check_yetter_drinfeld`; for group algebras it pins
 the action matrices to the degree grading.  The induced braiding
@@ -28,7 +31,7 @@ into a braided algebra suitable for the quasi-shuffle machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from operator import add, neg
 from typing import Mapping, NamedTuple, Sequence
 
@@ -177,24 +180,9 @@ def _coerce_matrix(rows, dim: int) -> Matrix:
     return matrix
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    """The product, skipping zero entries: action matrices are mostly diagonal."""
-    n = len(a)
-    out = [[Scalar.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if not a[i][k].is_zero():
-                for j in range(n):
-                    if not b[k][j].is_zero():
-                        out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return tuple(tuple(row) for row in out)
-
-
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Scalar.one() if i == j else Scalar.zero() for j in range(n))
-        for i in range(n)
-    )
+def _compose(a: tuple[Element, ...], b: tuple[Element, ...]) -> tuple[Element, ...]:
+    """The letter images of the product AB from those of A and of B."""
+    return tuple(image.map_words(lambda w: a[w[0]]) for image in b)
 
 
 def diagonal_matrix(entries) -> Matrix:
@@ -216,7 +204,9 @@ class YDSpec:
     one-letter words; missing pairs mean zero).  ``unit`` optionally
     names a two-sided unit letter.  A spec is immutable: ``mult`` is
     given whole at construction, checked and copied over the spec, and
-    ``_cache`` memoises what is derived from it.
+    ``_cache`` memoises what is derived from it, starting with the
+    letter images of the identity, of each generator and of each free
+    generator's inverse.
     """
 
     group: AbelianGroup
@@ -226,7 +216,6 @@ class YDSpec:
     mult: dict[tuple[int, int], Element] | None = None
     unit: int | None = None
     _cache: dict = field(default_factory=dict, repr=False)
-    _inverse_action: tuple[Matrix, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         dim = len(self.names)
@@ -235,16 +224,25 @@ class YDSpec:
         if len(self.action) != self.group.n_generators:
             raise StructuralError("one action matrix per group generator is required")
         object.__setattr__(self, "action", tuple(_coerce_matrix(m, dim) for m in self.action))
-        inverses = []
+        group = self.group
+        self._cache[("act", group.identity())] = self._images(diagonal_matrix([1] * dim))
         for k, matrix in enumerate(self.action):
             try:
-                inverses.append(tuple(map(tuple, linalg.inverse(matrix))))
+                inverse = linalg.inverse(matrix)
             except StructuralError as exc:
                 raise StructuralError(f"action matrix of generator g{k + 1} "
                                       f"has no Laurent inverse: {exc}") from exc
-        object.__setattr__(self, "_inverse_action", tuple(inverses))
+            g = group.generator(k)
+            self._cache[("act", g)] = self._images(matrix)
+            if k < group.rank:  # a torsion generator's powers are never negative
+                self._cache[("act", group.inverse(g))] = self._images(inverse)
         if self.mult is not None:
             object.__setattr__(self, "mult", letter_table(self.mult, dim, self))
+
+    def _images(self, matrix) -> tuple[Element, ...]:
+        """The columns of ``matrix`` as one-letter Elements: the images of the letters."""
+        return tuple(Element({(i,): row[j] for i, row in enumerate(matrix)}, alphabet=self)
+                     for j in range(self.dim))
 
     @property
     def dim(self) -> int:
@@ -263,40 +261,37 @@ class YDSpec:
 
     # -- action -------------------------------------------------------------
 
-    def action_matrix(self, g: GroupElement) -> Matrix:
-        """The matrix of g, generator powers taken by square-and-multiply."""
+    def action_matrix(self, g: GroupElement) -> tuple[Element, ...]:
+        """The images of the letters under g, the columns of its matrix:
+        generator powers composed by square-and-multiply from the generators'."""
         key = ("act", g)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        exps = g.exponents() if len(g.exponents()) == self.group.n_generators \
-            else None
-        if exps is None:
+        images = self._cache.get(key)
+        if images is not None:
+            return images
+        group = self.group
+        if len(g.exponents()) != group.n_generators:
             raise StructuralError("group element has the wrong number of exponents")
-        out = _identity_matrix(self.dim)
-        for k, e in enumerate(exps):
-            base = self.action[k] if e >= 0 else self._inverse_action[k]
+        images = self._cache[("act", group.identity())]
+        for k, e in enumerate(g.exponents()):
+            h = group.generator(k)
+            base = self._cache[("act", h if e >= 0 else group.inverse(h))]
             e = abs(e)
             while e:
                 if e & 1:
-                    out = _matmul(out, base)
+                    images = _compose(images, base)
                 e >>= 1
                 if e:
-                    base = _matmul(base, base)
-        self._cache[key] = out
-        return out
+                    base = _compose(base, base)
+        self._cache[key] = images
+        return images
 
     def act_letter(self, g: GroupElement, j: int) -> Element:
-        matrix = self.action_matrix(g)
-        return Element(
-            {(i,): matrix[i][j] for i in range(self.dim)}, alphabet=self)
+        return self.action_matrix(g)[j]
 
     def act_word(self, g: GroupElement, word: tuple[int, ...]) -> Element:
         """Diagonal action of a group-like on a tensor word, letterwise."""
-        out = Element.unit(self)
-        for letter in word:
-            out = out.tensor(self.act_letter(g, letter))
-        return out
+        images = self.action_matrix(g)
+        return reduce(Element.tensor, (images[letter] for letter in word), Element.unit(self))
 
     # -- derived structures --------------------------------------------------
 
@@ -304,14 +299,10 @@ class YDSpec:
         """sigma(v tensor w) = degree(v).w tensor v, extended bilinearly."""
         cached = self._cache.get("braiding")
         if cached is None:
-            entries = {}
-            for a in range(self.dim):
-                deg = self.degrees[a]
-                for b in range(self.dim):
-                    moved = self.act_letter(deg, b)
-                    entries[(a, b)] = Element(
-                        {(i, a): c for (i,), c in moved._terms.items()}, alphabet=self)
-            cached = BraidingTable(self.dim, entries, alphabet=self)
+            cached = BraidingTable(self.dim, {
+                (a, b): moved.relabel(lambda w: w + (a,))
+                for a in range(self.dim)
+                for b, moved in enumerate(self.action_matrix(self.degrees[a]))}, alphabet=self)
             self._cache["braiding"] = cached
         return cached
 
@@ -324,12 +315,8 @@ class YDSpec:
         dim = self.dim
         mult, names = adjoin_unit_letter(self.mult, dim, self.names)
         degrees = self.degrees + (self.group.identity(),)
-        action = tuple(
-            tuple(
-                tuple(list(row) + [Scalar.zero()]) for row in matrix
-            ) + ((Scalar.zero(),) * dim + (Scalar.one(),),)
-            for matrix in self.action
-        )
+        action = tuple(tuple(row + (0,) for row in matrix) + ((0,) * dim + (1,),)
+                       for matrix in self.action)
         return YDSpec(self.group, names, degrees, action, mult, dim)
 
 
@@ -341,16 +328,15 @@ def check_yetter_drinfeld(spec: YDSpec) -> CheckResult:
     ``h v_(-1) tensor h.v_(0) = (h.v)_(-1) h tensor (h.v)_(0)``.
     """
     group = spec.group
-    for k, matrix in enumerate(spec.action):
-        for l in range(k + 1, len(spec.action)):
-            if _matmul(matrix, spec.action[l]) != _matmul(spec.action[l], matrix):
+    generators = [spec.action_matrix(group.generator(k)) for k in range(group.n_generators)]
+    for k, a in enumerate(generators):
+        for l in range(k + 1, len(generators)):
+            if _compose(a, generators[l]) != _compose(generators[l], a):
                 return fail("action-matrices-commute", (f"g{k + 1}", f"g{l + 1}"))
-    for t, order in enumerate(group.torsion):
-        k = group.rank + t
-        power = _identity_matrix(spec.dim)
-        for _ in range(order):
-            power = _matmul(power, spec.action[k])
-        if power != _identity_matrix(spec.dim):
+    for k in range(group.rank, group.n_generators):  # g^(order - 1) g must act as 1
+        g = group.generator(k)
+        if _compose(spec.action_matrix(group.inverse(g)), generators[k]) \
+                != spec.action_matrix(group.identity()):
             return fail("torsion-order", f"g{k + 1}")
     for k in range(group.n_generators):
         h = group.generator(k)

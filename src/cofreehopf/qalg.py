@@ -9,16 +9,14 @@ the two heads through the multiplication.  A word times the empty word
 is that word, so a one-letter right factor costs no call on an empty
 tail, and a merge that the multiplication kills costs no tail product.
 
-The clause calls the word-pair memo directly from its own body, so each
-letter of the deeper factor costs about 3 units of the recursion limit
-(the memo's wrapper, the memoised function and the clause); one more
-frame per level, from a helper or a lambda passed to ``map_words``,
-stops one letter times a 300-letter word under the default limit.  The
-memo is a module-level ``lru_cache``, which keeps every spec it has
-seen alive.  A dict on the spec is slower per warm lookup, and without
-the wrapper's recursion-limit unit per letter, products of 460 letters
-and more would run on and take gigabytes; the memo moves once such
-products can run in isolation.
+The word-pair memo is one ``lru_cache`` per spec, made on first use and
+kept in ``spec._cache["qsh"]``, so it dies with its spec.  The clause
+calls it directly from its own body, so each letter of the deeper
+factor costs about 3 units of the recursion limit (the memo's wrapper,
+the memoised function and the clause); one more frame per level, from a
+helper or a lambda passed to ``map_words``, stops one letter times a
+300-letter word under the default limit.  Only the general-clause
+oracle below keeps a module-level memo, which perfbench clears.
 
 Each level needs the crossing B(u, b) = beta_{|u|,1}(u (x) b) of the right
 head b across the left word: B(u', b) feeds the merge move and B(u, b)
@@ -150,13 +148,21 @@ def adjoin_unit(spec: BraidedAlgebraSpec) -> BraidedAlgebraSpec:
     return BraidedAlgebraSpec(dim + 1, braiding, mult, unit, names, alphabet)
 
 
-@lru_cache(maxsize=None)
 def _qsh_words(spec: BraidedAlgebraSpec, u: tuple, v: tuple) -> Element:
     if not u:
         return Element.from_word(v, alphabet=spec.alphabet)
     if not v:
         return Element.from_word(u, alphabet=spec.alphabet)
-    return _qsh_general(spec, u, v, _qsh_words, _memo_crossings)
+    return _qsh_general(spec, u, v, spec._cache["qsh"], _memo_crossings)
+
+
+def _qsh_memo(spec: BraidedAlgebraSpec):
+    """The spec's word-pair memo ``memo(spec, u, v) = u qsh v``, an ``lru_cache``
+    over ``_qsh_words`` made on first use and kept in ``spec._cache["qsh"]``."""
+    memo = spec._cache.get("qsh")
+    if memo is None:
+        memo = spec._cache["qsh"] = lru_cache(maxsize=None)(_qsh_words)
+    return memo
 
 
 def _qsh_general(spec: BraidedAlgebraSpec, u: tuple, v: tuple, rec, crossings) -> Element:
@@ -222,7 +228,7 @@ def _qsh_words_general_only(spec: BraidedAlgebraSpec, u: tuple, v: tuple) -> Ele
 
 def quasi_shuffle(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
     """Bilinear quantum quasi-shuffle product on the tensor space."""
-    return x.bilinear(y, partial(_qsh_words, spec), cls=Element, alphabet=spec.alphabet)
+    return x.bilinear(y, partial(_qsh_memo(spec), spec), cls=Element, alphabet=spec.alphabet)
 
 
 def quasi_shuffle_general_clause(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
@@ -272,6 +278,7 @@ def check_quasi_shuffle_bialgebra(spec: BraidedAlgebraSpec,
     must equal multiplying the deconcatenations componentwise after
     braiding the two middle tensor legs across each other.
     """
+    qsh = _qsh_memo(spec)
     for u, v in nonempty(pairs):
         x = Element.from_word(u, alphabet=spec.alphabet)
         y = Element.from_word(v, alphabet=spec.alphabet)
@@ -285,8 +292,8 @@ def check_quasi_shuffle_bialgebra(spec: BraidedAlgebraSpec,
                     spec.braiding, len(u2), len(v1),
                     Element.from_word(u2 + v1, alphabet=spec.alphabet))
                 for word, c in crossed._terms.items():
-                    left = _qsh_words(spec, u1, word[:len(v1)])
-                    right = _qsh_words(spec, word[len(v1):], v2)
+                    left = qsh(spec, u1, word[:len(v1)])
+                    right = qsh(spec, word[len(v1):], v2)
                     for wl, cl in left._terms.items():
                         for wr, cr in right._terms.items():
                             accumulate(rhs, (wl, wr), c * cl * cr)

@@ -43,14 +43,13 @@ def _wrap(terms: dict[int, Rational]) -> Scalar:
     """A scalar around ``terms``, which must already be canonical."""
     res = Scalar.__new__(Scalar)
     res._terms = terms
-    res._hash = None
     return res
 
 
 class Scalar:
     """An exact Laurent polynomial in q."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Rational] | None = None):
         canon: dict[int, Rational] = {}
@@ -60,7 +59,6 @@ class Scalar:
                 if c:
                     canon[int(k)] = c
         self._terms = canon
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -120,9 +118,7 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
-        return self._hash
+        return hash(tuple(sorted(self._terms.items())))
 
     # -- arithmetic ---------------------------------------------------------
 

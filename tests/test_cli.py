@@ -46,6 +46,19 @@ g1.b = 1, 0
 g2 = 2, 1
 """
 
+# g1 has order 2 in the group, but acting by q its square is not the identity
+TORSION_ORDER = """
+[group]
+torsion = 2
+
+[basis]
+a = 1
+b = 0
+
+[action]
+g1 = q, 1
+"""
+
 
 @pytest.fixture()
 def run(capsys):
@@ -516,17 +529,22 @@ def test_bialgebra_counterexample_renders_pairs_of_words(run, clifford_config, m
     assert json.loads(out)["lhs"].startswith("1/2 1 (x) v1@xi22 + ")
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_non_commuting_actions_fail_check_yd_at_the_named_generators(run, tmp_path, fmt):
-    path = tmp_path / "noncommuting.cfg"
-    path.write_text(NONCOMMUTING, encoding="utf-8")
+@pytest.mark.parametrize("config, fmt, law, witness", [
+    (NONCOMMUTING, "text", "action-matrices-commute", "('g1', 'g2')"),
+    (NONCOMMUTING, "json", "action-matrices-commute", "('g1', 'g2')"),
+    (TORSION_ORDER, "text", "torsion-order", "'g1'"),
+    (TORSION_ORDER, "json", "torsion-order", "'g1'"),
+], ids=["text", "json", "torsion-text", "torsion-json"])
+def test_non_commuting_actions_fail_check_yd_at_the_named_generators(run, tmp_path, config, fmt,
+                                                                     law, witness):
+    path = tmp_path / "yd.cfg"
+    path.write_text(config, encoding="utf-8")
     code, out, err = run("--config", str(path), "--format", fmt, "check", "yd")
     assert (code, err) == (1, "")
     if fmt == "text":
-        assert out == "FAIL action-matrices-commute; at ('g1', 'g2')\n"
+        assert out == f"FAIL {law}; at {witness}\n"
     else:  # no lhs/rhs: the check evaluated no sides
-        assert json.loads(out) == {"law": "action-matrices-commute", "ok": False,
-                                   "witness": "('g1', 'g2')"}
+        assert json.loads(out) == {"law": law, "ok": False, "witness": witness}
 
 
 def test_render_any_chooses_the_text_by_type(clifford2):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -33,6 +35,8 @@ from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec, diagonal_matrix
 from cofreehopf.qalg import quasi_shuffle
 from cofreehopf.scalars import Scalar
+
+from conftest import hoffman_spec
 
 
 def _keys_up_to(preset, max_degree, tags=None):
@@ -692,3 +696,27 @@ def test_projection_memo_belongs_to_its_spec():
             y = CotensorElement.from_word(spec, right_translate(
                 spec, chain_lift_word(spec, v), spec.group.generator(0)))
             assert star(x, y) == from_smash(smash_product(to_smash(x), to_smash(y)))
+
+
+def test_from_word_names_the_broken_chain_word_through_the_spec(clifford2):
+    spec = clifford2.spec
+    e = spec.group.identity()
+    with pytest.raises(StructuralError) as info:
+        CotensorElement.from_word(spec, ((0, e), (1, e)))
+    assert str(info.value) == "chain condition fails at cut 1 of v1.K{0}[]v2.K{0}"
+
+
+def test_a_spec_is_freed_with_its_memos():
+    # hand-built specs: the presets are cached on purpose
+    bspec = hoffman_spec(3)
+    word = Element.from_word((0, 1), alphabet=bspec.alphabet)
+    quasi_shuffle(bspec, word, word)
+    spec = _two_letter_spec(1, -1, {})
+    x = SmashElement.of(spec, (0, 1), spec.group.generator(0))
+    smash_product(x, x)
+    y = CotensorElement.from_word(spec, chain_lift_word(spec, (0, 1)))
+    star(y, y)
+    refs = [weakref.ref(bspec), weakref.ref(spec)]
+    del bspec, spec, x, y
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

@@ -192,6 +192,33 @@ def test_negative_exponent_action_goes_through_matrix_inverse():
         assert image == Element({(0,): Scalar.rational(e), (1,): one}, spec)
 
 
+def test_composed_actions_match_their_closed_forms():
+    q = Scalar.q_power(1)
+    shear = ((1, 1), (0, 1))  # A: x -> x, y -> x + y
+    exponents = range(-3, 4)
+    # rank 2 by A and qA: K{n,m} sends x to q^m x and y to q^m ((n + m) x + y)
+    group = AbelianGroup(rank=2)
+    spec = YDSpec(group, ("x", "y"), (group.identity(),) * 2, (shear, ((q, q), (0, q))))
+    for n, m in itertools.product(exponents, repeat=2):
+        g, c = group.element([n, m]), Scalar.q_power(m)
+        assert spec.act_letter(g, 0) == Element({(0,): c}, spec)
+        assert spec.act_letter(g, 1) == Element({(0,): c * Scalar.rational(n + m), (1,): c}, spec)
+    # torsion 3 by the cyclic permutation: K{e} sends letter j to letter j + e
+    group = AbelianGroup(rank=0, torsion=(3,))
+    cycle = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    spec = YDSpec(group, ("a", "b", "c"), (group.identity(),) * 3, (cycle,))
+    for e in exponents:
+        for j in range(3):
+            assert spec.act_letter(group.element([e]), j) == Element({((j + e) % 3,): 1}, spec)
+    # rank 1 by A plus torsion 2 by -I: K{n,t} sends x to (-1)^t x and y to (-1)^t (n x + y)
+    group = AbelianGroup(rank=1, torsion=(2,))
+    spec = YDSpec(group, ("x", "y"), (group.identity(),) * 2, (shear, ((-1, 0), (0, -1))))
+    for n, t in itertools.product(exponents, repeat=2):
+        g, sign = group.element([n, t]), -1 if t % 2 else 1
+        assert spec.act_letter(g, 0) == Element({(0,): sign}, spec)
+        assert spec.act_letter(g, 1) == Element({(0,): sign * n, (1,): sign}, spec)
+
+
 @pytest.mark.parametrize("entries", [(0, 1), (1, Scalar.one() + Scalar.q_power(1))])
 def test_action_without_laurent_inverse_is_rejected(entries):
     g = AbelianGroup(rank=2)

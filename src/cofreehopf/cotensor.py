@@ -27,13 +27,14 @@ keys, in one table filled row by row:
               + T(i-1, j-1) . pi1(last a_i, last b_j)
 
 The product of the two keys is T(n, m); two group elements multiply in
-the group.  pi1 of each pair the table reads is memoised on the spec
-(``spec._cache["pi1"]``) as triples (letter, coefficient or None for 1,
-need), need = degree(v) * g being the component the letter (v, g)
-requires just before it.  The chain condition is guarded there too:
-before a letter is appended to a cell, need is compared with the last
-components of the cell's words, so each cut of each word built is
-checked once, and a product that leaves the chain words raises.
+the group.  Products are not memoised, but pi1 of each pair the table
+reads is, on the spec (``spec._cache["pi1"]``), as triples (letter,
+coefficient or None for 1, need), need = degree(v) * g being the
+component the letter (v, g) requires just before it.  The chain
+condition is guarded there too: before a letter is appended to a cell,
+need is compared with the last components of the cell's words, so each
+cut of each word built is checked once, and a product that leaves the
+chain words raises.
 
 The coinvariant side: the projection onto right coinvariants is the
 convolution of the identity with the composite
@@ -41,7 +42,9 @@ inclusion-antipode-projection; chain words with trailing group element 1
 form the coinvariant basis, and flattening them to plain tensor words is
 inverse to the chain lift that reinstates the group components.  The
 smash product on tensor words with a group tag gives the second,
-independent route to the same algebra.
+independent route to the same algebra.  On basis keys the isomorphism is
+a relabel, since a chain word is fixed by its letters and its right
+degree: g_k = degree(v_{k+1} ... v_n) * g_n.
 """
 
 from __future__ import annotations
@@ -190,16 +193,9 @@ def _module_projection(spec: YDSpec, a: Key, b: Key) -> dict[tuple[int, GroupEle
 
 
 def _star_key(spec: YDSpec, kx: Key, ky: Key) -> CotensorElement:
-    memo = spec._cache.setdefault("star", {})
-    result = memo.get((kx, ky))
-    if result is not None:
-        return result
     if key_degree(kx) + key_degree(ky) == 0:
-        result = CotensorElement(spec, {spec.group.multiply(kx, ky): Scalar.one()})
-    else:
-        result = CotensorElement._wrap(_prefix_table(spec, kx, ky), spec)
-    memo[(kx, ky)] = result
-    return result
+        return CotensorElement(spec, {spec.group.multiply(kx, ky): Scalar.one()})
+    return CotensorElement._wrap(_prefix_table(spec, kx, ky), spec)
 
 
 def _projection_entry(spec: YDSpec, a: Key, b: Key) -> tuple:
@@ -288,7 +284,7 @@ def flatten_coinvariant(x: CotensorElement) -> Element:
     """Strip the group components off a right-coinvariant element."""
     if not is_coinvariant(x):
         raise StructuralError("element is not right-coinvariant")
-    return x.rekey(lambda key: (_letters(key),), cls=Element)
+    return x.relabel(_letters, cls=Element)
 
 
 def _letters(key: Key) -> tuple[int, ...]:
@@ -310,8 +306,7 @@ def chain_lift_word(spec: YDSpec, word: tuple[int, ...]) -> Key:
 
 def chain_lift(spec: YDSpec, x: Element) -> CotensorElement:
     """The coinvariant embedding of the tensor space over the letters."""
-    return x.rekey(lambda word: (chain_lift_word(spec, word),),
-                   cls=CotensorElement, alphabet=spec)
+    return x.relabel(partial(chain_lift_word, spec), cls=CotensorElement, alphabet=spec)
 
 
 def coinvariant_coproduct(x: CotensorElement) -> Element:
@@ -372,19 +367,18 @@ def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
 
 
 def to_smash(x: CotensorElement) -> SmashElement:
-    """Split off the group tag through the coproduct and the projection."""
-    spec = x.spec
-    return x.rekey(lambda key: [(_letters(_project_key(spec, k1)), k2)
-                                for k1, k2 in coproduct_pairs(spec, key)
-                                if key_degree(k2) == 0], cls=SmashElement)
+    """Each basis key to (letters, right degree): the closed form of the sum
+    of P(x1) # pi(x2) over the coproduct, P the coinvariant projection and
+    pi the projection onto the group algebra."""
+    return x.relabel(lambda key: (_letters(key), right_degree(x.spec, key)), cls=SmashElement)
 
 
 def from_smash(s: SmashElement) -> CotensorElement:
-    """Chain-lift the word leg and multiply the group tag back in: in closed
-    form, as the right translation, so this route shares no code with star."""
+    """Chain-lift the word leg and right-translate it by the group tag, the
+    inverse of ``to_smash``; this route shares no code with star."""
     spec = s.spec
-    return s.rekey(lambda key: (right_translate(spec, chain_lift_word(spec, key[0]), key[1]),),
-                   cls=CotensorElement)
+    return s.relabel(lambda key: right_translate(spec, chain_lift_word(spec, key[0]), key[1]),
+                     cls=CotensorElement)
 
 
 # -- rendering ------------------------------------------------------------------

@@ -4,7 +4,7 @@ Grammar (ASCII minus and the minus-sign character are interchangeable):
 
     element   := [sign] term (sign term)*
     term      := scalar ['*'] [word] | word
-    word      := mletter (('@' | '[]') mletter)*
+    word      := mletter (('@' | '[]') mletter)* ['#' groupatom] | '1' '#' groupatom
     mletter   := LETTER ['.' group] | groupatom
     group     := groupatom | NAME
     groupatom := 'K{' [int (',' int)*] '}'
@@ -17,6 +17,10 @@ Grammar (ASCII minus and the minus-sign character are interchangeable):
 A config list is ``item (',' item)*`` (empty text: no items), each item
 ``['-'] INT`` or ``['-'] scalar``.  INT digits are decimal digits, so a
 superscript such as ``²`` is an unexpected character.
+
+A ``#`` tag, as the smash renderer prints it (the empty word as ``1``),
+reads as a trailing group atom: ``v1@v2#K{1}`` and ``1#K{2}`` parse as
+``v1@v2@K{1}`` and ``K{2}``.
 
 The identifier ``q`` is reserved for the scalar parameter.  Parsing is
 purely syntactic: letters stay names and group atoms stay raw exponent
@@ -40,7 +44,7 @@ class Token(NamedTuple):
     column: int
 
 
-_SYMBOLS = "+-*@.(){},/^"
+_SYMBOLS = "+-*@.(){},/^#"
 
 
 def tokenize(text: str, line: int | None = None) -> list[Token]:
@@ -209,9 +213,15 @@ class _Parser:
             and self.tokens[self.pos + 1].kind == "SYM" \
             and self.tokens[self.pos + 1].text == "{"
 
+    def at_tagged_empty_word(self) -> bool:
+        tok = self.peek()
+        return tok.kind == "INT" and tok.text == "1" \
+            and self.tokens[self.pos + 1].kind == "SYM" \
+            and self.tokens[self.pos + 1].text == "#"
+
     def at_word_start(self) -> bool:
         tok = self.peek()
-        if self.at_groupatom():
+        if self.at_groupatom() or self.at_tagged_empty_word():
             return True
         return tok.kind == "IDENT" and tok.text != "q"
 
@@ -230,10 +240,17 @@ class _Parser:
         return ("L", tok.text, None)
 
     def parse_word(self) -> tuple[Letter, ...]:
-        letters = [self.parse_mletter()]
-        while self.at_sym("@") or self.at_sym("[]"):
+        if self.at_tagged_empty_word():
             self.next()
-            letters.append(self.parse_mletter())
+            letters = []
+        else:
+            letters = [self.parse_mletter()]
+            while self.at_sym("@") or self.at_sym("[]"):
+                self.next()
+                letters.append(self.parse_mletter())
+        if self.at_sym("#"):  # always so after the empty word
+            self.next()
+            letters.append(("G", self.parse_groupatom()))
         return tuple(letters)
 
     # -- element layer ---------------------------------------------------------

@@ -324,6 +324,17 @@ def test_binders_sum_repeated_terms(clifford2):
     assert out == CotensorElement.from_word(spec, chain_lift_word(spec, (0,)), 2)
 
 
+def test_plain_and_cotensor_binders_reject_a_smash_tag(clifford2):
+    for text in ("v1#K{1}", "1#K{1}"):
+        with pytest.raises(ConfigError, match=f"^{PLAIN_ONLY}"):
+            bind_plain_element(clifford2.spec, parse_element_text(text))
+    for text, message in (("v1@v2#K{1}", "cannot mix letters and group atoms in one word"),
+                          ("K{1}#K{1}", "group elements cannot be tensored here")):
+        with pytest.raises(ConfigError) as info:
+            bind_cotensor_element(clifford2.spec, parse_element_text(text), 7)
+        assert str(info.value) == message + " (line 7)"
+
+
 GROUP_ONE_LETTER = "[group]\n{group}\n\n[basis]\na = 1\n\n[action]\ng1 = -1\n"
 
 

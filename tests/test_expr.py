@@ -133,3 +133,23 @@ def test_malformed_scalar_lists_report_a_column(text, message):
     with pytest.raises(ConfigError) as info:
         parse_scalar_list(text, line=2)
     assert str(info.value) == message
+
+
+def test_a_smash_tag_reads_as_a_trailing_group_atom():
+    for tagged, atom in (("v1@v2#K{1}", "v1@v2@K{1}"), ("1#K{2}", "K{2}"),
+                         ("2 1#K{2}", "2 K{2}"), ("1#K{}", "K{}"),
+                         ("q^-1*v1#K{1,-1} − 1/2 1#K{0}", "q^-1*v1@K{1,-1} − 1/2 K{0}")):
+        assert parse_element_text(tagged) == parse_element_text(atom), tagged
+
+
+@pytest.mark.parametrize("text,message", [
+    ("2#K{2}", "expected 'END', found '#' (column 2)"),
+    ("v1#", "expected 'K', found 'end of input' (column 4)"),
+    ("v1#K{1}@v2", "expected 'END', found '@' (column 8)"),
+    ("v1#K{1}#K{1}", "expected 'END', found '#' (column 8)"),
+    ("1#v1", "expected 'K', found 'v1' (column 3)"),
+])
+def test_a_smash_tag_ends_its_term(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_element_text(text)
+    assert str(info.value) == message

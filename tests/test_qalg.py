@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -269,6 +270,49 @@ def test_grading_conservation(uqg_a2):
                                 Element.from_word(v, alphabet=spec))
             for word in out.support():
                 assert word_degree(word) == total
+
+
+def _compositions(n: int):
+    """The compositions of n as tuples of block lengths; () for n = 0."""
+    if n == 0:
+        yield ()
+    for k in range(n):
+        for cuts in itertools.combinations(range(1, n), k):
+            bounds = (0, *cuts, n)
+            yield tuple(end - start for start, end in zip(bounds, bounds[1:]))
+
+
+def _hoffman_exp(spec: BraidedAlgebraSpec, word: tuple) -> Element:
+    """exp(w) = sum over compositions I of |w| of I[w] / I!, where I[w]
+    multiplies the letters of each block of w together (Hoffman, 2000)."""
+    out = Element.zero(spec.alphabet)
+    for blocks in _compositions(len(word)):
+        term, start = Element.from_word((), alphabet=spec.alphabet), 0
+        for size in blocks:
+            merged = Element.from_word(word[start:start + 1], alphabet=spec.alphabet)
+            for b in word[start + 1:start + size]:
+                merged = merged.map_words(lambda w, b=b: spec.mult_entry(w[0], b))
+            term, start = term.tensor(merged), start + size
+        weight = Fraction(1, math.prod(map(math.factorial, blocks)))
+        out = out + term.scale(Scalar.rational(weight))
+    return out
+
+
+def test_hoffman_exponential_takes_the_shuffle_to_the_quasi_shuffle(hoffman4):
+    """exp(u sh v) = exp(u) * exp(v): sh is the quasi-shuffle under the flip
+    braiding with zero multiplication, * the quasi-shuffle of hoffman4."""
+    shuffle = _zero_mult_spec(4, hoffman4.alphabet)
+    words = [w for n in range(5) for w in itertools.product(range(4), repeat=n)]
+    exp = {w: _hoffman_exp(hoffman4, w) for w in words}
+    pairs = [(u, v) for u in words for v in words if len(u) + len(v) <= 4]
+    for u, v in pairs:
+        shuffled = quasi_shuffle(shuffle, _word(shuffle, *u), _word(shuffle, *v))
+        lhs = shuffled.map_words(exp.__getitem__)
+        assert lhs == quasi_shuffle(hoffman4, exp[u], exp[v]), (u, v)
+    assert len(pairs) == 1593
+    half, sixth = Fraction(1, 2), Fraction(1, 6)
+    assert exp[(0, 0, 1)] == _word(hoffman4, 0, 0, 1) + _word(hoffman4, 1, 1, coeff=half) \
+        + _word(hoffman4, 0, 2, coeff=half) + _word(hoffman4, 3, coeff=sixth)
 
 
 def test_bialgebra_compatibility_small(clifford2, hoffman4):

@@ -1,12 +1,12 @@
 """Property test: what the command line prints reads back as input.
 
-The text the command line prints for a tensor or a cotensor element
-parses (``parse_element_text``) and binds (``bind_plain_element``,
-``bind_cotensor_element``) to the element it was printed from.  The
-elements have several terms, among them the empty word and degree-0
-keys, with q-power, multi-term Laurent and fractional coefficients.  The
-specs are those of ``diagonal_yd_specs``, and the same data over a group
-of rank 0 or with one torsion generator.
+The text the command line prints for a tensor, a cotensor or a smash
+element parses (``parse_element_text``) and binds (``bind_plain_element``,
+``bind_cotensor_element``, ``bind_smash_element``) to the element it was
+printed from.  The elements have several terms, among them the empty
+word and degree-0 keys, with q-power, multi-term Laurent and fractional
+coefficients.  The specs are those of ``diagonal_yd_specs``, and the same
+data over a group of rank 0 or with one torsion generator.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cofreehopf.cli import _render_any
-from cofreehopf.config import bind_cotensor_element, bind_plain_element
-from cofreehopf.cotensor import CotensorElement, chain_lift_word, right_translate
+from cofreehopf.config import bind_cotensor_element, bind_plain_element, bind_smash_element
+from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, right_translate
 from cofreehopf.elements import Element
 from cofreehopf.expr import parse_element_text
 from cofreehopf.grouphopf import AbelianGroup, YDSpec, diagonal_matrix
@@ -78,6 +78,21 @@ def _cotensor_elements(draw, spec):
     return out
 
 
+def _tags(spec):
+    return st.lists(st.integers(-2, 2), min_size=spec.group.n_generators,
+                    max_size=spec.group.n_generators).map(spec.group.element)
+
+
+@st.composite
+def _smash_elements(draw, spec):
+    """Words of length 0-3, each with a group tag (``1#K{...}`` for the empty word)."""
+    out = SmashElement.zero(spec)
+    for word in draw(st.lists(st.lists(st.integers(0, spec.dim - 1), max_size=3).map(tuple),
+                              min_size=1, max_size=4)):
+        out = out + SmashElement(spec, {(word, draw(_tags(spec))): draw(_coefficients)})
+    return out
+
+
 @READ_BACK
 @given(st.data())
 def test_printed_tensor_element_reads_back(data):
@@ -94,3 +109,28 @@ def test_printed_cotensor_element_reads_back(data):
     x = data.draw(_cotensor_elements(spec))
     text = _render_any(spec)(x)
     assert bind_cotensor_element(spec, parse_element_text(text)) == x, text
+
+
+@READ_BACK
+@given(st.data())
+def test_printed_smash_element_reads_back(data):
+    spec = data.draw(_specs())
+    x = data.draw(_smash_elements(spec))
+    text = _render_any(spec)(x)
+    assert bind_smash_element(spec, parse_element_text(text)) == x, text
+
+
+def test_smash_text_covers_the_empty_word_rank_0_and_torsion():
+    rank0 = YDSpec(AbelianGroup(0), ("v0",), (AbelianGroup(0).identity(),), (), mult={})
+    torsion = AbelianGroup(1, (2,))
+    signs = YDSpec(torsion, ("v0", "v1"), (torsion.element([1, 1]), torsion.element([0, 1])),
+                   (diagonal_matrix([Scalar.q_power(1), Scalar.q_power(-1)]),
+                    diagonal_matrix([Scalar.rational(-1), Scalar.rational(1)])), mult={})
+    for spec, keys, expected in (
+            (rank0, [((), ()), ((0, 0), ())], "q 1#K{} + q v0@v0#K{}"),
+            (signs, [((), (1, 1)), ((1, 0), (-2, 1))], "q 1#K{1,1} + q v1@v0#K{-2,1}")):
+        x = SmashElement(spec, {(word, spec.group.element(g)): Scalar.q_power(1)
+                                for word, g in keys})
+        text = _render_any(spec)(x)
+        assert text == expected
+        assert bind_smash_element(spec, parse_element_text(text)) == x, text

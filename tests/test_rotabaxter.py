@@ -3,8 +3,10 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word
+from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, right_translate
 from cofreehopf.elements import Element
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import braided_spec
@@ -25,6 +27,7 @@ from cofreehopf.rotabaxter import (
     unit_prepend,
 )
 from cofreehopf.scalars import Scalar
+from test_qsh_properties import diagonal_yd_specs
 
 
 @pytest.fixture(scope="module")
@@ -230,3 +233,49 @@ def test_star_instance_is_rota_baxter(unital_yd):
     ]
     pairs = [(a, b) for a in elems for b in elems]
     assert check_rota_baxter(inst, pairs)
+
+
+# -- derandomized properties over diagonal Yetter-Drinfeld data ------------------
+
+BOUNDED = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+
+def _degrees(data, total):
+    """Two degree bounds summing to at most ``total``."""
+    first = data.draw(st.integers(0, total))
+    return first, data.draw(st.integers(0, total - first))
+
+
+def _multi_term(data, max_length, dim, term):
+    """The sum of one to three terms ``term(word, coeff)``, the unit letter
+    among the letters, words of length at most ``max_length``."""
+    words = data.draw(st.lists(st.lists(st.integers(0, dim - 1), max_size=max_length).map(tuple),
+                               min_size=1, max_size=3))
+    coeffs = st.builds(Scalar.q_power, st.integers(-2, 2), st.sampled_from((1, -1, 2)))
+    terms = [term(word, data.draw(coeffs)) for word in words]
+    return sum(terms[1:], terms[0])
+
+
+@BOUNDED
+@given(st.data())
+def test_quasi_shuffle_instance_is_rota_baxter_on_diagonal_data(data):
+    uspec = adjoin_unit(braided_spec(data.draw(diagonal_yd_specs())))
+    x, y = (_multi_term(data, n, uspec.dim,
+                        lambda word, c: Element.from_word(word, c, uspec.alphabet))
+            for n in _degrees(data, 4))
+    assert check_rota_baxter(qsh_rb_instance(uspec), [(x, y)])
+
+
+@BOUNDED
+@given(st.data())
+def test_star_instance_is_rota_baxter_on_diagonal_data(data):
+    spec = data.draw(diagonal_yd_specs()).with_unit()
+    tags = st.lists(st.integers(-1, 1), min_size=spec.group.n_generators,
+                    max_size=spec.group.n_generators).map(spec.group.element)
+
+    def term(word, c):
+        key = right_translate(spec, chain_lift_word(spec, word), data.draw(tags))
+        return CotensorElement(spec, {key: c})
+
+    x, y = (_multi_term(data, n, spec.dim, term) for n in _degrees(data, 3))
+    assert check_rota_baxter(star_rb_instance(spec), [(x, y)])

@@ -176,7 +176,7 @@ COMMANDS = {
 
 
 def _words_up_to(spec: BraidedAlgebraSpec, total: int):
-    return chain.from_iterable(spec.basis_words(length) for length in range(total + 1))
+    return chain.from_iterable(spec.braiding.basis_words(length) for length in range(total + 1))
 
 
 def _pairs_up_to(spec: BraidedAlgebraSpec, total: int):

@@ -70,7 +70,7 @@ class ConfigDocument:
 
 def _override(spec: YDSpec, table: BraidingTable) -> BraidedAlgebraSpec:
     """The letters and products of ``spec`` under the braiding ``table``."""
-    return BraidedAlgebraSpec(spec.dim, table, spec.mult or {}, names=spec.names,
+    return BraidedAlgebraSpec(spec.dim, table, spec.mult, names=spec.names,
                               alphabet=spec)
 
 
@@ -187,8 +187,7 @@ def parse_config(text: str) -> ConfigDocument:
     if "braiding" in sections:
         braiding = _parse_rules(sections["braiding"], index, 2, "braiding")
     # structural validation happens on construction
-    spec = YDSpec(group, tuple(names), tuple(degrees), tuple(action),
-                  {pair: value for pair, value in mult.items() if value})
+    spec = YDSpec(group, tuple(names), tuple(degrees), tuple(action), mult)
     override = None
     if braiding is not None:
         try:  # the entries were parsed before the spec existed: tag them with it
@@ -277,7 +276,7 @@ def emit_config(doc: ConfigDocument) -> str:
                 for j, name in enumerate(spec.names):
                     lines.append(f"g{k + 1}.{name} = " + ", ".join(
                         _signed_atom(matrix[i][j]) for i in range(dim)))
-    mult = {pair: value for pair, value in (spec.mult or {}).items() if value}
+    mult = {pair: value for pair, value in spec.mult.items() if value}
     if mult:
         lines += ["", "[mult]"]
         lines += [_rule_line(spec, pair, mult[pair]) for pair in sorted(mult)]

@@ -213,8 +213,11 @@ class Element:
 
     def relabel(self, key_of: Callable[[object], object], *, cls=None, alphabet=None):
         """Linear extension of a one-to-one rule from keys to keys: nothing
-        merges, so nothing is accumulated."""
+        merges, so nothing is accumulated.  Raises ``StructuralError`` when
+        the rule sends two keys of ``self`` to one key."""
         out = {key_of(key): c for key, c in self._terms.items()}
+        if len(out) < len(self._terms):
+            raise StructuralError("relabel merged two keys: the rule is not one-to-one")
         return (cls or type(self))._wrap(out, self.alphabet if alphabet is None else alphabet)
 
 
@@ -257,9 +260,12 @@ def apply_local(table: Mapping, pos: int, x: Element) -> Element:
 
 
 def letter_table(entries: Mapping, dim: int, alphabet) -> dict:
-    """A copy of ``entries`` over ``alphabet``; each key must be a pair of
-    letters 0..dim-1 and each value a combination of such letters."""
-    table = {}
+    """The total multiplication table on letters 0..dim-1 over ``alphabet``:
+    ``entries`` copied, zero at every pair it does not give.  Each key of
+    ``entries`` must be a pair of letters and each value a combination of
+    letters; no entries at all is the zero multiplication."""
+    zero = Element.zero(alphabet)
+    table = {(a, b): zero for a in range(dim) for b in range(dim)}
     for pair, value in entries.items():
         if not (isinstance(pair, tuple) and len(pair) == 2
                 and all(isinstance(l, int) and 0 <= l < dim for l in pair)):

@@ -199,14 +199,16 @@ class YDSpec:
 
     ``degrees[j]`` is the coaction degree of letter j; ``action[k]`` is
     the matrix of the k-th group generator, column j holding the image
-    of letter j.  ``mult`` optionally carries structure constants making
-    the module an algebra in the category (values are Elements over
-    one-letter words; missing pairs mean zero).  ``unit`` optionally
-    names a two-sided unit letter.  A spec is immutable: ``mult`` is
-    given whole at construction, checked and copied over the spec, and
-    ``_cache`` memoises what is derived from it, starting with the
-    letter images of the identity, of each generator and of each free
-    generator's inverse.
+    of letter j.  ``mult`` carries structure constants making the module
+    an algebra in the category (values are Elements over one-letter
+    words); the spec stores the total table that ``letter_table`` builds
+    from it, zero at every missing pair, so leaving ``mult`` out gives the
+    zero multiplication, whose ``star`` is Rosso's quantum shuffle
+    product.  ``unit`` optionally names a two-sided unit letter.  A spec
+    is immutable: ``mult`` is given whole at construction, checked and
+    copied over the spec, and ``_cache`` memoises what is derived from
+    it, starting with the letter images of the identity, of each
+    generator and of each free generator's inverse.
     """
 
     group: AbelianGroup
@@ -236,8 +238,7 @@ class YDSpec:
             self._cache[("act", g)] = self._images(matrix)
             if k < group.rank:  # a torsion generator's powers are never negative
                 self._cache[("act", group.inverse(g))] = self._images(inverse)
-        if self.mult is not None:
-            object.__setattr__(self, "mult", letter_table(self.mult, dim, self))
+        object.__setattr__(self, "mult", letter_table(self.mult or {}, dim, self))
 
     def _images(self, matrix) -> tuple[Element, ...]:
         """The columns of ``matrix`` as one-letter Elements: the images of the letters."""
@@ -255,9 +256,7 @@ class YDSpec:
             raise StructuralError(f"unknown letter {name!r}") from None
 
     def mult_entry(self, a: int, b: int) -> Element:
-        if self.mult is None:
-            raise StructuralError("spec declares no multiplication")
-        return self.mult.get((a, b), Element.zero(self))
+        return self.mult[(a, b)]
 
     # -- action -------------------------------------------------------------
 
@@ -310,8 +309,6 @@ class YDSpec:
         """Adjoin a unit letter with neutral degree and trivial action."""
         if self.unit is not None:
             raise StructuralError("spec already has a unit letter")
-        if self.mult is None:
-            raise StructuralError("cannot adjoin a unit without a multiplication")
         dim = self.dim
         mult, names = adjoin_unit_letter(self.mult, dim, self.names)
         degrees = self.degrees + (self.group.identity(),)
@@ -357,8 +354,6 @@ def check_yd_module_algebra(spec: YDSpec) -> CheckResult:
     equivariance (module morphism), and the braided-algebra axioms for
     the induced braiding; the unit clauses apply when a unit is declared.
     """
-    if spec.mult is None:
-        raise StructuralError("spec declares no multiplication")
     group = spec.group
     for a in range(spec.dim):
         for b in range(spec.dim):
@@ -388,8 +383,6 @@ def braided_spec(spec: YDSpec):
     """The braided algebra on the letters of a YD module algebra."""
     cached = spec._cache.get("braided_spec")
     if cached is None:
-        if spec.mult is None:
-            raise StructuralError("spec declares no multiplication")
         cached = BraidedAlgebraSpec(spec.dim, spec.induced_braiding(), spec.mult,
                                     spec.unit, spec.names, spec)
         spec._cache["braided_spec"] = cached

@@ -52,10 +52,10 @@ from .scalars import Scalar
 class BraidedAlgebraSpec:
     """Structure constants of a finite-dimensional braided algebra.
 
-    ``mult`` maps letter pairs to combinations of letters; missing pairs
-    are stored explicitly as zero during construction, so the table is
-    total.  ``unit``, when present, is a two-sided unit letter that the
-    braiding flips trivially.  ``alphabet`` tags the words (the spec
+    ``mult`` maps letter pairs to combinations of letters; a spec stores
+    the total table that ``letter_table`` builds from it, zero at every
+    missing pair.  ``unit``, when present, is a two-sided unit letter that
+    the braiding flips trivially.  ``alphabet`` tags the words (the spec
     itself when not given).  A spec is immutable: ``mult`` is given whole
     at construction, checked and copied over ``alphabet``.
     """
@@ -73,22 +73,10 @@ class BraidedAlgebraSpec:
             raise StructuralError("braiding dimension does not match the basis size")
         if self.alphabet is None:
             object.__setattr__(self, "alphabet", self)
-        given = letter_table(self.mult, self.dim, self.alphabet)
-        zero = Element.zero(self.alphabet)
-        object.__setattr__(self, "mult", {
-            (a, b): given.get((a, b), zero) for a in range(self.dim) for b in range(self.dim)})
+        object.__setattr__(self, "mult", letter_table(self.mult, self.dim, self.alphabet))
 
     def mult_entry(self, a: int, b: int) -> Element:
         return self.mult[(a, b)]
-
-    def word(self, *letters: int, coeff=1) -> Element:
-        return Element.from_word(tuple(letters), coeff, self.alphabet)
-
-    def basis_words(self, length: int):
-        yield from self.braiding.basis_words(length)
-
-    def sigma(self, x: Element, pos: int = 1) -> Element:
-        return self.braiding.apply(x, pos)
 
 
 def check_braided_algebra(spec: BraidedAlgebraSpec) -> CheckResult:
@@ -96,7 +84,7 @@ def check_braided_algebra(spec: BraidedAlgebraSpec) -> CheckResult:
     (when a unit is declared) the unit laws, on all basis words."""
     m = spec.mult
     sig = spec.braiding.entries
-    for word in spec.basis_words(3):
+    for word in spec.braiding.basis_words(3):
         x = Element.from_word(word, alphabet=spec.alphabet)
         left = apply_local(m, 1, apply_local(m, 1, x))
         right = apply_local(m, 1, apply_local(m, 2, x))
@@ -112,15 +100,16 @@ def check_braided_algebra(spec: BraidedAlgebraSpec) -> CheckResult:
             return fail("braided-compatibility-right", word, lhs, rhs)
     if spec.unit is not None:
         u = spec.unit
+        word_of = partial(Element.from_word, alphabet=spec.alphabet)
         for a in range(spec.dim):
-            letter = spec.word(a)
-            if apply_local(m, 1, spec.word(u, a)) != letter:
+            letter = word_of((a,))
+            if apply_local(m, 1, word_of((u, a))) != letter:
                 return fail("left-unit", (u, a))
-            if apply_local(m, 1, spec.word(a, u)) != letter:
+            if apply_local(m, 1, word_of((a, u))) != letter:
                 return fail("right-unit", (a, u))
-            if apply_local(sig, 1, spec.word(a, u)) != spec.word(u, a):
+            if apply_local(sig, 1, word_of((a, u))) != word_of((u, a)):
                 return fail("unit-braiding", (a, u))
-            if apply_local(sig, 1, spec.word(u, a)) != spec.word(a, u):
+            if apply_local(sig, 1, word_of((u, a))) != word_of((a, u)):
                 return fail("unit-braiding", (u, a))
     return PASS
 
@@ -195,7 +184,7 @@ def crossing(spec: BraidedAlgebraSpec, u: tuple, b: int) -> Element:
         k += 1
     out = memo[(u[k:], b)] if k < len(u) else Element.from_word((b,), alphabet=spec.alphabet)
     for i in range(k - 1, -1, -1):
-        out = spec.sigma(_prepend(u[i], out))
+        out = spec.braiding.apply(_prepend(u[i], out))
         memo[(u[i:], b)] = out
     return out
 
@@ -209,7 +198,7 @@ def _swept_crossings(spec: BraidedAlgebraSpec, u: tuple, b: int) -> tuple[Elemen
     """(B(u', b), B(u, b)) for the oracle: one block sweep, then sigma_1."""
     shifted = block_braiding(
         spec.braiding, len(u) - 1, 1, Element.from_word(u[1:] + (b,), alphabet=spec.alphabet))
-    return shifted, spec.sigma(_prepend(u[0], shifted))
+    return shifted, spec.braiding.apply(_prepend(u[0], shifted))
 
 
 def _prepend(letter: int, x: Element) -> Element:

@@ -37,6 +37,7 @@ from cofreehopf.qalg import quasi_shuffle
 from cofreehopf.scalars import Scalar
 
 from conftest import hoffman_spec
+from test_qalg import _gaussian_binomial
 
 
 def _keys_up_to(preset, max_degree, tags=None):
@@ -272,6 +273,23 @@ def test_star_bialgebra_compatibility(clifford2):
         assert lhs == Element(rhs, lhs.alphabet)
 
 
+def test_powers_of_one_letter_star_by_gaussian_binomials():
+    # Rosso's quantum shuffle (Invent. Math. 133, 1998) on the cotensor side:
+    # one letter a of degree K{1} acted on by q^c, and no products, so
+    # sigma(a, a) = q^c a@a and lift(a^n) * lift(a^m) = [n+m choose n]_{q^c} lift(a^(n+m))
+    group = AbelianGroup(1)
+    for c in (-2, -1, 0, 1, 3):
+        t = Scalar.q_power(c)
+        spec = YDSpec(group, ("a",), (group.generator(0),), (diagonal_matrix([t]),))
+
+        def power(n, coeff=1):
+            return chain_lift(spec, Element.from_word((0,) * n, coeff, spec))
+
+        for n, m in itertools.product(range(6), repeat=2):
+            assert star(power(n), power(m)) \
+                == power(n + m, _gaussian_binomial(n + m, n, t)), (c, n, m)
+
+
 def test_star_with_group_acts_diagonally_on_higher_degrees(clifford2, uqg_a2):
     # the left action of a group-like on a degree-2 chain word multiplies
     # through both pairs; the product recovers this without a dedicated
@@ -446,6 +464,17 @@ def test_to_smash_values(clifford2):
     key = right_translate(spec, chain_lift_word(spec, (0, 1)), eps)
     assert to_smash(CotensorElement.from_word(spec, key)) \
         == SmashElement.of(spec, (0, 1), eps)
+
+
+def test_smash_and_flatten_refuse_to_merge_keys_off_the_chain(clifford2):
+    # the second key is not a chain word: both carry the letters v1 v2 and
+    # the identity as right degree, so both map to one smash key
+    spec = clifford2.spec
+    e, eps = spec.group.identity(), spec.group.element([1])
+    x = CotensorElement(spec, {((0, e), (1, e)): 1, ((0, eps), (1, e)): 1})
+    for relabelled in (to_smash, flatten_coinvariant):
+        with pytest.raises(StructuralError, match="relabel merged two keys"):
+            relabelled(x)
 
 
 def _to_smash_through_the_coproduct(x: CotensorElement) -> SmashElement:

@@ -9,6 +9,8 @@ import random
 import pytest
 
 from cofreehopf.braid import check_yang_baxter
+from cofreehopf.config import document_from_spec, emit_config, parse_config
+from cofreehopf.cotensor import chain_lift, render_cotensor, star
 from cofreehopf.elements import Element, letter_key
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import (
@@ -246,11 +248,26 @@ def test_with_unit_extends_structure(clifford2):
     assert unital.unit == spec.unit
 
 
-def test_with_unit_requires_mult():
+def test_a_spec_without_products_multiplies_by_zero():
+    # letters a, b of degree K{1}, acted on by q and q^-1, with no mult given:
+    # the zero multiplication, the same one its emitted config reads back with
     g = AbelianGroup(rank=1)
-    spec = YDSpec(g, ("a",), (g.identity(),), (diagonal_matrix([Scalar.one()]),))
-    with pytest.raises(StructuralError):
-        spec.with_unit()
+    k = g.generator(0)
+    spec = YDSpec(g, ("a", "b"), (k, k),
+                  (diagonal_matrix([Scalar.q_power(1), Scalar.q_power(-1)]),))
+    assert spec.with_unit().unit == 2
+    assert braided_spec(spec).mult_entry(0, 1).is_zero()
+    assert check_yd_module_algebra(spec)
+    text = emit_config(document_from_spec(spec))
+    assert "[mult]" not in text
+    read_back = parse_config(text).spec
+    words = [w for n in range(5) for w in itertools.product(range(2), repeat=n)]
+    for u, v in itertools.product(words, repeat=2):
+        if len(u) + len(v) > 4:
+            continue
+        products = [star(*(chain_lift(s, Element.from_word(w, alphabet=s)) for w in (u, v)))
+                    for s in (spec, read_back)]
+        assert render_cotensor(products[0]) == render_cotensor(products[1]), (u, v)
 
 
 def test_specs_are_frozen_and_own_their_products(clifford2):

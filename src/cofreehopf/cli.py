@@ -4,9 +4,11 @@ Every value it prints goes through one renderer, which picks the text by
 the value's type and never by a law's name.
 
 Exit codes: 0 for success or a passing check, 1 for a failing check
-(the counterexample is printed), 2 for parse, config or usage errors and
-for any internal error (one ``error: internal: <type>: <message>`` line
-on stderr, never a traceback), so a crash never reads as a failed check.
+(the counterexample is printed), 2 for parse, config or usage errors, for
+a result too large for memory (one ``error: out of memory while computing
+<command>`` line on stderr) and for any internal error (one ``error:
+internal: <type>: <message>`` line on stderr, never a traceback), so a
+crash never reads as a failed check.
 """
 
 from __future__ import annotations
@@ -212,10 +214,18 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
 
 
+# what argparse itself reads as a negative number, not an option
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
 def _as_element(arg: str) -> str:
-    """An ASCII '-' before a letter or '(' starts a negated element, not an
-    option: it becomes the minus sign, which the expression grammar reads alike."""
-    if arg != "-h" and arg[:1] == "-" and (arg[1:2].isalpha() or arg[1:2] == "("):
+    """An ASCII '-' before a letter, '(' or a digit starts a negated element,
+    not an option: it becomes the minus sign, which the expression grammar
+    reads alike.  A plain negative number such as ``-2`` stays ASCII, since
+    argparse reads it as a value and an integer option needs it so."""
+    head = arg[1:2]
+    if arg != "-h" and arg[:1] == "-" and (head.isalpha() or head == "(" or (
+            "0" <= head <= "9" and not _NEGATIVE_NUMBER.fullmatch(arg))):
         return "−" + arg[1:]
     return arg
 
@@ -231,9 +241,13 @@ def main(argv=None) -> int:
     except (ConfigError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # reported below, once the traceback and what it holds are released
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    print(f"error: out of memory while computing {args.command}", file=sys.stderr)
+    return 2
 
 
 def _dispatch(args) -> int:

@@ -30,16 +30,19 @@ for group-algebra elements (read as ``group``).  Adding or comparing two
 elements needs the same class; adding them under different tags is a
 structural error, and such elements are never equal.
 
-There is one canonical term order, :func:`letter_key` applied to whole
-keys: integers, then group elements, then tuples compared letter by
-letter, a word before its extensions.  So degree-0 keys precede words,
-and smash keys sort by word, then group tag.  This is the order the CLI
-renders and the golden tests freeze.
+There is one canonical term order, :func:`canonical_key`: group elements
+(by free, then torsion exponents) before tuples, and tuples compared
+letter by letter, a word before its extensions.  So degree-0 keys
+precede words, smash keys sort by word, then group tag, and a pair of
+cotensor keys by its left key, then its right key.  The key is flat:
+every kind but the pair of cotensor keys compares as the key itself.
+This is the order the CLI renders and the golden tests freeze.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from .errors import StructuralError
@@ -48,16 +51,17 @@ from .scalars import Scalar, split_sign
 Word = tuple
 
 
-def letter_key(letter):
-    """The one canonical sort key: total across letters and whole keys of every kind."""
-    if isinstance(letter, int):
-        return (0, letter)
-    if type(letter) is tuple:  # a word; a group element is a tuple subclass
-        return (3, tuple(letter_key(part) for part in letter))
-    sk = getattr(letter, "sort_key", None)
-    if sk is not None:
-        return (1, sk())
-    return (2, repr(letter))
+def canonical_key(key):
+    """The one canonical sort key of a basis key of any kind, built without
+    recursion.  A tensor word, a chain word, a smash key (word, group tag)
+    and a word pair compare as themselves; a pair of cotensor keys, where a
+    group element may meet a chain word, ranks each part first."""
+    if type(key) is not tuple:  # a group element: a tuple subclass
+        return (1, *key)
+    head = key[0] if key else 0
+    if type(head) is int or type(head) is tuple and (not head or type(head[0]) is int):
+        return (3, key)
+    return (3, *chain.from_iterable((type(part) is tuple, part) for part in key))
 
 
 def merge_alphabets(a, b):
@@ -131,7 +135,7 @@ class Element:
         return self._terms.get(key, Scalar.zero())
 
     def support(self) -> list:
-        return sorted(self._terms, key=letter_key)
+        return sorted(self._terms, key=canonical_key)
 
     def terms(self) -> Iterable[tuple[object, Scalar]]:
         """Term iteration in canonical order."""
@@ -222,11 +226,15 @@ class Element:
 
 
 def _extend(images) -> dict:
-    """Sum ``c * image`` over ``(c, image)`` pairs; a coefficient of 1 multiplies nothing."""
+    """Sum ``c * image`` over ``(c, image)`` pairs; a coefficient of 1 multiplies
+    nothing.  Into an empty sum the terms go as they are: a product of two
+    nonzero scalars is nonzero."""
     out: dict = {}
     one = Scalar.one()
     for c, image in images:
-        if c == one:
+        if not out:
+            out = dict(image._terms) if c == one else {k: d * c for k, d in image._terms.items()}
+        elif c == one:
             for key, d in image._terms.items():
                 accumulate(out, key, d)
         else:

@@ -9,14 +9,17 @@ the two heads through the multiplication.  A word times the empty word
 is that word, so a one-letter right factor costs no call on an empty
 tail, and a merge that the multiplication kills costs no tail product.
 
-The word-pair memo is one ``lru_cache`` per spec, made on first use and
-kept in ``spec._cache["qsh"]``, so it dies with its spec.  The clause
-calls it directly from its own body, so each letter of the deeper
-factor costs about 3 units of the recursion limit (the memo's wrapper,
-the memoised function and the clause); one more frame per level, from a
-helper or a lambda passed to ``map_words``, stops one letter times a
-300-letter word under the default limit.  Only the general-clause
-oracle below keeps a module-level memo, which perfbench clears.
+Inside the recursion a word is packed, one code point per letter, so a
+prepend copies bytes and each word is hashed once.  The memo is one
+``lru_cache`` per spec, ``spec._cache["qsh"]``, from packed word pairs to
+dicts over packed words; the word table ``spec._cache["words"]`` unpacks
+each output word once, into one tuple shared by every product returning
+it.  Both die with the spec.  Each letter of the deeper factor costs 3
+frames (the memo's wrapper, the memoised function and the clause, which
+calls the memo itself): one more per level stops one letter times a
+300-letter word under the default recursion limit.  Only the
+general-clause oracle below keeps a module-level memo, which perfbench
+clears.
 
 Each level needs the crossing B(u, b) = beta_{|u|,1}(u (x) b) of the right
 head b across the left word: B(u', b) feeds the merge move and B(u, b)
@@ -137,39 +140,68 @@ def adjoin_unit(spec: BraidedAlgebraSpec) -> BraidedAlgebraSpec:
     return BraidedAlgebraSpec(dim + 1, braiding, mult, unit, names, alphabet)
 
 
-def _qsh_words(spec: BraidedAlgebraSpec, u: tuple, v: tuple) -> Element:
-    if not u:
-        return Element.from_word(v, alphabet=spec.alphabet)
-    if not v:
-        return Element.from_word(u, alphabet=spec.alphabet)
-    return _qsh_general(spec, u, v, spec._cache["qsh"], _memo_crossings)
+def _pack(word: tuple) -> str:
+    """A word as a string of one code point per letter (``chr(letter)``)."""
+    try:
+        return bytes(word).decode("latin-1")
+    except ValueError:  # a letter of 256 or more
+        return "".join(map(chr, word))
 
 
-def _qsh_memo(spec: BraidedAlgebraSpec):
-    """The spec's word-pair memo ``memo(spec, u, v) = u qsh v``, an ``lru_cache``
-    over ``_qsh_words`` made on first use and kept in ``spec._cache["qsh"]``."""
+def _unpack(packed: str) -> tuple:
+    try:
+        return tuple(packed.encode("latin-1"))
+    except UnicodeEncodeError:
+        return tuple(map(ord, packed))
+
+
+def _qsh_packed(spec: BraidedAlgebraSpec):
+    """The spec's memo ``memo(spec, u, v)``, the terms of u qsh v over packed
+    words: an ``lru_cache`` over ``_qsh_words`` made on first use."""
     memo = spec._cache.get("qsh")
     if memo is None:
         memo = spec._cache["qsh"] = lru_cache(maxsize=None)(_qsh_words)
     return memo
 
 
-def _qsh_general(spec: BraidedAlgebraSpec, u: tuple, v: tuple, rec, crossings) -> Element:
-    """u qsh v for nonempty u and v: u_0 (u' qsh v), then c w_0 (w' qsh v')
-    for each term c w of B(u, v_0), then c m(u_0, w_0) (w' qsh v') for each
-    term c w of B(u', v_0).  A word times the empty word is that word."""
-    head, rest = u[0], v[1:]
-    out = _prepend(head, rec(spec, u[1:], v))._terms
-    shifted, moved = crossings(spec, u, v[0])
-    steps = [(word[0], coeff, word[1:]) for word, coeff in moved._terms.items()]
+def _unpacked(spec: BraidedAlgebraSpec, terms: dict) -> Element:
+    """Each packed word as its tuple in the spec's word table, unpacked on
+    first use."""
+    words = spec._cache.setdefault("words", {})
+    return Element._wrap({words.get(w) or words.setdefault(w, _unpack(w)): c
+                          for w, c in terms.items()}, spec.alphabet)
+
+
+def _qsh_memo(spec: BraidedAlgebraSpec):
+    """``memo(spec, u, v) = u qsh v`` over tuple words, through the packed memo."""
+    memo = _qsh_packed(spec)
+    return lambda spec, u, v: _unpacked(spec, memo(spec, _pack(u), _pack(v)))
+
+
+def _qsh_words(spec: BraidedAlgebraSpec, u: str, v: str) -> dict[str, Scalar]:
+    return _qsh_general(spec, u, v, spec._cache["qsh"], _memo_crossings)
+
+
+def _qsh_general(spec: BraidedAlgebraSpec, u: str, v: str, rec, crossings) -> dict[str, Scalar]:
+    """u qsh v over packed words: u_0 (u' qsh v), then c w_0 (w' qsh v') for
+    each term c w of B(u, v_0), then c m(u_0, w_0) (w' qsh v') for each term
+    c w of B(u', v_0).  A word times the empty word is that word."""
+    if not u or not v:
+        return {u + v: Scalar.one()}
+    head, rest, one = u[0], v[1:], Scalar.one()
+    out = {head + w: c for w, c in rec(spec, u[1:], v).items()}
+    shifted, moved = crossings(spec, _unpack(u), ord(v[0]))
+    steps = [(chr(word[0]), coeff, _pack(word[1:])) for word, coeff in moved._terms.items()]
     for word, coeff in shifted._terms.items():
-        steps.extend((d, coeff * c, word[1:])
-                     for (d,), c in spec.mult_entry(head, word[0])._terms.items())
+        steps.extend((chr(d), coeff * c, _pack(word[1:]))
+                     for (d,), c in spec.mult_entry(ord(head), word[0])._terms.items())
     for letter, coeff, tail in steps:
-        terms = rec(spec, tail, rest).scale(coeff)._terms if rest else {tail: coeff}
+        terms = rec(spec, tail, rest) if rest else {tail: coeff}
+        if rest and coeff != one:
+            terms = {w: c * coeff for w, c in terms.items()}
         for w, c in terms.items():
-            accumulate(out, (letter,) + w, c)
-    return Element._wrap(out, spec.alphabet)
+            accumulate(out, letter + w, c)
+    return out
 
 
 def crossing(spec: BraidedAlgebraSpec, u: tuple, b: int) -> Element:
@@ -206,23 +238,24 @@ def _prepend(letter: int, x: Element) -> Element:
 
 
 @lru_cache(maxsize=None)
-def _qsh_words_general_only(spec: BraidedAlgebraSpec, u: tuple, v: tuple) -> Element:
+def _qsh_words_general_only(spec: BraidedAlgebraSpec, u: str, v: str) -> dict[str, Scalar]:
     """Internal oracle: the same clause, with the crossings swept, not memoised."""
-    if not u:
-        return Element.from_word(v, alphabet=spec.alphabet)
-    if not v:
-        return Element.from_word(u, alphabet=spec.alphabet)
     return _qsh_general(spec, u, v, _qsh_words_general_only, _swept_crossings)
+
+
+def _quasi_shuffle_packed(spec: BraidedAlgebraSpec, x: Element, y: Element, memo) -> dict:
+    """The terms of x qsh y over packed words."""
+    return x.bilinear(y, lambda u, v: Element._wrap(memo(spec, _pack(u), _pack(v)), None),
+                      cls=Element, alphabet=spec.alphabet)._terms
 
 
 def quasi_shuffle(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
     """Bilinear quantum quasi-shuffle product on the tensor space."""
-    return x.bilinear(y, partial(_qsh_memo(spec), spec), cls=Element, alphabet=spec.alphabet)
+    return _unpacked(spec, _quasi_shuffle_packed(spec, x, y, _qsh_packed(spec)))
 
 
 def quasi_shuffle_general_clause(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
-    return x.bilinear(y, partial(_qsh_words_general_only, spec),
-                      cls=Element, alphabet=spec.alphabet)
+    return _unpacked(spec, _quasi_shuffle_packed(spec, x, y, _qsh_words_general_only))
 
 
 def _pair_alphabet(alphabet):
@@ -256,28 +289,27 @@ def check_quasi_shuffle_bialgebra(spec: BraidedAlgebraSpec,
     must equal multiplying the deconcatenations componentwise after
     braiding the two middle tensor legs across each other.
     """
-    qsh = _qsh_memo(spec)
+    qsh = _qsh_packed(spec)
     for u, v in nonempty(pairs):
-        x = Element.from_word(u, alphabet=spec.alphabet)
-        y = Element.from_word(v, alphabet=spec.alphabet)
-        lhs = deconcat(quasi_shuffle(spec, x, y))
+        lhs = deconcat(Element._wrap(qsh(spec, _pack(u), _pack(v)), spec.alphabet))
         rhs: dict[tuple, Scalar] = {}
         for i in range(len(u) + 1):
-            u1, u2 = u[:i], u[i:]
+            u1, u2 = _pack(u[:i]), u[i:]
             for j in range(len(v) + 1):
-                v1, v2 = v[:j], v[j:]
+                v1, v2 = v[:j], _pack(v[j:])
                 crossed = block_braiding(
                     spec.braiding, len(u2), len(v1),
                     Element.from_word(u2 + v1, alphabet=spec.alphabet))
                 for word, c in crossed._terms.items():
-                    left = qsh(spec, u1, word[:len(v1)])
-                    right = qsh(spec, word[len(v1):], v2)
-                    for wl, cl in left._terms.items():
-                        for wr, cr in right._terms.items():
+                    left = qsh(spec, u1, _pack(word[:len(v1)]))
+                    right = qsh(spec, _pack(word[len(v1):]), v2)
+                    for wl, cl in left.items():
+                        for wr, cr in right.items():
                             accumulate(rhs, (wl, wr), c * cl * cr)
-        rhs_elem = Element._wrap(rhs, _pair_alphabet(spec.alphabet))
-        if lhs != rhs_elem:
-            return fail("quasi-shuffle-bialgebra", (u, v), lhs, rhs_elem)
+        if lhs._terms != rhs:
+            sides = (lhs, Element._wrap(rhs, lhs.alphabet))
+            return fail("quasi-shuffle-bialgebra", (u, v), *(side.relabel(
+                lambda pair: tuple(map(_unpack, pair))) for side in sides))
     return PASS
 
 

@@ -118,6 +118,32 @@ def test_long_times_one_letter_product_stays_within_the_recursion_limit(
     assert "internal" not in done.stderr
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the address-space size from /proc")
+def test_a_product_too_large_for_memory_exits_2_with_one_line(clifford_config):
+    # The child limits its own address space to what it uses at start plus
+    # 16 MB, far below the product of two 12-letter words; so it runs out in
+    # a fraction of a second.
+    child = """
+import os, resource, sys
+from cofreehopf.cli import main
+with open("/proc/self/statm") as statm:
+    size = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+resource.setrlimit(resource.RLIMIT_AS,
+                   (size + (16 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    u = "@".join(("v1", "v2", "v2", "v1")[k % 4] for k in range(12))
+    v = "@".join(("v2", "v1", "v1")[k % 3] for k in range(12))
+    done = subprocess.run([sys.executable, "-c", child, "--config", clifford_config,
+                           "qsh", u, v], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) \
+        == (2, "", "error: out of memory while computing qsh\n")
+
+
 def test_star_golden_rendering(run, clifford_config):
     code, out, _ = run("--config", clifford_config, "star", "v1", "v2")
     assert code == 0
@@ -213,6 +239,19 @@ def test_leading_ascii_minus_starts_an_element(run, clifford_config):
     assert (code, out.startswith("usage: cofreehopf star")) == (0, True)
     code, _, err = run("--config", clifford_config, "check", "yb", "--max-degree", "-1")
     assert (code, err) == (2, "error: --max-degree must be >= 0, got -1\n")
+
+
+def test_leading_ascii_minus_before_a_fraction_starts_an_element(run, clifford_config):
+    # argparse takes -2 for a negative number but -3/4 for an option
+    for argv in (("psi", "{}3/4"), ("star", "{}3/4@v1", "v2"), ("qsh", "{}3/4", "v2"),
+                 ("psi", "{}2")):
+        ascii_, minus = (run("--config", clifford_config,
+                             *(arg.format(sign) for arg in argv)) for sign in "-−")
+        assert ascii_ == minus, argv
+    assert run("--config", clifford_config, "psi", "-3/4") == (0, "−3/4 K{0}\n", "")
+    # a coefficient joined to a letter by @ is the grammar's error, not a usage error
+    assert run("--config", clifford_config, "star", "-3/4@v1", "v2") \
+        == (2, "", "error: expected 'END', found '@' (column 5)\n")
 
 
 def test_negative_max_degree_exits_2(run, clifford_config):

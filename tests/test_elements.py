@@ -7,11 +7,25 @@ from fractions import Fraction
 import pytest
 
 from cofreehopf.braid import flip_braiding
-from cofreehopf.elements import Element, apply_local, render_element
+from cofreehopf.elements import Element, apply_local, canonical_key, render_element
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import AbelianGroup, YDSpec, diagonal_matrix
 from cofreehopf.qalg import BraidedAlgebraSpec
 from cofreehopf.scalars import Scalar
+
+
+def letter_key(letter):
+    """The recursive sort key the package used before ``canonical_key``, kept
+    as its oracle: integers, then group elements, then tuples compared
+    letter by letter, each letter by this same key."""
+    if isinstance(letter, int):
+        return (0, letter)
+    if type(letter) is tuple:  # a word; a group element is a tuple subclass
+        return (3, tuple(letter_key(part) for part in letter))
+    sk = getattr(letter, "sort_key", None)
+    if sk is not None:
+        return (1, sk())
+    return (2, repr(letter))
 
 
 def _flip_table(dim):
@@ -192,3 +206,37 @@ def test_core_defaults_to_the_class_and_alphabet_of_the_element():
         assert type(out) is _Tagged and out.alphabet == "A"
     with pytest.raises(StructuralError):
         x.bilinear(_Tagged({(1,): 3}, "B"), lambda u, v: Element.from_word(u + v))
+
+
+@pytest.mark.parametrize("group", [AbelianGroup(1, (2,)), AbelianGroup(2)],
+                         ids=["rank1-torsion2", "rank2"])
+def test_canonical_key_orders_every_key_kind_as_the_recursive_key(group):
+    r = random.Random(7)
+
+    def g():
+        return group.element([r.randint(-1, 1) for _ in range(group.n_generators)])
+
+    def word():
+        return tuple(r.randrange(3) for _ in range(r.randint(0, 3)))
+
+    def chain_word():
+        return tuple((r.randrange(3), g()) for _ in range(r.randint(1, 3)))
+
+    def cotensor_key():
+        return g() if r.random() < 0.3 else chain_word()
+
+    kinds = {
+        "tensor words": word,
+        "chain words": chain_word,
+        "cotensor keys": cotensor_key,
+        "smash keys": lambda: (word(), g()),
+        "group elements": g,
+        "word pairs": lambda: (word(), word()),
+        "cotensor key pairs": lambda: (cotensor_key(), cotensor_key()),
+    }
+    for kind, draw in kinds.items():
+        keys = [draw() for _ in range(60)]
+        for a, b in itertools.product(keys, repeat=2):
+            assert (canonical_key(a) < canonical_key(b)) == (letter_key(a) < letter_key(b)), \
+                (kind, a, b)
+        assert sorted(keys, key=canonical_key) == sorted(keys, key=letter_key), kind

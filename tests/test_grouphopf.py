@@ -11,7 +11,7 @@ import pytest
 from cofreehopf.braid import check_yang_baxter
 from cofreehopf.config import document_from_spec, emit_config, parse_config
 from cofreehopf.cotensor import chain_lift, render_cotensor, star
-from cofreehopf.elements import Element, letter_key
+from cofreehopf.elements import Element
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import (
     AbelianGroup,
@@ -27,6 +27,8 @@ from cofreehopf.grouphopf import (
     diagonal_matrix,
 )
 from cofreehopf.scalars import Scalar
+
+from test_elements import letter_key
 
 
 def test_group_normalization_and_inverse():

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from cofreehopf.braid import block_braiding, diagonal_braiding, flip_braiding
+from cofreehopf.braid import BraidingTable, block_braiding, diagonal_braiding, flip_braiding
 from cofreehopf.config import parse_config
 from cofreehopf.elements import Element
 from cofreehopf.errors import StructuralError
@@ -23,6 +23,9 @@ from cofreehopf.qalg import (
     deconcat_reduced,
     extend_letter_morphism,
     filtration_degree,
+    _pack,
+    _qsh_memo,
+    _unpack,
     quasi_shuffle,
     quasi_shuffle_general_clause,
 )
@@ -240,6 +243,48 @@ def test_crossing_matches_the_block_sweep(clifford2, uqg_a2):
                                            Element.from_word(u + (b,), alphabet=spec.alphabet))
                     assert crossing(spec, u, b) == swept
         assert spec._cache["crossing"][((1, 0, 1), 0)] is crossing(spec, (1, 0, 1), 0)
+
+
+def test_a_word_packs_into_one_code_point_per_letter_and_back():
+    for letter in (0, 255, 256, 0xD800, 65535, 65536, 0x10FFFF):
+        for word in ((letter,), (letter, 0, letter), (1, letter, 300), ()):
+            packed = _pack(word)
+            assert len(packed) == len(word)
+            assert _unpack(packed) == word
+
+
+def test_words_over_more_than_256_letters_match_the_general_clause():
+    # Letters from 256 up pack outside Latin-1.  Checking a total table over
+    # 258 letters takes longer than this test may, and the clause reads only
+    # the pairs of letters the words use, so the table holds just those.
+    dim, used = 258, (0, 255, 256, 257)
+    alphabet = ("wide", dim)
+    braiding = BraidingTable.__new__(BraidingTable)
+    braiding.dim, braiding.alphabet = dim, alphabet
+    braiding.entries = {(a, b): Element.from_word((b, a), Scalar.q_power((a > b) - (a < b)), alphabet)
+                        for a in used for b in used}
+    mult = {(256, 257): Element.from_word((0,), 2, alphabet),
+            (0, 256): Element.from_word((257,), alphabet=alphabet),
+            (257, 255): Element.from_word((256,), Scalar.q_power(1), alphabet)}
+    spec = BraidedAlgebraSpec(dim, braiding, mult, alphabet=alphabet)
+    x = Element.from_word((256, 0, 257, 255, 256), alphabet=alphabet)
+    y = Element.from_word((257, 256, 0), 3, alphabet) \
+        + Element.from_word((255, 257), alphabet=alphabet)
+    product = quasi_shuffle(spec, x, y)
+    assert product == quasi_shuffle_general_clause(spec, x, y)
+    assert {len(word) for word in product.support()} == {5, 6, 7, 8}
+    assert {letter for word in product.support() for letter in word} == set(used)
+
+
+def test_equal_words_of_two_products_are_one_tuple():
+    spec = hoffman_spec(3)  # flip braiding: u qsh v and v qsh u share their words
+    x, y = _word(spec, 0, 1, 0), _word(spec, 1, 2)
+    first, second = quasi_shuffle(spec, x, y), quasi_shuffle(spec, y, x)
+    memoised = _qsh_memo(spec)(spec, (1, 2), (0, 1, 0))
+    assert first == second == memoised
+    for other in (second, memoised):
+        keys = {word: word for word in other._terms}
+        assert all(keys[word] is word for word in first._terms)
 
 
 def test_associativity_samples(clifford2, hoffman4):

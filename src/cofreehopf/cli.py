@@ -236,6 +236,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(map(_as_element, sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # made before the work, so that reporting a lack of memory needs none
+    out_of_memory = f"error: out of memory while computing {args.command or 'emit-config'}\n"
     try:
         return _dispatch(args)
     except (ConfigError, StructuralError) as exc:
@@ -246,7 +248,10 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    print(f"error: out of memory while computing {args.command}", file=sys.stderr)
+    try:
+        sys.stderr.write(out_of_memory)
+    except MemoryError:
+        pass  # no memory even for the line: the exit code alone reports it
     return 2
 
 

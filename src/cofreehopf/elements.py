@@ -55,7 +55,9 @@ def canonical_key(key):
     """The one canonical sort key of a basis key of any kind, built without
     recursion.  A tensor word, a chain word, a smash key (word, group tag)
     and a word pair compare as themselves; a pair of cotensor keys, where a
-    group element may meet a chain word, ranks each part first."""
+    group element may meet a chain word, ranks each part first.  It orders
+    the keys of one element: kinds that never share an element, such as a
+    tensor word and a smash key, need not compare."""
     if type(key) is not tuple:  # a group element: a tuple subclass
         return (1, *key)
     head = key[0] if key else 0

@@ -12,14 +12,13 @@ tail, and a merge that the multiplication kills costs no tail product.
 Inside the recursion a word is packed, one code point per letter, so a
 prepend copies bytes and each word is hashed once.  The memo is one
 ``lru_cache`` per spec, ``spec._cache["qsh"]``, from packed word pairs to
-dicts over packed words; the word table ``spec._cache["words"]`` unpacks
-each output word once, into one tuple shared by every product returning
-it.  Both die with the spec.  Each letter of the deeper factor costs 3
-frames (the memo's wrapper, the memoised function and the clause, which
-calls the memo itself): one more per level stops one letter times a
-300-letter word under the default recursion limit.  Only the
-general-clause oracle below keeps a module-level memo, which perfbench
-clears.
+dicts over packed words, and dies with the spec.  A product unpacks its
+output words into tuples of its own, which die with it.  Each letter of
+the deeper factor costs 3 frames (the memo's wrapper, the memoised
+function and the clause, which calls the memo itself): one more per
+level stops one letter times a 300-letter word under the default
+recursion limit.  Only the general-clause oracle below keeps a
+module-level memo, which perfbench clears.
 
 Each level needs the crossing B(u, b) = beta_{|u|,1}(u (x) b) of the right
 head b across the left word: B(u', b) feeds the merge move and B(u, b)
@@ -141,7 +140,8 @@ def adjoin_unit(spec: BraidedAlgebraSpec) -> BraidedAlgebraSpec:
 
 
 def _pack(word: tuple) -> str:
-    """A word as a string of one code point per letter (``chr(letter)``)."""
+    """A word as a string of one code point per letter (``chr(letter)``),
+    through the Latin-1 codec, nearly twice as fast, when it can."""
     try:
         return bytes(word).decode("latin-1")
     except ValueError:  # a letter of 256 or more
@@ -165,11 +165,7 @@ def _qsh_packed(spec: BraidedAlgebraSpec):
 
 
 def _unpacked(spec: BraidedAlgebraSpec, terms: dict) -> Element:
-    """Each packed word as its tuple in the spec's word table, unpacked on
-    first use."""
-    words = spec._cache.setdefault("words", {})
-    return Element._wrap({words.get(w) or words.setdefault(w, _unpack(w)): c
-                          for w, c in terms.items()}, spec.alphabet)
+    return Element._wrap({_unpack(w): c for w, c in terms.items()}, spec.alphabet)
 
 
 def _qsh_memo(spec: BraidedAlgebraSpec):

@@ -144,6 +144,23 @@ sys.exit(main(sys.argv[1:]))
         == (2, "", "error: out of memory while computing qsh\n")
 
 
+def test_out_of_memory_names_emit_config_and_survives_a_failing_report(
+        monkeypatch, capsys, clifford_config):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr("cofreehopf.cli._dispatch", exhausted)
+    assert main(["--config", clifford_config, "--emit-config"]) == 2
+    assert capsys.readouterr().err == "error: out of memory while computing emit-config\n"
+
+    class FullStderr:
+        def write(self, text):
+            raise MemoryError
+
+    monkeypatch.setattr(sys, "stderr", FullStderr())
+    assert main(["--config", clifford_config, "qsh", "v1", "v2"]) == 2
+
+
 def test_star_golden_rendering(run, clifford_config):
     code, out, _ = run("--config", clifford_config, "star", "v1", "v2")
     assert code == 0

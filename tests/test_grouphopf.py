@@ -11,7 +11,7 @@ import pytest
 from cofreehopf.braid import check_yang_baxter
 from cofreehopf.config import document_from_spec, emit_config, parse_config
 from cofreehopf.cotensor import chain_lift, render_cotensor, star
-from cofreehopf.elements import Element
+from cofreehopf.elements import Element, canonical_key
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import (
     AbelianGroup,
@@ -27,8 +27,6 @@ from cofreehopf.grouphopf import (
     diagonal_matrix,
 )
 from cofreehopf.scalars import Scalar
-
-from test_elements import letter_key
 
 
 def test_group_normalization_and_inverse():
@@ -310,14 +308,16 @@ def test_group_element_never_equals_a_chain_word_or_a_smash_key(clifford2):
 
 
 def test_letter_key_puts_group_elements_between_letters_and_words():
+    """``canonical_key`` sorts group elements before the tuple keys they can
+    share an element with: words, with the empty word first, smash keys and
+    chain words."""
     group = AbelianGroup(rank=1, torsion=(2,))
     g, h = group.element([-5, 0]), group.element([3, 1])
-    items = [((0,), g), (), h, 7, (0,), g, 0, ((), h), (g,)]
-    ordered = sorted(items, key=letter_key)
-    assert ordered[:2] == [0, 7]
-    assert ordered[2:4] == [g, h]
-    assert all(type(item) is tuple for item in ordered[4:])
-    assert ordered[4] == ()  # the empty word sorts after every group element
+    for words in ([(), (0,), (0, 2), (1, 0)],
+                  [((), g), ((), h), ((0,), g)],
+                  [((0, g),), ((0, h), (1, g)), ((1, g),)]):
+        ordered = sorted([h, *reversed(words), g], key=canonical_key)
+        assert ordered == [g, h, *words]  # the empty word sorts after every group element
 
 
 def test_group_element_survives_pickle_and_deepcopy():

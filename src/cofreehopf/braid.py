@@ -37,9 +37,6 @@ from .elements import Element, apply_local
 from .errors import StructuralError
 from .scalars import Scalar
 
-# Largest dimension of V tensor V whose invertibility a BraidingTable checks.
-INVERTIBILITY_CAP = 64
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -120,10 +117,8 @@ class BraidingTable:
     """A linear operator on V tensor V given on basis letter pairs.
 
     Entries map each ordered pair (a, b) of letters to an Element over
-    two-letter words.  Construction verifies totality and, when V tensor V
-    has dimension at most ``INVERTIBILITY_CAP`` (64), invertibility by
-    exact elimination over the fraction field; larger tables skip the
-    elimination.
+    two-letter words.  Construction verifies totality and invertibility
+    on V tensor V over the fraction field (``linalg.is_invertible``).
     """
 
     __slots__ = ("dim", "entries", "alphabet")
@@ -138,24 +133,19 @@ class BraidingTable:
                 entry = self.entries.get((a, b))
                 if entry is None:
                     raise StructuralError(f"braiding table missing entry for {(a, b)}")
-                for word in entry.support():
+                for word in entry._terms:
                     if len(word) != 2 or not all(
                             isinstance(l, int) and 0 <= l < dim for l in word):
                         raise StructuralError(
                             f"braiding entry for {(a, b)} has an invalid word {word}")
-        if dim * dim <= INVERTIBILITY_CAP and not self._invertible():
+        if not self._invertible():
             raise StructuralError("braiding table is not invertible on V tensor V")
 
     def _invertible(self) -> bool:
-        pairs = [(a, b) for a in range(self.dim) for b in range(self.dim)]
-        index = {p: i for i, p in enumerate(pairs)}
-        size = len(pairs)
-        zero = Scalar.zero()
-        matrix = [[zero] * size for _ in range(size)]
-        for col, pair in enumerate(pairs):
-            for word, coeff in self.entries[pair]._terms.items():
-                matrix[index[word]][col] = coeff
-        return linalg.is_invertible(matrix)
+        # one sparse row per input pair: the transpose, invertible with the operator
+        return linalg.is_invertible([
+            {a * self.dim + b: coeff for (a, b), coeff in self.entries[pair]._terms.items()}
+            for pair in itertools.product(range(self.dim), repeat=2)])
 
     def apply(self, x: Element, pos: int = 1) -> Element:
         return apply_local(self.entries, pos, x)

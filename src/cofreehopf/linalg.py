@@ -1,96 +1,95 @@
-"""Exact Gaussian elimination over the fraction field of Laurent scalars.
+"""Exact linear algebra over Laurent scalars, by two routes that share nothing.
 
-Matrix entries are :class:`Scalar`; intermediate pivoting work happens on
-unreduced numerator/denominator pairs.  Denominators that are monomials
-are folded into the numerator immediately (monomials are the units of
-the Laurent ring), which keeps preset-sized computations fully
-polynomial.  Matrix inverses are converted back to Laurent entries by
-exact division; a matrix is invertible over the ring if and only if that
-conversion succeeds, i.e. its determinant is a monomial.
+Invertibility over the fraction field Q(q) is decided by evaluation.
+Row i of M times q to minus its least exponent holds polynomials of
+degree at most d_i, its greatest exponent minus its least, so det M is
+a power of q times a polynomial of degree at most D = d_1 + ... + d_n.
+At a rational q0 != 0, M(q0) is singular exactly when that polynomial
+vanishes at q0.  So one point of full rank proves det M nonzero, and M
+is called singular only after D + 1 singular points q0 = 2, ..., D + 2,
+since a polynomial of degree at most D with D + 1 roots is zero.  A zero
+row is singular at once.  Each point is one sparse rational elimination.
+
+The Laurent inverse comes from fraction-free Gauss-Jordan elimination
+(E. H. Bareiss, Math. Comp. 22, 1968) on [M | I].  Step k replaces each
+entry off the pivot row by (pivot * entry - a * b) / previous pivot, a
+its row's entry in the pivot column, b the pivot row's entry in its
+column.  By Sylvester's identity every entry after step k is a
+(k+1)-minor of [M | I] with its rows permuted, so each division is exact
+in the Laurent ring (``divexact``) and no fraction ever forms.  The last
+pivot d is det M up to sign, the right half ends as d times the inverse,
+and the inverse has Laurent entries exactly when d is a monomial, a unit.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .errors import StructuralError
 from .scalars import Scalar, divexact
 
 
-class _Frac:
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Scalar, den: Scalar):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if den.is_monomial():
-            num = num * den.inverse()
-            den = Scalar.one()
-        elif not num.is_zero():
-            shift = Scalar.q_power(-min(num.min_exp(), den.min_exp()))
-            num = num * shift
-            den = den * shift
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def of(cls, s: Scalar) -> _Frac:
-        return cls(s, Scalar.one())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __sub__(self, other: _Frac) -> _Frac:
-        return _Frac(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: _Frac) -> _Frac:
-        return _Frac(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: _Frac) -> _Frac:
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero fraction")
-        return _Frac(self.num * other.den, self.den * other.num)
-
-    def to_scalar(self) -> Scalar:
-        return divexact(self.num, self.den)
+def _at(s: Scalar, x: int):
+    """The value of ``s`` at q = x, an exact rational."""
+    return sum(c * x ** k if k >= 0 else Fraction(c, x ** -k) for k, c in s._terms.items())
 
 
-def _eliminate(rows: list[list[_Frac]], n: int) -> bool:
-    """Gauss-Jordan on the first ``n`` columns of ``rows``, in place, with
-    the pivots left unscaled.  False as soon as a column has no pivot."""
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-        if pivot is None:
+def _full_rank(rows: list[dict[int, Fraction]]) -> bool:
+    """Whether sparse rows (column -> nonzero value) are independent."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            factor = Fraction(row[col], pivot[col])
+            for j, v in pivot.items():
+                w = row.get(j, 0) - factor * v
+                if w:
+                    row[j] = w
+                else:
+                    row.pop(j, None)
+        else:
             return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(n):
-            if r == col or rows[r][col].is_zero():
-                continue
-            factor = rows[r][col] / rows[col][col]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return True
 
 
-def is_invertible(matrix: list[list[Scalar]]) -> bool:
-    """Full-rank test over the fraction field."""
-    return _eliminate([[_Frac.of(entry) for entry in row] for row in matrix], len(matrix))
+def is_invertible(matrix: list[list[Scalar] | dict[int, Scalar]]) -> bool:
+    """Full-rank test over the fraction field, by evaluation at q = 2, 3, ....
+    A row is a list of scalars or, sparse, a dict from column to scalar."""
+    rows = [row if isinstance(row, dict) else dict(enumerate(row)) for row in matrix]
+    span = 0
+    for row in rows:
+        exponents = [k for s in row.values() for k in s._terms]
+        if not exponents:
+            return False
+        span += max(exponents) - min(exponents)
+    return any(_full_rank([{j: v for j, s in row.items() if (v := _at(s, x))} for row in rows])
+               for x in range(2, span + 3))
 
 
 def inverse(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Inverse with Laurent entries via Gauss-Jordan on [M | I].
-
-    Raises StructuralError when M is singular or its inverse leaves the
-    Laurent ring (determinant not a monomial).
-    """
+    """Inverse with Laurent entries by fraction-free Gauss-Jordan on [M | I].
+    StructuralError when M is singular or det M is not a monomial."""
     n = len(matrix)
-    rows = [
-        [_Frac.of(entry) for entry in row]
-        + [_Frac.of(Scalar.one() if i == j else Scalar.zero()) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    if not _eliminate(rows, n):
-        raise StructuralError("matrix is singular")
-    try:
-        return [[(rows[i][n + j] / rows[i][i]).to_scalar() for j in range(n)]
-                for i in range(n)]
-    except StructuralError as exc:
-        raise StructuralError(
-            "matrix has no inverse with Laurent-polynomial entries") from exc
+    previous = Scalar.one()
+    rows = [list(row) + [previous if i == j else Scalar.zero() for j in range(n)]
+            for i, row in enumerate(matrix)]
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k]), None)
+        if p is None:
+            raise StructuralError("matrix is singular")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot_row, pivot = rows[k], rows[k][k]
+        for i, row in enumerate(rows):
+            if i != k:
+                a = row[k]
+                rows[i] = [divexact(pivot * v - a * b, previous) if v or (a and b) else v
+                           for v, b in zip(row, pivot_row)]
+        previous = pivot
+    if not previous.is_monomial():
+        raise StructuralError("matrix has no inverse with Laurent-polynomial entries")
+    unit = previous.inverse()
+    return [[v * unit for v in row[n:]] for row in rows]

@@ -141,9 +141,14 @@ def test_braiding_table_validation():
     entries[(1, 0)] = Element.from_word((0, 1))
     with pytest.raises(StructuralError):
         BraidingTable(2, entries)
-    # beyond the elimination cap construction succeeds without the check
+    # every size is checked: nine letters, V tensor V of dimension 81
     big = {(a, b): Element.from_word((b, a)) for a in range(9) for b in range(9)}
     BraidingTable(9, big)
+    # and singular there: (0, 1) and (1, 0) go to one two-term vector
+    twice = Element.from_word((0, 1)) + Element.from_word((1, 0), Scalar.q_power(1))
+    big[(0, 1)] = big[(1, 0)] = twice
+    with pytest.raises(StructuralError, match="not invertible on V tensor V"):
+        BraidingTable(9, big)
 
 
 def test_braid_lift_matches_position_action_for_flip():

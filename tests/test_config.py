@@ -70,21 +70,29 @@ u u -> 1/2 v
 """
 
 
-def _zero_entry_override() -> str:
-    # Nine letters, so V tensor V exceeds the invertibility cap and a zero
-    # braiding entry loads; every other pair is flipped.
+def _nine_letter_override(x1_x1: str) -> str:
+    # Nine letters, so V tensor V has dimension 81; every pair but
+    # (x1, x1) is flipped, and that one is sent to ``x1_x1``.
     names = [f"x{i}" for i in range(1, 10)]
     lines = ["[group]", "rank = 0", "", "[basis]"] + [f"{n} = " for n in names]
     lines += ["", "[mult]", "x1 x2 -> x3 − 1/2 x4", "", "[braiding]"]
-    lines += [f"{a} {b} -> " + ("0" if a == b == "x1" else f"{b}@{a}")
+    lines += [f"{a} {b} -> " + (x1_x1 if a == b == "x1" else f"{b}@{a}")
               for a in names for b in names]
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("text", [UNIPOTENT_EMITTED, TORSION_EMITTED, _zero_entry_override()],
-                         ids=["column-action", "torsion", "zero-override-entry"])
+@pytest.mark.parametrize("text", [UNIPOTENT_EMITTED, TORSION_EMITTED,
+                                  _nine_letter_override("−x1@x1")],
+                         ids=["column-action", "torsion", "nine-letter-override"])
 def test_emission_is_a_fixed_point(text):
     assert emit_config(parse_config(text)) == text
+
+
+def test_a_singular_override_of_any_size_fails_to_load():
+    # A zero entry is a zero column of the braiding on V tensor V.
+    with pytest.raises(ConfigError, match="braiding override: braiding table "
+                                          "is not invertible on V tensor V"):
+        parse_config(_nine_letter_override("0"))
 
 
 def test_preset_emission_is_a_fixed_point(clifford2, uqg_a2):

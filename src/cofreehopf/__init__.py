@@ -1,67 +1,48 @@
 """Exact symbolic computation with quantum quasi-shuffle algebras,
 cotensor coalgebras over abelian group algebras, their smash-product
-realizations, and weight-1 Rota-Baxter operators."""
+realizations, and weight-1 Rota-Baxter operators.
 
-from .scalars import Scalar
-from .elements import Element, apply_local
-from .errors import ConfigError, StructuralError
-from .checks import CheckResult
-from .braid import (
-    BraidingTable,
-    Permutation,
-    block_braiding,
-    block_rotation,
-    braid_lift,
-    check_yang_baxter,
-    diagonal_braiding,
-    flip_braiding,
-    reduced_word,
-)
-from .qalg import (
-    BraidedAlgebraSpec,
-    adjoin_unit,
-    check_braided_algebra,
-    check_quasi_shuffle_bialgebra,
-    deconcat,
-    deconcat_reduced,
-    extend_letter_morphism,
-    filtration_degree,
-    quasi_shuffle,
-)
-from .grouphopf import (
-    AbelianGroup,
-    GroupElement,
-    HElement,
-    YDSpec,
-    antipode,
-    braided_spec,
-    check_yd_module_algebra,
-    check_yetter_drinfeld,
-)
-from .cotensor import (
-    CotensorElement,
-    SmashElement,
-    chain_lift,
-    check_chain_condition,
-    coinvariant_coproduct,
-    coinvariant_projection,
-    flatten_coinvariant,
-    from_smash,
-    smash_product,
-    star,
-    to_smash,
-)
-from .rotabaxter import (
-    RBInstance,
-    check_double_product_isomorphism,
-    check_rota_baxter,
-    cotensor_rb_operator,
-    diamond_product,
-    head_shift,
-    rb_double_product,
-    smash_rb_operator,
-    unit_prepend,
-)
-from .presets import build_clifford, build_uqg, check_clifford_relations, check_uqg_relations
+``import cofreehopf`` imports none of its modules: each name of
+``__all__`` is imported from its module on first use (PEP 562), so a
+process pays only for the modules it runs."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# module -> the names the package exports from it
+_EXPORTS = {
+    "scalars": ("Scalar",),
+    "elements": ("Element", "apply_local"),
+    "errors": ("ConfigError", "StructuralError"),
+    "checks": ("CheckResult",),
+    "braid": ("BraidingTable", "Permutation", "block_braiding", "block_rotation",
+              "braid_lift", "check_yang_baxter", "diagonal_braiding", "flip_braiding",
+              "reduced_word"),
+    "qalg": ("BraidedAlgebraSpec", "adjoin_unit", "check_braided_algebra",
+             "check_quasi_shuffle_bialgebra", "deconcat", "deconcat_reduced",
+             "extend_letter_morphism", "filtration_degree", "quasi_shuffle"),
+    "grouphopf": ("AbelianGroup", "GroupElement", "HElement", "YDSpec", "antipode",
+                  "braided_spec", "check_yd_module_algebra", "check_yetter_drinfeld"),
+    "cotensor": ("CotensorElement", "SmashElement", "chain_lift", "check_chain_condition",
+                 "coinvariant_coproduct", "coinvariant_projection", "flatten_coinvariant",
+                 "from_smash", "smash_product", "star", "to_smash"),
+    "rotabaxter": ("RBInstance", "check_double_product_isomorphism", "check_rota_baxter",
+                   "cotensor_rb_operator", "diamond_product", "head_shift", "rb_double_product",
+                   "smash_rb_operator", "unit_prepend"),
+    "presets": ("build_clifford", "build_uqg", "check_clifford_relations",
+                "check_uqg_relations"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -27,25 +27,29 @@ Conventions, fixed once and pinned down by tests:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
 from . import linalg
 from .checks import PASS, CheckResult, fail
 from .elements import Element, apply_local
-from .errors import StructuralError
+from .errors import Frozen, StructuralError
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class Permutation:
-    images: tuple[int, ...]
+class Permutation(Frozen):
+    _fields = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise StructuralError(f"not a permutation of 1..{n}: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        self._set(images=images)
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise StructuralError(f"not a permutation of 1..{n}: {images}")
+
+    __eq__ = Frozen._equal_values
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     @property
     def size(self) -> int:

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
-from .errors import StructuralError
+from .errors import Record, StructuralError
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     """Outcome of an axiom check.
 
     ``ok`` is True for a pass.  On failure ``law`` names the violated
@@ -17,11 +15,13 @@ class CheckResult:
     word or a pair of them) and ``lhs``/``rhs`` hold both evaluated sides.
     """
 
-    ok: bool
-    law: str = ""
-    witness: Any = None
-    lhs: Any = None
-    rhs: Any = None
+    _fields = ("ok", "law", "witness", "lhs", "rhs")
+
+    def __init__(self, ok: bool, law: str = "", witness: Any = None, lhs: Any = None,
+                 rhs: Any = None):
+        self.ok, self.law, self.witness, self.lhs, self.rhs = ok, law, witness, lhs, rhs
+
+    __eq__ = Record._equal_values  # and so unhashable
 
     def __bool__(self) -> bool:
         return self.ok

@@ -9,12 +9,18 @@ a result too large for memory (one ``error: out of memory while computing
 <command>`` line on stderr) and for any internal error (one ``error:
 internal: <type>: <message>`` line on stderr, never a traceback), so a
 crash never reads as a failed check.
+
+A shell call runs one command in a fresh process, which pays for every
+module imported here.  So ``json`` is imported in ``_emit`` and
+``presets`` in ``_cmd_preset``, the only code that uses them.  The other
+imports stay at the top: most commands use them, and tests patch the
+names they bind (``star``, ``check_rota_baxter``,
+``check_quasi_shuffle_bialgebra``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from functools import partial
@@ -51,7 +57,6 @@ from .elements import Element, render_element, render_terms
 from .errors import ConfigError, StructuralError
 from .expr import parse_element_text, parse_int_list
 from .grouphopf import GroupElement, YDSpec, check_yd_module_algebra, check_yetter_drinfeld
-from .presets import build_clifford, build_uqg
 from .qalg import (
     BraidedAlgebraSpec,
     _pair_alphabet as _word_pairs,
@@ -211,6 +216,8 @@ CHECKS = {
 
 
 def _emit(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
 
 
@@ -322,6 +329,8 @@ def _read_cartan(path: str) -> list[list[int]]:
 
 
 def _cmd_preset(args) -> int:
+    from .presets import build_clifford, build_uqg
+
     if args.family == "clifford":
         if args.n is None or args.n < 1:
             raise ConfigError("preset clifford needs --n N with N >= 1")

@@ -30,12 +30,11 @@ Emission reads the same objects back out, so a document written by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .braid import BraidingTable
 from .elements import Element, accumulate, render_element
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError, Frozen, StructuralError
 from .expr import ParsedElement, parse_element_text, parse_int_list, parse_scalar_list, tokenize
 from .grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec
 from .qalg import BraidedAlgebraSpec
@@ -47,14 +46,15 @@ _SECTIONS = ("group", "basis", "action", "mult", "braiding")
 _RESERVED = ("q", "K")
 
 
-@dataclass(frozen=True, eq=False)
-class ConfigDocument:
+class ConfigDocument(Frozen):
     """A loaded config: its module algebra, the braided algebra of its
     [braiding] override (``None`` without one), and the loading notes."""
 
-    spec: YDSpec
-    override: BraidedAlgebraSpec | None = None
-    notes: tuple[str, ...] = ()
+    _fields = ("spec", "override", "notes")
+
+    def __init__(self, spec: YDSpec, override: BraidedAlgebraSpec | None = None,
+                 notes: tuple[str, ...] = ()):
+        self._set(spec=spec, override=override, notes=notes)
 
     def ydspec(self) -> YDSpec:
         return self.spec

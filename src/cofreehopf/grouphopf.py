@@ -30,7 +30,6 @@ into a braided algebra suitable for the quasi-shuffle machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from operator import add, neg
 from typing import Mapping, NamedTuple, Sequence
@@ -39,7 +38,7 @@ from . import linalg
 from .braid import BraidingTable
 from .checks import PASS, CheckResult, fail
 from .elements import Element, adjoin_unit_letter, letter_table
-from .errors import StructuralError
+from .errors import Frozen, StructuralError
 from .qalg import BraidedAlgebraSpec, check_braided_algebra
 from .scalars import Scalar
 
@@ -77,14 +76,18 @@ class GroupElement(NamedTuple):
 _group_element = partial(tuple.__new__, GroupElement)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    rank: int
-    torsion: tuple[int, ...] = ()
+class AbelianGroup(Frozen):
+    _fields = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0 or any(m < 2 for m in self.torsion):
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        self._set(rank=rank, torsion=torsion)
+        if rank < 0 or any(m < 2 for m in torsion):
             raise StructuralError("group needs rank >= 0 and torsion orders >= 2")
+
+    __eq__ = Frozen._equal_values
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     @property
     def n_generators(self) -> int:
@@ -193,8 +196,7 @@ def diagonal_matrix(entries) -> Matrix:
     )
 
 
-@dataclass(eq=False, frozen=True)
-class YDSpec:
+class YDSpec(Frozen):
     """A based Yetter-Drinfeld module over an abelian group algebra.
 
     ``degrees[j]`` is the coaction degree of letter j; ``action[k]`` is
@@ -211,21 +213,20 @@ class YDSpec:
     generator and of each free generator's inverse.
     """
 
-    group: AbelianGroup
-    names: tuple[str, ...]
-    degrees: tuple[GroupElement, ...]
-    action: tuple[Matrix, ...]
-    mult: dict[tuple[int, int], Element] | None = None
-    unit: int | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    _fields = ("group", "names", "degrees", "action", "mult", "unit")
 
-    def __post_init__(self):
+    def __init__(self, group: AbelianGroup, names: tuple[str, ...],
+                 degrees: tuple[GroupElement, ...], action: tuple[Matrix, ...],
+                 mult: dict[tuple[int, int], Element] | None = None, unit: int | None = None,
+                 _cache: dict | None = None):
+        self._set(group=group, names=names, degrees=degrees, action=action, mult=mult,
+                  unit=unit, _cache={} if _cache is None else _cache)
         dim = len(self.names)
         if len(self.degrees) != dim:
             raise StructuralError("one degree per letter is required")
         if len(self.action) != self.group.n_generators:
             raise StructuralError("one action matrix per group generator is required")
-        object.__setattr__(self, "action", tuple(_coerce_matrix(m, dim) for m in self.action))
+        self._set(action=tuple(_coerce_matrix(m, dim) for m in self.action))
         group = self.group
         self._cache[("act", group.identity())] = self._images(diagonal_matrix([1] * dim))
         for k, matrix in enumerate(self.action):
@@ -238,7 +239,7 @@ class YDSpec:
             self._cache[("act", g)] = self._images(matrix)
             if k < group.rank:  # a torsion generator's powers are never negative
                 self._cache[("act", group.inverse(g))] = self._images(inverse)
-        object.__setattr__(self, "mult", letter_table(self.mult or {}, dim, self))
+        self._set(mult=letter_table(self.mult or {}, dim, self))
 
     def _images(self, matrix) -> tuple[Element, ...]:
         """The columns of ``matrix`` as one-letter Elements: the images of the letters."""

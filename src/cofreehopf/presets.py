@@ -21,7 +21,6 @@ downstream checks can assume well-formed data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,7 +34,7 @@ from .cotensor import (
     star,
 )
 from .elements import Element
-from .errors import StructuralError
+from .errors import Frozen, StructuralError
 from .grouphopf import (
     AbelianGroup,
     YDSpec,
@@ -46,10 +45,11 @@ from .grouphopf import (
 from .scalars import Scalar
 
 
-@dataclass(eq=False, frozen=True)
-class CliffordPreset:
-    n: int
-    spec: YDSpec
+class CliffordPreset(Frozen):
+    _fields = ("n", "spec")
+
+    def __init__(self, n: int, spec: YDSpec):
+        self._set(n=n, spec=spec)
 
     def v(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -63,10 +63,11 @@ class CliffordPreset:
         return self.n + offset + (j - i)
 
 
-@dataclass(eq=False, frozen=True)
-class UqgPreset:
-    cartan: tuple[tuple[int, ...], ...]
-    spec: YDSpec
+class UqgPreset(Frozen):
+    _fields = ("cartan", "spec")
+
+    def __init__(self, cartan: tuple[tuple[int, ...], ...], spec: YDSpec):
+        self._set(cartan=cartan, spec=spec)
 
     @property
     def n(self) -> int:

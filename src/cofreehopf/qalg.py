@@ -39,19 +39,17 @@ bialgebra live here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from typing import Mapping
 
 from .braid import BraidingTable, block_braiding
 from .checks import PASS, CheckResult, fail, nonempty
 from .elements import Element, accumulate, adjoin_unit_letter, apply_local, letter_table
-from .errors import StructuralError
+from .errors import Frozen, StructuralError
 from .scalars import Scalar
 
 
-@dataclass(eq=False, frozen=True)
-class BraidedAlgebraSpec:
+class BraidedAlgebraSpec(Frozen):
     """Structure constants of a finite-dimensional braided algebra.
 
     ``mult`` maps letter pairs to combinations of letters; a spec stores
@@ -62,20 +60,17 @@ class BraidedAlgebraSpec:
     at construction, checked and copied over ``alphabet``.
     """
 
-    dim: int
-    braiding: BraidingTable
-    mult: dict[tuple[int, int], Element]
-    unit: int | None = None
-    names: tuple[str, ...] | None = None
-    alphabet: object = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    _fields = ("dim", "braiding", "mult", "unit", "names", "alphabet")
 
-    def __post_init__(self):
-        if self.braiding.dim != self.dim:
+    def __init__(self, dim: int, braiding: BraidingTable, mult: dict[tuple[int, int], Element],
+                 unit: int | None = None, names: tuple[str, ...] | None = None,
+                 alphabet: object = None, _cache: dict | None = None):
+        self._set(dim=dim, braiding=braiding, mult=mult, unit=unit, names=names,
+                  alphabet=self if alphabet is None else alphabet,
+                  _cache={} if _cache is None else _cache)
+        if braiding.dim != dim:
             raise StructuralError("braiding dimension does not match the basis size")
-        if self.alphabet is None:
-            object.__setattr__(self, "alphabet", self)
-        object.__setattr__(self, "mult", letter_table(self.mult, self.dim, self.alphabet))
+        self._set(mult=letter_table(mult, dim, self.alphabet))
 
     def mult_entry(self, a: int, b: int) -> Element:
         return self.mult[(a, b)]

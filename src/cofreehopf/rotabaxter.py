@@ -16,24 +16,25 @@ reproducible; the identity itself is evaluated exactly on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .checks import PASS, CheckResult, fail, nonempty
 from .cotensor import CotensorElement, SmashElement, from_smash, smash_product, star, to_smash
 from .elements import Element
-from .errors import StructuralError
+from .errors import Record, StructuralError
 from .qalg import BraidedAlgebraSpec, _qsh_memo, crossing, quasi_shuffle
 from .scalars import Scalar
 
 
-@dataclass
-class RBInstance:
+class RBInstance(Record):
     """A product, an endomorphism and a weight to test them at."""
 
-    product: Callable
-    operator: Callable
-    weight: Scalar
+    _fields = ("product", "operator", "weight")
+
+    def __init__(self, product: Callable, operator: Callable, weight: Scalar):
+        self.product, self.operator, self.weight = product, operator, weight
+
+    __eq__ = Record._equal_values  # and so unhashable
 
     def scaled(self, factor: Scalar) -> RBInstance:
         """Rescaled operator: weight lambda goes with lambda times the map."""

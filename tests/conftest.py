@@ -49,6 +49,18 @@ def hoffman4():
     return hoffman_spec(4)
 
 
+def assert_frozen(record, fields: tuple[str, ...]) -> None:
+    """Assigning or deleting each of ``fields`` raises AttributeError and
+    leaves the value as it was."""
+    for name in fields:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value, name
+
+
 def basis_words(dim: int, length: int):
     return list(itertools.product(range(dim), repeat=length))
 

@@ -2,16 +2,22 @@
 
 The cases use coefficients beyond the +-1 and 2 of the other goldens
 (1/2, q^-1, -q^2, (1 - q)), degree-0 group keys, the empty word and the
-zero element, in both the text and the JSON output of the CLI.
+zero element, in both the text and the JSON output of the CLI.  The last
+section pins the record classes: their constructors, repr, equality and
+hashing.
 """
 
 from __future__ import annotations
 
 import contextlib
+import inspect
 
 import pytest
 
+from cofreehopf.braid import Permutation, flip_braiding
+from cofreehopf.checks import CheckResult
 from cofreehopf.cli import main
+from cofreehopf.config import ConfigDocument
 from cofreehopf.cotensor import (
     CotensorElement,
     SmashElement,
@@ -21,7 +27,10 @@ from cofreehopf.cotensor import (
     render_smash,
 )
 from cofreehopf.elements import Element, render_element
-from cofreehopf.grouphopf import AbelianGroup, HElement
+from cofreehopf.grouphopf import AbelianGroup, HElement, YDSpec
+from cofreehopf.presets import CliffordPreset, UqgPreset
+from cofreehopf.qalg import BraidedAlgebraSpec
+from cofreehopf.rotabaxter import RBInstance
 from cofreehopf.scalars import Scalar
 
 CASES = [
@@ -195,3 +204,82 @@ def test_zero_elements_render_as_zero(clifford2):
     assert render_cotensor(CotensorElement.zero(spec)) == "0"
     assert render_smash(SmashElement.zero(spec)) == "0"
     assert render_pairs(spec, coproduct(CotensorElement.zero(spec))) == "0"
+
+
+# -- the record classes: constructors, repr, equality and hashing ------------------
+
+
+def _one_letter_spec() -> YDSpec:
+    group = AbelianGroup(rank=1)
+    return YDSpec(group, ("a",), (group.generator(0),), (((Scalar.q_power(1),),),))
+
+
+def test_record_constructors_keep_their_parameters():
+    # ``_cache`` is a constructor parameter whose default is a fresh dict
+    expected = {
+        Permutation: [("images", None)],
+        CheckResult: [("ok", None), ("law", ""), ("witness", None), ("lhs", None),
+                      ("rhs", None)],
+        ConfigDocument: [("spec", None), ("override", None), ("notes", ())],
+        AbelianGroup: [("rank", None), ("torsion", ())],
+        YDSpec: [("group", None), ("names", None), ("degrees", None), ("action", None),
+                 ("mult", None), ("unit", None), ("_cache", None)],
+        CliffordPreset: [("n", None), ("spec", None)],
+        UqgPreset: [("cartan", None), ("spec", None)],
+        BraidedAlgebraSpec: [("dim", None), ("braiding", None), ("mult", None), ("unit", None),
+                             ("names", None), ("alphabet", None), ("_cache", None)],
+        RBInstance: [("product", None), ("operator", None), ("weight", None)],
+    }
+    for cls, params in expected.items():
+        found = inspect.signature(cls).parameters.values()
+        assert [(p.name, None if p.default is p.empty or p.name == "_cache" else p.default)
+                for p in found] == params, cls
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in found), cls
+
+
+def test_record_reprs_are_pinned():
+    assert repr(AbelianGroup(rank=1, torsion=(2,))) == "AbelianGroup(rank=1, torsion=(2,))"
+    assert repr(Permutation((2, 1))) == "Permutation(images=(2, 1))"
+    assert repr(CheckResult(False, "law", (1,))) \
+        == "CheckResult(ok=False, law='law', witness=(1,), lhs=None, rhs=None)"
+    spec = _one_letter_spec()
+    text = ("YDSpec(group=AbelianGroup(rank=1, torsion=()), names=('a',), "
+            "degrees=(GroupElement(free=(1,), torsion=()),), action=(((Scalar({1: 1}),),),), "
+            "mult={(0, 0): Element({})}, unit=None)")
+    assert repr(spec) == text and "_cache" not in repr(spec)
+    assert repr(ConfigDocument(spec)) \
+        == f"ConfigDocument(spec={text}, override=None, notes=())"
+    # a spec that is its own alphabet reads ``...`` there
+    bspec = BraidedAlgebraSpec(1, flip_braiding(1), {})
+    assert repr(bspec).startswith("BraidedAlgebraSpec(dim=1, braiding=<")
+    assert repr(bspec).endswith(">, mult={(0, 0): Element({})}, unit=None, names=None, "
+                                "alphabet=...)")
+
+
+def test_groups_and_permutations_compare_and_hash_by_value():
+    for make, other, values in (
+            (lambda: AbelianGroup(rank=1, torsion=(2,)), AbelianGroup(rank=1), (1, (2,))),
+            (lambda: Permutation((2, 3, 1)), Permutation((3, 1, 2)), ((2, 3, 1),))):
+        first, second = make(), make()
+        assert first is not second and first == second and not first != second
+        assert hash(first) == hash(second) and len({first, second}) == 1
+        assert first != other and first != values
+
+
+def test_specs_compare_by_identity():
+    first, second = _one_letter_spec(), _one_letter_spec()
+    assert repr(first) == repr(second)
+    assert first != second and first == first and len({first, second}) == 2
+    assert ConfigDocument(first) != ConfigDocument(first)
+
+
+def test_check_results_compare_by_value_and_are_unhashable():
+    assert CheckResult(False, "law", (1,), 2, 3) == CheckResult(False, "law", (1,), 2, 3)
+    assert CheckResult(False, "law", (1,)) != CheckResult(False, "other", (1,))
+    assert CheckResult(True) != (True, "", None, None, None)
+    weight = Scalar.coerce(1)
+    assert RBInstance(len, abs, weight) == RBInstance(len, abs, weight)
+    assert RBInstance(len, abs, weight) != RBInstance(abs, len, weight)
+    for value in (CheckResult(True), RBInstance(len, abs, weight)):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,8 @@ from cofreehopf.errors import ConfigError, StructuralError
 from cofreehopf.expr import parse_element_text
 from cofreehopf.grouphopf import braided_spec, check_yetter_drinfeld
 from cofreehopf.scalars import Scalar
+
+from conftest import assert_frozen
 
 HOFFMAN = """
 # additive letters under a trivial group
@@ -166,7 +167,8 @@ def test_braided_spec_is_built_on_demand_and_once(clifford2):
     spec = doc.ydspec()
     assert "braiding" not in spec._cache  # parsing alone builds no braiding
     assert doc.braided() is doc.braided() is braided_spec(spec)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert_frozen(doc, ("spec", "override", "notes"))
+    with pytest.raises(AttributeError):
         doc.mult = {}
 
 

@@ -1,0 +1,66 @@
+"""What a process imports: the lazy package namespace and the cold CLI call."""
+
+from __future__ import annotations
+
+import contextlib
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cofreehopf
+
+# The child reports the package's submodules loaded by ``import cofreehopf``,
+# then runs the ``star`` command and reports which of the modules that no
+# ``star`` call needs were loaded after all.
+COLD_STAR = """
+import sys
+import cofreehopf
+print(sorted(m for m in sys.modules if m.startswith("cofreehopf.")))
+import cofreehopf.cli
+code = cofreehopf.cli.main(["--config", sys.argv[1], "star", "v1", "v2"])
+print(code, [m for m in ("dataclasses", "inspect", "json", "cofreehopf.presets")
+             if m in sys.modules])
+"""
+
+
+def test_a_cold_star_call_loads_only_what_it_runs(tmp_path):
+    from cofreehopf.cli import main
+
+    config = tmp_path / "clifford2.cfg"
+    with open(config, "w", encoding="utf-8") as handle, contextlib.redirect_stdout(handle):
+        assert main(["preset", "clifford", "--n", "2"]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", COLD_STAR, str(config)], env=env,
+                          capture_output=True, encoding="utf-8", timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []"), done.stdout
+
+
+def test_every_exported_name_is_its_module_object():
+    for name in cofreehopf.__all__:
+        value = getattr(cofreehopf, name)
+        assert value.__module__.startswith("cofreehopf."), name
+        assert value is getattr(sys.modules[value.__module__], name), name
+    assert set(cofreehopf.__all__) <= set(dir(cofreehopf))
+    assert len(set(cofreehopf.__all__)) == len(cofreehopf.__all__) == 56
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from cofreehopf import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(cofreehopf.__all__)
+    assert namespace["star"] is importlib.import_module("cofreehopf.cotensor").star
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cofreehopf.no_such_name
+    with pytest.raises(ImportError):
+        exec("from cofreehopf import no_such_name", {})

@@ -11,11 +11,11 @@ internal: <type>: <message>`` line on stderr, never a traceback), so a
 crash never reads as a failed check.
 
 A shell call runs one command in a fresh process, which pays for every
-module imported here.  So ``json`` is imported in ``_emit`` and
-``presets`` in ``_cmd_preset``, the only code that uses them.  The other
-imports stay at the top: most commands use them, and tests patch the
-names they bind (``star``, ``check_rota_baxter``,
-``check_quasi_shuffle_bialgebra``).
+module imported here.  So ``json`` is imported in ``_emit``, ``presets``
+in ``_cmd_preset`` and ``rotabaxter`` (where tests patch it) in
+``_rb_operator`` and ``_check_rb``, the only code that uses them.  The
+other imports stay at the top: most commands use them, and tests patch
+the names they bind (``star``, ``check_quasi_shuffle_bialgebra``).
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .qalg import (
     adjoin_unit,
     quasi_shuffle,
 )
-from .rotabaxter import check_rota_baxter, cotensor_rb_operator, qsh_rb_instance
 from .scalars import render_scalar
 
 
@@ -164,6 +163,11 @@ def _json_terms(kind: str, spec: YDSpec, value) -> list[dict]:
     return [{"coeff": render_scalar(c), **fields(key)} for key, c in value.terms()]
 
 
+def _rb_operator(doc: ConfigDocument):
+    from .rotabaxter import cotensor_rb_operator
+    return cotensor_rb_operator
+
+
 # command -> (argument names, binder, operation, output kind).  Each
 # operation is built from the document before any argument is read, and
 # looks its function up when called, so patching ``cli.star`` takes effect.
@@ -175,7 +179,7 @@ COMMANDS = {
     "comul": (("x",), bind_cotensor_element, lambda doc: coproduct, "pairs"),
     # a config names no unit letter, so rb-apply binds over the spec with one adjoined
     "rb-apply": (("x",), lambda spec, parsed: bind_cotensor_element(spec.with_unit(), parsed),
-                 lambda doc: cotensor_rb_operator, "cotensor"),
+                 _rb_operator, "cotensor"),
     "phi": (("x",), bind_cotensor_element, lambda doc: flatten_coinvariant, "tensor"),
     "psi": (("x",), bind_plain_element,
             lambda doc: partial(chain_lift, doc.ydspec()), "cotensor"),
@@ -194,6 +198,7 @@ def _pairs_up_to(spec: BraidedAlgebraSpec, total: int):
 
 
 def _check_rb(doc: ConfigDocument, max_degree: int) -> tuple[BraidedAlgebraSpec, CheckResult]:
+    from .rotabaxter import check_rota_baxter, qsh_rb_instance
     unital = adjoin_unit(doc.braided())  # a config names no unit letter
     return unital, check_rota_baxter(qsh_rb_instance(unital), (
         (Element.from_word(u, alphabet=unital.alphabet),

@@ -46,7 +46,7 @@ from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from .errors import StructuralError
-from .scalars import Scalar, split_sign
+from .scalars import _ONE, Scalar, split_sign
 
 Word = tuple
 
@@ -75,10 +75,10 @@ def merge_alphabets(a, b):
 
 
 def accumulate(out: dict, key, c: Scalar) -> None:
-    """Add ``c`` to ``out[key]``, dropping the key when the sum cancels."""
+    """Add ``c`` to ``out[key]``, dropping the key when the sum's term dict is empty."""
     s = out.get(key)
     s = c if s is None else s + c
-    if s.is_zero():
+    if not s._terms:
         out.pop(key, None)
     else:
         out[key] = s
@@ -177,9 +177,9 @@ class Element:
 
     def scale(self, factor: Scalar | int | Fraction):
         factor = Scalar.coerce(factor)
-        if factor.is_zero():
+        if not factor._terms:
             return self.zero(self.alphabet)
-        if factor == Scalar.one():
+        if factor._terms == _ONE._terms:
             return self
         return self._wrap({key: c * factor for key, c in self._terms.items()}, self.alphabet)
 
@@ -228,20 +228,17 @@ class Element:
 
 
 def _extend(images) -> dict:
-    """Sum ``c * image`` over ``(c, image)`` pairs; a coefficient of 1 multiplies
-    nothing.  Into an empty sum the terms go as they are: a product of two
-    nonzero scalars is nonzero."""
+    """Sum ``c * image`` over ``(c, image)`` pairs; a coefficient of 1, told by
+    comparing term dicts in C, multiplies nothing.  Into an empty sum the terms
+    go as they are: a product of two nonzero scalars is nonzero."""
     out: dict = {}
-    one = Scalar.one()
     for c, image in images:
+        unit = c._terms == _ONE._terms
         if not out:
-            out = dict(image._terms) if c == one else {k: d * c for k, d in image._terms.items()}
-        elif c == one:
-            for key, d in image._terms.items():
-                accumulate(out, key, d)
+            out = dict(image._terms) if unit else {k: d * c for k, d in image._terms.items()}
         else:
             for key, d in image._terms.items():
-                accumulate(out, key, d * c)
+                accumulate(out, key, d if unit else d * c)
     return out
 
 

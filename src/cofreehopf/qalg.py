@@ -8,6 +8,8 @@ words: keep the left head, braid the right head to the front, or merge
 the two heads through the multiplication.  A word times the empty word
 is that word, so a one-letter right factor costs no call on an empty
 tail, and a merge that the multiplication kills costs no tail product.
+A tail product is scaled term by term as it is added into the result,
+never copied whole first, and a coefficient of 1 multiplies nothing.
 
 Inside the recursion a word is packed, one code point per letter, so a
 prepend copies bytes and each word is hashed once.  The memo is one
@@ -46,7 +48,7 @@ from .braid import BraidingTable, block_braiding
 from .checks import PASS, CheckResult, fail, nonempty
 from .elements import Element, accumulate, adjoin_unit_letter, apply_local, letter_table
 from .errors import Frozen, StructuralError
-from .scalars import Scalar
+from .scalars import _ONE, Scalar
 
 
 class BraidedAlgebraSpec(Frozen):
@@ -178,8 +180,8 @@ def _qsh_general(spec: BraidedAlgebraSpec, u: str, v: str, rec, crossings) -> di
     each term c w of B(u, v_0), then c m(u_0, w_0) (w' qsh v') for each term
     c w of B(u', v_0).  A word times the empty word is that word."""
     if not u or not v:
-        return {u + v: Scalar.one()}
-    head, rest, one = u[0], v[1:], Scalar.one()
+        return {u + v: _ONE}
+    head, rest = u[0], v[1:]
     out = {head + w: c for w, c in rec(spec, u[1:], v).items()}
     shifted, moved = crossings(spec, _unpack(u), ord(v[0]))
     steps = [(chr(word[0]), coeff, _pack(word[1:])) for word, coeff in moved._terms.items()]
@@ -188,10 +190,9 @@ def _qsh_general(spec: BraidedAlgebraSpec, u: str, v: str, rec, crossings) -> di
                      for (d,), c in spec.mult_entry(ord(head), word[0])._terms.items())
     for letter, coeff, tail in steps:
         terms = rec(spec, tail, rest) if rest else {tail: coeff}
-        if rest and coeff != one:
-            terms = {w: c * coeff for w, c in terms.items()}
+        scale = rest and coeff._terms != _ONE._terms
         for w, c in terms.items():
-            accumulate(out, letter + w, c)
+            accumulate(out, letter + w, c * coeff if scale else c)
     return out
 
 
@@ -290,8 +291,9 @@ def check_quasi_shuffle_bialgebra(spec: BraidedAlgebraSpec,
                 v1, v2 = v[:j], _pack(v[j:])
                 crossed = block_braiding(
                     spec.braiding, len(u2), len(v1),
-                    Element.from_word(u2 + v1, alphabet=spec.alphabet))
-                for word, c in crossed._terms.items():
+                    Element.from_word(u2 + v1, alphabet=spec.alphabet),
+                )._terms if u2 and v1 else {u2 + v1: _ONE}
+                for word, c in crossed.items():
                     left = qsh(spec, u1, _pack(word[:len(v1)]))
                     right = qsh(spec, _pack(word[len(v1):]), v2)
                     for wl, cl in left.items():

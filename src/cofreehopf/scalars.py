@@ -8,8 +8,11 @@ is not, so equality is dictionary equality and the representation
 depends only on the value.  Almost every coefficient the presets produce
 is an integer, so most arithmetic never enters ``Fraction``.  A float is
 never stored: integer division always goes through ``Fraction`` and the
-quotient is then normalised back.  Instances are immutable; every
-operation returns a new object.
+quotient is then normalised back.  An exponent is an ``int``: a float or
+a fraction such as 3/2 is refused, never truncated.  Instances are
+immutable, so they are shared: the unit and zero are one object each
+(``coerce`` of the ints 1 and 0 included), and ``1 * x`` and ``x * 1``
+return ``x`` itself.  Every other operation returns a new object.
 
 Division is deliberately restricted: units of the Laurent ring are the
 nonzero monomials ``c*q**k``, and only those can be inverted.  The
@@ -57,6 +60,8 @@ class Scalar:
             for k, c in terms.items():
                 c = _as_fraction(c)
                 if c:
+                    if type(k) is not int and not (isinstance(k, (int, Fraction)) and k == int(k)):
+                        raise TypeError(f"integer exponent expected, got {k!r}")
                     canon[int(k)] = c
         self._terms = canon
 
@@ -82,6 +87,8 @@ class Scalar:
     def coerce(value: Scalar | Rational) -> Scalar:
         if type(value) is Scalar:
             return value
+        if type(value) is int:
+            return _ONE if value == 1 else _wrap({0: value}) if value else _ZERO
         return Scalar({0: value})
 
     # -- structure ---------------------------------------------------------
@@ -151,6 +158,10 @@ class Scalar:
                 return NotImplemented
             other = Scalar.coerce(other)
         a, b = self._terms, other._terms
+        if a == _ONE._terms:
+            return other
+        if b == _ONE._terms:
+            return self
         if len(a) > len(b):
             a, b = b, a
         if len(a) == 1:
@@ -159,7 +170,9 @@ class Scalar:
             if len(b) == 1:
                 ((k2, c2),) = b.items()
                 c = c1 * c2
-                return _wrap({k1 + k2: c if type(c) is int else _as_fraction(c)})
+                res = Scalar.__new__(Scalar)
+                res._terms = {k1 + k2: c if type(c) is int else _as_fraction(c)}
+                return res
             out = {}
             for k2, c2 in b.items():
                 c = c1 * c2

@@ -532,13 +532,14 @@ def test_witness_words_render_through_the_letter_names(run, tmp_path):
 
 def test_witness_pairs_render_as_tensor_pairs(run, clifford_config, monkeypatch):
     import cofreehopf.cli as cli
+    import cofreehopf.rotabaxter as rotabaxter
 
     monkeypatch.setattr(cli, "check_quasi_shuffle_bialgebra", lambda spec, pairs: fail(
         "quasi-shuffle-bialgebra", ((0, 1), ()), Element.zero(), Element.zero()))
     assert run("--config", clifford_config, "check", "bialg") \
         == (1, "FAIL quasi-shuffle-bialgebra; at v1@v2 (x) 1; lhs = 0; rhs = 0\n", "")
     pair = (Element.from_word((1,), 2) + Element.from_word(()), Element.from_word((0, 0)))
-    monkeypatch.setattr(cli, "check_rota_baxter", lambda inst, samples: fail(
+    monkeypatch.setattr(rotabaxter, "check_rota_baxter", lambda inst, samples: fail(
         "rota-baxter", pair, Element.zero(), Element.zero()))
     code, out, _ = run("--config", clifford_config, "--format", "json", "check", "rb")
     assert code == 1
@@ -546,14 +547,14 @@ def test_witness_pairs_render_as_tensor_pairs(run, clifford_config, monkeypatch)
 
 
 def test_rb_counterexample_renders_the_adjoined_unit_letter(run, clifford_config, monkeypatch):
-    import cofreehopf.cli as cli
+    import cofreehopf.rotabaxter as rotabaxter
 
     def failing(inst, samples):  # fails on the first sample holding the unit letter
         for x, y in samples:
             if any(5 in word for word in x.support() + y.support()):
                 return fail("rota-baxter", (x, y), inst.operator(x), inst.operator(y))
 
-    monkeypatch.setattr(cli, "check_rota_baxter", failing)
+    monkeypatch.setattr(rotabaxter, "check_rota_baxter", failing)
     assert run("--config", clifford_config, "--max-degree", "1", "check", "rb") \
         == (1, "FAIL rota-baxter; at 1 (x) one; lhs = one; rhs = one@one\n", "")
     code, out, err = run("--config", clifford_config, "--max-degree", "1",

@@ -22,8 +22,8 @@ import cofreehopf
 print(sorted(m for m in sys.modules if m.startswith("cofreehopf.")))
 import cofreehopf.cli
 code = cofreehopf.cli.main(["--config", sys.argv[1], "star", "v1", "v2"])
-print(code, [m for m in ("dataclasses", "inspect", "json", "cofreehopf.presets")
-             if m in sys.modules])
+print(code, [m for m in ("dataclasses", "inspect", "json", "cofreehopf.presets",
+                         "cofreehopf.rotabaxter") if m in sys.modules])
 """
 
 

@@ -244,6 +244,26 @@ def test_crossing_matches_the_block_sweep(clifford2, uqg_a2):
         assert spec._cache["crossing"][((1, 0, 1), 0)] is crossing(spec, (1, 0, 1), 0)
 
 
+def test_arithmetic_on_a_product_leaves_the_memo_unchanged(uqg_a2):
+    # Memo terms hold shared scalars (the unit among them) and a product
+    # may reuse them: adding or scaling the result must write only into
+    # dicts of its own.
+    q = Scalar.q_power(1)
+    for spec in (braided_spec(uqg_a2.spec), hoffman_spec(3)):
+        for u, v in (((0,), (1,)), ((0, 1), (1,)), ((1, 0, 1), (0, 1)), ((), (0, 1)), ((1,), ())):
+            x, y = _word(spec, *u), _word(spec, *v)
+            z = quasi_shuffle(spec, x, y)
+            memo = spec._cache["qsh"](spec, _pack(u), _pack(v))
+            frozen = {w: dict(c._terms) for w, c in memo.items()}
+            values = {w: dict(c._terms) for w, c in z._terms.items()}
+            doubled, scaled = z + z, z.scale(q)
+            again = quasi_shuffle(spec, x, y)
+            assert {w: dict(c._terms) for w, c in again._terms.items()} == values
+            assert {w: dict(c._terms) for w, c in memo.items()} == frozen
+            assert doubled == z.scale(2) and scaled.scale(q.inverse()) == z == again
+            assert again == quasi_shuffle_general_clause(spec, x, y)
+
+
 def test_a_word_packs_into_one_code_point_per_letter_and_back():
     for letter in (0, 255, 256, 0xD800, 65535, 65536, 0x10FFFF):
         for word in ((letter,), (letter, 0, letter), (1, letter, 300), ()):

@@ -175,3 +175,67 @@ def test_divexact_matches_sympy_laurent_division():
                         divexact(num, b)
                     inexact += 1
     assert exact >= 60 and inexact >= 20
+
+
+def test_exponents_are_integers_never_truncated():
+    for bad in (2.9, 2.0, Fraction(3, 2)):
+        with pytest.raises(TypeError):
+            Scalar({bad: 1})
+        with pytest.raises(TypeError):
+            Scalar.q_power(bad)
+    with pytest.raises(TypeError):
+        Scalar.q_power(1.5, Fraction(1, 2))
+    assert Scalar.q_power(Fraction(4, 2)) == Scalar.q_power(2)
+    assert type(next(iter(Scalar({Fraction(-6, 3): 1})._terms))) is int
+    assert Scalar({-2: 1, 3: 2}).items() == [(-2, 1), (3, 2)]
+
+
+def test_shared_scalars_are_never_changed_by_arithmetic():
+    """The unit and zero are shared objects and ``1 * x`` is ``x`` itself:
+    no operation may write into an operand, and every result stays
+    canonical, hashes by value and matches sympy."""
+    from cofreehopf.elements import Element
+
+    sympy, q, to_sympy, same = _sympy_oracle()
+    rnd = random.Random(20261019)
+    operands = [Scalar.one(), Scalar.coerce(1), Scalar.rational(Fraction(4, 4)),
+                Scalar.zero(), Scalar.coerce(0), Scalar.coerce(-1)]
+    operands += [_random_monomial(rnd) for _ in range(3)]
+    operands += [s for s in (_random_scalar(rnd) for _ in range(8)) if len(s._terms) > 1][:3]
+    assert len(operands) == 12
+    before = [dict(s._terms) for s in operands]
+    image = [to_sympy(s) for s in operands]
+    x = Element({(0,): Scalar.one(), (1,): operands[-1], (0, 1): operands[6]})
+    x_terms = dict(x._terms)
+    results = []
+    for i, a in enumerate(operands):
+        sa = image[i]
+        n = rnd.randint(0, 3)
+        checks = [(a ** n, sa ** n)]
+        if a.is_monomial():
+            checks.append((a ** -2, sa ** -2))
+        for j, b in enumerate(operands):
+            sb = image[j]
+            checks += [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb)]
+            if b.is_monomial():
+                checks.append((divexact(a, b), sa / sb))
+            if b:
+                checks.append((divexact(a * b, b), sa))
+        for r, expected in checks:
+            assert same(r, expected), (a, r)
+        results += [r for r, _ in checks]
+        scaled = x.scale(a)
+        for key, c in scaled._terms.items():
+            assert same(c, to_sympy(x._terms[key]) * sa)
+        assert len(scaled) == (len(x) if a else 0)
+        results += scaled._terms.values()
+    assert [s._terms for s in operands] == before
+    assert x._terms == x_terms
+    assert (Scalar.one()._terms, Scalar.zero()._terms) == ({0: 1}, {})
+    hashes = {}
+    for r in results:
+        _assert_canonical_coefficients(r)
+        assert r == Scalar(r._terms) and hash(r) == hash(Scalar(r._terms))
+        hashes.setdefault(tuple(r.items()), set()).add(hash(r))
+    assert all(len(h) == 1 for h in hashes.values())
+    assert len(hashes) > 20

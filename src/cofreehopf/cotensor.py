@@ -27,14 +27,16 @@ keys, in one table filled row by row:
               + T(i-1, j-1) . pi1(last a_i, last b_j)
 
 The product of the two keys is T(n, m); two group elements multiply in
-the group.  Products are not memoised, but pi1 of each pair the table
-reads is, on the spec (``spec._cache["pi1"]``), as triples (letter,
-coefficient or None for 1, need), need = degree(v) * g being the
-component the letter (v, g) requires just before it.  The chain
-condition is guarded there too: before a letter is appended to a cell,
-need is compared with the last components of the cell's words, so each
-cut of each word built is checked once, and a product that leaves the
-chain words raises.
+the group.  The table reads the column prefixes once per product, and a
+cell visits only the sources that hold words.  Products are not
+memoised, but pi1 of each pair the table reads is, on the spec
+(``spec._cache["pi1"]``), as triples (letter, coefficient or None for
+1, need), need = degree(v) * g being the component the letter (v, g)
+requires just before it.  The chain condition is guarded there too:
+before a letter is appended to a cell, need is compared with the last
+components of the cell's words (by identity first, since a group interns
+its elements, then by value), so each cut of each word built is checked
+once, and a product that leaves the chain words raises.
 
 The coinvariant side: the projection onto right coinvariants is the
 convolution of the identity with the composite
@@ -129,7 +131,8 @@ def check_chain_condition(spec: YDSpec, terms) -> CheckResult:
             continue
         for k in range(len(key) - 1):
             v_next, g_next = key[k + 1]
-            if key[k][1] != spec.group.multiply(spec.degrees[v_next], g_next):
+            g, need = key[k][1], spec.group.multiply(spec.degrees[v_next], g_next)
+            if g is not need and g != need:
                 return fail("cotensor-chain", (key, k + 1))
     return PASS
 
@@ -213,30 +216,39 @@ def _prefix_table(spec: YDSpec, kx: Key, ky: Key) -> dict[MWord, Scalar]:
         return [(start, start)] + [(key[i][1], key[i:i + 1]) for i in range(key_degree(key))]
 
     memo = spec._cache.setdefault("pi1", {})
-    empty = ({}, ())
+
+    def append(cell, source, x, y):  # cell += source . pi1(x, y), guarding each cut it makes
+        words, ends = source
+        if not words:
+            return
+        entry = memo.get((x, y))
+        if entry is None:
+            entry = memo[(x, y)] = _projection_entry(spec, x, y)
+        for letter, d, need in entry:
+            for end in ends:
+                if end is not need and end != need:
+                    word = next(w for w in words if w[-1][1] == end) + (letter,)
+                    raise StructuralError(
+                        "product left the cotensor subspace: chain word "
+                        f"{render_key(spec, word)} breaks at cut {len(word) - 1}")
+            for word, c in words.items():
+                accumulate(cell, word + (letter,), c if d is None else c * d)
+
+    unit = ({(): Scalar.one()}, ())
+    columns = prefixes(ky)
     prev: list[tuple] = []
     for i, (a_right, a_last) in enumerate(prefixes(kx)):
         row: list[tuple] = []
-        for j, (b_right, b_last) in enumerate(prefixes(ky)):
+        for j, (b_right, b_last) in enumerate(columns):
             cell: dict[MWord, Scalar] = {}
-            for (words, ends), x, y in ((({(): Scalar.one()}, ()) if (i, j) in _DIRECT else empty,
-                                         a_last, b_last),
-                                        (row[j - 1] if j else empty, a_right, b_last),
-                                        (prev[j] if i else empty, a_last, b_right),
-                                        (prev[j - 1] if i and j else empty, a_last, b_last)):
-                if words:
-                    entry = memo.get((x, y))
-                    if entry is None:
-                        entry = memo[(x, y)] = _projection_entry(spec, x, y)
-                    for letter, d, need in entry:
-                        for end in ends:
-                            if end != need:
-                                word = next(w for w in words if w[-1][1] == end) + (letter,)
-                                raise StructuralError(
-                                    "product left the cotensor subspace: chain word "
-                                    f"{render_key(spec, word)} breaks at cut {len(word) - 1}")
-                        for word, c in words.items():
-                            accumulate(cell, word + (letter,), c if d is None else c * d)
+            if (i, j) in _DIRECT:
+                append(cell, unit, a_last, b_last)
+            if j:
+                append(cell, row[j - 1], a_right, b_last)
+            if i:
+                append(cell, prev[j], a_last, b_right)
+                if j:
+                    append(cell, prev[j - 1], a_last, b_last)
             row.append((cell, {word[-1][1] for word in cell}))
         prev = row
     return prev[-1][0]

@@ -13,7 +13,11 @@ equal only to a group element with the same exponents, never to a plain
 tuple, a chain word or a smash key.  :meth:`AbelianGroup.element`
 validates and normalizes outside input; :meth:`AbelianGroup.multiply`
 and :meth:`AbelianGroup.inverse` build their results from the exponent
-tuples directly.
+tuples directly.  Equal group elements built by one group are one
+object: the group interns them in a table that lives on it, so dict
+lookups and tuple comparisons of chain words meet the same object and
+skip the Python-level ``__eq__``.  Equality stays by value, so an
+element built by hand or by another group works everywhere.
 
 A Yetter-Drinfeld module over K[G] is a based vector space carrying a
 G-grading (the coaction sends a letter v to degree(v) tensor v) and a
@@ -30,7 +34,7 @@ into a braided algebra suitable for the quasi-shuffle machinery.
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import reduce
 from operator import add, neg
 from typing import Mapping, NamedTuple, Sequence
 
@@ -72,15 +76,12 @@ class GroupElement(NamedTuple):
         return "K{" + ",".join(str(e) for e in self.exponents()) + "}"
 
 
-# GroupElement((free, torsion)) without the Python-level NamedTuple __new__
-_group_element = partial(tuple.__new__, GroupElement)
-
-
 class AbelianGroup(Frozen):
     _fields = ("rank", "torsion")
 
     def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
-        self._set(rank=rank, torsion=torsion)
+        # _elements interns: one GroupElement per plain (free, torsion) pair
+        self._set(rank=rank, torsion=torsion, _elements={})
         if rank < 0 or any(m < 2 for m in torsion):
             raise StructuralError("group needs rank >= 0 and torsion orders >= 2")
 
@@ -93,6 +94,14 @@ class AbelianGroup(Frozen):
     def n_generators(self) -> int:
         return self.rank + len(self.torsion)
 
+    def _intern(self, exponents: tuple[tuple[int, ...], tuple[int, ...]]) -> GroupElement:
+        """The group's one element with these (free, torsion) exponents."""
+        g = self._elements.get(exponents)
+        if g is None:
+            # GroupElement(free, torsion) without the Python-level NamedTuple __new__
+            g = self._elements[exponents] = tuple.__new__(GroupElement, exponents)
+        return g
+
     def element(self, exponents: Sequence[int]) -> GroupElement:
         """The validating constructor: one integer per generator, torsion reduced."""
         if len(exponents) != self.n_generators:
@@ -100,10 +109,10 @@ class AbelianGroup(Frozen):
                 f"expected {self.n_generators} exponents, got {len(exponents)}")
         free = tuple(int(e) for e in exponents[:self.rank])
         tors = tuple(int(e) % m for e, m in zip(exponents[self.rank:], self.torsion))
-        return GroupElement(free, tors)
+        return self._intern((free, tors))
 
     def identity(self) -> GroupElement:
-        return _group_element(((0,) * self.rank, (0,) * len(self.torsion)))
+        return self._intern(((0,) * self.rank, (0,) * len(self.torsion)))
 
     def generator(self, k: int) -> GroupElement:
         exps = [0] * self.n_generators
@@ -117,15 +126,15 @@ class AbelianGroup(Frozen):
             raise StructuralError(f"{g!r} and {h!r} are not both elements of {self!r}")
         free = tuple(map(add, g_free, h_free))
         if self.torsion:
-            return _group_element((free, tuple([(a + b) % m for a, b, m in
-                                                zip(g_tors, h_tors, self.torsion)])))
-        return _group_element((free, g_tors))
+            return self._intern((free, tuple([(a + b) % m for a, b, m in
+                                              zip(g_tors, h_tors, self.torsion)])))
+        return self._intern((free, g_tors))
 
     def inverse(self, g: GroupElement) -> GroupElement:
         free = tuple(map(neg, g.free))
         if self.torsion:
-            return _group_element((free, tuple([-a % m for a, m in zip(g.torsion, self.torsion)])))
-        return _group_element((free, g.torsion))
+            return self._intern((free, tuple([-a % m for a, m in zip(g.torsion, self.torsion)])))
+        return self._intern((free, g.torsion))
 
 
 class HElement(Element):

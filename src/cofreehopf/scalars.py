@@ -131,7 +131,7 @@ class Scalar:
 
     def __add__(self, other: Scalar | Rational) -> Scalar:
         out = dict(self._terms)
-        for k, c in Scalar.coerce(other)._terms.items():
+        for k, c in (other if type(other) is Scalar else Scalar.coerce(other))._terms.items():
             s = out.get(k, 0) + c
             if type(s) is not int:
                 s = _as_fraction(s)

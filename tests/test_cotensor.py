@@ -772,3 +772,62 @@ def test_a_spec_is_freed_with_its_memos():
     del bspec, spec, x, y
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def _by_hand(key):
+    """The same basis key with every group element rebuilt outside its group."""
+    def rebuild(g):
+        return GroupElement(tuple(list(g.free)), tuple(list(g.torsion)))
+    if isinstance(key, GroupElement):
+        return rebuild(key)
+    return tuple((v, rebuild(g)) for v, g in key)
+
+
+def test_star_on_hand_built_group_elements_matches_the_groups_own(uqg_a2):
+    spec = uqg_a2.spec
+    r = random.Random(25)
+    tags = [spec.group.identity(), spec.group.generator(1), spec.group.element([1, -1])]
+    keys = [right_translate(spec, chain_lift_word(spec, word), r.choice(tags))
+            for word in [(0,), (1, 2), (3, 0, 1), (2, 2, 3)]] + tags[1:]
+    for kx, ky in itertools.product(keys, repeat=2):
+        hx, hy = _by_hand(kx), _by_hand(ky)
+        assert hx == kx
+        assert check_chain_condition(spec, [hx, hy])
+        canonical = star(CotensorElement(spec, {kx: Scalar.one()}),
+                         CotensorElement(spec, {ky: Scalar.one()}))
+        built = star(CotensorElement.from_word(spec, hx) if key_degree(hx) else
+                     CotensorElement(spec, {hx: Scalar.one()}),
+                     CotensorElement(spec, {hy: Scalar.one()}))
+        assert list(built._terms.items()) == list(canonical._terms.items())
+
+
+def test_the_chain_guard_compares_hand_built_group_elements_by_value(monkeypatch):
+    """The guard meets hand-built components when the projection returns
+    them: it still raises exactly where the series leaves the chain words."""
+    from cofreehopf import cotensor
+    # a b -> b breaks the degree: a times a@b and b@a times a@b leave the chain words
+    spec = _two_letter_spec(1, -1, {(0, 1): Element.from_word((1,))})
+    word = {u: chain_lift_word(spec, u) for u in [(0,), (1,), (0, 1), (1, 0)]}
+
+    def products():
+        out = []
+        for u, v in itertools.product(word, repeat=2):
+            try:
+                out.append(star(CotensorElement(spec, {_by_hand(word[u]): Scalar.one()}),
+                                CotensorElement(spec, {_by_hand(word[v]): Scalar.one()})))
+            except StructuralError as exc:
+                out.append(str(exc))
+        return out
+
+    canonical = products()
+    assert "product left the cotensor subspace: chain word a.K{2}[]b.K{0} breaks at cut 1" \
+        in canonical
+    assert "product left the cotensor subspace: chain word b.K{3}[]a.K{2}[]b.K{0} " \
+        "breaks at cut 2" in canonical
+    original = cotensor._module_projection
+    monkeypatch.setattr(cotensor, "_module_projection", lambda spec, a, b: {
+        _by_hand((letter,))[0]: c for letter, c in original(spec, a, b).items()})
+    spec._cache.pop("pi1", None)
+    assert products() == canonical
+    broken = ((0, GroupElement((0,), ())), (1, GroupElement((0,), ())))
+    assert check_chain_condition(spec, [broken]).witness == (broken, 1)

@@ -330,6 +330,33 @@ def test_group_element_survives_pickle_and_deepcopy():
     assert repr(g) == "GroupElement(free=(4, -1), torsion=(2,))"
 
 
+def test_a_group_builds_one_object_per_element():
+    group = AbelianGroup(rank=2, torsion=(3,))
+    g, h = group.element([1, -1, 2]), group.element([4, 0, 1])
+    assert group.element([1, -1, 5]) is g  # the torsion exponent reduces to the same element
+    assert group.multiply(g, h) is group.multiply(h, g) is group.element([5, -1, 0])
+    assert group.inverse(group.inverse(g)) is g
+    assert group.multiply(g, group.inverse(g)) is group.identity() is group.identity()
+    assert group.generator(1) is group.element([0, 1, 0])
+    free = AbelianGroup(rank=1)  # no torsion part to reduce
+    k = free.generator(0)
+    assert free.multiply(k, free.inverse(k)) is free.identity()
+    assert free.inverse(free.inverse(k)) is k
+    twin = AbelianGroup(rank=2, torsion=(3,))  # an equal group interns its own, equal elements
+    assert twin == group and twin.element([1, -1, 2]) == g
+
+
+def test_a_hand_built_element_equals_and_hashes_like_the_groups_own():
+    group = AbelianGroup(rank=1, torsion=(2,))
+    own, hand = group.element([3, 1]), GroupElement((3,), (1,))
+    assert hand is not own
+    assert hand == own and own == hand and not hand != own and not own != hand
+    assert hash(hand) == hash(own) and len({hand, own}) == 1 and {own: 1}[hand] == 1
+    assert repr(hand) == repr(own) == "GroupElement(free=(3,), torsion=(1,))"
+    assert group.multiply(hand, group.identity()) is own
+    assert group.inverse(group.inverse(hand)) is own
+
+
 def test_multiply_rejects_elements_of_another_group():
     small, large = AbelianGroup(rank=1), AbelianGroup(rank=2)
     g, h = small.generator(0), large.generator(1)

@@ -412,13 +412,19 @@ def render_word(spec, word) -> str:
     return "@".join(render_letter(spec, letter) for letter in word) or "1"
 
 
-def render_key(spec: YDSpec, key: Key) -> str:
+def render_key(spec: YDSpec, key: Key, texts: dict | None = None) -> str:
+    """A basis key as its letters joined by ``[]``.  ``texts``, a dict kept
+    by the caller for one rendering, holds each letter's text once made."""
     letters = (key,) if isinstance(key, GroupElement) else key  # degree 0: one group element
-    return "[]".join(render_letter(spec, letter) for letter in letters)
+    if texts is None:
+        texts = {}
+    return "[]".join([texts.get(letter) or texts.setdefault(letter, render_letter(spec, letter))
+                      for letter in letters])
 
 
 def render_cotensor(x: CotensorElement) -> str:
-    return render_terms(x, lambda key: render_key(x.spec, key))
+    texts: dict = {}
+    return render_terms(x, lambda key: render_key(x.spec, key, texts))
 
 
 def render_smash(x: SmashElement) -> str:
@@ -428,4 +434,6 @@ def render_smash(x: SmashElement) -> str:
 
 def render_pairs(spec: YDSpec, x: Element) -> str:
     """Canonical text for an Element over pairs of basis keys."""
-    return render_terms(x, lambda pair: " (x) ".join(render_key(spec, key) for key in pair))
+    texts: dict = {}
+    return render_terms(x, lambda pair: " (x) ".join(render_key(spec, key, texts)
+                                                     for key in pair))

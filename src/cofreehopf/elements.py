@@ -247,22 +247,33 @@ def apply_local(table: Mapping, pos: int, x: Element) -> Element:
 
     ``table`` maps ordered letter pairs to Elements; values may have any
     word length (length 2 keeps words the same size, length 1 merges two
-    letters into one, a zero value drops the term).
+    letters into one, a zero value drops the term).  Letters after
+    pos+1 are carried along untouched, which lets a caller tag each word
+    with a trailing letter that no rewrite reads.  The sum is built
+    inline, and a coefficient of 1 multiplies nothing.
     """
     if pos < 1:
         raise StructuralError(f"position must be >= 1, got {pos}")
     out: dict[Word, Scalar] = {}
+    get, i, j, one = table.get, pos - 1, pos + 1, _ONE._terms
     for word, c in x._terms.items():
-        if len(word) < pos + 1:
-            raise StructuralError(
-                f"position {pos} out of range for word of length {len(word)}")
-        pair = (word[pos - 1], word[pos])
-        entry = table.get(pair)
+        entry = get(word[i:j])
         if entry is None:
-            raise StructuralError(f"no table entry for letter pair {pair!r}")
-        head, tail = word[:pos - 1], word[pos + 1:]
+            if len(word) < j:
+                raise StructuralError(
+                    f"position {pos} out of range for word of length {len(word)}")
+            raise StructuralError(f"no table entry for letter pair {word[i:j]!r}")
         for mid, c2 in entry._terms.items():
-            accumulate(out, head + mid + tail, c * c2)
+            key = word[:i] + mid + word[j:]
+            if c._terms != one:
+                c2 = c * c2
+            s = out.get(key)
+            if s is None:
+                out[key] = c2
+            elif (s := s + c2)._terms:
+                out[key] = s
+            else:
+                del out[key]
     return Element._wrap(out, x.alphabet)
 
 

@@ -9,6 +9,9 @@ vanishes at q0.  So one point of full rank proves det M nonzero, and M
 is called singular only after D + 1 singular points q0 = 2, ..., D + 2,
 since a polynomial of degree at most D with D + 1 roots is zero.  A zero
 row is singular at once.  Each point is one sparse rational elimination.
+A matrix is the direct sum of the connected components of its row-column
+graph, and is invertible exactly when each is square and invertible; after
+a first singular point each component is tested alone, with its own D.
 
 The Laurent inverse comes from fraction-free Gauss-Jordan elimination
 (E. H. Bareiss, Math. Comp. 22, 1968) on [M | I].  Step k replaces each
@@ -56,18 +59,54 @@ def _full_rank(rows: list[dict[int, Fraction]]) -> bool:
     return True
 
 
-def is_invertible(matrix: list[list[Scalar] | dict[int, Scalar]]) -> bool:
-    """Full-rank test over the fraction field, by evaluation at q = 2, 3, ....
-    A row is a list of scalars or, sparse, a dict from column to scalar."""
-    rows = [row if isinstance(row, dict) else dict(enumerate(row)) for row in matrix]
+def _degree_bound(rows: list[dict[int, Scalar]]) -> int | None:
+    """D, the sum over rows of greatest minus least exponent; None for a zero row."""
     span = 0
     for row in rows:
         exponents = [k for s in row.values() for k in s._terms]
         if not exponents:
-            return False
+            return None
         span += max(exponents) - min(exponents)
-    return any(_full_rank([{j: v for j, s in row.items() if (v := _at(s, x))} for row in rows])
-               for x in range(2, span + 3))
+    return span
+
+
+def _full_rank_at(rows: list[dict[int, Scalar]], x: int) -> bool:
+    return _full_rank([{j: v for j, s in row.items() if (v := _at(s, x))} for row in rows])
+
+
+def _blocks(rows: list[dict[int, Scalar]]):
+    """The rows by connected component of the row-column graph, each
+    component with its number of columns."""
+    by_column: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            by_column.setdefault(j, []).append(i)
+    seen: set[int] = set()
+    for start in range(len(rows)):
+        if start not in seen:
+            seen.add(start)
+            stack, block, columns = [start], [], set()
+            while stack:
+                block.append(rows[stack.pop()])
+                for j in block[-1].keys() - columns:
+                    columns.add(j)
+                    stack += [i for i in by_column[j] if i not in seen]
+                    seen.update(by_column[j])
+            yield block, len(columns)
+
+
+def is_invertible(matrix: list[list[Scalar] | dict[int, Scalar]]) -> bool:
+    """Full-rank test over the fraction field, by evaluation at q = 2, 3, ....
+    A row is a list of scalars or, sparse, a dict from column to scalar.
+    Past a singular q = 2, each block is tested alone."""
+    rows = [row if isinstance(row, dict) else dict(enumerate(row)) for row in matrix]
+    if _degree_bound(rows) is None:
+        return False
+    if _full_rank_at(rows, 2):
+        return True
+    return all(len(block) == width and any(_full_rank_at(block, x)
+                                           for x in range(2, _degree_bound(block) + 3))
+               for block, width in _blocks(rows))
 
 
 def inverse(matrix: list[list[Scalar]]) -> list[list[Scalar]]:

@@ -34,6 +34,9 @@ An internal oracle runs the same clause with no memo: it sweeps B(u', b)
 with ``block_braiding`` at every level, as an independent check on the
 crossing memo.
 
+``check_braided_algebra`` evaluates its laws on V^3 through
+``checks.first_failure``, sharing m and sigma at 1 and 2 among the three.
+
 The deconcatenation coproduct, the connectedness filtration and the
 extension of a degree-one letter map to a morphism of the whole tensor
 bialgebra live here as well.
@@ -45,7 +48,7 @@ from functools import lru_cache, partial, reduce
 from typing import Mapping
 
 from .braid import BraidingTable, block_braiding
-from .checks import PASS, CheckResult, fail, nonempty
+from .checks import PASS, CheckResult, fail, first_failure, nonempty
 from .elements import Element, accumulate, adjoin_unit_letter, apply_local, letter_table
 from .errors import Frozen, StructuralError
 from .scalars import _ONE, Scalar
@@ -83,20 +86,18 @@ def check_braided_algebra(spec: BraidedAlgebraSpec) -> CheckResult:
     (when a unit is declared) the unit laws, on all basis words."""
     m = spec.mult
     sig = spec.braiding.entries
-    for word in spec.braiding.basis_words(3):
-        x = Element.from_word(word, alphabet=spec.alphabet)
-        left = apply_local(m, 1, apply_local(m, 1, x))
-        right = apply_local(m, 1, apply_local(m, 2, x))
-        if left != right:
-            return fail("associativity", word, left, right)
-        lhs = apply_local(m, 2, apply_local(sig, 1, apply_local(sig, 2, x)))
-        rhs = apply_local(sig, 1, apply_local(m, 1, x))
-        if lhs != rhs:
-            return fail("braided-compatibility-left", word, lhs, rhs)
-        lhs = apply_local(m, 1, apply_local(sig, 2, apply_local(sig, 1, x)))
-        rhs = apply_local(sig, 1, apply_local(m, 2, x))
-        if lhs != rhs:
-            return fail("braided-compatibility-right", word, lhs, rhs)
+
+    def laws(x: Element) -> list:
+        m1, m2, s1, s2 = (apply_local(t, pos, x) for t in (m, sig) for pos in (1, 2))
+        return [("associativity", apply_local(m, 1, m1), apply_local(m, 1, m2)),
+                ("braided-compatibility-left", apply_local(m, 2, apply_local(sig, 1, s2)),
+                 apply_local(sig, 1, m1)),
+                ("braided-compatibility-right", apply_local(m, 1, apply_local(sig, 2, s1)),
+                 apply_local(sig, 1, m2))]
+
+    result = first_failure(spec.braiding.basis_words(3), spec.alphabet, laws)
+    if not result:
+        return result
     if spec.unit is not None:
         u = spec.unit
         word_of = partial(Element.from_word, alphabet=spec.alphabet)

@@ -74,10 +74,15 @@ def test_apply_local_merge_shortens_word():
 
 
 def test_apply_local_errors():
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError,
+                       match=r"^position 2 out of range for word of length 2$"):
         apply_local(_flip_table(2), 2, Element.from_word((0, 1)))
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match=r"^no table entry for letter pair \(0, 1\)$"):
         apply_local({}, 1, Element.from_word((0, 1)))
+    with pytest.raises(StructuralError, match=r"^no table entry for letter pair \(1, 0\)$"):
+        apply_local({(0, 1): Element.from_word((1, 0))}, 1, Element.from_word((1, 0, 1)))
+    with pytest.raises(StructuralError, match=r"^position must be >= 1, got 0$"):
+        apply_local(_flip_table(2), 0, Element.from_word((0, 1)))
 
 
 @pytest.mark.parametrize("key", [(0, 5), (0, 99), (-1, 0), (0,), (0, 0, 0), ("a", 0)])

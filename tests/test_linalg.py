@@ -133,3 +133,77 @@ def test_invertibility_and_inverse_match_the_sympy_determinant():
             with pytest.raises(StructuralError):
                 linalg.inverse(matrix)
     assert monomial_dets >= 2
+
+
+def _flip_like_rows(n: int, equal: bool) -> list[dict[int, Scalar]]:
+    """The rows of sigma(a, b) = q^2 (b, a) + q^-2 (a, b) on n letters, with
+    sigma(0, 1) made equal to sigma(1, 0) when ``equal``: one singular block
+    of two rows among blocks of one and two rows."""
+    rows = [{b * n + a: Scalar.q_power(2)} for a in range(n) for b in range(n)]
+    for a in range(n):
+        for b in range(n):
+            rows[a * n + b][a * n + b] = rows[a * n + b].get(a * n + b, Scalar.zero()) \
+                + Scalar.q_power(-2)
+    if equal:
+        rows[1] = dict(rows[n])
+    return rows
+
+
+def _whole_matrix_test(rows) -> bool:
+    """The evaluation test over the whole matrix at every one of its D + 1
+    points, with no split into blocks: the reference for the block split."""
+    span = sum(max(k for s in row.values() for k in s._terms)
+               - min(k for s in row.values() for k in s._terms) for row in rows)
+    return any(linalg._full_rank([{j: v for j, s in row.items() if (v := linalg._at(s, x))}
+                                  for row in rows]) for x in range(2, span + 3))
+
+
+def test_a_singular_block_inside_a_large_invertible_table_is_refused_at_once():
+    assert linalg.is_invertible(_flip_like_rows(20, equal=False))
+    start = time.perf_counter()
+    assert not linalg.is_invertible(_flip_like_rows(20, equal=True))
+    assert time.perf_counter() - start < 0.5
+    assert not _whole_matrix_test(_flip_like_rows(4, equal=True))
+
+
+def test_a_matrix_with_a_non_square_component_is_singular(monkeypatch):
+    one, q = Scalar.one(), Scalar.q_power(1)
+    # rows 0 and 1 meet only column 0; row 2 alone holds columns 1 and 2
+    rows = [{0: one + Scalar.q_power(4)}, {0: q}, {1: one, 2: q}]
+    eliminations = []
+    full_rank = linalg._full_rank
+    monkeypatch.setattr(linalg, "_full_rank", lambda rows: eliminations.append(rows)
+                        or full_rank(rows))
+    assert not linalg.is_invertible(rows)
+    assert len(eliminations) == 1  # the whole matrix at q = 2; no block is eliminated
+    monkeypatch.undo()
+    # a zero column: three nonzero rows on two of the three columns
+    assert not linalg.is_invertible([{0: one, 1: q}, {1: one}, {0: q, 1: one + q}])
+
+
+def test_the_block_split_agrees_with_the_whole_matrix_on_shuffled_block_sums():
+    rnd = random.Random(14)
+    outcomes = []
+    for _ in range(16):
+        rows, offset = [], 0
+        for _ in range(rnd.randint(2, 4)):
+            size = rnd.randint(1, 3)
+            block = [{offset + j: s for j, s in enumerate(row) if s}
+                     or {offset + i: Scalar.q_power(rnd.randint(-2, 2))}
+                     for i, row in enumerate(_random_matrix(rnd, size, density=0.8))]
+            if rnd.random() < 0.2:  # det q - 2: singular at q = 2 only
+                size = 2
+                block = [{offset: Scalar.q_power(1), offset + 1: _s(2)},
+                         {offset: _s(1), offset + 1: _s(1)}]
+            elif size > 1 and rnd.random() < 0.3:  # singular: a multiple of another row
+                factor = Scalar.q_power(rnd.randint(-1, 1)) * _s(rnd.choice([1, 2]))
+                block[-1] = {j: s * factor for j, s in block[0].items()}
+            rows += block
+            offset += size
+        columns = list(range(offset))
+        rnd.shuffle(columns)
+        rnd.shuffle(rows)
+        rows = [{columns[j]: s for j, s in row.items()} for row in rows]
+        outcomes.append((linalg.is_invertible(rows), linalg._full_rank_at(rows, 2)))
+        assert outcomes[-1][0] == _whole_matrix_test(rows)
+    assert set(outcomes) == {(True, True), (True, False), (False, False)}

@@ -32,7 +32,9 @@ cell visits only the sources that hold words.  Products are not
 memoised, but pi1 of each pair the table reads is, on the spec
 (``spec._cache["pi1"]``), as triples (letter, coefficient or None for
 1, need), need = degree(v) * g being the component the letter (v, g)
-requires just before it.  The chain condition is guarded there too:
+requires just before it.  A miss sums pi1 straight from the term dicts
+of a letter image and of the multiplication table, with one group
+product for its component.  The chain condition is guarded there too:
 before a letter is appended to a cell, need is compared with the last
 components of the cell's words (by identity first, since a group interns
 its elements, then by value), so each cut of each word built is checked
@@ -178,21 +180,24 @@ def _module_projection(spec: YDSpec, a: Key, b: Key) -> dict[tuple[int, GroupEle
     group), the module multiplication in smash form for (letter, letter);
     everything else projects to zero.
     """
-    da, db = key_degree(a), key_degree(b)
-    if da == 0 and db == 1:
+    shape = key_degree(a), key_degree(b)
+    if shape == (0, 1):
         (v, g2), = b
-        image = spec.act_letter(a, v)
+        image = spec.act_letter(a, v)._terms
         target = spec.group.multiply(a, g2)
-    elif da == 1 and db == 0:
+        return {(i, target): c for (i,), c in image.items()}
+    if shape == (1, 0):
         (v, g1), = a
         return {(v, spec.group.multiply(g1, b)): Scalar.one()}
-    elif da == 1 and db == 1:
-        ((v, g1),), ((w, g2),) = a, b
-        image = spec.act_letter(g1, w).map_words(lambda i: spec.mult_entry(v, i[0]))
-        target = spec.group.multiply(g1, g2)
-    else:
+    if shape != (1, 1):
         return {}
-    return image.relabel(lambda i: (i[0], target))._terms
+    ((v, g1),), ((w, g2),) = a, b
+    image, out, one = spec.act_letter(g1, w)._terms, {}, Scalar.one()._terms
+    target = spec.group.multiply(g1, g2)
+    for (i,), c in image.items():
+        for (k,), d in spec.mult[(v, i)]._terms.items():
+            accumulate(out, (k, target), d if c._terms == one else d * c)
+    return out
 
 
 def _star_key(spec: YDSpec, kx: Key, ky: Key) -> CotensorElement:
@@ -203,8 +208,8 @@ def _star_key(spec: YDSpec, kx: Key, ky: Key) -> CotensorElement:
 
 def _projection_entry(spec: YDSpec, a: Key, b: Key) -> tuple:
     """pi1(a, b) as (letter, coefficient or None for 1, need = deg(v) * g) per letter (v, g)."""
-    one, multiply = Scalar.one(), spec.group.multiply
-    return tuple((letter, None if d == one else d, multiply(spec.degrees[letter[0]], letter[1]))
+    one, multiply, degrees = Scalar.one()._terms, spec.group.multiply, spec.degrees
+    return tuple((letter, None if d._terms == one else d, multiply(degrees[letter[0]], letter[1]))
                  for letter, d in _module_projection(spec, a, b).items())
 
 

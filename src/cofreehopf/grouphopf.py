@@ -16,7 +16,9 @@ and :meth:`AbelianGroup.inverse` build their results from the exponent
 tuples directly.  Equal group elements built by one group are one
 object: the group interns them in a table that lives on it, so dict
 lookups and tuple comparisons of chain words meet the same object and
-skip the Python-level ``__eq__``.  Equality stays by value, so an
+skip the Python-level ``__eq__``.  Beside that table the group memoises
+``multiply`` per pair, validating a pair when first computed; a pair
+that raises is not stored.  Equality stays by value, so an
 element built by hand or by another group works everywhere.
 
 A Yetter-Drinfeld module over K[G] is a based vector space carrying a
@@ -24,7 +26,7 @@ G-grading (the coaction sends a letter v to degree(v) tensor v) and a
 G-action given per generator by an exact matrix in the letter basis.
 The action is held as letter images, memoised per group element on the
 spec: one-letter Elements, the columns of its matrix.  Generator powers
-compose through ``Element.map_words`` by square-and-multiply.
+compose by square-and-multiply, each image summed from term dicts.
 The compatibility condition between action and coaction is evaluated
 literally by :func:`check_yetter_drinfeld`; for group algebras it pins
 the action matrices to the degree grading.  The induced braiding
@@ -41,7 +43,7 @@ from typing import Mapping, NamedTuple, Sequence
 from . import linalg
 from .braid import BraidingTable
 from .checks import PASS, CheckResult, fail
-from .elements import Element, adjoin_unit_letter, letter_table
+from .elements import Element, accumulate, adjoin_unit_letter, letter_table
 from .errors import Frozen, StructuralError
 from .qalg import BraidedAlgebraSpec, check_braided_algebra
 from .scalars import Scalar
@@ -80,8 +82,9 @@ class AbelianGroup(Frozen):
     _fields = ("rank", "torsion")
 
     def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
-        # _elements interns: one GroupElement per plain (free, torsion) pair
-        self._set(rank=rank, torsion=torsion, _elements={})
+        # _elements interns: one GroupElement per plain (free, torsion) pair;
+        # _products memoises multiply per pair of elements
+        self._set(rank=rank, torsion=torsion, _elements={}, _products={})
         if rank < 0 or any(m < 2 for m in torsion):
             raise StructuralError("group needs rank >= 0 and torsion orders >= 2")
 
@@ -120,15 +123,18 @@ class AbelianGroup(Frozen):
         return self.element(exps)
 
     def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
+        product = self._products.get((g, h))
+        if product is not None:
+            return product
         (g_free, g_tors), (h_free, h_tors) = g, h
         if not (len(g_free) == len(h_free) == self.rank
                 and len(g_tors) == len(h_tors) == len(self.torsion)):
             raise StructuralError(f"{g!r} and {h!r} are not both elements of {self!r}")
         free = tuple(map(add, g_free, h_free))
         if self.torsion:
-            return self._intern((free, tuple([(a + b) % m for a, b, m in
-                                              zip(g_tors, h_tors, self.torsion)])))
-        return self._intern((free, g_tors))
+            g_tors = tuple([(a + b) % m for a, b, m in zip(g_tors, h_tors, self.torsion)])
+        product = self._products[(g, h)] = self._intern((free, g_tors))
+        return product
 
     def inverse(self, g: GroupElement) -> GroupElement:
         free = tuple(map(neg, g.free))
@@ -194,7 +200,14 @@ def _coerce_matrix(rows, dim: int) -> Matrix:
 
 def _compose(a: tuple[Element, ...], b: tuple[Element, ...]) -> tuple[Element, ...]:
     """The letter images of the product AB from those of A and of B."""
-    return tuple(image.map_words(lambda w: a[w[0]]) for image in b)
+    images, one = [], Scalar.one()._terms
+    for image in b:
+        out: dict = {}
+        for (j,), c in image._terms.items():
+            for key, d in a[j]._terms.items():
+                accumulate(out, key, d if c._terms == one else d * c)
+        images.append(Element._wrap(out, image.alphabet))
+    return tuple(images)
 
 
 def diagonal_matrix(entries) -> Matrix:

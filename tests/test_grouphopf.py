@@ -384,3 +384,48 @@ def test_multiply_and_inverse_normalize_like_element():
         assert type(product) is GroupElement
         assert group.inverse(g) == group.element([-x for x in a])
         assert type(group.inverse(g)) is GroupElement
+
+
+# -- the product memo ------------------------------------------------------------------
+
+
+def test_a_hand_built_element_gets_the_groups_memoised_product():
+    group = AbelianGroup(rank=1, torsion=(3,))
+    g, h = group.element([2, 1]), group.element([-1, 2])
+    hand_g, hand_h = GroupElement((2,), (1,)), GroupElement((-1,), (2,))
+    first = group.multiply(hand_g, hand_h)  # computed, stored under the hand-built pair
+    assert first is group.element([1, 0])
+    assert group.multiply(g, h) is first is group.multiply(hand_g, h)
+    assert group.multiply(h, hand_g) is group.multiply(hand_h, g) is first
+
+
+def test_a_mismatched_pair_raises_alike_and_is_never_stored():
+    group, other = AbelianGroup(rank=1), AbelianGroup(rank=2)
+    g, h = group.generator(0), other.generator(1)
+    before = dict(group._products)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(StructuralError) as info:
+            group.multiply(g, h)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == f"{g!r} and {h!r} are not both elements of {group!r}"
+    assert group._products == before and (g, h) not in group._products
+
+
+def test_equal_groups_keep_their_own_products():
+    group, twin = AbelianGroup(rank=1, torsion=(2,)), AbelianGroup(rank=1, torsion=(2,))
+    assert twin == group and hash(twin) == hash(group)
+    assert twin._products is not group._products
+    g = group.element([1, 1])
+    product = group.multiply(g, g)
+    assert twin.multiply(g, g) == product and twin.multiply(g, g) is not product
+    assert twin.multiply(g, g) is twin.element([2, 0])
+    assert repr(group) == repr(twin) == "AbelianGroup(rank=1, torsion=(2,))"
+
+
+def test_a_unital_spec_reuses_its_groups_products(clifford2):
+    spec = clifford2.spec
+    unital = spec.with_unit()
+    assert unital.group is spec.group and unital.group._products is spec.group._products
+    eps = spec.group.element([1])
+    assert unital.group.multiply(eps, eps) is spec.group.multiply(eps, eps)

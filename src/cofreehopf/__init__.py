@@ -16,22 +16,18 @@ _EXPORTS = {
     "elements": ("Element", "apply_local"),
     "errors": ("ConfigError", "StructuralError"),
     "checks": ("CheckResult",),
-    "braid": ("BraidingTable", "Permutation", "block_braiding", "block_rotation",
-              "braid_lift", "check_yang_baxter", "diagonal_braiding", "flip_braiding",
-              "reduced_word"),
+    "braid": ("BraidingTable", "block_braiding", "check_yang_baxter", "flip_braiding"),
     "qalg": ("BraidedAlgebraSpec", "adjoin_unit", "check_braided_algebra",
-             "check_quasi_shuffle_bialgebra", "deconcat", "deconcat_reduced",
-             "extend_letter_morphism", "filtration_degree", "quasi_shuffle"),
-    "grouphopf": ("AbelianGroup", "GroupElement", "HElement", "YDSpec", "antipode",
-                  "braided_spec", "check_yd_module_algebra", "check_yetter_drinfeld"),
+             "check_quasi_shuffle_bialgebra", "deconcat", "quasi_shuffle"),
+    "grouphopf": ("AbelianGroup", "GroupElement", "YDSpec", "braided_spec",
+                  "check_yd_module_algebra", "check_yetter_drinfeld"),
     "cotensor": ("CotensorElement", "SmashElement", "chain_lift", "check_chain_condition",
-                 "coinvariant_coproduct", "coinvariant_projection", "flatten_coinvariant",
-                 "from_smash", "smash_product", "star", "to_smash"),
+                 "coinvariant_projection", "flatten_coinvariant", "from_smash",
+                 "smash_product", "star", "to_smash"),
     "rotabaxter": ("RBInstance", "check_double_product_isomorphism", "check_rota_baxter",
                    "cotensor_rb_operator", "diamond_product", "head_shift", "rb_double_product",
                    "smash_rb_operator", "unit_prepend"),
-    "presets": ("build_clifford", "build_uqg", "check_clifford_relations",
-                "check_uqg_relations"),
+    "presets": ("build_clifford", "build_uqg"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

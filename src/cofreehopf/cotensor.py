@@ -56,11 +56,10 @@ from __future__ import annotations
 from functools import partial
 from typing import Mapping
 
-from . import grouphopf
 from .checks import PASS, CheckResult, fail
 from .elements import Element, accumulate, render_terms
 from .errors import StructuralError
-from .grouphopf import GroupElement, HElement, YDSpec, braided_spec
+from .grouphopf import GroupElement, YDSpec, braided_spec
 from .qalg import _qsh_memo
 from .scalars import Scalar
 
@@ -113,12 +112,6 @@ class CotensorElement(Element):
                                   f"of {render_key(spec, word)}")
         return cls(spec, {word: Scalar.coerce(coeff)})
 
-    # -- structure ---------------------------------------------------------
-
-    def h_part(self) -> HElement:
-        return HElement(self.spec.group, {
-            key: c for key, c in self._terms.items() if isinstance(key, GroupElement)})
-
 
 def check_chain_condition(spec: YDSpec, terms) -> CheckResult:
     """Validate the chain condition at every cut of every word.
@@ -139,7 +132,7 @@ def check_chain_condition(spec: YDSpec, terms) -> CheckResult:
     return PASS
 
 
-# -- coproduct and counit ----------------------------------------------------
+# -- coproduct ------------------------------------------------------------
 
 
 def coproduct_pairs(spec: YDSpec, key: Key) -> list[tuple[Key, Key]]:
@@ -164,10 +157,6 @@ def _pair_alphabet(spec: YDSpec):
 def coproduct(x: CotensorElement) -> Element:
     """The coalgebra coproduct as an Element over pairs of basis keys."""
     return x.rekey(partial(coproduct_pairs, x.spec), cls=Element, alphabet=_pair_alphabet(x.spec))
-
-
-def counit(x: CotensorElement) -> Scalar:
-    return grouphopf.counit(x.h_part())
 
 
 # -- the universal-property product ------------------------------------------
@@ -290,16 +279,13 @@ def coinvariant_projection(x: CotensorElement) -> CotensorElement:
 def coinvariant_projection_direct(x: CotensorElement) -> CotensorElement:
     """The closed form of the same projection: kill the right degree."""
     spec = x.spec
-    return x.rekey(lambda key: (_project_key(spec, key),))
-
-
-def is_coinvariant(x: CotensorElement) -> bool:
-    return all(right_degree(x.spec, key).is_identity() for key in x._terms)
+    return x.rekey(lambda key: (
+        right_translate(spec, key, spec.group.inverse(right_degree(spec, key))),))
 
 
 def flatten_coinvariant(x: CotensorElement) -> Element:
     """Strip the group components off a right-coinvariant element."""
-    if not is_coinvariant(x):
+    if not all(right_degree(x.spec, key).is_identity() for key in x._terms):
         raise StructuralError("element is not right-coinvariant")
     return x.relabel(_letters, cls=Element)
 
@@ -324,18 +310,6 @@ def chain_lift_word(spec: YDSpec, word: tuple[int, ...]) -> Key:
 def chain_lift(spec: YDSpec, x: Element) -> CotensorElement:
     """The coinvariant embedding of the tensor space over the letters."""
     return x.relabel(partial(chain_lift_word, spec), cls=CotensorElement, alphabet=spec)
-
-
-def coinvariant_coproduct(x: CotensorElement) -> Element:
-    """Both coproduct legs pushed into the coinvariants."""
-    spec = x.spec
-    return x.rekey(lambda key: [(_project_key(spec, k1), _project_key(spec, k2))
-                                for k1, k2 in coproduct_pairs(spec, key)],
-                   cls=Element, alphabet=_pair_alphabet(spec))
-
-
-def _project_key(spec: YDSpec, key: Key) -> Key:
-    return right_translate(spec, key, spec.group.inverse(right_degree(spec, key)))
 
 
 # -- the smash-product route ---------------------------------------------------

@@ -12,8 +12,7 @@ and :class:`Element` is the combination over any of them.  The key kinds:
   a group element in degree 0, or a chain word of (index, group
   element) pairs;
 * the smash product T(V) # K[G] (:class:`SmashElement`): a pair
-  (word, group element);
-* the group algebra K[G] (:class:`HElement`): a group element.
+  (word, group element).
 
 Every structure of the package is given on basis keys and extended to
 combinations here, and nowhere else: :meth:`Element.map_words` extends a
@@ -25,10 +24,9 @@ with coefficient 1.  Each builds its result in one dict.
 Canonical form (no zero coefficients) holds after every operation.  The
 ``alphabet`` tag names the basis declaration the keys refer to: an
 arbitrary hashable for plain words (``None`` combines with any tag), the
-module data for cotensor and smash elements (read as ``spec``), the group
-for group-algebra elements (read as ``group``).  Adding or comparing two
-elements needs the same class; adding them under different tags is a
-structural error, and such elements are never equal.
+module data for cotensor and smash elements (read as ``spec``).  Adding
+or comparing two elements needs the same class; adding them under
+different tags is a structural error, and such elements are never equal.
 
 There is one canonical term order, :func:`canonical_key`: group elements
 (by free, then torsion exponents) before tuples, and tuples compared

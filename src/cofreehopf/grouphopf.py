@@ -2,8 +2,9 @@
 
 The base Hopf algebra is a group algebra K[G] for G finitely generated
 abelian: ``rank`` free generators followed by torsion generators of the
-given orders.  Group-likes make the Hopf structure classical: the
-coproduct is diagonal, the counit is 1 and the antipode inverts.
+given orders.  Its basis is group-like, so the package works with the
+group elements alone: a degree-0 cotensor key is a group element, and
+two of them multiply in the group.
 
 A group element is an exponent vector, torsion exponents normalized into
 [0, order): a :class:`GroupElement` is a tuple subclass holding the free
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import add, neg
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .braid import BraidingTable
@@ -64,9 +65,6 @@ class GroupElement(NamedTuple):
         return type(other) is not GroupElement or tuple.__ne__(self, other)
 
     __hash__ = tuple.__hash__
-
-    def sort_key(self):
-        return (self.free, self.torsion)
 
     def exponents(self) -> tuple[int, ...]:
         return self.free + self.torsion
@@ -141,51 +139,6 @@ class AbelianGroup(Frozen):
         if self.torsion:
             return self._intern((free, tuple([-a % m for a, m in zip(g.torsion, self.torsion)])))
         return self._intern((free, g.torsion))
-
-
-class HElement(Element):
-    """An element of the group algebra K[G]."""
-
-    __slots__ = ()
-
-    def __init__(self, group: AbelianGroup, terms: Mapping[GroupElement, Scalar] | None = None):
-        super().__init__(terms, group)
-
-    @property
-    def group(self) -> AbelianGroup:
-        return self.alphabet
-
-    @classmethod
-    def of(cls, group: AbelianGroup, g: GroupElement, coeff=1) -> HElement:
-        return cls(group, {g: Scalar.coerce(coeff)})
-
-    @classmethod
-    def unit(cls, group: AbelianGroup) -> HElement:
-        return cls.of(group, group.identity())
-
-    def __mul__(self, other: HElement) -> HElement:
-        """Group algebra product (convolution of supports)."""
-        if self.group != other.group:
-            raise StructuralError("group mismatch")
-        group = self.group
-        return self.bilinear(other, lambda g, h: HElement.of(group, group.multiply(g, h)))
-
-
-def coproduct(h: HElement) -> Element:
-    """Diagonal coproduct: every group element is group-like.
-
-    Returned as an Element over two-letter words whose letters are group
-    elements.
-    """
-    return Element({(g, g): c for g, c in h._terms.items()}, alphabet=h.group)
-
-
-def counit(h: HElement) -> Scalar:
-    return sum(h._terms.values(), Scalar.zero())
-
-
-def antipode(h: HElement) -> HElement:
-    return h.relabel(h.group.inverse)
 
 
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -277,9 +230,6 @@ class YDSpec(Frozen):
             return self.names.index(name)
         except ValueError:
             raise StructuralError(f"unknown letter {name!r}") from None
-
-    def mult_entry(self, a: int, b: int) -> Element:
-        return self.mult[(a, b)]
 
     # -- action -------------------------------------------------------------
 
@@ -381,7 +331,7 @@ def check_yd_module_algebra(spec: YDSpec) -> CheckResult:
     for a in range(spec.dim):
         for b in range(spec.dim):
             target = group.multiply(spec.degrees[a], spec.degrees[b])
-            for (i,), _ in spec.mult_entry(a, b)._terms.items():
+            for (i,), _ in spec.mult[(a, b)]._terms.items():
                 if spec.degrees[i] != target:
                     return fail("mult-degree", (spec.names[a], spec.names[b]),
                                 spec.degrees[i], target)
@@ -389,10 +339,10 @@ def check_yd_module_algebra(spec: YDSpec) -> CheckResult:
         g = group.generator(k)
         for a in range(spec.dim):
             for b in range(spec.dim):
-                lhs = spec.mult_entry(a, b).map_words(
+                lhs = spec.mult[(a, b)].map_words(
                     lambda w: spec.act_letter(g, w[0]), alphabet=spec)
                 rhs = spec.act_letter(g, a).bilinear(
-                    spec.act_letter(g, b), lambda i, j: spec.mult_entry(i[0], j[0]))
+                    spec.act_letter(g, b), lambda i, j: spec.mult[(i[0], j[0])])
                 if lhs != rhs:
                     return fail("mult-equivariance",
                                 (spec.names[a], spec.names[b], f"g{k + 1}"), lhs, rhs)

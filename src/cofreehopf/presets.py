@@ -16,7 +16,9 @@ F_j by q^{-c_ij}, the bracket letter xi_i is fixed, degrees are K_i,
 K_i and K_i^2, and the only nonzero products are E_i F_i = xi_i.
 
 Builders run every structural validator once and cache the result, so
-downstream checks can assume well-formed data.
+downstream checks can assume well-formed data.  The relations each family
+is built to satisfy (Clifford anticommutators, quantum-group commutators)
+are checked along both product routes by the tests.
 """
 
 from __future__ import annotations
@@ -25,14 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .braid import check_yang_baxter
-from .checks import PASS, CheckResult, fail
-from .cotensor import (
-    CotensorElement,
-    SmashElement,
-    chain_lift_word,
-    smash_product,
-    star,
-)
 from .elements import Element
 from .errors import Frozen, StructuralError
 from .grouphopf import (
@@ -120,42 +114,6 @@ def build_clifford(n: int) -> CliffordPreset:
     return CliffordPreset(n, spec)
 
 
-def _routes(spec: YDSpec):
-    """The two product routes of a relation check, by law-name suffix:
-    ``star`` on chain-lifted letters, ``smash_product`` on smash letters."""
-    return (
-        ("", lambda v: CotensorElement.from_word(spec, chain_lift_word(spec, (v,))), star),
-        ("-smash", lambda v: SmashElement.of(spec, (v,)), smash_product),
-    )
-
-
-def check_clifford_relations(preset: CliffordPreset) -> CheckResult:
-    """Anticommutators of generator letters equal the bracket letters,
-    along both product routes, plus the group-conjugation sign rule."""
-    spec = preset.spec
-    eps = spec.group.element([1])
-    for i in range(1, preset.n + 1):
-        for j in range(i, preset.n + 1):
-            for suffix, letter, product in _routes(spec):
-                vi, vj = letter(preset.v(i)), letter(preset.v(j))
-                got = product(vi, vj) + product(vj, vi)
-                expected = letter(preset.xi(i, j))
-                if got != expected:
-                    return fail("clifford-anticommutator" + suffix, (i, j), got, expected)
-    for i in range(1, preset.n + 1):
-        lhs = smash_product(
-            SmashElement.of(spec, (), eps), SmashElement.of(spec, (preset.v(i),)))
-        rhs = SmashElement.of(spec, (preset.v(i),), eps, coeff=-1)
-        if lhs != rhs:
-            return fail("clifford-conjugation", i, lhs, rhs)
-        fixed = smash_product(
-            SmashElement.of(spec, (), eps),
-            SmashElement.of(spec, (preset.xi(i, i),)))
-        if fixed != SmashElement.of(spec, (preset.xi(i, i),), eps):
-            return fail("clifford-conjugation", (i, i), fixed, None)
-    return PASS
-
-
 @lru_cache(maxsize=None)
 def _build_uqg_cached(cartan: tuple[tuple[int, ...], ...]) -> UqgPreset:
     n = len(cartan)
@@ -187,32 +145,3 @@ def _build_uqg_cached(cartan: tuple[tuple[int, ...], ...]) -> UqgPreset:
 def build_uqg(cartan) -> UqgPreset:
     return _build_uqg_cached(tuple(tuple(int(e) for e in row) for row in cartan))
 
-
-def check_uqg_relations(preset: UqgPreset) -> CheckResult:
-    """E_i * F_j - q^{-c_ij} F_j * E_i = delta_ij xi_i along both routes,
-    and conjugation by the group generators scales E_j by q^{c_ij}."""
-    spec = preset.spec
-    group = spec.group
-    n = preset.n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            c_ij = preset.cartan[i - 1][j - 1]
-            for suffix, letter, product in _routes(spec):
-                ei, fj = letter(preset.e(i)), letter(preset.f(j))
-                got = product(ei, fj) - product(fj, ei).scale(Scalar.q_power(-c_ij))
-                expected = letter(preset.xi(i)).scale(1 if i == j else 0)
-                if got != expected:
-                    return fail("uqg-commutator" + suffix, (i, j), got, expected)
-    for i in range(1, n + 1):
-        k_i = group.generator(i - 1)
-        k_inv = group.inverse(k_i)
-        for j in range(1, n + 1):
-            conj = smash_product(
-                smash_product(SmashElement.of(spec, (), k_i),
-                              SmashElement.of(spec, (preset.e(j),))),
-                SmashElement.of(spec, (), k_inv))
-            expected = SmashElement.of(
-                spec, (preset.e(j),), coeff=Scalar.q_power(preset.cartan[i - 1][j - 1]))
-            if conj != expected:
-                return fail("uqg-conjugation", (i, j), conj, expected)
-    return PASS

@@ -37,15 +37,12 @@ crossing memo.
 ``check_braided_algebra`` evaluates its laws on V^3 through
 ``checks.first_failure``, sharing m and sigma at 1 and 2 among the three.
 
-The deconcatenation coproduct, the connectedness filtration and the
-extension of a degree-one letter map to a morphism of the whole tensor
-bialgebra live here as well.
+The deconcatenation coproduct lives here as well.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, reduce
-from typing import Mapping
+from functools import lru_cache, partial
 
 from .braid import BraidingTable, block_braiding
 from .checks import PASS, CheckResult, fail, first_failure, nonempty
@@ -76,9 +73,6 @@ class BraidedAlgebraSpec(Frozen):
         if braiding.dim != dim:
             raise StructuralError("braiding dimension does not match the basis size")
         self._set(mult=letter_table(mult, dim, self.alphabet))
-
-    def mult_entry(self, a: int, b: int) -> Element:
-        return self.mult[(a, b)]
 
 
 def check_braided_algebra(spec: BraidedAlgebraSpec) -> CheckResult:
@@ -188,7 +182,7 @@ def _qsh_general(spec: BraidedAlgebraSpec, u: str, v: str, rec, crossings) -> di
     steps = [(chr(word[0]), coeff, _pack(word[1:])) for word, coeff in moved._terms.items()]
     for word, coeff in shifted._terms.items():
         steps.extend((chr(d), coeff * c, _pack(word[1:]))
-                     for (d,), c in spec.mult_entry(ord(head), word[0])._terms.items())
+                     for (d,), c in spec.mult[(ord(head), word[0])]._terms.items())
     for letter, coeff, tail in steps:
         terms = rec(spec, tail, rest) if rest else {tail: coeff}
         scale = rest and coeff._terms != _ONE._terms
@@ -261,19 +255,6 @@ def deconcat(x: Element) -> Element:
                    cls=Element, alphabet=_pair_alphabet(x.alphabet))
 
 
-def deconcat_reduced(x: Element) -> Element:
-    """Reduced coproduct: the full one minus both extremal embeddings."""
-    return deconcat(x) - x.rekey(lambda w: ((w, ()), ((), w)),
-                                 cls=Element, alphabet=_pair_alphabet(x.alphabet))
-
-
-def filtration_degree(x: Element) -> int:
-    """Smallest r with x in the r-th step of the connectedness filtration:
-    the length of the longest word of x, since a word of length n first
-    lies in step n of the reduced-coproduct definition (the tests' oracle)."""
-    return max(map(len, x._terms), default=0)
-
-
 def check_quasi_shuffle_bialgebra(spec: BraidedAlgebraSpec,
                                   pairs) -> CheckResult:
     """Coproduct compatibility of the quasi-shuffle product.
@@ -306,46 +287,3 @@ def check_quasi_shuffle_bialgebra(spec: BraidedAlgebraSpec,
                 lambda pair: tuple(map(_unpack, pair))) for side in sides))
     return PASS
 
-
-def extend_letter_morphism(spec_b: BraidedAlgebraSpec, spec_a: BraidedAlgebraSpec,
-                           f: Mapping[int, Element], x: Element) -> Element:
-    """Extend a degree-one letter map to the tensor-bialgebra morphism.
-
-    The letter map must kill the unit letter (when one is declared),
-    intertwine the two braidings, and intertwine the multiplications;
-    all three are verified on basis letters before any evaluation.  The
-    extension is the series: counit part plus, for each n up to the
-    filtration degree of x, the n-fold letter map applied to the
-    (n-1)-iterated reduced coproduct.  That coproduct cuts a word into n
-    nonempty pieces, and the n-fold letter map kills every piece of two
-    or more letters, so on a word of k letters only the term n = k, the
-    cut into single letters, survives.  So the series is evaluated
-    letterwise: a word goes to f(w_1) (x) ... (x) f(w_k), and the empty
-    word to the unit.
-    """
-    zero_a, unit_a = Element.zero(spec_a.alphabet), Element.unit(spec_a.alphabet)
-    f = {letter: value for letter, value in f.items() if not value.is_zero()}
-    for value in f.values():
-        for word in value.support():
-            if len(word) != 1 or not (0 <= word[0] < spec_a.dim):
-                raise StructuralError("letter map values must be combinations of letters")
-    if spec_b.unit is not None and spec_b.unit in f:
-        raise StructuralError("letter map must vanish on the unit letter")
-
-    def letterwise(word: tuple) -> Element:
-        return reduce(Element.tensor, (f.get(letter, zero_a) for letter in word), unit_a)
-
-    for a in range(spec_b.dim):
-        for b in range(spec_b.dim):
-            pair = letterwise((a, b))
-            lhs = spec_b.braiding.entries[(a, b)].map_words(letterwise, alphabet=spec_a.alphabet)
-            rhs = apply_local(spec_a.braiding.entries, 1, pair) if pair else pair
-            if lhs != rhs:
-                raise StructuralError(
-                    f"letter map does not intertwine the braidings at {(a, b)}")
-            m_lhs = apply_local(spec_a.mult, 1, pair) if pair else pair
-            m_rhs = spec_b.mult_entry(a, b).map_words(letterwise, alphabet=spec_a.alphabet)
-            if m_lhs != m_rhs:
-                raise StructuralError(
-                    f"letter map does not intertwine the multiplications at {(a, b)}")
-    return x.map_words(letterwise, alphabet=spec_a.alphabet)

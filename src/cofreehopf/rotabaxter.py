@@ -92,7 +92,7 @@ def diamond_product(spec: BraidedAlgebraSpec, u: Element, w: Element) -> Element
         b, y = ww[0], ww[1:]
 
         def heads_then_tails(word2):  # the tail quasi-shuffle is skipped under a zero head
-            merged = spec.mult_entry(a, word2[0])
+            merged = spec.mult[(a, word2[0])]
             return merged.tensor(qsh(spec, word2[1:], y)) if merged else zero
 
         return crossing(spec, x, b).map_words(heads_then_tails, alphabet=spec.alphabet)

@@ -7,13 +7,7 @@ import itertools
 import random
 import time
 
-from cofreehopf.braid import (
-    BraidingTable,
-    Permutation,
-    all_reduced_words,
-    braid_lift_word,
-    check_yang_baxter,
-)
+from cofreehopf.braid import BraidingTable, check_yang_baxter
 from cofreehopf.cli import main as cli_main
 from cofreehopf.config import document_from_spec, emit_config
 from cofreehopf.cotensor import (
@@ -33,7 +27,6 @@ from cofreehopf.cotensor import (
 )
 from cofreehopf.elements import Element
 from cofreehopf.grouphopf import AbelianGroup, YDSpec, braided_spec, diagonal_matrix
-from cofreehopf.presets import check_clifford_relations, check_uqg_relations
 from cofreehopf.qalg import (
     adjoin_unit,
     check_quasi_shuffle_bialgebra,
@@ -46,6 +39,14 @@ from cofreehopf.rotabaxter import (
     smash_rb_instance,
 )
 from cofreehopf.scalars import Scalar
+
+from conftest import (
+    Permutation,
+    all_reduced_words,
+    braid_lift_word,
+    check_clifford_relations,
+    check_uqg_relations,
+)
 
 
 def _report(number: int, description: str, ok: bool, extra: str = "") -> None:

@@ -9,7 +9,7 @@ import pytest
 from cofreehopf.braid import flip_braiding
 from cofreehopf.elements import Element, apply_local, canonical_key, render_element
 from cofreehopf.errors import StructuralError
-from cofreehopf.grouphopf import AbelianGroup, YDSpec, diagonal_matrix
+from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec, diagonal_matrix
 from cofreehopf.qalg import BraidedAlgebraSpec
 from cofreehopf.scalars import Scalar
 
@@ -22,9 +22,8 @@ def letter_key(letter):
         return (0, letter)
     if type(letter) is tuple:  # a word; a group element is a tuple subclass
         return (3, tuple(letter_key(part) for part in letter))
-    sk = getattr(letter, "sort_key", None)
-    if sk is not None:
-        return (1, sk())
+    if isinstance(letter, GroupElement):
+        return (1, (letter.free, letter.torsion))
     return (2, repr(letter))
 
 

@@ -50,7 +50,7 @@ def reference_module_projection(spec, a, b):
         return {(v, spec.group.multiply(g1, b)): Scalar.one()}
     elif da == 1 and db == 1:
         ((v, g1),), ((w, g2),) = a, b
-        image = spec.act_letter(g1, w).map_words(lambda i: spec.mult_entry(v, i[0]))
+        image = spec.act_letter(g1, w).map_words(lambda i: spec.mult[(v, i[0])])
         target = spec.group.multiply(g1, g2)
     else:
         return {}

@@ -49,7 +49,7 @@ def test_every_exported_name_is_its_module_object():
         assert value.__module__.startswith("cofreehopf."), name
         assert value is getattr(sys.modules[value.__module__], name), name
     assert set(cofreehopf.__all__) <= set(dir(cofreehopf))
-    assert len(set(cofreehopf.__all__)) == len(cofreehopf.__all__) == 56
+    assert len(set(cofreehopf.__all__)) == len(cofreehopf.__all__) == 43
 
 
 def test_star_import_binds_every_exported_name():

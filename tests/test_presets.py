@@ -15,13 +15,10 @@ from cofreehopf.cotensor import (
 from cofreehopf.elements import Element
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import check_yd_module_algebra, check_yetter_drinfeld
-from cofreehopf.presets import (
-    build_clifford,
-    build_uqg,
-    check_clifford_relations,
-    check_uqg_relations,
-)
+from cofreehopf.presets import build_clifford, build_uqg
 from cofreehopf.scalars import Scalar
+
+from conftest import check_clifford_relations, check_uqg_relations
 
 
 def test_clifford_basis_sizes():
@@ -164,11 +161,11 @@ def test_uqg_requires_square_matrix():
 
 
 def test_relation_checks_name_the_route_that_fails(clifford2, uqg_a2, monkeypatch):
-    import cofreehopf.presets as presets
+    import conftest
 
     asymmetric = check_uqg_relations(build_uqg([[2, 0], [-1, 2]]))
     assert (asymmetric.law, asymmetric.witness) == ("uqg-commutator", (1, 2))
-    monkeypatch.setattr(presets, "smash_product", lambda x, y: x.scale(0))
+    monkeypatch.setattr(conftest, "smash_product", lambda x, y: x.scale(0))
     for result, law, bracket in (
             (check_clifford_relations(clifford2), "clifford-anticommutator-smash",
              clifford2.xi(1, 1)),

@@ -4,11 +4,10 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
-from cofreehopf.braid import BraidingTable, block_braiding, diagonal_braiding, flip_braiding
+from cofreehopf.braid import BraidingTable, block_braiding, flip_braiding
 from cofreehopf.config import parse_config
 from cofreehopf.elements import Element
 from cofreehopf.errors import StructuralError
@@ -20,9 +19,6 @@ from cofreehopf.qalg import (
     check_quasi_shuffle_bialgebra,
     crossing,
     deconcat,
-    deconcat_reduced,
-    extend_letter_morphism,
-    filtration_degree,
     _pack,
     _unpack,
     quasi_shuffle,
@@ -30,7 +26,7 @@ from cofreehopf.qalg import (
 )
 from cofreehopf.scalars import Scalar
 
-from conftest import hoffman_spec
+from conftest import diagonal_braiding, hoffman_spec
 
 
 def _word(spec, *letters, coeff=1):
@@ -326,6 +322,11 @@ def test_grading_conservation(uqg_a2):
                 assert word_degree(word) == total
 
 
+def _zero_mult_spec(dim, alphabet=None):
+    alphabet = alphabet or object()
+    return BraidedAlgebraSpec(dim, flip_braiding(dim, alphabet), {}, alphabet=alphabet)
+
+
 def _compositions(n: int):
     """The compositions of n as tuples of block lengths; () for n = 0."""
     if n == 0:
@@ -345,7 +346,7 @@ def _hoffman_exp(spec: BraidedAlgebraSpec, word: tuple) -> Element:
         for size in blocks:
             merged = Element.from_word(word[start:start + 1], alphabet=spec.alphabet)
             for b in word[start + 1:start + size]:
-                merged = merged.map_words(lambda w, b=b: spec.mult_entry(w[0], b))
+                merged = merged.map_words(lambda w, b=b: spec.mult[(w[0], b)])
             term, start = term.tensor(merged), start + size
         weight = Fraction(1, math.prod(map(math.factorial, blocks)))
         out = out + term.scale(Scalar.rational(weight))
@@ -380,159 +381,33 @@ def test_bialgebra_check_over_no_samples_is_an_error(hoffman4):
         check_quasi_shuffle_bialgebra(hoffman4, [])
 
 
-# -- deconcatenation and the filtration --------------------------------------------
+# -- deconcatenation ----------------------------------------------------------------
 
 
 def test_deconcat_examples():
     x = Element.from_word((0,))
     assert deconcat(x) == Element({((), (0,)): 1, ((0,), ()): 1}, deconcat(x).alphabet)
-    assert deconcat_reduced(x).is_zero()
-    y = Element.from_word((0, 1))
-    assert deconcat_reduced(y) == Element({((0,), (1,)): 1}, deconcat_reduced(y).alphabet)
-    empty = Element.unit()
-    assert deconcat_reduced(empty) == Element(
-        {((), ()): Fraction(-1)}, deconcat_reduced(empty).alphabet)
 
 
-def test_double_reduced_deconcat_of_three_letters():
-    # iterate the reduced coproduct on the left factor: only the full cut survives
-    y = Element.from_word((0, 1, 2))
-    once = deconcat_reduced(y)
-    split: dict[tuple, Scalar] = {}
-    for (u, v), c in once._terms.items():
-        if len(u) < 2:
-            continue
-        for k in range(1, len(u)):
-            key = (u[:k], u[k:], v)
-            split[key] = split.get(key, Scalar.zero()) + c
-    assert split == {((0,), (1,), (2,)): Scalar.one()}
-
-
-def test_filtration_degree_examples():
-    assert filtration_degree(Element.from_word((), 5)) == 0
-    assert filtration_degree(Element.zero()) == 0
-    assert filtration_degree(Element.from_word((0,))) == 1
-    x = Element.from_word((0, 1)) + Element.from_word((2,))
-    assert filtration_degree(x) == 2
-    y = Element.from_word((), 3) + Element.from_word((0,))
-    assert filtration_degree(y) == 1
-
-
-def test_filtration_degree_equals_max_length_up_to_5():
-    for length in range(6):
-        word = tuple(i % 2 for i in range(length))
-        assert filtration_degree(Element.from_word(word)) == length
-    mixed = Element.from_word((), 2) + Element.from_word((0,)) \
-        + Element.from_word((1, 0, 1, 0, 0), 3)
-    assert filtration_degree(mixed) == 5
-
-
-@lru_cache(maxsize=None)
-def _in_filtration_step(word: tuple, r: int) -> bool:
-    """The reduced-coproduct definition of the connectedness filtration: the
-    empty word lies in every step, a nonempty one in step r >= 1 when both
-    legs of every term of its reduced coproduct lie in step r - 1."""
-    if not word:
-        return True
-    if r <= 0:
-        return False
-    return all(_in_filtration_step(u, r - 1) and _in_filtration_step(v, r - 1)
-               for u, v in deconcat_reduced(Element.from_word(word))._terms)
-
-
-def test_filtration_degree_matches_the_reduced_coproduct_definition():
-    words = [word for length in range(7) for word in itertools.product(range(2), repeat=length)]
-    for word in words:
-        expected = next(r for r in itertools.count() if _in_filtration_step(word, r))
-        assert filtration_degree(Element.from_word(word, 2)) == expected
-    for u, v in itertools.combinations(words[::9], 2):
-        x = Element.from_word(u) + Element.from_word(v, 3)
-        assert filtration_degree(x) == max(filtration_degree(Element.from_word(u)),
-                                           filtration_degree(Element.from_word(v)))
-    _in_filtration_step.cache_clear()
-
-
-# -- degree-one extension -----------------------------------------------------------
-
-
-def _zero_mult_spec(dim, alphabet=None):
-    alphabet = alphabet or object()
-    return BraidedAlgebraSpec(dim, flip_braiding(dim, alphabet), {}, alphabet=alphabet)
-
-
-def test_extension_of_identity_map_is_identity():
-    spec = _zero_mult_spec(2)
-    f = {0: Element.from_word((0,), alphabet=spec.alphabet),
-         1: Element.from_word((1,), alphabet=spec.alphabet)}
-    for length in range(5):
-        for word in itertools.product(range(2), repeat=length):
-            x = Element.from_word(word, alphabet=spec.alphabet)
-            assert extend_letter_morphism(spec, spec, f, x) == x
-
-
-def test_extension_of_zero_map_is_counit():
-    spec = _zero_mult_spec(2)
-    x = Element.from_word((), 7) + Element.from_word((0, 1))
-    out = extend_letter_morphism(spec, spec, {}, x)
-    assert out == Element.from_word((), 7, spec.alphabet)
-
-
-def test_extension_relabels_letters():
-    b = _zero_mult_spec(1)
-    a = _zero_mult_spec(2)
-    f = {0: Element.from_word((1,), alphabet=a.alphabet)}
-    x = Element.from_word((0, 0), alphabet=b.alphabet)
-    assert extend_letter_morphism(b, a, f, x) \
-        == Element.from_word((1, 1), alphabet=a.alphabet)
+# -- the diagonal action ------------------------------------------------------------
 
 
 def test_extension_of_a_group_action_is_the_diagonal_action_and_multiplicative(clifford2, uqg_a2):
     # universal property of the quasi-shuffle algebra (Jian-Rosso, J. reine
     # angew. Math. 667, 2012): a generator acting on the letters intertwines
-    # the braiding and the multiplication, so its extension is an algebra map,
-    # and on words it must be the diagonal action
+    # the braiding and the multiplication, so its extension to words, the
+    # diagonal action, is an algebra map
     for preset in (clifford2, uqg_a2):
         spec = preset.spec
         bspec = braided_spec(spec)
         g = spec.group.generator(0)
-        f = {a: spec.act_letter(g, a) for a in range(spec.dim)}
 
         def ext(x):
-            return extend_letter_morphism(bspec, bspec, f, x)
+            return x.map_words(lambda w: spec.act_word(g, w))
 
         words = [w for n in range(3) for w in itertools.product(range(spec.dim), repeat=n)]
-        for word in words:
-            assert ext(_word(bspec, *word)) == spec.act_word(g, word)
         sample = {w: _word(bspec, *w) for w in random.Random(16).sample(words, 20)}
         image = {w: ext(x) for w, x in sample.items()}
         for u, v in itertools.product(sample, sample):
             assert ext(quasi_shuffle(bspec, sample[u], sample[v])) \
                 == quasi_shuffle(bspec, image[u], image[v])
-
-
-def test_extension_checks_braiding_compatibility():
-    b = BraidedAlgebraSpec(1, diagonal_braiding(1, [[1]], "B"), {}, alphabet="B")
-    a = _zero_mult_spec(1, "A")
-    f = {0: Element.from_word((0,), alphabet="A")}
-    with pytest.raises(StructuralError):
-        extend_letter_morphism(b, a, f, Element.from_word((0,), alphabet="B"))
-
-
-def test_extension_checks_multiplicativity():
-    alphabet = object()
-    mult = {(0, 0): Element.from_word((1,), alphabet=alphabet)}
-    b = BraidedAlgebraSpec(2, flip_braiding(2, alphabet), mult, alphabet=alphabet)
-    a = _zero_mult_spec(2, "A2")
-    f = {0: Element.from_word((0,), alphabet="A2"),
-         1: Element.from_word((1,), alphabet="A2")}
-    with pytest.raises(StructuralError):
-        extend_letter_morphism(b, a, f, Element.from_word((0,), alphabet=alphabet))
-
-
-def test_extension_rejects_nonzero_unit_image():
-    spec = _zero_mult_spec(1)
-    unital = adjoin_unit(spec)
-    f = {unital.unit: Element.from_word((0,), alphabet=unital.alphabet)}
-    with pytest.raises(StructuralError):
-        extend_letter_morphism(unital, unital, f,
-                               Element.from_word((0,), alphabet=unital.alphabet))

@@ -15,7 +15,7 @@ from functools import partial
 import pytest
 
 from cofreehopf import checks
-from cofreehopf.braid import BraidingTable, check_yang_baxter, diagonal_braiding
+from cofreehopf.braid import BraidingTable, check_yang_baxter
 from cofreehopf.checks import PASS, fail
 from cofreehopf.config import parse_config
 from cofreehopf.elements import Element, apply_local
@@ -24,6 +24,7 @@ from cofreehopf.grouphopf import braided_spec
 from cofreehopf.qalg import BraidedAlgebraSpec, adjoin_unit, check_braided_algebra
 from cofreehopf.scalars import Scalar
 
+from conftest import diagonal_braiding
 from test_characterisation import NON_YANG_BAXTER
 
 

@@ -162,6 +162,36 @@ def test_braid_lift_matches_position_action_for_flip():
                 assert lifted == Element.from_word(act_on_word(w, word))
 
 
+def test_braid_lift_identity_and_single_generator():
+    table = diagonal_braiding(2, [[1, 2], [3, 4]])
+    x = Element.from_word((0, 1))
+    assert braid_lift_word(table, reduced_word(identity_permutation(2)), x) == x
+    lifted = braid_lift_word(table, reduced_word(Permutation((2, 1))), x)
+    assert lifted == Element.from_word((1, 0), Scalar.q_power(2))
+
+
+def test_braid_lift_applies_the_rightmost_generator_first():
+    # on the flip, the lift along s1 s2 moves letters as the composite s1 o s2
+    table = flip_braiding(3)
+    x = Element.from_word((0, 1, 2))
+    s1, s2 = transposition(3, 1), transposition(3, 2)
+    lifted = braid_lift_word(table, (1, 2), x)
+    assert lifted == Element.from_word(act_on_word(compose(s1, s2), (0, 1, 2)))
+    assert lifted == Element.from_word((2, 0, 1))
+    assert braid_lift_word(table, (2, 1), x) == Element.from_word((1, 2, 0))
+
+
+def test_compose_applies_its_right_argument_first():
+    v, w = Permutation((2, 3, 1)), Permutation((2, 1, 3))
+    assert compose(v, w) == (3, 2, 1)
+    assert compose(w, v) == (1, 3, 2)
+    for u in itertools.permutations(range(1, 4)):
+        assert compose(u, identity_permutation(3)) == u == compose(identity_permutation(3), u)
+        assert compose(u, compose(v, w)) == compose(compose(u, v), w)
+    for i in (1, 2):
+        assert compose(transposition(3, i), transposition(3, i)) == identity_permutation(3)
+
+
 def test_reduced_word_independence_on_s4():
     h = [[1, -2], [0, 1]]
     table = diagonal_braiding(2, h)

@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import weakref
+from functools import reduce
 
 import pytest
 
@@ -34,7 +35,7 @@ from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spe
 from cofreehopf.qalg import quasi_shuffle
 from cofreehopf.scalars import Scalar
 
-from conftest import hoffman_spec
+from conftest import hoffman_spec, words_up_to
 from test_qalg import _gaussian_binomial
 
 
@@ -133,6 +134,24 @@ def test_component_accessors(clifford2):
         + CotensorElement.from_word(spec, word1, 3) \
         + CotensorElement.from_word(spec, word2)
     assert {key: key_degree(key) for key in x.support()} == {eps: 0, word1: 1, word2: 2}
+
+
+def test_chain_lifted_words_carry_their_degrees(clifford2, uqg_a2):
+    # a chain-lifted word is right-coinvariant and its left degree is the
+    # product of its letters' degrees; a right translate moves both by g
+    for preset in (clifford2, uqg_a2):
+        spec, group = preset.spec, preset.spec.group
+        g = group.generator(0)
+        for word in words_up_to(spec.dim, 3)[1:]:
+            key = chain_lift_word(spec, word)
+            total = reduce(group.multiply, (spec.degrees[v] for v in word))
+            assert key_degree(key) == len(word)
+            assert right_degree(spec, key) == group.identity()
+            assert left_degree(spec, key) == total
+            moved = right_translate(spec, key, g)
+            assert right_degree(spec, moved) == g
+            assert left_degree(spec, moved) == group.multiply(total, g)
+            assert check_chain_condition(spec, [moved])
 
 
 def test_degree_zero_keys_and_chain_words_stay_apart(clifford2):
@@ -571,20 +590,42 @@ def test_star_matches_the_smash_route_on_a_long_times_short_pair(uqg_a2):
 # -- coinvariant coproduct -----------------------------------------------------------
 
 
+def _coinvariant_coproduct(x: CotensorElement) -> Element:
+    """The coproduct with both legs pushed into the right coinvariants."""
+    spec = x.spec
+
+    def project(key):
+        return right_translate(spec, key, spec.group.inverse(right_degree(spec, key)))
+
+    return x.rekey(lambda key: [(project(k1), project(k2))
+                                for k1, k2 in coproduct_pairs(spec, key)], cls=Element)
+
+
+def test_coinvariant_coproduct_of_letter(clifford2):
+    spec = clifford2.spec
+    e = spec.group.identity()
+    key = ((0, e),)
+    out = _coinvariant_coproduct(CotensorElement.from_word(spec, key))
+    assert out == Element({(e, key): 1, (key, e): 1}, out.alphabet)
+
+
+def test_coinvariant_coproduct_of_scalar(clifford2):
+    spec = clifford2.spec
+    eps = spec.group.element([1])
+    out = _coinvariant_coproduct(CotensorElement(spec, {eps: 1}))
+    e = spec.group.identity()
+    assert out == Element({(e, e): 1}, out.alphabet)
+
+
 def test_coinvariant_coproduct_flattens_to_deconcatenation(clifford2, uqg_a2):
     # both coproduct legs pushed into the coinvariants, then flattened
     from cofreehopf.qalg import deconcat
     for preset in (clifford2, uqg_a2):
         spec = preset.spec
-
-        def project(key):
-            return right_translate(spec, key, spec.group.inverse(right_degree(spec, key)))
-
         for word in itertools.islice(
                 itertools.product(range(spec.dim), repeat=2), 12):
             x = CotensorElement.from_word(spec, chain_lift_word(spec, word))
-            pairs = x.rekey(lambda key: [(project(k1), project(k2))
-                                         for k1, k2 in coproduct_pairs(spec, key)], cls=Element)
+            pairs = _coinvariant_coproduct(x)
             flattened: dict[tuple, Scalar] = {}
             for (k1, k2), c in pairs._terms.items():
                 w1 = () if isinstance(k1, GroupElement) else tuple(v for v, _ in k1)

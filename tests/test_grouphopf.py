@@ -41,6 +41,40 @@ def test_group_element_rendering():
     assert AbelianGroup(0, (2,)).element([1]).render() == "K{1}"
 
 
+def test_group_algebra_product():
+    # the product of the group algebra is the bilinear extension of the group's
+    g = AbelianGroup(rank=1)
+    x = Element({g.element([1]): 2}, g)
+    y = Element({g.element([-1]): 1, g.identity(): 1}, g)
+    assert x.bilinear(y, lambda a, b: Element({g.multiply(a, b): 1}, g)) \
+        == Element({g.identity(): 2, g.element([1]): 2}, g)
+
+
+def test_inverse_of_a_product_is_the_product_of_the_inverses():
+    g = AbelianGroup(rank=2, torsion=(4,))
+    k1 = g.generator(0)
+    word = g.multiply(k1, g.element([0, -3, 1]))
+    assert g.inverse(word) == g.element([-1, 3, 3])
+    for a, b in itertools.product([g.element(e) for e in ((1, 0, 1), (0, -2, 3), (2, 1, 2))],
+                                  repeat=2):
+        assert g.inverse(g.multiply(a, b)) == g.multiply(g.inverse(b), g.inverse(a))
+        assert g.inverse(g.inverse(a)) is a
+
+
+def test_a_torsion_generator_acts_with_its_order():
+    # K of order 3 cycles the letters: its cube fixes every word, no lower power does
+    group = AbelianGroup(rank=0, torsion=(3,))
+    cycle = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    spec = YDSpec(group, ("a", "b", "c"), (group.identity(),) * 3, (cycle,))
+    k, word = group.generator(0), (0, 0, 1)
+    x, images = Element.from_word(word, alphabet=spec), []
+    for _ in range(3):
+        x = x.map_words(lambda w: spec.act_word(k, w))
+        images.append(x)
+    assert images == [Element.from_word(w, alphabet=spec) for w in ((1, 1, 2), (2, 2, 0), word)]
+    assert spec.act_word(group.element([3]), word) == Element.from_word(word, alphabet=spec)
+
+
 def test_antipode_is_convolution_inverse():
     g = AbelianGroup(rank=1, torsion=(4,))
     for exps in itertools.product(range(-2, 3), range(4)):

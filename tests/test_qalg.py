@@ -26,7 +26,7 @@ from cofreehopf.qalg import (
 )
 from cofreehopf.scalars import Scalar
 
-from conftest import diagonal_braiding, hoffman_spec
+from conftest import diagonal_braiding, hoffman_spec, words_up_to
 
 
 def _word(spec, *letters, coeff=1):
@@ -387,6 +387,62 @@ def test_bialgebra_check_over_no_samples_is_an_error(hoffman4):
 def test_deconcat_examples():
     x = Element.from_word((0,))
     assert deconcat(x) == Element({((), (0,)): 1, ((0,), ()): 1}, deconcat(x).alphabet)
+    empty = deconcat(Element.unit())
+    assert empty == Element({((), ()): 1}, empty.alphabet)
+
+
+def _deconcat_terms(word: tuple) -> dict:
+    return deconcat(Element.from_word(word))._terms
+
+
+def _reduced_deconcat_terms(word: tuple) -> dict:
+    """The reduced coproduct: deconcatenation less its two trivial cuts."""
+    return {(u, v): c for (u, v), c in _deconcat_terms(word).items() if u and v}
+
+
+def test_deconcat_of_three_letters_cuts_at_every_position():
+    assert _deconcat_terms((0, 1, 2)) == {
+        ((), (0, 1, 2)): Scalar.one(), ((0,), (1, 2)): Scalar.one(),
+        ((0, 1), (2,)): Scalar.one(), ((0, 1, 2), ()): Scalar.one()}
+
+
+def test_double_reduced_deconcat_of_three_letters():
+    # iterate the reduced coproduct on the left factor: only the full cut survives
+    split: dict[tuple, Scalar] = {}
+    for (u, v), c in _reduced_deconcat_terms((0, 1, 2)).items():
+        for (u1, u2), d in _reduced_deconcat_terms(u).items():
+            split[(u1, u2, v)] = split.get((u1, u2, v), Scalar.zero()) + c * d
+    assert split == {((0,), (1,), (2,)): Scalar.one()}
+    assert _reduced_deconcat_terms((0,)) == {}
+
+
+def test_deconcat_is_coassociative():
+    for word in (w for n in range(5) for w in itertools.product(range(2), repeat=n)):
+        left: dict[tuple, Scalar] = {}
+        right: dict[tuple, Scalar] = {}
+        for (u, v), c in _deconcat_terms(word).items():
+            for (u1, u2), d in _deconcat_terms(u).items():
+                left[(u1, u2, v)] = left.get((u1, u2, v), Scalar.zero()) + c * d
+            for (v1, v2), d in _deconcat_terms(v).items():
+                right[(u, v1, v2)] = right.get((u, v1, v2), Scalar.zero()) + c * d
+        assert left == right, word
+        assert len(left) == (len(word) + 1) * (len(word) + 2) // 2
+
+
+def test_deconcat_counit_laws():
+    # cutting off an empty leg on either side gives the element back
+    x = Element.from_word((), 3) + Element.from_word((0, 1), Scalar.q_power(2)) \
+        + Element.from_word((1, 1, 0), -1)
+    pairs = deconcat(x)._terms
+    assert {v: c for (u, v), c in pairs.items() if not u} == x._terms
+    assert {u: c for (u, v), c in pairs.items() if not v} == x._terms
+
+
+def test_deconcat_is_linear():
+    u, v = Element.from_word((0, 1)), Element.from_word((1,))
+    a, b = Scalar.q_power(-1), Scalar.rational(Fraction(3, 2))
+    assert deconcat(u.scale(a) + v.scale(b)) == deconcat(u).scale(a) + deconcat(v).scale(b)
+    assert deconcat(u - u).is_zero()
 
 
 # -- the diagonal action ------------------------------------------------------------
@@ -411,3 +467,53 @@ def test_extension_of_a_group_action_is_the_diagonal_action_and_multiplicative(c
         for u, v in itertools.product(sample, sample):
             assert ext(quasi_shuffle(bspec, sample[u], sample[v])) \
                 == quasi_shuffle(bspec, image[u], image[v])
+
+
+def _act(spec, g, x: Element) -> Element:
+    return x.map_words(lambda w: spec.act_word(g, w))
+
+
+def test_diagonal_action_of_the_identity_fixes_every_word(clifford2, uqg_a2):
+    for preset in (clifford2, uqg_a2):
+        spec = preset.spec
+        e = spec.group.identity()
+        for word in words_up_to(spec.dim, 3):
+            assert spec.act_word(e, word) == Element.from_word(word, alphabet=spec)
+
+
+def test_diagonal_action_is_a_group_action(clifford2, uqg_a2):
+    for preset in (clifford2, uqg_a2):
+        spec, group = preset.spec, preset.spec.group
+        elements = [group.generator(k) for k in range(group.n_generators)]
+        elements += [group.inverse(g) for g in elements]
+        for g, h in itertools.product(elements, repeat=2):
+            gh = group.multiply(g, h)
+            for word in words_up_to(spec.dim, 2):
+                assert _act(spec, g, spec.act_word(h, word)) == spec.act_word(gh, word)
+
+
+def test_diagonal_action_commutes_with_deconcat(clifford2, uqg_a2):
+    # each group-like acts by a coalgebra map: cut, then act on both legs
+    for preset in (clifford2, uqg_a2):
+        spec = preset.spec
+        g = spec.group.generator(0)
+        for word in words_up_to(spec.dim, 3):
+            legs: dict[tuple, Scalar] = {}
+            for (u, v), c in deconcat(Element.from_word(word, alphabet=spec))._terms.items():
+                for a, ca in spec.act_word(g, u).terms():
+                    for b, cb in spec.act_word(g, v).terms():
+                        legs[(a, b)] = legs.get((a, b), Scalar.zero()) + c * ca * cb
+            legs = {key: c for key, c in legs.items() if not c.is_zero()}
+            assert deconcat(spec.act_word(g, word))._terms == legs, word
+
+
+def test_diagonal_action_commutes_with_the_braiding(clifford2, uqg_a2):
+    # sigma(g.v (x) g.w) = g.sigma(v (x) w): the degree of g.v is that of v
+    for preset in (clifford2, uqg_a2):
+        spec, group = preset.spec, preset.spec.group
+        table = spec.induced_braiding()
+        for k in range(group.n_generators):
+            g = group.generator(k)
+            for word in words_up_to(spec.dim, 2)[1 + spec.dim:]:
+                assert table.apply(spec.act_word(g, word)) \
+                    == _act(spec, g, table.apply(Element.from_word(word, alphabet=spec)))

@@ -182,7 +182,7 @@ COMMANDS = {
                  _rb_operator, "cotensor"),
     "phi": (("x",), bind_cotensor_element, lambda doc: flatten_coinvariant, "tensor"),
     "psi": (("x",), bind_plain_element,
-            lambda doc: partial(chain_lift, doc.ydspec()), "cotensor"),
+            lambda doc: partial(chain_lift, doc.spec), "cotensor"),
 }
 
 
@@ -210,11 +210,11 @@ def _check_rb(doc: ConfigDocument, max_degree: int) -> tuple[BraidedAlgebraSpec,
 # renders through the letter names of the spec the check ran on, which for rb
 # holds the adjoined unit letter
 CHECKS = {
-    "yb": lambda doc, n: (doc.ydspec(), check_yang_baxter(doc.braiding_table())),
-    "alg": lambda doc, n: (doc.ydspec(), check_yd_module_algebra(doc.ydspec())
+    "yb": lambda doc, n: (doc.spec, check_yang_baxter(doc.braided().braiding)),
+    "alg": lambda doc, n: (doc.spec, check_yd_module_algebra(doc.spec)
                            if doc.override is None else check_braided_algebra(doc.override)),
-    "yd": lambda doc, n: (doc.ydspec(), check_yetter_drinfeld(doc.ydspec())),
-    "bialg": lambda doc, n: (doc.ydspec(), check_quasi_shuffle_bialgebra(
+    "yd": lambda doc, n: (doc.spec, check_yetter_drinfeld(doc.spec)),
+    "bialg": lambda doc, n: (doc.spec, check_quasi_shuffle_bialgebra(
         doc.braided(), _pairs_up_to(doc.braided(), n))),
     "rb": _check_rb,
 }
@@ -278,7 +278,7 @@ def _dispatch(args) -> int:
     if args.emit_config:
         print(emit_config(doc), end="")
         return 0
-    spec = doc.ydspec()
+    spec = doc.spec
 
     if args.command == "check":
         if args.max_degree < 0:

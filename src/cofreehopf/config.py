@@ -14,16 +14,19 @@ A document has four sections plus an optional override:
 Lines may carry ``#`` comments.  Scalars use the expression grammar.
 Letter names are identifiers of the expression grammar.  A malformed
 list reports the expression parser's message and column.  A repeated
-[group] key, a second value for ``rank`` and an action line
-that gives a column already given are errors.  Torsion exponents out of
+[group] key, a second value for ``rank``, an action line that gives a
+column already given and a generator with no action line are errors
+(over no letters the line is ``g1 =``).  Torsion exponents out of
 range are normalized with a note, not an error.  Loading performs
 structural validation only (declared letters, shapes, invertibility of
 tables); the mathematical axiom checkers are exposed as commands so
 that their failures are reportable.
 
 A loaded document (:class:`ConfigDocument`) is the spec itself: the
-module algebra as a :class:`YDSpec`, the :class:`BraidedAlgebraSpec` of
-a [braiding] override (``None`` without one), and the loading notes.
+module algebra as a :class:`YDSpec` (``doc.spec``), the
+:class:`BraidedAlgebraSpec` of a [braiding] override (``None`` without
+one), and the loading notes; ``doc.braided()`` is the braided algebra
+either way.
 Emission reads the same objects back out, so a document written by
 :func:`emit_config` parses to the same data and emits the same text.
 """
@@ -56,16 +59,10 @@ class ConfigDocument(Frozen):
                  notes: tuple[str, ...] = ()):
         self._set(spec=spec, override=override, notes=notes)
 
-    def ydspec(self) -> YDSpec:
-        return self.spec
-
     def braided(self) -> BraidedAlgebraSpec:
         """The braided algebra of the document: the override, or the one
         its module algebra induces (built on first use, once per spec)."""
         return braided_spec(self.spec) if self.override is None else self.override
-
-    def braiding_table(self) -> BraidingTable:
-        return self.braided().braiding
 
 
 def _override(spec: YDSpec, table: BraidingTable) -> BraidedAlgebraSpec:
@@ -153,7 +150,7 @@ def parse_config(text: str) -> ConfigDocument:
     index = {name: i for i, name in enumerate(names)}
 
     zero = Scalar.zero()
-    columns: dict[tuple[int, int], list[Scalar]] = {}  # (generator, letter) -> image
+    columns: dict[int, dict[int, list[Scalar]]] = {}  # generator -> letter -> image
     generator_names = {f"g{k + 1}": k for k in range(group.n_generators)}
     for lineno, line in sections.get("action", []):
         key, value = _parse_keyvalue(line, lineno)
@@ -168,19 +165,20 @@ def parse_config(text: str) -> ConfigDocument:
             j = index.get(lname.strip())
             if j is None:
                 raise ConfigError(f"unknown letter {lname!r}", lineno)
-            given = {(k, j): entries}
+            given = {j: entries}
         else:  # a diagonal line gives every column
-            given = {(k, j): [entries[j] if i == j else zero for i in range(dim)]
+            given = {j: [entries[j] if i == j else zero for i in range(dim)]
                      for j in range(dim)}
-        if any(col in columns for col in given):
+        # a diagonal line gives every column, so it repeats any line, also over no letters
+        if any(j in columns.get(k, ()) for j in given) or (k in columns and not column):
             raise ConfigError(f"duplicate action for {key!r}", lineno)
-        columns.update(given)
+        columns.setdefault(k, {}).update(given)  # a generator is given once it has a line
     action = []
     for k in range(group.n_generators):
-        if not any((k, j) in columns for j in range(dim)):
+        if k not in columns:
             raise ConfigError(f"no action given for generator g{k + 1}")
         # the rows of the matrix whose columns are the letters' images
-        action.append(tuple(zip(*(columns.get((k, j), (zero,) * dim) for j in range(dim)))))
+        action.append(tuple(zip(*(columns[k].get(j, (zero,) * dim) for j in range(dim)))))
 
     mult = _parse_rules(sections.get("mult", []), index, 1, "mult")
     braiding = None
@@ -297,7 +295,7 @@ def document_from_spec(spec: YDSpec, braiding: BraidingTable | None = None) -> C
 # -- binding parsed expressions against a spec -----------------------------------
 
 
-def bind_group_element(spec: YDSpec, ref, line: int | None = None) -> GroupElement:
+def bind_group_element(spec: YDSpec, ref) -> GroupElement:
     group = spec.group
     if isinstance(ref, str):
         if ref == "e":
@@ -306,10 +304,9 @@ def bind_group_element(spec: YDSpec, ref, line: int | None = None) -> GroupEleme
             k = int(ref[1:]) - 1
             if 0 <= k < group.n_generators:
                 return group.generator(k)
-        raise ConfigError(f"unknown group element name {ref!r}", line)
+        raise ConfigError(f"unknown group element name {ref!r}")
     if len(ref) != group.n_generators:
-        raise ConfigError(
-            f"group element needs {group.n_generators} exponents", line)
+        raise ConfigError(f"group element needs {group.n_generators} exponents")
     return group.element(ref)
 
 
@@ -321,21 +318,19 @@ def _bind_terms(cls, spec: YDSpec, parsed: ParsedElement, key_of):
     return cls._wrap(out, spec)
 
 
-def _bare_letter(spec: YDSpec, letter, message: str, line: int | None) -> int:
+def _bare_letter(spec: YDSpec, letter, message: str) -> int:
     if letter[0] != "L" or letter[2] is not None:
-        raise ConfigError(message, line)
+        raise ConfigError(message)
     return spec.letter(letter[1])
 
 
-def bind_plain_element(spec: YDSpec, parsed: ParsedElement,
-                       line: int | None = None) -> Element:
+def bind_plain_element(spec: YDSpec, parsed: ParsedElement) -> Element:
     message = "this command takes plain tensor words over the letters"
     return _bind_terms(Element, spec, parsed, lambda letters: tuple(
-        _bare_letter(spec, letter, message, line) for letter in letters))
+        _bare_letter(spec, letter, message) for letter in letters))
 
 
-def bind_cotensor_element(spec: YDSpec, parsed: ParsedElement,
-                          line: int | None = None) -> CotensorElement:
+def bind_cotensor_element(spec: YDSpec, parsed: ParsedElement) -> CotensorElement:
     """Bare words embed through the chain lift; annotated words are taken
     literally and must satisfy the chain condition; a lone group atom is a
     degree-0 key."""
@@ -345,29 +340,27 @@ def bind_cotensor_element(spec: YDSpec, parsed: ParsedElement,
         kinds = {letter[0] for letter in letters}
         if kinds == {"G"}:
             if len(letters) != 1:
-                raise ConfigError("group elements cannot be tensored here", line)
-            return bind_group_element(spec, letters[0][1], line)
+                raise ConfigError("group elements cannot be tensored here")
+            return bind_group_element(spec, letters[0][1])
         if kinds != {"L"}:
-            raise ConfigError("cannot mix letters and group atoms in one word", line)
+            raise ConfigError("cannot mix letters and group atoms in one word")
         annotated = [letter[2] is not None for letter in letters]
         if all(annotated):
             word = tuple(
-                (spec.letter(name), bind_group_element(spec, g, line))
+                (spec.letter(name), bind_group_element(spec, g))
                 for _, name, g in letters)
             result = check_chain_condition(spec, [word])
             if not result:
-                raise ConfigError(f"chain condition fails at cut {result.witness[1]}", line)
+                raise ConfigError(f"chain condition fails at cut {result.witness[1]}")
             return word
         if not any(annotated):
             return chain_lift_word(spec, tuple(spec.letter(name) for _, name, _ in letters))
-        raise ConfigError(
-            "either annotate every letter with a group part or none", line)
+        raise ConfigError("either annotate every letter with a group part or none")
 
     return _bind_terms(CotensorElement, spec, parsed, key_of)
 
 
-def bind_smash_element(spec: YDSpec, parsed: ParsedElement,
-                       line: int | None = None) -> SmashElement:
+def bind_smash_element(spec: YDSpec, parsed: ParsedElement) -> SmashElement:
     """Bare letters form the word leg; an optional trailing group atom is
     the group tag (identity when absent)."""
     message = "smash words are bare letters with an optional trailing group atom"
@@ -375,8 +368,8 @@ def bind_smash_element(spec: YDSpec, parsed: ParsedElement,
     def key_of(letters):
         tag = spec.group.identity()
         if letters and letters[-1][0] == "G":
-            tag = bind_group_element(spec, letters[-1][1], line)
+            tag = bind_group_element(spec, letters[-1][1])
             letters = letters[:-1]
-        return tuple(_bare_letter(spec, letter, message, line) for letter in letters), tag
+        return tuple(_bare_letter(spec, letter, message) for letter in letters), tag
 
     return _bind_terms(SmashElement, spec, parsed, key_of)

@@ -131,9 +131,6 @@ class Element:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, key) -> Scalar:
-        return self._terms.get(key, Scalar.zero())
-
     def support(self) -> list:
         return sorted(self._terms, key=canonical_key)
 

@@ -192,10 +192,9 @@ class YDSpec(Frozen):
 
     def __init__(self, group: AbelianGroup, names: tuple[str, ...],
                  degrees: tuple[GroupElement, ...], action: tuple[Matrix, ...],
-                 mult: dict[tuple[int, int], Element] | None = None, unit: int | None = None,
-                 _cache: dict | None = None):
+                 mult: dict[tuple[int, int], Element] | None = None, unit: int | None = None):
         self._set(group=group, names=names, degrees=degrees, action=action, mult=mult,
-                  unit=unit, _cache={} if _cache is None else _cache)
+                  unit=unit, _cache={})
         dim = len(self.names)
         if len(self.degrees) != dim:
             raise StructuralError("one degree per letter is required")

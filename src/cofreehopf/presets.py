@@ -15,6 +15,10 @@ generator K_i per row of the integral matrix: E_j scales by q^{c_ij},
 F_j by q^{-c_ij}, the bracket letter xi_i is fixed, degrees are K_i,
 K_i and K_i^2, and the only nonzero products are E_i F_i = xi_i.
 
+A preset's letters are found by name, ``spec.letter("xi12")`` or
+``spec.letter("E2")``; ``spec.names`` lists them in index order:
+v1..vn then xi_ij by rows, or E1..En, F1..Fn, xi1..xin.
+
 Builders run every structural validator once and cache the result, so
 downstream checks can assume well-formed data.  The relations each family
 is built to satisfy (Clifford anticommutators, quantum-group commutators)
@@ -45,36 +49,12 @@ class CliffordPreset(Frozen):
     def __init__(self, n: int, spec: YDSpec):
         self._set(n=n, spec=spec)
 
-    def v(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise StructuralError(f"generator index out of range: {i}")
-        return i - 1
-
-    def xi(self, i: int, j: int) -> int:
-        if not 1 <= i <= j <= self.n:
-            raise StructuralError(f"bracket index out of range: {(i, j)}")
-        offset = sum(self.n - k for k in range(i - 1))
-        return self.n + offset + (j - i)
-
 
 class UqgPreset(Frozen):
     _fields = ("cartan", "spec")
 
     def __init__(self, cartan: tuple[tuple[int, ...], ...], spec: YDSpec):
         self._set(cartan=cartan, spec=spec)
-
-    @property
-    def n(self) -> int:
-        return len(self.cartan)
-
-    def e(self, i: int) -> int:
-        return i - 1
-
-    def f(self, i: int) -> int:
-        return self.n + i - 1
-
-    def xi(self, i: int) -> int:
-        return 2 * self.n + i - 1
 
 
 def _validate(spec: YDSpec) -> None:

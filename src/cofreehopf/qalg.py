@@ -19,8 +19,7 @@ output words into tuples of its own, which die with it.  Each letter of
 the deeper factor costs 3 frames (the memo's wrapper, the memoised
 function and the clause, which calls the memo itself): one more per
 level stops one letter times a 300-letter word under the default
-recursion limit.  Only the general-clause oracle below keeps a
-module-level memo, which perfbench clears.
+recursion limit.
 
 Each level needs the crossing B(u, b) = beta_{|u|,1}(u (x) b) of the right
 head b across the left word: B(u', b) feeds the merge move and B(u, b)
@@ -30,9 +29,11 @@ and fills it by a loop from the right end of the word, so each suffix is
 braided once, with one braiding at position 1, however many levels ask
 for it.  Each level recurses on (u', v) before it braids, so a word too
 deep for the recursion fails before any braiding work is spent on it.
-An internal oracle runs the same clause with no memo: it sweeps B(u', b)
-with ``block_braiding`` at every level, as an independent check on the
-crossing memo.
+An internal oracle, ``quasi_shuffle_general_clause``, runs the same
+clause without the crossing memo: it sweeps B(u', b) with
+``block_braiding`` at every level, as an independent check on that memo.
+Its word-pair memo is made and emptied by each call, so no spec outlives
+the call in it.
 
 ``check_braided_algebra`` evaluates its laws on V^3 through
 ``checks.first_failure``, sharing m and sigma at 1 and 2 among the three.
@@ -66,10 +67,9 @@ class BraidedAlgebraSpec(Frozen):
 
     def __init__(self, dim: int, braiding: BraidingTable, mult: dict[tuple[int, int], Element],
                  unit: int | None = None, names: tuple[str, ...] | None = None,
-                 alphabet: object = None, _cache: dict | None = None):
+                 alphabet: object = None):
         self._set(dim=dim, braiding=braiding, mult=mult, unit=unit, names=names,
-                  alphabet=self if alphabet is None else alphabet,
-                  _cache={} if _cache is None else _cache)
+                  alphabet=self if alphabet is None else alphabet, _cache={})
         if braiding.dim != dim:
             raise StructuralError("braiding dimension does not match the basis size")
         self._set(mult=letter_table(mult, dim, self.alphabet))
@@ -224,12 +224,6 @@ def _prepend(letter: int, x: Element) -> Element:
     return Element._wrap({(letter,) + w: c for w, c in x._terms.items()}, x.alphabet)
 
 
-@lru_cache(maxsize=None)
-def _qsh_words_general_only(spec: BraidedAlgebraSpec, u: str, v: str) -> dict[str, Scalar]:
-    """Internal oracle: the same clause, with the crossings swept, not memoised."""
-    return _qsh_general(spec, u, v, _qsh_words_general_only, _swept_crossings)
-
-
 def _quasi_shuffle_packed(spec: BraidedAlgebraSpec, x: Element, y: Element, memo) -> dict:
     """The terms of x qsh y over packed words."""
     return x.bilinear(y, lambda u, v: Element._wrap(memo(spec, _pack(u), _pack(v)), None),
@@ -242,7 +236,16 @@ def quasi_shuffle(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
 
 
 def quasi_shuffle_general_clause(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
-    return _unpacked(spec, _quasi_shuffle_packed(spec, x, y, _qsh_words_general_only))
+    """Internal oracle: the same clause, with the crossings swept, not memoised,
+    through a memo of this call alone."""
+    @lru_cache(maxsize=None)
+    def words(spec, u: str, v: str) -> dict[str, Scalar]:
+        return _qsh_general(spec, u, v, words, _swept_crossings)
+
+    try:
+        return _unpacked(spec, _quasi_shuffle_packed(spec, x, y, words))
+    finally:  # the memo and its function form a cycle: empty it now, not at a collection
+        words.cache_clear()
 
 
 def _pair_alphabet(alphabet):

@@ -161,25 +161,24 @@ def check_clifford_relations(preset):
     """Anticommutators of generator letters equal the bracket letters,
     along both product routes, plus the group-conjugation sign rule."""
     spec = preset.spec
+    index_of = spec.letter
     eps = spec.group.element([1])
     for i in range(1, preset.n + 1):
         for j in range(i, preset.n + 1):
             for suffix, letter, product in _routes(spec):
-                vi, vj = letter(preset.v(i)), letter(preset.v(j))
+                vi, vj = letter(index_of(f"v{i}")), letter(index_of(f"v{j}"))
                 got = product(vi, vj) + product(vj, vi)
-                expected = letter(preset.xi(i, j))
+                expected = letter(index_of(f"xi{i}{j}"))
                 if got != expected:
                     return fail("clifford-anticommutator" + suffix, (i, j), got, expected)
     for i in range(1, preset.n + 1):
-        lhs = smash_product(
-            SmashElement.of(spec, (), eps), SmashElement.of(spec, (preset.v(i),)))
-        rhs = SmashElement.of(spec, (preset.v(i),), eps, coeff=-1)
+        vi, xii = index_of(f"v{i}"), index_of(f"xi{i}{i}")
+        lhs = smash_product(SmashElement.of(spec, (), eps), SmashElement.of(spec, (vi,)))
+        rhs = SmashElement.of(spec, (vi,), eps, coeff=-1)
         if lhs != rhs:
             return fail("clifford-conjugation", i, lhs, rhs)
-        fixed = smash_product(
-            SmashElement.of(spec, (), eps),
-            SmashElement.of(spec, (preset.xi(i, i),)))
-        if fixed != SmashElement.of(spec, (preset.xi(i, i),), eps):
+        fixed = smash_product(SmashElement.of(spec, (), eps), SmashElement.of(spec, (xii,)))
+        if fixed != SmashElement.of(spec, (xii,), eps):
             return fail("clifford-conjugation", (i, i), fixed, None)
     return PASS
 
@@ -188,27 +187,28 @@ def check_uqg_relations(preset):
     """E_i * F_j - q^{-c_ij} F_j * E_i = delta_ij xi_i along both routes,
     and conjugation by the group generators scales E_j by q^{c_ij}."""
     spec = preset.spec
+    index_of = spec.letter
     group = spec.group
-    n = preset.n
+    n = len(preset.cartan)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             c_ij = preset.cartan[i - 1][j - 1]
             for suffix, letter, product in _routes(spec):
-                ei, fj = letter(preset.e(i)), letter(preset.f(j))
+                ei, fj = letter(index_of(f"E{i}")), letter(index_of(f"F{j}"))
                 got = product(ei, fj) - product(fj, ei).scale(Scalar.q_power(-c_ij))
-                expected = letter(preset.xi(i)).scale(1 if i == j else 0)
+                expected = letter(index_of(f"xi{i}")).scale(1 if i == j else 0)
                 if got != expected:
                     return fail("uqg-commutator" + suffix, (i, j), got, expected)
     for i in range(1, n + 1):
         k_i = group.generator(i - 1)
         k_inv = group.inverse(k_i)
         for j in range(1, n + 1):
+            ej = index_of(f"E{j}")
             conj = smash_product(
-                smash_product(SmashElement.of(spec, (), k_i),
-                              SmashElement.of(spec, (preset.e(j),))),
+                smash_product(SmashElement.of(spec, (), k_i), SmashElement.of(spec, (ej,))),
                 SmashElement.of(spec, (), k_inv))
             expected = SmashElement.of(
-                spec, (preset.e(j),), coeff=Scalar.q_power(preset.cartan[i - 1][j - 1]))
+                spec, (ej,), coeff=Scalar.q_power(preset.cartan[i - 1][j - 1]))
             if conj != expected:
                 return fail("uqg-conjugation", (i, j), conj, expected)
     return PASS

@@ -213,23 +213,22 @@ def _one_letter_spec() -> YDSpec:
 
 
 def test_record_constructors_keep_their_parameters():
-    # ``_cache`` is a constructor parameter whose default is a fresh dict
     expected = {
         CheckResult: [("ok", None), ("law", ""), ("witness", None), ("lhs", None),
                       ("rhs", None)],
         ConfigDocument: [("spec", None), ("override", None), ("notes", ())],
         AbelianGroup: [("rank", None), ("torsion", ())],
         YDSpec: [("group", None), ("names", None), ("degrees", None), ("action", None),
-                 ("mult", None), ("unit", None), ("_cache", None)],
+                 ("mult", None), ("unit", None)],
         CliffordPreset: [("n", None), ("spec", None)],
         UqgPreset: [("cartan", None), ("spec", None)],
         BraidedAlgebraSpec: [("dim", None), ("braiding", None), ("mult", None), ("unit", None),
-                             ("names", None), ("alphabet", None), ("_cache", None)],
+                             ("names", None), ("alphabet", None)],
         RBInstance: [("product", None), ("operator", None), ("weight", None)],
     }
     for cls, params in expected.items():
         found = inspect.signature(cls).parameters.values()
-        assert [(p.name, None if p.default is p.empty or p.name == "_cache" else p.default)
+        assert [(p.name, None if p.default is p.empty else p.default)
                 for p in found] == params, cls
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in found), cls
 

@@ -125,7 +125,7 @@ def _spec(name, request) -> YDSpec:
     if name.startswith("random-"):
         return _random_column_spec(int(name.split("-")[1]))
     text = {"jordan": JORDAN, "super-jordan": SUPER_JORDAN, "torsion": TORSION}[name]
-    return parse_config(text).ydspec()
+    return parse_config(text).spec
 
 
 def _tags(group, exponents=range(-3, 4)):
@@ -181,7 +181,7 @@ def test_letter_images_match_the_reference_composition(name, request):
 
 @pytest.mark.parametrize("text", [JORDAN, SUPER_JORDAN], ids=["jordan", "super-jordan"])
 def test_star_matches_the_smash_route_on_the_jordan_planes(text):
-    spec = parse_config(text).ydspec()
+    spec = parse_config(text).spec
     assert check_yetter_drinfeld(spec)
     rnd = random.Random(12)
 

@@ -170,7 +170,8 @@ def test_diagonal_braiding_is_bicharacter_valued():
     table = spec.induced_braiding()
     for a in range(2):
         for b in range(2):
-            chi = spec.act_letter(degrees[a], b).coefficient((b,))
+            [(word, chi)] = spec.act_letter(degrees[a], b).terms()
+            assert word == (b,)
             assert table.entries[(a, b)] == Element.from_word((b, a), chi, spec)
 
 
@@ -182,14 +183,14 @@ def test_yd_module_algebra_presets(clifford2, uqg_a2):
 def test_yd_module_algebra_degree_check(uqg_a2):
     spec = uqg_a2.spec
     # xi1 has degree K_1^2 = product of the degrees of E1 and F1
-    assert spec.degrees[uqg_a2.xi(1)] == spec.group.multiply(
-        spec.degrees[uqg_a2.e(1)], spec.degrees[uqg_a2.f(1)])
+    e1, f1, xi1 = map(spec.letter, ("E1", "F1", "xi1"))
+    assert spec.degrees[xi1] == spec.group.multiply(spec.degrees[e1], spec.degrees[f1])
 
 
 def test_yd_module_algebra_rejects_corrupted_degree(uqg_a2):
     base = uqg_a2.spec
     degrees = list(base.degrees)
-    degrees[uqg_a2.xi(1)] = base.group.generator(0)  # should be K_1^2
+    degrees[base.letter("xi1")] = base.group.generator(0)  # should be K_1^2
     spec = YDSpec(base.group, base.names, tuple(degrees), base.action, base.mult)
     result = check_yd_module_algebra(spec)
     assert not result

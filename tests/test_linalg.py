@@ -104,7 +104,7 @@ def test_a_three_letter_override_with_three_term_entries_loads_at_once():
             words = rnd.sample([f"{u}@{v}" for u in letters for v in letters], 3)
             lines.append(f"{x} {y} -> " + " + ".join(f"{rnd.choice(coeffs)} {w}" for w in words))
     start = time.perf_counter()
-    table = parse_config("\n".join(lines) + "\n").braiding_table()
+    table = parse_config("\n".join(lines) + "\n").braided().braiding
     assert time.perf_counter() - start < 1.0
     assert all(len(entry._terms) == 3 for entry in table.entries.values())
 

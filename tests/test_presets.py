@@ -28,13 +28,11 @@ def test_clifford_basis_sizes():
 
 
 def test_clifford_indexing(clifford3):
-    assert clifford3.v(1) == 0
-    assert clifford3.xi(1, 1) == 3
-    assert clifford3.xi(1, 3) == 5
-    assert clifford3.xi(2, 2) == 6
-    assert clifford3.xi(3, 3) == 8
+    # a letter's index is its place here: the generators, then xi_ij by rows, i <= j
+    assert clifford3.spec.names == (
+        "v1", "v2", "v3", "xi11", "xi12", "xi13", "xi22", "xi23", "xi33")
     with pytest.raises(StructuralError):
-        clifford3.xi(2, 1)
+        clifford3.spec.letter("xi21")
 
 
 def test_clifford_rejects_degenerate_size():
@@ -96,24 +94,19 @@ def test_clifford_degree_two_span_closure(clifford2):
 
 def test_uqg_basis_layout(uqg_a1, uqg_a2):
     assert uqg_a1.spec.names == ("E1", "F1", "xi1")
-    assert len(uqg_a2.spec.names) == 6
-    assert uqg_a2.e(2) == 1
-    assert uqg_a2.f(1) == 2
-    assert uqg_a2.xi(2) == 5
+    assert uqg_a2.spec.names == ("E1", "E2", "F1", "F2", "xi1", "xi2")
 
 
 def test_uqg_degrees_and_action(uqg_a2):
     spec = uqg_a2.spec
     g = spec.group
-    assert spec.degrees[uqg_a2.e(1)] == g.element([1, 0])
-    assert spec.degrees[uqg_a2.xi(2)] == g.element([0, 2])
+    e1, e2, f1, _, xi1, xi2 = map(spec.letter, spec.names)
+    assert spec.degrees[e1] == g.element([1, 0])
+    assert spec.degrees[xi2] == g.element([0, 2])
     k1 = g.generator(0)
-    assert spec.act_letter(k1, uqg_a2.e(2)) == Element.from_word(
-        (uqg_a2.e(2),), Scalar.q_power(-1), spec)
-    assert spec.act_letter(k1, uqg_a2.f(1)) == Element.from_word(
-        (uqg_a2.f(1),), Scalar.q_power(-2), spec)
-    assert spec.act_letter(k1, uqg_a2.xi(1)) == Element.from_word(
-        (uqg_a2.xi(1),), alphabet=spec)
+    assert spec.act_letter(k1, e2) == Element.from_word((e2,), Scalar.q_power(-1), spec)
+    assert spec.act_letter(k1, f1) == Element.from_word((f1,), Scalar.q_power(-2), spec)
+    assert spec.act_letter(k1, xi1) == Element.from_word((xi1,), alphabet=spec)
 
 
 def test_uqg_validators(uqg_a1, uqg_a2):
@@ -146,12 +139,12 @@ def test_uqg_module_multiplication_eigenvalue(uqg_a2):
                 big_k = g.element(a)
                 kp = g.generator(1)
                 out = _module_projection(
-                    spec, ((uqg_a2.e(i), big_k),), ((uqg_a2.f(j), kp),))
+                    spec, ((spec.letter(f"E{i}"), big_k),), ((spec.letter(f"F{j}"), kp),))
                 if i != j:
                     assert out == {}
                     continue
                 exponent = -sum(a[k] * cartan[k][j - 1] for k in range(2))
-                target = (uqg_a2.xi(i), g.multiply(big_k, kp))
+                target = (spec.letter(f"xi{i}"), g.multiply(big_k, kp))
                 assert out == {target: Scalar.q_power(exponent)}
 
 
@@ -168,8 +161,8 @@ def test_relation_checks_name_the_route_that_fails(clifford2, uqg_a2, monkeypatc
     monkeypatch.setattr(conftest, "smash_product", lambda x, y: x.scale(0))
     for result, law, bracket in (
             (check_clifford_relations(clifford2), "clifford-anticommutator-smash",
-             clifford2.xi(1, 1)),
-            (check_uqg_relations(uqg_a2), "uqg-commutator-smash", uqg_a2.xi(1))):
+             clifford2.spec.letter("xi11")),
+            (check_uqg_relations(uqg_a2), "uqg-commutator-smash", uqg_a2.spec.letter("xi1"))):
         assert (result.law, result.witness) == (law, (1, 1))
         assert result.lhs.is_zero()
         assert result.rhs == SmashElement.of(result.rhs.spec, (bracket,))

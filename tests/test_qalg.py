@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -258,6 +260,16 @@ def test_arithmetic_on_a_product_leaves_the_memo_unchanged(uqg_a2):
             assert {w: dict(c._terms) for w, c in memo.items()} == frozen
             assert doubled == z.scale(2) and scaled.scale(q.inverse()) == z == again
             assert again == quasi_shuffle_general_clause(spec, x, y)
+
+
+def test_the_general_clause_keeps_no_spec_alive():
+    # the oracle's memo lives for one call, so the spec it ran on can die
+    spec = hoffman_spec(3)
+    quasi_shuffle_general_clause(spec, _word(spec, 0, 1), _word(spec, 1))
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
 
 
 def test_a_word_packs_into_one_code_point_per_letter_and_back():

@@ -112,16 +112,16 @@ def _random_spec(seed: int) -> BraidedAlgebraSpec:
 
 def test_the_non_yang_baxter_override_fails_alike():
     doc = parse_config(NON_YANG_BAXTER)
-    reference = reference_yang_baxter(doc.braiding_table())
+    reference = reference_yang_baxter(doc.braided().braiding)
     assert not reference
-    assert_same(check_yang_baxter(doc.braiding_table()), reference)
+    assert_same(check_yang_baxter(doc.braided().braiding), reference)
     assert_same(check_braided_algebra(doc.override), reference_braided_algebra(doc.override))
 
 
 def test_a_degree_breaking_mult_fails_alike():
     doc = parse_config("[group]\nrank = 1\n\n[basis]\na = 1\nb = 1\n\n[action]\n"
                        "g1 = q, q^-1\n\n[mult]\na b -> b\n")
-    spec = braided_spec(doc.ydspec())
+    spec = braided_spec(doc.spec)
     reference = reference_braided_algebra(spec)
     assert not reference
     assert_same(check_braided_algebra(spec), reference)

@@ -33,7 +33,6 @@ from .config import (
     bind_cotensor_element,
     bind_plain_element,
     bind_smash_element,
-    document_from_spec,
     emit_config,
     parse_config,
 )
@@ -344,7 +343,7 @@ def _cmd_preset(args) -> int:
         if not args.cartan:
             raise ConfigError("preset uqg needs --cartan FILE")
         preset = build_uqg(_read_cartan(args.cartan))
-    print(emit_config(document_from_spec(preset.spec)), end="")
+    print(emit_config(ConfigDocument(preset.spec)), end="")
     return 0
 
 

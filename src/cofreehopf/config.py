@@ -51,12 +51,16 @@ _RESERVED = ("q", "K")
 
 class ConfigDocument(Frozen):
     """A loaded config: its module algebra, the braided algebra of its
-    [braiding] override (``None`` without one), and the loading notes."""
+    [braiding] override (``None`` without one), and the loading notes.  A
+    spec with a unit letter has no document: the format cannot name the
+    letter, so the document would lose it."""
 
     _fields = ("spec", "override", "notes")
 
     def __init__(self, spec: YDSpec, override: BraidedAlgebraSpec | None = None,
                  notes: tuple[str, ...] = ()):
+        if spec.unit is not None:
+            raise StructuralError("a spec with a unit letter has no config document")
         self._set(spec=spec, override=override, notes=notes)
 
     def braided(self) -> BraidedAlgebraSpec:
@@ -283,13 +287,6 @@ def emit_config(doc: ConfigDocument) -> str:
         lines += ["", "[braiding]"]
         lines += [_rule_line(spec, pair, entries[pair]) for pair in sorted(entries)]
     return "\n".join(lines) + "\n"
-
-
-def document_from_spec(spec: YDSpec, braiding: BraidingTable | None = None) -> ConfigDocument:
-    if spec.unit is not None:
-        # the format cannot name a unit letter: the document would lose it
-        raise StructuralError("a spec with a unit letter has no config document")
-    return ConfigDocument(spec, None if braiding is None else _override(spec, braiding))
 
 
 # -- binding parsed expressions against a spec -----------------------------------

@@ -60,7 +60,7 @@ from .checks import PASS, CheckResult, fail
 from .elements import Element, accumulate, render_terms
 from .errors import StructuralError
 from .grouphopf import GroupElement, YDSpec, braided_spec
-from .qalg import _qsh_memo
+from .qalg import qsh_words
 from .scalars import Scalar
 
 MWord = tuple  # tuple[(letter index, GroupElement), ...]
@@ -104,13 +104,13 @@ class CotensorElement(Element):
         return cls(spec, {spec.group.identity(): Scalar.one()})
 
     @classmethod
-    def from_word(cls, spec: YDSpec, word: MWord, coeff=1) -> CotensorElement:
+    def from_word(cls, spec: YDSpec, word: MWord) -> CotensorElement:
         word = tuple((int(v), g) for v, g in word)
         result = check_chain_condition(spec, [word])
         if not result:
             raise StructuralError(f"chain condition fails at cut {result.witness[1]} "
                                   f"of {render_key(spec, word)}")
-        return cls(spec, {word: Scalar.coerce(coeff)})
+        return cls(spec, {word: Scalar.one()})
 
 
 def check_chain_condition(spec: YDSpec, terms) -> CheckResult:
@@ -333,11 +333,11 @@ class SmashElement(Element):
         return cls(spec, {((), spec.group.identity()): Scalar.one()})
 
     @classmethod
-    def of(cls, spec: YDSpec, word: tuple[int, ...], g: GroupElement | None = None,
-           coeff=1) -> SmashElement:
+    def of(cls, spec: YDSpec, word: tuple[int, ...],
+           g: GroupElement | None = None) -> SmashElement:
         if g is None:
             g = spec.group.identity()
-        return cls(spec, {(tuple(word), g): Scalar.coerce(coeff)})
+        return cls(spec, {(tuple(word), g): Scalar.one()})
 
 
 def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
@@ -346,12 +346,11 @@ def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
         raise StructuralError("smash elements over different module data")
     spec = x.spec
     bspec = braided_spec(spec)
-    qsh = _qsh_memo(bspec)
 
     def rule(kx, ky):
         (u, g), (w, g2) = kx, ky
         tag = spec.group.multiply(g, g2)
-        return spec.act_word(g, w).map_words(partial(qsh, bspec, u)).relabel(
+        return spec.act_word(g, w).map_words(partial(qsh_words, bspec, u)).relabel(
             lambda word: (word, tag), cls=SmashElement)
 
     return x.bilinear(y, rule)

@@ -19,10 +19,11 @@ A preset's letters are found by name, ``spec.letter("xi12")`` or
 ``spec.letter("E2")``; ``spec.names`` lists them in index order:
 v1..vn then xi_ij by rows, or E1..En, F1..Fn, xi1..xin.
 
-Builders run every structural validator once and cache the result, so
-downstream checks can assume well-formed data.  The relations each family
-is built to satisfy (Clifford anticommutators, quantum-group commutators)
-are checked along both product routes by the tests.
+Builders run every structural validator once and cache the result, a
+``Preset`` that holds the spec, so downstream checks can assume
+well-formed data.  The relations each family is built to satisfy
+(Clifford anticommutators, quantum-group commutators) are checked along
+both product routes by the tests.
 """
 
 from __future__ import annotations
@@ -43,18 +44,13 @@ from .grouphopf import (
 from .scalars import Scalar
 
 
-class CliffordPreset(Frozen):
-    _fields = ("n", "spec")
+class Preset(Frozen):
+    """A built preset: its validated module algebra."""
 
-    def __init__(self, n: int, spec: YDSpec):
-        self._set(n=n, spec=spec)
+    _fields = ("spec",)
 
-
-class UqgPreset(Frozen):
-    _fields = ("cartan", "spec")
-
-    def __init__(self, cartan: tuple[tuple[int, ...], ...], spec: YDSpec):
-        self._set(cartan=cartan, spec=spec)
+    def __init__(self, spec: YDSpec):
+        self._set(spec=spec)
 
 
 def _validate(spec: YDSpec) -> None:
@@ -68,7 +64,7 @@ def _validate(spec: YDSpec) -> None:
 
 
 @lru_cache(maxsize=None)
-def build_clifford(n: int) -> CliffordPreset:
+def build_clifford(n: int) -> Preset:
     if n < 1:
         raise StructuralError("at least one generator is required")
     group = AbelianGroup(rank=0, torsion=(2,))
@@ -91,11 +87,11 @@ def build_clifford(n: int) -> CliffordPreset:
         [Scalar.rational(-1)] * n + [Scalar.one()] * (dim - n)),)
     spec = YDSpec(group, tuple(names), tuple(degrees), action, mult)
     _validate(spec)
-    return CliffordPreset(n, spec)
+    return Preset(spec)
 
 
 @lru_cache(maxsize=None)
-def _build_uqg_cached(cartan: tuple[tuple[int, ...], ...]) -> UqgPreset:
+def _build_uqg_cached(cartan: tuple[tuple[int, ...], ...]) -> Preset:
     n = len(cartan)
     if n < 1 or any(len(row) != n for row in cartan):
         raise StructuralError("a square integral matrix is required")
@@ -119,9 +115,9 @@ def _build_uqg_cached(cartan: tuple[tuple[int, ...], ...]) -> UqgPreset:
     mult = {(i, n + i): Element.from_word((2 * n + i,)) for i in range(n)}
     spec = YDSpec(group, tuple(names), tuple(degrees), tuple(action), mult)
     _validate(spec)
-    return UqgPreset(cartan, spec)
+    return Preset(spec)
 
 
-def build_uqg(cartan) -> UqgPreset:
+def build_uqg(cartan) -> Preset:
     return _build_uqg_cached(tuple(tuple(int(e) for e in row) for row in cartan))
 

@@ -14,8 +14,10 @@ never copied whole first, and a coefficient of 1 multiplies nothing.
 Inside the recursion a word is packed, one code point per letter, so a
 prepend copies bytes and each word is hashed once.  The memo is one
 ``lru_cache`` per spec, ``spec._cache["qsh"]``, from packed word pairs to
-dicts over packed words, and dies with the spec.  A product unpacks its
-output words into tuples of its own, which die with it.  Each letter of
+dicts over packed words, and dies with the spec.  ``qsh_words`` reads it
+for one pair of tuple words, and unpacks the output words into tuples of
+its own, which die with the product; ``quasi_shuffle``, the smash
+product and the diamond product all go through it.  Each letter of
 the deeper factor costs 3 frames (the memo's wrapper, the memoised
 function and the clause, which calls the memo itself): one more per
 level stops one letter times a 300-letter word under the default
@@ -160,10 +162,9 @@ def _unpacked(spec: BraidedAlgebraSpec, terms: dict) -> Element:
     return Element._wrap({_unpack(w): c for w, c in terms.items()}, spec.alphabet)
 
 
-def _qsh_memo(spec: BraidedAlgebraSpec):
-    """``memo(spec, u, v) = u qsh v`` over tuple words, through the packed memo."""
-    memo = _qsh_packed(spec)
-    return lambda spec, u, v: _unpacked(spec, memo(spec, _pack(u), _pack(v)))
+def qsh_words(spec: BraidedAlgebraSpec, u: tuple, v: tuple) -> Element:
+    """u qsh v for two words, through the spec's memo."""
+    return _unpacked(spec, _qsh_packed(spec)(spec, _pack(u), _pack(v)))
 
 
 def _qsh_words(spec: BraidedAlgebraSpec, u: str, v: str) -> dict[str, Scalar]:
@@ -224,15 +225,9 @@ def _prepend(letter: int, x: Element) -> Element:
     return Element._wrap({(letter,) + w: c for w, c in x._terms.items()}, x.alphabet)
 
 
-def _quasi_shuffle_packed(spec: BraidedAlgebraSpec, x: Element, y: Element, memo) -> dict:
-    """The terms of x qsh y over packed words."""
-    return x.bilinear(y, lambda u, v: Element._wrap(memo(spec, _pack(u), _pack(v)), None),
-                      cls=Element, alphabet=spec.alphabet)._terms
-
-
 def quasi_shuffle(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
     """Bilinear quantum quasi-shuffle product on the tensor space."""
-    return _unpacked(spec, _quasi_shuffle_packed(spec, x, y, _qsh_packed(spec)))
+    return x.bilinear(y, partial(qsh_words, spec), cls=Element, alphabet=spec.alphabet)
 
 
 def quasi_shuffle_general_clause(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
@@ -243,7 +238,8 @@ def quasi_shuffle_general_clause(spec: BraidedAlgebraSpec, x: Element, y: Elemen
         return _qsh_general(spec, u, v, words, _swept_crossings)
 
     try:
-        return _unpacked(spec, _quasi_shuffle_packed(spec, x, y, words))
+        return x.bilinear(y, lambda u, v: _unpacked(spec, words(spec, _pack(u), _pack(v))),
+                          cls=Element, alphabet=spec.alphabet)
     finally:  # the memo and its function form a cycle: empty it now, not at a collection
         words.cache_clear()
 

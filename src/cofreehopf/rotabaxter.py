@@ -22,7 +22,7 @@ from .checks import PASS, CheckResult, fail, nonempty
 from .cotensor import CotensorElement, SmashElement, from_smash, smash_product, star, to_smash
 from .elements import Element
 from .errors import Record, StructuralError
-from .qalg import BraidedAlgebraSpec, _qsh_memo, crossing, quasi_shuffle
+from .qalg import BraidedAlgebraSpec, crossing, qsh_words, quasi_shuffle
 from .scalars import Scalar
 
 
@@ -83,7 +83,6 @@ def diamond_product(spec: BraidedAlgebraSpec, u: Element, w: Element) -> Element
     if () in u._terms:
         raise StructuralError("head-distinguished words must be nonempty")
     zero = Element.zero(spec.alphabet)
-    qsh = _qsh_memo(spec)
 
     def on_words(uw, ww):
         if not ww:
@@ -93,7 +92,7 @@ def diamond_product(spec: BraidedAlgebraSpec, u: Element, w: Element) -> Element
 
         def heads_then_tails(word2):  # the tail quasi-shuffle is skipped under a zero head
             merged = spec.mult[(a, word2[0])]
-            return merged.tensor(qsh(spec, word2[1:], y)) if merged else zero
+            return merged.tensor(qsh_words(spec, word2[1:], y)) if merged else zero
 
         return crossing(spec, x, b).map_words(heads_then_tails, alphabet=spec.alphabet)
 

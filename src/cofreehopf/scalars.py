@@ -125,7 +125,9 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        # a constant equals the number it holds, so it hashes as that number
+        terms = self._terms
+        return hash(terms.get(0, 0) if terms.keys() <= {0} else tuple(sorted(terms.items())))
 
     # -- arithmetic ---------------------------------------------------------
 

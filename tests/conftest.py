@@ -7,6 +7,7 @@ import pytest
 
 from cofreehopf.braid import BraidingTable, flip_braiding
 from cofreehopf.checks import PASS, fail
+from cofreehopf.config import ConfigDocument
 from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, smash_product, star
 from cofreehopf.elements import Element
 from cofreehopf.presets import build_clifford, build_uqg
@@ -29,9 +30,12 @@ def uqg_a1():
     return build_uqg([[2]])
 
 
+CARTAN_A2 = ((2, -1), (-1, 2))
+
+
 @pytest.fixture(scope="session")
 def uqg_a2():
-    return build_uqg([[2, -1], [-1, 2]])
+    return build_uqg(CARTAN_A2)
 
 
 def hoffman_spec(n: int) -> BraidedAlgebraSpec:
@@ -81,6 +85,12 @@ def diagonal_braiding(dim: int, exponents, alphabet=None) -> BraidingTable:
     return BraidingTable(dim, {
         (a, b): Element.from_word((b, a), Scalar.q_power(exponents[a][b]), alphabet)
         for a in range(dim) for b in range(dim)}, alphabet)
+
+
+def override_document(spec, table):
+    """The config document of ``spec`` under the [braiding] override ``table``."""
+    return ConfigDocument(spec, BraidedAlgebraSpec(spec.dim, table, spec.mult, names=spec.names,
+                                                   alphabet=spec))
 
 
 # -- permutations and braid lifts, the oracles of the block braiding ---------------
@@ -157,24 +167,24 @@ def _routes(spec):
     )
 
 
-def check_clifford_relations(preset):
-    """Anticommutators of generator letters equal the bracket letters,
+def check_clifford_relations(preset, n):
+    """Anticommutators of the n generator letters equal the bracket letters,
     along both product routes, plus the group-conjugation sign rule."""
     spec = preset.spec
     index_of = spec.letter
     eps = spec.group.element([1])
-    for i in range(1, preset.n + 1):
-        for j in range(i, preset.n + 1):
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
             for suffix, letter, product in _routes(spec):
                 vi, vj = letter(index_of(f"v{i}")), letter(index_of(f"v{j}"))
                 got = product(vi, vj) + product(vj, vi)
                 expected = letter(index_of(f"xi{i}{j}"))
                 if got != expected:
                     return fail("clifford-anticommutator" + suffix, (i, j), got, expected)
-    for i in range(1, preset.n + 1):
+    for i in range(1, n + 1):
         vi, xii = index_of(f"v{i}"), index_of(f"xi{i}{i}")
         lhs = smash_product(SmashElement.of(spec, (), eps), SmashElement.of(spec, (vi,)))
-        rhs = SmashElement.of(spec, (vi,), eps, coeff=-1)
+        rhs = SmashElement.of(spec, (vi,), eps).scale(-1)
         if lhs != rhs:
             return fail("clifford-conjugation", i, lhs, rhs)
         fixed = smash_product(SmashElement.of(spec, (), eps), SmashElement.of(spec, (xii,)))
@@ -183,16 +193,17 @@ def check_clifford_relations(preset):
     return PASS
 
 
-def check_uqg_relations(preset):
+def check_uqg_relations(preset, cartan):
     """E_i * F_j - q^{-c_ij} F_j * E_i = delta_ij xi_i along both routes,
-    and conjugation by the group generators scales E_j by q^{c_ij}."""
+    and conjugation by the group generators scales E_j by q^{c_ij}, for the
+    matrix ``cartan`` the preset was built from."""
     spec = preset.spec
     index_of = spec.letter
     group = spec.group
-    n = len(preset.cartan)
+    n = len(cartan)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            c_ij = preset.cartan[i - 1][j - 1]
+            c_ij = cartan[i - 1][j - 1]
             for suffix, letter, product in _routes(spec):
                 ei, fj = letter(index_of(f"E{i}")), letter(index_of(f"F{j}"))
                 got = product(ei, fj) - product(fj, ei).scale(Scalar.q_power(-c_ij))
@@ -207,8 +218,7 @@ def check_uqg_relations(preset):
             conj = smash_product(
                 smash_product(SmashElement.of(spec, (), k_i), SmashElement.of(spec, (ej,))),
                 SmashElement.of(spec, (), k_inv))
-            expected = SmashElement.of(
-                spec, (ej,), coeff=Scalar.q_power(preset.cartan[i - 1][j - 1]))
+            expected = SmashElement.of(spec, (ej,)).scale(Scalar.q_power(cartan[i - 1][j - 1]))
             if conj != expected:
                 return fail("uqg-conjugation", (i, j), conj, expected)
     return PASS

@@ -9,7 +9,7 @@ import time
 
 from cofreehopf.braid import BraidingTable, check_yang_baxter
 from cofreehopf.cli import main as cli_main
-from cofreehopf.config import document_from_spec, emit_config
+from cofreehopf.config import emit_config
 from cofreehopf.cotensor import (
     CotensorElement,
     SmashElement,
@@ -41,11 +41,13 @@ from cofreehopf.rotabaxter import (
 from cofreehopf.scalars import Scalar
 
 from conftest import (
+    CARTAN_A2,
     Permutation,
     all_reduced_words,
     braid_lift_word,
     check_clifford_relations,
     check_uqg_relations,
+    override_document,
 )
 
 
@@ -66,7 +68,7 @@ def _cotensor_keys(spec, max_degree, tags):
 
 def test_criterion_01_clifford_relations(clifford3):
     start = time.monotonic()
-    result = check_clifford_relations(clifford3)
+    result = check_clifford_relations(clifford3, 3)
     elapsed = time.monotonic() - start
     ok = bool(result) and elapsed < 5.0
     _report(1, "Clifford anticommutator relations, n=3, both product routes",
@@ -75,7 +77,7 @@ def test_criterion_01_clifford_relations(clifford3):
 
 def test_criterion_02_quantum_group_relation(uqg_a2):
     start = time.monotonic()
-    result = check_uqg_relations(uqg_a2)
+    result = check_uqg_relations(uqg_a2, CARTAN_A2)
     elapsed = time.monotonic() - start
     ok = bool(result) and elapsed < 5.0
     _report(2, "quantum-group commutator relations for the A2 matrix",
@@ -303,8 +305,7 @@ def test_criterion_10_cli_golden_and_exit_codes(tmp_path, capsys):
     spec = build_clifford(2).spec
     entries = dict(spec.induced_braiding().entries)
     entries[(0, 1)] = entries[(0, 1)] + Element.from_word((0, 1), alphabet=spec)
-    doc = document_from_spec(
-        spec, braiding=BraidingTable(spec.dim, entries, alphabet=spec))
+    doc = override_document(spec, BraidingTable(spec.dim, entries, alphabet=spec))
     corrupted = tmp_path / "corrupted.cfg"
     corrupted.write_text(emit_config(doc), encoding="utf-8")
     code = cli_main(["--config", str(corrupted), "check", "yb"])

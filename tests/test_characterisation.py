@@ -28,7 +28,7 @@ from cofreehopf.cotensor import (
 )
 from cofreehopf.elements import Element, render_element
 from cofreehopf.grouphopf import AbelianGroup, YDSpec
-from cofreehopf.presets import CliffordPreset, UqgPreset
+from cofreehopf.presets import Preset
 from cofreehopf.qalg import BraidedAlgebraSpec
 from cofreehopf.rotabaxter import RBInstance
 from cofreehopf.scalars import Scalar
@@ -220,8 +220,7 @@ def test_record_constructors_keep_their_parameters():
         AbelianGroup: [("rank", None), ("torsion", ())],
         YDSpec: [("group", None), ("names", None), ("degrees", None), ("action", None),
                  ("mult", None), ("unit", None)],
-        CliffordPreset: [("n", None), ("spec", None)],
-        UqgPreset: [("cartan", None), ("spec", None)],
+        Preset: [("spec", None)],
         BraidedAlgebraSpec: [("dim", None), ("braiding", None), ("mult", None), ("unit", None),
                              ("names", None), ("alphabet", None)],
         RBInstance: [("product", None), ("operator", None), ("weight", None)],

@@ -12,12 +12,14 @@ import pytest
 from cofreehopf.braid import BraidingTable, flip_braiding
 from cofreehopf.checks import fail
 from cofreehopf.cli import _pairs_up_to, _read_cartan, main
-from cofreehopf.config import document_from_spec, emit_config
+from cofreehopf.config import emit_config
 from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, coproduct
 from cofreehopf.elements import Element
 from cofreehopf.errors import ConfigError
 from cofreehopf.qalg import BraidedAlgebraSpec, deconcat, quasi_shuffle
 from cofreehopf.scalars import Scalar
+
+from conftest import override_document
 
 HOFFMAN = """
 [group]
@@ -186,7 +188,7 @@ def test_corrupted_braiding_fails_check_yb(run, tmp_path, clifford2):
     entries = dict(spec.induced_braiding().entries)
     entries[(0, 1)] = entries[(0, 1)] + Element.from_word((0, 1), alphabet=spec)
     table = BraidingTable(spec.dim, entries, alphabet=spec)
-    doc = document_from_spec(spec, braiding=table)
+    doc = override_document(spec, table)
     path = tmp_path / "corrupt.cfg"
     path.write_text(emit_config(doc), encoding="utf-8")
     code, out, _ = run("--config", str(path), "check", "yb")
@@ -295,8 +297,7 @@ def test_json_check_failure_payload(run, tmp_path, clifford2):
     spec = clifford2.spec
     entries = dict(spec.induced_braiding().entries)
     entries[(0, 1)] = entries[(0, 1)] + Element.from_word((0, 1), alphabet=spec)
-    doc = document_from_spec(
-        spec, braiding=BraidingTable(spec.dim, entries, alphabet=spec))
+    doc = override_document(spec, BraidingTable(spec.dim, entries, alphabet=spec))
     path = tmp_path / "corrupt.cfg"
     path.write_text(emit_config(doc), encoding="utf-8")
     code, out, _ = run("--config", str(path), "--format", "json", "check", "yb")
@@ -415,7 +416,7 @@ def test_cli_counterexample_matches_library_byte_for_byte(run, tmp_path, cliffor
     entries = dict(spec.induced_braiding().entries)
     entries[(0, 1)] = entries[(0, 1)] + Element.from_word((0, 1), alphabet=spec)
     table = BraidingTable(spec.dim, entries, alphabet=spec)
-    doc = document_from_spec(spec, braiding=table)
+    doc = override_document(spec, table)
     path = tmp_path / "corrupt.cfg"
     path.write_text(emit_config(doc), encoding="utf-8")
     code, out, _ = run("--config", str(path), "check", "yb")
@@ -431,8 +432,7 @@ def test_check_alg_uses_braiding_override(run, tmp_path, clifford2):
     spec = clifford2.spec
     entries = dict(spec.induced_braiding().entries)
     entries[(0, 0)] = entries[(0, 0)].scale(2)
-    doc = document_from_spec(spec, braiding=BraidingTable(
-        spec.dim, entries, alphabet=spec))
+    doc = override_document(spec, BraidingTable(spec.dim, entries, alphabet=spec))
     path = tmp_path / "override.cfg"
     path.write_text(emit_config(doc), encoding="utf-8")
     code, out, _ = run("--config", str(path), "check", "alg")
@@ -610,7 +610,7 @@ def test_render_any_chooses_the_text_by_type(clifford2):
     g = spec.group.generator(0)
     word = Element.from_word((0, 1), alphabet=spec)
     cases = [
-        (CotensorElement.from_word(spec, chain_lift_word(spec, (0, 1)), Scalar.q_power(-1))
+        (CotensorElement.from_word(spec, chain_lift_word(spec, (0, 1))).scale(Scalar.q_power(-1))
          + CotensorElement(spec, {g: Scalar.rational(2)}), "2 K{1} + q^-1 v1.K{1}[]v2.K{0}"),
         (SmashElement.of(spec, (0, 1), g) - SmashElement.of(spec, ()), "−1#K{0} + v1@v2#K{1}"),
         (coproduct(CotensorElement.from_word(spec, chain_lift_word(spec, (0,)))),

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from cofreehopf.config import (
+    ConfigDocument,
     bind_cotensor_element,
     bind_plain_element,
     bind_smash_element,
-    document_from_spec,
     emit_config,
     parse_config,
 )
@@ -19,7 +19,7 @@ from cofreehopf.expr import parse_element_text
 from cofreehopf.grouphopf import AbelianGroup, YDSpec, braided_spec, check_yetter_drinfeld
 from cofreehopf.scalars import Scalar
 
-from conftest import assert_frozen
+from conftest import assert_frozen, override_document
 
 HOFFMAN = """
 # additive letters under a trivial group
@@ -98,7 +98,7 @@ def test_a_singular_override_of_any_size_fails_to_load():
 
 def test_preset_emission_is_a_fixed_point(clifford2, uqg_a2):
     for preset in (clifford2, uqg_a2):
-        text = emit_config(document_from_spec(preset.spec))
+        text = emit_config(ConfigDocument(preset.spec))
         assert emit_config(parse_config(text)) == text
 
 
@@ -137,7 +137,7 @@ def _spec_data(doc):
 
 def test_preset_emission_round_trips(clifford2, uqg_a2):
     for preset in (clifford2, uqg_a2):
-        doc = document_from_spec(preset.spec)
+        doc = ConfigDocument(preset.spec)
         text = emit_config(doc)
         again = parse_config(text)
         assert _spec_data(again) == _spec_data(doc)
@@ -147,7 +147,7 @@ def test_preset_emission_round_trips(clifford2, uqg_a2):
 
 def test_braiding_override_round_trips(clifford2):
     spec = clifford2.spec
-    doc = document_from_spec(spec, braiding=spec.induced_braiding())
+    doc = override_document(spec, spec.induced_braiding())
     text = emit_config(doc)
     again = parse_config(text)
     assert _spec_data(again) == _spec_data(doc)
@@ -159,11 +159,11 @@ def test_braiding_override_round_trips(clifford2):
 def test_unital_spec_has_no_document(clifford2):
     # the format cannot name a unit letter, so a document would drop it
     with pytest.raises(StructuralError, match="unit letter"):
-        document_from_spec(clifford2.spec.with_unit())
+        ConfigDocument(clifford2.spec.with_unit())
 
 
 def test_braided_spec_is_built_on_demand_and_once(clifford2):
-    doc = parse_config(emit_config(document_from_spec(clifford2.spec)))
+    doc = parse_config(emit_config(ConfigDocument(clifford2.spec)))
     spec = doc.spec
     assert "braiding" not in spec._cache  # parsing alone builds no braiding
     assert doc.braided() is doc.braided() is braided_spec(spec)
@@ -174,8 +174,7 @@ def test_braided_spec_is_built_on_demand_and_once(clifford2):
 
 def test_braiding_override_gives_one_braided_spec(clifford2):
     spec = clifford2.spec
-    doc = parse_config(emit_config(
-        document_from_spec(spec, braiding=spec.induced_braiding())))
+    doc = parse_config(emit_config(override_document(spec, spec.induced_braiding())))
     bspec = doc.braided()
     assert bspec is doc.braided()
     assert bspec.unit is None
@@ -232,7 +231,7 @@ def test_missing_action_for_generator():
 
 def test_a_generator_over_no_letters_round_trips():
     # its action line gives no column, but it gives the generator
-    text = emit_config(document_from_spec(YDSpec(AbelianGroup(1), (), (), ((),))))
+    text = emit_config(ConfigDocument(YDSpec(AbelianGroup(1), (), (), ((),))))
     assert text == "[group]\nrank = 1\n\n[basis]\n\n[action]\ng1 = \n"
     assert emit_config(parse_config(text)) == text
     with pytest.raises(ConfigError, match="duplicate action for 'g1'"):
@@ -339,7 +338,7 @@ def test_binders_sum_repeated_terms(clifford2):
     assert bind_cotensor_element(spec, parsed) == CotensorElement.unit(spec).scale(half)
     assert bind_smash_element(spec, parsed) == SmashElement.unit(spec).scale(half)
     out = bind_cotensor_element(spec, parse_element_text("K{0} - 1 + v1 + v1.K{0}"))
-    assert out == CotensorElement.from_word(spec, chain_lift_word(spec, (0,)), 2)
+    assert out == CotensorElement.from_word(spec, chain_lift_word(spec, (0,))).scale(2)
 
 
 def test_plain_and_cotensor_binders_reject_a_smash_tag(clifford2):

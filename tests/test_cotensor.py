@@ -131,7 +131,7 @@ def test_component_accessors(clifford2):
     word1 = chain_lift_word(spec, (0,))
     word2 = chain_lift_word(spec, (0, 1))
     x = CotensorElement(spec, {eps: 2}) \
-        + CotensorElement.from_word(spec, word1, 3) \
+        + CotensorElement.from_word(spec, word1).scale(3) \
         + CotensorElement.from_word(spec, word2)
     assert {key: key_degree(key) for key in x.support()} == {eps: 0, word1: 1, word2: 2}
 
@@ -212,7 +212,7 @@ def test_star_with_group_on_the_left_is_the_left_action(clifford2):
     e = spec.group.identity()
     m = CotensorElement.from_word(spec, ((0, e),))
     out = star(CotensorElement(spec, {eps: 1}), m)
-    assert out == CotensorElement.from_word(spec, ((0, eps),), -1)
+    assert out == CotensorElement.from_word(spec, ((0, eps),)).scale(-1)
 
 
 def test_star_with_group_on_the_right_is_the_right_action(clifford2):
@@ -401,7 +401,7 @@ def test_smash_with_unit_word_legs(clifford2):
     eps = spec.group.element([1])
     y = SmashElement.of(spec, (1,))
     left = smash_product(SmashElement.of(spec, (), eps), y)
-    assert left == SmashElement.of(spec, (1,), eps, -1)
+    assert left == SmashElement.of(spec, (1,), eps).scale(-1)
     x = SmashElement.of(spec, (0, 1))
     right = smash_product(x, SmashElement.of(spec, (), eps))
     assert right == SmashElement.of(spec, (0, 1), eps)
@@ -530,7 +530,7 @@ def test_smash_round_trips(clifford2, uqg_a2):
             for word in itertools.islice(
                     itertools.product(range(spec.dim), repeat=length), 12):
                 for tag in tags:
-                    s = SmashElement.of(spec, word, tag, Scalar.q_power(1))
+                    s = SmashElement.of(spec, word, tag).scale(Scalar.q_power(1))
                     assert to_smash(from_smash(s)) == s
         for key in _keys_up_to(preset, 2)[:20]:
             x = CotensorElement(spec, {key: Scalar.one()})

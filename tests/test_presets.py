@@ -18,7 +18,7 @@ from cofreehopf.grouphopf import check_yd_module_algebra, check_yetter_drinfeld
 from cofreehopf.presets import build_clifford, build_uqg
 from cofreehopf.scalars import Scalar
 
-from conftest import check_clifford_relations, check_uqg_relations
+from conftest import CARTAN_A2, check_clifford_relations, check_uqg_relations
 
 
 def test_clifford_basis_sizes():
@@ -56,8 +56,8 @@ def test_clifford_validators(clifford2, clifford3):
 
 
 def test_clifford_relations(clifford2, clifford3):
-    assert check_clifford_relations(clifford2)
-    assert check_clifford_relations(clifford3)
+    assert check_clifford_relations(clifford2, 2)
+    assert check_clifford_relations(clifford3, 3)
 
 
 def test_clifford_module_multiplication_matches_published_table(clifford2):
@@ -117,13 +117,13 @@ def test_uqg_validators(uqg_a1, uqg_a2):
 
 
 def test_uqg_relations(uqg_a1, uqg_a2):
-    assert check_uqg_relations(uqg_a1)
-    assert check_uqg_relations(uqg_a2)
+    assert check_uqg_relations(uqg_a1, [[2]])
+    assert check_uqg_relations(uqg_a2, CARTAN_A2)
 
 
 def test_uqg_relation_checker_reports_asymmetric_matrices():
-    preset = build_uqg([[2, 0], [-1, 2]])
-    result = check_uqg_relations(preset)
+    cartan = [[2, 0], [-1, 2]]
+    result = check_uqg_relations(build_uqg(cartan), cartan)
     assert not result
     assert result.law in ("uqg-commutator", "uqg-commutator-smash")
 
@@ -132,7 +132,7 @@ def test_uqg_module_multiplication_eigenvalue(uqg_a2):
     # mu((E_i, K), (F_j, K')) = delta_ij q^{-sum_k a_k c_kj} (xi_i, K K')
     spec = uqg_a2.spec
     g = spec.group
-    cartan = uqg_a2.cartan
+    cartan = CARTAN_A2
     for i in (1, 2):
         for j in (1, 2):
             for a in ([1, 0], [2, -1], [0, 0]):
@@ -156,13 +156,15 @@ def test_uqg_requires_square_matrix():
 def test_relation_checks_name_the_route_that_fails(clifford2, uqg_a2, monkeypatch):
     import conftest
 
-    asymmetric = check_uqg_relations(build_uqg([[2, 0], [-1, 2]]))
+    cartan = [[2, 0], [-1, 2]]
+    asymmetric = check_uqg_relations(build_uqg(cartan), cartan)
     assert (asymmetric.law, asymmetric.witness) == ("uqg-commutator", (1, 2))
     monkeypatch.setattr(conftest, "smash_product", lambda x, y: x.scale(0))
     for result, law, bracket in (
-            (check_clifford_relations(clifford2), "clifford-anticommutator-smash",
+            (check_clifford_relations(clifford2, 2), "clifford-anticommutator-smash",
              clifford2.spec.letter("xi11")),
-            (check_uqg_relations(uqg_a2), "uqg-commutator-smash", uqg_a2.spec.letter("xi1"))):
+            (check_uqg_relations(uqg_a2, CARTAN_A2), "uqg-commutator-smash",
+             uqg_a2.spec.letter("xi1"))):
         assert (result.law, result.witness) == (law, (1, 1))
         assert result.lhs.is_zero()
         assert result.rhs == SmashElement.of(result.rhs.spec, (bracket,))

@@ -187,9 +187,9 @@ def test_smash_operator_formulas(unital_yd):
     eps = spec.group.element([1])
     s = SmashElement.of(spec, (0,), eps)
     assert smash_rb_operator(s) == SmashElement.of(spec, (spec.unit, 0), eps)
-    lam = SmashElement.of(spec, (), eps, Scalar.q_power(1))
+    lam = SmashElement.of(spec, (), eps).scale(Scalar.q_power(1))
     assert smash_rb_operator(lam) \
-        == SmashElement.of(spec, (spec.unit,), eps, Scalar.q_power(1))
+        == SmashElement.of(spec, (spec.unit,), eps).scale(Scalar.q_power(1))
 
 
 def test_smash_operator_needs_unit(clifford2):

@@ -137,6 +137,15 @@ def _sympy_oracle():
     return sympy, q, to_sympy, same
 
 
+def test_a_constant_hashes_as_the_number_it_equals():
+    # equal objects must hash alike, or a set or dict holds both
+    for scalar, number in ((Scalar.one(), 1), (Scalar.zero(), 0), (Scalar.rational(-3), -3),
+                           (Scalar.rational(Fraction(1, 2)), Fraction(1, 2))):
+        assert scalar == number and hash(scalar) == hash(number)
+        assert len({scalar, number}) == 1
+    assert len({Scalar.q_power(0, 2), Scalar.q_power(1, 2)}) == 2
+
+
 def test_ring_operations_match_sympy_laurent_arithmetic():
     sympy, q, to_sympy, same = _sympy_oracle()
     rnd = random.Random(20261018)

@@ -211,10 +211,7 @@ def _callees(reach: _Reach, bindings: dict, func, cls) -> list[tuple[str, int]]:
     """The package functions a call of ``func`` may run, each with the number
     of its leading parameters that the call binds itself (``self`` or ``cls``)."""
     def bound(key: str, through_instance: bool) -> tuple[str, int]:
-        node = reach.functions[key]
-        if _decorated(node, "staticmethod"):
-            return key, 0
-        return key, int(through_instance or _decorated(node, "classmethod"))
+        return key, int(through_instance or _decorated(reach.functions[key], "classmethod"))
 
     key = reach.target(bindings, func)
     if key in reach.functions:
@@ -222,9 +219,6 @@ def _callees(reach: _Reach, bindings: dict, func, cls) -> list[tuple[str, int]]:
     if key in reach.bases:  # a class call runs its constructor
         init = reach.lookup(key, "__init__")
         return [(init, 1)] if init else []
-    if isinstance(func, ast.Name) and func.id == "cls" and cls:
-        return [(init, 1) for init in {reach.lookup(c, "__init__") for c in reach.family(cls)}
-                if init]
     if not isinstance(func, ast.Attribute):
         return []
     owner = reach.target(bindings, func.value)

@@ -28,6 +28,19 @@ G-action given per generator by an exact matrix in the letter basis.
 The action is held as letter images, memoised per group element on the
 spec: one-letter Elements, the columns of its matrix.  Generator powers
 compose by square-and-multiply, each image summed from term dicts.
+
+Each generator's action A on n letters is inverted once, from its
+images, by the Faddeev-LeVerrier recurrence (U. J. J. Le Verrier, 1840;
+D. K. Faddeev and I. S. Sominsky, 1949): with M = I and c = 1, step
+k = 1, ..., n sets c = -tr(AM)/k and, while k < n, M = AM + cI.  Then
+c = (-1)^n det A and A^-1 = -M/c.  Before that last step only the
+integers k divide, so no quotient of Laurent polynomials is ever taken;
+A^-1 has Laurent entries exactly when c is a nonzero monomial, a unit,
+and a generator whose c is not one is refused.  The n products are
+sparse: on a diagonal action the whole recurrence costs O(n^2), on a
+dense one O(n^4).  A free generator's inverse images are memoised with
+the rest; a torsion generator's inverse is a positive power.
+
 The compatibility condition between action and coaction is evaluated
 literally by :func:`check_yetter_drinfeld`; for group algebras it pins
 the action matrices to the degree grading.  The induced braiding
@@ -37,11 +50,11 @@ into a braided algebra suitable for the quasi-shuffle machinery.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from operator import add, neg
 from typing import NamedTuple, Sequence
 
-from . import linalg
 from .braid import BraidingTable
 from .checks import PASS, CheckResult, fail
 from .elements import Element, accumulate, adjoin_unit_letter, letter_table
@@ -163,6 +176,28 @@ def _compose(a: tuple[Element, ...], b: tuple[Element, ...]) -> tuple[Element, .
     return tuple(images)
 
 
+def _inverse(a: tuple[Element, ...]) -> tuple[Element, ...]:
+    """The letter images of A^-1 from those of A, by the Faddeev-LeVerrier
+    recurrence.  StructuralError when A is singular or det A is not a monomial."""
+    one, zero = Scalar.one(), Scalar.zero()
+    m = tuple(Element._wrap({(j,): one}, image.alphabet) for j, image in enumerate(a))
+    c = one
+    for k in range(1, len(a) + 1):
+        am = _compose(a, m)
+        c = sum((image._terms.get((j,), zero) for j, image in enumerate(am)), zero) \
+            * Fraction(-1, k)
+        if k < len(a):
+            for j, image in enumerate(am):  # fresh from _compose: AM + cI in place
+                accumulate(image._terms, (j,), c)
+            m = am
+    if not c:
+        raise StructuralError("matrix is singular")
+    if not c.is_monomial():
+        raise StructuralError("matrix has no inverse with Laurent-polynomial entries")
+    factor = -c.inverse()
+    return tuple(image.scale(factor) for image in m)
+
+
 def diagonal_matrix(entries) -> Matrix:
     n = len(entries)
     return tuple(
@@ -204,15 +239,15 @@ class YDSpec(Frozen):
         group = self.group
         self._cache[("act", group.identity())] = self._images(diagonal_matrix([1] * dim))
         for k, matrix in enumerate(self.action):
+            g = group.generator(k)
+            images = self._cache[("act", g)] = self._images(matrix)
             try:
-                inverse = linalg.inverse(matrix)
+                inverse = _inverse(images)
             except StructuralError as exc:
                 raise StructuralError(f"action matrix of generator g{k + 1} "
                                       f"has no Laurent inverse: {exc}") from exc
-            g = group.generator(k)
-            self._cache[("act", g)] = self._images(matrix)
             if k < group.rank:  # a torsion generator's powers are never negative
-                self._cache[("act", group.inverse(g))] = self._images(inverse)
+                self._cache[("act", group.inverse(g))] = inverse
         self._set(mult=letter_table(self.mult or {}, dim, self))
 
     def _images(self, matrix) -> tuple[Element, ...]:

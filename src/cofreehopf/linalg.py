@@ -1,4 +1,4 @@
-"""Exact linear algebra over Laurent scalars, by two routes that share nothing.
+"""Exact invertibility of matrices over Laurent scalars, by evaluation.
 
 Invertibility over the fraction field Q(q) is decided by evaluation.
 Row i of M times q to minus its least exponent holds polynomials of
@@ -12,24 +12,13 @@ row is singular at once.  Each point is one sparse rational elimination.
 A matrix is the direct sum of the connected components of its row-column
 graph, and is invertible exactly when each is square and invertible; after
 a first singular point each component is tested alone, with its own D.
-
-The Laurent inverse comes from fraction-free Gauss-Jordan elimination
-(E. H. Bareiss, Math. Comp. 22, 1968) on [M | I].  Step k replaces each
-entry off the pivot row by (pivot * entry - a * b) / previous pivot, a
-its row's entry in the pivot column, b the pivot row's entry in its
-column.  By Sylvester's identity every entry after step k is a
-(k+1)-minor of [M | I] with its rows permuted, so each division is exact
-in the Laurent ring (``divexact``) and no fraction ever forms.  The last
-pivot d is det M up to sign, the right half ends as d times the inverse,
-and the inverse has Laurent entries exactly when d is a monomial, a unit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import StructuralError
-from .scalars import Scalar, divexact
+from .scalars import Scalar
 
 
 def _at(s: Scalar, x: int):
@@ -107,28 +96,3 @@ def is_invertible(matrix: list[list[Scalar] | dict[int, Scalar]]) -> bool:
     return all(len(block) == width and any(_full_rank_at(block, x)
                                            for x in range(2, _degree_bound(block) + 3))
                for block, width in _blocks(rows))
-
-
-def inverse(matrix: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Inverse with Laurent entries by fraction-free Gauss-Jordan on [M | I].
-    StructuralError when M is singular or det M is not a monomial."""
-    n = len(matrix)
-    previous = Scalar.one()
-    rows = [list(row) + [previous if i == j else Scalar.zero() for j in range(n)]
-            for i, row in enumerate(matrix)]
-    for k in range(n):
-        p = next((r for r in range(k, n) if rows[r][k]), None)
-        if p is None:
-            raise StructuralError("matrix is singular")
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot_row, pivot = rows[k], rows[k][k]
-        for i, row in enumerate(rows):
-            if i != k:
-                a = row[k]
-                rows[i] = [divexact(pivot * v - a * b, previous) if v or (a and b) else v
-                           for v, b in zip(row, pivot_row)]
-        previous = pivot
-    if not previous.is_monomial():
-        raise StructuralError("matrix has no inverse with Laurent-polynomial entries")
-    unit = previous.inverse()
-    return [[v * unit for v in row[n:]] for row in rows]

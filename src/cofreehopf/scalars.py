@@ -15,10 +15,7 @@ immutable, so they are shared: the unit and zero are one object each
 return ``x`` itself.  Every other operation returns a new object.
 
 Division is deliberately restricted: units of the Laurent ring are the
-nonzero monomials ``c*q**k``, and only those can be inverted.  The
-``divexact`` helper performs division when the quotient happens to be a
-Laurent polynomial (used by the exact linear algebra in ``linalg``) and
-raises otherwise.
+nonzero monomials ``c*q**k``, and only those can be inverted.
 """
 
 from __future__ import annotations
@@ -107,12 +104,6 @@ class Scalar:
         if len(self._terms) != 1:
             raise StructuralError("scalar is not a monomial")
         return next(iter(self._terms.items()))
-
-    def min_exp(self) -> int:
-        return min(self._terms)
-
-    def max_exp(self) -> int:
-        return max(self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -272,35 +263,3 @@ def split_sign(s: Scalar) -> tuple[bool, str]:
         if c < 0:
             return True, scalar_atom(Scalar({k: -c}))
     return False, scalar_atom(s)
-
-
-def divexact(a: Scalar, b: Scalar) -> Scalar:
-    """Exact quotient a/b in the Laurent ring; StructuralError if inexact."""
-    if b.is_zero():
-        raise ZeroDivisionError("division of scalars by zero")
-    if a.is_zero():
-        return _ZERO
-    if b.is_monomial():
-        return a * b.inverse()
-    bmax = b.max_exp()
-    lead = b._terms[bmax]
-    kmin = a.min_exp() - b.min_exp()
-    rem = dict(a._terms)
-    quot: dict[int, Rational] = {}
-    while rem:
-        rdeg = max(rem)
-        k = rdeg - bmax
-        if k < kmin:
-            raise StructuralError("scalar division is not exact")
-        c = _as_fraction(Fraction(rem[rdeg], lead))
-        quot[k] = c
-        for be, bc in b._terms.items():
-            e = be + k
-            s = rem.get(e, 0) - c * bc
-            if type(s) is not int:
-                s = _as_fraction(s)
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-    return _wrap(quot)

@@ -629,3 +629,54 @@ def test_render_any_chooses_the_text_by_type(clifford2):
     ]
     render = _render_any(spec)
     assert [render(value) for value, _ in cases] == [text for _, text in cases]
+
+
+# g1 scales a by q and c = a a by q^3, not q^2: the product is not equivariant
+NON_EQUIVARIANT = """
+[group]
+rank = 1
+
+[basis]
+a = 1
+c = 2
+
+[action]
+g1 = q, q^3
+
+[mult]
+a a -> c
+"""
+
+
+def test_a_non_equivariant_product_fails_check_alg(run, tmp_path):
+    path = tmp_path / "equivariance.cfg"
+    path.write_text(NON_EQUIVARIANT, encoding="utf-8")
+    assert run("--config", str(path), "check", "alg") == (
+        1, "FAIL mult-equivariance; at ('a', 'a', 'g1'); lhs = q^3 c; rhs = q^2 c\n", "")
+    code, out, err = run("--config", str(path), "--format", "json", "check", "alg")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"ok": False, "law": "mult-equivariance",
+                               "witness": "('a', 'a', 'g1')", "lhs": "q^3 c", "rhs": "q^2 c"}
+
+
+def test_bialgebra_counterexample_of_a_faulty_braiding(run, clifford_config, monkeypatch):
+    import cofreehopf.qalg as qalg
+
+    # no known config fails the real check: the fault doubles every block braiding
+    block_braiding = qalg.block_braiding
+    monkeypatch.setattr(qalg, "block_braiding", lambda *args: block_braiding(*args).scale(2))
+    lhs, rhs = "1/2 1 (x) xi11 + 1/2 xi11 (x) 1", "1/2 1 (x) xi11 − v1 (x) v1 + 1/2 xi11 (x) 1"
+    assert run("--config", clifford_config, "check", "bialg") == (
+        1, f"FAIL quasi-shuffle-bialgebra; at v1 (x) v1; lhs = {lhs}; rhs = {rhs}\n", "")
+    code, out, err = run("--config", clifford_config, "--format", "json", "check", "bialg")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"ok": False, "law": "quasi-shuffle-bialgebra",
+                               "witness": "v1 (x) v1", "lhs": lhs, "rhs": rhs}
+
+
+def test_named_group_references_bind_as_their_atoms(run, clifford_config):
+    named = run("--config", clifford_config, "star", "v1.g1[]v2.e", "v1")
+    assert named == run("--config", clifford_config, "star", "v1.K{1}[]v2.K{0}", "v1")
+    assert named[0] == 0
+    assert run("--config", clifford_config, "star", "v1.g3[]v2.e", "v1") \
+        == (2, "", "error: unknown group element name 'g3'\n")

@@ -420,3 +420,38 @@ def test_letter_names_must_be_identifiers(name):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert str(info.value) == f"letter name {name!r} is not an identifier (line 5)"
+
+
+# one letter pair a, b over rank 1; line 9 is the action line, line 12 the first rule line
+_TWO_LETTERS = "[group]\nrank = 1\n\n[basis]\na = 1\nb = 1\n\n[action]\n{action}\n\n{rules}\n"
+
+
+def _rules(section: str, line: str) -> str:
+    return _TWO_LETTERS.format(action="g1 = q, q^-1", rules=f"[{section}]\n{line}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[group\nrank = 0\n", "malformed section header (line 1)"),
+    ("[group]\nrank = 0\n[colors]\n", "unknown section [colors] (line 3)"),
+    ("[group]\nrank = 0\n[group]\n", "duplicate section [group] (line 3)"),
+    ("rank = 0\n[group]\n", "content before the first section (line 1)"),
+    ("[group]\nrank 0\n[basis]\n", "expected 'key = value' (line 2)"),
+    ("[group]\nrank = 0\n", "missing [basis] section"),
+    ("[group]\nsize = 2\n[basis]\n", "unknown [group] key 'size' (line 2)"),
+    ("[group]\ntorsion = 1\n[basis]\n", "group needs rank >= 0 and torsion orders >= 2"),
+    ("[group]\nrank = 0\n[basis]\nq =\n", "letter name 'q' is reserved (line 4)"),
+    (_TWO_LETTERS.format(action="g1 = q", rules=""), "expected 2 scalars (line 9)"),
+    (_TWO_LETTERS.format(action="g2 = 1, 1", rules=""), "unknown generator 'g2' (line 9)"),
+    (_TWO_LETTERS.format(action="g1.c = 1, 0", rules=""), "unknown letter 'c' (line 9)"),
+    (_rules("mult", "a a -> a\na a -> b"), "duplicate mult entry for (0, 0) (line 13)"),
+    (_rules("mult", "a a a"), "expected 'a b -> element' (line 12)"),
+    (_rules("mult", "a -> b"), "left side must name two letters (line 12)"),
+    (_rules("mult", "a b -> 2"), "scalar terms are not allowed here (line 12)"),
+    (_rules("mult", "a b -> a.K{1}"), "only bare letters are allowed here (line 12)"),
+    (_rules("mult", "a b -> c"), "unknown letter 'c' (line 12)"),
+    (_rules("braiding", "a b -> a"), "words here must have length 2 (line 12)"),
+])
+def test_each_config_error_names_its_line(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message

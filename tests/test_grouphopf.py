@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from cofreehopf.grouphopf import (
     AbelianGroup,
     GroupElement,
     YDSpec,
+    _compose,
     braided_spec,
     check_yd_module_algebra,
     check_yetter_drinfeld,
@@ -441,3 +443,26 @@ def test_a_unital_spec_reuses_its_groups_products(clifford2):
     assert unital.group is spec.group and unital.group._products is spec.group._products
     eps = spec.group.element([1])
     assert unital.group.multiply(eps, eps) is spec.group.multiply(eps, eps)
+
+
+def test_a_unit_letter_of_nonzero_degree_fails_check_alg():
+    g = AbelianGroup(1)
+    spec = YDSpec(g, ("a", "u"), (g.identity(), g.generator(0)), (diagonal_matrix([1, 1]),),
+                  unit=1)
+    result = check_yd_module_algebra(spec)
+    assert (result.ok, result.law, result.witness) == (False, "unit-degree", "u")
+
+
+def test_a_dense_unipotent_action_on_24_letters_loads_at_once():
+    # g1 fixes each letter up to every earlier one: the inverse has no zero entry to skip
+    names = [f"x{i}" for i in range(1, 25)]
+    coeffs = ("q", "2", "(1 + q)", "q^-1", "-1")
+    lines = ["[group]", "rank = 1", "", "[basis]", *(f"{x} = 1" for x in names), "", "[action]"]
+    lines += [f"g1.{x} = " + ", ".join("1" if i == j else coeffs[(i + j) % 5] if i < j else "0"
+                                       for i in range(24)) for j, x in enumerate(names)]
+    start = time.perf_counter()
+    spec = parse_config("\n".join(lines) + "\n").spec
+    assert time.perf_counter() - start < 1.0
+    g = spec.group.generator(0)
+    assert _compose(spec.action_matrix(g), spec.action_matrix(spec.group.inverse(g))) \
+        == spec.action_matrix(spec.group.identity())

@@ -7,12 +7,21 @@ import pytest
 
 from cofreehopf import linalg
 from cofreehopf.config import parse_config
+from cofreehopf.elements import Element
 from cofreehopf.errors import StructuralError
+from cofreehopf.grouphopf import _inverse
 from cofreehopf.scalars import Scalar
 
 
 def _s(v):
     return Scalar.coerce(v)
+
+
+def inverse(matrix):
+    """The inverse of a list of rows, through the letter images of its columns."""
+    n = len(matrix)
+    images = _inverse(tuple(Element({(i,): matrix[i][j] for i in range(n)}) for j in range(n)))
+    return [[images[j]._terms.get((i,), Scalar.zero()) for j in range(n)] for i in range(n)]
 
 
 def test_invertibility_over_the_fraction_field():
@@ -25,9 +34,9 @@ def test_invertibility_over_the_fraction_field():
 
 def test_inverse_with_laurent_entries():
     one, zero, q = Scalar.one(), Scalar.zero(), Scalar.q_power(1)
-    inv = linalg.inverse([[one, q], [zero, one]])
+    inv = inverse([[one, q], [zero, one]])
     assert inv == [[one, -q], [zero, one]]
-    inv = linalg.inverse([[q, zero], [zero, _s(2)]])
+    inv = inverse([[q, zero], [zero, _s(2)]])
     assert inv[0][0] == Scalar.q_power(-1)
     assert inv[1][1] * _s(2) == one
 
@@ -35,15 +44,15 @@ def test_inverse_with_laurent_entries():
 def test_inverse_requires_monomial_determinant():
     one, zero, q = Scalar.one(), Scalar.zero(), Scalar.q_power(1)
     with pytest.raises(StructuralError):
-        linalg.inverse([[one + q, zero], [zero, one]])
+        inverse([[one + q, zero], [zero, one]])
     with pytest.raises(StructuralError):
-        linalg.inverse([[one, one], [one, one]])
+        inverse([[one, one], [one, one]])
 
 
 def test_inverse_times_matrix_is_identity():
     one, zero, q = Scalar.one(), Scalar.zero(), Scalar.q_power(1)
     matrix = [[q, one, zero], [zero, one, q], [zero, zero, Scalar.q_power(-2)]]
-    inv = linalg.inverse(matrix)
+    inv = inverse(matrix)
     n = 3
     for i in range(n):
         for j in range(n):
@@ -71,7 +80,7 @@ def test_a_root_of_the_determinant_at_the_first_point_is_not_singular():
     one, q = Scalar.one(), Scalar.q_power(1)
     assert linalg.is_invertible([[q, _s(2)], [one, one]])
     with pytest.raises(StructuralError, match="no inverse with Laurent-polynomial entries"):
-        linalg.inverse([[q, _s(2)], [one, one]])
+        inverse([[q, _s(2)], [one, one]])
 
 
 def test_a_random_seven_by_seven_with_two_term_entries_is_decided_at_once():
@@ -128,10 +137,10 @@ def test_invertibility_and_inverse_match_the_sympy_determinant():
             monomial_dets += 1
             identity = [[Scalar.one() if i == j else Scalar.zero() for j in range(n)]
                         for i in range(n)]
-            assert _product(matrix, linalg.inverse(matrix)) == identity
+            assert _product(matrix, inverse(matrix)) == identity
         else:
             with pytest.raises(StructuralError):
-                linalg.inverse(matrix)
+                inverse(matrix)
     assert monomial_dets >= 2
 
 

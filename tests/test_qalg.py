@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from cofreehopf.braid import BraidingTable, block_braiding, flip_braiding
+from cofreehopf.checks import PASS, fail
 from cofreehopf.config import parse_config
 from cofreehopf.elements import Element
 from cofreehopf.errors import StructuralError
@@ -71,6 +72,39 @@ def test_nonassociative_mult_is_caught():
     result = check_braided_algebra(spec)
     assert not result
     assert result.law == "associativity"
+
+
+
+def _unit_last(mult: dict, scaled=None) -> BraidedAlgebraSpec:
+    """Letters a = 0 and a declared unit u = 1 under the flip, with the
+    products ``mult`` (pair -> letter) and the ``scaled`` braiding entry doubled."""
+    alphabet = object()
+    entries = dict(flip_braiding(2, alphabet).entries)
+    if scaled is not None:
+        entries[scaled] = entries[scaled].scale(2)
+    return BraidedAlgebraSpec(2, BraidingTable(2, entries, alphabet), {
+        pair: Element.from_word((c,), alphabet=alphabet) for pair, c in mult.items()},
+        1, ("a", "u"), alphabet)
+
+
+def test_a_unit_letter_that_is_no_unit_is_caught():
+    # a zero product satisfies every law on V^3, then u a = 0 is not a
+    assert check_braided_algebra(_unit_last({})) == fail("left-unit", (1, 0))
+    assert check_braided_algebra(_unit_last({(1, 1): 1, (1, 0): 0})) \
+        == fail("right-unit", (0, 1))
+    assert check_braided_algebra(_unit_last({(1, 1): 1, (1, 0): 0, (0, 1): 0}))
+
+
+def test_a_unit_the_braiding_does_not_flip_is_caught(monkeypatch):
+    import cofreehopf.qalg as qalg
+
+    # with the unit laws, the laws on V^3 already force the flip on the
+    # unit, so they are taken as passing to reach the unit clauses
+    monkeypatch.setattr(qalg, "first_failure", lambda *args: PASS)
+    unital = {(1, 1): 1, (1, 0): 0, (0, 1): 0}
+    assert check_braided_algebra(_unit_last(unital, (0, 1))) == fail("unit-braiding", (0, 1))
+    assert check_braided_algebra(_unit_last(unital, (1, 0))) == fail("unit-braiding", (1, 0))
+    assert check_braided_algebra(_unit_last(unital))
 
 
 # -- adjoin_unit -----------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cofreehopf.checks import fail
 from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, right_translate
 from cofreehopf.elements import Element
 from cofreehopf.errors import StructuralError
@@ -177,6 +178,23 @@ def test_double_product_detects_corrupted_operator(unital_clifford):
                      Scalar.one())
     x, y = _elem(spec, (1,)), _elem(spec, (1,))
     assert rb_double_product(bad, x, y) != quasi_shuffle(spec, x, y)
+
+
+def test_double_product_check_reports_the_first_pair_that_differs(unital_clifford, monkeypatch):
+    import cofreehopf.rotabaxter as rotabaxter
+
+    # no known spec fails the real check: the fault prepends v1, not the unit
+    spec = unital_clifford
+    bad = RBInstance(lambda x, y: diamond_product(spec, x, y),
+                     lambda x: Element({(0,) + w: c for w, c in x._terms.items()}, x.alphabet),
+                     Scalar.one())
+    monkeypatch.setattr(rotabaxter, "diamond_rb_instance", lambda spec: bad)
+    pairs = [(_elem(spec, u), _elem(spec, v)) for u in [(0,), (1,)] for v in [(0,), (1,)]]
+    result = check_double_product_isomorphism(spec, pairs)
+    x, y = next((x, y) for x, y in pairs
+                if rb_double_product(bad, x, y) != quasi_shuffle(spec, x, y))
+    assert result == fail("double-product-vs-quasi-shuffle", (x, y),
+                          rb_double_product(bad, x, y), quasi_shuffle(spec, x, y))
 
 
 # -- smash and cotensor operators -------------------------------------------------

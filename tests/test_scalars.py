@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cofreehopf.errors import StructuralError
-from cofreehopf.scalars import Scalar, divexact, render_scalar, scalar_atom, split_sign
+from cofreehopf.scalars import Scalar, render_scalar, scalar_atom, split_sign
 
 
 def _random_scalar(rnd: random.Random) -> Scalar:
@@ -67,20 +67,6 @@ def test_monomial_inverse_and_powers():
         (Scalar.one() + Scalar.q_power(1)).inverse()
 
 
-def test_divexact_roundtrip_and_failure():
-    rnd = random.Random(99)
-    for _ in range(100):
-        a = _random_scalar(rnd)
-        b = _random_scalar(rnd)
-        if b.is_zero():
-            continue
-        assert divexact(a * b, b) == a
-    with pytest.raises(StructuralError):
-        divexact(Scalar.one(), Scalar.one() + Scalar.q_power(1))
-    with pytest.raises(ZeroDivisionError):
-        divexact(Scalar.one(), Scalar.zero())
-
-
 def test_rendering_ascending_exponents():
     s = Scalar({2: 1, 0: 1, -1: Fraction(-1, 2)})
     assert render_scalar(s) == "-1/2*q^-1 + 1 + q^2"
@@ -107,9 +93,6 @@ def test_coefficients_are_ints_when_integral_and_fractions_otherwise():
     assert one == Scalar.one() and hash(one) == hash(Scalar.one())
     assert type(Scalar({0: Fraction(4, 2)})._terms[0]) is int
     assert Scalar({0: Fraction(4, 2)})._terms[0] == 2
-    assert divexact(Scalar({0: 1, 1: 2}), Scalar({0: 2, 1: 4}))._terms == {0: Fraction(1, 2)}
-    two = divexact(Scalar({0: 2, 1: 4}), Scalar({0: 1, 1: 2}))
-    assert type(two._terms[0]) is int and two._terms == {0: 2}
 
     rnd = random.Random(4242)
     for draw in (_random_scalar, _random_int_scalar):
@@ -117,8 +100,7 @@ def test_coefficients_are_ints_when_integral_and_fractions_otherwise():
             a, b = draw(rnd), draw(rnd)
             m = _random_monomial(rnd)
             results = [a + b, a - b, a * b, 3 * a, a * Fraction(1, 2), -a,
-                       a ** rnd.randint(0, 3), m ** rnd.randint(-3, 3), m.inverse(),
-                       divexact(a * b, b) if b else a, divexact(a, m)]
+                       a ** rnd.randint(0, 3), m ** rnd.randint(-3, 3), m.inverse()]
             for r in results:
                 _assert_canonical_coefficients(r)
 
@@ -164,28 +146,6 @@ def test_ring_operations_match_sympy_laurent_arithmetic():
             assert same(m ** n, to_sympy(m) ** n)
 
 
-def test_divexact_matches_sympy_laurent_division():
-    sympy, q, to_sympy, same = _sympy_oracle()
-    rnd = random.Random(7)
-    exact = inexact = 0
-    for draw in (_random_scalar, _random_int_scalar):
-        for _ in range(60):
-            a, b = draw(rnd), draw(rnd)
-            if not b:
-                continue
-            for num in (a * b, a):
-                quotient = sympy.cancel(to_sympy(num) / to_sympy(b))
-                den = sympy.fraction(quotient)[1]
-                if len(sympy.Poly(den, q).terms()) == 1:
-                    assert same(divexact(num, b), quotient)
-                    exact += 1
-                else:
-                    with pytest.raises(StructuralError):
-                        divexact(num, b)
-                    inexact += 1
-    assert exact >= 60 and inexact >= 20
-
-
 def test_exponents_are_integers_never_truncated():
     for bad in (2.9, 2.0, Fraction(3, 2)):
         with pytest.raises(TypeError):
@@ -226,10 +186,6 @@ def test_shared_scalars_are_never_changed_by_arithmetic():
         for j, b in enumerate(operands):
             sb = image[j]
             checks += [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb)]
-            if b.is_monomial():
-                checks.append((divexact(a, b), sa / sb))
-            if b:
-                checks.append((divexact(a * b, b), sa))
         for r, expected in checks:
             assert same(r, expected), (a, r)
         results += [r for r, _ in checks]

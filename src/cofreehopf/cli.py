@@ -11,11 +11,13 @@ internal: <type>: <message>`` line on stderr, never a traceback), so a
 crash never reads as a failed check.
 
 A shell call runs one command in a fresh process, which pays for every
-module imported here.  So ``json`` is imported in ``_emit``, ``presets``
-in ``_cmd_preset`` and ``rotabaxter`` (where tests patch it) in
-``_rb_operator`` and ``_check_rb``, the only code that uses them.  The
-other imports stay at the top: most commands use them, and tests patch
-the names they bind (``star``, ``check_quasi_shuffle_bialgebra``).
+module imported here.  So a module that some command never runs is
+imported in the code that runs it: ``json`` in ``_emit``, ``presets`` in
+``_cmd_preset``, ``rotabaxter`` in ``_rb_operator`` and ``_check_rb``,
+``qalg`` and ``braid`` (with ``linalg``) in ``_qsh`` and the ``yb``,
+``alg``, ``bialg`` and ``rb`` checks.  ``star``, ``comul``, ``psi``,
+``phi`` and ``check yd`` load none of these three.  Tests patch such a
+function on its own module (``qalg``, ``rotabaxter``), and ``star`` here.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import sys
 from functools import partial
 from itertools import chain
 
-from .braid import check_yang_baxter
 from .checks import CheckResult
 from .config import (
     ConfigDocument,
@@ -52,18 +53,10 @@ from .cotensor import (
     smash_product,
     star,
 )
-from .elements import Element, render_element, render_terms
+from .elements import Element, _pair_alphabet as _word_pairs, render_element, render_terms
 from .errors import ConfigError, StructuralError
 from .expr import parse_element_text, parse_int_list
 from .grouphopf import GroupElement, YDSpec, check_yd_module_algebra, check_yetter_drinfeld
-from .qalg import (
-    BraidedAlgebraSpec,
-    _pair_alphabet as _word_pairs,
-    check_braided_algebra,
-    check_quasi_shuffle_bialgebra,
-    adjoin_unit,
-    quasi_shuffle,
-)
 from .scalars import render_scalar
 
 
@@ -162,6 +155,11 @@ def _json_terms(kind: str, spec: YDSpec, value) -> list[dict]:
     return [{"coeff": render_scalar(c), **fields(key)} for key, c in value.terms()]
 
 
+def _qsh(doc: ConfigDocument):
+    from .qalg import quasi_shuffle
+    return partial(quasi_shuffle, doc.braided())
+
+
 def _rb_operator(doc: ConfigDocument):
     from .rotabaxter import cotensor_rb_operator
     return cotensor_rb_operator
@@ -171,8 +169,7 @@ def _rb_operator(doc: ConfigDocument):
 # operation is built from the document before any argument is read, and
 # looks its function up when called, so patching ``cli.star`` takes effect.
 COMMANDS = {
-    "qsh": (("x", "y"), bind_plain_element,
-            lambda doc: partial(quasi_shuffle, doc.braided()), "tensor"),
+    "qsh": (("x", "y"), bind_plain_element, _qsh, "tensor"),
     "star": (("x", "y"), bind_cotensor_element, lambda doc: star, "cotensor"),
     "smash-star": (("x", "y"), bind_smash_element, lambda doc: smash_product, "smash"),
     "comul": (("x",), bind_cotensor_element, lambda doc: coproduct, "pairs"),
@@ -196,7 +193,24 @@ def _pairs_up_to(spec: BraidedAlgebraSpec, total: int):
             yield u, v
 
 
+def _check_yb(doc: ConfigDocument, n: int) -> tuple[YDSpec, CheckResult]:
+    from .braid import check_yang_baxter
+    return doc.spec, check_yang_baxter(doc.braided().braiding)
+
+
+def _check_alg(doc: ConfigDocument, n: int) -> tuple[YDSpec, CheckResult]:
+    from .qalg import check_braided_algebra  # check_yd_module_algebra runs it too
+    return doc.spec, (check_yd_module_algebra(doc.spec) if doc.override is None
+                      else check_braided_algebra(doc.override))
+
+
+def _check_bialg(doc: ConfigDocument, n: int) -> tuple[YDSpec, CheckResult]:
+    from .qalg import check_quasi_shuffle_bialgebra
+    return doc.spec, check_quasi_shuffle_bialgebra(doc.braided(), _pairs_up_to(doc.braided(), n))
+
+
 def _check_rb(doc: ConfigDocument, max_degree: int) -> tuple[BraidedAlgebraSpec, CheckResult]:
+    from .qalg import adjoin_unit
     from .rotabaxter import check_rota_baxter, qsh_rb_instance
     unital = adjoin_unit(doc.braided())  # a config names no unit letter
     return unital, check_rota_baxter(qsh_rb_instance(unital), (
@@ -209,12 +223,10 @@ def _check_rb(doc: ConfigDocument, max_degree: int) -> tuple[BraidedAlgebraSpec,
 # renders through the letter names of the spec the check ran on, which for rb
 # holds the adjoined unit letter
 CHECKS = {
-    "yb": lambda doc, n: (doc.spec, check_yang_baxter(doc.braided().braiding)),
-    "alg": lambda doc, n: (doc.spec, check_yd_module_algebra(doc.spec)
-                           if doc.override is None else check_braided_algebra(doc.override)),
+    "yb": _check_yb,
+    "alg": _check_alg,
     "yd": lambda doc, n: (doc.spec, check_yetter_drinfeld(doc.spec)),
-    "bialg": lambda doc, n: (doc.spec, check_quasi_shuffle_bialgebra(
-        doc.braided(), _pairs_up_to(doc.braided(), n))),
+    "bialg": _check_bialg,
     "rb": _check_rb,
 }
 

@@ -35,12 +35,10 @@ from __future__ import annotations
 
 from functools import partial
 
-from .braid import BraidingTable
 from .elements import Element, accumulate, render_element
 from .errors import ConfigError, Frozen, StructuralError
 from .expr import ParsedElement, parse_element_text, parse_int_list, parse_scalar_list, tokenize
 from .grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec
-from .qalg import BraidedAlgebraSpec
 from .scalars import Scalar, split_sign
 from .cotensor import (CotensorElement, SmashElement, chain_lift_word, check_chain_condition,
                        render_letter)
@@ -67,12 +65,6 @@ class ConfigDocument(Frozen):
         """The braided algebra of the document: the override, or the one
         its module algebra induces (built on first use, once per spec)."""
         return braided_spec(self.spec) if self.override is None else self.override
-
-
-def _override(spec: YDSpec, table: BraidingTable) -> BraidedAlgebraSpec:
-    """The letters and products of ``spec`` under the braiding ``table``."""
-    return BraidedAlgebraSpec(spec.dim, table, spec.mult, names=spec.names,
-                              alphabet=spec)
 
 
 def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
@@ -191,13 +183,15 @@ def parse_config(text: str) -> ConfigDocument:
     # structural validation happens on construction
     spec = YDSpec(group, tuple(names), tuple(degrees), tuple(action), mult)
     override = None
-    if braiding is not None:
+    if braiding is not None:  # the letters and products of the spec under the override
+        from .braid import BraidingTable
+        from .qalg import BraidedAlgebraSpec
         try:  # the entries were parsed before the spec existed: tag them with it
             table = BraidingTable(dim, {pair: Element(value._terms, spec)
                                         for pair, value in braiding.items()}, alphabet=spec)
         except StructuralError as exc:
             raise ConfigError(f"braiding override: {exc}") from exc
-        override = _override(spec, table)
+        override = BraidedAlgebraSpec(dim, table, spec.mult, names=spec.names, alphabet=spec)
     return ConfigDocument(spec, override, tuple(notes))
 
 

@@ -30,15 +30,19 @@ The product of the two keys is T(n, m); two group elements multiply in
 the group.  The table reads the column prefixes once per product, and a
 cell visits only the sources that hold words.  Products are not
 memoised, but pi1 of each pair the table reads is, on the spec
-(``spec._cache["pi1"]``), as triples (letter, coefficient or None for
-1, need), need = degree(v) * g being the component the letter (v, g)
+(``spec._cache["pi1"]``), as triples (code point, coefficient or None
+for 1, need), need = degree(v) * g being the component the letter (v, g)
 requires just before it.  A miss sums pi1 straight from the term dicts
 of a letter image and of the multiplication table, with one group
-product for its component.  The chain condition is guarded there too:
-before a letter is appended to a cell, need is compared with the last
-components of the cell's words (by identity first, since a group interns
-its elements, then by value), so each cut of each word built is checked
-once, and a product that leaves the chain words raises.
+product for its component, and gives each new letter the next code point
+of the spec's table ``spec._cache["codes"]`` (letter to code and back, at
+most 0x110000 letters).  A cell holds its words packed as strings, whose
+hashes are cached, and the one last component they share, rd(a_i) *
+rd(b_j); only T(n, m) is unpacked.  The chain condition is guarded there
+too: before a letter is appended to a cell, need is compared with that
+component (by identity first, since a group interns its elements, then
+by value), so each cut of each word built is checked once, and a product
+that leaves the chain words raises.
 
 The coinvariant side: the projection onto right coinvariants is the
 convolution of the identity with the composite
@@ -60,7 +64,6 @@ from .checks import PASS, CheckResult, fail
 from .elements import Element, accumulate, render_terms
 from .errors import StructuralError
 from .grouphopf import GroupElement, YDSpec, braided_spec
-from .qalg import qsh_words
 from .scalars import Scalar
 
 MWord = tuple  # tuple[(letter index, GroupElement), ...]
@@ -204,37 +207,46 @@ def _projection_entry(spec: YDSpec, a: Key, b: Key) -> tuple:
 
 def _prefix_table(spec: YDSpec, kx: Key, ky: Key) -> dict[MWord, Scalar]:
     """T(n, m) of the module docstring, filled one row of prefix pairs at a
-    time; a cell holds its words and the set of their last components."""
+    time; a cell holds its words, packed, and the last component they share."""
     def prefixes(key):  # (right degree, last letter) of prefix 0 .. n; prefix 0 stands for both
         start = left_degree(spec, key)
         return [(start, start)] + [(key[i][1], key[i:i + 1]) for i in range(key_degree(key))]
 
     memo = spec._cache.setdefault("pi1", {})
+    codes, letters = spec._cache.setdefault("codes", ({}, []))  # chain letter <-> code point
+
+    def code(letter) -> str:  # a new letter takes the next code point
+        if letter not in codes:
+            if len(letters) == 0x110000:
+                raise StructuralError("the products of a spec name at most 1114112 chain letters")
+            codes[letter] = chr(len(letters))
+            letters.append(letter)
+        return codes[letter]
 
     def append(cell, source, x, y):  # cell += source . pi1(x, y), guarding each cut it makes
-        words, ends = source
+        words, end = source
         if not words:
             return
         entry = memo.get((x, y))
         if entry is None:
-            entry = memo[(x, y)] = _projection_entry(spec, x, y)
+            entry = memo[(x, y)] = tuple((code(letter), d, need)
+                                         for letter, d, need in _projection_entry(spec, x, y))
         for letter, d, need in entry:
-            for end in ends:
-                if end is not need and end != need:
-                    word = next(w for w in words if w[-1][1] == end) + (letter,)
-                    raise StructuralError(
-                        "product left the cotensor subspace: chain word "
-                        f"{render_key(spec, word)} breaks at cut {len(word) - 1}")
+            if end is not need and end is not None and end != need:
+                word = tuple(letters[ord(k)] for k in next(iter(words)) + letter)
+                raise StructuralError(
+                    "product left the cotensor subspace: chain word "
+                    f"{render_key(spec, word)} breaks at cut {len(word) - 1}")
             for word, c in words.items():
-                accumulate(cell, word + (letter,), c if d is None else c * d)
+                accumulate(cell, word + letter, c if d is None else c * d)
 
-    unit = ({(): Scalar.one()}, ())
+    unit = ({"": Scalar.one()}, None)
     columns = prefixes(ky)
     prev: list[tuple] = []
     for i, (a_right, a_last) in enumerate(prefixes(kx)):
         row: list[tuple] = []
         for j, (b_right, b_last) in enumerate(columns):
-            cell: dict[MWord, Scalar] = {}
+            cell: dict[str, Scalar] = {}
             if (i, j) in _DIRECT:
                 append(cell, unit, a_last, b_last)
             if j:
@@ -243,9 +255,9 @@ def _prefix_table(spec: YDSpec, kx: Key, ky: Key) -> dict[MWord, Scalar]:
                 append(cell, prev[j], a_last, b_right)
                 if j:
                     append(cell, prev[j - 1], a_last, b_last)
-            row.append((cell, {word[-1][1] for word in cell}))
+            row.append((cell, letters[ord(next(iter(cell))[-1])][1] if cell else None))
         prev = row
-    return prev[-1][0]
+    return {tuple(map(letters.__getitem__, map(ord, word))): c for word, c in prev[-1][0].items()}
 
 
 def star(x: CotensorElement, y: CotensorElement) -> CotensorElement:
@@ -344,13 +356,14 @@ def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
     """(u # g)(w # g') = (u qsh g.w) # gg', the group acting letterwise."""
     if x.spec is not y.spec:
         raise StructuralError("smash elements over different module data")
+    import cofreehopf.qalg as qalg
     spec = x.spec
     bspec = braided_spec(spec)
 
     def rule(kx, ky):
         (u, g), (w, g2) = kx, ky
         tag = spec.group.multiply(g, g2)
-        return spec.act_word(g, w).map_words(partial(qsh_words, bspec, u)).relabel(
+        return spec.act_word(g, w).map_words(partial(qalg.qsh_words, bspec, u)).relabel(
             lambda word: (word, tag), cls=SmashElement)
 
     return x.bilinear(y, rule)

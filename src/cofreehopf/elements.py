@@ -72,6 +72,10 @@ def merge_alphabets(a, b):
     raise StructuralError(f"alphabet mismatch: {a!r} vs {b!r}")
 
 
+def _pair_alphabet(alphabet):  # the tag of pairs of words over alphabet (the deconcatenation's)
+    return ("tensor2", alphabet)
+
+
 def accumulate(out: dict, key, c: Scalar) -> None:
     """Add ``c`` to ``out[key]``, dropping the key when the sum's term dict is empty."""
     s = out.get(key)

@@ -55,11 +55,9 @@ from functools import reduce
 from operator import add, neg
 from typing import NamedTuple, Sequence
 
-from .braid import BraidingTable
 from .checks import PASS, CheckResult, fail
 from .elements import Element, accumulate, adjoin_unit_letter, letter_table
 from .errors import Frozen, StructuralError
-from .qalg import BraidedAlgebraSpec, check_braided_algebra
 from .scalars import Scalar
 
 
@@ -305,11 +303,11 @@ class YDSpec(Frozen):
         """sigma(v tensor w) = degree(v).w tensor v, extended bilinearly."""
         cached = self._cache.get("braiding")
         if cached is None:
-            cached = BraidingTable(self.dim, {
+            from .braid import BraidingTable
+            cached = self._cache["braiding"] = BraidingTable(self.dim, {
                 (a, b): moved.relabel(lambda w: w + (a,))
                 for a in range(self.dim)
                 for b, moved in enumerate(self.action_matrix(self.degrees[a]))}, alphabet=self)
-            self._cache["braiding"] = cached
         return cached
 
     def with_unit(self) -> YDSpec:
@@ -383,6 +381,7 @@ def check_yd_module_algebra(spec: YDSpec) -> CheckResult:
     if spec.unit is not None:
         if not spec.degrees[spec.unit].is_identity():
             return fail("unit-degree", spec.names[spec.unit])
+    from .qalg import check_braided_algebra
     return check_braided_algebra(braided_spec(spec))
 
 
@@ -390,7 +389,7 @@ def braided_spec(spec: YDSpec):
     """The braided algebra on the letters of a YD module algebra."""
     cached = spec._cache.get("braided_spec")
     if cached is None:
-        cached = BraidedAlgebraSpec(spec.dim, spec.induced_braiding(), spec.mult,
-                                    spec.unit, spec.names, spec)
-        spec._cache["braided_spec"] = cached
+        from .qalg import BraidedAlgebraSpec
+        cached = spec._cache["braided_spec"] = BraidedAlgebraSpec(
+            spec.dim, spec.induced_braiding(), spec.mult, spec.unit, spec.names, spec)
     return cached

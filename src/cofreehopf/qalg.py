@@ -49,7 +49,8 @@ from functools import lru_cache, partial
 
 from .braid import BraidingTable, block_braiding
 from .checks import PASS, CheckResult, fail, first_failure, nonempty
-from .elements import Element, accumulate, adjoin_unit_letter, apply_local, letter_table
+from .elements import (Element, _pair_alphabet, accumulate, adjoin_unit_letter, apply_local,
+                       letter_table)
 from .errors import Frozen, StructuralError
 from .scalars import _ONE, Scalar
 
@@ -242,10 +243,6 @@ def quasi_shuffle_general_clause(spec: BraidedAlgebraSpec, x: Element, y: Elemen
                           cls=Element, alphabet=spec.alphabet)
     finally:  # the memo and its function form a cycle: empty it now, not at a collection
         words.cache_clear()
-
-
-def _pair_alphabet(alphabet):
-    return ("tensor2", alphabet)
 
 
 def deconcat(x: Element) -> Element:

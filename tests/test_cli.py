@@ -13,7 +13,7 @@ from cofreehopf.braid import BraidingTable, flip_braiding
 from cofreehopf.checks import fail
 from cofreehopf.cli import _pairs_up_to, _read_cartan, main
 from cofreehopf.config import emit_config
-from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, coproduct
+from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, coproduct, star
 from cofreehopf.elements import Element
 from cofreehopf.errors import ConfigError
 from cofreehopf.qalg import BraidedAlgebraSpec, deconcat, quasi_shuffle
@@ -453,6 +453,18 @@ def test_internal_error_exits_2_with_one_line(run, clifford_config, monkeypatch)
     assert err == "error: internal: RuntimeError: boom\n"
 
 
+def test_a_full_code_table_exits_2_with_its_error(run, clifford_config, monkeypatch):
+    import cofreehopf.cli as cli
+
+    def full(x, y):  # the spec's code table already holds 0x110000 letters
+        x.spec._cache["codes"] = ({}, [None] * 0x110000)
+        return star(x, y)
+
+    monkeypatch.setattr(cli, "star", full)
+    assert run("--config", clifford_config, "star", "v1", "v2") \
+        == (2, "", "error: the products of a spec name at most 1114112 chain letters\n")
+
+
 def test_large_group_exponents_exit_0(run, tmp_path):
     cartan = tmp_path / "a2.txt"
     cartan.write_text("2 -1\n-1 2\n", encoding="utf-8")
@@ -531,10 +543,10 @@ def test_witness_words_render_through_the_letter_names(run, tmp_path):
 
 
 def test_witness_pairs_render_as_tensor_pairs(run, clifford_config, monkeypatch):
-    import cofreehopf.cli as cli
+    import cofreehopf.qalg as qalg
     import cofreehopf.rotabaxter as rotabaxter
 
-    monkeypatch.setattr(cli, "check_quasi_shuffle_bialgebra", lambda spec, pairs: fail(
+    monkeypatch.setattr(qalg, "check_quasi_shuffle_bialgebra", lambda spec, pairs: fail(
         "quasi-shuffle-bialgebra", ((0, 1), ()), Element.zero(), Element.zero()))
     assert run("--config", clifford_config, "check", "bialg") \
         == (1, "FAIL quasi-shuffle-bialgebra; at v1@v2 (x) 1; lhs = 0; rhs = 0\n", "")
@@ -565,7 +577,7 @@ def test_rb_counterexample_renders_the_adjoined_unit_letter(run, clifford_config
 
 
 def test_bialgebra_counterexample_renders_pairs_of_words(run, clifford_config, monkeypatch):
-    import cofreehopf.cli as cli
+    import cofreehopf.qalg as qalg
 
     def failing(spec, pairs):  # no known config makes the real check fail
         u, v = (0, 1), (1,)
@@ -573,7 +585,7 @@ def test_bialgebra_counterexample_renders_pairs_of_words(run, clifford_config, m
                                      Element.from_word(v, alphabet=spec.alphabet)))
         return fail("quasi-shuffle-bialgebra", (u, v), lhs, lhs.scale(0))
 
-    monkeypatch.setattr(cli, "check_quasi_shuffle_bialgebra", failing)
+    monkeypatch.setattr(qalg, "check_quasi_shuffle_bialgebra", failing)
     code, out, err = run("--config", clifford_config, "check", "bialg")
     assert (code, err) == (1, "")
     assert out.startswith("FAIL quasi-shuffle-bialgebra; at ")

@@ -753,9 +753,12 @@ def test_star_raises_exactly_where_the_series_leaves_the_chain_words():
 def test_a_fresh_spec_has_no_projection_memo_until_a_product():
     spec = _two_letter_spec(1, -1, {})
     assert "pi1" not in spec._cache
+    assert "codes" not in spec._cache
     v = CotensorElement.from_word(spec, chain_lift_word(spec, (0,)))
     star(v, v)
     assert spec._cache["pi1"]
+    codes, letters = spec._cache["codes"]  # each letter its code point, and back
+    assert letters and [codes[letter] for letter in letters] == list(map(chr, range(len(letters))))
 
 
 def test_projection_memo_belongs_to_its_spec():
@@ -768,6 +771,32 @@ def test_projection_memo_belongs_to_its_spec():
             y = CotensorElement.from_word(spec, right_translate(
                 spec, chain_lift_word(spec, v), spec.group.generator(0)))
             assert star(x, y) == from_smash(smash_product(to_smash(x), to_smash(y)))
+    assert first._cache["codes"] is not second._cache["codes"]
+    for spec in (first, second):  # the groups are equal; each table holds its own elements
+        assert all(g is spec.group.element(g.exponents()) for _, g in spec._cache["codes"][1])
+
+
+@pytest.mark.parametrize("long_first", [True, False], ids=["300x1", "1x300"])
+def test_a_long_word_times_one_letter_matches_the_smash_route(clifford2, uqg_a2, long_first):
+    r = random.Random(300)
+    for preset in (clifford2, uqg_a2):
+        spec = preset.spec
+        long = chain_lift_word(spec, tuple(r.randrange(spec.dim) for _ in range(300)))
+        short = right_translate(spec, chain_lift_word(spec, (r.randrange(spec.dim),)),
+                                spec.group.generator(0))
+        x, y = (CotensorElement.from_word(spec, key)
+                for key in ((long, short) if long_first else (short, long)))
+        assert to_smash(star(x, y)) == smash_product(to_smash(x), to_smash(y))
+
+
+def test_a_full_code_table_refuses_a_new_chain_letter():
+    # 0x110000 placeholders stand for the letters of earlier products: one
+    # list, where naming that many letters would take a million pi1 entries
+    spec = _two_letter_spec(1, -1, {})
+    spec._cache["codes"] = ({}, [None] * 0x110000)
+    v = CotensorElement.from_word(spec, chain_lift_word(spec, (0,)))
+    with pytest.raises(StructuralError, match="at most 1114112 chain letters"):
+        star(v, v)
 
 
 def test_from_word_names_the_broken_chain_word_through_the_spec(clifford2):

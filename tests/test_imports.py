@@ -14,16 +14,21 @@ import pytest
 import cofreehopf
 
 # The child reports the package's submodules loaded by ``import cofreehopf``,
-# then runs the ``star`` command and reports which of the modules that no
-# ``star`` call needs were loaded after all.
-COLD_STAR = """
-import sys
+# then runs each command that needs none of the modules below, and reports
+# after each which of them were loaded after all.
+COLD_COMMANDS = """
+import contextlib, io, sys
 import cofreehopf
 print(sorted(m for m in sys.modules if m.startswith("cofreehopf.")))
 import cofreehopf.cli
-code = cofreehopf.cli.main(["--config", sys.argv[1], "star", "v1", "v2"])
-print(code, [m for m in ("dataclasses", "inspect", "json", "cofreehopf.presets",
-                         "cofreehopf.rotabaxter") if m in sys.modules])
+for argv in (["star", "v1", "v2"], ["comul", "v1@v2"], ["psi", "v1@v2"],
+             ["phi", "v1.K{1}[]v2.K{0}"], ["check", "yd"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cofreehopf.cli.main(["--config", sys.argv[1], *argv])
+    print(argv[0], code, [m for m in ("dataclasses", "inspect", "json", "cofreehopf.presets",
+                                      "cofreehopf.rotabaxter", "cofreehopf.qalg",
+                                      "cofreehopf.braid", "cofreehopf.linalg")
+                          if m in sys.modules])
 """
 
 
@@ -36,11 +41,11 @@ def test_a_cold_star_call_loads_only_what_it_runs(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", COLD_STAR, str(config)], env=env,
+    done = subprocess.run([sys.executable, "-c", COLD_COMMANDS, str(config)], env=env,
                           capture_output=True, encoding="utf-8", timeout=60)
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("[]", "0 []"), done.stdout
+    assert done.stdout.splitlines() \
+        == ["[]", "star 0 []", "comul 0 []", "psi 0 []", "phi 0 []", "check 0 []"], done.stdout
 
 
 def test_every_exported_name_is_its_module_object():

@@ -6,12 +6,13 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from cofreehopf.braid import BraidingTable, block_braiding, flip_braiding
 from cofreehopf.checks import PASS, fail
-from cofreehopf.config import parse_config
+from cofreehopf.config import ConfigDocument, emit_config, parse_config
 from cofreehopf.elements import Element
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import braided_spec
@@ -274,6 +275,26 @@ def test_crossing_matches_the_block_sweep(clifford2, uqg_a2):
                                            Element.from_word(u + (b,), alphabet=spec.alphabet))
                     assert crossing(spec, u, b) == swept
         assert spec._cache["crossing"][((1, 0, 1), 0)] is crossing(spec, (1, 0, 1), 0)
+
+
+JORDAN = "[group]\nrank = 1\n\n[basis]\nx1 = 1\nx2 = 1\n\n[action]\ng1.x1 = 1, 0\ng1.x2 = 1, 1\n"
+
+
+def test_crossing_has_the_closed_form_of_yd_data(uqg_a2):
+    # On YD data sigma(v (x) w) = deg(v).w (x) v, so B(u, b) = (deg(u).b) (x) u,
+    # deg(u) the product of the letters' degrees: one act_letter, no braiding.
+    # Fresh specs, so the random words fill a cold crossing memo.
+    r = random.Random(32)
+    for text in (emit_config(ConfigDocument(uqg_a2.spec)), JORDAN):
+        spec = parse_config(text).spec
+        bspec = braided_spec(spec)
+        for _ in range(150):
+            u = tuple(r.randrange(spec.dim) for _ in range(r.randint(0, 6)))
+            b = r.randrange(spec.dim)
+            degree = reduce(spec.group.multiply, (spec.degrees[v] for v in u),
+                            spec.group.identity())
+            assert crossing(bspec, u, b) \
+                == spec.act_letter(degree, b).tensor(Element.from_word(u, alphabet=spec))
 
 
 def test_arithmetic_on_a_product_leaves_the_memo_unchanged(uqg_a2):

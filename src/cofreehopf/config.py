@@ -183,7 +183,7 @@ def parse_config(text: str) -> ConfigDocument:
     # structural validation happens on construction
     spec = YDSpec(group, tuple(names), tuple(degrees), tuple(action), mult)
     override = None
-    if braiding is not None:  # the letters and products of the spec under the override
+    if braiding is not None:
         from .braid import BraidingTable
         from .qalg import BraidedAlgebraSpec
         try:  # the entries were parsed before the spec existed: tag them with it

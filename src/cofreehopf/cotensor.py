@@ -184,11 +184,11 @@ def _module_projection(spec: YDSpec, a: Key, b: Key) -> dict[tuple[int, GroupEle
     if shape != (1, 1):
         return {}
     ((v, g1),), ((w, g2),) = a, b
-    image, out, one = spec.act_letter(g1, w)._terms, {}, Scalar.one()._terms
+    image, out, one = spec.act_letter(g1, w)._terms, {}, Scalar.one()
     target = spec.group.multiply(g1, g2)
     for (i,), c in image.items():
         for (k,), d in spec.mult[(v, i)]._terms.items():
-            accumulate(out, (k, target), d if c._terms == one else d * c)
+            accumulate(out, (k, target), d if c is one else d * c)
     return out
 
 
@@ -200,8 +200,8 @@ def _star_key(spec: YDSpec, kx: Key, ky: Key) -> CotensorElement:
 
 def _projection_entry(spec: YDSpec, a: Key, b: Key) -> tuple:
     """pi1(a, b) as (letter, coefficient or None for 1, need = deg(v) * g) per letter (v, g)."""
-    one, multiply, degrees = Scalar.one()._terms, spec.group.multiply, spec.degrees
-    return tuple((letter, None if d._terms == one else d, multiply(degrees[letter[0]], letter[1]))
+    one, multiply, degrees = Scalar.one(), spec.group.multiply, spec.degrees
+    return tuple((letter, None if d is one else d, multiply(degrees[letter[0]], letter[1]))
                  for letter, d in _module_projection(spec, a, b).items())
 
 

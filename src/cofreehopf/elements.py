@@ -178,7 +178,7 @@ class Element:
         factor = Scalar.coerce(factor)
         if not factor._terms:
             return self.zero(self.alphabet)
-        if factor._terms == _ONE._terms:
+        if factor is _ONE:
             return self
         return self._wrap({key: c * factor for key, c in self._terms.items()}, self.alphabet)
 
@@ -227,12 +227,12 @@ class Element:
 
 
 def _extend(images) -> dict:
-    """Sum ``c * image`` over ``(c, image)`` pairs; a coefficient of 1, told by
-    comparing term dicts in C, multiplies nothing.  Into an empty sum the terms
+    """Sum ``c * image`` over ``(c, image)`` pairs; a coefficient of 1, the
+    one interned unit, multiplies nothing.  Into an empty sum the terms
     go as they are: a product of two nonzero scalars is nonzero."""
     out: dict = {}
     for c, image in images:
-        unit = c._terms == _ONE._terms
+        unit = c is _ONE
         if not out:
             out = dict(image._terms) if unit else {k: d * c for k, d in image._terms.items()}
         else:
@@ -254,7 +254,7 @@ def apply_local(table: Mapping, pos: int, x: Element) -> Element:
     if pos < 1:
         raise StructuralError(f"position must be >= 1, got {pos}")
     out: dict[Word, Scalar] = {}
-    get, i, j, one = table.get, pos - 1, pos + 1, _ONE._terms
+    get, i, j = table.get, pos - 1, pos + 1
     for word, c in x._terms.items():
         entry = get(word[i:j])
         if entry is None:
@@ -264,7 +264,7 @@ def apply_local(table: Mapping, pos: int, x: Element) -> Element:
             raise StructuralError(f"no table entry for letter pair {word[i:j]!r}")
         for mid, c2 in entry._terms.items():
             key = word[:i] + mid + word[j:]
-            if c._terms != one:
+            if c is not _ONE:
                 c2 = c * c2
             s = out.get(key)
             if s is None:

@@ -164,12 +164,12 @@ def _coerce_matrix(rows, dim: int) -> Matrix:
 
 def _compose(a: tuple[Element, ...], b: tuple[Element, ...]) -> tuple[Element, ...]:
     """The letter images of the product AB from those of A and of B."""
-    images, one = [], Scalar.one()._terms
+    images, one = [], Scalar.one()
     for image in b:
         out: dict = {}
         for (j,), c in image._terms.items():
             for key, d in a[j]._terms.items():
-                accumulate(out, key, d if c._terms == one else d * c)
+                accumulate(out, key, d if c is one else d * c)
         images.append(Element._wrap(out, image.alphabet))
     return tuple(images)
 

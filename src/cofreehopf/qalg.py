@@ -187,7 +187,7 @@ def _qsh_general(spec: BraidedAlgebraSpec, u: str, v: str, rec, crossings) -> di
                      for (d,), c in spec.mult[(ord(head), word[0])]._terms.items())
     for letter, coeff, tail in steps:
         terms = rec(spec, tail, rest) if rest else {tail: coeff}
-        scale = rest and coeff._terms != _ONE._terms
+        scale = rest and coeff is not _ONE
         for w, c in terms.items():
             accumulate(out, letter + w, c * coeff if scale else c)
     return out

@@ -9,10 +9,21 @@ depends only on the value.  Almost every coefficient the presets produce
 is an integer, so most arithmetic never enters ``Fraction``.  A float is
 never stored: integer division always goes through ``Fraction`` and the
 quotient is then normalised back.  An exponent is an ``int``: a float or
-a fraction such as 3/2 is refused, never truncated.  Instances are
-immutable, so they are shared: the unit and zero are one object each
-(``coerce`` of the ints 1 and 0 included), and ``1 * x`` and ``x * 1``
-return ``x`` itself.  Every other operation returns a new object.
+a fraction such as 3/2 is refused, never truncated.
+
+Instances are immutable, so they are shared.  Zero and every monomial
+``c*q**k`` are one object per value: every constructor, ``coerce``,
+negation, inversion and every sum or product whose value is a monomial
+returns the object in ``_MONOMIALS``, so the unit can be told by ``is``.
+The product of two monomials is looked up in ``_PRODUCTS``, keyed by the
+two factors' ``id``s; an interned monomial lives as long as the table,
+so its ``id`` is never reused.  Copies and pickles rebuild through the
+same path.  Almost every coefficient of a diagonal braiding by q-powers
+is a monomial, and such products see few distinct values.  Scalars of
+two or more terms are new objects each time: there are many more of
+them (a dense inverse action makes thousands), each seen once.  The two
+tables are the package's one process-wide state; they hold values,
+never results about a spec.
 
 Division is deliberately restricted: units of the Laurent ring are the
 nonzero monomials ``c*q**k``, and only those can be inverted.
@@ -40,8 +51,18 @@ def _as_fraction(c) -> Rational:
 
 
 def _wrap(terms: dict[int, Rational]) -> Scalar:
-    """A scalar around ``terms``, which must already be canonical."""
-    res = Scalar.__new__(Scalar)
+    """A scalar around ``terms``, which must already be canonical: the
+    interned object when it is a monomial or zero."""
+    if len(terms) == 1:
+        (key,) = terms.items()
+        s = _MONOMIALS.get(key)
+        if s is None:
+            s = _MONOMIALS[key] = object.__new__(Scalar)
+            s._terms = terms
+        return s
+    if not terms:
+        return _ZERO
+    res = object.__new__(Scalar)
     res._terms = terms
     return res
 
@@ -51,7 +72,7 @@ class Scalar:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, Rational] | None = None):
+    def __new__(cls, terms: Mapping[int, Rational] | None = None):
         canon: dict[int, Rational] = {}
         if terms:
             for k, c in terms.items():
@@ -60,7 +81,11 @@ class Scalar:
                     if type(k) is not int and not (isinstance(k, (int, Fraction)) and k == int(k)):
                         raise TypeError(f"integer exponent expected, got {k!r}")
                     canon[int(k)] = c
-        self._terms = canon
+        return _wrap(canon)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the interning path
+        return Scalar, (self._terms,)
 
     # -- constructors ------------------------------------------------------
 
@@ -85,7 +110,7 @@ class Scalar:
         if type(value) is Scalar:
             return value
         if type(value) is int:
-            return _ONE if value == 1 else _wrap({0: value}) if value else _ZERO
+            return _wrap({0: value}) if value else _ZERO
         return Scalar({0: value})
 
     # -- structure ---------------------------------------------------------
@@ -150,21 +175,23 @@ class Scalar:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Scalar.coerce(other)
-        a, b = self._terms, other._terms
-        if a == _ONE._terms:
+        if self is _ONE:
             return other
-        if b == _ONE._terms:
+        if other is _ONE:
             return self
+        a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
         if len(a) == 1:
             # A monomial times anything: exponents shift, nothing collides.
             ((k1, c1),) = a.items()
             if len(b) == 1:
-                ((k2, c2),) = b.items()
-                c = c1 * c2
-                res = Scalar.__new__(Scalar)
-                res._terms = {k1 + k2: c if type(c) is int else _as_fraction(c)}
+                # both interned: they live as long as the table, so their ids are sound keys
+                key = (id(self), id(other))
+                res = _PRODUCTS.get(key)
+                if res is None:
+                    ((k2, c2),) = b.items()
+                    res = _PRODUCTS[key] = _wrap({k1 + k2: _as_fraction(c1 * c2)})
                 return res
             out = {}
             for k2, c2 in b.items():
@@ -212,8 +239,11 @@ class Scalar:
         return f"Scalar({self._terms!r})"
 
 
-_ZERO = Scalar()
-_ONE = Scalar({0: 1})
+_MONOMIALS: dict[tuple[int, Rational], Scalar] = {}  # (k, c) -> the one object of c*q**k
+_PRODUCTS: dict[tuple[int, int], Scalar] = {}  # (id(a), id(b)) -> a*b, for monomials a, b
+_ZERO = object.__new__(Scalar)
+_ZERO._terms = {}
+_ONE = _wrap({0: 1})
 
 
 def _monomial_text(c: Rational, k: int) -> str:

@@ -453,6 +453,21 @@ def test_a_unit_letter_of_nonzero_degree_fails_check_alg():
     assert (result.ok, result.law, result.witness) == (False, "unit-degree", "u")
 
 
+def test_a_dense_unipotent_action_interns_few_monomials():
+    # the inverse's entries are polynomials: only their monomial pieces enter the table
+    from cofreehopf import scalars
+
+    names = [f"x{i}" for i in range(1, 25)]
+    coeffs = ("q", "2", "(1 + q)", "q^-1", "-1")
+    lines = ["[group]", "rank = 1", "", "[basis]", *(f"{x} = 1" for x in names), "", "[action]"]
+    lines += [f"g1.{x} = " + ", ".join("1" if i == j else coeffs[(i + j) % 5] if i < j else "0"
+                                       for i in range(24)) for j, x in enumerate(names)]
+    monomials, products = len(scalars._MONOMIALS), len(scalars._PRODUCTS)
+    parse_config("\n".join(lines) + "\n")
+    assert len(scalars._MONOMIALS) - monomials < 2000
+    assert len(scalars._PRODUCTS) - products < 2000
+
+
 def test_a_dense_unipotent_action_on_24_letters_loads_at_once():
     # g1 fixes each letter up to every earlier one: the inverse has no zero entry to skip
     names = [f"x{i}" for i in range(1, 25)]

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from cofreehopf.errors import StructuralError
-from cofreehopf.scalars import Scalar, render_scalar, scalar_atom, split_sign
+from cofreehopf.scalars import _MONOMIALS, Scalar, render_scalar, scalar_atom, split_sign
 
 
 def _random_scalar(rnd: random.Random) -> Scalar:
@@ -128,6 +130,23 @@ def test_a_constant_hashes_as_the_number_it_equals():
     assert len({Scalar.q_power(0, 2), Scalar.q_power(1, 2)}) == 2
 
 
+def test_each_monomial_value_is_one_object():
+    assert Scalar({0: 1}) is Scalar.one() is Scalar.coerce(1) is Scalar.rational(Fraction(4, 4))
+    assert Scalar({}) is Scalar.zero() is Scalar.coerce(0) is Scalar({3: 0}) is Scalar.one() - 1
+    q3 = Scalar.q_power(-3)
+    assert Scalar({Fraction(-6, 2): Fraction(2, 2)}) is q3 is Scalar.q_power(3).inverse()
+    assert -(-q3) is q3 and Scalar.q_power(-1) * Scalar.q_power(-2) is q3
+    assert Scalar({-3: 1, 0: 1}) - 1 is q3 and q3 ** 2 is Scalar.q_power(-6) ** 1
+    for copied in (pickle.loads(pickle.dumps(q3)), copy.copy(q3), copy.deepcopy(q3)):
+        assert copied is q3
+    # polynomials are values, not table entries: equal, hashed alike, never interned
+    size = len(_MONOMIALS)
+    p = Scalar({100: 1, 101: -1})
+    for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), Scalar({101: -1, 100: 1})):
+        assert copied == p and hash(copied) == hash(p)
+    assert p * p == Scalar({200: 1, 201: -2, 202: 1}) and len(_MONOMIALS) == size
+
+
 def test_ring_operations_match_sympy_laurent_arithmetic():
     sympy, q, to_sympy, same = _sympy_oracle()
     rnd = random.Random(20261018)
@@ -160,9 +179,9 @@ def test_exponents_are_integers_never_truncated():
 
 
 def test_shared_scalars_are_never_changed_by_arithmetic():
-    """The unit and zero are shared objects and ``1 * x`` is ``x`` itself:
-    no operation may write into an operand, and every result stays
-    canonical, hashes by value and matches sympy."""
+    """The zero and every monomial are shared objects and ``1 * x`` is ``x``
+    itself: no operation may write into an operand or an interned monomial,
+    and every result stays canonical, hashes by value and matches sympy."""
     from cofreehopf.elements import Element
 
     sympy, q, to_sympy, same = _sympy_oracle()
@@ -196,6 +215,8 @@ def test_shared_scalars_are_never_changed_by_arithmetic():
         results += scaled._terms.values()
     assert [s._terms for s in operands] == before
     assert x._terms == x_terms
+    assert all(m._terms == {k: c} for (k, c), m in _MONOMIALS.items())
+    assert all(r is Scalar(r._terms) for r in results if len(r._terms) < 2)
     assert (Scalar.one()._terms, Scalar.zero()._terms) == ({0: 1}, {})
     hashes = {}
     for r in results:

@@ -55,10 +55,10 @@ class BraidingTable:
             raise StructuralError("braiding table is not invertible on V tensor V")
 
     def _invertible(self) -> bool:
-        # one sparse row per input pair: the transpose, invertible with the operator
-        return linalg.is_invertible([
-            {a * self.dim + b: coeff for (a, b), coeff in self.entries[pair]._terms.items()}
-            for pair in itertools.product(range(self.dim), repeat=2)])
+        # one sparse row per input pair, its entry's terms by output pair: the
+        # transpose, invertible with the operator
+        return linalg.is_invertible([self.entries[pair]._terms
+                                     for pair in itertools.product(range(self.dim), repeat=2)])
 
     def apply(self, x: Element, pos: int = 1) -> Element:
         return apply_local(self.entries, pos, x)

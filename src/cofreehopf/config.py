@@ -4,9 +4,10 @@ A document has four sections plus an optional override:
 
     [group]     rank = <int>, torsion = <comma list of orders >= 2>
     [basis]     one line per letter: name = <degree exponent vector>
-    [action]    per generator g1..gk: a diagonal line ``g1 = c, c, ...``
-                or column lines ``g1.<letter> = c, c, ...`` giving the
-                image of that letter in basis order
+    [action]    per generator g1..gk, the images of the letters: a
+                diagonal line ``g1 = c, c, ...`` scaling each letter, or
+                column lines ``g1.<letter> = c, c, ...`` giving the image
+                of that letter by its coefficients in basis order
     [mult]      structure-constant lines ``a b -> element``
     [braiding]  optional direct table ``a b -> element`` overriding the
                 induced braiding
@@ -38,7 +39,7 @@ from functools import partial
 from .elements import Element, accumulate, render_element
 from .errors import ConfigError, Frozen, StructuralError
 from .expr import ParsedElement, parse_element_text, parse_int_list, parse_scalar_list, tokenize
-from .grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec
+from .grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec, diagonal_images
 from .scalars import Scalar, split_sign
 from .cotensor import (CotensorElement, SmashElement, chain_lift_word, check_chain_condition,
                        render_letter)
@@ -145,8 +146,7 @@ def parse_config(text: str) -> ConfigDocument:
     dim = len(names)
     index = {name: i for i, name in enumerate(names)}
 
-    zero = Scalar.zero()
-    columns: dict[int, dict[int, list[Scalar]]] = {}  # generator -> letter -> image
+    images: dict[int, dict[int, Element]] = {}  # generator -> letter -> its image
     generator_names = {f"g{k + 1}": k for k in range(group.n_generators)}
     for lineno, line in sections.get("action", []):
         key, value = _parse_keyvalue(line, lineno)
@@ -161,27 +161,26 @@ def parse_config(text: str) -> ConfigDocument:
             j = index.get(lname.strip())
             if j is None:
                 raise ConfigError(f"unknown letter {lname!r}", lineno)
-            given = {j: entries}
-        else:  # a diagonal line gives every column
-            given = {j: [entries[j] if i == j else zero for i in range(dim)]
-                     for j in range(dim)}
-        # a diagonal line gives every column, so it repeats any line, also over no letters
-        if any(j in columns.get(k, ()) for j in given) or (k in columns and not column):
+            given = {j: Element({(i,): c for i, c in enumerate(entries)})}
+        else:  # a diagonal line gives every image
+            given = dict(enumerate(diagonal_images(entries)))
+        # a diagonal line gives every image, so it repeats any line, also over no letters
+        if any(j in images.get(k, ()) for j in given) or (k in images and not column):
             raise ConfigError(f"duplicate action for {key!r}", lineno)
-        columns.setdefault(k, {}).update(given)  # a generator is given once it has a line
-    action = []
+        images.setdefault(k, {}).update(given)  # a generator is given once it has a line
     for k in range(group.n_generators):
-        if k not in columns:
+        if k not in images:
             raise ConfigError(f"no action given for generator g{k + 1}")
-        # the rows of the matrix whose columns are the letters' images
-        action.append(tuple(zip(*(columns[k].get(j, (zero,) * dim) for j in range(dim)))))
+    zero = Element.zero()
+    action = tuple(tuple(images[k].get(j, zero) for j in range(dim))
+                   for k in range(group.n_generators))
 
     mult = _parse_rules(sections.get("mult", []), index, 1, "mult")
     braiding = None
     if "braiding" in sections:
         braiding = _parse_rules(sections["braiding"], index, 2, "braiding")
     # structural validation happens on construction
-    spec = YDSpec(group, tuple(names), tuple(degrees), tuple(action), mult)
+    spec = YDSpec(group, tuple(names), tuple(degrees), action, mult)
     override = None
     if braiding is not None:
         from .braid import BraidingTable
@@ -241,8 +240,9 @@ def _parse_rule(line: str, lineno: int, index: dict[str, int], length: int):
 # -- emission -------------------------------------------------------------------
 
 
-def _signed_atom(s: Scalar) -> str:
-    neg, atom = split_sign(s)
+def _entry(image: Element, i: int) -> str:
+    """The coefficient of letter i in ``image``, as a signed atom."""
+    neg, atom = split_sign(image._terms.get((i,), Scalar.zero()))
     return ("-" + atom) if neg else atom
 
 
@@ -261,17 +261,14 @@ def emit_config(doc: ConfigDocument) -> str:
         lines.append(f"{name} = " + ", ".join(str(e) for e in degree.exponents()))
     if spec.group.n_generators:
         lines += ["", "[action]"]
-        dim = spec.dim
-        for k, matrix in enumerate(spec.action):
-            diagonal = all(
-                matrix[i][j].is_zero() for i in range(dim) for j in range(dim) if i != j)
-            if diagonal:
+        for k, images in enumerate(spec.action):
+            if all(word == (j,) for j, image in enumerate(images) for word in image._terms):
                 lines.append(f"g{k + 1} = " + ", ".join(
-                    _signed_atom(matrix[i][i]) for i in range(dim)))
+                    _entry(image, j) for j, image in enumerate(images)))
             else:
-                for j, name in enumerate(spec.names):
+                for name, image in zip(spec.names, images):
                     lines.append(f"g{k + 1}.{name} = " + ", ".join(
-                        _signed_atom(matrix[i][j]) for i in range(dim)))
+                        _entry(image, i) for i in range(spec.dim)))
     mult = {pair: value for pair, value in spec.mult.items() if value}
     if mult:
         lines += ["", "[mult]"]

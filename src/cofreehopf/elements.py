@@ -287,12 +287,17 @@ def letter_table(entries: Mapping, dim: int, alphabet) -> dict:
         if not (isinstance(pair, tuple) and len(pair) == 2
                 and all(isinstance(l, int) and 0 <= l < dim for l in pair)):
             raise StructuralError(f"mult entry key {pair!r} is not a pair of letters")
-        for word in value._terms:
-            if len(word) != 1 or not (0 <= word[0] < dim):
-                raise StructuralError(
-                    f"mult entry for {pair} must be a combination of letters")
-        table[pair] = Element._wrap(dict(value._terms), alphabet)
+        table[pair] = letters_over(value, dim, alphabet, f"mult entry for {pair}")
     return table
+
+
+def letters_over(value: Element, dim: int, alphabet, what: str) -> Element:
+    """A copy of ``value`` tagged with ``alphabet``, which must be a combination
+    of the letters 0..dim-1; ``what`` names it in the error."""
+    for word in value._terms:
+        if len(word) != 1 or not (0 <= word[0] < dim):
+            raise StructuralError(f"{what} must be a combination of letters")
+    return Element._wrap(dict(value._terms), alphabet)
 
 
 def adjoin_unit_letter(mult: Mapping, dim: int, names):

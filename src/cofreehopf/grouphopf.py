@@ -24,9 +24,10 @@ element built by hand or by another group works everywhere.
 
 A Yetter-Drinfeld module over K[G] is a based vector space carrying a
 G-grading (the coaction sends a letter v to degree(v) tensor v) and a
-G-action given per generator by an exact matrix in the letter basis.
-The action is held as letter images, memoised per group element on the
-spec: one-letter Elements, the columns of its matrix.  Generator powers
+G-action given per generator by the images of the letters: one-letter
+Elements with exact coefficients, the columns of the generator's matrix
+and the only form in which the action is given or held.  The images of
+every other group element are memoised on the spec; generator powers
 compose by square-and-multiply, each image summed from term dicts.
 
 Each generator's action A on n letters is inverted once, from its
@@ -56,7 +57,7 @@ from operator import add, neg
 from typing import NamedTuple, Sequence
 
 from .checks import PASS, CheckResult, fail
-from .elements import Element, accumulate, adjoin_unit_letter, letter_table
+from .elements import Element, accumulate, adjoin_unit_letter, letter_table, letters_over
 from .errors import Frozen, StructuralError
 from .scalars import Scalar
 
@@ -152,16 +153,6 @@ class AbelianGroup(Frozen):
         return self._intern((free, g.torsion))
 
 
-Matrix = tuple[tuple[Scalar, ...], ...]
-
-
-def _coerce_matrix(rows, dim: int) -> Matrix:
-    matrix = tuple(tuple(Scalar.coerce(entry) for entry in row) for row in rows)
-    if len(matrix) != dim or any(len(row) != dim for row in matrix):
-        raise StructuralError("action matrix has the wrong shape")
-    return matrix
-
-
 def _compose(a: tuple[Element, ...], b: tuple[Element, ...]) -> tuple[Element, ...]:
     """The letter images of the product AB from those of A and of B."""
     images, one = [], Scalar.one()
@@ -196,49 +187,53 @@ def _inverse(a: tuple[Element, ...]) -> tuple[Element, ...]:
     return tuple(image.scale(factor) for image in m)
 
 
-def diagonal_matrix(entries) -> Matrix:
-    n = len(entries)
-    return tuple(
-        tuple(Scalar.coerce(entries[i]) if i == j else Scalar.zero() for j in range(n))
-        for i in range(n)
-    )
+def diagonal_images(entries) -> tuple[Element, ...]:
+    """The letter images of the diagonal action scaling letter j by ``entries[j]``."""
+    return tuple(Element.from_word((j,), c) for j, c in enumerate(entries))
 
 
 class YDSpec(Frozen):
     """A based Yetter-Drinfeld module over an abelian group algebra.
 
-    ``degrees[j]`` is the coaction degree of letter j; ``action[k]`` is
-    the matrix of the k-th group generator, column j holding the image
-    of letter j.  ``mult`` carries structure constants making the module
-    an algebra in the category (values are Elements over one-letter
-    words); the spec stores the total table that ``letter_table`` builds
-    from it, zero at every missing pair, so leaving ``mult`` out gives the
-    zero multiplication, whose ``star`` is Rosso's quantum shuffle
-    product.  ``unit`` optionally names a two-sided unit letter.  A spec
-    is immutable: ``mult`` is given whole at construction, checked and
-    copied over the spec, and ``_cache`` memoises what is derived from
-    it, starting with the letter images of the identity, of each
-    generator and of each free generator's inverse.
+    ``degrees[j]`` is the coaction degree of letter j; ``action[k][j]`` is
+    the image of letter j under the k-th group generator, an Element over
+    one-letter words (the j-th column of that generator's matrix).
+    ``mult`` carries structure constants making the module an algebra in
+    the category, in the same format: its values are Elements over
+    one-letter words.  The spec stores the total table that
+    ``letter_table`` builds from it, zero at every missing pair, so
+    leaving ``mult`` out gives the zero multiplication, whose ``star`` is
+    Rosso's quantum shuffle product.  ``unit`` optionally names a
+    two-sided unit letter.  A spec is immutable: ``action`` and ``mult``
+    are given whole at construction, checked and copied over the spec,
+    and ``_cache`` memoises what is derived from them, starting with the
+    letter images of the identity, of each generator (``action[k]``
+    itself) and of each free generator's inverse.
     """
 
     _fields = ("group", "names", "degrees", "action", "mult", "unit")
 
     def __init__(self, group: AbelianGroup, names: tuple[str, ...],
-                 degrees: tuple[GroupElement, ...], action: tuple[Matrix, ...],
+                 degrees: tuple[GroupElement, ...], action: tuple[tuple[Element, ...], ...],
                  mult: dict[tuple[int, int], Element] | None = None, unit: int | None = None):
-        self._set(group=group, names=names, degrees=degrees, action=action, mult=mult,
-                  unit=unit, _cache={})
-        dim = len(self.names)
-        if len(self.degrees) != dim:
+        self._set(group=group, names=names, degrees=degrees, unit=unit, _cache={})
+        dim = len(names)
+        if len(degrees) != dim:
             raise StructuralError("one degree per letter is required")
-        if len(self.action) != self.group.n_generators:
+        if len(action) != group.n_generators:
             raise StructuralError("one action matrix per group generator is required")
-        self._set(action=tuple(_coerce_matrix(m, dim) for m in self.action))
-        group = self.group
-        self._cache[("act", group.identity())] = self._images(diagonal_matrix([1] * dim))
-        for k, matrix in enumerate(self.action):
+        if any(len(images) != dim for images in action):
+            raise StructuralError("action matrix has the wrong shape")
+        self._set(action=tuple(
+            tuple(letters_over(image, dim, self, f"image of {names[j]!r} under g{k + 1}")
+                  for j, image in enumerate(images))
+            for k, images in enumerate(action)))
+        one = Scalar.one()
+        self._cache[("act", group.identity())] = tuple(
+            Element._wrap({(j,): one}, self) for j in range(dim))
+        for k, images in enumerate(self.action):
             g = group.generator(k)
-            images = self._cache[("act", g)] = self._images(matrix)
+            self._cache[("act", g)] = images
             try:
                 inverse = _inverse(images)
             except StructuralError as exc:
@@ -246,12 +241,7 @@ class YDSpec(Frozen):
                                       f"has no Laurent inverse: {exc}") from exc
             if k < group.rank:  # a torsion generator's powers are never negative
                 self._cache[("act", group.inverse(g))] = inverse
-        self._set(mult=letter_table(self.mult or {}, dim, self))
-
-    def _images(self, matrix) -> tuple[Element, ...]:
-        """The columns of ``matrix`` as one-letter Elements: the images of the letters."""
-        return tuple(Element({(i,): row[j] for i, row in enumerate(matrix)}, alphabet=self)
-                     for j in range(self.dim))
+        self._set(mult=letter_table(mult or {}, dim, self))
 
     @property
     def dim(self) -> int:
@@ -267,7 +257,10 @@ class YDSpec(Frozen):
 
     def action_matrix(self, g: GroupElement) -> tuple[Element, ...]:
         """The images of the letters under g, the columns of its matrix:
-        generator powers composed by square-and-multiply from the generators'."""
+        generator powers composed by square-and-multiply from the generators'.
+        For the k-th generator this is ``self.action[k]`` itself; the name
+        predates the letter images and stays while the benchmark's tracer
+        looks the method up by it."""
         key = ("act", g)
         images = self._cache.get(key)
         if images is not None:
@@ -317,9 +310,9 @@ class YDSpec(Frozen):
         dim = self.dim
         mult, names = adjoin_unit_letter(self.mult, dim, self.names)
         degrees = self.degrees + (self.group.identity(),)
-        action = tuple(tuple(row + (0,) for row in matrix) + ((0,) * dim + (1,),)
-                       for matrix in self.action)
-        return YDSpec(self.group, names, degrees, action, mult, dim)
+        fixed = Element.from_word((dim,))
+        return YDSpec(self.group, names, degrees,
+                      tuple(images + (fixed,) for images in self.action), mult, dim)
 
 
 def check_yetter_drinfeld(spec: YDSpec) -> CheckResult:
@@ -329,8 +322,7 @@ def check_yetter_drinfeld(spec: YDSpec) -> CheckResult:
     generator h and basis letter v, on both sides of
     ``h v_(-1) tensor h.v_(0) = (h.v)_(-1) h tensor (h.v)_(0)``.
     """
-    group = spec.group
-    generators = [spec.action_matrix(group.generator(k)) for k in range(group.n_generators)]
+    group, generators = spec.group, spec.action
     for k, a in enumerate(generators):
         for l in range(k + 1, len(generators)):
             if _compose(a, generators[l]) != _compose(generators[l], a):
@@ -340,10 +332,9 @@ def check_yetter_drinfeld(spec: YDSpec) -> CheckResult:
         if _compose(spec.action_matrix(group.inverse(g)), generators[k]) \
                 != spec.action_matrix(group.identity()):
             return fail("torsion-order", f"g{k + 1}")
-    for k in range(group.n_generators):
+    for k, images in enumerate(generators):
         h = group.generator(k)
-        for j in range(spec.dim):
-            image = spec.act_letter(h, j)
+        for j, image in enumerate(images):
             hd = group.multiply(h, spec.degrees[j])
             lhs = image.rekey(lambda w: ((hd, w[0]),))
             rhs = image.rekey(lambda w: ((group.multiply(spec.degrees[w[0]], h), w[0]),))
@@ -367,14 +358,11 @@ def check_yd_module_algebra(spec: YDSpec) -> CheckResult:
                 if spec.degrees[i] != target:
                     return fail("mult-degree", (spec.names[a], spec.names[b]),
                                 spec.degrees[i], target)
-    for k in range(group.n_generators):
-        g = group.generator(k)
+    for k, images in enumerate(spec.action):
         for a in range(spec.dim):
             for b in range(spec.dim):
-                lhs = spec.mult[(a, b)].map_words(
-                    lambda w: spec.act_letter(g, w[0]), alphabet=spec)
-                rhs = spec.act_letter(g, a).bilinear(
-                    spec.act_letter(g, b), lambda i, j: spec.mult[(i[0], j[0])])
+                lhs = spec.mult[(a, b)].map_words(lambda w: images[w[0]], alphabet=spec)
+                rhs = images[a].bilinear(images[b], lambda i, j: spec.mult[(i[0], j[0])])
                 if lhs != rhs:
                     return fail("mult-equivariance",
                                 (spec.names[a], spec.names[b], f"g{k + 1}"), lhs, rhs)

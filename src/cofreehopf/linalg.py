@@ -26,9 +26,9 @@ def _at(s: Scalar, x: int):
     return sum(c * x ** k if k >= 0 else Fraction(c, x ** -k) for k, c in s._terms.items())
 
 
-def _full_rank(rows: list[dict[int, Fraction]]) -> bool:
+def _full_rank(rows: list[dict]) -> bool:
     """Whether sparse rows (column -> nonzero value) are independent."""
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict = {}
     for row in rows:
         while row:
             col = min(row)
@@ -48,7 +48,7 @@ def _full_rank(rows: list[dict[int, Fraction]]) -> bool:
     return True
 
 
-def _degree_bound(rows: list[dict[int, Scalar]]) -> int | None:
+def _degree_bound(rows: list[dict]) -> int | None:
     """D, the sum over rows of greatest minus least exponent; None for a zero row."""
     span = 0
     for row in rows:
@@ -59,14 +59,14 @@ def _degree_bound(rows: list[dict[int, Scalar]]) -> int | None:
     return span
 
 
-def _full_rank_at(rows: list[dict[int, Scalar]], x: int) -> bool:
+def _full_rank_at(rows: list[dict], x: int) -> bool:
     return _full_rank([{j: v for j, s in row.items() if (v := _at(s, x))} for row in rows])
 
 
-def _blocks(rows: list[dict[int, Scalar]]):
+def _blocks(rows: list[dict]):
     """The rows by connected component of the row-column graph, each
     component with its number of columns."""
-    by_column: dict[int, list[int]] = {}
+    by_column: dict = {}
     for i, row in enumerate(rows):
         for j in row:
             by_column.setdefault(j, []).append(i)
@@ -84,11 +84,11 @@ def _blocks(rows: list[dict[int, Scalar]]):
             yield block, len(columns)
 
 
-def is_invertible(matrix: list[list[Scalar] | dict[int, Scalar]]) -> bool:
+def is_invertible(rows: list[dict]) -> bool:
     """Full-rank test over the fraction field, by evaluation at q = 2, 3, ....
-    A row is a list of scalars or, sparse, a dict from column to scalar.
-    Past a singular q = 2, each block is tested alone."""
-    rows = [row if isinstance(row, dict) else dict(enumerate(row)) for row in matrix]
+    A row is sparse: a dict from column to scalar, the columns any keys of
+    one type that sort, such as integers or tuples of them.  Past a
+    singular q = 2, each block is tested alone."""
     if _degree_bound(rows) is None:
         return False
     if _full_rank_at(rows, 2):

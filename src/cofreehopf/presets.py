@@ -39,7 +39,7 @@ from .grouphopf import (
     YDSpec,
     check_yd_module_algebra,
     check_yetter_drinfeld,
-    diagonal_matrix,
+    diagonal_images,
 )
 from .scalars import Scalar
 
@@ -82,9 +82,7 @@ def build_clifford(n: int) -> Preset:
             mult[(i - 1, j - 1)] = Element.from_word((len(names),), coeff)
             names.append(f"xi{i}{j}")
             degrees.append(neutral)
-    dim = len(names)
-    action = (diagonal_matrix(
-        [Scalar.rational(-1)] * n + [Scalar.one()] * (dim - n)),)
+    action = (diagonal_images([-1] * n + [1] * (len(names) - n)),)
     spec = YDSpec(group, tuple(names), tuple(degrees), action, mult)
     _validate(spec)
     return Preset(spec)
@@ -106,14 +104,11 @@ def _build_uqg_cached(cartan: tuple[tuple[int, ...], ...]) -> Preset:
         degrees.append(group.element(exps))
     degrees = degrees + degrees[:] + [
         group.element([2 if k == i else 0 for k in range(n)]) for i in range(n)]
-    action = []
-    for k in range(n):
-        diag = [Scalar.q_power(cartan[k][j]) for j in range(n)] \
-            + [Scalar.q_power(-cartan[k][j]) for j in range(n)] \
-            + [Scalar.one()] * n
-        action.append(diagonal_matrix(diag))
+    action = tuple(diagonal_images([Scalar.q_power(c) for c in row]
+                                   + [Scalar.q_power(-c) for c in row] + [1] * n)
+                   for row in cartan)
     mult = {(i, n + i): Element.from_word((2 * n + i,)) for i in range(n)}
-    spec = YDSpec(group, tuple(names), tuple(degrees), tuple(action), mult)
+    spec = YDSpec(group, tuple(names), tuple(degrees), action, mult)
     _validate(spec)
     return Preset(spec)
 

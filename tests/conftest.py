@@ -57,6 +57,12 @@ def hoffman4():
     return hoffman_spec(4)
 
 
+def column_images(*columns):
+    """Letter images written as a config's column lines: the image of letter j
+    by its coefficients in basis order."""
+    return tuple(Element({(i,): c for i, c in enumerate(column)}) for column in columns)
+
+
 def assert_frozen(record, fields: tuple[str, ...]) -> None:
     """Assigning or deleting each of ``fields`` raises AttributeError and
     leaves the value as it was."""

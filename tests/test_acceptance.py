@@ -26,7 +26,7 @@ from cofreehopf.cotensor import (
     to_smash,
 )
 from cofreehopf.elements import Element
-from cofreehopf.grouphopf import AbelianGroup, YDSpec, braided_spec, diagonal_matrix
+from cofreehopf.grouphopf import AbelianGroup, YDSpec, braided_spec, diagonal_images
 from cofreehopf.qalg import (
     adjoin_unit,
     check_quasi_shuffle_bialgebra,
@@ -119,7 +119,7 @@ def test_criterion_04_yang_baxter_suite(clifford2, uqg_a2):
         degrees = tuple(group.element([rnd.randint(-2, 2) for _ in range(dim)])
                         for _ in range(dim))
         action = tuple(
-            diagonal_matrix([Scalar.q_power(rnd.randint(-2, 2))
+            diagonal_images([Scalar.q_power(rnd.randint(-2, 2))
                              for _ in range(dim)])
             for _ in range(dim))
         spec = YDSpec(group, tuple(f"a{i}" for i in range(dim)), degrees, action)

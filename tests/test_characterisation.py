@@ -27,7 +27,7 @@ from cofreehopf.cotensor import (
     render_smash,
 )
 from cofreehopf.elements import Element, render_element
-from cofreehopf.grouphopf import AbelianGroup, YDSpec
+from cofreehopf.grouphopf import AbelianGroup, YDSpec, diagonal_images
 from cofreehopf.presets import Preset
 from cofreehopf.qalg import BraidedAlgebraSpec
 from cofreehopf.rotabaxter import RBInstance
@@ -209,7 +209,7 @@ def test_zero_elements_render_as_zero(clifford2):
 
 def _one_letter_spec() -> YDSpec:
     group = AbelianGroup(rank=1)
-    return YDSpec(group, ("a",), (group.generator(0),), (((Scalar.q_power(1),),),))
+    return YDSpec(group, ("a",), (group.generator(0),), (diagonal_images([Scalar.q_power(1)]),))
 
 
 def test_record_constructors_keep_their_parameters():
@@ -238,7 +238,8 @@ def test_record_reprs_are_pinned():
         == "CheckResult(ok=False, law='law', witness=(1,), lhs=None, rhs=None)"
     spec = _one_letter_spec()
     text = ("YDSpec(group=AbelianGroup(rank=1, torsion=()), names=('a',), "
-            "degrees=(GroupElement(free=(1,), torsion=()),), action=(((Scalar({1: 1}),),),), "
+            "degrees=(GroupElement(free=(1,), torsion=()),), "
+            "action=((Element({(0,): Scalar({1: 1})}),),), "
             "mult={(0, 0): Element({})}, unit=None)")
     assert repr(spec) == text and "_cache" not in repr(spec)
     assert repr(ConfigDocument(spec)) \

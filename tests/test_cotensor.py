@@ -31,7 +31,7 @@ from cofreehopf.cotensor import (
 )
 from cofreehopf.elements import Element, accumulate
 from cofreehopf.errors import StructuralError
-from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec, diagonal_matrix
+from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec, diagonal_images
 from cofreehopf.qalg import quasi_shuffle
 from cofreehopf.scalars import Scalar
 
@@ -288,7 +288,7 @@ def test_powers_of_one_letter_star_by_gaussian_binomials():
     group = AbelianGroup(1)
     for c in (-2, -1, 0, 1, 3):
         t = Scalar.q_power(c)
-        spec = YDSpec(group, ("a",), (group.generator(0),), (diagonal_matrix([t]),))
+        spec = YDSpec(group, ("a",), (group.generator(0),), (diagonal_images([t]),))
 
         def power(n, coeff=1):
             return chain_lift(spec, Element.from_word((0,) * n, coeff, spec))
@@ -693,7 +693,7 @@ def _two_letter_spec(e1, e2, mult) -> YDSpec:
     group = AbelianGroup(1)
     k = group.generator(0)
     return YDSpec(group, ("a", "b"), (k, k),
-                  (diagonal_matrix([Scalar.q_power(e1), Scalar.q_power(e2)]),), mult)
+                  (diagonal_images([Scalar.q_power(e1), Scalar.q_power(e2)]),), mult)
 
 
 def _plain_series(spec, kx, ky):

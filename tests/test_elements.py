@@ -9,7 +9,7 @@ import pytest
 from cofreehopf.braid import flip_braiding
 from cofreehopf.elements import Element, apply_local, canonical_key, render_element
 from cofreehopf.errors import StructuralError
-from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec, diagonal_matrix
+from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec, diagonal_images
 from cofreehopf.qalg import BraidedAlgebraSpec
 from cofreehopf.scalars import Scalar
 
@@ -92,7 +92,7 @@ def test_mult_keys_must_be_pairs_of_letters(key):
     with pytest.raises(StructuralError, match="not a pair of letters"):
         BraidedAlgebraSpec(1, flip_braiding(1), {(0, 0): letter, key: letter})
     with pytest.raises(StructuralError, match="not a pair of letters"):
-        YDSpec(g, ("a",), (g.identity(),), (diagonal_matrix([Scalar.one()]),),
+        YDSpec(g, ("a",), (g.identity(),), (diagonal_images([Scalar.one()]),),
                {(0, 0): letter, key: letter})
 
 

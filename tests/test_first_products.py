@@ -105,14 +105,14 @@ def _random_column_spec(seed: int) -> YDSpec:
         for j in range(i + 1, dim):
             rows[i][j] = _random_scalar(rnd)
     order = rnd.sample(range(dim), dim)
-    matrix = tuple(tuple(row[j] for j in order) for row in rows)
+    images = tuple(Element({(i,): row[j] for i, row in enumerate(rows)}) for j in order)
     mult = {}
     for pair in itertools.product(range(dim), repeat=2):
         if rnd.random() < 0.8:
             mult[pair] = sum((Element.from_word((a,), _random_scalar(rnd))
                               for a in rnd.sample(range(dim), 2)), Element.zero())
     degrees = tuple(group.element([rnd.randint(-1, 1)]) for _ in range(dim))
-    return YDSpec(group, tuple(f"x{i + 1}" for i in range(dim)), degrees, (matrix,), mult)
+    return YDSpec(group, tuple(f"x{i + 1}" for i in range(dim)), degrees, (images,), mult)
 
 
 SPECS = ["clifford2", "uqg_a2", "jordan", "super-jordan", "torsion",

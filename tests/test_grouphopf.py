@@ -21,11 +21,11 @@ from cofreehopf.grouphopf import (
     braided_spec,
     check_yd_module_algebra,
     check_yetter_drinfeld,
-    diagonal_matrix,
+    diagonal_images,
 )
 from cofreehopf.scalars import Scalar
 
-from conftest import assert_frozen
+from conftest import assert_frozen, column_images
 
 
 def test_group_normalization_and_inverse():
@@ -66,7 +66,7 @@ def test_inverse_of_a_product_is_the_product_of_the_inverses():
 def test_a_torsion_generator_acts_with_its_order():
     # K of order 3 cycles the letters: its cube fixes every word, no lower power does
     group = AbelianGroup(rank=0, torsion=(3,))
-    cycle = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    cycle = column_images((0, 1, 0), (0, 0, 1), (1, 0, 0))
     spec = YDSpec(group, ("a", "b", "c"), (group.identity(),) * 3, (cycle,))
     k, word = group.generator(0), (0, 0, 1)
     x, images = Element.from_word(word, alphabet=spec), []
@@ -92,10 +92,8 @@ def test_check_yd_presets(clifford2, uqg_a2):
 def test_check_yd_rejects_degree_mixing_action():
     g = AbelianGroup(rank=1)
     k = g.generator(0)
-    one, zero = Scalar.one(), Scalar.zero()
     # two letters of different degree, action mixes them
-    spec = YDSpec(g, ("a", "b"), (k, g.element([2])),
-                  (((one, one), (zero, one)),))
+    spec = YDSpec(g, ("a", "b"), (k, g.element([2])), (column_images((1, 0), (1, 1)),))
     result = check_yetter_drinfeld(spec)
     assert not result
     assert result.law == "yetter-drinfeld"
@@ -104,7 +102,7 @@ def test_check_yd_rejects_degree_mixing_action():
 def test_check_yd_rejects_wrong_torsion_order():
     g = AbelianGroup(rank=0, torsion=(2,))
     spec = YDSpec(g, ("a",), (g.identity(),),
-                  (diagonal_matrix([Scalar.rational(2)]),))
+                  (diagonal_images([Scalar.rational(2)]),))
     result = check_yetter_drinfeld(spec)
     assert not result
     assert result.law == "torsion-order"
@@ -112,9 +110,8 @@ def test_check_yd_rejects_wrong_torsion_order():
 
 def test_check_yd_rejects_noncommuting_matrices():
     g = AbelianGroup(rank=2)
-    one, zero = Scalar.one(), Scalar.zero()
-    m1 = ((one, one), (zero, one))
-    m2 = ((one, zero), (one, one))
+    m1 = column_images((1, 0), (1, 1))
+    m2 = column_images((1, 1), (0, 1))
     spec = YDSpec(g, ("a", "b"), (g.identity(), g.identity()), (m1, m2))
     result = check_yetter_drinfeld(spec)
     assert not result
@@ -140,7 +137,7 @@ def test_induced_braiding_uqg_powers(uqg_a2):
 def test_trivial_degrees_give_flip():
     g = AbelianGroup(rank=1)
     spec = YDSpec(g, ("a", "b"), (g.identity(), g.identity()),
-                  (diagonal_matrix([Scalar.one(), Scalar.one()]),))
+                  (diagonal_images([Scalar.one(), Scalar.one()]),))
     table = spec.induced_braiding()
     for a in range(2):
         for b in range(2):
@@ -155,7 +152,7 @@ def test_induced_braiding_satisfies_yang_baxter_randomized():
         degrees = tuple(
             g.element([rnd.randint(-2, 2) for _ in range(dim)]) for _ in range(dim))
         action = tuple(
-            diagonal_matrix([Scalar.q_power(rnd.randint(-2, 2)) for _ in range(dim)])
+            diagonal_images([Scalar.q_power(rnd.randint(-2, 2)) for _ in range(dim)])
             for _ in range(dim))
         spec = YDSpec(g, tuple(f"a{i}" for i in range(dim)), degrees, action)
         assert check_yetter_drinfeld(spec)
@@ -166,8 +163,8 @@ def test_diagonal_braiding_is_bicharacter_valued():
     # for diagonal actions the entry at (a, b) is chi(degree a, b) * flip
     g = AbelianGroup(rank=2)
     degrees = (g.element([1, 0]), g.element([0, 2]))
-    action = (diagonal_matrix([Scalar.q_power(1), Scalar.q_power(-1)]),
-              diagonal_matrix([Scalar.q_power(2), Scalar.q_power(0)]))
+    action = (diagonal_images([Scalar.q_power(1), Scalar.q_power(-1)]),
+              diagonal_images([Scalar.q_power(2), Scalar.q_power(0)]))
     spec = YDSpec(g, ("a", "b"), degrees, action)
     table = spec.induced_braiding()
     for a in range(2):
@@ -202,8 +199,8 @@ def test_yd_module_algebra_rejects_corrupted_degree(uqg_a2):
 def test_negative_exponent_action_goes_through_matrix_inverse():
     g = AbelianGroup(rank=1)
     k = g.generator(0)
-    one, zero = Scalar.one(), Scalar.zero()
-    spec = YDSpec(g, ("a", "b"), (k, k), (((one, one), (zero, one)),))
+    one = Scalar.one()
+    spec = YDSpec(g, ("a", "b"), (k, k), (column_images((1, 0), (1, 1)),))
     for e in (-2, -3001, 3001):  # g^e sends b to e a + b
         image = spec.act_letter(g.element([e]), 1)
         assert image == Element({(0,): Scalar.rational(e), (1,): one}, spec)
@@ -211,25 +208,25 @@ def test_negative_exponent_action_goes_through_matrix_inverse():
 
 def test_composed_actions_match_their_closed_forms():
     q = Scalar.q_power(1)
-    shear = ((1, 1), (0, 1))  # A: x -> x, y -> x + y
+    shear = column_images((1, 0), (1, 1))  # A: x -> x, y -> x + y
     exponents = range(-3, 4)
     # rank 2 by A and qA: K{n,m} sends x to q^m x and y to q^m ((n + m) x + y)
     group = AbelianGroup(rank=2)
-    spec = YDSpec(group, ("x", "y"), (group.identity(),) * 2, (shear, ((q, q), (0, q))))
+    spec = YDSpec(group, ("x", "y"), (group.identity(),) * 2, (shear, column_images((q, 0), (q, q))))
     for n, m in itertools.product(exponents, repeat=2):
         g, c = group.element([n, m]), Scalar.q_power(m)
         assert spec.act_letter(g, 0) == Element({(0,): c}, spec)
         assert spec.act_letter(g, 1) == Element({(0,): c * Scalar.rational(n + m), (1,): c}, spec)
     # torsion 3 by the cyclic permutation: K{e} sends letter j to letter j + e
     group = AbelianGroup(rank=0, torsion=(3,))
-    cycle = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    cycle = column_images((0, 1, 0), (0, 0, 1), (1, 0, 0))
     spec = YDSpec(group, ("a", "b", "c"), (group.identity(),) * 3, (cycle,))
     for e in exponents:
         for j in range(3):
             assert spec.act_letter(group.element([e]), j) == Element({((j + e) % 3,): 1}, spec)
     # rank 1 by A plus torsion 2 by -I: K{n,t} sends x to (-1)^t x and y to (-1)^t (n x + y)
     group = AbelianGroup(rank=1, torsion=(2,))
-    spec = YDSpec(group, ("x", "y"), (group.identity(),) * 2, (shear, ((-1, 0), (0, -1))))
+    spec = YDSpec(group, ("x", "y"), (group.identity(),) * 2, (shear, diagonal_images([-1, -1])))
     for n, t in itertools.product(exponents, repeat=2):
         g, sign = group.element([n, t]), -1 if t % 2 else 1
         assert spec.act_letter(g, 0) == Element({(0,): sign}, spec)
@@ -239,9 +236,41 @@ def test_composed_actions_match_their_closed_forms():
 @pytest.mark.parametrize("entries", [(0, 1), (1, Scalar.one() + Scalar.q_power(1))])
 def test_action_without_laurent_inverse_is_rejected(entries):
     g = AbelianGroup(rank=2)
-    fine = diagonal_matrix([Scalar.one(), Scalar.q_power(-1)])
+    fine = diagonal_images([Scalar.one(), Scalar.q_power(-1)])
     with pytest.raises(StructuralError, match="generator g2 has no Laurent inverse"):
-        YDSpec(g, ("a", "b"), (g.identity(), g.identity()), (fine, diagonal_matrix(entries)))
+        YDSpec(g, ("a", "b"), (g.identity(), g.identity()), (fine, diagonal_images(entries)))
+
+
+_IMAGES = diagonal_images([Scalar.q_power(1), 1])  # two letters a, b
+
+
+@pytest.mark.parametrize("action, message", [
+    ((), "one action matrix per group generator"),  # too few generators
+    ((_IMAGES, _IMAGES), "one action matrix per group generator"),  # too many
+    ((_IMAGES[:1],), "wrong shape"),  # too few images
+    ((_IMAGES * 2,), "wrong shape"),  # too many
+    (((_IMAGES[0], Element.from_word((2,))),), "image of 'b' under g1"),  # no letter 2
+    (((Element.from_word((0, 1)), _IMAGES[1]),), "image of 'a' under g1"),  # a two-letter word
+])
+def test_the_constructor_refuses_a_malformed_action(action, message):
+    group = AbelianGroup(rank=1)
+    with pytest.raises(StructuralError, match=message):
+        YDSpec(group, ("a", "b"), (group.identity(),) * 2, action)
+
+
+def test_a_spec_holds_each_generators_images_once():
+    group = AbelianGroup(rank=1, torsion=(2,))
+    action = (column_images((1, 0), (Scalar.q_power(1), 1)), diagonal_images([-1, -1]))
+    spec = YDSpec(group, ("a", "b"), (group.identity(),) * 2, action)
+    unital = spec.with_unit()
+    for k, given in enumerate(action):
+        g = group.generator(k)
+        assert spec.action[k] is spec.action_matrix(g)
+        assert unital.action[k] is unital.action_matrix(g)
+        assert all(image.alphabet is spec for image in spec.action[k])
+        assert [image._terms for image in spec.action[k]] == [image._terms for image in given]
+        assert [image._terms for image in unital.action[k]] \
+            == [image._terms for image in given] + [{(2,): Scalar.one()}]
 
 
 def test_large_exponents_act_without_recursion(uqg_a2):
@@ -269,7 +298,7 @@ def test_a_spec_without_products_multiplies_by_zero():
     g = AbelianGroup(rank=1)
     k = g.generator(0)
     spec = YDSpec(g, ("a", "b"), (k, k),
-                  (diagonal_matrix([Scalar.q_power(1), Scalar.q_power(-1)]),))
+                  (diagonal_images([Scalar.q_power(1), Scalar.q_power(-1)]),))
     assert spec.with_unit().unit == 2
     assert braided_spec(spec).mult[(0, 1)].is_zero()
     assert check_yd_module_algebra(spec)
@@ -447,7 +476,7 @@ def test_a_unital_spec_reuses_its_groups_products(clifford2):
 
 def test_a_unit_letter_of_nonzero_degree_fails_check_alg():
     g = AbelianGroup(1)
-    spec = YDSpec(g, ("a", "u"), (g.identity(), g.generator(0)), (diagonal_matrix([1, 1]),),
+    spec = YDSpec(g, ("a", "u"), (g.identity(), g.generator(0)), (diagonal_images([1, 1]),),
                   unit=1)
     result = check_yd_module_algebra(spec)
     assert (result.ok, result.law, result.witness) == (False, "unit-degree", "u")

@@ -584,3 +584,103 @@ def test_diagonal_action_commutes_with_the_braiding(clifford2, uqg_a2):
             for word in words_up_to(spec.dim, 2)[1 + spec.dim:]:
                 assert table.apply(spec.act_word(g, word)) \
                     == _act(spec, g, table.apply(Element.from_word(word, alphabet=spec)))
+
+
+# -- hoffman4 as rank-0 config data -------------------------------------------------------
+
+
+def _hoffman_config(scale: int = 1, mult: bool = True) -> str:
+    """Rank-0 data: letters x1..x4 with x_a x_b -> scale x_{a+b} for a + b <= 4."""
+    lines = ["[group]", "rank = 0", "", "[basis]", *(f"x{a} =" for a in range(1, 5))]
+    if mult:
+        lines += ["", "[mult]"] + [f"x{a} x{b} -> {scale} x{a + b}" for a in range(1, 5)
+                                   for b in range(1, 5) if a + b <= 4]
+    return "\n".join(lines) + "\n"
+
+
+def test_hoffman_exponential_on_the_rank_0_config():
+    """exp(u sh v) = exp(u) * exp(v) on 40 random pairs up to 3+3, hoffman4 read
+    from config text; with every [mult] coefficient doubled, * no longer
+    matches the exponential's merge and the identity fails."""
+    shuffle, hoffman, doubled = (parse_config(text).braided() for text in (
+        _hoffman_config(mult=False), _hoffman_config(), _hoffman_config(2)))
+    assert all(entry == _word(hoffman, b, a)
+               for (a, b), entry in hoffman.braiding.entries.items())  # the flip
+
+    def retag(x):
+        return Element(x._terms, doubled.alphabet)
+
+    rnd = random.Random(2000)
+    failures = 0
+    for _ in range(40):
+        u, v = (tuple(rnd.randrange(4) for _ in range(rnd.randint(1, 3))) for _ in range(2))
+        shuffled = quasi_shuffle(shuffle, _word(shuffle, *u), _word(shuffle, *v))
+        exp = {w: _hoffman_exp(hoffman, w) for w in [u, v, *shuffled._terms]}
+        lhs = shuffled.map_words(exp.__getitem__, alphabet=hoffman.alphabet)
+        assert lhs == quasi_shuffle(hoffman, exp[u], exp[v]), (u, v)
+        failures += retag(lhs) != quasi_shuffle(doubled, retag(exp[u]), retag(exp[v]))
+    assert failures > 20
+
+
+def test_the_rank_0_hoffman_config_passes_every_check(tmp_path, capsys):
+    from cofreehopf.cli import main
+
+    path = tmp_path / "hoffman4.cfg"
+    path.write_text(_hoffman_config(), encoding="utf-8")
+    for law in ("yb", "alg", "yd", "bialg", "rb"):
+        assert main(["--config", str(path), "check", law]) == 0
+        assert capsys.readouterr().out == "PASS\n", law
+
+
+# -- the Jordan and super Jordan planes: their Nichols-algebra relations ------------------
+
+SUPER_JORDAN = JORDAN.replace("g1.x1 = 1, 0\ng1.x2 = 1, 1", "g1.x1 = -1, 0\ng1.x2 = 1, -1")
+
+
+def _rank(vectors) -> int:
+    """The rank over Q of Elements with constant coefficients, by elimination."""
+    pivots: dict = {}
+    for vector in vectors:
+        row = {}
+        for word, c in vector._terms.items():
+            assert set(c._terms) == {0}
+            row[word] = Fraction(c._terms[0])
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            factor = row[col] / pivot[col]
+            for key, value in pivot.items():
+                if (w := row.get(key, 0) - factor * value):
+                    row[key] = w
+                else:
+                    row.pop(key, None)
+    return len(pivots)
+
+
+def test_the_jordan_planes_satisfy_their_nichols_relations():
+    # N. Andruskiewitsch, I. Angiono, I. Heckenberger, On finite GK-dimensional
+    # Nichols algebras over abelian groups, Mem. Amer. Math. Soc. 271 (2021)
+    half = Fraction(1, 2)
+    for text in (JORDAN, SUPER_JORDAN):
+        bspec = parse_config(text).braided()
+        x1, x2 = _word(bspec, 0), _word(bspec, 1)
+
+        def m(a, b):
+            return quasi_shuffle(bspec, a, b)
+
+        if text is JORDAN:
+            assert not m(x2, x1) - m(x1, x2) + m(x1, x1).scale(half)
+            assert m(x2, x1) - m(x1, x2) - m(x1, x1).scale(half)
+        else:
+            assert not m(x1, x1)
+            x21 = m(x2, x1) + m(x1, x2)
+            assert not m(x2, x21) - m(x21, x2) - m(x1, x21)
+            assert m(x2, x21) - m(x21, x2) + m(x1, x21)
+        # GK-dimension 2: the products of d letters span d + 1 dimensions
+        products = [Element.unit(bspec.alphabet)]
+        for d in range(1, 6):
+            products = [m(p, x) for p in products for x in (x1, x2)]
+            assert _rank(products) == d + 1, (text, d)

@@ -31,7 +31,7 @@ from cofreehopf.cotensor import (
     to_smash,
 )
 from cofreehopf.elements import Element
-from cofreehopf.grouphopf import AbelianGroup, YDSpec, braided_spec, diagonal_matrix
+from cofreehopf.grouphopf import AbelianGroup, YDSpec, braided_spec, diagonal_images
 from cofreehopf.presets import build_clifford, build_uqg
 from cofreehopf.qalg import quasi_shuffle, quasi_shuffle_general_clause
 from cofreehopf.scalars import Scalar
@@ -61,7 +61,7 @@ def diagonal_yd_specs(draw):
     exponents = st.integers(-2, 2)
     degrees = tuple(group.element([draw(exponents) for _ in range(rank)])
                     for _ in range(dim))
-    action = tuple(diagonal_matrix([Scalar.q_power(draw(exponents)) for _ in range(dim)])
+    action = tuple(diagonal_images([Scalar.q_power(draw(exponents)) for _ in range(dim)])
                    for _ in range(rank))
     names = tuple(f"v{k}" for k in range(dim))
     return YDSpec(group, names, degrees, action, mult={})

@@ -21,7 +21,7 @@ from cofreehopf.config import bind_cotensor_element, bind_plain_element, bind_sm
 from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, right_translate
 from cofreehopf.elements import Element
 from cofreehopf.expr import parse_element_text
-from cofreehopf.grouphopf import AbelianGroup, YDSpec, diagonal_matrix
+from cofreehopf.grouphopf import AbelianGroup, YDSpec, diagonal_images
 from cofreehopf.scalars import Scalar
 from test_qsh_properties import diagonal_yd_specs
 
@@ -40,7 +40,7 @@ def _specs(draw):
     degrees = tuple(group.element([draw(st.integers(-2, 2))
                                    for _ in range(group.n_generators)])
                     for _ in range(dim))
-    action = tuple(diagonal_matrix([Scalar.q_power(draw(st.integers(-2, 2))) if k < group.rank
+    action = tuple(diagonal_images([Scalar.q_power(draw(st.integers(-2, 2))) if k < group.rank
                                     else Scalar.rational(draw(st.sampled_from((1, -1))))
                                     for _ in range(dim)])
                    for k in range(group.n_generators))
@@ -124,8 +124,8 @@ def test_smash_text_covers_the_empty_word_rank_0_and_torsion():
     rank0 = YDSpec(AbelianGroup(0), ("v0",), (AbelianGroup(0).identity(),), (), mult={})
     torsion = AbelianGroup(1, (2,))
     signs = YDSpec(torsion, ("v0", "v1"), (torsion.element([1, 1]), torsion.element([0, 1])),
-                   (diagonal_matrix([Scalar.q_power(1), Scalar.q_power(-1)]),
-                    diagonal_matrix([Scalar.rational(-1), Scalar.rational(1)])), mult={})
+                   (diagonal_images([Scalar.q_power(1), Scalar.q_power(-1)]),
+                    diagonal_images([Scalar.rational(-1), Scalar.rational(1)])), mult={})
     for spec, keys, expected in (
             (rank0, [((), ()), ((0, 0), ())], "q 1#K{} + q v0@v0#K{}"),
             (signs, [((), (1, 1)), ((1, 0), (-2, 1))], "q 1#K{1,1} + q v1@v0#K{-2,1}")):

@@ -294,9 +294,9 @@ def letter_table(entries: Mapping, dim: int, alphabet) -> dict:
 def letters_over(value: Element, dim: int, alphabet, what: str) -> Element:
     """A copy of ``value`` tagged with ``alphabet``, which must be a combination
     of the letters 0..dim-1; ``what`` names it in the error."""
-    for word in value._terms:
-        if len(word) != 1 or not (0 <= word[0] < dim):
-            raise StructuralError(f"{what} must be a combination of letters")
+    if not isinstance(value, Element) \
+            or any(len(word) != 1 or not (0 <= word[0] < dim) for word in value._terms):
+        raise StructuralError(f"{what} must be a combination of letters")
     return Element._wrap(dict(value._terms), alphabet)
 
 

@@ -15,8 +15,15 @@ Grammar (ASCII minus and the minus-sign character are interchangeable):
     sterm     := rational [['*'] qpow] | qpow
 
 A config list is ``item (',' item)*`` (empty text: no items), each item
-``['-'] INT`` or ``['-'] scalar``.  INT digits are decimal digits, so a
-superscript such as ``²`` is an unexpected character.
+``['-'] INT`` or ``['-'] scalar``.
+
+Tokens are separated by whitespace (``str.isspace``) or need none.  An
+INT is a run of decimal digits (``str.isdecimal``); an IDENT (a LETTER,
+NAME, ``K`` or ``q``) starts with a letter (``str.isalpha``) or ``_`` and
+goes on with letters, digits or ``_`` (``str.isalnum``); a SYM is one of
+``+ - * @ . ( ) { } , / ^ #`` or ``[]``.  Any other character, a
+superscript such as ``²`` included, is unexpected.  A parse error names
+the 1-based column of the offending token.
 
 A ``#`` tag, as the smash renderer prints it (the empty word as ``1``),
 reads as a trailing group atom: ``v1@v2#K{1}`` and ``1#K{2}`` parse as
@@ -31,6 +38,7 @@ each letter is ``("L", name, exps_or_None)`` or ``("G", exps_or_name)``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -44,45 +52,20 @@ class Token(NamedTuple):
     column: int
 
 
-_SYMBOLS = "+-*@.(){},/^#"
+# INT, IDENT (its first character is checked below), SYM, anything else;
+# the text between matches is whitespace.
+_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|(\[\]|−|[-+*@.(){},/^#])|(\S)")
+_KINDS = (None, "INT", "IDENT", "SYM")
 
 
 def tokenize(text: str, line: int | None = None) -> list[Token]:
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "−":
-            tokens.append(Token("SYM", "-", i + 1))
-            i += 1
-            continue
-        if text.startswith("[]", i):
-            tokens.append(Token("SYM", "[]", i + 1))
-            i += 2
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("INT", text[i:j], i + 1))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], i + 1))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token("SYM", ch, i + 1))
-            i += 1
-            continue
-        raise ConfigError(f"unexpected character {ch!r}", line, i + 1)
-    tokens.append(Token("END", "", n + 1))
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        kind, word = match.lastindex, match.group()
+        if kind == 4 or kind == 2 and not (word[0].isalpha() or word[0] == "_"):
+            raise ConfigError(f"unexpected character {word[0]!r}", line, match.start() + 1)
+        tokens.append(Token(_KINDS[kind], "-" if word == "−" else word, match.start() + 1))
+    tokens.append(Token("END", "", len(text) + 1))
     return tokens
 
 
@@ -104,83 +87,77 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def error(self, message: str) -> ConfigError:
-        return ConfigError(message, self.line, self.peek().column)
+    def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
+        """Whether the next token, or the one ``ahead`` places after it, is of
+        ``kind`` and reads ``text`` when that is given."""
+        tok = self.tokens[self.pos + ahead]
+        return tok.kind == kind and (text is None or tok.text == text)
+
+    def skip(self, symbol: str) -> bool:
+        """Consume ``symbol`` if it is the next token (no other kind of token
+        reads as a symbol); whether it was."""
+        if self.tokens[self.pos].text != symbol:
+            return False
+        self.pos += 1
+        return True
+
+    def error(self, message: str, tok: Token | None = None) -> ConfigError:
+        """``message`` at ``tok``, by default the next token."""
+        return ConfigError(message, self.line, (tok or self.peek()).column)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if not self.at(kind, text):
             want = text if text is not None else kind
-            raise self.error(f"expected {want!r}, found {tok.text or 'end of input'!r}")
+            raise self.error(f"expected {want!r}, found {self.peek().text or 'end of input'!r}")
         return self.next()
-
-    def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "SYM" and tok.text == text
 
     # -- scalar layer -------------------------------------------------------
 
     def parse_int(self) -> int:
-        sign = 1
-        if self.at_sym("-"):
-            self.next()
-            sign = -1
-        tok = self.expect("INT")
-        return sign * int(tok.text)
+        sign = -1 if self.skip("-") else 1
+        return sign * int(self.expect("INT").text)
 
     def parse_rational(self) -> Fraction:
-        tok = self.expect("INT")
-        num = int(tok.text)
-        if self.at_sym("/"):
-            self.next()
-            den = int(self.expect("INT").text)
-            if den == 0:
-                raise self.error("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
+        num = int(self.expect("INT").text)
+        if not self.skip("/"):
+            return Fraction(num)
+        den = self.expect("INT")
+        if int(den.text) == 0:
+            raise self.error("zero denominator", den)
+        return Fraction(num, int(den.text))
 
     def parse_qpow(self) -> Scalar:
         self.expect("IDENT", "q")
-        if self.at_sym("^"):
-            self.next()
-            return Scalar.q_power(self.parse_int())
-        return Scalar.q_power(1)
+        return Scalar.q_power(self.parse_int() if self.skip("^") else 1)
 
     def parse_scalar_atom(self) -> Scalar:
-        tok = self.peek()
-        if tok.kind == "INT":
+        if self.at("INT"):
             return Scalar.rational(self.parse_rational())
-        if tok.kind == "IDENT" and tok.text == "q":
+        if self.at("IDENT", "q"):
             return self.parse_qpow()
-        if self.at_sym("("):
-            self.next()
-            value = self.parse_spoly()
-            self.expect("SYM", ")")
-            return value
-        raise self.error("expected a scalar")
+        if not self.skip("("):
+            raise self.error("expected a scalar")
+        value = self.parse_spoly()
+        self.expect("SYM", ")")
+        return value
 
     def parse_sterm(self) -> Scalar:
-        tok = self.peek()
-        if tok.kind == "INT":
-            coeff = Scalar.rational(self.parse_rational())
-            if self.at_sym("*"):
-                self.next()
-                return coeff * self.parse_qpow()
-            if self.peek().kind == "IDENT" and self.peek().text == "q":
-                return coeff * self.parse_qpow()
-            return coeff
-        return self.parse_qpow()
+        if not self.at("INT"):
+            return self.parse_qpow()
+        coeff = Scalar.rational(self.parse_rational())
+        if self.skip("*") or self.at("IDENT", "q"):
+            return coeff * self.parse_qpow()
+        return coeff
 
     def parse_sum(self, item, negate) -> list:
         """``[sign] item (sign item)*``: the items, each negated after a minus."""
-        sign = self.next().text if self.at_sym("-") or self.at_sym("+") else "+"
         items = []
         while True:
-            value = item()
-            items.append(negate(value) if sign == "-" else value)
-            if not (self.at_sym("+") or self.at_sym("-")):
+            negative = self.skip("-")
+            if not negative and not self.skip("+") and items:
                 return items
-            sign = self.next().text
+            value = item()
+            items.append(negate(value) if negative else value)
 
     def parse_spoly(self) -> Scalar:
         first, *rest = self.parse_sum(self.parse_sterm, Scalar.__neg__)
@@ -188,10 +165,7 @@ class _Parser:
 
     def parse_signed_scalar(self) -> Scalar:
         """A scalar with an optional leading sign (config entries)."""
-        negative = False
-        if self.at_sym("-"):
-            self.next()
-            negative = True
+        negative = self.skip("-")
         value = self.parse_scalar_atom()
         return -value if negative else value
 
@@ -200,56 +174,38 @@ class _Parser:
     def parse_groupatom(self) -> tuple[int, ...]:
         self.expect("IDENT", "K")
         self.expect("SYM", "{")
-        exps = [] if self.at_sym("}") else [self.parse_int()]
-        while exps and self.at_sym(","):
-            self.next()
-            exps.append(self.parse_int())
+        exps = self.parse_list(self.parse_int, "SYM", "}")
         self.expect("SYM", "}")
         return tuple(exps)
 
     def at_groupatom(self) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text == "K" \
-            and self.tokens[self.pos + 1].kind == "SYM" \
-            and self.tokens[self.pos + 1].text == "{"
-
-    def at_tagged_empty_word(self) -> bool:
-        tok = self.peek()
-        return tok.kind == "INT" and tok.text == "1" \
-            and self.tokens[self.pos + 1].kind == "SYM" \
-            and self.tokens[self.pos + 1].text == "#"
+        return self.at("IDENT", "K") and self.at("SYM", "{", 1)
 
     def at_word_start(self) -> bool:
-        tok = self.peek()
-        if self.at_groupatom() or self.at_tagged_empty_word():
-            return True
-        return tok.kind == "IDENT" and tok.text != "q"
+        return self.at_groupatom() or self.at("INT", "1") and self.at("SYM", "#", 1) \
+            or self.at("IDENT") and not self.at("IDENT", "q")
 
     def parse_mletter(self) -> Letter:
         if self.at_groupatom():
             return ("G", self.parse_groupatom())
-        tok = self.expect("IDENT")
-        if tok.text == "q":
+        if self.at("IDENT", "q"):
             raise self.error("'q' is reserved for the scalar parameter")
-        if self.at_sym("."):
-            self.next()
-            if self.at_groupatom():
-                return ("L", tok.text, self.parse_groupatom())
-            name = self.expect("IDENT")
-            return ("L", tok.text, name.text)
-        return ("L", tok.text, None)
+        name = self.expect("IDENT").text
+        if not self.skip("."):
+            return ("L", name, None)
+        if self.at_groupatom():
+            return ("L", name, self.parse_groupatom())
+        return ("L", name, self.expect("IDENT").text)
 
     def parse_word(self) -> tuple[Letter, ...]:
-        if self.at_tagged_empty_word():
+        letters = []
+        if self.at("INT", "1") and self.at("SYM", "#", 1):  # the empty word, tagged
             self.next()
-            letters = []
         else:
-            letters = [self.parse_mletter()]
-            while self.at_sym("@") or self.at_sym("[]"):
-                self.next()
+            letters.append(self.parse_mletter())
+            while self.skip("@") or self.skip("[]"):
                 letters.append(self.parse_mletter())
-        if self.at_sym("#"):  # always so after the empty word
-            self.next()
+        if self.skip("#"):  # always so after the empty word
             letters.append(("G", self.parse_groupatom()))
         return tuple(letters)
 
@@ -259,10 +215,7 @@ class _Parser:
         if self.at_word_start():
             return Scalar.one(), self.parse_word()
         coeff = self.parse_scalar_atom()
-        if self.at_sym("*"):
-            self.next()
-            return coeff, self.parse_word()
-        if self.at_word_start():
+        if self.skip("*") or self.at_word_start():
             return coeff, self.parse_word()
         return coeff, ()
 
@@ -271,13 +224,12 @@ class _Parser:
 
     # -- config lists --------------------------------------------------------
 
-    def parse_list(self, item) -> list:
-        """``item (',' item)*``; no items at the end of input."""
-        if self.peek().kind == "END":
+    def parse_list(self, item, kind: str, text: str | None = None) -> list:
+        """``item (',' item)*``, or no items at a ``kind`` token reading ``text``."""
+        if self.at(kind, text):
             return []
         values = [item()]
-        while self.at_sym(","):
-            self.next()
+        while self.skip(","):
             values.append(item())
         return values
 
@@ -295,8 +247,8 @@ def parse_element_text(text: str, line: int | None = None) -> ParsedElement:
 
 
 def parse_int_list(text: str, line: int | None = None) -> list[int]:
-    return _read(text, line, lambda parser: parser.parse_list(parser.parse_int))
+    return _read(text, line, lambda parser: parser.parse_list(parser.parse_int, "END"))
 
 
 def parse_scalar_list(text: str, line: int | None = None) -> list[Scalar]:
-    return _read(text, line, lambda parser: parser.parse_list(parser.parse_signed_scalar))
+    return _read(text, line, lambda parser: parser.parse_list(parser.parse_signed_scalar, "END"))

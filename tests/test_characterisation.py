@@ -14,7 +14,7 @@ import inspect
 
 import pytest
 
-from cofreehopf.braid import flip_braiding
+from cofreehopf.braid import BraidingTable, flip_braiding
 from cofreehopf.checks import CheckResult
 from cofreehopf.cli import main
 from cofreehopf.config import ConfigDocument
@@ -25,13 +25,18 @@ from cofreehopf.cotensor import (
     render_cotensor,
     render_pairs,
     render_smash,
+    smash_product,
+    star,
 )
 from cofreehopf.elements import Element, render_element
 from cofreehopf.grouphopf import AbelianGroup, YDSpec, diagonal_images
 from cofreehopf.presets import Preset
-from cofreehopf.qalg import BraidedAlgebraSpec
-from cofreehopf.rotabaxter import RBInstance
+from cofreehopf.errors import StructuralError
+from cofreehopf.qalg import BraidedAlgebraSpec, adjoin_unit
+from cofreehopf.rotabaxter import RBInstance, diamond_product, head_shift
 from cofreehopf.scalars import Scalar
+
+from conftest import hoffman_spec
 
 CASES = [
     (('a2', 'qsh', '−E1 + 2 F1', '1/2 E2 + q^-1 xi1'),
@@ -275,3 +280,35 @@ def test_check_results_compare_by_value_and_are_unhashable():
     for value in (CheckResult(True), RBInstance(len, abs, weight)):
         with pytest.raises(TypeError, match="unhashable"):
             hash(value)
+
+
+def _shape_errors():
+    group, spec, other = AbelianGroup(rank=1), _one_letter_spec(), _one_letter_spec()
+    hoffman, alphabet = hoffman_spec(2), object()
+    empty, head = (Element.from_word(word, alphabet=hoffman.alphabet) for word in ((), (0,)))
+    return [
+        ("expected 1 exponents, got 2", lambda: group.element([1, 2])),
+        ("one degree per letter", lambda: YDSpec(group, ("a", "b"), (group.identity(),),
+                                                 (diagonal_images([1, 1]),))),
+        ("spec already has a unit letter", lambda: spec.with_unit().with_unit()),
+        (r"braiding entry for \(0, 0\) has an invalid word \(0,\)",
+         lambda: BraidingTable(1, {(0, 0): Element.from_word((0,), alphabet=alphabet)})),
+        ("braiding dimension does not match",
+         lambda: BraidedAlgebraSpec(2, flip_braiding(1, alphabet), {}, alphabet=alphabet)),
+        ("head-distinguished words must be nonempty", lambda: diamond_product(hoffman, empty, head)),
+        ("head-distinguished words must be nonempty", lambda: diamond_product(hoffman, head, empty)),
+        ("head-distinguished words must be nonempty",
+         lambda: head_shift(adjoin_unit(hoffman), Element.from_word(()))),
+        ("cotensor elements over different module data",
+         lambda: star(CotensorElement.unit(spec), CotensorElement.unit(other))),
+        ("smash elements over different module data",
+         lambda: smash_product(SmashElement.unit(spec), SmashElement.unit(other))),
+    ]
+
+
+def test_library_shape_errors_are_structural():
+    for message, call in _shape_errors():
+        with pytest.raises(StructuralError, match=message):
+            call()
+    with pytest.raises(TypeError, match="exact rational expected, got float"):
+        Scalar.coerce(0.5)

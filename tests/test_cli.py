@@ -498,6 +498,30 @@ def test_unicode_digits_exit_2_without_an_internal_error(run, clifford_config, t
         == (2, "", "error: unexpected character '²' (line 2, column 2)\n")
 
 
+def test_a_parse_error_names_the_offending_tokens_column(run, clifford_config):
+    assert run("--config", clifford_config, "star", "1/0 v1", "v1") \
+        == (2, "", "error: zero denominator (column 3)\n")
+    assert run("--config", clifford_config, "star", "v1@q", "v1") \
+        == (2, "", "error: 'q' is reserved for the scalar parameter (column 4)\n")
+
+
+def test_a_missing_file_is_an_error(run, tmp_path):
+    missing = tmp_path / "missing.cfg"
+    assert run("--config", str(missing), "star", "v1", "v1") == (
+        2, "", f"error: cannot read config: [Errno 2] No such file or directory: '{missing}'\n")
+    assert run("preset", "uqg", "--cartan", str(missing)) == (
+        2, "", f"error: cannot read cartan matrix: [Errno 2] No such file or directory: "
+               f"'{missing}'\n")
+
+
+def test_rb_apply_names_the_unit_apart_from_a_letter_named_one(run, tmp_path):
+    path = tmp_path / "one.cfg"
+    path.write_text("[group]\nrank = 1\n\n[basis]\none = 1\nx = 1\n\n[action]\ng1 = q, q\n",
+                    encoding="utf-8")
+    assert run("--config", str(path), "rb-apply", "one@x") \
+        == (0, "one_.K{2}[]one.K{1}[]x.K{0}\n", "")
+
+
 DEGREE_CONFIG = ("[group]\nrank = 1\n\n[basis]\na = 1\nb = 1\n\n[action]\ng1 = q, q^-1\n"
                  "\n[mult]\na b -> b\n")
 

@@ -96,6 +96,14 @@ def test_mult_keys_must_be_pairs_of_letters(key):
                {(0, 0): letter, key: letter})
 
 
+def test_mult_values_must_be_elements():
+    g = AbelianGroup(rank=1)
+    with pytest.raises(StructuralError, match=r"mult entry for \(0, 0\) must be a combination"):
+        BraidedAlgebraSpec(1, flip_braiding(1), {(0, 0): 1})
+    with pytest.raises(StructuralError, match=r"mult entry for \(0, 0\) must be a combination"):
+        YDSpec(g, ("a",), (g.identity(),), (diagonal_images([Scalar.one()]),), {(0, 0): 1})
+
+
 def test_disjoint_positions_commute():
     dim = 2
     q_table = {(a, b): Element.from_word((b, a), Scalar.q_power(a - b))

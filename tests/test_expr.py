@@ -9,6 +9,7 @@ from cofreehopf.expr import (
     parse_element_text,
     parse_int_list,
     parse_scalar_list,
+    tokenize,
 )
 from cofreehopf.scalars import Scalar
 
@@ -153,3 +154,61 @@ def test_a_smash_tag_ends_its_term(text, message):
     with pytest.raises(ConfigError) as info:
         parse_element_text(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1/0 v1", "zero denominator (line 5, column 3)"),
+    ("(2 + 3/00) v1", "zero denominator (line 5, column 8)"),
+    ("v1@q", "'q' is reserved for the scalar parameter (line 5, column 4)"),
+    ("v1[]q.K{1}", "'q' is reserved for the scalar parameter (line 5, column 5)"),
+])
+def test_an_error_names_the_offending_tokens_column(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_element_text(text, line=5)
+    assert str(info.value) == message
+
+
+def test_a_juxtaposed_q_power_inside_parentheses_multiplies():
+    assert parse_element_text("(2q) v1") == parse_element_text("(2*q) v1") \
+        == [(Scalar.q_power(1, 2), (("L", "v1", None),))]
+    assert parse_scalar_list("(3/2 q^-1 - q)") \
+        == [Scalar.q_power(-1, Fraction(3, 2)) - Scalar.q_power(1)]
+
+
+_CHARACTERS = "".join(map(chr, range(256))) + "²³½Ⅷ٣− 　文é_"
+
+
+def _tokens(text):
+    """The (kind, text) pairs before END, or the column of the unexpected character."""
+    try:
+        return [(tok.kind, tok.text) for tok in tokenize(text)][:-1]
+    except ConfigError as error:
+        assert error.message == f"unexpected character {text[error.column - 1]!r}"
+        return error.column
+
+
+def test_token_classes_follow_the_str_predicates():
+    # an INT is isdecimal, an identifier starts with isalpha or '_' and goes
+    # on with isalnum or '_', isspace separates, the symbols are the
+    # grammar's own, and anything else is unexpected
+    symbols = set("+-*@.(){},/^#") | {"−"}
+    for ch in _CHARACTERS:
+        if ch.isdecimal():
+            alone = [("INT", ch)]
+        elif ch.isalpha() or ch == "_":
+            alone = [("IDENT", ch)]
+        elif ch.isspace():
+            alone = []
+        elif ch in symbols:
+            alone = [("SYM", "-" if ch == "−" else ch)]
+        else:
+            alone = None
+        assert _tokens(ch) == (1 if alone is None else alone), ch
+        after_letter = [("IDENT", "a" + ch)] if ch.isalnum() or ch == "_" \
+            else 2 if alone is None else [("IDENT", "a")] + alone
+        assert _tokens("a" + ch) == after_letter, ch
+        after_digit = [("INT", "1" + ch)] if ch.isdecimal() \
+            else 2 if alone is None else [("INT", "1")] + alone
+        assert _tokens("1" + ch) == after_digit, ch
+    assert _tokens("[]") == [("SYM", "[]")]
+    assert [tok.column for tok in tokenize(" \u3000v1 @ 2")] == [3, 6, 8, 9]

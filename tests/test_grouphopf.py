@@ -251,6 +251,8 @@ _IMAGES = diagonal_images([Scalar.q_power(1), 1])  # two letters a, b
     ((_IMAGES * 2,), "wrong shape"),  # too many
     (((_IMAGES[0], Element.from_word((2,))),), "image of 'b' under g1"),  # no letter 2
     (((Element.from_word((0, 1)), _IMAGES[1]),), "image of 'a' under g1"),  # a two-letter word
+    ((((1, 1), (0, 1)),), "image of 'a' under g1 must be"),  # a row matrix
+    (((_IMAGES[0], Scalar.one()),), "image of 'b' under g1 must be"),  # a scalar
 ])
 def test_the_constructor_refuses_a_malformed_action(action, message):
     group = AbelianGroup(rank=1)

@@ -11,7 +11,7 @@ from functools import reduce
 import pytest
 
 from cofreehopf.braid import BraidingTable, block_braiding, flip_braiding
-from cofreehopf.checks import PASS, fail
+from cofreehopf.checks import fail
 from cofreehopf.config import ConfigDocument, emit_config, parse_config
 from cofreehopf.elements import Element
 from cofreehopf.errors import StructuralError
@@ -96,15 +96,13 @@ def test_a_unit_letter_that_is_no_unit_is_caught():
     assert check_braided_algebra(_unit_last({(1, 1): 1, (1, 0): 0, (0, 1): 0}))
 
 
-def test_a_unit_the_braiding_does_not_flip_is_caught(monkeypatch):
-    import cofreehopf.qalg as qalg
-
-    # with the unit laws, the laws on V^3 already force the flip on the
-    # unit, so they are taken as passing to reach the unit clauses
-    monkeypatch.setattr(qalg, "first_failure", lambda *args: PASS)
+def test_a_unit_the_braiding_does_not_flip_is_caught():
+    # with the unit laws, the exchange laws on V^3 force the flip on the unit
     unital = {(1, 1): 1, (1, 0): 0, (0, 1): 0}
-    assert check_braided_algebra(_unit_last(unital, (0, 1))) == fail("unit-braiding", (0, 1))
-    assert check_braided_algebra(_unit_last(unital, (1, 0))) == fail("unit-braiding", (1, 0))
+    for scaled, law, witness in (((0, 1), "braided-compatibility-right", (0, 0, 1)),
+                                 ((1, 0), "braided-compatibility-left", (0, 1, 0))):
+        result = check_braided_algebra(_unit_last(unital, scaled))
+        assert (result.ok, result.law, result.witness) == (False, law, witness)
     assert check_braided_algebra(_unit_last(unital))
 
 

@@ -29,9 +29,10 @@ from .errors import StructuralError
 class BraidingTable:
     """A linear operator on V tensor V given on basis letter pairs.
 
-    Entries map each ordered pair (a, b) of letters to an Element over
-    two-letter words.  Construction verifies totality and invertibility
-    on V tensor V over the fraction field (``linalg.is_invertible``).
+    Entries map each ordered pair (a, b) of letter indices to an Element
+    over packed two-letter words.  Construction verifies totality and
+    invertibility on V tensor V over the fraction field
+    (``linalg.is_invertible``).
     """
 
     __slots__ = ("dim", "entries", "alphabet")
@@ -47,10 +48,10 @@ class BraidingTable:
                 if entry is None:
                     raise StructuralError(f"braiding table missing entry for {(a, b)}")
                 for word in entry._terms:
-                    if len(word) != 2 or not all(
-                            isinstance(l, int) and 0 <= l < dim for l in word):
+                    if type(word) is not str or len(word) != 2 or ord(max(word)) >= dim:
+                        letters = tuple(map(ord, word)) if type(word) is str else word
                         raise StructuralError(
-                            f"braiding entry for {(a, b)} has an invalid word {word}")
+                            f"braiding entry for {(a, b)} has an invalid word {letters}")
         if not self._invertible():
             raise StructuralError("braiding table is not invertible on V tensor V")
 
@@ -64,7 +65,8 @@ class BraidingTable:
         return apply_local(self.entries, pos, x)
 
     def basis_words(self, length: int):
-        """All basis words of the given tensor power, in index order."""
+        """All basis words of the given tensor power, in index order, as
+        tuples of letters."""
         return itertools.product(range(self.dim), repeat=length)
 
 

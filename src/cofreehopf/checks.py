@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
-from .elements import Element
+from .elements import Element, pack_word
 from .errors import Record, StructuralError
 from .scalars import Scalar
 
@@ -65,13 +65,15 @@ _BATCH = 4096  # words per tagged space: bounds a check's memory, not its speed
 
 
 def first_failure(words: Iterable, alphabet, laws: Callable[[Element], list]) -> CheckResult:
-    """Check laws on basis words a batch at a time: ``laws`` maps x, the sum
-    of the batch with each word's index appended as a tag letter that no
-    operator reads, to ``(law, lhs, rhs)`` triples.  PASS, or the first
-    word, and at it the first law given, whose sides differ, untagged."""
+    """Check laws on basis words (tuples of letters) a batch at a time:
+    ``laws`` maps x, the sum of the batch packed, with each word's index
+    appended as a tag letter that no operator reads, to ``(law, lhs, rhs)``
+    triples.  PASS, or the first word, and at it the first law given, whose
+    sides differ, untagged."""
     words, one = iter(words), Scalar.one()
     while batch := list(islice(words, _BATCH)):
-        x = Element._wrap({(*word, i): one for i, word in enumerate(batch)}, alphabet)
+        x = Element._wrap({pack_word(word) + chr(i): one for i, word in enumerate(batch)},
+                          alphabet)
         failing: dict = {}
         for law, lhs, rhs in laws(x):
             if lhs != rhs:
@@ -81,6 +83,6 @@ def first_failure(words: Iterable, alphabet, laws: Callable[[Element], list]) ->
         if failing:
             tag = min(failing)
             law, *sides = failing[tag]
-            return fail(law, batch[tag], *(
+            return fail(law, batch[ord(tag)], *(
                 side.rekey(lambda key: [key[:-1]] if key[-1] == tag else []) for side in sides))
     return PASS

@@ -126,7 +126,8 @@ def _render_any(spec: YDSpec):
             if value.alphabet == _key_pairs(spec):
                 return render_pairs(spec, value)
             if value.alphabet == _word_pairs(spec):
-                return render_terms(value, render)
+                return render_terms(value, lambda pair: " (x) ".join(
+                    render_word(spec, word) for word in pair))
             return render_element(value, partial(render_letter, spec))
         if isinstance(value, GroupElement):
             return render_letter(spec, value)

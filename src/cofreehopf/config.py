@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .elements import Element, accumulate, render_element
+from .elements import Element, accumulate, pack_word, render_element
 from .errors import ConfigError, Frozen, StructuralError
 from .expr import ParsedElement, parse_element_text, parse_int_list, parse_scalar_list, tokenize
 from .grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec, diagonal_images
@@ -161,7 +161,7 @@ def parse_config(text: str) -> ConfigDocument:
             j = index.get(lname.strip())
             if j is None:
                 raise ConfigError(f"unknown letter {lname!r}", lineno)
-            given = {j: Element({(i,): c for i, c in enumerate(entries)})}
+            given = {j: Element({chr(i): c for i, c in enumerate(entries)})}
         else:  # a diagonal line gives every image
             given = dict(enumerate(diagonal_images(entries)))
         # a diagonal line gives every image, so it repeats any line, also over no letters
@@ -233,7 +233,7 @@ def _parse_rule(line: str, lineno: int, index: dict[str, int], length: int):
             word.append(index[letter[1]])
         if len(word) != length:
             raise ConfigError(f"words here must have length {length}", lineno)
-        accumulate(terms, tuple(word), coeff)
+        accumulate(terms, pack_word(word), coeff)
     return pair, Element._wrap(terms, None)
 
 
@@ -242,7 +242,7 @@ def _parse_rule(line: str, lineno: int, index: dict[str, int], length: int):
 
 def _entry(image: Element, i: int) -> str:
     """The coefficient of letter i in ``image``, as a signed atom."""
-    neg, atom = split_sign(image._terms.get((i,), Scalar.zero()))
+    neg, atom = split_sign(image._terms.get(chr(i), Scalar.zero()))
     return ("-" + atom) if neg else atom
 
 
@@ -262,7 +262,7 @@ def emit_config(doc: ConfigDocument) -> str:
     if spec.group.n_generators:
         lines += ["", "[action]"]
         for k, images in enumerate(spec.action):
-            if all(word == (j,) for j, image in enumerate(images) for word in image._terms):
+            if all(word == chr(j) for j, image in enumerate(images) for word in image._terms):
                 lines.append(f"g{k + 1} = " + ", ".join(
                     _entry(image, j) for j, image in enumerate(images)))
             else:
@@ -314,8 +314,8 @@ def _bare_letter(spec: YDSpec, letter, message: str) -> int:
 
 def bind_plain_element(spec: YDSpec, parsed: ParsedElement) -> Element:
     message = "this command takes plain tensor words over the letters"
-    return _bind_terms(Element, spec, parsed, lambda letters: tuple(
-        _bare_letter(spec, letter, message) for letter in letters))
+    return _bind_terms(Element, spec, parsed, lambda letters: pack_word(
+        [_bare_letter(spec, letter, message) for letter in letters]))
 
 
 def bind_cotensor_element(spec: YDSpec, parsed: ParsedElement) -> CotensorElement:
@@ -358,6 +358,6 @@ def bind_smash_element(spec: YDSpec, parsed: ParsedElement) -> SmashElement:
         if letters and letters[-1][0] == "G":
             tag = bind_group_element(spec, letters[-1][1])
             letters = letters[:-1]
-        return tuple(_bare_letter(spec, letter, message) for letter in letters), tag
+        return pack_word([_bare_letter(spec, letter, message) for letter in letters]), tag
 
     return _bind_terms(SmashElement, spec, parsed, key_of)

@@ -61,7 +61,7 @@ from functools import partial
 from typing import Mapping
 
 from .checks import PASS, CheckResult, fail
-from .elements import Element, accumulate, render_terms
+from .elements import Element, accumulate, pack_word, render_terms
 from .errors import StructuralError
 from .grouphopf import GroupElement, YDSpec, braided_spec
 from .scalars import Scalar
@@ -177,7 +177,7 @@ def _module_projection(spec: YDSpec, a: Key, b: Key) -> dict[tuple[int, GroupEle
         (v, g2), = b
         image = spec.act_letter(a, v)._terms
         target = spec.group.multiply(a, g2)
-        return {(i, target): c for (i,), c in image.items()}
+        return {(ord(i), target): c for i, c in image.items()}
     if shape == (1, 0):
         (v, g1), = a
         return {(v, spec.group.multiply(g1, b)): Scalar.one()}
@@ -186,9 +186,9 @@ def _module_projection(spec: YDSpec, a: Key, b: Key) -> dict[tuple[int, GroupEle
     ((v, g1),), ((w, g2),) = a, b
     image, out, one = spec.act_letter(g1, w)._terms, {}, Scalar.one()
     target = spec.group.multiply(g1, g2)
-    for (i,), c in image.items():
-        for (k,), d in spec.mult[(v, i)]._terms.items():
-            accumulate(out, (k, target), d if c is one else d * c)
+    for i, c in image.items():
+        for k, d in spec.mult[(v, ord(i))]._terms.items():
+            accumulate(out, (ord(k), target), d if c is one else d * c)
     return out
 
 
@@ -302,18 +302,20 @@ def flatten_coinvariant(x: CotensorElement) -> Element:
     return x.relabel(_letters, cls=Element)
 
 
-def _letters(key: Key) -> tuple[int, ...]:
-    """The tensor word under a basis key: its letters without the group components."""
-    return () if isinstance(key, GroupElement) else tuple(v for v, _ in key)
+def _letters(key: Key) -> str:
+    """The packed tensor word under a basis key: its letters without the group
+    components."""
+    return "" if isinstance(key, GroupElement) else pack_word([v for v, _ in key])
 
 
-def chain_lift_word(spec: YDSpec, word: tuple[int, ...]) -> Key:
-    """Reinstate group components: suffix degree products, ending at 1."""
+def chain_lift_word(spec: YDSpec, word) -> Key:
+    """Reinstate group components: suffix degree products, ending at 1.
+    ``word`` is packed or a tuple of letters."""
     if not word:
         return spec.group.identity()
     out = []
     g = spec.group.identity()
-    for v in reversed(word):
+    for v in map(ord, reversed(pack_word(word))):
         out.append((v, g))
         g = spec.group.multiply(spec.degrees[v], g)
     return tuple(reversed(out))
@@ -328,12 +330,16 @@ def chain_lift(spec: YDSpec, x: Element) -> CotensorElement:
 
 
 class SmashElement(Element):
-    """A combination of (tensor word over the letters, group element) pairs."""
+    """A combination of (tensor word over the letters, group element) pairs.
+
+    The word leg is packed, one code point per letter, like every tensor
+    word (``elements.pack_word``); ``of`` packs a tuple of letters, and
+    ``tuple(map(ord, word))`` reads one back."""
 
     __slots__ = ()
 
     def __init__(self, spec: YDSpec,
-                 terms: Mapping[tuple[tuple[int, ...], GroupElement], Scalar] | None = None):
+                 terms: Mapping[tuple[str, GroupElement], Scalar] | None = None):
         super().__init__(terms, spec)
 
     @property
@@ -342,14 +348,14 @@ class SmashElement(Element):
 
     @classmethod
     def unit(cls, spec: YDSpec) -> SmashElement:
-        return cls(spec, {((), spec.group.identity()): Scalar.one()})
+        return cls(spec, {("", spec.group.identity()): Scalar.one()})
 
     @classmethod
-    def of(cls, spec: YDSpec, word: tuple[int, ...],
-           g: GroupElement | None = None) -> SmashElement:
+    def of(cls, spec: YDSpec, word, g: GroupElement | None = None) -> SmashElement:
+        """The key (word, g), the word packed or a tuple of letters."""
         if g is None:
             g = spec.group.identity()
-        return cls(spec, {(tuple(word), g): Scalar.one()})
+        return cls(spec, {(pack_word(word), g): Scalar.one()})
 
 
 def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
@@ -388,8 +394,11 @@ def from_smash(s: SmashElement) -> CotensorElement:
 
 
 def render_letter(spec, letter) -> str:
-    """The one source of letter text: a letter index reads as its name, a
-    group element as ``K{...}``, a chain letter (index, g) as ``name.K{...}``."""
+    """The one source of letter text: a letter index, or the code point of a
+    packed one, reads as its name, a group element as ``K{...}``, a chain
+    letter (index, g) as ``name.K{...}``."""
+    if type(letter) is str:
+        return spec.names[ord(letter)]
     if type(letter) is tuple:
         v, g = letter
         return f"{spec.names[v]}.{g.render()}"
@@ -399,7 +408,8 @@ def render_letter(spec, letter) -> str:
 
 
 def render_word(spec, word) -> str:
-    """A tensor word as its letters joined by ``@``; the empty word reads ``1``."""
+    """A tensor word, packed or a tuple of letters, as its letters joined by
+    ``@``; the empty word reads ``1``."""
     return "@".join(render_letter(spec, letter) for letter in word) or "1"
 
 

@@ -3,16 +3,16 @@
 Every space of the package is a free vector space on a basis of keys,
 and :class:`Element` is the combination over any of them.  The key kinds:
 
-* the tensor algebra T(V): a word, i.e. a tuple of letters.  A letter is
-  an integer index into a declared basis, a group element, or an
-  (index, group element) pair.  A whole word may itself be a letter,
-  which is how tensor squares and higher powers are carried (the key
-  ``(u, v)`` is a two-letter word whose letters are words);
+* the tensor algebra T(V): a word, held packed as a ``str`` of one code
+  point per letter, ``chr(letter)`` for a letter index, so a word hashes
+  once and a concatenation copies characters.  :func:`pack_word` packs a
+  tuple of letters, and ``tuple(map(ord, word))`` reads one back.  A
+  pair of words (u, v) is the key of the tensor square;
 * the cotensor coalgebra on V tensor K[G] (:class:`CotensorElement`):
-  a group element in degree 0, or a chain word of (index, group
+  a group element in degree 0, or a chain word, a tuple of (index, group
   element) pairs;
 * the smash product T(V) # K[G] (:class:`SmashElement`): a pair
-  (word, group element).
+  (packed word, group element).
 
 Every structure of the package is given on basis keys and extended to
 combinations here, and nowhere else: :meth:`Element.map_words` extends a
@@ -29,12 +29,14 @@ or comparing two elements needs the same class; adding them under
 different tags is a structural error, and such elements are never equal.
 
 There is one canonical term order, :func:`canonical_key`: group elements
-(by free, then torsion exponents) before tuples, and tuples compared
-letter by letter, a word before its extensions.  So degree-0 keys
-precede words, smash keys sort by word, then group tag, and a pair of
-cotensor keys by its left key, then its right key.  The key is flat:
-every kind but the pair of cotensor keys compares as the key itself.
-This is the order the CLI renders and the golden tests freeze.
+(by free, then torsion exponents) before tuples, and words compared
+letter by letter, a word before its extensions.  A packed word compares
+code point by code point, which is that order on its letters.  So
+degree-0 keys precede words, smash keys sort by word, then group tag,
+and a pair of cotensor keys by its left key, then its right key.  The
+key is flat: every kind but the pair of cotensor keys compares as the
+key itself.  This is the order the CLI renders and the golden tests
+freeze.
 """
 
 from __future__ import annotations
@@ -46,7 +48,19 @@ from typing import Callable, Iterable, Mapping
 from .errors import StructuralError
 from .scalars import _ONE, Scalar, split_sign
 
-Word = tuple
+Word = str
+
+
+def pack_word(word) -> str:
+    """A word of letter indices as a ``str`` of one code point per letter,
+    through the Latin-1 codec, nearly twice as fast, when it can; a ``str``
+    is a packed word already."""
+    if type(word) is str:
+        return word
+    try:
+        return bytes(word).decode("latin-1")
+    except ValueError:  # a letter of 256 or more
+        return "".join(map(chr, word))
 
 
 def canonical_key(key):
@@ -56,10 +70,12 @@ def canonical_key(key):
     group element may meet a chain word, ranks each part first.  It orders
     the keys of one element: kinds that never share an element, such as a
     tensor word and a smash key, need not compare."""
+    if type(key) is str:
+        return key
     if type(key) is not tuple:  # a group element: a tuple subclass
         return (1, *key)
     head = key[0] if key else 0
-    if type(head) is int or type(head) is tuple and (not head or type(head[0]) is int):
+    if type(head) in (int, str) or type(head) is tuple and (not head or type(head[0]) is int):
         return (3, key)
     return (3, *chain.from_iterable((type(part) is tuple, part) for part in key))
 
@@ -116,13 +132,14 @@ class Element:
         return cls._wrap({}, alphabet)
 
     @classmethod
-    def from_word(cls, word: Word, coeff: Scalar | int | Fraction = 1, alphabet=None) -> Element:
-        return cls({tuple(word): Scalar.coerce(coeff)}, alphabet)
+    def from_word(cls, word, coeff: Scalar | int | Fraction = 1, alphabet=None) -> Element:
+        """One word, packed by :func:`pack_word`, with coefficient ``coeff``."""
+        return cls({pack_word(word): Scalar.coerce(coeff)}, alphabet)
 
     @classmethod
     def unit(cls, alphabet=None) -> Element:
         """The empty word with coefficient 1."""
-        return cls({(): Scalar.one()}, alphabet)
+        return cls({"": Scalar.one()}, alphabet)
 
     # -- structure ---------------------------------------------------------
 
@@ -244,9 +261,10 @@ def _extend(images) -> dict:
 def apply_local(table: Mapping, pos: int, x: Element) -> Element:
     """Rewrite the letters at positions (pos, pos+1), 1-based, of every word.
 
-    ``table`` maps ordered letter pairs to Elements; values may have any
-    word length (length 2 keeps words the same size, length 1 merges two
-    letters into one, a zero value drops the term).  Letters after
+    ``table`` maps ordered pairs of letter indices to Elements over
+    packed words, and a word's letters are read by ``ord``; values may
+    have any word length (length 2 keeps words the same size, length 1
+    merges two letters into one, a zero value drops the term).  Letters after
     pos+1 are carried along untouched, which lets a caller tag each word
     with a trailing letter that no rewrite reads.  The sum is built
     inline, and a coefficient of 1 multiplies nothing.
@@ -256,12 +274,14 @@ def apply_local(table: Mapping, pos: int, x: Element) -> Element:
     out: dict[Word, Scalar] = {}
     get, i, j = table.get, pos - 1, pos + 1
     for word, c in x._terms.items():
-        entry = get(word[i:j])
+        try:
+            pair = (ord(word[i]), ord(word[pos]))
+        except IndexError:
+            raise StructuralError(
+                f"position {pos} out of range for word of length {len(word)}") from None
+        entry = get(pair)
         if entry is None:
-            if len(word) < j:
-                raise StructuralError(
-                    f"position {pos} out of range for word of length {len(word)}")
-            raise StructuralError(f"no table entry for letter pair {word[i:j]!r}")
+            raise StructuralError(f"no table entry for letter pair {pair!r}")
         for mid, c2 in entry._terms.items():
             key = word[:i] + mid + word[j:]
             if c is not _ONE:
@@ -293,9 +313,10 @@ def letter_table(entries: Mapping, dim: int, alphabet) -> dict:
 
 def letters_over(value: Element, dim: int, alphabet, what: str) -> Element:
     """A copy of ``value`` tagged with ``alphabet``, which must be a combination
-    of the letters 0..dim-1; ``what`` names it in the error."""
-    if not isinstance(value, Element) \
-            or any(len(word) != 1 or not (0 <= word[0] < dim) for word in value._terms):
+    of the letters 0..dim-1, each a packed one-letter word; ``what`` names it
+    in the error."""
+    if not isinstance(value, Element) or any(
+            type(word) is not str or len(word) != 1 or ord(word) >= dim for word in value._terms):
         raise StructuralError(f"{what} must be a combination of letters")
     return Element._wrap(dict(value._terms), alphabet)
 

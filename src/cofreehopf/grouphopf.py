@@ -57,7 +57,8 @@ from operator import add, neg
 from typing import NamedTuple, Sequence
 
 from .checks import PASS, CheckResult, fail
-from .elements import Element, accumulate, adjoin_unit_letter, letter_table, letters_over
+from .elements import (Element, accumulate, adjoin_unit_letter, letter_table, letters_over,
+                       pack_word)
 from .errors import Frozen, StructuralError
 from .scalars import Scalar
 
@@ -158,8 +159,8 @@ def _compose(a: tuple[Element, ...], b: tuple[Element, ...]) -> tuple[Element, .
     images, one = [], Scalar.one()
     for image in b:
         out: dict = {}
-        for (j,), c in image._terms.items():
-            for key, d in a[j]._terms.items():
+        for j, c in image._terms.items():
+            for key, d in a[ord(j)]._terms.items():
                 accumulate(out, key, d if c is one else d * c)
         images.append(Element._wrap(out, image.alphabet))
     return tuple(images)
@@ -169,15 +170,15 @@ def _inverse(a: tuple[Element, ...]) -> tuple[Element, ...]:
     """The letter images of A^-1 from those of A, by the Faddeev-LeVerrier
     recurrence.  StructuralError when A is singular or det A is not a monomial."""
     one, zero = Scalar.one(), Scalar.zero()
-    m = tuple(Element._wrap({(j,): one}, image.alphabet) for j, image in enumerate(a))
+    m = tuple(Element._wrap({chr(j): one}, image.alphabet) for j, image in enumerate(a))
     c = one
     for k in range(1, len(a) + 1):
         am = _compose(a, m)
-        c = sum((image._terms.get((j,), zero) for j, image in enumerate(am)), zero) \
+        c = sum((image._terms.get(chr(j), zero) for j, image in enumerate(am)), zero) \
             * Fraction(-1, k)
         if k < len(a):
             for j, image in enumerate(am):  # fresh from _compose: AM + cI in place
-                accumulate(image._terms, (j,), c)
+                accumulate(image._terms, chr(j), c)
             m = am
     if not c:
         raise StructuralError("matrix is singular")
@@ -197,10 +198,10 @@ class YDSpec(Frozen):
 
     ``degrees[j]`` is the coaction degree of letter j; ``action[k][j]`` is
     the image of letter j under the k-th group generator, an Element over
-    one-letter words (the j-th column of that generator's matrix).
+    packed one-letter words (the j-th column of that generator's matrix).
     ``mult`` carries structure constants making the module an algebra in
     the category, in the same format: its values are Elements over
-    one-letter words.  The spec stores the total table that
+    packed one-letter words.  The spec stores the total table that
     ``letter_table`` builds from it, zero at every missing pair, so
     leaving ``mult`` out gives the zero multiplication, whose ``star`` is
     Rosso's quantum shuffle product.  ``unit`` optionally names a
@@ -230,7 +231,7 @@ class YDSpec(Frozen):
             for k, images in enumerate(action)))
         one = Scalar.one()
         self._cache[("act", group.identity())] = tuple(
-            Element._wrap({(j,): one}, self) for j in range(dim))
+            Element._wrap({chr(j): one}, self) for j in range(dim))
         for k, images in enumerate(self.action):
             g = group.generator(k)
             self._cache[("act", g)] = images
@@ -285,10 +286,12 @@ class YDSpec(Frozen):
     def act_letter(self, g: GroupElement, j: int) -> Element:
         return self.action_matrix(g)[j]
 
-    def act_word(self, g: GroupElement, word: tuple[int, ...]) -> Element:
-        """Diagonal action of a group-like on a tensor word, letterwise."""
+    def act_word(self, g: GroupElement, word) -> Element:
+        """Diagonal action of a group-like on a tensor word, packed or a tuple
+        of letters, letterwise."""
         images = self.action_matrix(g)
-        return reduce(Element.tensor, (images[letter] for letter in word), Element.unit(self))
+        return reduce(Element.tensor, (images[ord(letter)] for letter in pack_word(word)),
+                      Element.unit(self))
 
     # -- derived structures --------------------------------------------------
 
@@ -298,7 +301,7 @@ class YDSpec(Frozen):
         if cached is None:
             from .braid import BraidingTable
             cached = self._cache["braiding"] = BraidingTable(self.dim, {
-                (a, b): moved.relabel(lambda w: w + (a,))
+                (a, b): moved.relabel(lambda w: w + chr(a))
                 for a in range(self.dim)
                 for b, moved in enumerate(self.action_matrix(self.degrees[a]))}, alphabet=self)
         return cached
@@ -336,8 +339,8 @@ def check_yetter_drinfeld(spec: YDSpec) -> CheckResult:
         h = group.generator(k)
         for j, image in enumerate(images):
             hd = group.multiply(h, spec.degrees[j])
-            lhs = image.rekey(lambda w: ((hd, w[0]),))
-            rhs = image.rekey(lambda w: ((group.multiply(spec.degrees[w[0]], h), w[0]),))
+            lhs = image.rekey(lambda w: ((hd, w),))
+            rhs = image.rekey(lambda w: ((group.multiply(spec.degrees[ord(w)], h), w),))
             if lhs != rhs:
                 return fail("yetter-drinfeld", (spec.names[j], f"g{k + 1}"), lhs, rhs)
     return PASS
@@ -354,15 +357,15 @@ def check_yd_module_algebra(spec: YDSpec) -> CheckResult:
     for a in range(spec.dim):
         for b in range(spec.dim):
             target = group.multiply(spec.degrees[a], spec.degrees[b])
-            for (i,), _ in spec.mult[(a, b)]._terms.items():
+            for i in map(ord, spec.mult[(a, b)]._terms):
                 if spec.degrees[i] != target:
                     return fail("mult-degree", (spec.names[a], spec.names[b]),
                                 spec.degrees[i], target)
     for k, images in enumerate(spec.action):
         for a in range(spec.dim):
             for b in range(spec.dim):
-                lhs = spec.mult[(a, b)].map_words(lambda w: images[w[0]], alphabet=spec)
-                rhs = images[a].bilinear(images[b], lambda i, j: spec.mult[(i[0], j[0])])
+                lhs = spec.mult[(a, b)].map_words(lambda w: images[ord(w)], alphabet=spec)
+                rhs = images[a].bilinear(images[b], lambda i, j: spec.mult[(ord(i), ord(j))])
                 if lhs != rhs:
                     return fail("mult-equivariance",
                                 (spec.names[a], spec.names[b], f"g{k + 1}"), lhs, rhs)

@@ -11,31 +11,32 @@ tail, and a merge that the multiplication kills costs no tail product.
 A tail product is scaled term by term as it is added into the result,
 never copied whole first, and a coefficient of 1 multiplies nothing.
 
-Inside the recursion a word is packed, one code point per letter, so a
-prepend copies bytes and each word is hashed once.  The memo is one
-``lru_cache`` per spec, ``spec._cache["qsh"]``, from packed word pairs to
-dicts over packed words, and dies with the spec.  ``qsh_words`` reads it
-for one pair of tuple words, and unpacks the output words into tuples of
-its own, which die with the product; ``quasi_shuffle``, the smash
-product and the diamond product all go through it.  Each letter of
-the deeper factor costs 3 frames (the memo's wrapper, the memoised
-function and the clause, which calls the memo itself): one more per
-level stops one letter times a 300-letter word under the default
-recursion limit.
+A word is packed, one code point per letter, as everywhere in the
+package, so a prepend copies characters and each word is hashed once.
+The memo is one ``lru_cache`` per spec, ``spec._cache["qsh"]``, from
+packed word pairs to dicts over packed words, and dies with the spec.
+``qsh_words`` reads it for one pair of words and wraps the memo's dict
+as it is, with no copy and no conversion, so an element it returns must
+not be changed in place (no operation of the package does);
+``quasi_shuffle``, the smash product and the diamond product all go
+through it.  Each letter of the deeper factor costs 3 frames (the
+memo's wrapper, the memoised function and the clause, which calls the
+memo itself): one more per level stops one letter times a 300-letter
+word under the default recursion limit.
 
 Each level needs the crossing B(u, b) = beta_{|u|,1}(u (x) b) of the right
 head b across the left word: B(u', b) feeds the merge move and B(u, b)
-the braid move.  Since B(u, b) = sigma_1(u_0 . B(u', b)) with B((), b) = b,
-``crossing`` memoises B per (suffix, letter) in ``spec._cache["crossing"]``
-and fills it by a loop from the right end of the word, so each suffix is
-braided once, with one braiding at position 1, however many levels ask
-for it.  Each level recurses on (u', v) before it braids, so a word too
-deep for the recursion fails before any braiding work is spent on it.
-An internal oracle, ``quasi_shuffle_general_clause``, runs the same
-clause without the crossing memo: it sweeps B(u', b) with
-``block_braiding`` at every level, as an independent check on that memo.
-Its word-pair memo is made and emptied by each call, so no spec outlives
-the call in it.
+the braid move.  Since B(u, b) = sigma_1(u_0 . B(u', b)) with B("", b) = b,
+``crossing`` memoises B per (packed suffix, packed letter) in
+``spec._cache["crossing"]`` and fills it by a loop from the right end of
+the word, so each suffix is braided once, with one braiding at position
+1, however many levels ask for it.  Each level recurses on (u', v)
+before it braids, so a word too deep for the recursion fails before any
+braiding work is spent on it.  An internal oracle,
+``quasi_shuffle_general_clause``, runs the same clause without the
+crossing memo: it sweeps B(u', b) with ``block_braiding`` at every
+level, as an independent check on that memo.  Its word-pair memo is
+made and emptied by each call, so no spec outlives the call in it.
 
 ``check_braided_algebra`` evaluates its laws on V^3 through
 ``checks.first_failure``, sharing m and sigma at 1 and 2 among the three.
@@ -50,7 +51,7 @@ from functools import lru_cache, partial
 from .braid import BraidingTable, block_braiding
 from .checks import PASS, CheckResult, fail, first_failure, nonempty
 from .elements import (Element, _pair_alphabet, accumulate, adjoin_unit_letter, apply_local,
-                       letter_table)
+                       letter_table, pack_word)
 from .errors import Frozen, StructuralError
 from .scalars import _ONE, Scalar
 
@@ -143,22 +144,6 @@ def adjoin_unit(spec: BraidedAlgebraSpec) -> BraidedAlgebraSpec:
     return BraidedAlgebraSpec(dim + 1, braiding, mult, unit, names, alphabet)
 
 
-def _pack(word: tuple) -> str:
-    """A word as a string of one code point per letter (``chr(letter)``),
-    through the Latin-1 codec, nearly twice as fast, when it can."""
-    try:
-        return bytes(word).decode("latin-1")
-    except ValueError:  # a letter of 256 or more
-        return "".join(map(chr, word))
-
-
-def _unpack(packed: str) -> tuple:
-    try:
-        return tuple(packed.encode("latin-1"))
-    except UnicodeEncodeError:
-        return tuple(map(ord, packed))
-
-
 def _qsh_packed(spec: BraidedAlgebraSpec):
     """The spec's memo ``memo(spec, u, v)``, the terms of u qsh v over packed
     words: an ``lru_cache`` over ``_qsh_words`` made on first use."""
@@ -168,13 +153,9 @@ def _qsh_packed(spec: BraidedAlgebraSpec):
     return memo
 
 
-def _unpacked(spec: BraidedAlgebraSpec, terms: dict) -> Element:
-    return Element._wrap({_unpack(w): c for w, c in terms.items()}, spec.alphabet)
-
-
-def qsh_words(spec: BraidedAlgebraSpec, u: tuple, v: tuple) -> Element:
-    """u qsh v for two words, through the spec's memo."""
-    return _unpacked(spec, _qsh_packed(spec)(spec, _pack(u), _pack(v)))
+def qsh_words(spec: BraidedAlgebraSpec, u: str, v: str) -> Element:
+    """u qsh v for two packed words: the spec's memo entry, wrapped."""
+    return Element._wrap(_qsh_packed(spec)(spec, u, v), spec.alphabet)
 
 
 def _qsh_words(spec: BraidedAlgebraSpec, u: str, v: str) -> dict[str, Scalar]:
@@ -189,11 +170,12 @@ def _qsh_general(spec: BraidedAlgebraSpec, u: str, v: str, rec, crossings) -> di
         return {u + v: _ONE}
     head, rest = u[0], v[1:]
     out = {head + w: c for w, c in rec(spec, u[1:], v).items()}
-    shifted, moved = crossings(spec, _unpack(u), ord(v[0]))
-    steps = [(chr(word[0]), coeff, _pack(word[1:])) for word, coeff in moved._terms.items()]
+    shifted, moved = crossings(spec, u, v[0])
+    steps = [(word[0], coeff, word[1:]) for word, coeff in moved._terms.items()]
+    mult, left = spec.mult, ord(head)
     for word, coeff in shifted._terms.items():
-        steps.extend((chr(d), coeff * c, _pack(word[1:]))
-                     for (d,), c in spec.mult[(ord(head), word[0])]._terms.items())
+        steps.extend((d, coeff * c, word[1:])
+                     for d, c in mult[(left, ord(word[0]))]._terms.items())
     for letter, coeff, tail in steps:
         terms = rec(spec, tail, rest) if rest else {tail: coeff}
         scale = rest and coeff is not _ONE
@@ -202,8 +184,9 @@ def _qsh_general(spec: BraidedAlgebraSpec, u: str, v: str, rec, crossings) -> di
     return out
 
 
-def crossing(spec: BraidedAlgebraSpec, u: tuple, b: int) -> Element:
-    """B(u, b) = beta_{|u|,1}(u (x) b): the letter b braided across the word u.
+def crossing(spec: BraidedAlgebraSpec, u: str, b: str) -> Element:
+    """B(u, b) = beta_{|u|,1}(u (x) b): the letter b braided across the word u,
+    both packed.
 
     Memoised per (suffix, letter) on the spec; a miss extends the longest
     memoised suffix of u leftwards by B(u, b) = sigma_1(u_0 . B(u', b)).
@@ -212,27 +195,27 @@ def crossing(spec: BraidedAlgebraSpec, u: tuple, b: int) -> Element:
     k = 0
     while k < len(u) and (u[k:], b) not in memo:
         k += 1
-    out = memo[(u[k:], b)] if k < len(u) else Element.from_word((b,), alphabet=spec.alphabet)
+    out = memo[(u[k:], b)] if k < len(u) else Element._wrap({b: _ONE}, spec.alphabet)
     for i in range(k - 1, -1, -1):
         out = spec.braiding.apply(_prepend(u[i], out))
         memo[(u[i:], b)] = out
     return out
 
 
-def _memo_crossings(spec: BraidedAlgebraSpec, u: tuple, b: int) -> tuple[Element, Element]:
+def _memo_crossings(spec: BraidedAlgebraSpec, u: str, b: str) -> tuple[Element, Element]:
     """(B(u', b), B(u, b)) from the spec's memo."""
     return crossing(spec, u[1:], b), crossing(spec, u, b)
 
 
-def _swept_crossings(spec: BraidedAlgebraSpec, u: tuple, b: int) -> tuple[Element, Element]:
+def _swept_crossings(spec: BraidedAlgebraSpec, u: str, b: str) -> tuple[Element, Element]:
     """(B(u', b), B(u, b)) for the oracle: one block sweep, then sigma_1."""
     shifted = block_braiding(
-        spec.braiding, len(u) - 1, 1, Element.from_word(u[1:] + (b,), alphabet=spec.alphabet))
+        spec.braiding, len(u) - 1, 1, Element._wrap({u[1:] + b: _ONE}, spec.alphabet))
     return shifted, spec.braiding.apply(_prepend(u[0], shifted))
 
 
-def _prepend(letter: int, x: Element) -> Element:
-    return Element._wrap({(letter,) + w: c for w, c in x._terms.items()}, x.alphabet)
+def _prepend(letter: str, x: Element) -> Element:
+    return Element._wrap({letter + w: c for w, c in x._terms.items()}, x.alphabet)
 
 
 def quasi_shuffle(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
@@ -248,7 +231,7 @@ def quasi_shuffle_general_clause(spec: BraidedAlgebraSpec, x: Element, y: Elemen
         return _qsh_general(spec, u, v, words, _swept_crossings)
 
     try:
-        return x.bilinear(y, lambda u, v: _unpacked(spec, words(spec, _pack(u), _pack(v))),
+        return x.bilinear(y, lambda u, v: Element._wrap(words(spec, u, v), spec.alphabet),
                           cls=Element, alphabet=spec.alphabet)
     finally:  # the memo and its function form a cycle: empty it now, not at a collection
         words.cache_clear()
@@ -264,31 +247,31 @@ def check_quasi_shuffle_bialgebra(spec: BraidedAlgebraSpec,
                                   pairs) -> CheckResult:
     """Coproduct compatibility of the quasi-shuffle product.
 
-    For each sample pair of basis words, deconcatenating the product
-    must equal multiplying the deconcatenations componentwise after
-    braiding the two middle tensor legs across each other.
+    For each sample pair of basis words (tuples of letters, or packed),
+    deconcatenating the product must equal multiplying the
+    deconcatenations componentwise after braiding the two middle tensor
+    legs across each other.  A failure's witness is the pair as given.
     """
     qsh = _qsh_packed(spec)
-    for u, v in nonempty(pairs):
-        lhs = deconcat(Element._wrap(qsh(spec, _pack(u), _pack(v)), spec.alphabet))
+    for sample in nonempty(pairs):
+        u, v = map(pack_word, sample)
+        lhs = deconcat(Element._wrap(qsh(spec, u, v), spec.alphabet))
         rhs: dict[tuple, Scalar] = {}
         for i in range(len(u) + 1):
-            u1, u2 = _pack(u[:i]), u[i:]
+            u1, u2 = u[:i], u[i:]
             for j in range(len(v) + 1):
-                v1, v2 = v[:j], _pack(v[j:])
+                v1, v2 = v[:j], v[j:]
                 crossed = block_braiding(
-                    spec.braiding, len(u2), len(v1),
-                    Element.from_word(u2 + v1, alphabet=spec.alphabet),
+                    spec.braiding, len(u2), len(v1), Element._wrap({u2 + v1: _ONE}, spec.alphabet),
                 )._terms if u2 and v1 else {u2 + v1: _ONE}
                 for word, c in crossed.items():
-                    left = qsh(spec, u1, _pack(word[:len(v1)]))
-                    right = qsh(spec, _pack(word[len(v1):]), v2)
+                    left = qsh(spec, u1, word[:len(v1)])
+                    right = qsh(spec, word[len(v1):], v2)
                     for wl, cl in left.items():
                         for wr, cr in right.items():
                             accumulate(rhs, (wl, wr), c * cl * cr)
         if lhs._terms != rhs:
-            sides = (lhs, Element._wrap(rhs, lhs.alphabet))
-            return fail("quasi-shuffle-bialgebra", (u, v), *(side.relabel(
-                lambda pair: tuple(map(_unpack, pair))) for side in sides))
+            return fail("quasi-shuffle-bialgebra", tuple(sample), lhs,
+                        Element._wrap(rhs, lhs.alphabet))
     return PASS
 

@@ -64,23 +64,23 @@ def rb_double_product(inst: RBInstance, x, y):
     return prod(x, op(y)) + prod(op(x), y) + prod(x, y).scale(inst.weight)
 
 
-def _unit(spec) -> int:
-    """The unit letter of ``spec``, which every operator here prepends."""
+def _unit(spec) -> str:
+    """The unit letter of ``spec``, packed, which every operator here prepends."""
     if spec.unit is None:
         raise StructuralError("operator needs a unital spec; adjoin a unit first")
-    return spec.unit
+    return chr(spec.unit)
 
 
 def unit_prepend(spec: BraidedAlgebraSpec, x: Element) -> Element:
     """The weight-1 operator: scalars to the unit letter, words get it prepended."""
     unit = _unit(spec)
-    return x.relabel(lambda w: (unit,) + w)
+    return x.relabel(lambda w: unit + w)
 
 
 def diamond_product(spec: BraidedAlgebraSpec, u: Element, w: Element) -> Element:
     """Product on head-distinguished words: multiply the heads after
     braiding the right head across the left tail, quasi-shuffle the tails."""
-    if () in u._terms:
+    if "" in u._terms:
         raise StructuralError("head-distinguished words must be nonempty")
     zero = Element.zero(spec.alphabet)
 
@@ -91,7 +91,7 @@ def diamond_product(spec: BraidedAlgebraSpec, u: Element, w: Element) -> Element
         b, y = ww[0], ww[1:]
 
         def heads_then_tails(word2):  # the tail quasi-shuffle is skipped under a zero head
-            merged = spec.mult[(a, word2[0])]
+            merged = spec.mult[(ord(a), ord(word2[0]))]
             return merged.tensor(qsh_words(spec, word2[1:], y)) if merged else zero
 
         return crossing(spec, x, b).map_words(heads_then_tails, alphabet=spec.alphabet)
@@ -102,7 +102,7 @@ def diamond_product(spec: BraidedAlgebraSpec, u: Element, w: Element) -> Element
 def head_shift(spec: BraidedAlgebraSpec, x: Element) -> Element:
     """The operator of the head-distinguished algebra: new unit head."""
     _unit(spec)  # a missing unit is reported before an empty word
-    if () in x._terms:
+    if "" in x._terms:
         raise StructuralError("head-distinguished words must be nonempty")
     return unit_prepend(spec, x)
 
@@ -139,7 +139,7 @@ def check_double_product_isomorphism(spec: BraidedAlgebraSpec,
 def smash_rb_operator(s: SmashElement) -> SmashElement:
     """Apply the unit-prepending operator to the word leg, fix the group tag."""
     unit = _unit(s.spec)
-    return s.relabel(lambda key: ((unit,) + key[0], key[1]))
+    return s.relabel(lambda key: (unit + key[0], key[1]))
 
 
 def cotensor_rb_operator(x: CotensorElement) -> CotensorElement:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 
 import pytest
@@ -57,10 +58,33 @@ def hoffman4():
     return hoffman_spec(4)
 
 
+def letters(word: str) -> tuple[int, ...]:
+    """A packed word, as the package holds tensor words, read back as its letters."""
+    return tuple(map(ord, word))
+
+
+def graded_yd_config(seed: int) -> str:
+    """The config text of a random YD module algebra over K[Z] with a nonzero
+    product, built to satisfy every axiom: letters x_a for a in {1, ..., k},
+    k = 2 or 3, of degree K{a}; the generator acts on x_a by q^(s a), and
+    x_a x_b = q^(w a b) x_{a+b} when a + b <= k, else 0.  The twist
+    q^(w a b) is bilinear, so the product is associative; the induced
+    braiding is the bicharacter q^(s a b) of the grading, with which a
+    graded product is compatible.  Derandomized: one config per seed."""
+    rnd = random.Random(seed)
+    k, s, w = rnd.choice((2, 3, 3)), rnd.randint(-2, 2), rnd.randint(-2, 2)
+    lines = ["[group]", "rank = 1", "", "[basis]", *(f"x{a} = {a}" for a in range(1, k + 1)),
+             "", "[action]", "g1 = " + ", ".join(f"q^{s * a}" for a in range(1, k + 1)),
+             "", "[mult]"]
+    lines += [f"x{a} x{b} -> q^{w * a * b} x{a + b}"
+              for a in range(1, k) for b in range(1, k + 1 - a)]
+    return "\n".join(lines) + "\n"
+
+
 def column_images(*columns):
     """Letter images written as a config's column lines: the image of letter j
     by its coefficients in basis order."""
-    return tuple(Element({(i,): c for i, c in enumerate(column)}) for column in columns)
+    return tuple(Element({chr(i): c for i, c in enumerate(column)}) for column in columns)
 
 
 def assert_frozen(record, fields: tuple[str, ...]) -> None:

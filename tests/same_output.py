@@ -8,7 +8,10 @@ The corpus is built here, with a seeded generator, so both trees run the
 very same calls: every command with seeded inputs on each good config
 (chain words and smash tags with negative exponents among them), every
 ``check`` law at ``--max-degree`` 0-2 in text and JSON, ``--emit-config``,
-``preset``, malformed configs and usage errors.  The preset configs are
+``preset``, malformed configs and usage errors; then long words: CI's
+300-letter periodic word on ``clifford2`` through ``qsh`` (both orders),
+``smash-star``, ``comul`` and ``phi``, and a 300-letter rank-0 config whose
+``[mult]`` multiplies letters past 256.  The preset configs are
 written by the work tree's ``preset`` command; the ``preset`` calls in the
 corpus compare that text too.  Each tree runs the whole corpus through
 ``cofreehopf.cli.main`` in one child interpreter, the revision from
@@ -83,6 +86,15 @@ MALFORMED = {
     "duplicate-letter": "[group]\nrank = 0\n\n[basis]\na =\na =\n",
     "mult-unknown-letter": "[group]\nrank = 0\n\n[basis]\nx1 =\n\n[mult]\nx1 x9 -> x1\n",
 }
+
+# 300 letters x1..x300 over the trivial group: code points past 255 in every
+# layer, with products among the last letters (no check runs on it: the
+# laws range over all words of three letters)
+WIDE = ("[group]\nrank = 0\n\n[basis]\n" + "".join(f"x{i} =\n" for i in range(1, 301))
+        + "\n[mult]\nx257 x258 -> x256\nx300 x257 -> 2 x299\nx258 x257 -> -x1\n")
+
+# CI's periodic word, 300 letters: deep enough to test the recursion, under its limit
+LONG = "@".join(("v1", "v2", "v2", "v1", "v2")[k % 5] for k in range(300))
 
 PRESETS = {
     "clifford2": ["preset", "clifford", "--n", "2"],
@@ -209,6 +221,16 @@ def corpus(configs: dict[str, str], directory: Path) -> list[list[str]]:
     for name in MALFORMED:
         path = str(directory / f"{name}.cfg")
         calls += [["--config", path, "check", "yd"], ["--config", path, "--emit-config"]]
+    clifford, wide = str(directory / "clifford2.cfg"), str(directory / "wide.cfg")
+    calls += [["--config", wide, "--emit-config"], ["--config", wide, "check", "yd"]]
+    for fmt in ("text", "json"):
+        calls += [["--config", clifford, "--format", fmt, *args] for args in (
+            ["qsh", LONG, "v1"], ["qsh", "v1", LONG], ["smash-star", LONG, "v1#K{1}"],
+            ["comul", LONG], ["phi", LONG])]
+        calls += [["--config", wide, "--format", fmt, *args] for args in (
+            ["qsh", "x257@x1@x258", "x258@x300 + q x257"], ["star", "x257@x258", "x300@x257"],
+            ["smash-star", "x300@x257#K{}", "2 x257@x258"], ["comul", "x258@x257"],
+            ["phi", "x257.K{}[]x258.K{}"], ["psi", "x300@x257"], ["rb-apply", "x257"])]
     return calls
 
 
@@ -224,7 +246,7 @@ def write_configs(directory: Path) -> dict[str, str]:
         if code != 0:
             sys.exit(f"preset {name} failed: {err}")
         configs[name] = out
-    for name, text in {**configs, **MALFORMED}.items():
+    for name, text in {**configs, **MALFORMED, "wide": WIDE}.items():
         (directory / f"{name}.cfg").write_text(text, encoding="utf-8")
     return configs
 

@@ -244,7 +244,7 @@ def test_record_reprs_are_pinned():
     spec = _one_letter_spec()
     text = ("YDSpec(group=AbelianGroup(rank=1, torsion=()), names=('a',), "
             "degrees=(GroupElement(free=(1,), torsion=()),), "
-            "action=((Element({(0,): Scalar({1: 1})}),),), "
+            "action=((Element({'\\x00': Scalar({1: 1})}),),), "
             "mult={(0, 0): Element({})}, unit=None)")
     assert repr(spec) == text and "_cache" not in repr(spec)
     assert repr(ConfigDocument(spec)) \

@@ -587,7 +587,7 @@ def test_rb_counterexample_renders_the_adjoined_unit_letter(run, clifford_config
 
     def failing(inst, samples):  # fails on the first sample holding the unit letter
         for x, y in samples:
-            if any(5 in word for word in x.support() + y.support()):
+            if any(chr(5) in word for word in x.support() + y.support()):
                 return fail("rota-baxter", (x, y), inst.operator(x), inst.operator(y))
 
     monkeypatch.setattr(rotabaxter, "check_rota_baxter", failing)

@@ -124,7 +124,7 @@ def test_parse_matrix_action():
     spec = doc.spec
     k = spec.group.generator(0)
     assert spec.act_letter(k, 1) == Element(
-        {(0,): Scalar.one(), (1,): Scalar.one()}, spec)
+        {"\0": Scalar.one(), "\1": Scalar.one()}, spec)
     assert check_yetter_drinfeld(spec)
 
 
@@ -391,15 +391,15 @@ def test_conflicting_action_lines_are_rejected(action, message):
 def test_column_lines_for_different_letters_combine():
     doc = parse_config(TWO_LETTERS + "g1.b = 1, 1\ng1.a = 1, 0\n")
     one = Scalar.one()
-    assert [image._terms for image in doc.spec.action[0]] == [{(0,): one},
-                                                              {(0,): one, (1,): one}]
+    assert [image._terms for image in doc.spec.action[0]] == [{"\0": one},
+                                                              {"\0": one, "\1": one}]
     assert emit_config(doc) == UNIPOTENT_EMITTED
 
 
 def test_parenthesised_scalars_in_an_action_list():
     doc = parse_config(TWO_LETTERS + "g1 = (2*q^3), -(q^-1)\n")
-    assert doc.spec.action[0][0]._terms[(0,)] == Scalar.q_power(3, 2)
-    assert doc.spec.action[0][1]._terms[(1,)] == Scalar.q_power(-1, -1)
+    assert doc.spec.action[0][0]._terms["\0"] == Scalar.q_power(3, 2)
+    assert doc.spec.action[0][1]._terms["\1"] == Scalar.q_power(-1, -1)
 
 
 @pytest.mark.parametrize("text,message", [

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from cofreehopf.braid import flip_braiding
-from cofreehopf.elements import Element, apply_local, canonical_key, render_element
+from cofreehopf.elements import Element, apply_local, canonical_key, pack_word, render_element
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec, diagonal_images
 from cofreehopf.qalg import BraidedAlgebraSpec
 from cofreehopf.scalars import Scalar
+
+from conftest import letters
 
 
 def letter_key(letter):
@@ -127,15 +129,15 @@ def test_tensor_and_map_words():
 
 def test_canonical_order_is_lexicographic():
     x = Element.from_word((1,)) + Element.from_word((0, 1), 2) + Element.from_word(())
-    assert [w for w, _ in x.terms()] == [(), (0, 1), (1,)]
+    assert [letters(w) for w, _ in x.terms()] == [(), (0, 1), (1,)]
 
 
 def test_rendering():
     x = Element.from_word((0, 0), 2) + Element.from_word((1,))
     names = {0: "x1", 1: "x2"}
-    assert render_element(x, lambda l: names[l]) == "2 x1@x1 + x2"
+    assert render_element(x, lambda l: names[ord(l)]) == "2 x1@x1 + x2"
     y = Element.from_word((0,), -1) + Element.from_word((1,), Scalar.q_power(-2))
-    assert render_element(y, lambda l: names[l]) == "−x1 + q^-2 x2"
+    assert render_element(y, lambda l: names[ord(l)]) == "−x1 + q^-2 x2"
     assert render_element(Element.zero()) == "0"
     z = Element.from_word((), Scalar.one() - Scalar.q_power(1))
     assert render_element(z, str) == "(1 - q)"
@@ -190,7 +192,7 @@ def _assert_result(out, expected):
 def test_core_matches_reference_loop(seed):
     rnd = random.Random(seed)
     x = _cancelling_element(rnd, "A")
-    y = _cancelling_element(rnd, "A") + Element.from_word((), rnd.choice(_COEFFS), "A")
+    y = _cancelling_element(rnd, "A") + Element({(): rnd.choice(_COEFFS)}, "A")
     one = Scalar.one()
 
     expected = _reference((c, _image(w)) for w, c in x._terms.items())
@@ -252,3 +254,28 @@ def test_canonical_key_orders_every_key_kind_as_the_recursive_key(group):
             assert (canonical_key(a) < canonical_key(b)) == (letter_key(a) < letter_key(b)), \
                 (kind, a, b)
         assert sorted(keys, key=canonical_key) == sorted(keys, key=letter_key), kind
+
+
+@pytest.mark.parametrize("group", [AbelianGroup(1, (2,)), AbelianGroup(2)],
+                         ids=["rank1-torsion2", "rank2"])
+def test_canonical_key_orders_packed_words_as_their_letters(group):
+    # code-point order is the letters' lexicographic order: the empty word
+    # first, a word before its extensions, letters of 256 and more included
+    r = random.Random(36)
+    alphabet = (0, 1, 2, 255, 256, 257, 0xD7FF, 0x10FFFF)
+    words = [tuple(r.choice(alphabet) for _ in range(r.randint(0, 4))) for _ in range(40)]
+    words += [w[:k] for w in words[:10] for k in range(len(w))] + [()]
+    tags = [group.element([r.randint(-1, 1) for _ in range(group.n_generators)])
+            for _ in range(len(words))]
+    kinds = {
+        "tensor words": (words, pack_word),
+        "smash keys": (list(zip(words, tags)), lambda key: (pack_word(key[0]), key[1])),
+        "word pairs": (list(zip(words, reversed(words))),
+                       lambda key: (pack_word(key[0]), pack_word(key[1]))),
+    }
+    for kind, (keys, pack) in kinds.items():
+        for a, b in itertools.product(keys, repeat=2):
+            assert (canonical_key(pack(a)) < canonical_key(pack(b))) \
+                == (canonical_key(a) < canonical_key(b)), (kind, a, b)
+        assert sorted(map(pack, keys), key=canonical_key) \
+            == list(map(pack, sorted(keys, key=canonical_key))), kind

@@ -170,7 +170,7 @@ def test_diagonal_braiding_is_bicharacter_valued():
     for a in range(2):
         for b in range(2):
             [(word, chi)] = spec.act_letter(degrees[a], b).terms()
-            assert word == (b,)
+            assert word == chr(b)
             assert table.entries[(a, b)] == Element.from_word((b, a), chi, spec)
 
 
@@ -203,7 +203,7 @@ def test_negative_exponent_action_goes_through_matrix_inverse():
     spec = YDSpec(g, ("a", "b"), (k, k), (column_images((1, 0), (1, 1)),))
     for e in (-2, -3001, 3001):  # g^e sends b to e a + b
         image = spec.act_letter(g.element([e]), 1)
-        assert image == Element({(0,): Scalar.rational(e), (1,): one}, spec)
+        assert image == Element({"\0": Scalar.rational(e), "\1": one}, spec)
 
 
 def test_composed_actions_match_their_closed_forms():
@@ -215,22 +215,22 @@ def test_composed_actions_match_their_closed_forms():
     spec = YDSpec(group, ("x", "y"), (group.identity(),) * 2, (shear, column_images((q, 0), (q, q))))
     for n, m in itertools.product(exponents, repeat=2):
         g, c = group.element([n, m]), Scalar.q_power(m)
-        assert spec.act_letter(g, 0) == Element({(0,): c}, spec)
-        assert spec.act_letter(g, 1) == Element({(0,): c * Scalar.rational(n + m), (1,): c}, spec)
+        assert spec.act_letter(g, 0) == Element({"\0": c}, spec)
+        assert spec.act_letter(g, 1) == Element({"\0": c * Scalar.rational(n + m), "\1": c}, spec)
     # torsion 3 by the cyclic permutation: K{e} sends letter j to letter j + e
     group = AbelianGroup(rank=0, torsion=(3,))
     cycle = column_images((0, 1, 0), (0, 0, 1), (1, 0, 0))
     spec = YDSpec(group, ("a", "b", "c"), (group.identity(),) * 3, (cycle,))
     for e in exponents:
         for j in range(3):
-            assert spec.act_letter(group.element([e]), j) == Element({((j + e) % 3,): 1}, spec)
+            assert spec.act_letter(group.element([e]), j) == Element({chr((j + e) % 3): 1}, spec)
     # rank 1 by A plus torsion 2 by -I: K{n,t} sends x to (-1)^t x and y to (-1)^t (n x + y)
     group = AbelianGroup(rank=1, torsion=(2,))
     spec = YDSpec(group, ("x", "y"), (group.identity(),) * 2, (shear, diagonal_images([-1, -1])))
     for n, t in itertools.product(exponents, repeat=2):
         g, sign = group.element([n, t]), -1 if t % 2 else 1
-        assert spec.act_letter(g, 0) == Element({(0,): sign}, spec)
-        assert spec.act_letter(g, 1) == Element({(0,): sign * n, (1,): sign}, spec)
+        assert spec.act_letter(g, 0) == Element({"\0": sign}, spec)
+        assert spec.act_letter(g, 1) == Element({"\0": sign * n, "\1": sign}, spec)
 
 
 @pytest.mark.parametrize("entries", [(0, 1), (1, Scalar.one() + Scalar.q_power(1))])
@@ -272,7 +272,7 @@ def test_a_spec_holds_each_generators_images_once():
         assert all(image.alphabet is spec for image in spec.action[k])
         assert [image._terms for image in spec.action[k]] == [image._terms for image in given]
         assert [image._terms for image in unital.action[k]] \
-            == [image._terms for image in given] + [{(2,): Scalar.one()}]
+            == [image._terms for image in given] + [{"\2": Scalar.one()}]
 
 
 def test_large_exponents_act_without_recursion(uqg_a2):

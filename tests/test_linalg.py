@@ -25,8 +25,8 @@ def sparse(matrix):
 def inverse(matrix):
     """The inverse of a list of rows, through the letter images of its columns."""
     n = len(matrix)
-    images = _inverse(tuple(Element({(i,): matrix[i][j] for i in range(n)}) for j in range(n)))
-    return [[images[j]._terms.get((i,), Scalar.zero()) for j in range(n)] for i in range(n)]
+    images = _inverse(tuple(Element({chr(i): matrix[i][j] for i in range(n)}) for j in range(n)))
+    return [[images[j]._terms.get(chr(i), Scalar.zero()) for j in range(n)] for i in range(n)]
 
 
 def test_invertibility_over_the_fraction_field():

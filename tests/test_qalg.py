@@ -13,9 +13,9 @@ import pytest
 from cofreehopf.braid import BraidingTable, block_braiding, flip_braiding
 from cofreehopf.checks import fail
 from cofreehopf.config import ConfigDocument, emit_config, parse_config
-from cofreehopf.elements import Element
+from cofreehopf.elements import Element, pack_word
 from cofreehopf.errors import StructuralError
-from cofreehopf.grouphopf import braided_spec
+from cofreehopf.grouphopf import AbelianGroup, YDSpec, braided_spec
 from cofreehopf.qalg import (
     BraidedAlgebraSpec,
     adjoin_unit,
@@ -23,14 +23,12 @@ from cofreehopf.qalg import (
     check_quasi_shuffle_bialgebra,
     crossing,
     deconcat,
-    _pack,
-    _unpack,
     quasi_shuffle,
     quasi_shuffle_general_clause,
 )
 from cofreehopf.scalars import Scalar
 
-from conftest import diagonal_braiding, hoffman_spec, words_up_to
+from conftest import diagonal_braiding, hoffman_spec, letters, words_up_to
 
 
 def _word(spec, *letters, coeff=1):
@@ -192,7 +190,7 @@ def test_zero_mult_flip_degenerates_to_shuffle_counts():
                     for w in _shuffles(u, v):
                         counts[w] = counts.get(w, 0) + 1
                     expected = Element(
-                        {w: Scalar.rational(c) for w, c in counts.items()}, alphabet)
+                        {pack_word(w): Scalar.rational(c) for w, c in counts.items()}, alphabet)
                     got = quasi_shuffle(spec, Element.from_word(u, alphabet=alphabet),
                                         Element.from_word(v, alphabet=alphabet))
                     assert got == expected
@@ -271,8 +269,8 @@ def test_crossing_matches_the_block_sweep(clifford2, uqg_a2):
                 for b in range(spec.dim):
                     swept = block_braiding(spec.braiding, len(u), 1,
                                            Element.from_word(u + (b,), alphabet=spec.alphabet))
-                    assert crossing(spec, u, b) == swept
-        assert spec._cache["crossing"][((1, 0, 1), 0)] is crossing(spec, (1, 0, 1), 0)
+                    assert crossing(spec, pack_word(u), chr(b)) == swept
+        assert spec._cache["crossing"][("\1\0\1", "\0")] is crossing(spec, "\1\0\1", "\0")
 
 
 JORDAN = "[group]\nrank = 1\n\n[basis]\nx1 = 1\nx2 = 1\n\n[action]\ng1.x1 = 1, 0\ng1.x2 = 1, 1\n"
@@ -291,7 +289,7 @@ def test_crossing_has_the_closed_form_of_yd_data(uqg_a2):
             b = r.randrange(spec.dim)
             degree = reduce(spec.group.multiply, (spec.degrees[v] for v in u),
                             spec.group.identity())
-            assert crossing(bspec, u, b) \
+            assert crossing(bspec, pack_word(u), chr(b)) \
                 == spec.act_letter(degree, b).tensor(Element.from_word(u, alphabet=spec))
 
 
@@ -304,7 +302,7 @@ def test_arithmetic_on_a_product_leaves_the_memo_unchanged(uqg_a2):
         for u, v in (((0,), (1,)), ((0, 1), (1,)), ((1, 0, 1), (0, 1)), ((), (0, 1)), ((1,), ())):
             x, y = _word(spec, *u), _word(spec, *v)
             z = quasi_shuffle(spec, x, y)
-            memo = spec._cache["qsh"](spec, _pack(u), _pack(v))
+            memo = spec._cache["qsh"](spec, pack_word(u), pack_word(v))
             frozen = {w: dict(c._terms) for w, c in memo.items()}
             values = {w: dict(c._terms) for w, c in z._terms.items()}
             doubled, scaled = z + z, z.scale(q)
@@ -328,9 +326,10 @@ def test_the_general_clause_keeps_no_spec_alive():
 def test_a_word_packs_into_one_code_point_per_letter_and_back():
     for letter in (0, 255, 256, 0xD800, 65535, 65536, 0x10FFFF):
         for word in ((letter,), (letter, 0, letter), (1, letter, 300), ()):
-            packed = _pack(word)
+            packed = pack_word(word)
             assert len(packed) == len(word)
-            assert _unpack(packed) == word
+            assert tuple(map(ord, packed)) == word
+            assert pack_word(packed) is packed
 
 
 def test_words_over_more_than_256_letters_match_the_general_clause():
@@ -354,7 +353,44 @@ def test_words_over_more_than_256_letters_match_the_general_clause():
     product = quasi_shuffle(spec, x, y)
     assert product == quasi_shuffle_general_clause(spec, x, y)
     assert {len(word) for word in product.support()} == {5, 6, 7, 8}
-    assert {letter for word in product.support() for letter in word} == set(used)
+    assert {ord(letter) for word in product.support() for letter in word} == set(used)
+
+
+def test_a_rank_0_spec_past_256_letters_multiplies_and_renders_its_letters():
+    # Letters from 256 up take the non-Latin-1 path of pack_word.  Rank 0 acts
+    # trivially, so the braiding is the flip; its table holds just the pairs
+    # of letters the words use, as in the test above.
+    from cofreehopf.cli import _json_terms, _render_any
+    from cofreehopf.config import bind_plain_element
+    from cofreehopf.expr import parse_element_text
+
+    group, dim, used = AbelianGroup(0), 258, (0, 1, 255, 256, 257)
+    names = tuple(f"x{i}" for i in range(dim))
+    mult = {(256, 257): Element.from_word((255,), 2), (257, 256): Element.from_word((1,), -1),
+            (0, 256): Element.from_word((257,), Scalar.q_power(1))}
+    spec = YDSpec(group, names, (group.identity(),) * dim, (), mult)
+    braiding = BraidingTable.__new__(BraidingTable)
+    braiding.dim, braiding.alphabet = dim, spec
+    braiding.entries = {(a, b): Element.from_word((b, a), alphabet=spec)
+                        for a in used for b in used}
+    bspec = BraidedAlgebraSpec(dim, braiding, {pair: v for pair, v in spec.mult.items() if v},
+                               names=names, alphabet=spec)
+    render = _render_any(spec)
+    x256, x257 = (Element.from_word((a,), alphabet=spec) for a in (256, 257))
+    product = quasi_shuffle(bspec, x256, x257)
+    assert render(product) == "2 x255 + x256@x257 + x257@x256"
+    assert _json_terms("tensor", spec, product) == [
+        {"coeff": "2", "word": ["x255"]}, {"coeff": "1", "word": ["x256", "x257"]},
+        {"coeff": "1", "word": ["x257", "x256"]}]
+    x = Element.from_word((256, 0, 257), alphabet=spec) + Element.from_word((255, 1), 3, spec)
+    y = Element.from_word((257, 256), alphabet=spec) + Element.from_word((0,), alphabet=spec)
+    product = quasi_shuffle(bspec, x, y)
+    assert product == quasi_shuffle_general_clause(bspec, x, y)
+    assert {ord(letter) for word in product.support() for letter in word} == set(used)
+    text = render(product)
+    assert bind_plain_element(spec, parse_element_text(text)) == product, text
+    assert [term["word"] for term in _json_terms("tensor", spec, product)] \
+        == [[f"x{a}" for a in letters(word)] for word in product.support()]
 
 
 def test_associativity_samples(clifford2, hoffman4):
@@ -374,7 +410,7 @@ def test_grading_conservation(uqg_a2):
 
     def word_degree(word):
         out = spec.group.identity()
-        for letter in word:
+        for letter in map(ord, pack_word(word)):
             out = spec.group.multiply(out, spec.degrees[letter])
         return out
 
@@ -402,16 +438,16 @@ def _compositions(n: int):
             yield tuple(end - start for start, end in zip(bounds, bounds[1:]))
 
 
-def _hoffman_exp(spec: BraidedAlgebraSpec, word: tuple) -> Element:
+def _hoffman_exp(spec: BraidedAlgebraSpec, word) -> Element:
     """exp(w) = sum over compositions I of |w| of I[w] / I!, where I[w]
     multiplies the letters of each block of w together (Hoffman, 2000)."""
-    out = Element.zero(spec.alphabet)
+    word, out = letters(pack_word(word)), Element.zero(spec.alphabet)
     for blocks in _compositions(len(word)):
         term, start = Element.from_word((), alphabet=spec.alphabet), 0
         for size in blocks:
             merged = Element.from_word(word[start:start + 1], alphabet=spec.alphabet)
             for b in word[start + 1:start + size]:
-                merged = merged.map_words(lambda w, b=b: spec.mult[(w[0], b)])
+                merged = merged.map_words(lambda w, b=b: spec.mult[(ord(w), b)])
             term, start = term.tensor(merged), start + size
         weight = Fraction(1, math.prod(map(math.factorial, blocks)))
         out = out + term.scale(Scalar.rational(weight))
@@ -423,15 +459,15 @@ def test_hoffman_exponential_takes_the_shuffle_to_the_quasi_shuffle(hoffman4):
     braiding with zero multiplication, * the quasi-shuffle of hoffman4."""
     shuffle = _zero_mult_spec(4, hoffman4.alphabet)
     words = [w for n in range(5) for w in itertools.product(range(4), repeat=n)]
-    exp = {w: _hoffman_exp(hoffman4, w) for w in words}
+    exp = {pack_word(w): _hoffman_exp(hoffman4, w) for w in words}
     pairs = [(u, v) for u in words for v in words if len(u) + len(v) <= 4]
     for u, v in pairs:
         shuffled = quasi_shuffle(shuffle, _word(shuffle, *u), _word(shuffle, *v))
         lhs = shuffled.map_words(exp.__getitem__)
-        assert lhs == quasi_shuffle(hoffman4, exp[u], exp[v]), (u, v)
+        assert lhs == quasi_shuffle(hoffman4, exp[pack_word(u)], exp[pack_word(v)]), (u, v)
     assert len(pairs) == 1593
     half, sixth = Fraction(1, 2), Fraction(1, 6)
-    assert exp[(0, 0, 1)] == _word(hoffman4, 0, 0, 1) + _word(hoffman4, 1, 1, coeff=half) \
+    assert exp["\0\0\1"] == _word(hoffman4, 0, 0, 1) + _word(hoffman4, 1, 1, coeff=half) \
         + _word(hoffman4, 0, 2, coeff=half) + _word(hoffman4, 3, coeff=sixth)
 
 
@@ -451,13 +487,15 @@ def test_bialgebra_check_over_no_samples_is_an_error(hoffman4):
 
 def test_deconcat_examples():
     x = Element.from_word((0,))
-    assert deconcat(x) == Element({((), (0,)): 1, ((0,), ()): 1}, deconcat(x).alphabet)
+    assert deconcat(x) == Element({("", "\0"): 1, ("\0", ""): 1}, deconcat(x).alphabet)
     empty = deconcat(Element.unit())
-    assert empty == Element({((), ()): 1}, empty.alphabet)
+    assert empty == Element({("", ""): 1}, empty.alphabet)
 
 
 def _deconcat_terms(word: tuple) -> dict:
-    return deconcat(Element.from_word(word))._terms
+    """The terms of the deconcatenation by pairs of words read back as letters."""
+    return {(letters(u), letters(v)): c
+            for (u, v), c in deconcat(Element.from_word(word))._terms.items()}
 
 
 def _reduced_deconcat_terms(word: tuple) -> dict:
@@ -613,6 +651,7 @@ def test_hoffman_exponential_on_the_rank_0_config():
     for _ in range(40):
         u, v = (tuple(rnd.randrange(4) for _ in range(rnd.randint(1, 3))) for _ in range(2))
         shuffled = quasi_shuffle(shuffle, _word(shuffle, *u), _word(shuffle, *v))
+        u, v = pack_word(u), pack_word(v)
         exp = {w: _hoffman_exp(hoffman, w) for w in [u, v, *shuffled._terms]}
         lhs = shuffled.map_words(exp.__getitem__, alphabet=hoffman.alphabet)
         assert lhs == quasi_shuffle(hoffman, exp[u], exp[v]), (u, v)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from cofreehopf.cli import _render_any
 from cofreehopf.config import bind_cotensor_element, bind_plain_element, bind_smash_element
 from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, right_translate
-from cofreehopf.elements import Element
+from cofreehopf.elements import Element, pack_word
 from cofreehopf.expr import parse_element_text
 from cofreehopf.grouphopf import AbelianGroup, YDSpec, diagonal_images
 from cofreehopf.scalars import Scalar
@@ -89,7 +89,7 @@ def _smash_elements(draw, spec):
     out = SmashElement.zero(spec)
     for word in draw(st.lists(st.lists(st.integers(0, spec.dim - 1), max_size=3).map(tuple),
                               min_size=1, max_size=4)):
-        out = out + SmashElement(spec, {(word, draw(_tags(spec))): draw(_coefficients)})
+        out = out + SmashElement(spec, {(pack_word(word), draw(_tags(spec))): draw(_coefficients)})
     return out
 
 
@@ -129,7 +129,7 @@ def test_smash_text_covers_the_empty_word_rank_0_and_torsion():
     for spec, keys, expected in (
             (rank0, [((), ()), ((0, 0), ())], "q 1#K{} + q v0@v0#K{}"),
             (signs, [((), (1, 1)), ((1, 0), (-2, 1))], "q 1#K{1,1} + q v1@v0#K{-2,1}")):
-        x = SmashElement(spec, {(word, spec.group.element(g)): Scalar.q_power(1)
+        x = SmashElement(spec, {(pack_word(word), spec.group.element(g)): Scalar.q_power(1)
                                 for word, g in keys})
         text = _render_any(spec)(x)
         assert text == expected

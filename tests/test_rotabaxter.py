@@ -174,7 +174,7 @@ def test_double_product_detects_corrupted_operator(unital_clifford):
     spec = unital_clifford
     bad = RBInstance(lambda x, y: diamond_product(spec, x, y),
                      lambda x: Element(
-                         {(0,) + w: c for w, c in x._terms.items()}, x.alphabet),
+                         {"\0" + w: c for w, c in x._terms.items()}, x.alphabet),
                      Scalar.one())
     x, y = _elem(spec, (1,)), _elem(spec, (1,))
     assert rb_double_product(bad, x, y) != quasi_shuffle(spec, x, y)
@@ -186,7 +186,7 @@ def test_double_product_check_reports_the_first_pair_that_differs(unital_cliffor
     # no known spec fails the real check: the fault prepends v1, not the unit
     spec = unital_clifford
     bad = RBInstance(lambda x, y: diamond_product(spec, x, y),
-                     lambda x: Element({(0,) + w: c for w, c in x._terms.items()}, x.alphabet),
+                     lambda x: Element({"\0" + w: c for w, c in x._terms.items()}, x.alphabet),
                      Scalar.one())
     monkeypatch.setattr(rotabaxter, "diamond_rb_instance", lambda spec: bad)
     pairs = [(_elem(spec, u), _elem(spec, v)) for u in [(0,), (1,)] for v in [(0,), (1,)]]

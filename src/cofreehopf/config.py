@@ -26,8 +26,9 @@ that their failures are reportable.
 A loaded document (:class:`ConfigDocument`) is the spec itself: the
 module algebra as a :class:`YDSpec` (``doc.spec``), the
 :class:`BraidedAlgebraSpec` of a [braiding] override (``None`` without
-one), and the loading notes; ``doc.braided()`` is the braided algebra
-either way.
+one), and the loading notes.  ``doc.braided()`` is the braided algebra
+the products run on: the override when there is one, else ``doc.spec``
+itself, whose braiding is the induced one.
 Emission reads the same objects back out, so a document written by
 :func:`emit_config` parses to the same data and emits the same text.
 """
@@ -39,7 +40,7 @@ from functools import partial
 from .elements import Element, accumulate, pack_word, render_element
 from .errors import ConfigError, Frozen, StructuralError
 from .expr import ParsedElement, parse_element_text, parse_int_list, parse_scalar_list, tokenize
-from .grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec, diagonal_images
+from .grouphopf import AbelianGroup, GroupElement, YDSpec, diagonal_images
 from .scalars import Scalar, split_sign
 from .cotensor import (CotensorElement, SmashElement, chain_lift_word, check_chain_condition,
                        render_letter)
@@ -62,10 +63,10 @@ class ConfigDocument(Frozen):
             raise StructuralError("a spec with a unit letter has no config document")
         self._set(spec=spec, override=override, notes=notes)
 
-    def braided(self) -> BraidedAlgebraSpec:
-        """The braided algebra of the document: the override, or the one
-        its module algebra induces (built on first use, once per spec)."""
-        return braided_spec(self.spec) if self.override is None else self.override
+    def braided(self) -> BraidedAlgebraSpec | YDSpec:
+        """The braided algebra of the document: the override, or else the
+        module algebra itself, with the braiding it induces."""
+        return self.spec if self.override is None else self.override
 
 
 def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:

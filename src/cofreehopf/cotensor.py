@@ -63,7 +63,7 @@ from typing import Mapping
 from .checks import PASS, CheckResult, fail
 from .elements import Element, accumulate, pack_word, render_terms
 from .errors import StructuralError
-from .grouphopf import GroupElement, YDSpec, braided_spec
+from .grouphopf import GroupElement, YDSpec
 from .scalars import Scalar
 
 MWord = tuple  # tuple[(letter index, GroupElement), ...]
@@ -364,12 +364,11 @@ def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
         raise StructuralError("smash elements over different module data")
     import cofreehopf.qalg as qalg
     spec = x.spec
-    bspec = braided_spec(spec)
 
     def rule(kx, ky):
         (u, g), (w, g2) = kx, ky
         tag = spec.group.multiply(g, g2)
-        return spec.act_word(g, w).map_words(partial(qalg.qsh_words, bspec, u)).relabel(
+        return spec.act_word(g, w).map_words(partial(qalg.qsh_words, spec, u)).relabel(
             lambda word: (word, tag), cls=SmashElement)
 
     return x.bilinear(y, rule)

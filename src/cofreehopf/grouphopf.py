@@ -44,9 +44,14 @@ the rest; a torsion generator's inverse is a positive power.
 
 The compatibility condition between action and coaction is evaluated
 literally by :func:`check_yetter_drinfeld`; for group algebras it pins
-the action matrices to the degree grading.  The induced braiding
-``v tensor w -> degree(v).w tensor v`` turns any module algebra here
-into a braided algebra suitable for the quasi-shuffle machinery.
+the action matrices to the degree grading.  A module algebra here is
+its own braided algebra, the one the quasi-shuffle machinery takes: its
+words are tagged with the spec itself (``spec.alphabet``), and
+``spec.braiding`` is the induced braiding ``v tensor w -> degree(v).w
+tensor v``, built on first read.  So the braiding and the quasi-shuffle
+memos live in the spec's one ``_cache`` and die with it, and no second
+spec holds a copy of its tables.  ``braided_spec(spec)`` returns the
+spec.
 """
 
 from __future__ import annotations
@@ -209,7 +214,9 @@ class YDSpec(Frozen):
     are given whole at construction, checked and copied over the spec,
     and ``_cache`` memoises what is derived from them, starting with the
     letter images of the identity, of each generator (``action[k]``
-    itself) and of each free generator's inverse.
+    itself) and of each free generator's inverse.  The spec is the
+    braided algebra it induces (``alphabet`` and ``braiding``), so its
+    quasi-shuffle and crossing memos go in the same ``_cache``.
     """
 
     _fields = ("group", "names", "degrees", "action", "mult", "unit")
@@ -217,7 +224,7 @@ class YDSpec(Frozen):
     def __init__(self, group: AbelianGroup, names: tuple[str, ...],
                  degrees: tuple[GroupElement, ...], action: tuple[tuple[Element, ...], ...],
                  mult: dict[tuple[int, int], Element] | None = None, unit: int | None = None):
-        self._set(group=group, names=names, degrees=degrees, unit=unit, _cache={})
+        self._set(group=group, names=names, degrees=degrees, unit=unit, alphabet=self, _cache={})
         dim = len(names)
         if len(degrees) != dim:
             raise StructuralError("one degree per letter is required")
@@ -293,10 +300,11 @@ class YDSpec(Frozen):
         return reduce(Element.tensor, (images[ord(letter)] for letter in pack_word(word)),
                       Element.unit(self))
 
-    # -- derived structures --------------------------------------------------
+    # -- the braided algebra it induces ----------------------------------------
 
-    def induced_braiding(self) -> BraidingTable:
-        """sigma(v tensor w) = degree(v).w tensor v, extended bilinearly."""
+    @property
+    def braiding(self) -> BraidingTable:
+        """The induced braiding sigma(v tensor w) = degree(v).w tensor v, built once."""
         cached = self._cache.get("braiding")
         if cached is None:
             from .braid import BraidingTable
@@ -373,14 +381,9 @@ def check_yd_module_algebra(spec: YDSpec) -> CheckResult:
         if not spec.degrees[spec.unit].is_identity():
             return fail("unit-degree", spec.names[spec.unit])
     from .qalg import check_braided_algebra
-    return check_braided_algebra(braided_spec(spec))
+    return check_braided_algebra(spec)
 
 
-def braided_spec(spec: YDSpec):
-    """The braided algebra on the letters of a YD module algebra."""
-    cached = spec._cache.get("braided_spec")
-    if cached is None:
-        from .qalg import BraidedAlgebraSpec
-        cached = spec._cache["braided_spec"] = BraidedAlgebraSpec(
-            spec.dim, spec.induced_braiding(), spec.mult, spec.unit, spec.names, spec)
-    return cached
+def braided_spec(spec: YDSpec) -> YDSpec:
+    """The braided algebra on the letters of a YD module algebra: the spec itself."""
+    return spec

@@ -57,7 +57,7 @@ def _validate(spec: YDSpec) -> None:
     for result in (
         check_yetter_drinfeld(spec),
         check_yd_module_algebra(spec),
-        check_yang_baxter(spec.induced_braiding()),
+        check_yang_baxter(spec.braiding),
     ):
         if not result:
             raise StructuralError(f"preset failed validation: {result.describe()}")

@@ -2,10 +2,17 @@
 
 A braided algebra is a based space with a braiding table and structure
 constants for an associative multiplication compatible with the
-braiding.  On its tensor space the quasi-shuffle product is one clause
-for every length pattern, three moves on the heads of the two factor
-words: keep the left head, braid the right head to the front, or merge
-the two heads through the multiplication.  A word times the empty word
+braiding.  A ``grouphopf.YDSpec`` is one, with the braiding its
+Yetter-Drinfeld structure induces, and is passed as it is;
+:class:`BraidedAlgebraSpec` holds the others: a [braiding] override,
+the extension by ``adjoin_unit`` and data given by hand.  Both kinds
+read alike (``dim``, ``braiding``, ``mult``, ``unit``, ``names``,
+``alphabet``, ``_cache``).
+
+On the tensor space the quasi-shuffle product is one clause for every
+length pattern, three moves on the heads of the two factor words: keep
+the left head, braid the right head to the front, or merge the two
+heads through the multiplication.  A word times the empty word
 is that word, so a one-letter right factor costs no call on an empty
 tail, and a merge that the multiplication kills costs no tail product.
 A tail product is scaled term by term as it is added into the result,
@@ -14,7 +21,9 @@ never copied whole first, and a coefficient of 1 multiplies nothing.
 A word is packed, one code point per letter, as everywhere in the
 package, so a prepend copies characters and each word is hashed once.
 The memo is one ``lru_cache`` per spec, ``spec._cache["qsh"]``, from
-packed word pairs to dicts over packed words, and dies with the spec.
+packed word pairs to dicts over packed words, and dies with the spec;
+on a module algebra that is the ``YDSpec``'s own cache, beside its
+action images and its braiding.
 ``qsh_words`` reads it for one pair of words and wraps the memo's dict
 as it is, with no copy and no conversion, so an element it returns must
 not be changed in place (no operation of the package does);
@@ -22,7 +31,10 @@ not be changed in place (no operation of the package does);
 through it.  Each letter of the deeper factor costs 3 frames (the
 memo's wrapper, the memoised function and the clause, which calls the
 memo itself): one more per level stops one letter times a 300-letter
-word under the default recursion limit.
+word under the default recursion limit.  The clause refuses a word that
+is not packed (a tuple kept by a dict given to ``Element``) with a
+``StructuralError``: the test runs once per memo miss, in the clause,
+so it adds no frame and a memo hit skips it.
 
 Each level needs the crossing B(u, b) = beta_{|u|,1}(u (x) b) of the right
 head b across the left word: B(u', b) feeds the merge move and B(u, b)
@@ -64,7 +76,8 @@ class BraidedAlgebraSpec(Frozen):
     missing pair.  ``unit``, when present, is a two-sided unit letter that
     the braiding flips trivially.  ``alphabet`` tags the words (the spec
     itself when not given).  A spec is immutable: ``mult`` is given whole
-    at construction, checked and copied over ``alphabet``.
+    at construction, checked and copied over ``alphabet``.  A YD module
+    algebra needs none: the ``YDSpec`` is its own braided algebra.
     """
 
     _fields = ("dim", "braiding", "mult", "unit", "names", "alphabet")
@@ -166,6 +179,8 @@ def _qsh_general(spec: BraidedAlgebraSpec, u: str, v: str, rec, crossings) -> di
     """u qsh v over packed words: u_0 (u' qsh v), then c w_0 (w' qsh v') for
     each term c w of B(u, v_0), then c m(u_0, w_0) (w' qsh v') for each term
     c w of B(u', v_0).  A word times the empty word is that word."""
+    if type(u) is not str or type(v) is not str:  # once per memo miss, before any use
+        raise StructuralError("the quasi-shuffle takes packed words (Element.from_word, pack_word)")
     if not u or not v:
         return {u + v: _ONE}
     head, rest = u[0], v[1:]

@@ -6,11 +6,12 @@ from functools import lru_cache
 
 import pytest
 
-from cofreehopf.braid import BraidingTable, flip_braiding
+from cofreehopf.braid import BraidingTable
 from cofreehopf.checks import PASS, fail
-from cofreehopf.config import ConfigDocument
+from cofreehopf.config import ConfigDocument, parse_config
 from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, smash_product, star
 from cofreehopf.elements import Element
+from cofreehopf.grouphopf import YDSpec
 from cofreehopf.presets import build_clifford, build_uqg
 from cofreehopf.qalg import BraidedAlgebraSpec
 from cofreehopf.scalars import Scalar
@@ -39,18 +40,13 @@ def uqg_a2():
     return build_uqg(CARTAN_A2)
 
 
-def hoffman_spec(n: int) -> BraidedAlgebraSpec:
-    """Flip braiding with x_a * x_b = x_{a+b}, truncated above x_n."""
-    alphabet = ("hoffman", n)
-    mult = {}
-    for i in range(n):
-        for j in range(n):
-            k = i + j + 1
-            if k < n:
-                mult[(i, j)] = Element.from_word((k,), alphabet=alphabet)
-    names = tuple(f"x{i + 1}" for i in range(n))
-    return BraidedAlgebraSpec(n, flip_braiding(n, alphabet), mult,
-                              names=names, alphabet=alphabet)
+def hoffman_spec(n: int) -> YDSpec:
+    """The rank-0 config with x_a * x_b = x_{a+b}, truncated above x_n: the
+    trivial action induces the flip braiding."""
+    lines = ["[group]", "rank = 0", "", "[basis]", *(f"x{a} =" for a in range(1, n + 1)),
+             "", "[mult]"]
+    lines += [f"x{a} x{b} -> x{a + b}" for a in range(1, n) for b in range(1, n + 1 - a)]
+    return parse_config("\n".join(lines) + "\n").spec
 
 
 @pytest.fixture(scope="session")
@@ -64,20 +60,45 @@ def letters(word: str) -> tuple[int, ...]:
 
 
 def graded_yd_config(seed: int) -> str:
-    """The config text of a random YD module algebra over K[Z] with a nonzero
-    product, built to satisfy every axiom: letters x_a for a in {1, ..., k},
-    k = 2 or 3, of degree K{a}; the generator acts on x_a by q^(s a), and
-    x_a x_b = q^(w a b) x_{a+b} when a + b <= k, else 0.  The twist
-    q^(w a b) is bilinear, so the product is associative; the induced
-    braiding is the bicharacter q^(s a b) of the grading, with which a
-    graded product is compatible.  Derandomized: one config per seed."""
+    """The config text of a random YD module algebra over K[Z^r], r = 1 or 2,
+    with a nonzero product, built to satisfy every axiom: letters x_a for a
+    in a down-closed set D of nonzero a in N^r with |a| <= k, k = 2 or 3, of
+    degree K{a}; generator i acts on x_a by q^((S a)_i), and x_a x_b =
+    q^(a^T W b) x_{a+b} when a + b lies in D, else 0, for random integer
+    matrices S and W.  The twist q^(a^T W b) is bilinear, so the product is
+    associative, and D is down-closed, so the two bracketings of a triple
+    vanish together; the induced braiding is the bicharacter q^(a^T S b) of
+    the grading, with which a graded product is compatible.  x_a is named
+    by the digits of a (x1, x2; x10, x01, x11).  Derandomized: one config
+    per seed."""
     rnd = random.Random(seed)
-    k, s, w = rnd.choice((2, 3, 3)), rnd.randint(-2, 2), rnd.randint(-2, 2)
-    lines = ["[group]", "rank = 1", "", "[basis]", *(f"x{a} = {a}" for a in range(1, k + 1)),
-             "", "[action]", "g1 = " + ", ".join(f"q^{s * a}" for a in range(1, k + 1)),
-             "", "[mult]"]
-    lines += [f"x{a} x{b} -> q^{w * a * b} x{a + b}"
-              for a in range(1, k) for b in range(1, k + 1 - a)]
+    rank, k = rnd.choice((1, 2)), rnd.choice((2, 3, 3))
+    S, W = ([[rnd.randint(-2, 2) for _ in range(rank)] for _ in range(rank)] for _ in range(2))
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    cells = sorted((a for a in itertools.product(range(k + 1), repeat=rank) if 1 < sum(a) <= k),
+                   key=sum)
+    # D: a cell may join once every nonzero cell one step below it has, and the
+    # first that may join does, so that some product is nonzero
+    down = set(units)
+    for a in cells:
+        below = [tuple(e - (i == j) for j, e in enumerate(a)) for i in range(rank) if a[i]]
+        if all(b in down for b in below if any(b)) and (rnd.random() < 0.6 or len(down) == rank):
+            down.add(a)
+    letters = sorted(down, key=lambda a: (sum(a), a))
+
+    def name(a):
+        return "x" + "".join(map(str, a))
+
+    def dot(a, m, b):
+        return sum(a[i] * m[i][j] * b[j] for i in range(rank) for j in range(rank))
+
+    lines = ["[group]", f"rank = {rank}", "", "[basis]",
+             *(f"{name(a)} = " + ", ".join(map(str, a)) for a in letters), "", "[action]"]
+    lines += [f"g{i + 1} = " + ", ".join(f"q^{dot(units[i], S, a)}" for a in letters)
+              for i in range(rank)]
+    lines += ["", "[mult]"]
+    lines += [f"{name(a)} {name(b)} -> q^{dot(a, W, b)} {name(c)}" for a in letters
+              for b in letters if (c := tuple(map(sum, zip(a, b)))) in down]
     return "\n".join(lines) + "\n"
 
 

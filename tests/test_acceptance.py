@@ -110,8 +110,8 @@ def test_criterion_03_cross_path_equality(clifford2, uqg_a2):
 
 
 def test_criterion_04_yang_baxter_suite(clifford2, uqg_a2):
-    ok = check_yang_baxter(clifford2.spec.induced_braiding()) \
-        and check_yang_baxter(uqg_a2.spec.induced_braiding())
+    ok = check_yang_baxter(clifford2.spec.braiding) \
+        and check_yang_baxter(uqg_a2.spec.braiding)
     rnd = random.Random(20250809)
     for _ in range(20):
         dim = rnd.randint(1, 4)
@@ -123,10 +123,10 @@ def test_criterion_04_yang_baxter_suite(clifford2, uqg_a2):
                              for _ in range(dim)])
             for _ in range(dim))
         spec = YDSpec(group, tuple(f"a{i}" for i in range(dim)), degrees, action)
-        ok = ok and bool(check_yang_baxter(spec.induced_braiding()))
+        ok = ok and bool(check_yang_baxter(spec.braiding))
     # negative control: an identity-term corruption must be rejected
     spec = clifford2.spec
-    entries = dict(spec.induced_braiding().entries)
+    entries = dict(spec.braiding.entries)
     entries[(0, 1)] = entries[(0, 1)] + Element.from_word((0, 1), alphabet=spec)
     corrupted = check_yang_baxter(BraidingTable(spec.dim, entries, alphabet=spec))
     print("  negative control:", corrupted.describe())
@@ -136,7 +136,7 @@ def test_criterion_04_yang_baxter_suite(clifford2, uqg_a2):
 
 
 def test_criterion_05_braid_lift_well_defined(uqg_a2):
-    table = uqg_a2.spec.induced_braiding()
+    table = uqg_a2.spec.braiding
     rnd = random.Random(42)
     words = rnd.sample(list(itertools.product(range(table.dim), repeat=4)), 20)
     ok = True
@@ -303,7 +303,7 @@ def test_criterion_10_cli_golden_and_exit_codes(tmp_path, capsys):
     # exit code 1: corrupted braiding override fails the Yang-Baxter check
     from cofreehopf.presets import build_clifford
     spec = build_clifford(2).spec
-    entries = dict(spec.induced_braiding().entries)
+    entries = dict(spec.braiding.entries)
     entries[(0, 1)] = entries[(0, 1)] + Element.from_word((0, 1), alphabet=spec)
     doc = override_document(spec, BraidingTable(spec.dim, entries, alphabet=spec))
     corrupted = tmp_path / "corrupted.cfg"

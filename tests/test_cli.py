@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cofreehopf import qalg
 from cofreehopf.braid import BraidingTable, flip_braiding
 from cofreehopf.checks import fail
 from cofreehopf.cli import _pairs_up_to, _read_cartan, main
@@ -183,9 +184,23 @@ def test_checks_pass_on_presets(run, clifford_config):
         assert out == "PASS\n"
 
 
+def test_a_yd_config_needs_no_second_braided_spec(run, clifford_config, monkeypatch):
+    # the module algebra is its own braided algebra: no command on a config
+    # without a [braiding] override builds a BraidedAlgebraSpec
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BraidedAlgebraSpec was built")
+
+    monkeypatch.setattr(qalg.BraidedAlgebraSpec, "__init__", refuse)
+    for argv in (("qsh", "v1@v2", "v1"), ("smash-star", "v1#K{1}", "v2@xi12"),
+                 ("check", "yb"), ("check", "alg"), ("check", "bialg", "--max-degree", "2")):
+        code, out, err = run("--config", clifford_config, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.strip(), argv
+
+
 def test_corrupted_braiding_fails_check_yb(run, tmp_path, clifford2):
     spec = clifford2.spec
-    entries = dict(spec.induced_braiding().entries)
+    entries = dict(spec.braiding.entries)
     entries[(0, 1)] = entries[(0, 1)] + Element.from_word((0, 1), alphabet=spec)
     table = BraidingTable(spec.dim, entries, alphabet=spec)
     doc = override_document(spec, table)
@@ -295,7 +310,7 @@ def test_json_star_output(run, clifford_config):
 
 def test_json_check_failure_payload(run, tmp_path, clifford2):
     spec = clifford2.spec
-    entries = dict(spec.induced_braiding().entries)
+    entries = dict(spec.braiding.entries)
     entries[(0, 1)] = entries[(0, 1)] + Element.from_word((0, 1), alphabet=spec)
     doc = override_document(spec, BraidingTable(spec.dim, entries, alphabet=spec))
     path = tmp_path / "corrupt.cfg"
@@ -413,7 +428,7 @@ def test_cli_counterexample_matches_library_byte_for_byte(run, tmp_path, cliffor
     from cofreehopf.braid import check_yang_baxter
     from cofreehopf.cli import _render_any
     spec = clifford2.spec
-    entries = dict(spec.induced_braiding().entries)
+    entries = dict(spec.braiding.entries)
     entries[(0, 1)] = entries[(0, 1)] + Element.from_word((0, 1), alphabet=spec)
     table = BraidingTable(spec.dim, entries, alphabet=spec)
     doc = override_document(spec, table)
@@ -430,7 +445,7 @@ def test_check_alg_uses_braiding_override(run, tmp_path, clifford2):
     # invertible override (one entry rescaled) that is incompatible with
     # the multiplication: the exchange laws pick up mismatched factors
     spec = clifford2.spec
-    entries = dict(spec.induced_braiding().entries)
+    entries = dict(spec.braiding.entries)
     entries[(0, 0)] = entries[(0, 0)].scale(2)
     doc = override_document(spec, BraidingTable(spec.dim, entries, alphabet=spec))
     path = tmp_path / "override.cfg"

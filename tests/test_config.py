@@ -148,7 +148,7 @@ def test_preset_emission_round_trips(clifford2, uqg_a2):
 
 def test_braiding_override_round_trips(clifford2):
     spec = clifford2.spec
-    doc = override_document(spec, spec.induced_braiding())
+    doc = override_document(spec, spec.braiding)
     text = emit_config(doc)
     again = parse_config(text)
     assert _spec_data(again) == _spec_data(doc)
@@ -167,7 +167,8 @@ def test_braided_spec_is_built_on_demand_and_once(clifford2):
     doc = parse_config(emit_config(ConfigDocument(clifford2.spec)))
     spec = doc.spec
     assert "braiding" not in spec._cache  # parsing alone builds no braiding
-    assert doc.braided() is doc.braided() is braided_spec(spec)
+    assert doc.braided() is spec is braided_spec(spec)  # the spec is its own braided algebra
+    assert spec.braiding is spec.braiding is spec._cache["braiding"]
     assert_frozen(doc, ("spec", "override", "notes"))
     with pytest.raises(AttributeError):
         doc.mult = {}
@@ -175,13 +176,13 @@ def test_braided_spec_is_built_on_demand_and_once(clifford2):
 
 def test_braiding_override_gives_one_braided_spec(clifford2):
     spec = clifford2.spec
-    doc = parse_config(emit_config(override_document(spec, spec.induced_braiding())))
+    doc = parse_config(emit_config(override_document(spec, spec.braiding)))
     bspec = doc.braided()
     assert bspec is doc.braided()
     assert bspec.unit is None
     assert bspec is doc.override
     assert {pair: dict(entry._terms) for pair, entry in bspec.braiding.entries.items()} \
-        == {pair: dict(entry._terms) for pair, entry in spec.induced_braiding().entries.items()}
+        == {pair: dict(entry._terms) for pair, entry in spec.braiding.entries.items()}
 
 
 def test_missing_group_section_is_an_error():

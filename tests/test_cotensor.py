@@ -819,7 +819,7 @@ def test_a_spec_is_freed_with_its_memos():
     y = CotensorElement.from_word(spec, chain_lift_word(spec, (0, 1)))
     star(y, y)
     refs = [weakref.ref(bspec), weakref.ref(spec)]
-    del bspec, spec, x, y
+    del bspec, spec, word, x, y  # a word holds its spec as its alphabet
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
 

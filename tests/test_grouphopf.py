@@ -120,14 +120,14 @@ def test_check_yd_rejects_noncommuting_matrices():
 
 def test_induced_braiding_clifford_sign(clifford2):
     spec = clifford2.spec
-    table = spec.induced_braiding()
+    table = spec.braiding
     assert table.entries[(0, 1)] == Element.from_word((1, 0), -1, spec)
     assert table.entries[(2, 0)] == Element.from_word((0, 2), alphabet=spec)
 
 
 def test_induced_braiding_uqg_powers(uqg_a2):
     spec = uqg_a2.spec
-    table = spec.induced_braiding()
+    table = spec.braiding
     e1, f2 = 0, 3
     # degree(E1) acts on F2 by q^{-c_12}
     assert table.entries[(e1, f2)] == Element.from_word(
@@ -138,7 +138,7 @@ def test_trivial_degrees_give_flip():
     g = AbelianGroup(rank=1)
     spec = YDSpec(g, ("a", "b"), (g.identity(), g.identity()),
                   (diagonal_images([Scalar.one(), Scalar.one()]),))
-    table = spec.induced_braiding()
+    table = spec.braiding
     for a in range(2):
         for b in range(2):
             assert table.entries[(a, b)] == Element.from_word((b, a), alphabet=spec)
@@ -156,7 +156,7 @@ def test_induced_braiding_satisfies_yang_baxter_randomized():
             for _ in range(dim))
         spec = YDSpec(g, tuple(f"a{i}" for i in range(dim)), degrees, action)
         assert check_yetter_drinfeld(spec)
-        assert check_yang_baxter(spec.induced_braiding())
+        assert check_yang_baxter(spec.braiding)
 
 
 def test_diagonal_braiding_is_bicharacter_valued():
@@ -166,7 +166,7 @@ def test_diagonal_braiding_is_bicharacter_valued():
     action = (diagonal_images([Scalar.q_power(1), Scalar.q_power(-1)]),
               diagonal_images([Scalar.q_power(2), Scalar.q_power(0)]))
     spec = YDSpec(g, ("a", "b"), degrees, action)
-    table = spec.induced_braiding()
+    table = spec.braiding
     for a in range(2):
         for b in range(2):
             [(word, chi)] = spec.act_letter(degrees[a], b).terms()

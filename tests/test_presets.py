@@ -42,7 +42,7 @@ def test_clifford_rejects_degenerate_size():
 
 def test_clifford_induced_braiding_signs(clifford2):
     spec = clifford2.spec
-    table = spec.induced_braiding()
+    table = spec.braiding
     for i in range(2):
         for j in range(2):
             assert table.entries[(i, j)] == Element.from_word((j, i), -1, spec)
@@ -52,7 +52,7 @@ def test_clifford_validators(clifford2, clifford3):
     for preset in (clifford2, clifford3):
         assert check_yetter_drinfeld(preset.spec)
         assert check_yd_module_algebra(preset.spec)
-        assert check_yang_baxter(preset.spec.induced_braiding())
+        assert check_yang_baxter(preset.spec.braiding)
 
 
 def test_clifford_relations(clifford2, clifford3):
@@ -113,7 +113,7 @@ def test_uqg_validators(uqg_a1, uqg_a2):
     for preset in (uqg_a1, uqg_a2):
         assert check_yetter_drinfeld(preset.spec)
         assert check_yd_module_algebra(preset.spec)
-        assert check_yang_baxter(preset.spec.induced_braiding())
+        assert check_yang_baxter(preset.spec.braiding)
 
 
 def test_uqg_relations(uqg_a1, uqg_a2):

@@ -13,6 +13,7 @@ import pytest
 from cofreehopf.braid import BraidingTable, block_braiding, flip_braiding
 from cofreehopf.checks import fail
 from cofreehopf.config import ConfigDocument, emit_config, parse_config
+from cofreehopf.cotensor import SmashElement, smash_product
 from cofreehopf.elements import Element, pack_word
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import AbelianGroup, YDSpec, braided_spec
@@ -393,6 +394,22 @@ def test_a_rank_0_spec_past_256_letters_multiplies_and_renders_its_letters():
         == [[f"x{a}" for a in letters(word)] for word in product.support()]
 
 
+def test_unpacked_words_are_refused_with_a_structural_error(clifford2):
+    # a dict given to Element keeps its keys as they are: a tuple word reaches
+    # the products, which refuse it by name rather than fail on a concatenation
+    spec = braided_spec(clifford2.spec)
+    y = Element.from_word((1,), alphabet=spec.alphabet)
+    for x in (Element({(0,): 1}, spec.alphabet), Element({(0, 1): 1}, spec.alphabet)):
+        for product in (lambda: quasi_shuffle(spec, x, y), lambda: quasi_shuffle(spec, y, x),
+                        lambda: quasi_shuffle_general_clause(spec, x, y)):
+            with pytest.raises(StructuralError, match="pack_word"):
+                product()
+    spec = clifford2.spec
+    leg = SmashElement(spec, {((0,), spec.group.identity()): 1})
+    with pytest.raises(StructuralError, match="Element.from_word"):
+        smash_product(leg, SmashElement.of(spec, (1,)))
+
+
 def test_associativity_samples(clifford2, hoffman4):
     for spec in (braided_spec(clifford2.spec), hoffman4):
         words = [(0,), (1,), (0, 1)]
@@ -614,7 +631,7 @@ def test_diagonal_action_commutes_with_the_braiding(clifford2, uqg_a2):
     # sigma(g.v (x) g.w) = g.sigma(v (x) w): the degree of g.v is that of v
     for preset in (clifford2, uqg_a2):
         spec, group = preset.spec, preset.spec.group
-        table = spec.induced_braiding()
+        table = spec.braiding
         for k in range(group.n_generators):
             g = group.generator(k)
             for word in words_up_to(spec.dim, 2)[1 + spec.dim:]:

@@ -1,8 +1,8 @@
-"""Random YD module algebras with a nonzero product
+"""Random YD module algebras of rank 1 and 2 with a nonzero product
 (``conftest.graded_yd_config``): every axiom holds by construction, so
-each check must pass and every product route must agree, the merge move
-of the quasi-shuffle and the ``[mult]`` half of the degree-one projection
-included."""
+each of the five checks must pass, ``star`` must be associative and
+every product route must agree, the merge move of the quasi-shuffle and
+the ``[mult]`` half of the degree-one projection included."""
 
 from __future__ import annotations
 
@@ -27,11 +27,13 @@ def test_graded_yd_data_passes_its_checks_and_its_routes_agree(seed):
     doc = parse_config(graded_yd_config(seed))
     spec, bspec = doc.spec, doc.braided()
     assert any(spec.mult.values())
-    for law in ("yd", "alg"):
+    assert bspec is spec
+    for law in ("yb", "alg", "yd", "bialg", "rb"):
         _, result = CHECKS[law](doc, 2)
         assert result, (law, result.describe())
     rnd = random.Random(seed)
-    tags = [spec.group.element([t]) for t in range(-2, 3)]
+    tags = [spec.group.element([rnd.randint(-2, 2) for _ in range(spec.group.rank)])
+            for _ in range(5)]
 
     def word():
         return tuple(rnd.randrange(spec.dim) for _ in range(rnd.randint(1, 3)))
@@ -39,14 +41,13 @@ def test_graded_yd_data_passes_its_checks_and_its_routes_agree(seed):
     def coeff():
         return Scalar.q_power(rnd.randint(-2, 2), rnd.choice((1, -1, 2)))
 
-    def cotensor():  # three terms with group tags, now and then a degree-0 key
-        terms = {}
-        for _ in range(3):
-            tag = rnd.choice(tags)
-            key = tag if rnd.random() < 0.2 else \
-                right_translate(spec, chain_lift_word(spec, word()), tag)
-            terms[key] = coeff()
-        return CotensorElement(spec, terms)
+    def tagged():  # a basis key with a group tag, now and then a degree-0 key
+        tag = rnd.choice(tags)
+        return tag if rnd.random() < 0.2 else \
+            right_translate(spec, chain_lift_word(spec, word()), tag)
+
+    def cotensor():  # three terms
+        return CotensorElement(spec, {tagged(): coeff() for _ in range(3)})
 
     def plain():
         return Element.from_word(word(), coeff(), spec) + Element.from_word(word(), coeff(), spec)
@@ -57,3 +58,6 @@ def test_graded_yd_data_passes_its_checks_and_its_routes_agree(seed):
         u, v = plain(), plain()
         assert flatten_coinvariant(star(chain_lift(spec, u), chain_lift(spec, v))) \
             == quasi_shuffle(bspec, u, v), (u, v)
+    for _ in range(3):
+        x, y, z = (CotensorElement(spec, {tagged(): coeff()}) for _ in range(3))
+        assert star(star(x, y), z) == star(x, star(y, z)), (x, y, z)

@@ -130,7 +130,7 @@ def test_a_degree_breaking_mult_fails_alike():
 
 def test_the_corrupted_clifford_braiding_fails_alike(clifford2):
     spec = clifford2.spec
-    entries = dict(spec.induced_braiding().entries)
+    entries = dict(spec.braiding.entries)
     entries[(0, 1)] = entries[(0, 1)] + Element.from_word((0, 1), alphabet=spec)
     table = BraidingTable(spec.dim, entries, alphabet=spec)
     reference = reference_yang_baxter(table)

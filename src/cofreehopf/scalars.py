@@ -15,15 +15,20 @@ Instances are immutable, so they are shared.  Zero and every monomial
 ``c*q**k`` are one object per value: every constructor, ``coerce``,
 negation, inversion and every sum or product whose value is a monomial
 returns the object in ``_MONOMIALS``, so the unit can be told by ``is``.
-The product of two monomials is looked up in ``_PRODUCTS``, keyed by the
-two factors' ``id``s; an interned monomial lives as long as the table,
-so its ``id`` is never reused.  Copies and pickles rebuild through the
-same path.  Almost every coefficient of a diagonal braiding by q-powers
-is a monomial, and such products see few distinct values.  Scalars of
-two or more terms are new objects each time: there are many more of
-them (a dense inverse action makes thousands), each seen once.  The two
-tables are the package's one process-wide state; they hold values,
-never results about a spec.
+Copies and pickles rebuild through the same path.  Almost every
+coefficient of a diagonal braiding by q-powers is a monomial, and such
+arithmetic sees few distinct values, so it is looked up: the product of
+two monomials in ``_PRODUCTS``, and a sum of two interned scalars that is
+itself zero or a monomial in ``_SUMS``.  Both tables are keyed by the two
+operands' ``id``s and are read before any term dict.  The ids are sound
+keys: only interned operands are ever keyed, and those live as long as
+the module, so no other object can take an ``id`` that a table holds.
+Scalars of two or more terms are new objects each time: there are many
+more of them (a dense inverse action makes thousands), each seen once.
+Their ``id``s are reused once they are freed, so they are never keys:
+their lookups miss and they take the dict paths.  The three tables are
+the package's one process-wide state; they hold values, never results
+about a spec.
 
 Division is deliberately restricted: units of the Laurent ring are the
 nonzero monomials ``c*q**k``, and only those can be inverted.
@@ -148,8 +153,15 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: Scalar | Rational) -> Scalar:
-        out = dict(self._terms)
-        for k, c in (other if type(other) is Scalar else Scalar.coerce(other))._terms.items():
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        key = (id(self), id(other))
+        res = _SUMS.get(key)
+        if res is not None:
+            return res
+        a, b = self._terms, other._terms
+        out = dict(a)
+        for k, c in b.items():
             s = out.get(k, 0) + c
             if type(s) is not int:
                 s = _as_fraction(s)
@@ -157,7 +169,10 @@ class Scalar:
                 out[k] = s
             else:
                 del out[k]
-        return _wrap(out)
+        res = _wrap(out)
+        if len(out) < 2 and len(a) < 2 and len(b) < 2:
+            _SUMS[key] = res  # operands and sum all interned
+        return res
 
     __radd__ = __add__
 
@@ -179,6 +194,10 @@ class Scalar:
             return other
         if other is _ONE:
             return self
+        key = (id(self), id(other))
+        res = _PRODUCTS.get(key)
+        if res is not None:
+            return res
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
@@ -186,12 +205,8 @@ class Scalar:
             # A monomial times anything: exponents shift, nothing collides.
             ((k1, c1),) = a.items()
             if len(b) == 1:
-                # both interned: they live as long as the table, so their ids are sound keys
-                key = (id(self), id(other))
-                res = _PRODUCTS.get(key)
-                if res is None:
-                    ((k2, c2),) = b.items()
-                    res = _PRODUCTS[key] = _wrap({k1 + k2: _as_fraction(c1 * c2)})
+                ((k2, c2),) = b.items()
+                res = _PRODUCTS[key] = _wrap({k1 + k2: _as_fraction(c1 * c2)})
                 return res
             out = {}
             for k2, c2 in b.items():
@@ -241,6 +256,7 @@ class Scalar:
 
 _MONOMIALS: dict[tuple[int, Rational], Scalar] = {}  # (k, c) -> the one object of c*q**k
 _PRODUCTS: dict[tuple[int, int], Scalar] = {}  # (id(a), id(b)) -> a*b, for monomials a, b
+_SUMS: dict[tuple[int, int], Scalar] = {}  # (id(a), id(b)) -> a+b, for a, b, a+b zero or monomials
 _ZERO = object.__new__(Scalar)
 _ZERO._terms = {}
 _ONE = _wrap({0: 1})

@@ -493,10 +493,11 @@ def test_a_dense_unipotent_action_interns_few_monomials():
     lines = ["[group]", "rank = 1", "", "[basis]", *(f"{x} = 1" for x in names), "", "[action]"]
     lines += [f"g1.{x} = " + ", ".join("1" if i == j else coeffs[(i + j) % 5] if i < j else "0"
                                        for i in range(24)) for j, x in enumerate(names)]
-    monomials, products = len(scalars._MONOMIALS), len(scalars._PRODUCTS)
+    monomials, products, sums = len(scalars._MONOMIALS), len(scalars._PRODUCTS), len(scalars._SUMS)
     parse_config("\n".join(lines) + "\n")
     assert len(scalars._MONOMIALS) - monomials < 2000
     assert len(scalars._PRODUCTS) - products < 2000
+    assert len(scalars._SUMS) - sums < 2000
 
 
 def test_a_dense_unipotent_action_on_24_letters_loads_at_once():

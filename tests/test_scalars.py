@@ -225,3 +225,60 @@ def test_shared_scalars_are_never_changed_by_arithmetic():
         hashes.setdefault(tuple(r.items()), set()).add(hash(r))
     assert all(len(h) == 1 for h in hashes.values())
     assert len(hashes) > 20
+
+
+def _monomial_grid() -> list[Scalar]:
+    coeffs = (1, 3, Fraction(1, 2), Fraction(-2, 3))
+    return [Scalar.q_power(k, sign * c) for k in (-3, 0, 2) for c in coeffs for sign in (1, -1)]
+
+
+def test_sums_and_products_of_monomials_are_the_interned_objects():
+    sympy, q, to_sympy, same = _sympy_oracle()
+    grid = _monomial_grid() + [Scalar.zero()]
+    cancelled = 0
+    for a in grid:
+        for b in grid:
+            product, total = a * b, a + b
+            assert product is Scalar(product._terms) is a * b
+            assert same(product, to_sympy(a) * to_sympy(b))
+            assert same(total, to_sympy(a) + to_sympy(b))
+            if len(total._terms) < 2:
+                assert total is Scalar(total._terms) is a + b
+                cancelled += total is Scalar.zero()
+            else:
+                assert total is not a + b  # a polynomial: a new object each time
+    assert cancelled == len(grid)  # each grid entry against its negative, and 0 + 0
+    m = Scalar.q_power(-1, Fraction(-1, 2))
+    assert 2 * m is Scalar.rational(2) * m is Scalar.q_power(-1, -1)
+    assert Scalar.rational(-1) + 1 is 1 + Scalar.rational(-1) is Scalar.zero()
+    p = Scalar({0: 1, 1: -1})
+    assert Scalar.one() * p is p and p * 1 is p
+
+
+def test_an_id_reused_by_a_new_polynomial_never_hits_a_table():
+    # a polynomial's id is reused as soon as it is freed: were it ever a key,
+    # a later polynomial at the same address would read the earlier result
+    sympy, q, to_sympy, same = _sympy_oracle()
+    m = Scalar.q_power(-2, -3)
+    ids = set()
+    for i in range(10_000):
+        p = Scalar({-1: i + 1, 2: -1})
+        ids.add(id(p))
+        assert (m * p)._terms == {-3: -3 * (i + 1), 0: 3}
+        assert (m + p)._terms == {-2: -3, -1: i + 1, 2: -1}
+        assert (p + m)._terms == (m + p)._terms and (p * m)._terms == (m * p)._terms
+        del p
+    assert len(ids) < 10_000  # ids were in fact reused
+    for i in range(20):
+        p = Scalar({0: i - 10, 3: Fraction(1, i + 1)})
+        assert same(m * p, to_sympy(m) * to_sympy(p)) and same(m + p, to_sympy(m) + to_sympy(p))
+
+
+def test_a_sum_of_monomials_of_two_exponents_enters_no_table():
+    from cofreehopf import scalars
+
+    a, b = Scalar.q_power(700), Scalar.q_power(701, -2)
+    sizes = len(scalars._MONOMIALS), len(scalars._PRODUCTS), len(scalars._SUMS)
+    total = a + b
+    assert total._terms == {700: 1, 701: -2} and total is not a + b
+    assert (len(scalars._MONOMIALS), len(scalars._PRODUCTS), len(scalars._SUMS)) == sizes

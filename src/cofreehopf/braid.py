@@ -32,7 +32,8 @@ class BraidingTable:
     Entries map each ordered pair (a, b) of letter indices to an Element
     over packed two-letter words.  Construction verifies totality and
     invertibility on V tensor V over the fraction field
-    (``linalg.is_invertible``).
+    (``linalg.is_invertible``); ``_trusted`` skips both, for a table whose
+    maker has already proved them.
     """
 
     __slots__ = ("dim", "entries", "alphabet")
@@ -54,6 +55,15 @@ class BraidingTable:
                             f"braiding entry for {(a, b)} has an invalid word {letters}")
         if not self._invertible():
             raise StructuralError("braiding table is not invertible on V tensor V")
+
+    @classmethod
+    def _trusted(cls, dim: int, entries: dict[tuple[int, int], Element],
+                 alphabet=None) -> BraidingTable:
+        """A table over ``entries`` as they are, checked for nothing: the
+        caller knows them total, over packed two-letter words and invertible."""
+        table = cls.__new__(cls)
+        table.dim, table.entries, table.alphabet = dim, entries, alphabet
+        return table
 
     def _invertible(self) -> bool:
         # one sparse row per input pair, its entry's terms by output pair: the

@@ -304,11 +304,17 @@ class YDSpec(Frozen):
 
     @property
     def braiding(self) -> BraidingTable:
-        """The induced braiding sigma(v tensor w) = degree(v).w tensor v, built once."""
+        """The induced braiding sigma(v tensor w) = degree(v).w tensor v, built once.
+
+        Its table is total and invertible by construction, so it is not
+        checked: sigma carries v tensor V onto V tensor v by the action of
+        degree(v), a product of generator actions to each of which the
+        constructor found a Laurent inverse.  On YD data
+        sigma^-1(w tensor v) = v tensor degree(v)^-1.w."""
         cached = self._cache.get("braiding")
         if cached is None:
             from .braid import BraidingTable
-            cached = self._cache["braiding"] = BraidingTable(self.dim, {
+            cached = self._cache["braiding"] = BraidingTable._trusted(self.dim, {
                 (a, b): moved.relabel(lambda w: w + chr(a))
                 for a in range(self.dim)
                 for b, moved in enumerate(self.action_matrix(self.degrees[a]))}, alphabet=self)

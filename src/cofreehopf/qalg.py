@@ -13,10 +13,22 @@ On the tensor space the quasi-shuffle product is one clause for every
 length pattern, three moves on the heads of the two factor words: keep
 the left head, braid the right head to the front, or merge the two
 heads through the multiplication.  A word times the empty word
-is that word, so a one-letter right factor costs no call on an empty
-tail, and a merge that the multiplication kills costs no tail product.
-A tail product is scaled term by term as it is added into the result,
-never copied whole first, and a coefficient of 1 multiplies nothing.
+is that word, and a merge that the multiplication kills costs no tail
+product.  A tail product is scaled term by term as it is added into the
+result, never copied whole first, and a coefficient of 1 multiplies
+nothing.
+
+A right factor of one letter b has empty tails, so its keep moves
+unroll into one loop over the cuts of u, with no recursion (R.-Q. Jian
+and M. Rosso, *Braided cofree Hopf algebras and quantum multi-brace
+algebras*, J. reine angew. Math. 667, 2012, give the clause):
+u qsh b = u b + sum_k u[:k] (B(u[k:], b) + m(u_k, B(u[k+1:], b))).
+Its products are kept in a plain dict, ``spec._cache["qsh1"]``, which
+holds the pairs asked for and no level under them, so a long product
+leaves one result behind, not one per suffix.  The loop starts behind
+the longest proper suffix of u whose product is in that dict, copied
+under its prefix, and adds the cuts before it in the order the
+recursion would, so every term comes out in the same order.
 
 A word is packed, one code point per letter, as everywhere in the
 package, so a prepend copies characters and each word is hashed once.
@@ -28,13 +40,18 @@ action images and its braiding.
 as it is, with no copy and no conversion, so an element it returns must
 not be changed in place (no operation of the package does);
 ``quasi_shuffle``, the smash product and the diamond product all go
-through it.  Each letter of the deeper factor costs 3 frames (the
-memo's wrapper, the memoised function and the clause, which calls the
-memo itself): one more per level stops one letter times a 300-letter
-word under the default recursion limit.  The clause refuses a word that
-is not packed (a tuple kept by a dict given to ``Element``) with a
-``StructuralError``: the test runs once per memo miss, in the clause,
-so it adds no frame and a memo hit skips it.
+through it.  With a right factor of two letters or more, each letter of
+the deeper factor costs 3 frames (the memo's wrapper, the memoised
+function and the clause, which calls the memo itself): one more per
+level stops one letter times a 300-letter word under the default
+recursion limit.  Those frames also guard such products: a word of a
+few hundred letters times two is refused by the recursion limit before
+anything is built, where the finished product would hold tens of
+megabytes, so a recursion-free clause for them needs a bound on memory
+first.  The clause refuses a word that is not packed (a tuple kept by a
+dict given to ``Element``) with a ``StructuralError``: the test runs
+once per memo miss, in the clause, so it adds no frame and a memo hit
+skips it.
 
 Each level needs the crossing B(u, b) = beta_{|u|,1}(u (x) b) of the right
 head b across the left word: B(u', b) feeds the merge move and B(u, b)
@@ -42,13 +59,16 @@ the braid move.  Since B(u, b) = sigma_1(u_0 . B(u', b)) with B("", b) = b,
 ``crossing`` memoises B per (packed suffix, packed letter) in
 ``spec._cache["crossing"]`` and fills it by a loop from the right end of
 the word, so each suffix is braided once, with one braiding at position
-1, however many levels ask for it.  Each level recurses on (u', v)
+1, however many levels ask for it.  The memo holds every suffix of each
+word it holds, so a level calls ``crossing`` once, for B(u, b), and then
+reads B(u', b) from it.  Each level recurses on (u', v)
 before it braids, so a word too deep for the recursion fails before any
 braiding work is spent on it.  An internal oracle,
-``quasi_shuffle_general_clause``, runs the same clause without the
+``quasi_shuffle_general_clause``, runs the same clauses without the
 crossing memo: it sweeps B(u', b) with ``block_braiding`` at every
-level, as an independent check on that memo.  Its word-pair memo is
-made and emptied by each call, so no spec outlives the call in it.
+level and every cut, as an independent check on that memo.  Its
+word-pair memo and its dict of one-letter products are made and emptied
+by each call, so no spec outlives the call in them.
 
 ``check_braided_algebra`` evaluates its laws on V^3 through
 ``checks.first_failure``, sharing m and sigma at 1 and 2 among the three.
@@ -159,9 +179,11 @@ def adjoin_unit(spec: BraidedAlgebraSpec) -> BraidedAlgebraSpec:
 
 def _qsh_packed(spec: BraidedAlgebraSpec):
     """The spec's memo ``memo(spec, u, v)``, the terms of u qsh v over packed
-    words: an ``lru_cache`` over ``_qsh_words`` made on first use."""
+    words: an ``lru_cache`` over ``_qsh_words`` made on first use, with the
+    dict of one-letter products beside it."""
     memo = spec._cache.get("qsh")
     if memo is None:
+        spec._cache["qsh1"] = {}
         memo = spec._cache["qsh"] = lru_cache(maxsize=None)(_qsh_words)
     return memo
 
@@ -172,17 +194,21 @@ def qsh_words(spec: BraidedAlgebraSpec, u: str, v: str) -> Element:
 
 
 def _qsh_words(spec: BraidedAlgebraSpec, u: str, v: str) -> dict[str, Scalar]:
-    return _qsh_general(spec, u, v, spec._cache["qsh"], _memo_crossings)
+    return _qsh_general(spec, u, v, spec._cache["qsh"], _memo_crossings, spec._cache["qsh1"])
 
 
-def _qsh_general(spec: BraidedAlgebraSpec, u: str, v: str, rec, crossings) -> dict[str, Scalar]:
+def _qsh_general(spec: BraidedAlgebraSpec, u: str, v: str, rec, crossings,
+                 singles: dict) -> dict[str, Scalar]:
     """u qsh v over packed words: u_0 (u' qsh v), then c w_0 (w' qsh v') for
     each term c w of B(u, v_0), then c m(u_0, w_0) (w' qsh v') for each term
-    c w of B(u', v_0).  A word times the empty word is that word."""
+    c w of B(u', v_0).  A word times the empty word is that word; a word
+    times one letter takes ``_qsh_one_letter``."""
     if type(u) is not str or type(v) is not str:  # once per memo miss, before any use
         raise StructuralError("the quasi-shuffle takes packed words (Element.from_word, pack_word)")
     if not u or not v:
         return {u + v: _ONE}
+    if len(v) == 1:
+        return _qsh_one_letter(spec, u, v, crossings, singles)
     head, rest = u[0], v[1:]
     out = {head + w: c for w, c in rec(spec, u[1:], v).items()}
     shifted, moved = crossings(spec, u, v[0])
@@ -196,6 +222,32 @@ def _qsh_general(spec: BraidedAlgebraSpec, u: str, v: str, rec, crossings) -> di
         scale = rest and coeff is not _ONE
         for w, c in terms.items():
             accumulate(out, letter + w, c * coeff if scale else c)
+    return out
+
+
+def _qsh_one_letter(spec: BraidedAlgebraSpec, u: str, b: str, crossings,
+                    singles: dict) -> dict[str, Scalar]:
+    """u qsh b for a nonempty word u and a letter b: the clause unrolled over
+    the cuts of u, u b + sum_k u[:k] (B(u[k:], b) + m(u_k, B(u[k+1:], b))).
+
+    The cuts run from the right, as the recursion would add them, behind a
+    copy of the longest proper suffix product u[k:] qsh b found in
+    ``singles``; u qsh b is stored there, and no level under it."""
+    start = 1
+    while start < len(u) and (u[start:], b) not in singles:
+        start += 1
+    out = ({u[:start] + w: c for w, c in singles[(u[start:], b)].items()} if start < len(u)
+           else {u + b: _ONE})
+    mult = spec.mult
+    for k in range(start - 1, -1, -1):
+        prefix, left = u[:k], ord(u[k])
+        shifted, moved = crossings(spec, u[k:], b)
+        for word, coeff in moved._terms.items():
+            accumulate(out, prefix + word, coeff)
+        for word, coeff in shifted._terms.items():
+            for d, c in mult[(left, ord(word[0]))]._terms.items():
+                accumulate(out, prefix + d + word[1:], coeff * c)
+    singles[(u, b)] = out
     return out
 
 
@@ -218,8 +270,10 @@ def crossing(spec: BraidedAlgebraSpec, u: str, b: str) -> Element:
 
 
 def _memo_crossings(spec: BraidedAlgebraSpec, u: str, b: str) -> tuple[Element, Element]:
-    """(B(u', b), B(u, b)) from the spec's memo."""
-    return crossing(spec, u[1:], b), crossing(spec, u, b)
+    """(B(u', b), B(u, b)) from the spec's memo, which holds B(u', b) once
+    ``crossing`` has filled in B(u, b)."""
+    moved, rest = crossing(spec, u, b), u[1:]
+    return (spec._cache["crossing"][(rest, b)] if rest else crossing(spec, rest, b)), moved
 
 
 def _swept_crossings(spec: BraidedAlgebraSpec, u: str, b: str) -> tuple[Element, Element]:
@@ -240,16 +294,19 @@ def quasi_shuffle(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
 
 def quasi_shuffle_general_clause(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
     """Internal oracle: the same clause, with the crossings swept, not memoised,
-    through a memo of this call alone."""
+    through memos of this call alone."""
+    singles: dict = {}
+
     @lru_cache(maxsize=None)
     def words(spec, u: str, v: str) -> dict[str, Scalar]:
-        return _qsh_general(spec, u, v, words, _swept_crossings)
+        return _qsh_general(spec, u, v, words, _swept_crossings, singles)
 
     try:
         return x.bilinear(y, lambda u, v: Element._wrap(words(spec, u, v), spec.alphabet),
                           cls=Element, alphabet=spec.alphabet)
     finally:  # the memo and its function form a cycle: empty it now, not at a collection
         words.cache_clear()
+        singles.clear()
 
 
 def deconcat(x: Element) -> Element:

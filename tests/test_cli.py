@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -12,9 +13,10 @@ import pytest
 from cofreehopf import qalg
 from cofreehopf.braid import BraidingTable, flip_braiding
 from cofreehopf.checks import fail
-from cofreehopf.cli import _pairs_up_to, _read_cartan, main
-from cofreehopf.config import emit_config
-from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, coproduct, star
+from cofreehopf.cli import _pairs_up_to, _read_cartan, _render_any, main
+from cofreehopf.config import emit_config, parse_config
+from cofreehopf.cotensor import (CotensorElement, SmashElement, chain_lift_word, coproduct,
+                                 flatten_coinvariant, from_smash, star, to_smash)
 from cofreehopf.elements import Element
 from cofreehopf.errors import ConfigError
 from cofreehopf.qalg import BraidedAlgebraSpec, deconcat, quasi_shuffle
@@ -104,21 +106,44 @@ def test_python_dash_m_runs_the_command_line(module, run):
     assert python_m("no-such-command").returncode == 2
 
 
-@pytest.mark.parametrize("long_first", [True, False], ids=["long-times-v1", "v1-times-long"])
+@pytest.mark.parametrize("long_first, length", [(True, 1000), (False, 300)],
+                         ids=["long-times-v1", "v1-times-long"])
 def test_long_times_one_letter_product_stays_within_the_recursion_limit(
-        clifford_config, long_first):
-    # about 3 recursion-limit units per letter, in either order: 300 letters
-    # leave little room under the default limit, so a costlier clause fails here
+        clifford_config, long_first, length):
+    # A word times one letter is a loop, at any length.  One letter times a
+    # word costs about 3 recursion-limit units per letter: 300 letters leave
+    # little room under the default limit, so a costlier clause fails here.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    word = "@".join(("v1", "v2", "v2", "v1", "v2")[k % 5] for k in range(300))
+    word = _periodic_word(length)
     factors = [word, "v1"] if long_first else ["v1", word]
     done = subprocess.run([sys.executable, "-m", "cofreehopf", "--config", clifford_config,
                            "qsh", *factors], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert "internal" not in done.stderr
+
+
+def _periodic_word(length: int) -> str:
+    """CI's long word on clifford2: v1 v2 v2 v1 v2, repeated to ``length`` letters."""
+    return "@".join(("v1", "v2", "v2", "v1", "v2")[k % 5] for k in range(length))
+
+
+def test_the_pinned_1000_letter_outputs_are_the_star_route(clifford_config, run):
+    # CI's entry-point gate pins the md5 of these two outputs
+    word = _periodic_word(1000)
+    spec = parse_config(Path(clifford_config).read_text(encoding="utf-8")).spec
+    x, y = (SmashElement.of(spec, tuple(spec.letter(a) for a in w.split("@"))) for w in (word, "v1"))
+    product = star(from_smash(x), from_smash(y))
+    render = _render_any(spec)
+    for command, want, digest in (
+            ("qsh", flatten_coinvariant(product), "bdfdd8895a8b7127351ab64ed7356927"),
+            ("smash-star", to_smash(product), "f29a03d815a1e5a103e3fa741a9c5eb6")):
+        code, out, err = run("--config", clifford_config, command, word, "v1")
+        assert (code, err) == (0, "")
+        assert out == render(want) + "\n"
+        assert hashlib.md5(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

@@ -8,10 +8,11 @@ import time
 
 import pytest
 
+from cofreehopf import linalg
 from cofreehopf.braid import check_yang_baxter
 from cofreehopf.config import ConfigDocument, emit_config, parse_config
 from cofreehopf.cotensor import chain_lift, render_cotensor, star
-from cofreehopf.elements import Element, canonical_key
+from cofreehopf.elements import Element, accumulate, canonical_key
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import (
     AbelianGroup,
@@ -25,7 +26,7 @@ from cofreehopf.grouphopf import (
 )
 from cofreehopf.scalars import Scalar
 
-from conftest import assert_frozen, column_images
+from conftest import assert_frozen, column_images, graded_yd_config
 
 
 def test_group_normalization_and_inverse():
@@ -157,6 +158,31 @@ def test_induced_braiding_satisfies_yang_baxter_randomized():
         spec = YDSpec(g, tuple(f"a{i}" for i in range(dim)), degrees, action)
         assert check_yetter_drinfeld(spec)
         assert check_yang_baxter(spec.braiding)
+
+
+JORDAN = "[group]\nrank = 1\n\n[basis]\nx1 = 1\nx2 = 1\n\n[action]\ng1.x1 = 1, 0\ng1.x2 = 1, 1\n"
+
+
+def test_the_induced_braiding_is_built_unchecked_and_inverted_by_inverse_degrees(
+        clifford2, uqg_a2, monkeypatch):
+    # sigma^-1(w (x) v) = v (x) degree(v)^-1.w: the induced table is invertible
+    # by construction, so building it runs no elimination
+    texts = [emit_config(ConfigDocument(p.spec)) for p in (clifford2, uqg_a2)]
+    texts += [JORDAN] + [graded_yd_config(seed) for seed in range(8)]
+
+    def refuse(rows):
+        raise AssertionError("the induced braiding was checked for invertibility")
+    monkeypatch.setattr(linalg, "is_invertible", refuse)
+    for text in texts:
+        spec = parse_config(text).spec  # a fresh spec builds its braiding here
+        table, group = spec.braiding, spec.group
+        for a, b in itertools.product(range(spec.dim), repeat=2):
+            back: dict = {}
+            for word, c in table.entries[(a, b)].terms():
+                w, v = map(ord, word)
+                for x, d in spec.act_letter(group.inverse(spec.degrees[v]), w).terms():
+                    accumulate(back, chr(v) + x, c * d)
+            assert Element(back, spec) == Element.from_word((a, b), alphabet=spec), (text, a, b)
 
 
 def test_diagonal_braiding_is_bicharacter_valued():

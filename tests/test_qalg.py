@@ -13,7 +13,8 @@ import pytest
 from cofreehopf.braid import BraidingTable, block_braiding, flip_braiding
 from cofreehopf.checks import fail
 from cofreehopf.config import ConfigDocument, emit_config, parse_config
-from cofreehopf.cotensor import SmashElement, smash_product
+from cofreehopf.cotensor import (SmashElement, chain_lift, flatten_coinvariant, smash_product,
+                                 star)
 from cofreehopf.elements import Element, pack_word
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import AbelianGroup, YDSpec, braided_spec
@@ -294,6 +295,48 @@ def test_crossing_has_the_closed_form_of_yd_data(uqg_a2):
                 == spec.act_letter(degree, b).tensor(Element.from_word(u, alphabet=spec))
 
 
+def test_the_crossing_memo_holds_every_suffix_of_each_word_it_holds(uqg_a2):
+    # so a clause level reads B(u', b) from the memo after crossing(spec, u, b)
+    spec = parse_config(emit_config(ConfigDocument(uqg_a2.spec))).spec  # cold memos
+    r = random.Random(12)
+    for n, m in ((4, 4), (3, 2), (5, 1), (40, 1), (1, 5)):
+        x, y = (Element.from_word(tuple(r.randrange(spec.dim) for _ in range(k)), alphabet=spec)
+                for k in (n, m))
+        assert quasi_shuffle(spec, x, y) == quasi_shuffle_general_clause(spec, x, y)
+    memo = spec._cache["crossing"]
+    assert len(memo) > 40
+    assert all((u[k:], b) in memo for u, b in memo for k in range(1, len(u)))
+
+
+@pytest.mark.parametrize("name", ["clifford2", "uqg_a2", "jordan"])
+def test_a_word_times_one_letter_matches_the_star_route_at_any_length(name, request):
+    # the one-letter clause is a loop over the cuts: no length meets the
+    # recursion limit, and the star route has no recursion either
+    spec = parse_config(JORDAN).spec if name == "jordan" else request.getfixturevalue(name).spec
+    r = random.Random(39)
+    for n in (1, 2, 5, 60, 460, 1000):
+        x = Element.from_word(tuple(r.randrange(spec.dim) for _ in range(n)), alphabet=spec)
+        y = Element.from_word((r.randrange(spec.dim),), alphabet=spec)
+        assert quasi_shuffle(spec, x, y) \
+            == flatten_coinvariant(star(chain_lift(spec, x), chain_lift(spec, y))), n
+
+
+def test_a_word_times_one_letter_stores_its_pair_and_no_suffix_level():
+    spec = parse_config(JORDAN).spec  # cold memos
+    r = random.Random(300)
+    u, b = pack_word(tuple(r.randrange(spec.dim) for _ in range(300))), "\1"
+    quasi_shuffle(spec, Element.from_word(u, alphabet=spec), Element.from_word(b, alphabet=spec))
+    assert list(spec._cache["qsh1"]) == [(u, b)]
+    assert spec._cache["qsh"].cache_info().currsize == 1
+
+
+def test_the_general_clause_multiplies_600_letters_by_one_under_the_recursion_limit(clifford2):
+    spec = clifford2.spec
+    x = Element.from_word(tuple((3 * k + 1) % spec.dim for k in range(600)), alphabet=spec)
+    y = Element.from_word((0,), alphabet=spec)
+    assert quasi_shuffle_general_clause(spec, x, y) == quasi_shuffle(spec, x, y)
+
+
 def test_arithmetic_on_a_product_leaves_the_memo_unchanged(uqg_a2):
     # Memo terms hold shared scalars (the unit among them) and a product
     # may reuse them: adding or scaling the result must write only into
@@ -340,10 +383,9 @@ def test_words_over_more_than_256_letters_match_the_general_clause():
     # the table holds just those.
     dim, used = 258, (0, 255, 256, 257)
     alphabet = ("wide", dim)
-    braiding = BraidingTable.__new__(BraidingTable)
-    braiding.dim, braiding.alphabet = dim, alphabet
-    braiding.entries = {(a, b): Element.from_word((b, a), Scalar.q_power((a > b) - (a < b)), alphabet)
-                        for a in used for b in used}
+    braiding = BraidingTable._trusted(dim, {
+        (a, b): Element.from_word((b, a), Scalar.q_power((a > b) - (a < b)), alphabet)
+        for a in used for b in used}, alphabet)
     mult = {(256, 257): Element.from_word((0,), 2, alphabet),
             (0, 256): Element.from_word((257,), alphabet=alphabet),
             (257, 255): Element.from_word((256,), Scalar.q_power(1), alphabet)}
@@ -370,10 +412,8 @@ def test_a_rank_0_spec_past_256_letters_multiplies_and_renders_its_letters():
     mult = {(256, 257): Element.from_word((255,), 2), (257, 256): Element.from_word((1,), -1),
             (0, 256): Element.from_word((257,), Scalar.q_power(1))}
     spec = YDSpec(group, names, (group.identity(),) * dim, (), mult)
-    braiding = BraidingTable.__new__(BraidingTable)
-    braiding.dim, braiding.alphabet = dim, spec
-    braiding.entries = {(a, b): Element.from_word((b, a), alphabet=spec)
-                        for a in used for b in used}
+    braiding = BraidingTable._trusted(dim, {(a, b): Element.from_word((b, a), alphabet=spec)
+                                            for a in used for b in used}, spec)
     bspec = BraidedAlgebraSpec(dim, braiding, {pair: v for pair, v in spec.mult.items() if v},
                                names=names, alphabet=spec)
     render = _render_any(spec)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from typing import Mapping
 
-from . import linalg
 from .checks import CheckResult, first_failure
 from .elements import Element, apply_local
 from .errors import StructuralError
@@ -33,7 +32,10 @@ class BraidingTable:
     over packed two-letter words.  Construction verifies totality and
     invertibility on V tensor V over the fraction field
     (``linalg.is_invertible``); ``_trusted`` skips both, for a table whose
-    maker has already proved them.
+    maker has already proved them: the braiding induced by YD data, the
+    flip and ``adjoin_unit``'s extension.  So only a table given from
+    outside, a ``[braiding]`` override or one built by hand, loads
+    ``linalg``.
     """
 
     __slots__ = ("dim", "entries", "alphabet")
@@ -66,6 +68,8 @@ class BraidingTable:
         return table
 
     def _invertible(self) -> bool:
+        from . import linalg  # only a table given from outside pays for it
+
         # one sparse row per input pair, its entry's terms by output pair: the
         # transpose, invertible with the operator
         return linalg.is_invertible([self.entries[pair]._terms
@@ -81,12 +85,13 @@ class BraidingTable:
 
 
 def flip_braiding(dim: int, alphabet=None) -> BraidingTable:
-    entries = {
+    """The flip v tensor w -> w tensor v, built unchecked: it is total over
+    two-letter words by construction, and its own inverse."""
+    return BraidingTable._trusted(dim, {
         (a, b): Element.from_word((b, a), alphabet=alphabet)
         for a in range(dim)
         for b in range(dim)
-    }
-    return BraidingTable(dim, entries, alphabet)
+    }, alphabet)
 
 
 def check_yang_baxter(table: BraidingTable) -> CheckResult:

@@ -14,10 +14,13 @@ A shell call runs one command in a fresh process, which pays for every
 module imported here.  So a module that some command never runs is
 imported in the code that runs it: ``json`` in ``_emit``, ``presets`` in
 ``_cmd_preset``, ``rotabaxter`` in ``_rb_operator`` and ``_check_rb``,
-``qalg`` and ``braid`` (with ``linalg``) in ``_qsh`` and the ``yb``,
-``alg``, ``bialg`` and ``rb`` checks.  ``star``, ``comul``, ``psi``,
-``phi`` and ``check yd`` load none of these three.  Tests patch such a
-function on its own module (``qalg``, ``rotabaxter``), and ``star`` here.
+``qalg`` and ``braid`` in ``_qsh`` and the ``yb``, ``alg``, ``bialg`` and
+``rb`` checks.  ``star``, ``comul``, ``psi``, ``phi`` and ``check yd``
+load none of these three, and ``preset`` loads neither ``qalg`` nor
+``braid``.  ``linalg`` loads only with a config's ``[braiding]``
+override, the one braiding table checked for invertibility.  Tests
+patch such a function on its own module (``qalg``, ``rotabaxter``),
+and ``star`` here.
 """
 
 from __future__ import annotations

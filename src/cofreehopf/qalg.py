@@ -121,7 +121,8 @@ def check_braided_algebra(spec: BraidedAlgebraSpec) -> CheckResult:
 
     - Right compatibility, σ(id⊗m) = (m⊗id)σ₂σ₁, applied to x⊗y⊗u gives
       with the unit laws σ(x⊗y) = (m⊗id)(id⊗ρ)σ(x⊗y).
-    - ``BraidingTable`` refuses a σ that is not invertible, so
+    - σ is invertible (``BraidingTable`` refuses a σ that is not, and
+      the package's own tables are invertible by construction), so
       c⊗d = (m⊗id)(c⊗ρ(d)) for all c and d; c = u gives ρ(d) = u⊗d.
     - Left compatibility applied to u⊗x⊗y gives σ(u⊗c) = c⊗u the same way.
 
@@ -158,7 +159,10 @@ def adjoin_unit(spec: BraidedAlgebraSpec) -> BraidedAlgebraSpec:
     """Extend a non-unital spec by a fresh unit letter.
 
     Multiplication gains the unit laws, the braiding flips the unit
-    across every letter, and every original entry is kept.
+    across every letter, and every original entry is kept.  The extended
+    table is built unchecked: it is sigma on V tensor V plus the flip on
+    the unit pairs, a direct sum, so it is total and invertible exactly
+    when sigma is, as every ``BraidingTable`` is.
     """
     if spec.unit is not None:
         raise StructuralError("spec already has a unit")
@@ -173,7 +177,7 @@ def adjoin_unit(spec: BraidedAlgebraSpec) -> BraidedAlgebraSpec:
         if a != unit:
             entries[(unit, a)] = Element.from_word((a, unit), alphabet=alphabet)
     mult, names = adjoin_unit_letter(spec.mult, dim, spec.names)
-    braiding = BraidingTable(dim + 1, entries, alphabet)
+    braiding = BraidingTable._trusted(dim + 1, entries, alphabet)
     return BraidedAlgebraSpec(dim + 1, braiding, mult, unit, names, alphabet)
 
 

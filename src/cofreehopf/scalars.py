@@ -182,9 +182,6 @@ class Scalar:
     def __sub__(self, other: Scalar | Rational) -> Scalar:
         return self + (-Scalar.coerce(other))
 
-    def __rsub__(self, other: Rational) -> Scalar:
-        return Scalar.coerce(other) + (-self)
-
     def __mul__(self, other: Scalar | Rational) -> Scalar:
         if type(other) is not Scalar:
             if not isinstance(other, (int, Fraction)):

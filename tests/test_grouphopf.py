@@ -9,7 +9,7 @@ import time
 import pytest
 
 from cofreehopf import linalg
-from cofreehopf.braid import check_yang_baxter
+from cofreehopf.braid import check_yang_baxter, flip_braiding
 from cofreehopf.config import ConfigDocument, emit_config, parse_config
 from cofreehopf.cotensor import chain_lift, render_cotensor, star
 from cofreehopf.elements import Element, accumulate, canonical_key
@@ -24,6 +24,7 @@ from cofreehopf.grouphopf import (
     check_yetter_drinfeld,
     diagonal_images,
 )
+from cofreehopf.qalg import adjoin_unit
 from cofreehopf.scalars import Scalar
 
 from conftest import assert_frozen, column_images, graded_yd_config
@@ -166,23 +167,41 @@ JORDAN = "[group]\nrank = 1\n\n[basis]\nx1 = 1\nx2 = 1\n\n[action]\ng1.x1 = 1, 0
 def test_the_induced_braiding_is_built_unchecked_and_inverted_by_inverse_degrees(
         clifford2, uqg_a2, monkeypatch):
     # sigma^-1(w (x) v) = v (x) degree(v)^-1.w: the induced table is invertible
-    # by construction, so building it runs no elimination
+    # by construction, so building it runs no elimination; nor do the flip, its
+    # own inverse, and adjoin_unit's extension, sigma plus the flip on the unit
     texts = [emit_config(ConfigDocument(p.spec)) for p in (clifford2, uqg_a2)]
     texts += [JORDAN] + [graded_yd_config(seed) for seed in range(8)]
 
     def refuse(rows):
-        raise AssertionError("the induced braiding was checked for invertibility")
+        raise AssertionError("a braiding built by the package was checked for invertibility")
     monkeypatch.setattr(linalg, "is_invertible", refuse)
+
+    def flipped(w, v):
+        return {chr(v) + chr(w): Scalar.one()}
+
+    def induced_inverse(spec):
+        def inverse(w, v):
+            moved = spec.act_letter(spec.group.inverse(spec.degrees[v]), w)
+            return {chr(v) + x: d for x, d in moved.terms()}
+        return inverse
+
+    def extended_inverse(spec):
+        inverse = induced_inverse(spec)
+        return lambda w, v: flipped(w, v) if spec.dim in (w, v) else inverse(w, v)
+
+    cases = [(flip_braiding(dim), flipped) for dim in (1, 3)]
     for text in texts:
         spec = parse_config(text).spec  # a fresh spec builds its braiding here
-        table, group = spec.braiding, spec.group
-        for a, b in itertools.product(range(spec.dim), repeat=2):
+        cases += [(spec.braiding, induced_inverse(spec)),
+                  (adjoin_unit(spec).braiding, extended_inverse(spec))]
+    for table, inverse in cases:
+        for a, b in itertools.product(range(table.dim), repeat=2):
             back: dict = {}
             for word, c in table.entries[(a, b)].terms():
-                w, v = map(ord, word)
-                for x, d in spec.act_letter(group.inverse(spec.degrees[v]), w).terms():
-                    accumulate(back, chr(v) + x, c * d)
-            assert Element(back, spec) == Element.from_word((a, b), alphabet=spec), (text, a, b)
+                for x, d in inverse(*map(ord, word)).items():
+                    accumulate(back, x, c * d)
+            assert Element(back, table.alphabet) \
+                == Element.from_word((a, b), alphabet=table.alphabet), (table, a, b)
 
 
 def test_diagonal_braiding_is_bicharacter_valued():

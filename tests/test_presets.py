@@ -48,11 +48,17 @@ def test_clifford_induced_braiding_signs(clifford2):
             assert table.entries[(i, j)] == Element.from_word((j, i), -1, spec)
 
 
-def test_clifford_validators(clifford2, clifford3):
-    for preset in (clifford2, clifford3):
-        assert check_yetter_drinfeld(preset.spec)
-        assert check_yd_module_algebra(preset.spec)
-        assert check_yang_baxter(preset.spec.braiding)
+def assert_valid(spec):
+    """The three checkers a builder does not run, each passing on ``spec``:
+    the oracle of the proof in the presets module docstring."""
+    assert check_yetter_drinfeld(spec)
+    assert check_yd_module_algebra(spec)
+    assert check_yang_baxter(spec.braiding)
+
+
+def test_clifford_validators():
+    for n in range(1, 5):
+        assert_valid(build_clifford(n).spec)
 
 
 def test_clifford_relations(clifford2, clifford3):
@@ -109,11 +115,12 @@ def test_uqg_degrees_and_action(uqg_a2):
     assert spec.act_letter(k1, xi1) == Element.from_word((xi1,), alphabet=spec)
 
 
-def test_uqg_validators(uqg_a1, uqg_a2):
-    for preset in (uqg_a1, uqg_a2):
-        assert check_yetter_drinfeld(preset.spec)
-        assert check_yd_module_algebra(preset.spec)
-        assert check_yang_baxter(preset.spec.braiding)
+def test_uqg_validators():
+    # A1, A2, unsymmetrized B2 and G2, a non-symmetric and the zero 2x2, and a
+    # 3x3 with negative entries
+    for cartan in ([[2]], CARTAN_A2, [[2, -2], [-1, 2]], [[2, -1], [-3, 2]],
+                   [[1, 3], [-2, 0]], [[0, 0], [0, 0]], [[2, -1, -3], [0, -2, 4], [-5, 1, 2]]):
+        assert_valid(build_uqg(cartan).spec)
 
 
 def test_uqg_relations(uqg_a1, uqg_a2):

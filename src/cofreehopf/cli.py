@@ -41,6 +41,7 @@ from .config import (
     parse_config,
 )
 from .cotensor import (
+    ChainWalk,
     CotensorElement,
     SmashElement,
     _pair_alphabet as _key_pairs,
@@ -48,7 +49,6 @@ from .cotensor import (
     coproduct,
     flatten_coinvariant,
     render_cotensor,
-    render_key,
     render_letter,
     render_pairs,
     render_smash,
@@ -144,19 +144,22 @@ def _render_any(spec: YDSpec):
 
 
 def _json_terms(kind: str, spec: YDSpec, value) -> list[dict]:
-    """One dict per term: ``coeff`` and the key fields of its kind."""
+    """One dict per term: ``coeff`` and the key fields of its kind; cotensor
+    keys are sorted and written through one ``ChainWalk``."""
     letter = partial(render_letter, spec)
+    walk = ChainWalk(spec)
 
     def fields(key) -> dict:
         if kind == "pairs":
-            return {"left": render_key(spec, key[0]), "right": render_key(spec, key[1])}
+            return {"left": walk.text(key[0]), "right": walk.text(key[1])}
         if kind == "smash":
             return {"word": [letter(v) for v in key[0]], "group": letter(key[1])}
-        if isinstance(key, GroupElement):  # a degree-0 cotensor key
-            return {"word": [letter(key)]}
-        return {"word": [letter(v) for v in key]}
+        if kind == "tensor":
+            return {"word": [letter(v) for v in key]}
+        return {"word": walk.text(key).split("[]")}
 
-    return [{"coeff": render_scalar(c), **fields(key)} for key, c in value.terms()]
+    order = walk.order if kind in ("cotensor", "pairs") else None
+    return [{"coeff": render_scalar(c), **fields(key)} for key, c in value.terms(order)]
 
 
 def _qsh(doc: ConfigDocument):

@@ -341,7 +341,7 @@ def bind_cotensor_element(spec: YDSpec, parsed: ParsedElement) -> CotensorElemen
             result = check_chain_condition(spec, [word])
             if not result:
                 raise ConfigError(f"chain condition fails at cut {result.witness[1]}")
-            return word
+            return pack_word([v for v, _ in word]), word[-1][1]
         if not any(annotated):
             return chain_lift_word(spec, tuple(spec.letter(name) for _, name, _ in letters))
         raise ConfigError("either annotate every letter with a group part or none")

@@ -1,13 +1,24 @@
 """The cotensor coalgebra on V tensor K[G] and its product structure.
 
 Basis keys come in two kinds.  A degree-0 key is a group element (the
-base group algebra sits in degree 0).  A degree-n key is a chain word: a
-tuple of (letter, group element) pairs whose group components satisfy
-the chain condition g_k = degree(v_{k+1}) * g_{k+1} at every cut, which
-is exactly membership in the iterated cotensor product when the module
-is group-graded.  Both coactions are then monomial on basis keys: the
-left one reads degree(v_1) * g_1 off the first pair, the right one reads
-g_n off the last.
+base group algebra sits in degree 0).  A degree-n key is a chain word
+v_1[]...[]v_n with group components g_1, ..., g_n satisfying the chain
+condition g_k = degree(v_{k+1}) * g_{k+1} at every cut, which is exactly
+membership in the iterated cotensor product when the module is
+group-graded.  So a chain word is fixed by its letters and its right
+degree g_n, and its key is the pair (packed word, g_n), the smash key of
+the same basis element: g_k = degree(v_{k+1} ... v_n) * g_n.  A key is
+on the chain by construction.  The components are computed only where
+something reads them, in one walk from the right end (``_chain``), the
+chain letter (v, g) needing degree(v) * g before it: one group product,
+memoised by the group, per letter for the coproduct, the product's
+prefixes and the chain guard.  Rendering and the term order read many
+keys that share components, so they take the walk's steps through a
+``ChainWalk`` kept for one rendering, whose components link to the ones
+before them: each step is taken once, on first read, with the text of
+its chain letter, and is then one dict read.  Both coactions are
+monomial on basis keys: the left one reads the left degree
+g_0 = degree(v_1) * g_1, the right one reads g_n.
 
 The product is evaluated through the universal property of the cotensor
 coalgebra: project the tensor square onto the group algebra (degree-0
@@ -27,32 +38,46 @@ keys, in one table filled row by row:
               + T(i-1, j-1) . pi1(last a_i, last b_j)
 
 The product of the two keys is T(n, m); two group elements multiply in
-the group.  The table reads the column prefixes once per product, and a
-cell visits only the sources that hold words.  Products are not
+the group.  pi1(a_i, b_j) can be nonzero only for i, j <= 1.  The table
+keeps one row: ``above``, row i-1 overwritten by row i up to column j-1,
+with the cells ``left`` and ``diagonal`` beside it, and the last row is
+not stored, so one letter times a word of n letters keeps row 0, one
+word per cell under a diagonal action, not the Theta(n^3) letters of its
+last row.  A source with no words appends nothing, the empty row above
+row 0 and the empty cell left of column 0 among them.  Products are not
 memoised, but pi1 of each pair the table reads is, on the spec
-(``spec._cache["pi1"]``), as triples (code point, coefficient or None
-for 1, need), need = degree(v) * g being the component the letter (v, g)
+(``spec._cache["pi1"]``), as triples (letter key (v, g), coefficient or
+None for 1, need), need = degree(v) * g being the component the letter
 requires just before it.  A miss sums pi1 straight from the term dicts
 of a letter image and of the multiplication table, with one group
-product for its component, and gives each new letter the next code point
-of the spec's table ``spec._cache["codes"]`` (letter to code and back, at
-most 0x110000 letters).  A cell holds its words packed as strings, whose
-hashes are cached, and the one last component they share, rd(a_i) *
-rd(b_j); only T(n, m) is unpacked.  The chain condition is guarded there
-too: before a letter is appended to a cell, need is compared with that
-component (by identity first, since a group interns its elements, then
-by value), so each cut of each word built is checked once, and a product
-that leaves the chain words raises.
+product for its component.  A cell holds its words packed, whose hashes
+are cached, and the last component they share, rd(a_i) * rd(b_j), read
+off the letters appended; T(n, m) is read off as keys (word, component).
+The chain condition is guarded there too: before a letter is appended to
+a cell, need is compared with the source's component (by identity first,
+since a group interns its elements, then by value), so each cut of each
+word built is checked once, and a product that leaves the chain words
+raises, naming the word it built.
+
+The canonical term order (see ``elements``) compares chain words letter
+by letter, each letter (v_k, g_k); the packed keys compare word first,
+which is another order.  ``ChainWalk.order`` gives the
+canonical one without building chain words: a group element first, then
+a word by (v_1, g_1), then by its packed word.  Two keys that agree on
+(v_1, g_1) have one left degree, so their components agree wherever
+their letters agree, and the packed words order them as their chain
+words.  A rendering sorts and writes its keys through one ``ChainWalk``
+(``order``, ``text``), whose memo dies with the rendering.
 
 The coinvariant side: the projection onto right coinvariants is the
 convolution of the identity with the composite
-inclusion-antipode-projection; chain words with trailing group element 1
-form the coinvariant basis, and flattening them to plain tensor words is
-inverse to the chain lift that reinstates the group components.  The
-smash product on tensor words with a group tag gives the second,
-independent route to the same algebra.  On basis keys the isomorphism is
-a relabel, since a chain word is fixed by its letters and its right
-degree: g_k = degree(v_{k+1} ... v_n) * g_n.
+inclusion-antipode-projection; chain words with right degree 1 form the
+coinvariant basis, and flattening them to plain tensor words is inverse
+to the chain lift that reinstates the group components.  The smash
+product on tensor words with a group tag gives the second, independent
+route to the same algebra.  On basis keys the isomorphism is a relabel:
+only the degree-0 key, a bare group element, becomes the smash key
+(empty word, group element).
 """
 
 from __future__ import annotations
@@ -66,26 +91,27 @@ from .errors import StructuralError
 from .grouphopf import GroupElement, YDSpec
 from .scalars import Scalar
 
-MWord = tuple  # tuple[(letter index, GroupElement), ...]
-Key = object   # GroupElement (degree 0) or MWord (degree >= 1)
-_DIRECT = ((0, 1), (1, 0), (1, 1))  # the prefix degrees (i, j) on which pi1 can be nonzero
+Key = object  # GroupElement (degree 0) or (packed word, right degree) (degree >= 1)
 
 
 def key_degree(key: Key) -> int:
-    return 0 if isinstance(key, GroupElement) else len(key)
-
-
-def left_degree(spec: YDSpec, key: Key) -> GroupElement:
-    if isinstance(key, GroupElement):
-        return key
-    v, g = key[0]
-    return spec.group.multiply(spec.degrees[v], g)
+    return 0 if isinstance(key, GroupElement) else len(key[0])
 
 
 def right_degree(spec: YDSpec, key: Key) -> GroupElement:
-    if isinstance(key, GroupElement):
-        return key
-    return key[-1][1]
+    return key if isinstance(key, GroupElement) else key[1]
+
+
+def _chain(spec: YDSpec, key: Key) -> tuple[str, list[GroupElement]]:
+    """The letters of a key and its components g_0, ..., g_n, g_0 the left
+    degree, in one walk from the right end, the chain letter (v, g) needing
+    degree(v) * g before it; a group element g gives ("", [g]).  This is
+    the one walk: a ``ChainWalk`` memoises its steps one letter at a time."""
+    word, g = ("", key) if isinstance(key, GroupElement) else key
+    components = [g]
+    for v in reversed(word):
+        components.append(spec.group.multiply(spec.degrees[ord(v)], components[-1]))
+    return word, components[::-1]
 
 
 class CotensorElement(Element):
@@ -100,6 +126,10 @@ class CotensorElement(Element):
     def spec(self) -> YDSpec:
         return self.alphabet
 
+    def support(self, order=None) -> list:
+        """The keys in the canonical order, by default ``ChainWalk.order``."""
+        return super().support(order or ChainWalk(self.spec).order)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -107,25 +137,31 @@ class CotensorElement(Element):
         return cls(spec, {spec.group.identity(): Scalar.one()})
 
     @classmethod
-    def from_word(cls, spec: YDSpec, word: MWord) -> CotensorElement:
-        word = tuple((int(v), g) for v, g in word)
-        result = check_chain_condition(spec, [word])
-        if not result:
-            raise StructuralError(f"chain condition fails at cut {result.witness[1]} "
-                                  f"of {render_key(spec, word)}")
-        return cls(spec, {word: Scalar.one()})
+    def from_word(cls, spec: YDSpec, key: Key) -> CotensorElement:
+        """The basis key ``key`` with coefficient 1: a group element, or a
+        nonempty packed word over the spec's letters with its right degree.
+        Anything else, a chain word written letter by letter among them,
+        raises."""
+        if not isinstance(key, GroupElement) and not (
+                type(key) is tuple and len(key) == 2 and type(key[0]) is str and key[0]
+                and isinstance(key[1], GroupElement) and max(map(ord, key[0])) < spec.dim):
+            raise StructuralError(f"not a cotensor key: {key!r}")
+        return cls(spec, {key: Scalar.one()})
 
 
 def check_chain_condition(spec: YDSpec, terms) -> CheckResult:
-    """Validate the chain condition at every cut of every word.
+    """Validate the chain condition at every cut of every chain word given
+    letter by letter, as a tuple of (letter index, group element) pairs:
+    the form a config annotates.  A basis key (a group element, or a packed
+    word with its right degree) is on the chain by construction and passes.
 
-    ``terms`` may be a CotensorElement or any iterable of keys (a mapping
-    iterates its keys), each a group element or a chain word.  A failure's
-    witness is the pair (word, first violating cut, 1-based).
+    ``terms`` may be a CotensorElement or any iterable of such words and
+    keys (a mapping iterates its keys).  A failure's witness is the pair
+    (word, first violating cut, 1-based).
     """
     keys = terms._terms if isinstance(terms, CotensorElement) else terms
     for key in keys:
-        if isinstance(key, GroupElement):
+        if isinstance(key, GroupElement) or type(key[0]) is str:  # a basis key
             continue
         for k in range(len(key) - 1):
             v_next, g_next = key[k + 1]
@@ -147,10 +183,10 @@ def coproduct_pairs(spec: YDSpec, key: Key) -> list[tuple[Key, Key]]:
     """
     if isinstance(key, GroupElement):
         return [(key, key)]
-    pairs: list[tuple[Key, Key]] = [(left_degree(spec, key), key)]
-    pairs.extend((key[:k], key[k:]) for k in range(1, len(key)))
-    pairs.append((key, right_degree(spec, key)))
-    return pairs
+    word, components = _chain(spec, key)
+    return [(components[0], key),
+            *(((word[:k], components[k]), (word[k:], key[1])) for k in range(1, len(word))),
+            (key, key[1])]
 
 
 def _pair_alphabet(spec: YDSpec):
@@ -165,8 +201,9 @@ def coproduct(x: CotensorElement) -> Element:
 # -- the universal-property product ------------------------------------------
 
 
-def _module_projection(spec: YDSpec, a: Key, b: Key) -> dict[tuple[int, GroupElement], Scalar]:
-    """Degree-1 projection of the product map on a basis pair of the square.
+def _module_projection(spec: YDSpec, a: Key, b: Key) -> dict[tuple[str, GroupElement], Scalar]:
+    """Degree-1 projection of the product map on a basis pair of the square,
+    as degree-1 keys (letter, group element).
 
     Left action for (group, letter) pairs, right action for (letter,
     group), the module multiplication in smash form for (letter, letter);
@@ -174,21 +211,18 @@ def _module_projection(spec: YDSpec, a: Key, b: Key) -> dict[tuple[int, GroupEle
     """
     shape = key_degree(a), key_degree(b)
     if shape == (0, 1):
-        (v, g2), = b
-        image = spec.act_letter(a, v)._terms
-        target = spec.group.multiply(a, g2)
-        return {(ord(i), target): c for i, c in image.items()}
+        target = spec.group.multiply(a, b[1])
+        return {(i, target): c for i, c in spec.act_letter(a, ord(b[0]))._terms.items()}
     if shape == (1, 0):
-        (v, g1), = a
-        return {(v, spec.group.multiply(g1, b)): Scalar.one()}
+        return {(a[0], spec.group.multiply(a[1], b)): Scalar.one()}
     if shape != (1, 1):
         return {}
-    ((v, g1),), ((w, g2),) = a, b
-    image, out, one = spec.act_letter(g1, w)._terms, {}, Scalar.one()
+    (v, g1), (w, g2) = a, b
+    image, out, one = spec.act_letter(g1, ord(w))._terms, {}, Scalar.one()
     target = spec.group.multiply(g1, g2)
     for i, c in image.items():
-        for k, d in spec.mult[(v, ord(i))]._terms.items():
-            accumulate(out, (ord(k), target), d if c is one else d * c)
+        for k, d in spec.mult[(ord(v), ord(i))]._terms.items():
+            accumulate(out, (k, target), d if c is one else d * c)
     return out
 
 
@@ -199,29 +233,21 @@ def _star_key(spec: YDSpec, kx: Key, ky: Key) -> CotensorElement:
 
 
 def _projection_entry(spec: YDSpec, a: Key, b: Key) -> tuple:
-    """pi1(a, b) as (letter, coefficient or None for 1, need = deg(v) * g) per letter (v, g)."""
-    one, multiply, degrees = Scalar.one(), spec.group.multiply, spec.degrees
-    return tuple((letter, None if d is one else d, multiply(degrees[letter[0]], letter[1]))
+    """pi1(a, b) as (letter, coefficient or None for 1, need = deg(v) * g) per
+    letter (v, g), need being the left degree of the letter's key."""
+    return tuple((letter, None if d is Scalar.one() else d, _chain(spec, letter)[1][0])
                  for letter, d in _module_projection(spec, a, b).items())
 
 
-def _prefix_table(spec: YDSpec, kx: Key, ky: Key) -> dict[MWord, Scalar]:
+def _prefix_table(spec: YDSpec, kx: Key, ky: Key) -> dict[Key, Scalar]:
     """T(n, m) of the module docstring, filled one row of prefix pairs at a
-    time; a cell holds its words, packed, and the last component they share."""
+    time over one stored row; a cell holds its packed words and the last
+    component they share."""
     def prefixes(key):  # (right degree, last letter) of prefix 0 .. n; prefix 0 stands for both
-        start = left_degree(spec, key)
-        return [(start, start)] + [(key[i][1], key[i:i + 1]) for i in range(key_degree(key))]
+        word, components = _chain(spec, key)
+        return [(components[0],) * 2] + [(g, (v, g)) for v, g in zip(word, components[1:])]
 
     memo = spec._cache.setdefault("pi1", {})
-    codes, letters = spec._cache.setdefault("codes", ({}, []))  # chain letter <-> code point
-
-    def code(letter) -> str:  # a new letter takes the next code point
-        if letter not in codes:
-            if len(letters) == 0x110000:
-                raise StructuralError("the products of a spec name at most 1114112 chain letters")
-            codes[letter] = chr(len(letters))
-            letters.append(letter)
-        return codes[letter]
 
     def append(cell, source, x, y):  # cell += source . pi1(x, y), guarding each cut it makes
         words, end = source
@@ -229,35 +255,34 @@ def _prefix_table(spec: YDSpec, kx: Key, ky: Key) -> dict[MWord, Scalar]:
             return
         entry = memo.get((x, y))
         if entry is None:
-            entry = memo[(x, y)] = tuple((code(letter), d, need)
-                                         for letter, d, need in _projection_entry(spec, x, y))
-        for letter, d, need in entry:
+            entry = memo[(x, y)] = _projection_entry(spec, x, y)
+        for (v, g), d, need in entry:
             if end is not need and end is not None and end != need:
-                word = tuple(letters[ord(k)] for k in next(iter(words)) + letter)
-                raise StructuralError(
-                    "product left the cotensor subspace: chain word "
-                    f"{render_key(spec, word)} breaks at cut {len(word) - 1}")
+                word = next(iter(words))
+                raise StructuralError("product left the cotensor subspace: chain word "
+                                      f"{ChainWalk(spec).text((word, end))}[]"
+                                      f"{ChainWalk(spec).text((v, g))} breaks at cut {len(word)}")
+            cell[1] = g
             for word, c in words.items():
-                accumulate(cell, word + letter, c if d is None else c * d)
+                accumulate(cell[0], word + v, c if d is None else c * d)
 
     unit = ({"": Scalar.one()}, None)
+    empty = ({}, None)
     columns = prefixes(ky)
-    prev: list[tuple] = []
-    for i, (a_right, a_last) in enumerate(prefixes(kx)):
-        row: list[tuple] = []
+    rows = prefixes(kx)
+    above = [empty] * len(columns)
+    for i, (a_right, a_last) in enumerate(rows):
+        left = diagonal = empty
         for j, (b_right, b_last) in enumerate(columns):
-            cell: dict[str, Scalar] = {}
-            if (i, j) in _DIRECT:
+            cell = [{}, None]  # packed words, and the last component they share
+            if i < 2 and j < 2:  # pi1(a_i, b_j) vanishes on a prefix of degree 2 or more
                 append(cell, unit, a_last, b_last)
-            if j:
-                append(cell, row[j - 1], a_right, b_last)
-            if i:
-                append(cell, prev[j], a_last, b_right)
-                if j:
-                    append(cell, prev[j - 1], a_last, b_last)
-            row.append((cell, letters[ord(next(iter(cell))[-1])][1] if cell else None))
-        prev = row
-    return {tuple(map(letters.__getitem__, map(ord, word))): c for word, c in prev[-1][0].items()}
+            append(cell, left, a_right, b_last)
+            append(cell, above[j], a_last, b_right)
+            append(cell, diagonal, a_last, b_last)
+            diagonal, left = above[j], cell
+            above[j] = cell if i < len(rows) - 1 else empty  # the last row is not stored
+    return {(word, left[1]): c for word, c in left[0].items()}
 
 
 def star(x: CotensorElement, y: CotensorElement) -> CotensorElement:
@@ -274,7 +299,7 @@ def right_translate(spec: YDSpec, key: Key, g: GroupElement) -> Key:
     """The right module action of a group element on a basis key."""
     if isinstance(key, GroupElement):
         return spec.group.multiply(key, g)
-    return tuple((v, spec.group.multiply(h, g)) for v, h in key)
+    return key[0], spec.group.multiply(key[1], g)
 
 
 def coinvariant_projection(x: CotensorElement) -> CotensorElement:
@@ -290,35 +315,21 @@ def coinvariant_projection(x: CotensorElement) -> CotensorElement:
 
 def coinvariant_projection_direct(x: CotensorElement) -> CotensorElement:
     """The closed form of the same projection: kill the right degree."""
-    spec = x.spec
-    return x.rekey(lambda key: (
-        right_translate(spec, key, spec.group.inverse(right_degree(spec, key))),))
+    e = x.spec.group.identity()
+    return x.rekey(lambda key: (e if isinstance(key, GroupElement) else (key[0], e),))
 
 
 def flatten_coinvariant(x: CotensorElement) -> Element:
     """Strip the group components off a right-coinvariant element."""
     if not all(right_degree(x.spec, key).is_identity() for key in x._terms):
         raise StructuralError("element is not right-coinvariant")
-    return x.relabel(_letters, cls=Element)
-
-
-def _letters(key: Key) -> str:
-    """The packed tensor word under a basis key: its letters without the group
-    components."""
-    return "" if isinstance(key, GroupElement) else pack_word([v for v, _ in key])
+    return x.relabel(lambda key: "" if isinstance(key, GroupElement) else key[0], cls=Element)
 
 
 def chain_lift_word(spec: YDSpec, word) -> Key:
-    """Reinstate group components: suffix degree products, ending at 1.
-    ``word`` is packed or a tuple of letters."""
-    if not word:
-        return spec.group.identity()
-    out = []
-    g = spec.group.identity()
-    for v in map(ord, reversed(pack_word(word))):
-        out.append((v, g))
-        g = spec.group.multiply(spec.degrees[v], g)
-    return tuple(reversed(out))
+    """The key of a tensor word, packed or a tuple of letters, with right
+    degree 1: its group components are the suffix degree products."""
+    return (pack_word(word), spec.group.identity()) if word else spec.group.identity()
 
 
 def chain_lift(spec: YDSpec, x: Element) -> CotensorElement:
@@ -377,16 +388,15 @@ def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
 def to_smash(x: CotensorElement) -> SmashElement:
     """Each basis key to (letters, right degree): the closed form of the sum
     of P(x1) # pi(x2) over the coproduct, P the coinvariant projection and
-    pi the projection onto the group algebra."""
-    return x.relabel(lambda key: (_letters(key), right_degree(x.spec, key)), cls=SmashElement)
+    pi the projection onto the group algebra.  A chain word's key is that
+    pair already; a group element g becomes ("", g)."""
+    return x.relabel(lambda key: ("", key) if isinstance(key, GroupElement) else key,
+                     cls=SmashElement)
 
 
 def from_smash(s: SmashElement) -> CotensorElement:
-    """Chain-lift the word leg and right-translate it by the group tag, the
-    inverse of ``to_smash``; this route shares no code with star."""
-    spec = s.spec
-    return s.relabel(lambda key: right_translate(spec, chain_lift_word(spec, key[0]), key[1]),
-                     cls=CotensorElement)
+    """The inverse of ``to_smash``; this route shares no code with star."""
+    return s.relabel(lambda key: key if key[0] else key[1], cls=CotensorElement)
 
 
 # -- rendering ------------------------------------------------------------------
@@ -394,13 +404,9 @@ def from_smash(s: SmashElement) -> CotensorElement:
 
 def render_letter(spec, letter) -> str:
     """The one source of letter text: a letter index, or the code point of a
-    packed one, reads as its name, a group element as ``K{...}``, a chain
-    letter (index, g) as ``name.K{...}``."""
+    packed one, reads as its name, a group element as ``K{...}``."""
     if type(letter) is str:
         return spec.names[ord(letter)]
-    if type(letter) is tuple:
-        v, g = letter
-        return f"{spec.names[v]}.{g.render()}"
     if isinstance(letter, GroupElement):
         return letter.render()
     return spec.names[letter]
@@ -412,19 +418,66 @@ def render_word(spec, word) -> str:
     return "@".join(render_letter(spec, letter) for letter in word) or "1"
 
 
-def render_key(spec: YDSpec, key: Key, texts: dict | None = None) -> str:
-    """A basis key as its letters joined by ``[]``.  ``texts``, a dict kept
-    by the caller for one rendering, holds each letter's text once made."""
-    letters = (key,) if isinstance(key, GroupElement) else key  # degree 0: one group element
-    if texts is None:
-        texts = {}
-    return "[]".join([texts.get(letter) or texts.setdefault(letter, render_letter(spec, letter))
-                      for letter in letters])
+class _Component(dict):
+    """A component g on one walk.  Each letter v read before it maps to the
+    text ``name.K{...}`` of the chain letter (v, g) and to the component
+    degree(v) * g before it, both made on first read."""
+
+    __slots__ = ("walk", "g")
+
+    def __init__(self, walk: ChainWalk, g: GroupElement):
+        self.walk, self.g = walk, g
+
+    def __missing__(self, v: str) -> tuple[str, _Component]:
+        spec = self.walk.spec
+        previous = self.walk[_chain(spec, (v, self.g))[1][0]]  # the left degree of (v, g)
+        step = self[v] = (f"{spec.names[ord(v)]}.{self.g.render()}", previous)
+        return step
+
+
+class ChainWalk(dict):
+    """The walk over the chain words of one rendering, from their right
+    ends: each group element read maps to its ``_Component``, made on first
+    read.  ``text`` and ``order`` read a basis key, or a pair, through it."""
+
+    def __init__(self, spec: YDSpec):
+        self.spec = spec
+
+    def __missing__(self, g: GroupElement) -> _Component:
+        component = self[g] = _Component(self, g)
+        return component
+
+    def text(self, key: Key) -> str:
+        """A basis key as its letters joined by ``[]``: a group element reads
+        as itself, a chain word as one text per chain letter.  No letter's
+        text holds ``[]``."""
+        if isinstance(key, GroupElement):  # degree 0: one group element
+            return key.render()
+        word, g = key
+        component, out = self[g], []
+        for v in reversed(word):
+            text, component = component[v]
+            out.append(text)
+        return "[]".join(reversed(out))
+
+    def order(self, key):
+        """The sort key of the canonical order (the chain words' letters
+        compared one by one) on basis keys and pairs of them, read off the
+        packed keys: a group element, then a word by its first chain letter
+        (v_1, g_1) and its packed word (see the module docstring)."""
+        if isinstance(key, GroupElement):
+            return (1, *key)
+        if type(key[0]) is not str:  # a pair of keys
+            return tuple(map(self.order, key))
+        word, component = key[0], self[key[1]]
+        for v in word[:0:-1]:  # to the component g_1 of the first letter
+            component = component[v][1]
+        return (3, word[0], component.g, word)
 
 
 def render_cotensor(x: CotensorElement) -> str:
-    texts: dict = {}
-    return render_terms(x, lambda key: render_key(x.spec, key, texts))
+    walk = ChainWalk(x.spec)
+    return render_terms(x, walk.text, walk.order)
 
 
 def render_smash(x: SmashElement) -> str:
@@ -434,6 +487,5 @@ def render_smash(x: SmashElement) -> str:
 
 def render_pairs(spec: YDSpec, x: Element) -> str:
     """Canonical text for an Element over pairs of basis keys."""
-    texts: dict = {}
-    return render_terms(x, lambda pair: " (x) ".join(render_key(spec, key, texts)
-                                                     for key in pair))
+    walk = ChainWalk(spec)
+    return render_terms(x, lambda pair: " (x) ".join(map(walk.text, pair)), walk.order)

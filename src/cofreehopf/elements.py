@@ -9,8 +9,9 @@ and :class:`Element` is the combination over any of them.  The key kinds:
   tuple of letters, and ``tuple(map(ord, word))`` reads one back.  A
   pair of words (u, v) is the key of the tensor square;
 * the cotensor coalgebra on V tensor K[G] (:class:`CotensorElement`):
-  a group element in degree 0, or a chain word, a tuple of (index, group
-  element) pairs;
+  a group element in degree 0, or a chain word held as its smash key,
+  (packed word, right degree), the right degree fixing every other
+  group component;
 * the smash product T(V) # K[G] (:class:`SmashElement`): a pair
   (packed word, group element).
 
@@ -28,21 +29,24 @@ module data for cotensor and smash elements (read as ``spec``).  Adding
 or comparing two elements needs the same class; adding them under
 different tags is a structural error, and such elements are never equal.
 
-There is one canonical term order, :func:`canonical_key`: group elements
-(by free, then torsion exponents) before tuples, and words compared
-letter by letter, a word before its extensions.  A packed word compares
-code point by code point, which is that order on its letters.  So
-degree-0 keys precede words, smash keys sort by word, then group tag,
-and a pair of cotensor keys by its left key, then its right key.  The
-key is flat: every kind but the pair of cotensor keys compares as the
-key itself.  This is the order the CLI renders and the golden tests
+There is one canonical term order: group elements (by free, then
+torsion exponents) before tuples, and words compared letter by letter, a
+word before its extensions.  :func:`canonical_key` gives it on tensor
+words, smash keys and word pairs: a packed word compares code point by
+code point, which is that order on its letters, and a smash key sorts by
+word, then group tag.  A cotensor key is a packed word with its right
+degree, which does not compare as its chain word written out, letter by
+letter, each letter (index, group component); ``cotensor.ChainWalk.order``
+gives the order of the chain words, degree-0 keys first and a pair of
+keys by its left key, then its right key, and cotensor elements and
+their coproducts sort by it (``support`` and ``terms`` take a sort key
+as ``order``).  This is the order the CLI renders and the golden tests
 freeze.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from .errors import StructuralError
@@ -64,20 +68,16 @@ def pack_word(word) -> str:
 
 
 def canonical_key(key):
-    """The one canonical sort key of a basis key of any kind, built without
-    recursion.  A tensor word, a chain word, a smash key (word, group tag)
-    and a word pair compare as themselves; a pair of cotensor keys, where a
-    group element may meet a chain word, ranks each part first.  It orders
-    the keys of one element: kinds that never share an element, such as a
-    tensor word and a smash key, need not compare."""
+    """The canonical sort key of a group element, a tensor word, a smash key
+    (word, group tag) or a word pair: the key itself, a group element ranked
+    before every tuple.  It orders the keys of one element: kinds that never
+    share an element, such as a tensor word and a smash key, need not
+    compare."""
     if type(key) is str:
         return key
     if type(key) is not tuple:  # a group element: a tuple subclass
         return (1, *key)
-    head = key[0] if key else 0
-    if type(head) in (int, str) or type(head) is tuple and (not head or type(head[0]) is int):
-        return (3, key)
-    return (3, *chain.from_iterable((type(part) is tuple, part) for part in key))
+    return (3, key)
 
 
 def merge_alphabets(a, b):
@@ -152,12 +152,13 @@ class Element:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def support(self) -> list:
-        return sorted(self._terms, key=canonical_key)
+    def support(self, order=None) -> list:
+        """The keys sorted by ``order``, by default ``canonical_key``."""
+        return sorted(self._terms, key=order or canonical_key)
 
-    def terms(self) -> Iterable[tuple[object, Scalar]]:
-        """Term iteration in canonical order."""
-        for key in self.support():
+    def terms(self, order=None) -> Iterable[tuple[object, Scalar]]:
+        """Term iteration in canonical order, sorted by ``order`` when given."""
+        for key in self.support(order):
             yield key, self._terms[key]
 
     def __eq__(self, other) -> bool:
@@ -341,8 +342,9 @@ def adjoin_unit_letter(mult: Mapping, dim: int, names):
 MINUS = "−"  # canonical term separator uses the minus-sign character
 
 
-def render_terms(x: Element, key_text: Callable) -> str:
-    """Canonical text form: terms in canonical order joined by + / minus.
+def render_terms(x: Element, key_text: Callable, order=None) -> str:
+    """Canonical text form: terms in canonical order (sorted by ``order``
+    when given) joined by + / minus.
 
     A coefficient of 1 is omitted; a pure sign is folded into the join;
     any other coefficient is rendered as a grammar atom followed by a
@@ -352,7 +354,7 @@ def render_terms(x: Element, key_text: Callable) -> str:
     if x.is_zero():
         return "0"
     chunks: list[str] = []
-    for key, coeff in x.terms():
+    for key, coeff in x.terms(order):
         neg, atom = split_sign(coeff)
         body = key_text(key)
         if not body:

@@ -9,15 +9,15 @@ two of them multiply in the group.
 A group element is an exponent vector, torsion exponents normalized into
 [0, order): a :class:`GroupElement` is a tuple subclass holding the free
 part and the torsion part, so hashing, constructing it and reading its
-fields run in C, as they do for the chain words built from it.  It is
-equal only to a group element with the same exponents, never to a plain
-tuple, a chain word or a smash key.  :meth:`AbelianGroup.element`
-validates and normalizes outside input; :meth:`AbelianGroup.multiply`
-and :meth:`AbelianGroup.inverse` build their results from the exponent
-tuples directly.  Equal group elements built by one group are one
-object: the group interns them in a table that lives on it, so dict
-lookups and tuple comparisons of chain words meet the same object and
-skip the Python-level ``__eq__``.  Beside that table the group memoises
+fields run in C, as they do for the keys built from it, a smash or
+cotensor key (packed word, group element).  It is equal only to a group
+element with the same exponents, never to a plain tuple or to such a
+key.  :meth:`AbelianGroup.element` validates and normalizes outside
+input; :meth:`AbelianGroup.multiply` and :meth:`AbelianGroup.inverse`
+build their results from the exponent tuples directly.  Equal group
+elements built by one group are one object: the group interns them in
+a table that lives on it, so dict lookups and tuple comparisons of keys
+meet the same object and skip the Python-level ``__eq__``.  Beside that table the group memoises
 ``multiply`` per pair, validating a pair when first computed; a pair
 that raises is not stored.  Equality stays by value, so an
 element built by hand or by another group works everywhere.

@@ -47,6 +47,7 @@ Each call builds a new spec, whose memos die with it.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 from .elements import Element
 from .errors import Frozen, StructuralError
@@ -86,7 +87,10 @@ def build_clifford(n: int) -> Preset:
 
 
 def build_uqg(cartan) -> Preset:
-    cartan = [[int(e) for e in row] for row in cartan]
+    try:
+        cartan = [[index(e) for e in row] for row in cartan]
+    except TypeError:
+        raise StructuralError("a square integral matrix is required") from None
     n = len(cartan)
     if n < 1 or any(len(row) != n for row in cartan):
         raise StructuralError("a square integral matrix is required")

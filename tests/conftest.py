@@ -11,7 +11,7 @@ from cofreehopf.checks import PASS, fail
 from cofreehopf.config import ConfigDocument, parse_config
 from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, smash_product, star
 from cofreehopf.elements import Element
-from cofreehopf.grouphopf import YDSpec
+from cofreehopf.grouphopf import GroupElement, YDSpec
 from cofreehopf.presets import build_clifford, build_uqg
 from cofreehopf.qalg import BraidedAlgebraSpec
 from cofreehopf.scalars import Scalar
@@ -57,6 +57,39 @@ def hoffman4():
 def letters(word: str) -> tuple[int, ...]:
     """A packed word, as the package holds tensor words, read back as its letters."""
     return tuple(map(ord, word))
+
+
+def letter_key(letter):
+    """The recursive sort key the package used before ``canonical_key``, kept
+    as its oracle and as the reference order of chain words written out:
+    integers, then group elements, then tuples compared letter by letter,
+    each letter by this same key."""
+    if isinstance(letter, int):
+        return (0, letter)
+    if type(letter) is tuple:  # a word; a group element is a tuple subclass
+        return (3, tuple(letter_key(part) for part in letter))
+    if isinstance(letter, GroupElement):
+        return (1, (letter.free, letter.torsion))
+    return (2, repr(letter))
+
+
+def chain_word(spec, key) -> tuple:
+    """A degree >= 1 cotensor key (packed word, right degree) written letter
+    by letter, as the canonical order and the chain condition read it: one
+    (letter index, group component) pair per letter, each component the
+    degree of the next letter times the next component."""
+    word, g = key
+    out = []
+    for v in reversed(letters(word)):
+        out.append((v, g))
+        g = spec.group.multiply(spec.degrees[v], g)
+    return tuple(reversed(out))
+
+
+def packed_key(chain: tuple) -> tuple:
+    """The key of a chain word written letter by letter: its packed letters
+    and its last component."""
+    return "".join(chr(v) for v, _ in chain), chain[-1][1]
 
 
 def graded_yd_config(seed: int) -> str:

@@ -66,6 +66,10 @@ def _cotensor_keys(spec, max_degree, tags):
     return keys
 
 
+def _size(key) -> int:
+    return len(key[0]) if type(key) is tuple else len(key)
+
+
 def test_criterion_01_clifford_relations(clifford3):
     start = time.monotonic()
     result = check_clifford_relations(clifford3, 3)
@@ -91,11 +95,12 @@ def test_criterion_03_cross_path_equality(clifford2, uqg_a2):
         spec = preset.spec
         tags = [spec.group.identity(), spec.group.generator(0)]
         keys = _cotensor_keys(spec, 2, tags)
+        # a chain word counts its letters and a group element, a pair
+        # (free, torsion), counts 2: the sample this criterion has always had
         eligible = [
             (kx, ky)
             for kx, ky in itertools.product(keys, repeat=2)
-            if (0 if not isinstance(kx, tuple) else len(kx))
-            + (0 if not isinstance(ky, tuple) else len(ky)) <= 3
+            if _size(kx) + _size(ky) <= 3
         ]
         step = max(1, len(eligible) // 75)
         for kx, ky in eligible[::step]:

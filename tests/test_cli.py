@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -14,15 +17,16 @@ from cofreehopf import qalg
 from cofreehopf.braid import BraidingTable, flip_braiding
 from cofreehopf.checks import fail
 from cofreehopf.cli import _pairs_up_to, _read_cartan, _render_any, main
-from cofreehopf.config import emit_config, parse_config
+from cofreehopf.config import ConfigDocument, emit_config, parse_config
 from cofreehopf.cotensor import (CotensorElement, SmashElement, chain_lift_word, coproduct,
-                                 flatten_coinvariant, from_smash, star, to_smash)
-from cofreehopf.elements import Element
+                                 flatten_coinvariant, from_smash, right_translate, star, to_smash)
+from cofreehopf.elements import Element, render_terms
 from cofreehopf.errors import ConfigError
+from cofreehopf.grouphopf import GroupElement
 from cofreehopf.qalg import BraidedAlgebraSpec, deconcat, quasi_shuffle
 from cofreehopf.scalars import Scalar
 
-from conftest import override_document
+from conftest import chain_word, letter_key, override_document
 
 HOFFMAN = """
 [group]
@@ -323,6 +327,66 @@ def test_negative_max_degree_exits_2(run, clifford_config):
         assert "--max-degree" in err
 
 
+# CI's torsion.cfg: v's degree 3 is normalized to 1, with a note
+TORSION_CI = "[group]\ntorsion = 2\n\n[basis]\nu = 1\nv = 3\n\n[action]\ng1 = -1, -1\n"
+
+
+def _chain_letters(spec, key) -> list[str]:
+    """The letter texts of a basis key, from its chain word written out."""
+    if isinstance(key, GroupElement):
+        return [key.render()]
+    return [f"{spec.names[v]}.{g.render()}" for v, g in chain_word(spec, key)]
+
+
+def _canonical(spec, key):
+    """The reference order of the chain word under a key, or of a pair of them."""
+    if type(key) is tuple and type(key[0]) is not str:  # a pair of keys
+        return letter_key(tuple(k if isinstance(k, GroupElement) else chain_word(spec, k)
+                                for k in key))
+    return letter_key(key if isinstance(key, GroupElement) else chain_word(spec, key))
+
+
+def test_the_smallest_case_where_packed_keys_sort_out_of_chain_order(run, clifford_config):
+    # sorted as (packed word, right degree), the two terms would swap
+    assert run("--config", clifford_config, "star", "v1@v1 + v1.K{0}[]v2.K{1}", "1") \
+        == (0, "v1.K{0}[]v2.K{1} + v1.K{1}[]v1.K{0}\n", "")
+
+
+@pytest.mark.parametrize("name", ["clifford2", "uqg_a2", "torsion"])
+def test_terms_print_in_the_canonical_order_of_their_chain_words(name, run, tmp_path, request):
+    text = TORSION_CI if name == "torsion" else emit_config(
+        ConfigDocument(request.getfixturevalue(name).spec))
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(text, encoding="utf-8")
+    spec, config = parse_config(text).spec, str(path)
+    group = spec.group
+    tags = [group.element(e) for e in itertools.product((-1, 0, 1), repeat=group.n_generators)]
+    r = random.Random(name)
+    order = partial(_canonical, spec)
+    for _ in range(30):
+        x = CotensorElement.zero(spec)
+        while len(x) < 2:
+            for _ in range(r.randint(2, 4)):
+                word = tuple(r.randrange(spec.dim) for _ in range(r.randint(0, 4)))
+                key = right_translate(spec, chain_lift_word(spec, word), r.choice(tags))
+                x = x + CotensorElement(spec, {key: Scalar.q_power(r.randint(-2, 2),
+                                                                   r.choice((1, -1, 2)))})
+        given = _render_any(spec)(x)
+        code, out, _ = run("--config", config, "star", given, "1")
+        assert (code, out) == (0, render_terms(
+            x, lambda key: "[]".join(_chain_letters(spec, key)), order) + "\n"), given
+        code, out, _ = run("--config", config, "--format", "json", "star", given, "1")
+        assert [term["word"] for term in json.loads(out)["terms"]] \
+            == [_chain_letters(spec, key) for key in sorted(x._terms, key=order)], given
+        code, out, _ = run("--config", config, "comul", given)
+        assert (code, out) == (0, render_terms(coproduct(x), lambda pair: " (x) ".join(
+            "[]".join(_chain_letters(spec, key)) for key in pair), order) + "\n"), given
+        code, out, _ = run("--config", config, "--format", "json", "comul", given)
+        assert [(term["left"], term["right"]) for term in json.loads(out)["terms"]] \
+            == [tuple("[]".join(_chain_letters(spec, key)) for key in pair)
+                for pair in sorted(coproduct(x)._terms, key=order)], given
+
+
 def test_json_star_output(run, clifford_config):
     code, out, _ = run("--config", clifford_config, "--format", "json",
                        "star", "v1", "v2")
@@ -491,18 +555,6 @@ def test_internal_error_exits_2_with_one_line(run, clifford_config, monkeypatch)
     assert code == 2
     assert out == ""
     assert err == "error: internal: RuntimeError: boom\n"
-
-
-def test_a_full_code_table_exits_2_with_its_error(run, clifford_config, monkeypatch):
-    import cofreehopf.cli as cli
-
-    def full(x, y):  # the spec's code table already holds 0x110000 letters
-        x.spec._cache["codes"] = ({}, [None] * 0x110000)
-        return star(x, y)
-
-    monkeypatch.setattr(cli, "star", full)
-    assert run("--config", clifford_config, "star", "v1", "v2") \
-        == (2, "", "error: the products of a spec name at most 1114112 chain letters\n")
 
 
 def test_large_group_exponents_exit_0(run, tmp_path):

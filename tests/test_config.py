@@ -256,7 +256,7 @@ def test_binding_cotensor_elements(clifford2):
     out = bind_cotensor_element(spec, parse_element_text("v1@v2"))
     assert out == CotensorElement.from_word(spec, chain_lift_word(spec, (0, 1)))
     out = bind_cotensor_element(spec, parse_element_text("v1.K{1}[]v2.K{0}"))
-    assert out == CotensorElement.from_word(spec, ((0, eps), (1, e)))
+    assert out == CotensorElement.from_word(spec, ("\0\1", e))
     out = bind_cotensor_element(spec, parse_element_text("K{1} + 2"))
     assert out == CotensorElement(spec, {eps: 1}) \
         + CotensorElement.unit(spec).scale(2)

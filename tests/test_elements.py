@@ -13,20 +13,7 @@ from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec, diagonal_im
 from cofreehopf.qalg import BraidedAlgebraSpec
 from cofreehopf.scalars import Scalar
 
-from conftest import letters
-
-
-def letter_key(letter):
-    """The recursive sort key the package used before ``canonical_key``, kept
-    as its oracle: integers, then group elements, then tuples compared
-    letter by letter, each letter by this same key."""
-    if isinstance(letter, int):
-        return (0, letter)
-    if type(letter) is tuple:  # a word; a group element is a tuple subclass
-        return (3, tuple(letter_key(part) for part in letter))
-    if isinstance(letter, GroupElement):
-        return (1, (letter.free, letter.torsion))
-    return (2, repr(letter))
+from conftest import letter_key, letters
 
 
 def _flip_table(dim):
@@ -246,7 +233,6 @@ def test_canonical_key_orders_every_key_kind_as_the_recursive_key(group):
         "smash keys": lambda: (word(), g()),
         "group elements": g,
         "word pairs": lambda: (word(), word()),
-        "cotensor key pairs": lambda: (cotensor_key(), cotensor_key()),
     }
     for kind, draw in kinds.items():
         keys = [draw() for _ in range(60)]

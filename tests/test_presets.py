@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cofreehopf.braid import check_yang_baxter
+from cofreehopf.config import ConfigDocument, emit_config
 from cofreehopf.cotensor import (
     CotensorElement,
     SmashElement,
@@ -70,19 +71,19 @@ def test_clifford_module_multiplication_matches_published_table(clifford2):
     spec = clifford2.spec
     e = spec.group.identity()
     eps = spec.group.element([1])
-    v1, v2, xi12 = 0, 1, 3
+    v1, v2, xi12 = "\0", "\1", "\3"  # the letters as degree-1 keys hold them, packed
     # mu((v1, 1), (v2, h')) = (xi12, h')
     for tag in (e, eps):
-        out = _module_projection(spec, ((v1, e),), ((v2, tag),))
+        out = _module_projection(spec, (v1, e), (v2, tag))
         assert out == {(xi12, tag): Scalar.one()}
     # mu((v1, eps), (v2, h')) = -(xi12, eps h')
     for tag in (e, eps):
-        out = _module_projection(spec, ((v1, eps),), ((v2, tag),))
+        out = _module_projection(spec, (v1, eps), (v2, tag))
         assert out == {(xi12, spec.group.multiply(eps, tag)): Scalar.rational(-1)}
     # reversed pairs are zero, the diagonal is halved
-    assert _module_projection(spec, ((v2, e),), ((v1, e),)) == {}
-    out = _module_projection(spec, ((v1, e),), ((v1, e),))
-    assert out == {(2, e): Scalar.rational(Fraction(1, 2))}
+    assert _module_projection(spec, (v2, e), (v1, e)) == {}
+    out = _module_projection(spec, (v1, e), (v1, e))
+    assert out == {("\2", e): Scalar.rational(Fraction(1, 2))}
 
 
 def test_clifford_degree_two_span_closure(clifford2):
@@ -94,8 +95,8 @@ def test_clifford_degree_two_span_closure(clifford2):
             out = star(CotensorElement.from_word(spec, ka),
                        CotensorElement.from_word(spec, kb))
             for key in out._terms:
-                assert 1 <= len(key) <= 2
-                assert all(v in allowed_letters for v, _ in key)
+                assert 1 <= len(key[0]) <= 2
+                assert all(ord(v) in allowed_letters for v in key[0])
 
 
 def test_uqg_basis_layout(uqg_a1, uqg_a2):
@@ -146,18 +147,41 @@ def test_uqg_module_multiplication_eigenvalue(uqg_a2):
                 big_k = g.element(a)
                 kp = g.generator(1)
                 out = _module_projection(
-                    spec, ((spec.letter(f"E{i}"), big_k),), ((spec.letter(f"F{j}"), kp),))
+                    spec, (chr(spec.letter(f"E{i}")), big_k), (chr(spec.letter(f"F{j}")), kp))
                 if i != j:
                     assert out == {}
                     continue
                 exponent = -sum(a[k] * cartan[k][j - 1] for k in range(2))
-                target = (spec.letter(f"xi{i}"), g.multiply(big_k, kp))
+                target = (chr(spec.letter(f"xi{i}")), g.multiply(big_k, kp))
                 assert out == {target: Scalar.q_power(exponent)}
 
 
 def test_uqg_requires_square_matrix():
     with pytest.raises(StructuralError):
         build_uqg([[2, -1]])
+
+
+@pytest.mark.parametrize("cartan", [[[2.7]], [["3"]], [[2, -1], [-1, 2.0]], [[None]], [2]],
+                         ids=["float", "str", "float-entry", "none", "row-not-a-list"])
+def test_uqg_refuses_a_non_integral_entry(cartan):
+    # each entry is read as an integer index: no float is truncated, no string parsed
+    with pytest.raises(StructuralError, match="a square integral matrix is required"):
+        build_uqg(cartan)
+
+
+class _Index:
+    """An integer that is not an int: it converts only through ``__index__``."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+def test_uqg_reads_each_entry_through_its_index(uqg_a2):
+    built = build_uqg([[_Index(e) for e in row] for row in CARTAN_A2])
+    assert emit_config(ConfigDocument(built.spec)) == emit_config(ConfigDocument(uqg_a2.spec))
 
 
 def test_relation_checks_name_the_route_that_fails(clifford2, uqg_a2, monkeypatch):

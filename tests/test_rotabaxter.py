@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cofreehopf.checks import fail
-from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, right_translate
+from cofreehopf.cotensor import (CotensorElement, SmashElement, chain_lift_word, coproduct_pairs,
+                                 right_translate)
 from cofreehopf.elements import Element
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import braided_spec
@@ -230,11 +231,12 @@ def test_cotensor_operator_conjugates_the_smash_one(unital_yd):
     spec = unital_yd
     e = spec.group.identity()
     eps = spec.group.element([1])
-    x = CotensorElement.from_word(spec, ((0, eps),))
+    x = CotensorElement.from_word(spec, ("\0", eps))
     out = cotensor_rb_operator(x)
     # P(v1 # eps) = (one (x) v1) # eps; the chain word carries degree(v1)*eps
-    # = 1 on the unit letter and eps on the trailing letter
-    expected = CotensorElement.from_word(spec, ((spec.unit, e), (0, eps)))
+    # = 1 on the unit letter and eps on the trailing letter, its right degree
+    expected = CotensorElement.from_word(spec, (chr(spec.unit) + "\0", eps))
+    assert coproduct_pairs(spec, expected.support()[0])[1][0] == (chr(spec.unit), e)
     assert out == expected
 
 
@@ -245,8 +247,8 @@ def test_star_instance_is_rota_baxter(unital_yd):
     eps = spec.group.element([1])
     elems = [
         CotensorElement(spec, {eps: 1}),
-        CotensorElement.from_word(spec, ((0, e),)),
-        CotensorElement.from_word(spec, ((1, eps),)),
+        CotensorElement.from_word(spec, ("\0", e)),
+        CotensorElement.from_word(spec, ("\1", eps)),
         CotensorElement.from_word(spec, chain_lift_word(spec, (0, 1))),
     ]
     pairs = [(a, b) for a in elems for b in elems]

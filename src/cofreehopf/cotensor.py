@@ -11,8 +11,8 @@ the same basis element: g_k = degree(v_{k+1} ... v_n) * g_n.  A key is
 on the chain by construction.  The components are computed only where
 something reads them, in one walk from the right end (``_chain``), the
 chain letter (v, g) needing degree(v) * g before it: one group product,
-memoised by the group, per letter for the coproduct, the product's
-prefixes and the chain guard.  Rendering and the term order read many
+memoised by the group, per letter for the coproduct and the product's
+prefixes.  Rendering and the term order read many
 keys that share components, so they take the walk's steps through a
 ``ChainWalk`` kept for one rendering, whose components link to the ones
 before them: each step is taken once, on first read, with the text of
@@ -44,20 +44,27 @@ with the cells ``left`` and ``diagonal`` beside it, and the last row is
 not stored, so one letter times a word of n letters keeps row 0, one
 word per cell under a diagonal action, not the Theta(n^3) letters of its
 last row.  A source with no words appends nothing, the empty row above
-row 0 and the empty cell left of column 0 among them.  Products are not
-memoised, but pi1 of each pair the table reads is, on the spec
-(``spec._cache["pi1"]``), as triples (letter key (v, g), coefficient or
-None for 1, need), need = degree(v) * g being the component the letter
-requires just before it.  A miss sums pi1 straight from the term dicts
-of a letter image and of the multiplication table, with one group
-product for its component.  A cell holds its words packed, whose hashes
-are cached, and the last component they share, rd(a_i) * rd(b_j), read
-off the letters appended; T(n, m) is read off as keys (word, component).
-The chain condition is guarded there too: before a letter is appended to
-a cell, need is compared with the source's component (by identity first,
-since a group interns its elements, then by value), so each cut of each
-word built is checked once, and a product that leaves the chain words
-raises, naming the word it built.
+row 0 and the empty cell left of column 0 among them.
+
+Every word of cell (i, j) ends in the same component, rd(a_i) * rd(b_j),
+the target of each pi1 the cell reads.  So a cell is a plain dict of
+packed words, whose hashes are cached, and T(n, m) is read off as keys
+(word, rd(x) * rd(y)) with one group product.  pi1 then needs only
+letters and one group element, g = rd(a_i): the right action appends
+v_i itself, the left action g.w_j and the merge m(v_i, g.w_j).
+Products are not memoised, but the last two are, on the spec
+(``spec._cache["pi1"]``), per (v_i or None, g, w_j): the letters with
+their coefficients (None for 1), summed on a miss straight from the
+term dicts of a letter image and of the multiplication table, and a
+flag, whether every letter u has the degree the chain needs there,
+deg(u) = deg(w_j) or deg(v_i) * deg(w_j).  That is the chain guard: a
+letter appended to a word of the source cell makes a cut, which holds
+exactly when the letter has that degree.  Where the flag is false, on
+data outside the theorem's hypotheses, the letters' components are
+compared with the source's, by value, and the first that fails raises,
+naming the word built.  The right action needs no guard, since
+deg(v_i) * g_i = g_(i-1) by construction, and a letter appended to the
+empty word makes no cut.
 
 The canonical term order (see ``elements``) compares chain words letter
 by letter, each letter (v_k, g_k); the packed keys compare word first,
@@ -201,88 +208,81 @@ def coproduct(x: CotensorElement) -> Element:
 # -- the universal-property product ------------------------------------------
 
 
-def _module_projection(spec: YDSpec, a: Key, b: Key) -> dict[tuple[str, GroupElement], Scalar]:
-    """Degree-1 projection of the product map on a basis pair of the square,
-    as degree-1 keys (letter, group element).
-
-    Left action for (group, letter) pairs, right action for (letter,
-    group), the module multiplication in smash form for (letter, letter);
-    everything else projects to zero.
-    """
-    shape = key_degree(a), key_degree(b)
-    if shape == (0, 1):
-        target = spec.group.multiply(a, b[1])
-        return {(i, target): c for i, c in spec.act_letter(a, ord(b[0]))._terms.items()}
-    if shape == (1, 0):
-        return {(a[0], spec.group.multiply(a[1], b)): Scalar.one()}
-    if shape != (1, 1):
-        return {}
-    (v, g1), (w, g2) = a, b
-    image, out, one = spec.act_letter(g1, ord(w))._terms, {}, Scalar.one()
-    target = spec.group.multiply(g1, g2)
-    for i, c in image.items():
-        for k, d in spec.mult[(ord(v), ord(i))]._terms.items():
-            accumulate(out, (k, target), d if c is one else d * c)
-    return out
-
-
 def _star_key(spec: YDSpec, kx: Key, ky: Key) -> CotensorElement:
     if key_degree(kx) + key_degree(ky) == 0:
         return CotensorElement(spec, {spec.group.multiply(kx, ky): Scalar.one()})
     return CotensorElement._wrap(_prefix_table(spec, kx, ky), spec)
 
 
-def _projection_entry(spec: YDSpec, a: Key, b: Key) -> tuple:
-    """pi1(a, b) as (letter, coefficient or None for 1, need = deg(v) * g) per
-    letter (v, g), need being the left degree of the letter's key."""
-    return tuple((letter, None if d is Scalar.one() else d, _chain(spec, letter)[1][0])
-                 for letter, d in _module_projection(spec, a, b).items())
+def _pi1(spec: YDSpec, v: str | None, g: GroupElement, w: str) -> tuple:
+    """pi1 on letters: the left action g.w when v is None, else the merge
+    m(v, g.w), as ((letter, coefficient or None for 1), ...), and whether
+    every letter has the degree the chain needs, deg w or deg v * deg w."""
+    terms, degree = spec.act_letter(g, ord(w))._terms, spec.degrees[ord(w)]
+    if v is not None:
+        image, terms, one = terms, {}, Scalar.one()
+        for i, c in image.items():
+            for k, d in spec.mult[(ord(v), ord(i))]._terms.items():
+                accumulate(terms, k, d if c is one else d * c)
+        degree = spec.group.multiply(spec.degrees[ord(v)], degree)
+    return (tuple((u, None if d is Scalar.one() else d) for u, d in terms.items()),
+            all(spec.degrees[ord(u)] == degree for u in terms))
 
 
 def _prefix_table(spec: YDSpec, kx: Key, ky: Key) -> dict[Key, Scalar]:
     """T(n, m) of the module docstring, filled one row of prefix pairs at a
-    time over one stored row; a cell holds its packed words and the last
-    component they share."""
-    def prefixes(key):  # (right degree, last letter) of prefix 0 .. n; prefix 0 stands for both
-        word, components = _chain(spec, key)
-        return [(components[0],) * 2] + [(g, (v, g)) for v, g in zip(word, components[1:])]
-
+    time over one stored row; a cell holds packed words, which all end in
+    the component rd(a_i) * rd(b_j)."""
+    (x, gs), (y, hs) = _chain(spec, kx), _chain(spec, ky)
     memo = spec._cache.setdefault("pi1", {})
+    unit = {"": Scalar.one()}
 
-    def append(cell, source, x, y):  # cell += source . pi1(x, y), guarding each cut it makes
-        words, end = source
-        if not words:
+    def append(cell, source, v, i, w, j):
+        """cell (i, j) += source . pi1: the right action v when w is None,
+        else pi1 read at (v, g_i, w); source is cell (i, j - 1) when v is
+        None, else (i - 1, j - 1), and its cuts are guarded unless graded."""
+        if not source:
             return
-        entry = memo.get((x, y))
+        if w is None:  # on the chain by construction: deg(v_i) * g_i = g_(i-1)
+            for word, c in source.items():
+                accumulate(cell, word + v, c)
+            return
+        entry = memo.get((v, gs[i], w))
         if entry is None:
-            entry = memo[(x, y)] = _projection_entry(spec, x, y)
-        for (v, g), d, need in entry:
-            if end is not need and end is not None and end != need:
-                word = next(iter(words))
-                raise StructuralError("product left the cotensor subspace: chain word "
-                                      f"{ChainWalk(spec).text((word, end))}[]"
-                                      f"{ChainWalk(spec).text((v, g))} breaks at cut {len(word)}")
-            cell[1] = g
-            for word, c in words.items():
-                accumulate(cell[0], word + v, c if d is None else c * d)
+            entry = memo[(v, gs[i], w)] = _pi1(spec, v, gs[i], w)
+        terms, graded = entry
+        if not graded and source is not unit:
+            end = spec.group.multiply(gs[i - (v is not None)], hs[j - 1])
+            g = spec.group.multiply(gs[i], hs[j])
+            for u, _ in terms:
+                if spec.group.multiply(spec.degrees[ord(u)], g) != end:
+                    word = next(iter(source))
+                    raise StructuralError("product left the cotensor subspace: chain word "
+                                          f"{ChainWalk(spec).text((word, end))}[]"
+                                          f"{ChainWalk(spec).text((u, g))} breaks at cut {len(word)}")
+        for u, d in terms:
+            for word, c in source.items():
+                accumulate(cell, word + u, c if d is None else c * d)
 
-    unit = ({"": Scalar.one()}, None)
-    empty = ({}, None)
-    columns = prefixes(ky)
-    rows = prefixes(kx)
-    above = [empty] * len(columns)
-    for i, (a_right, a_last) in enumerate(rows):
-        left = diagonal = empty
-        for j, (b_right, b_last) in enumerate(columns):
-            cell = [{}, None]  # packed words, and the last component they share
-            if i < 2 and j < 2:  # pi1(a_i, b_j) vanishes on a prefix of degree 2 or more
-                append(cell, unit, a_last, b_last)
-            append(cell, left, a_right, b_last)
-            append(cell, above[j], a_last, b_right)
-            append(cell, diagonal, a_last, b_last)
+    above = [{}] * len(hs)
+    for i in range(len(gs)):
+        v = x[i - 1] if i else None
+        left = diagonal = {}
+        for j in range(len(hs)):
+            w = y[j - 1] if j else None
+            cell = {}
+            if i < 2 and j < 2 and i + j:  # pi1(a_i, b_j); it vanishes at degree 2 or more
+                append(cell, unit, v, i, w, j)
+            if j:
+                append(cell, left, None, i, w, j)
+            if i:
+                append(cell, above[j], v, i, None, j)
+                if j:
+                    append(cell, diagonal, v, i, w, j)
             diagonal, left = above[j], cell
-            above[j] = cell if i < len(rows) - 1 else empty  # the last row is not stored
-    return {(word, left[1]): c for word, c in left[0].items()}
+            above[j] = cell if i < len(gs) - 1 else {}  # the last row is not stored
+    g = spec.group.multiply(gs[-1], hs[-1])
+    return {(word, g): c for word, c in left.items()}
 
 
 def star(x: CotensorElement, y: CotensorElement) -> CotensorElement:

@@ -27,8 +27,12 @@ G-grading (the coaction sends a letter v to degree(v) tensor v) and a
 G-action given per generator by the images of the letters: one-letter
 Elements with exact coefficients, the columns of the generator's matrix
 and the only form in which the action is given or held.  The images of
-every other group element are memoised on the spec; generator powers
-compose by square-and-multiply, each image summed from term dicts.
+every other group element are memoised on the spec.  They are composed
+by square-and-multiply, generator by generator in a fixed order, each
+image summed from term dicts; the order matters on data whose generator
+actions do not commute, which ``check yd`` refuses but a product may
+still be asked of.  Each squaring of a generator or of its inverse is
+memoised as the images of that power, so it is composed once per spec.
 
 Each generator's action A on n letters is inverted once, from its
 images, by the Faddeev-LeVerrier recurrence (U. J. J. Le Verrier, 1840;
@@ -265,10 +269,13 @@ class YDSpec(Frozen):
 
     def action_matrix(self, g: GroupElement) -> tuple[Element, ...]:
         """The images of the letters under g, the columns of its matrix:
-        generator powers composed by square-and-multiply from the generators'.
-        For the k-th generator this is ``self.action[k]`` itself; the name
-        predates the letter images and stays while the benchmark's tracer
-        looks the method up by it."""
+        A_1^e_1 ... A_r^e_r composed in that order by square-and-multiply,
+        A_k the images of the k-th generator or of its inverse.  The
+        squarings A_k^(2^t) are read from, or stored in, the memo as the
+        images of those powers; the product is stored for g.  For the k-th
+        generator this is ``self.action[k]`` itself; the name predates the
+        letter images and stays while the benchmark's tracer looks the
+        method up by it."""
         key = ("act", g)
         images = self._cache.get(key)
         if images is not None:
@@ -276,17 +283,20 @@ class YDSpec(Frozen):
         group = self.group
         if len(g.exponents()) != group.n_generators:
             raise StructuralError("group element has the wrong number of exponents")
-        images = self._cache[("act", group.identity())]
+        images = None
         for k, e in enumerate(g.exponents()):
-            h = group.generator(k)
-            base = self._cache[("act", h if e >= 0 else group.inverse(h))]
-            e = abs(e)
+            power = group.generator(k) if e >= 0 else group.inverse(group.generator(k))
+            base, e = self._cache[("act", power)], abs(e)
             while e:
                 if e & 1:
-                    images = _compose(images, base)
+                    images = base if images is None else _compose(images, base)
                 e >>= 1
                 if e:
-                    base = _compose(base, base)
+                    power = group.multiply(power, power)
+                    square = self._cache.get(("act", power))
+                    if square is None:
+                        square = self._cache[("act", power)] = _compose(base, base)
+                    base = square
         self._cache[key] = images
         return images
 

@@ -9,7 +9,8 @@ import pytest
 from cofreehopf.braid import BraidingTable
 from cofreehopf.checks import PASS, fail
 from cofreehopf.config import ConfigDocument, parse_config
-from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, smash_product, star
+from cofreehopf.cotensor import (CotensorElement, SmashElement, chain_lift_word, key_degree,
+                                 smash_product, star)
 from cofreehopf.elements import Element
 from cofreehopf.grouphopf import GroupElement, YDSpec
 from cofreehopf.presets import build_clifford, build_uqg
@@ -90,6 +91,29 @@ def packed_key(chain: tuple) -> tuple:
     """The key of a chain word written letter by letter: its packed letters
     and its last component."""
     return "".join(chr(v) for v, _ in chain), chain[-1][1]
+
+
+def reference_module_projection(spec, a, b):
+    """The degree-one projection pi1 on a pair of basis keys of degree at most
+    one, as degree-1 keys (letter, group element), built through
+    ``Element.map_words`` and ``Element.relabel``: the left action on
+    (group, letter), the right action on (letter, group), the module
+    multiplication in smash form on (letter, letter), zero otherwise."""
+    da, db = key_degree(a), key_degree(b)
+    if da == 0 and db == 1:
+        v, g2 = b
+        image = spec.act_letter(a, ord(v))
+        target = spec.group.multiply(a, g2)
+    elif da == 1 and db == 0:
+        v, g1 = a
+        return {(v, spec.group.multiply(g1, b)): Scalar.one()}
+    elif da == 1 and db == 1:
+        (v, g1), (w, g2) = a, b
+        image = spec.act_letter(g1, ord(w)).map_words(lambda i: spec.mult[(ord(v), ord(i))])
+        target = spec.group.multiply(g1, g2)
+    else:
+        return {}
+    return image.relabel(lambda i: (i, target))._terms
 
 
 def graded_yd_config(seed: int) -> str:

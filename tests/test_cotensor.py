@@ -13,7 +13,6 @@ from cofreehopf.config import parse_config
 from cofreehopf.cotensor import (
     ChainWalk,
     CotensorElement,
-    _module_projection,
     SmashElement,
     chain_lift,
     chain_lift_word,
@@ -34,10 +33,12 @@ from cofreehopf.cotensor import (
 from cofreehopf.elements import Element, accumulate, pack_word
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec, diagonal_images
+from cofreehopf.presets import build_uqg
 from cofreehopf.qalg import quasi_shuffle
 from cofreehopf.scalars import Scalar
 
-from conftest import chain_word, hoffman_spec, letter_key, letters, packed_key, words_up_to
+from conftest import (CARTAN_A2, chain_word, hoffman_spec, letter_key, letters, packed_key,
+                      reference_module_projection, words_up_to)
 from test_qalg import _gaussian_binomial
 
 
@@ -695,24 +696,16 @@ def test_smash_route_runs_without_the_prefix_table(clifford2, uqg_a2, monkeypatc
         assert from_smash(smash_product(to_smash(x), to_smash(y))) == expected
 
 
-def test_star_raises_when_the_product_leaves_the_chain_words(clifford2, monkeypatch):
-    from cofreehopf import cotensor
-    spec = clifford2.spec
-    e = spec.group.identity()
-    original = cotensor._module_projection
-
-    def untagged(spec, a, b):  # every group component replaced by the identity
-        return {(i, e): c for (i, _), c in original(spec, a, b).items()}
-
-    spec._cache.pop("pi1", None)
-    monkeypatch.setattr(cotensor, "_module_projection", untagged)
-    try:
-        v1 = CotensorElement.from_word(spec, chain_lift_word(spec, (0,)))
-        v2 = CotensorElement.from_word(spec, chain_lift_word(spec, (1,)))
-        with pytest.raises(StructuralError, match="cotensor subspace"):
-            star(v1, v2)
-    finally:
-        spec._cache.pop("pi1", None)
+def test_star_raises_when_the_product_leaves_the_chain_words():
+    # a b -> b breaks the degree: the data of CI's degree.cfg, which check alg refuses
+    spec = parse_config("[group]\nrank = 1\n\n[basis]\na = 1\nb = 1\n\n[action]\n"
+                        "g1 = q, q^-1\n\n[mult]\na b -> b\n").spec
+    ba, ab = (CotensorElement.from_word(spec, chain_lift_word(spec, word))
+              for word in [(1, 0), (0, 1)])
+    with pytest.raises(StructuralError) as info:
+        star(ba, ab)
+    assert str(info.value) == ("product left the cotensor subspace: chain word "
+                               "b.K{3}[]a.K{2}[]b.K{0} breaks at cut 2")
 
 
 def test_star_checks_the_chain_in_the_table_not_on_its_output(monkeypatch):
@@ -764,7 +757,7 @@ def _plain_series(spec, kx, ky):
             sources.append((table[i - 1, j - 1], last(a), last(b)))
         cell = {}
         for words, x, y in sources:
-            for (v, g), d in _module_projection(spec, x, y).items():
+            for (v, g), d in reference_module_projection(spec, x, y).items():
                 for word, c in words.items():
                     accumulate(cell, word + ((ord(v), g),), c * d)
         table[i, j] = cell
@@ -820,8 +813,10 @@ def test_projection_memo_belongs_to_its_spec():
             assert star(x, y) == from_smash(smash_product(to_smash(x), to_smash(y)))
     assert first._cache["pi1"] is not second._cache["pi1"]
     for spec in (first, second):  # the groups are equal; each memo holds its own elements
-        assert all(g is spec.group.element(g.exponents()) and need is spec.group.element(
-            need.exponents()) for entry in spec._cache["pi1"].values() for (_, g), _, need in entry)
+        for (v, g, w), (terms, graded) in spec._cache["pi1"].items():
+            assert v in (None, "\0", "\1") and w in ("\0", "\1") and graded
+            assert g is spec.group.element(g.exponents())
+            assert all(type(u) is str and (d is None or isinstance(d, Scalar)) for u, d in terms)
 
 
 @pytest.mark.parametrize("long_first", [True, False], ids=["300x1", "1x300"])
@@ -855,6 +850,23 @@ def test_one_letter_times_a_long_word_holds_one_row_of_the_prefix_table(clifford
             tracemalloc.stop()
         assert len(out) > 400 and max(map(key_degree, out._terms)) == 601
         assert peak < 10_000_000, (preset, peak)
+
+
+def test_a_long_word_of_changing_degree_times_one_letter_stays_small():
+    # (E1 E2)^200 x F1 on a fresh uqg_a2: each of the 401 prefixes has its own
+    # right degree, so the product reads the letter images of 401 group elements
+    spec = build_uqg(CARTAN_A2).spec
+    e1, e2, f1 = map(spec.letter, ("E1", "E2", "F1"))
+    x = CotensorElement.from_word(spec, chain_lift_word(spec, (e1, e2) * 200))
+    y = CotensorElement.from_word(spec, chain_lift_word(spec, (f1,)))
+    tracemalloc.start()
+    try:
+        out = star(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 601 and max(map(key_degree, out._terms)) == 401
+    assert peak < 10_000_000, peak
 
 
 def test_from_word_refuses_anything_but_a_basis_key(clifford2):
@@ -915,33 +927,34 @@ def test_star_on_hand_built_group_elements_matches_the_groups_own(uqg_a2):
         assert list(built._terms.items()) == list(canonical._terms.items())
 
 
-def test_the_chain_guard_compares_hand_built_group_elements_by_value(monkeypatch):
-    """The guard meets hand-built components when the projection returns
-    them: it still raises exactly where the series leaves the chain words."""
-    from cofreehopf import cotensor
+def test_the_chain_guard_compares_hand_built_group_elements_by_value():
+    """The guard meets hand-built group elements in the keys and in the
+    degrees of a spec: it still raises exactly where the series leaves the
+    chain words."""
     # a b -> b breaks the degree: a times a@b and b@a times a@b leave the chain words
-    spec = _two_letter_spec(1, -1, {(0, 1): Element.from_word((1,))})
-    word = {u: chain_lift_word(spec, u) for u in [(0,), (1,), (0, 1), (1, 0)]}
+    mult = {(0, 1): Element.from_word((1,))}
+    spec = _two_letter_spec(1, -1, mult)
+    by_hand = YDSpec(spec.group, spec.names, tuple(GroupElement((1,), ()) for _ in "ab"),
+                     spec.action, mult)
+    assert by_hand.degrees[0] is not spec.group.generator(0)
 
-    def products():
+    def products(spec):
+        word = {u: chain_lift_word(spec, u) for u in [(0,), (1,), (0, 1), (1, 0)]}
         out = []
         for u, v in itertools.product(word, repeat=2):
             try:
-                out.append(star(CotensorElement(spec, {_by_hand(word[u]): Scalar.one()}),
-                                CotensorElement(spec, {_by_hand(word[v]): Scalar.one()})))
+                out.append(list(star(CotensorElement(spec, {_by_hand(word[u]): Scalar.one()}),
+                                     CotensorElement(spec, {_by_hand(word[v]): Scalar.one()})
+                                     )._terms.items()))
             except StructuralError as exc:
                 out.append(str(exc))
         return out
 
-    canonical = products()
+    canonical = products(spec)
     assert "product left the cotensor subspace: chain word a.K{2}[]b.K{0} breaks at cut 1" \
         in canonical
     assert "product left the cotensor subspace: chain word b.K{3}[]a.K{2}[]b.K{0} " \
         "breaks at cut 2" in canonical
-    original = cotensor._module_projection
-    monkeypatch.setattr(cotensor, "_module_projection", lambda spec, a, b: {
-        _by_hand(letter): c for letter, c in original(spec, a, b).items()})
-    spec._cache.pop("pi1", None)
-    assert products() == canonical
+    assert products(by_hand) == canonical
     broken = ((0, GroupElement((0,), ())), (1, GroupElement((0,), ())))
     assert check_chain_condition(spec, [broken]).witness == (broken, 1)

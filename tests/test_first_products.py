@@ -1,10 +1,11 @@
 """The first products of ``star`` against the Element-core code they replace.
 
-π₁ (``cotensor._module_projection`` and ``_projection_entry``) and the
-composition of letter images (``grouphopf._compose``) build their dicts
-from term dicts.  The reference copies below build the same maps through
+π₁ on letters (``cotensor._pi1``) and the composition of letter images
+(``grouphopf._compose``) build their dicts from term dicts.  The
+reference copies (``reference_module_projection`` in ``conftest`` and
+``reference_compose`` below) build the same maps through
 ``Element.map_words`` and ``Element.relabel``.  Both must give the same
-dict, in the same insertion order, with equal coefficients, on every
+terms, in the same insertion order, with equal coefficients, on every
 pair of keys of degree at most one whose group components have exponents
 in -3..3 (on ``uqg_a2``, -1..1 for the right letter of a letter pair).
 
@@ -23,8 +24,7 @@ import pytest
 from cofreehopf.config import parse_config
 from cofreehopf.cotensor import (
     CotensorElement,
-    _module_projection,
-    _projection_entry,
+    _pi1,
     chain_lift_word,
     key_degree,
     right_translate,
@@ -36,31 +36,26 @@ from cofreehopf.elements import Element
 from cofreehopf.grouphopf import AbelianGroup, YDSpec, _compose, check_yetter_drinfeld
 from cofreehopf.scalars import Scalar
 
+from conftest import reference_module_projection
+
 # -- the reference copies ------------------------------------------------------------
 
 
-def reference_module_projection(spec, a, b):
-    da, db = key_degree(a), key_degree(b)
-    if da == 0 and db == 1:
-        v, g2 = b
-        image = spec.act_letter(a, ord(v))
-        target = spec.group.multiply(a, g2)
-    elif da == 1 and db == 0:
-        v, g1 = a
-        return {(v, spec.group.multiply(g1, b)): Scalar.one()}
-    elif da == 1 and db == 1:
-        (v, g1), (w, g2) = a, b
-        image = spec.act_letter(g1, ord(w)).map_words(lambda i: spec.mult[(ord(v), ord(i))])
-        target = spec.group.multiply(g1, g2)
-    else:
-        return {}
-    return image.relabel(lambda i: (i, target))._terms
-
-
-def reference_projection_entry(spec, a, b):
+def reference_pi1(spec, a, b):
+    """``_pi1``'s entry for the pair (a, b) of shape (group, letter) or
+    (letter, letter), from the reference projection with its group parts
+    removed.  The flag holds when each letter's left degree, deg(letter)
+    times its component, is the component of the word it is appended to:
+    rd(a') * rd(b'), a' and b' the keys before the last letters."""
     one, multiply = Scalar.one(), spec.group.multiply
-    return tuple((letter, None if d == one else d, multiply(spec.degrees[ord(letter[0])], letter[1]))
-                 for letter, d in reference_module_projection(spec, a, b).items())
+
+    def before(key):  # the right degree of the key with its letter removed
+        return key if key_degree(key) == 0 else multiply(spec.degrees[ord(key[0])], key[1])
+
+    end = multiply(before(a), before(b))
+    projection = reference_module_projection(spec, a, b)
+    return (tuple((v, None if d == one else d) for (v, _), d in projection.items()),
+            all(multiply(spec.degrees[ord(v)], g) == end for v, g in projection))
 
 
 def reference_compose(a, b):
@@ -146,17 +141,29 @@ def test_pi1_matches_the_reference_on_every_key_pair_of_degree_at_most_one(name,
     if name == "uqg_a2":  # 49 tags: the right component of a letter pair, which
         # only shifts the target, runs over exponents -1..1
         right = [(chr(v), g) for v in range(spec.dim) for g in _tags(spec.group, range(-1, 2))]
-    merged = 0
+    merged, flags = 0, set()
     for a, b in itertools.chain(itertools.product(tags + letters, tags),
                                 itertools.product(tags, letters),
                                 itertools.product(letters, right)):
-        got, want = _module_projection(spec, a, b), reference_module_projection(spec, a, b)
-        assert got == want and list(got) == list(want), (a, b)
-        assert _projection_entry(spec, a, b) == reference_projection_entry(spec, a, b)
-        if key_degree(a) == key_degree(b) == 1:
+        want = reference_module_projection(spec, a, b)
+        if key_degree(b) == 0:  # the right action, which _pi1 never reads: the letter itself
+            assert want == ({} if key_degree(a) == 0 else
+                            {(a[0], spec.group.multiply(a[1], b)): Scalar.one()}), (a, b)
+            continue
+        got = _pi1(spec, None if key_degree(a) == 0 else a[0], a if key_degree(a) == 0 else a[1],
+                   b[0])
+        assert got == reference_pi1(spec, a, b), (a, b)
+        flags.add(got[1])
+        if key_degree(a) == 1:
             (v, g1), (w, _) = a, b
-            merged += len(got) < sum(len(spec.mult[(ord(v), i)]._terms)
-                                     for i in map(ord, spec.act_letter(g1, ord(w))._terms))
+            merged += len(got[0]) < sum(len(spec.mult[(ord(v), i)]._terms)
+                                        for i in map(ord, spec.act_letter(g1, ord(w))._terms))
+    degree, multiply = spec.degrees, spec.group.multiply
+    graded = all(degree[ord(u)] == degree[j] for images in spec.action
+                 for j, image in enumerate(images) for u in image._terms) and all(
+        degree[ord(u)] == multiply(degree[a], degree[b]) for (a, b), product in spec.mult.items()
+        for u in product._terms)
+    assert flags == ({True} if graded else {False, True})  # false exactly off the grading
     if name.startswith("random-"):
         assert merged  # two terms met on one letter: the sum merged or cancelled them
 

@@ -24,10 +24,11 @@ from cofreehopf.grouphopf import (
     check_yetter_drinfeld,
     diagonal_images,
 )
+from cofreehopf.presets import build_uqg
 from cofreehopf.qalg import adjoin_unit
 from cofreehopf.scalars import Scalar
 
-from conftest import assert_frozen, column_images, graded_yd_config
+from conftest import CARTAN_A2, assert_frozen, column_images, graded_yd_config
 
 
 def test_group_normalization_and_inverse():
@@ -326,6 +327,33 @@ def test_large_exponents_act_without_recursion(uqg_a2):
     for e in (3000, -3000):
         image = spec.act_letter(spec.group.element([e, 0]), e1)
         assert image == Element.from_word((e1,), Scalar.q_power(2 * e), spec)
+
+
+def test_each_squaring_is_composed_once_per_generator_and_sign(monkeypatch):
+    # K{e1,e2} on a fresh uqg_a2, |e| <= 7 and the multiples of 8 up to 64:
+    # A^2, ..., A^64 of each generator and of its inverse are composed once,
+    # then read from the memo
+    from cofreehopf import grouphopf
+    spec = build_uqg(CARTAN_A2).spec
+    squarings = []
+    multiplies = 0
+
+    def counting(a, b):
+        nonlocal multiplies
+        if a is b:
+            squarings.append(a)
+        else:
+            multiplies += 1
+        return _compose(a, b)
+
+    monkeypatch.setattr(grouphopf, "_compose", counting)
+    span = sorted({*range(-7, 8), *range(-64, 65, 8)})
+    for e in itertools.product(span, repeat=2):
+        spec.action_matrix(spec.group.element(e))
+    assert len(squarings) == 2 * 2 * 6 == len(set(map(id, squarings)))
+    # each product starts from its first factor: one composition per further set bit
+    assert multiplies == sum(max(0, sum(bin(abs(x)).count("1") for x in e) - 1)
+                             for e in itertools.product(span, repeat=2))
 
 
 def test_with_unit_extends_structure(clifford2):

@@ -6,9 +6,11 @@ the value's type and never by a law's name.
 Exit codes: 0 for success or a passing check, 1 for a failing check
 (the counterexample is printed), 2 for parse, config or usage errors, for
 a result too large for memory (one ``error: out of memory while computing
-<command>`` line on stderr) and for any internal error (one ``error:
-internal: <type>: <message>`` line on stderr, never a traceback), so a
-crash never reads as a failed check.
+<command>`` line on stderr), for a stdout that its reader closed before
+the output was written (one ``error: output closed ...`` line on stderr)
+and for any internal error (one ``error: internal: <type>: <message>``
+line on stderr), never with a traceback, so a crash never reads as a
+failed check.
 
 A shell call runs one command in a fresh process, which pays for every
 module imported here.  So a module that some command never runs is
@@ -26,6 +28,7 @@ and ``star`` here.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from functools import partial
@@ -275,6 +278,13 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         pass  # reported below, once the traceback and what it holds are released
+    except BrokenPipeError:
+        # The reader closed stdout.  What is left in its buffer would raise
+        # again when it is flushed at shutdown, so stdout now writes to
+        # devnull, as the Python docs advise for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed by the reader before it was written", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -248,8 +248,8 @@ def _entry(image: Element, i: int) -> str:
 
 
 def _rule_line(spec: YDSpec, pair: tuple[int, int], value: Element) -> str:
-    letter = partial(render_letter, spec)
-    return f"{letter(pair[0])} {letter(pair[1])} -> {render_element(value, letter)}"
+    left, right = (spec.names[i] for i in pair)
+    return f"{left} {right} -> {render_element(value, partial(render_letter, spec))}"
 
 
 def emit_config(doc: ConfigDocument) -> str:

@@ -403,19 +403,16 @@ def from_smash(s: SmashElement) -> CotensorElement:
 
 
 def render_letter(spec, letter) -> str:
-    """The one source of letter text: a letter index, or the code point of a
-    packed one, reads as its name, a group element as ``K{...}``."""
-    if type(letter) is str:
-        return spec.names[ord(letter)]
-    if isinstance(letter, GroupElement):
-        return letter.render()
-    return spec.names[letter]
+    """The one source of letter text: a packed letter reads as its name, a
+    group element as ``K{...}``."""
+    return spec.names[ord(letter)] if type(letter) is str else letter.render()
 
 
 def render_word(spec, word) -> str:
-    """A tensor word, packed or a tuple of letters, as its letters joined by
-    ``@``; the empty word reads ``1``."""
-    return "@".join(render_letter(spec, letter) for letter in word) or "1"
+    """A tensor word as its letters joined by ``@``; the empty word reads
+    ``1``.  A tuple of letter indices, as a check's witness holds, is packed
+    first."""
+    return "@".join(render_letter(spec, letter) for letter in pack_word(word)) or "1"
 
 
 class _Component(dict):

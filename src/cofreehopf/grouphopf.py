@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import add, neg
+from operator import add, index, neg
 from typing import NamedTuple, Sequence
 
 from .checks import PASS, CheckResult, fail
@@ -102,6 +102,10 @@ class AbelianGroup(Frozen):
     _fields = ("rank", "torsion")
 
     def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        try:
+            rank, torsion = index(rank), tuple(map(index, torsion))
+        except TypeError:
+            raise StructuralError("group rank and torsion orders must be integers") from None
         # _elements interns: one GroupElement per plain (free, torsion) pair;
         # _products memoises multiply per pair of elements
         self._set(rank=rank, torsion=torsion, _elements={}, _products={})
@@ -130,8 +134,11 @@ class AbelianGroup(Frozen):
         if len(exponents) != self.n_generators:
             raise StructuralError(
                 f"expected {self.n_generators} exponents, got {len(exponents)}")
-        free = tuple(int(e) for e in exponents[:self.rank])
-        tors = tuple(int(e) % m for e, m in zip(exponents[self.rank:], self.torsion))
+        try:
+            free = tuple(map(index, exponents[:self.rank]))
+            tors = tuple(index(e) % m for e, m in zip(exponents[self.rank:], self.torsion))
+        except TypeError:
+            raise StructuralError("group exponents must be integers") from None
         return self._intern((free, tors))
 
     def identity(self) -> GroupElement:

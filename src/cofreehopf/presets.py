@@ -65,6 +65,10 @@ class Preset(Frozen):
 
 
 def build_clifford(n: int) -> Preset:
+    try:
+        n = index(n)
+    except TypeError:
+        raise StructuralError("the number of generators must be an integer") from None
     if n < 1:
         raise StructuralError("at least one generator is required")
     group = AbelianGroup(rank=0, torsion=(2,))

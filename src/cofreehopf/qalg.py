@@ -222,9 +222,8 @@ def _qsh_general(spec: BraidedAlgebraSpec, u: str, v: str, rec, crossings,
         steps.extend((d, coeff * c, word[1:])
                      for d, c in mult[(left, ord(word[0]))]._terms.items())
     for letter, coeff, tail in steps:
-        terms = rec(spec, tail, rest) if rest else {tail: coeff}
-        scale = rest and coeff is not _ONE
-        for w, c in terms.items():
+        scale = coeff is not _ONE
+        for w, c in rec(spec, tail, rest).items():
             accumulate(out, letter + w, c * coeff if scale else c)
     return out
 

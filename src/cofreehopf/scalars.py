@@ -129,12 +129,6 @@ class Scalar:
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
-    def monomial(self) -> tuple[int, Rational]:
-        """The (exponent, coefficient) pair of a monomial scalar."""
-        if len(self._terms) != 1:
-            raise StructuralError("scalar is not a monomial")
-        return next(iter(self._terms.items()))
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -238,8 +232,11 @@ class Scalar:
         return out
 
     def inverse(self) -> Scalar:
-        """Invert a monomial unit c*q**k; other scalars are not units."""
-        k, c = self.monomial()
+        """Invert a monomial unit c*q**k, read off its one term; other scalars
+        are not units."""
+        if len(self._terms) != 1:
+            raise StructuralError("scalar is not a monomial")
+        ((k, c),) = self._terms.items()
         return Scalar({-k: Fraction(1, c)})
 
     # -- rendering ----------------------------------------------------------
@@ -282,27 +279,14 @@ def render_scalar(s: Scalar) -> str:
     return "".join(parts)
 
 
-def scalar_atom(s: Scalar) -> str:
-    """Render as a single grammar atom: rational, q-power, or parenthesized sum."""
-    if s.is_zero():
-        return "0"
-    if s.is_monomial():
-        k, c = s.monomial()
-        if k == 0:
-            return str(c)
-        if c == 1:
-            return _monomial_text(c, k)
-    return "(" + render_scalar(s) + ")"
-
-
 def split_sign(s: Scalar) -> tuple[bool, str]:
-    """Split off a leading minus when the remainder stays a grammar atom.
-
-    Returns (negative, atom_text_of_magnitude).  Multi-term scalars are
-    never sign-split.
-    """
-    if s.is_monomial():
-        k, c = s.monomial()
-        if c < 0:
-            return True, scalar_atom(Scalar({k: -c}))
-    return False, scalar_atom(s)
+    """A scalar as (negative, atom), read off its terms: a monomial's sign
+    and the grammar atom of its magnitude, a rational, a q-power or, since
+    a product is no atom, a parenthesised ``c*q^k``.  Any other scalar is
+    never sign-split: it is its parenthesised sum, and zero is ``0``."""
+    terms = s._terms
+    if len(terms) != 1:
+        return False, f"({render_scalar(s)})" if terms else "0"
+    ((k, c),) = terms.items()
+    text = _monomial_text(abs(c), k)
+    return c < 0, f"({text})" if "*" in text else text

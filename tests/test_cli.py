@@ -176,6 +176,23 @@ sys.exit(main(sys.argv[1:]))
         == (2, "", "error: out of memory while computing qsh\n")
 
 
+def test_a_stdout_closed_by_its_reader_exits_2_with_one_line(clifford_config):
+    # The product prints 125,646 bytes, more than a pipe holds: the child is
+    # still writing when the reader takes a few bytes and closes the pipe.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen([sys.executable, "-m", "cofreehopf", "--config", clifford_config,
+                           "star", "v1@v2@v1@v2@v1@v2@v1", "v2@v1@v2@v1@v2@v1@v2"],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          bufsize=0) as child:
+        assert child.stdout.read(16)
+        child.stdout.close()
+        err = child.stderr.read().decode("utf-8")
+        code = child.wait(timeout=60)
+    assert (code, err) == (2, "error: output closed by the reader before it was written\n")
+
+
 def test_out_of_memory_names_emit_config_and_survives_a_failing_report(
         monkeypatch, capsys, clifford_config):
     def exhausted(args):

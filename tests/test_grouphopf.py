@@ -24,7 +24,7 @@ from cofreehopf.grouphopf import (
     check_yetter_drinfeld,
     diagonal_images,
 )
-from cofreehopf.presets import build_uqg
+from cofreehopf.presets import build_clifford, build_uqg
 from cofreehopf.qalg import adjoin_unit
 from cofreehopf.scalars import Scalar
 
@@ -38,6 +38,19 @@ def test_group_normalization_and_inverse():
     assert g.multiply(a, g.inverse(a)) == g.identity()
     assert g.element([0, 2, 3]).is_identity()
     assert g.element([0, 2, 3]).exponents() == (0, 0, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AbelianGroup(1, (3,)).element([2.7, 4.5]),
+    lambda: AbelianGroup(1, (3,)).element(["3", "1"]),
+    lambda: AbelianGroup(1.5),
+    lambda: AbelianGroup(1, (3.0,)),
+    lambda: build_clifford(2.5),
+], ids=["float-exponents", "string-exponents", "float-rank", "float-torsion", "float-clifford"])
+def test_integral_arguments_refuse_what_is_not_an_integer(build):
+    # read through operator.index: neither truncated nor parsed
+    with pytest.raises(StructuralError):
+        build()
 
 
 def test_group_element_rendering():

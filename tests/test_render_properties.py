@@ -4,9 +4,10 @@ The text the command line prints for a tensor, a cotensor or a smash
 element parses (``parse_element_text``) and binds (``bind_plain_element``,
 ``bind_cotensor_element``, ``bind_smash_element``) to the element it was
 printed from.  The elements have several terms, among them the empty
-word and degree-0 keys, with q-power, multi-term Laurent and fractional
-coefficients.  The specs are those of ``diagonal_yd_specs``, and the same
-data over a group of rank 0 or with one torsion generator.
+word and degree-0 keys, with q-power coefficients (negative non-unit ones
+such as ``-2*q^k`` and ``-1/2*q^k`` among them), multi-term Laurent and
+fractional coefficients.  The specs are those of ``diagonal_yd_specs``,
+and the same data over a group of rank 0 or with one torsion generator.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ def _specs(draw):
 
 _fractions = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
 _coefficients = st.one_of(
-    st.builds(Scalar.q_power, st.integers(-3, 3), st.sampled_from((1, -1, 2))),
+    st.builds(Scalar.q_power, st.integers(-3, 3),
+              st.sampled_from((1, -1, 2, -2, Fraction(-1, 2)))),
     _fractions.map(Scalar.rational),
     st.dictionaries(st.integers(-2, 2), _fractions, min_size=2, max_size=3).map(Scalar),
 )

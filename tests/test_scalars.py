@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cofreehopf.errors import StructuralError
-from cofreehopf.scalars import _MONOMIALS, Scalar, render_scalar, scalar_atom, split_sign
+from cofreehopf.scalars import _MONOMIALS, Scalar, render_scalar, split_sign
 
 
 def _random_scalar(rnd: random.Random) -> Scalar:
@@ -78,10 +78,10 @@ def test_rendering_ascending_exponents():
 
 
 def test_atom_rendering_and_sign_split():
-    assert scalar_atom(Scalar.rational(5)) == "5"
-    assert scalar_atom(Scalar.q_power(-2)) == "q^-2"
-    assert scalar_atom(Scalar.q_power(3, 2)) == "(2*q^3)"
-    assert scalar_atom(Scalar.one() - Scalar.q_power(2)) == "(1 - q^2)"
+    assert split_sign(Scalar.rational(5)) == (False, "5")
+    assert split_sign(Scalar.q_power(-2)) == (False, "q^-2")
+    assert split_sign(Scalar.q_power(3, 2)) == (False, "(2*q^3)")
+    assert split_sign(Scalar.one() - Scalar.q_power(2)) == (False, "(1 - q^2)")
     assert split_sign(Scalar.rational(-2)) == (True, "2")
     assert split_sign(Scalar.q_power(2, -1)) == (True, "q^2")
     assert split_sign(Scalar.one() - Scalar.q_power(1))[0] is False

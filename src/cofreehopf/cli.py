@@ -33,6 +33,7 @@ import re
 import sys
 from functools import partial
 from itertools import chain
+from typing import TYPE_CHECKING
 
 from .checks import CheckResult
 from .config import (
@@ -64,6 +65,9 @@ from .errors import ConfigError, StructuralError
 from .expr import parse_element_text, parse_int_list
 from .grouphopf import GroupElement, YDSpec, check_yd_module_algebra, check_yetter_drinfeld
 from .scalars import render_scalar
+
+if TYPE_CHECKING:  # qalg loads in the commands that run it
+    from .qalg import BraidedAlgebraSpec
 
 
 def _common_flags(suppress: bool) -> argparse.ArgumentParser:

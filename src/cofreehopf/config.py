@@ -36,6 +36,7 @@ Emission reads the same objects back out, so a document written by
 from __future__ import annotations
 
 from functools import partial
+from typing import TYPE_CHECKING
 
 from .elements import Element, accumulate, pack_word, render_element
 from .errors import ConfigError, Frozen, StructuralError
@@ -44,6 +45,9 @@ from .grouphopf import AbelianGroup, GroupElement, YDSpec, diagonal_images
 from .scalars import Scalar, split_sign
 from .cotensor import (CotensorElement, SmashElement, chain_lift_word, check_chain_condition,
                        render_letter)
+
+if TYPE_CHECKING:  # qalg loads with the first override, not with the config
+    from .qalg import BraidedAlgebraSpec
 
 _SECTIONS = ("group", "basis", "action", "mult", "braiding")
 _RESERVED = ("q", "K")
@@ -320,20 +324,20 @@ def bind_plain_element(spec: YDSpec, parsed: ParsedElement) -> Element:
 
 
 def bind_cotensor_element(spec: YDSpec, parsed: ParsedElement) -> CotensorElement:
-    """Bare words embed through the chain lift; annotated words are taken
-    literally and must satisfy the chain condition; a lone group atom is a
-    degree-0 key."""
+    """Bare words embed through the chain lift, the empty word as ("", e);
+    annotated words are taken literally and must satisfy the chain
+    condition; a lone group atom g is the degree-0 key ("", g)."""
     def key_of(letters):
-        if not letters:
-            return spec.group.identity()
         kinds = {letter[0] for letter in letters}
         if kinds == {"G"}:
             if len(letters) != 1:
                 raise ConfigError("group elements cannot be tensored here")
-            return bind_group_element(spec, letters[0][1])
-        if kinds != {"L"}:
+            return "", bind_group_element(spec, letters[0][1])
+        if kinds - {"L"}:
             raise ConfigError("cannot mix letters and group atoms in one word")
         annotated = [letter[2] is not None for letter in letters]
+        if not any(annotated):
+            return chain_lift_word(spec, tuple(spec.letter(name) for _, name, _ in letters))
         if all(annotated):
             word = tuple(
                 (spec.letter(name), bind_group_element(spec, g))
@@ -342,8 +346,6 @@ def bind_cotensor_element(spec: YDSpec, parsed: ParsedElement) -> CotensorElemen
             if not result:
                 raise ConfigError(f"chain condition fails at cut {result.witness[1]}")
             return pack_word([v for v, _ in word]), word[-1][1]
-        if not any(annotated):
-            return chain_lift_word(spec, tuple(spec.letter(name) for _, name, _ in letters))
         raise ConfigError("either annotate every letter with a group part or none")
 
     return _bind_terms(CotensorElement, spec, parsed, key_of)

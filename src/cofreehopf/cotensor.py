@@ -1,14 +1,14 @@
 """The cotensor coalgebra on V tensor K[G] and its product structure.
 
-Basis keys come in two kinds.  A degree-0 key is a group element (the
-base group algebra sits in degree 0).  A degree-n key is a chain word
-v_1[]...[]v_n with group components g_1, ..., g_n satisfying the chain
-condition g_k = degree(v_{k+1}) * g_{k+1} at every cut, which is exactly
+A basis key of degree n is a chain word v_1[]...[]v_n with group
+components g_1, ..., g_n satisfying the chain condition
+g_k = degree(v_{k+1}) * g_{k+1} at every cut, which is exactly
 membership in the iterated cotensor product when the module is
 group-graded.  So a chain word is fixed by its letters and its right
 degree g_n, and its key is the pair (packed word, g_n), the smash key of
-the same basis element: g_k = degree(v_{k+1} ... v_n) * g_n.  A key is
-on the chain by construction.  The components are computed only where
+the same basis element: g_k = degree(v_{k+1} ... v_n) * g_n.  In degree
+0, the base group algebra, the key of g is ("", g).  A key is on the
+chain by construction.  The components are computed only where
 something reads them, in one walk from the right end (``_chain``), the
 chain letter (v, g) needing degree(v) * g before it: one group product,
 memoised by the group, per letter for the coproduct and the product's
@@ -37,9 +37,10 @@ keys, in one table filled row by row:
               + T(i-1, j) . pi1(last a_i, rd b_j)
               + T(i-1, j-1) . pi1(last a_i, last b_j)
 
-The product of the two keys is T(n, m); two group elements multiply in
-the group.  pi1(a_i, b_j) can be nonzero only for i, j <= 1.  The table
-keeps one row: ``above``, row i-1 overwritten by row i up to column j-1,
+The product of the two keys is T(n, m); for two keys of degree 0, whose
+table is the one empty cell T(0, 0), it is their product in the group,
+the empty word.  pi1(a_i, b_j) can be nonzero only for i, j <= 1.  The
+table keeps one row: ``above``, row i-1 overwritten by row i up to column j-1,
 with the cells ``left`` and ``diagonal`` beside it, and the last row is
 not stored, so one letter times a word of n letters keeps row 0, one
 word per cell under a diagonal action, not the Theta(n^3) letters of its
@@ -68,12 +69,12 @@ empty word makes no cut.
 
 The canonical term order (see ``elements``) compares chain words letter
 by letter, each letter (v_k, g_k); the packed keys compare word first,
-which is another order.  ``ChainWalk.order`` gives the
-canonical one without building chain words: a group element first, then
-a word by (v_1, g_1), then by its packed word.  Two keys that agree on
-(v_1, g_1) have one left degree, so their components agree wherever
-their letters agree, and the packed words order them as their chain
-words.  A rendering sorts and writes its keys through one ``ChainWalk``
+which is another order.  ``ChainWalk.order`` gives the canonical one
+without building chain words: (first letter, g_1, packed word), g_1 the
+component after the first letter, so ("", g) sorts first, by g.  Two
+keys that agree on (v_1, g_1) have one left degree, so their components
+agree wherever their letters agree, and the packed words order them as
+their chain words.  A rendering sorts and writes its keys through one ``ChainWalk``
 (``order``, ``text``), whose memo dies with the rendering.
 
 The coinvariant side: the projection onto right coinvariants is the
@@ -82,9 +83,9 @@ inclusion-antipode-projection; chain words with right degree 1 form the
 coinvariant basis, and flattening them to plain tensor words is inverse
 to the chain lift that reinstates the group components.  The smash
 product on tensor words with a group tag gives the second, independent
-route to the same algebra.  On basis keys the isomorphism is a relabel:
-only the degree-0 key, a bare group element, becomes the smash key
-(empty word, group element).
+route to the same algebra.  On basis keys the isomorphism is the
+identity: a cotensor key is its smash key, so ``to_smash`` and
+``from_smash`` wrap the same terms as the other element class.
 """
 
 from __future__ import annotations
@@ -98,69 +99,72 @@ from .errors import StructuralError
 from .grouphopf import GroupElement, YDSpec
 from .scalars import Scalar
 
-Key = object  # GroupElement (degree 0) or (packed word, right degree) (degree >= 1)
-
-
-def key_degree(key: Key) -> int:
-    return 0 if isinstance(key, GroupElement) else len(key[0])
-
-
-def right_degree(spec: YDSpec, key: Key) -> GroupElement:
-    return key if isinstance(key, GroupElement) else key[1]
+Key = tuple  # (packed word, right degree) in every degree, ("", g) in degree 0
 
 
 def _chain(spec: YDSpec, key: Key) -> tuple[str, list[GroupElement]]:
     """The letters of a key and its components g_0, ..., g_n, g_0 the left
     degree, in one walk from the right end, the chain letter (v, g) needing
-    degree(v) * g before it; a group element g gives ("", [g]).  This is
-    the one walk: a ``ChainWalk`` memoises its steps one letter at a time."""
-    word, g = ("", key) if isinstance(key, GroupElement) else key
+    degree(v) * g before it; ("", g) gives ("", [g]).  This is the one
+    walk: a ``ChainWalk`` memoises its steps one letter at a time."""
+    word, g = key
     components = [g]
     for v in reversed(word):
         components.append(spec.group.multiply(spec.degrees[ord(v)], components[-1]))
     return word, components[::-1]
 
 
-class CotensorElement(Element):
-    """A finite combination of basis keys of the cotensor coalgebra."""
+class _WordGroupElement(Element):
+    """A combination of keys (packed word, group element) over one spec: the
+    cotensor coalgebra's basis keys and the smash product's are the same
+    pairs.  The constructor, the public boundary, reads a group element g
+    among its keys as ("", g)."""
 
     __slots__ = ()
 
-    def __init__(self, spec: YDSpec, terms: Mapping[Key, Scalar] | None = None):
-        super().__init__(terms, spec)
+    def __init__(self, spec: YDSpec, terms: Mapping[Key | GroupElement, Scalar] | None = None):
+        canon: dict = {}
+        for key, c in (terms or {}).items():
+            accumulate(canon, ("", key) if isinstance(key, GroupElement) else key, Scalar.coerce(c))
+        self._terms, self.alphabet = canon, spec
 
     @property
     def spec(self) -> YDSpec:
         return self.alphabet
 
+    @classmethod
+    def unit(cls, spec: YDSpec):
+        return cls._wrap({("", spec.group.identity()): Scalar.one()}, spec)
+
+
+class CotensorElement(_WordGroupElement):
+    """A finite combination of basis keys of the cotensor coalgebra."""
+
+    __slots__ = ()
+
     def support(self, order=None) -> list:
         """The keys in the canonical order, by default ``ChainWalk.order``."""
         return super().support(order or ChainWalk(self.spec).order)
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
-    def unit(cls, spec: YDSpec) -> CotensorElement:
-        return cls(spec, {spec.group.identity(): Scalar.one()})
-
-    @classmethod
-    def from_word(cls, spec: YDSpec, key: Key) -> CotensorElement:
-        """The basis key ``key`` with coefficient 1: a group element, or a
-        nonempty packed word over the spec's letters with its right degree.
-        Anything else, a chain word written letter by letter among them,
-        raises."""
-        if not isinstance(key, GroupElement) and not (
-                type(key) is tuple and len(key) == 2 and type(key[0]) is str and key[0]
-                and isinstance(key[1], GroupElement) and max(map(ord, key[0])) < spec.dim):
+    def from_word(cls, spec: YDSpec, key: Key | GroupElement) -> CotensorElement:
+        """The basis key ``key`` with coefficient 1: a packed word over the
+        spec's letters with its right degree, ("", g) in degree 0, or g
+        itself.  Anything else, a chain word written letter by letter among
+        them, raises."""
+        key = ("", key) if isinstance(key, GroupElement) else key
+        if not (type(key) is tuple and len(key) == 2 and type(key[0]) is str
+                and isinstance(key[1], GroupElement)
+                and max(map(ord, key[0]), default=-1) < spec.dim):
             raise StructuralError(f"not a cotensor key: {key!r}")
-        return cls(spec, {key: Scalar.one()})
+        return cls._wrap({key: Scalar.one()}, spec)
 
 
 def check_chain_condition(spec: YDSpec, terms) -> CheckResult:
     """Validate the chain condition at every cut of every chain word given
     letter by letter, as a tuple of (letter index, group element) pairs:
-    the form a config annotates.  A basis key (a group element, or a packed
-    word with its right degree) is on the chain by construction and passes.
+    the form a config annotates.  A basis key (a packed word with its right
+    degree) is on the chain by construction and passes.
 
     ``terms`` may be a CotensorElement or any iterable of such words and
     keys (a mapping iterates its keys).  A failure's witness is the pair
@@ -168,7 +172,7 @@ def check_chain_condition(spec: YDSpec, terms) -> CheckResult:
     """
     keys = terms._terms if isinstance(terms, CotensorElement) else terms
     for key in keys:
-        if isinstance(key, GroupElement) or type(key[0]) is str:  # a basis key
+        if type(key[0]) is str:  # a basis key
             continue
         for k in range(len(key) - 1):
             v_next, g_next = key[k + 1]
@@ -182,18 +186,11 @@ def check_chain_condition(spec: YDSpec, terms) -> CheckResult:
 
 
 def coproduct_pairs(spec: YDSpec, key: Key) -> list[tuple[Key, Key]]:
-    """Basis coproduct; every pair carries coefficient 1.
-
-    Group elements are group-like.  A chain word splits as the left
-    degree prepended, all interior deconcatenations, and the right
-    degree appended.
-    """
-    if isinstance(key, GroupElement):
-        return [(key, key)]
+    """Basis coproduct; every pair carries coefficient 1: the n + 1
+    deconcatenations of a key of degree n, the left leg ending in the
+    component at its cut.  So ("", g) is group-like."""
     word, components = _chain(spec, key)
-    return [(components[0], key),
-            *(((word[:k], components[k]), (word[k:], key[1])) for k in range(1, len(word))),
-            (key, key[1])]
+    return [((word[:k], components[k]), (word[k:], key[1])) for k in range(len(word) + 1)]
 
 
 def _pair_alphabet(spec: YDSpec):
@@ -209,8 +206,6 @@ def coproduct(x: CotensorElement) -> Element:
 
 
 def _star_key(spec: YDSpec, kx: Key, ky: Key) -> CotensorElement:
-    if key_degree(kx) + key_degree(ky) == 0:
-        return CotensorElement(spec, {spec.group.multiply(kx, ky): Scalar.one()})
     return CotensorElement._wrap(_prefix_table(spec, kx, ky), spec)
 
 
@@ -282,7 +277,8 @@ def _prefix_table(spec: YDSpec, kx: Key, ky: Key) -> dict[Key, Scalar]:
             diagonal, left = above[j], cell
             above[j] = cell if i < len(gs) - 1 else {}  # the last row is not stored
     g = spec.group.multiply(gs[-1], hs[-1])
-    return {(word, g): c for word, c in left.items()}
+    # two keys of degree 0 fill no cell: their product is the empty word at g
+    return {(word, g): c for word, c in (left if x or y else unit).items()}
 
 
 def star(x: CotensorElement, y: CotensorElement) -> CotensorElement:
@@ -297,8 +293,6 @@ def star(x: CotensorElement, y: CotensorElement) -> CotensorElement:
 
 def right_translate(spec: YDSpec, key: Key, g: GroupElement) -> Key:
     """The right module action of a group element on a basis key."""
-    if isinstance(key, GroupElement):
-        return spec.group.multiply(key, g)
     return key[0], spec.group.multiply(key[1], g)
 
 
@@ -306,9 +300,8 @@ def coinvariant_projection(x: CotensorElement) -> CotensorElement:
     """Convolution of the identity with inclusion-antipode-projection: the
     coproduct, the antipode on degree-0 second legs, then the product."""
     spec = x.spec
-    legs = x.rekey(lambda key: [(k1, spec.group.inverse(k2))
-                                for k1, k2 in coproduct_pairs(spec, key)
-                                if key_degree(k2) == 0],
+    legs = x.rekey(lambda key: [(k1, ("", spec.group.inverse(k2[1])))
+                                for k1, k2 in coproduct_pairs(spec, key) if not k2[0]],
                    cls=Element, alphabet=_pair_alphabet(spec))
     return legs.map_words(lambda pair: _star_key(spec, *pair), cls=CotensorElement, alphabet=spec)
 
@@ -316,20 +309,20 @@ def coinvariant_projection(x: CotensorElement) -> CotensorElement:
 def coinvariant_projection_direct(x: CotensorElement) -> CotensorElement:
     """The closed form of the same projection: kill the right degree."""
     e = x.spec.group.identity()
-    return x.rekey(lambda key: (e if isinstance(key, GroupElement) else (key[0], e),))
+    return x.rekey(lambda key: ((key[0], e),))
 
 
 def flatten_coinvariant(x: CotensorElement) -> Element:
     """Strip the group components off a right-coinvariant element."""
-    if not all(right_degree(x.spec, key).is_identity() for key in x._terms):
+    if not all(g.is_identity() for _, g in x._terms):
         raise StructuralError("element is not right-coinvariant")
-    return x.relabel(lambda key: "" if isinstance(key, GroupElement) else key[0], cls=Element)
+    return x.relabel(lambda key: key[0], cls=Element)
 
 
 def chain_lift_word(spec: YDSpec, word) -> Key:
     """The key of a tensor word, packed or a tuple of letters, with right
     degree 1: its group components are the suffix degree products."""
-    return (pack_word(word), spec.group.identity()) if word else spec.group.identity()
+    return pack_word(word), spec.group.identity()
 
 
 def chain_lift(spec: YDSpec, x: Element) -> CotensorElement:
@@ -340,7 +333,7 @@ def chain_lift(spec: YDSpec, x: Element) -> CotensorElement:
 # -- the smash-product route ---------------------------------------------------
 
 
-class SmashElement(Element):
+class SmashElement(_WordGroupElement):
     """A combination of (tensor word over the letters, group element) pairs.
 
     The word leg is packed, one code point per letter, like every tensor
@@ -348,18 +341,6 @@ class SmashElement(Element):
     ``tuple(map(ord, word))`` reads one back."""
 
     __slots__ = ()
-
-    def __init__(self, spec: YDSpec,
-                 terms: Mapping[tuple[str, GroupElement], Scalar] | None = None):
-        super().__init__(terms, spec)
-
-    @property
-    def spec(self) -> YDSpec:
-        return self.alphabet
-
-    @classmethod
-    def unit(cls, spec: YDSpec) -> SmashElement:
-        return cls(spec, {("", spec.group.identity()): Scalar.one()})
 
     @classmethod
     def of(cls, spec: YDSpec, word, g: GroupElement | None = None) -> SmashElement:
@@ -388,15 +369,15 @@ def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
 def to_smash(x: CotensorElement) -> SmashElement:
     """Each basis key to (letters, right degree): the closed form of the sum
     of P(x1) # pi(x2) over the coproduct, P the coinvariant projection and
-    pi the projection onto the group algebra.  A chain word's key is that
-    pair already; a group element g becomes ("", g)."""
-    return x.relabel(lambda key: ("", key) if isinstance(key, GroupElement) else key,
-                     cls=SmashElement)
+    pi the projection onto the group algebra.  Every key is that pair
+    already, so the same terms are wrapped as a smash element; no operation
+    changes an element in place, so the two share the dict."""
+    return SmashElement._wrap(x._terms, x.spec)
 
 
 def from_smash(s: SmashElement) -> CotensorElement:
     """The inverse of ``to_smash``; this route shares no code with star."""
-    return s.relabel(lambda key: key if key[0] else key[1], cls=CotensorElement)
+    return CotensorElement._wrap(s._terms, s.spec)
 
 
 # -- rendering ------------------------------------------------------------------
@@ -445,31 +426,26 @@ class ChainWalk(dict):
         return component
 
     def text(self, key: Key) -> str:
-        """A basis key as its letters joined by ``[]``: a group element reads
-        as itself, a chain word as one text per chain letter.  No letter's
-        text holds ``[]``."""
-        if isinstance(key, GroupElement):  # degree 0: one group element
-            return key.render()
+        """A basis key as its letters joined by ``[]``: a chain word as one
+        text per chain letter, ("", g) as g.  No letter's text holds ``[]``."""
         word, g = key
         component, out = self[g], []
         for v in reversed(word):
             text, component = component[v]
             out.append(text)
-        return "[]".join(reversed(out))
+        return "[]".join(reversed(out)) or g.render()
 
     def order(self, key):
         """The sort key of the canonical order (the chain words' letters
         compared one by one) on basis keys and pairs of them, read off the
-        packed keys: a group element, then a word by its first chain letter
-        (v_1, g_1) and its packed word (see the module docstring)."""
-        if isinstance(key, GroupElement):
-            return (1, *key)
+        packed keys: ("", g) first and by g, then a word by its first chain
+        letter (v_1, g_1) and its packed word (see the module docstring)."""
         if type(key[0]) is not str:  # a pair of keys
             return tuple(map(self.order, key))
         word, component = key[0], self[key[1]]
         for v in word[:0:-1]:  # to the component g_1 of the first letter
             component = component[v][1]
-        return (3, word[0], component.g, word)
+        return (word[:1], component.g, word)
 
 
 def render_cotensor(x: CotensorElement) -> str:

@@ -9,11 +9,12 @@ and :class:`Element` is the combination over any of them.  The key kinds:
   tuple of letters, and ``tuple(map(ord, word))`` reads one back.  A
   pair of words (u, v) is the key of the tensor square;
 * the cotensor coalgebra on V tensor K[G] (:class:`CotensorElement`):
-  a group element in degree 0, or a chain word held as its smash key,
-  (packed word, right degree), the right degree fixing every other
-  group component;
+  a chain word held as its smash key, (packed word, right degree), the
+  right degree fixing every other group component, and ("", g) in
+  degree 0;
 * the smash product T(V) # K[G] (:class:`SmashElement`): a pair
-  (packed word, group element).
+  (packed word, group element), the same key;
+* the coproduct of the cotensor coalgebra: a pair of cotensor keys.
 
 Every structure of the package is given on basis keys and extended to
 combinations here, and nowhere else: :meth:`Element.map_words` extends a
@@ -31,17 +32,18 @@ different tags is a structural error, and such elements are never equal.
 
 There is one canonical term order: group elements (by free, then
 torsion exponents) before tuples, and words compared letter by letter, a
-word before its extensions.  :func:`canonical_key` gives it on tensor
-words, smash keys and word pairs: a packed word compares code point by
-code point, which is that order on its letters, and a smash key sorts by
-word, then group tag.  A cotensor key is a packed word with its right
-degree, which does not compare as its chain word written out, letter by
-letter, each letter (index, group component); ``cotensor.ChainWalk.order``
-gives the order of the chain words, degree-0 keys first and a pair of
-keys by its left key, then its right key, and cotensor elements and
-their coproducts sort by it (``support`` and ``terms`` take a sort key
-as ``order``).  This is the order the CLI renders and the golden tests
-freeze.
+word before its extensions.  No element mixes key kinds, so the keys of
+one element sort by themselves in that order: a packed word compares
+code point by code point, which is that order on its letters, a smash
+key by word, then group tag, and a pair of words, or a (group element,
+word) pair, by its first part, then its second.  A cotensor key is a
+packed word with its right degree, which does not compare as its chain
+word written out, letter by letter, each letter (index, group
+component); ``cotensor.ChainWalk.order`` gives the order of the chain
+words, ("", g) first and a pair of keys by its left key, then its right
+key, and cotensor elements and their coproducts sort by it (``support``
+and ``terms`` take a sort key as ``order``).  This is the order the CLI
+renders and the golden tests freeze.
 """
 
 from __future__ import annotations
@@ -65,19 +67,6 @@ def pack_word(word) -> str:
         return bytes(word).decode("latin-1")
     except ValueError:  # a letter of 256 or more
         return "".join(map(chr, word))
-
-
-def canonical_key(key):
-    """The canonical sort key of a group element, a tensor word, a smash key
-    (word, group tag) or a word pair: the key itself, a group element ranked
-    before every tuple.  It orders the keys of one element: kinds that never
-    share an element, such as a tensor word and a smash key, need not
-    compare."""
-    if type(key) is str:
-        return key
-    if type(key) is not tuple:  # a group element: a tuple subclass
-        return (1, *key)
-    return (3, key)
 
 
 def merge_alphabets(a, b):
@@ -153,8 +142,8 @@ class Element:
         return len(self._terms)
 
     def support(self, order=None) -> list:
-        """The keys sorted by ``order``, by default ``canonical_key``."""
-        return sorted(self._terms, key=order or canonical_key)
+        """The keys sorted by ``order``, by default by themselves."""
+        return sorted(self._terms, key=order)
 
     def terms(self, order=None) -> Iterable[tuple[object, Scalar]]:
         """Term iteration in canonical order, sorted by ``order`` when given."""

@@ -3,8 +3,8 @@
 The base Hopf algebra is a group algebra K[G] for G finitely generated
 abelian: ``rank`` free generators followed by torsion generators of the
 given orders.  Its basis is group-like, so the package works with the
-group elements alone: a degree-0 cotensor key is a group element, and
-two of them multiply in the group.
+group elements alone: the degree-0 cotensor key of a group element g is
+("", g), and two of them multiply in the group.
 
 A group element is an exponent vector, torsion exponents normalized into
 [0, order): a :class:`GroupElement` is a tuple subclass holding the free
@@ -63,13 +63,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from operator import add, index, neg
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .checks import PASS, CheckResult, fail
 from .elements import (Element, accumulate, adjoin_unit_letter, letter_table, letters_over,
                        pack_word)
 from .errors import Frozen, StructuralError
 from .scalars import Scalar
+
+if TYPE_CHECKING:  # braid loads with the first braiding, not with the spec
+    from .braid import BraidingTable
 
 
 class GroupElement(NamedTuple):

@@ -9,8 +9,7 @@ import pytest
 from cofreehopf.braid import BraidingTable
 from cofreehopf.checks import PASS, fail
 from cofreehopf.config import ConfigDocument, parse_config
-from cofreehopf.cotensor import (CotensorElement, SmashElement, chain_lift_word, key_degree,
-                                 smash_product, star)
+from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, smash_product, star
 from cofreehopf.elements import Element
 from cofreehopf.grouphopf import GroupElement, YDSpec
 from cofreehopf.presets import build_clifford, build_uqg
@@ -61,8 +60,8 @@ def letters(word: str) -> tuple[int, ...]:
 
 
 def letter_key(letter):
-    """The recursive sort key the package used before ``canonical_key``, kept
-    as its oracle and as the reference order of chain words written out:
+    """The recursive sort key the package once used, kept as the oracle of
+    the term order and as the reference order of chain words written out:
     integers, then group elements, then tuples compared letter by letter,
     each letter by this same key."""
     if isinstance(letter, int):
@@ -75,10 +74,10 @@ def letter_key(letter):
 
 
 def chain_word(spec, key) -> tuple:
-    """A degree >= 1 cotensor key (packed word, right degree) written letter
-    by letter, as the canonical order and the chain condition read it: one
-    (letter index, group component) pair per letter, each component the
-    degree of the next letter times the next component."""
+    """A cotensor key (packed word, right degree) written letter by letter,
+    as the canonical order and the chain condition read it: one (letter
+    index, group component) pair per letter, each component the degree of
+    the next letter times the next component; ("", g) gives ()."""
     word, g = key
     out = []
     for v in reversed(letters(word)):
@@ -98,15 +97,16 @@ def reference_module_projection(spec, a, b):
     one, as degree-1 keys (letter, group element), built through
     ``Element.map_words`` and ``Element.relabel``: the left action on
     (group, letter), the right action on (letter, group), the module
-    multiplication in smash form on (letter, letter), zero otherwise."""
-    da, db = key_degree(a), key_degree(b)
+    multiplication in smash form on (letter, letter), zero otherwise.  A
+    key of degree 0 is ("", g)."""
+    da, db = len(a[0]), len(b[0])
     if da == 0 and db == 1:
         v, g2 = b
-        image = spec.act_letter(a, ord(v))
-        target = spec.group.multiply(a, g2)
+        image = spec.act_letter(a[1], ord(v))
+        target = spec.group.multiply(a[1], g2)
     elif da == 1 and db == 0:
         v, g1 = a
-        return {(v, spec.group.multiply(g1, b)): Scalar.one()}
+        return {(v, spec.group.multiply(g1, b[1])): Scalar.one()}
     elif da == 1 and db == 1:
         (v, g1), (w, g2) = a, b
         image = spec.act_letter(g1, ord(w)).map_words(lambda i: spec.mult[(ord(v), ord(i))])

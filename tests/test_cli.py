@@ -22,7 +22,6 @@ from cofreehopf.cotensor import (CotensorElement, SmashElement, chain_lift_word,
                                  flatten_coinvariant, from_smash, right_translate, star, to_smash)
 from cofreehopf.elements import Element, render_terms
 from cofreehopf.errors import ConfigError
-from cofreehopf.grouphopf import GroupElement
 from cofreehopf.qalg import BraidedAlgebraSpec, deconcat, quasi_shuffle
 from cofreehopf.scalars import Scalar
 
@@ -350,17 +349,22 @@ TORSION_CI = "[group]\ntorsion = 2\n\n[basis]\nu = 1\nv = 3\n\n[action]\ng1 = -1
 
 def _chain_letters(spec, key) -> list[str]:
     """The letter texts of a basis key, from its chain word written out."""
-    if isinstance(key, GroupElement):
-        return [key.render()]
+    if not key[0]:  # ("", g)
+        return [key[1].render()]
     return [f"{spec.names[v]}.{g.render()}" for v, g in chain_word(spec, key)]
+
+
+def _written_out(spec, key):
+    """A basis key as the canonical order reads it: g for ("", g), else its
+    chain word."""
+    return chain_word(spec, key) if key[0] else key[1]
 
 
 def _canonical(spec, key):
     """The reference order of the chain word under a key, or of a pair of them."""
-    if type(key) is tuple and type(key[0]) is not str:  # a pair of keys
-        return letter_key(tuple(k if isinstance(k, GroupElement) else chain_word(spec, k)
-                                for k in key))
-    return letter_key(key if isinstance(key, GroupElement) else chain_word(spec, key))
+    if type(key[0]) is not str:  # a pair of keys
+        return letter_key(tuple(_written_out(spec, k) for k in key))
+    return letter_key(_written_out(spec, key))
 
 
 def test_the_smallest_case_where_packed_keys_sort_out_of_chain_order(run, clifford_config):

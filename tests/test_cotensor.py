@@ -23,8 +23,6 @@ from cofreehopf.cotensor import (
     coproduct_pairs,
     flatten_coinvariant,
     from_smash,
-    key_degree,
-    right_degree,
     right_translate,
     smash_product,
     star,
@@ -46,7 +44,7 @@ def _keys_up_to(preset, max_degree, tags=None):
     spec = preset.spec
     g = spec.group
     tags = tags or [g.identity(), g.generator(0)]
-    keys = list(tags)
+    keys = [("", tag) for tag in tags]
     for length in range(1, max_degree + 1):
         for word in itertools.product(range(spec.dim), repeat=length):
             for tag in tags:
@@ -63,7 +61,7 @@ def test_chain_lift_images_satisfy_chain_condition(clifford2, uqg_a2):
         for word in itertools.product(range(spec.dim), repeat=3):
             key = chain_lift_word(spec, word)
             assert check_chain_condition(spec, [key, chain_word(spec, key)])
-            assert right_degree(spec, key).is_identity()
+            assert key[1].is_identity()
 
 
 def test_chain_condition_failure_at_first_cut(clifford2):
@@ -100,13 +98,44 @@ def test_chain_condition_matches_kernel_condition(clifford2, uqg_a2):
                 assert kernel_zero == bool(check_chain_condition(spec, [(m, n)]))
 
 
+# -- the key contract ----------------------------------------------------------------
+
+
+def test_a_key_is_one_pair_in_every_degree_and_in_both_views(clifford2, uqg_a2):
+    # degree 0 included: the key of g is ("", g), read so from g at the
+    # constructors, kept by to_smash and from_smash, and split by the
+    # coproduct as the n + 1 deconcatenations of the word
+    for preset in (clifford2, uqg_a2):
+        spec, group = preset.spec, preset.spec.group
+        tags = [group.identity(), group.generator(0), group.inverse(group.generator(0))]
+        assert chain_lift_word(spec, ()) == ("", group.identity())
+        c, half = Scalar.q_power(2, 4), Scalar.q_power(2, 2)
+        for g in tags:
+            for built in (CotensorElement(spec, {g: c}), CotensorElement(spec, {("", g): c}),
+                          CotensorElement.from_word(spec, g).scale(c), SmashElement(spec, {g: c}),
+                          CotensorElement(spec, {g: half, ("", g): half})):  # one key, summed
+                assert built._terms == {("", g): c}
+        keys = _keys_up_to(preset, 3, tags)
+        x = CotensorElement(spec, {key: Scalar.rational(k + 1) for k, key in enumerate(keys)})
+        s = to_smash(x)
+        assert type(s) is SmashElement and list(s._terms.items()) == list(x._terms.items())
+        back = from_smash(s)
+        assert type(back) is CotensorElement and list(back._terms.items()) == list(x._terms.items())
+        for key in keys:
+            (word, g), chain = key, chain_word(spec, key)
+            left = reduce(group.multiply, (spec.degrees[v] for v in letters(word)), g)
+            assert coproduct_pairs(spec, key) == [
+                ((word[:k], chain[k - 1][1] if k else left), (word[k:], g))
+                for k in range(len(word) + 1)], key
+
+
 # -- coproduct ---------------------------------------------------------------------
 
 
 def test_coproduct_of_group_element_is_grouplike(clifford2):
     spec = clifford2.spec
     eps = spec.group.element([1])
-    assert coproduct_pairs(spec, eps) == [(eps, eps)]
+    assert coproduct_pairs(spec, ("", eps)) == [(("", eps), ("", eps))]
 
 
 def test_coproduct_of_degree_one_letter(clifford2):
@@ -115,7 +144,7 @@ def test_coproduct_of_degree_one_letter(clifford2):
     eps = spec.group.element([1])
     key = ("\0", e)  # v1 with trivial tag; left degree is eps
     pairs = coproduct_pairs(spec, key)
-    assert pairs == [(eps, key), (key, e)]
+    assert pairs == [(("", eps), key), (key, ("", e))]
 
 
 def test_coproduct_of_degree_two_word_has_three_terms(clifford2):
@@ -124,9 +153,9 @@ def test_coproduct_of_degree_two_word_has_three_terms(clifford2):
     key = chain_lift_word(spec, (0, 1))
     pairs = coproduct_pairs(spec, key)
     assert len(pairs) == 3
-    assert pairs[0][0] == e  # degree(v1) * degree(v2) * 1
+    assert pairs[0][0] == ("", e)  # degree(v1) * degree(v2) * 1
     assert pairs[1] == (("\0", eps), ("\1", e))
-    assert pairs[2][1] == right_degree(spec, key) == e
+    assert pairs[2][1] == ("", key[1]) == ("", e)
 
 
 def test_component_accessors(clifford2):
@@ -137,7 +166,7 @@ def test_component_accessors(clifford2):
     x = CotensorElement(spec, {eps: 2}) \
         + CotensorElement.from_word(spec, word1).scale(3) \
         + CotensorElement.from_word(spec, word2)
-    assert {key: key_degree(key) for key in x.support()} == {eps: 0, word1: 1, word2: 2}
+    assert {key: len(key[0]) for key in x.support()} == {("", eps): 0, word1: 1, word2: 2}
 
 
 def test_chain_lifted_words_carry_their_degrees(clifford2, uqg_a2):
@@ -149,12 +178,12 @@ def test_chain_lifted_words_carry_their_degrees(clifford2, uqg_a2):
         for word in words_up_to(spec.dim, 3)[1:]:
             key = chain_lift_word(spec, word)
             total = reduce(group.multiply, (spec.degrees[v] for v in word))
-            assert key_degree(key) == len(word)
-            assert right_degree(spec, key) == group.identity()
-            assert coproduct_pairs(spec, key)[0][0] == total  # the left degree
+            assert len(key[0]) == len(word)
+            assert key[1] == group.identity()
+            assert coproduct_pairs(spec, key)[0][0] == ("", total)  # the left degree
             moved = right_translate(spec, key, g)
-            assert right_degree(spec, moved) == g
-            assert coproduct_pairs(spec, moved)[0][0] == group.multiply(total, g)
+            assert moved[1] == g
+            assert coproduct_pairs(spec, moved)[0][0] == ("", group.multiply(total, g))
             assert check_chain_condition(spec, [chain_word(spec, moved)])
 
 
@@ -163,8 +192,8 @@ def test_degree_zero_keys_and_chain_words_stay_apart(clifford2):
     g = spec.group.element([1])
     word = chain_lift_word(spec, (0,))
     x = CotensorElement(spec, {g: 2, word: 3})
-    assert list(x.terms()) == [(g, Scalar.rational(2)), (word, Scalar.rational(3))]
-    assert [key_degree(key) for key, _ in x.terms()] == [0, 1]
+    assert list(x.terms()) == [(("", g), Scalar.rational(2)), (word, Scalar.rational(3))]
+    assert [len(key[0]) for key, _ in x.terms()] == [0, 1]
     assert star(x, CotensorElement.unit(spec)) == x
     # the plain tuple of g's fields is no key, and not a second copy of g
     plain = tuple(g)
@@ -189,9 +218,9 @@ def test_coassociativity_and_counit_laws(clifford2, uqg_a2):
                     lhs[(a1, a2, b)] = lhs.get((a1, a2, b), 0) + 1
                 for b1, b2 in coproduct_pairs(spec, b):
                     rhs[(a, b1, b2)] = rhs.get((a, b1, b2), 0) + 1
-                if key_degree(a) == 0:
+                if not a[0]:
                     left_counit[b] = left_counit.get(b, 0) + 1
-                if key_degree(b) == 0:
+                if not b[0]:
                     right_counit[a] = right_counit.get(a, 0) + 1
             assert lhs == rhs
             assert left_counit == {key: 1}
@@ -512,7 +541,7 @@ def test_the_walk_orders_keys_and_pairs_as_their_chain_words(name, request):
         return right_translate(spec, chain_lift_word(spec, word), r.choice(tags))
 
     def written_out(k):
-        return k if isinstance(k, GroupElement) else chain_word(spec, k)
+        return chain_word(spec, k) if k[0] else k[1]
 
     keys = list(dict.fromkeys(key() for _ in range(80)))
     pairs = list(dict.fromkeys((key(), key()) for _ in range(80)))
@@ -531,9 +560,10 @@ def _to_smash_through_the_coproduct(x: CotensorElement) -> SmashElement:
     out = SmashElement.zero(spec)
     for key, c in x.terms():
         for k1, k2 in coproduct_pairs(spec, key):
-            if key_degree(k2) == 0:
+            if not k2[0]:
                 leg = flatten_coinvariant(coinvariant_projection(CotensorElement(spec, {k1: c})))
-                out = out + leg.relabel(lambda word: (word, k2), cls=SmashElement, alphabet=spec)
+                out = out + leg.relabel(lambda word: (word, k2[1]), cls=SmashElement,
+                                        alphabet=spec)
     return out
 
 
@@ -589,11 +619,9 @@ def test_cross_path_product_equality(clifford2, uqg_a2):
 
 
 def _random_key(r: random.Random, spec, degree: int):
-    """A chain word of the given degree (a group element at degree 0) with a random tag."""
+    """A chain word of the given degree with a random tag."""
     g = spec.group
     tag = g.element([r.randint(-1, 1) for _ in range(g.n_generators)])
-    if degree == 0:
-        return tag
     word = tuple(r.randrange(spec.dim) for _ in range(degree))
     return right_translate(spec, chain_lift_word(spec, word), tag)
 
@@ -634,7 +662,7 @@ def _coinvariant_coproduct(x: CotensorElement) -> Element:
     spec = x.spec
 
     def project(key):
-        return right_translate(spec, key, spec.group.inverse(right_degree(spec, key)))
+        return right_translate(spec, key, spec.group.inverse(key[1]))
 
     return x.rekey(lambda key: [(project(k1), project(k2))
                                 for k1, k2 in coproduct_pairs(spec, key)], cls=Element)
@@ -645,7 +673,7 @@ def test_coinvariant_coproduct_of_letter(clifford2):
     e = spec.group.identity()
     key = ("\0", e)
     out = _coinvariant_coproduct(CotensorElement.from_word(spec, key))
-    assert out == Element({(e, key): 1, (key, e): 1}, out.alphabet)
+    assert out == Element({(("", e), key): 1, (key, ("", e)): 1}, out.alphabet)
 
 
 def test_coinvariant_coproduct_of_scalar(clifford2):
@@ -653,7 +681,7 @@ def test_coinvariant_coproduct_of_scalar(clifford2):
     eps = spec.group.element([1])
     out = _coinvariant_coproduct(CotensorElement(spec, {eps: 1}))
     e = spec.group.identity()
-    assert out == Element({(e, e): 1}, out.alphabet)
+    assert out == Element({(("", e), ("", e)): 1}, out.alphabet)
 
 
 def test_coinvariant_coproduct_flattens_to_deconcatenation(clifford2, uqg_a2):
@@ -667,8 +695,7 @@ def test_coinvariant_coproduct_flattens_to_deconcatenation(clifford2, uqg_a2):
             pairs = _coinvariant_coproduct(x)
             flattened: dict[tuple, Scalar] = {}
             for (k1, k2), c in pairs._terms.items():
-                w1 = () if isinstance(k1, GroupElement) else letters(k1[0])
-                w2 = () if isinstance(k2, GroupElement) else letters(k2[0])
+                w1, w2 = letters(k1[0]), letters(k2[0])
                 s = flattened.get((w1, w2), Scalar.zero()) + c
                 flattened[(w1, w2)] = s
             flattened = {k: v for k, v in flattened.items() if not v.is_zero()}
@@ -733,26 +760,27 @@ def _plain_series(spec, kx, ky):
     no memo and no guard, on chain words written letter by letter: what the
     product builds before any check.  Its words become keys only when every
     one of them is on the chain."""
-    def prefixes(key):
-        if isinstance(key, GroupElement):
-            return [key]
+    def prefixes(key):  # the left degree ("", g_0), then the chain word's prefixes
         chain = chain_word(spec, key)
         return [coproduct_pairs(spec, key)[0][0]] + [chain[:i] for i in range(1, len(chain) + 1)]
 
     def key(prefix):
-        return prefix if isinstance(prefix, GroupElement) else packed_key(prefix)
+        return prefix if type(prefix[0]) is str else packed_key(prefix)
 
     def last(prefix):
-        return key(prefix if isinstance(prefix, GroupElement) else prefix[-1:])
+        return key(prefix if type(prefix[0]) is str else prefix[-1:])
+
+    def rd(prefix):
+        return "", key(prefix)[1]
 
     xs, ys = prefixes(kx), prefixes(ky)
     table = {}
     for (i, a), (j, b) in itertools.product(enumerate(xs), enumerate(ys)):
         sources = [({(): Scalar.one()}, key(a), key(b))]
         if j:
-            sources.append((table[i, j - 1], right_degree(spec, key(a)), last(b)))
+            sources.append((table[i, j - 1], rd(a), last(b)))
         if i:
-            sources.append((table[i - 1, j], last(a), right_degree(spec, key(b))))
+            sources.append((table[i - 1, j], last(a), rd(b)))
         if i and j:
             sources.append((table[i - 1, j - 1], last(a), last(b)))
         cell = {}
@@ -771,12 +799,11 @@ def test_star_raises_exactly_where_the_series_leaves_the_chain_words():
     # a b -> b breaks the degree, so some products build words off the chain
     spec = _two_letter_spec(1, -1, {(0, 1): Element.from_word((1,))})
     tags = [spec.group.identity(), spec.group.generator(0)]
-    keys = tags + [right_translate(spec, chain_lift_word(spec, word), tag)
-                   for n in range(1, 6) for word in itertools.product(range(2), repeat=n)
-                   for tag in tags]
+    keys = [right_translate(spec, chain_lift_word(spec, word), tag)
+            for n in range(6) for word in itertools.product(range(2), repeat=n) for tag in tags]
     raised = kept = 0
     for kx, ky in itertools.product(keys, repeat=2):
-        if not 0 < key_degree(kx) + key_degree(ky) <= 5:
+        if not 0 < len(kx[0]) + len(ky[0]) <= 5:
             continue
         series = _plain_series(spec, kx, ky)
         try:
@@ -848,7 +875,7 @@ def test_one_letter_times_a_long_word_holds_one_row_of_the_prefix_table(clifford
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(out) > 400 and max(map(key_degree, out._terms)) == 601
+        assert len(out) > 400 and max(len(word) for word, _ in out._terms) == 601
         assert peak < 10_000_000, (preset, peak)
 
 
@@ -865,18 +892,19 @@ def test_a_long_word_of_changing_degree_times_one_letter_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(out) == 601 and max(map(key_degree, out._terms)) == 401
+    assert len(out) == 601 and max(len(word) for word, _ in out._terms) == 401
     assert peak < 10_000_000, peak
 
 
 def test_from_word_refuses_anything_but_a_basis_key(clifford2):
     spec = clifford2.spec
     e, eps = spec.group.identity(), spec.group.element([1])
-    for key in (eps, ("\0", e), ("\0\1" * 3, eps), (chr(spec.dim - 1), e)):
+    for key in (("", e), ("", eps), ("\0", e), ("\0\1" * 3, eps), (chr(spec.dim - 1), e)):
         assert CotensorElement.from_word(spec, key)._terms == {key: Scalar.one()}
+    assert CotensorElement.from_word(spec, eps)._terms == {("", eps): Scalar.one()}
     refused = [((0, e), (1, e)),  # a chain word written letter by letter, off the chain
                ((0, eps), (1, e)),  # and on it
-               ((0, e),), ("", e), (chr(spec.dim), e), ("\0", tuple(e)), ("\0", e, e),
+               ((0, e),), (chr(spec.dim), e), ("\0", tuple(e)), ("", tuple(e)), ("\0", e, e),
                ["\0", e], (b"\0", e), "\0", tuple(e), None]
     for key in refused:
         with pytest.raises(StructuralError) as info:
@@ -904,8 +932,6 @@ def _by_hand(key):
     """The same basis key with every group element rebuilt outside its group."""
     def rebuild(g):
         return GroupElement(tuple(list(g.free)), tuple(list(g.torsion)))
-    if isinstance(key, GroupElement):
-        return rebuild(key)
     return key[0], rebuild(key[1])
 
 
@@ -914,16 +940,14 @@ def test_star_on_hand_built_group_elements_matches_the_groups_own(uqg_a2):
     r = random.Random(25)
     tags = [spec.group.identity(), spec.group.generator(1), spec.group.element([1, -1])]
     keys = [right_translate(spec, chain_lift_word(spec, word), r.choice(tags))
-            for word in [(0,), (1, 2), (3, 0, 1), (2, 2, 3)]] + tags[1:]
+            for word in [(0,), (1, 2), (3, 0, 1), (2, 2, 3)]] + [("", tag) for tag in tags[1:]]
     for kx, ky in itertools.product(keys, repeat=2):
         hx, hy = _by_hand(kx), _by_hand(ky)
         assert hx == kx
         assert check_chain_condition(spec, [hx, hy])
         canonical = star(CotensorElement(spec, {kx: Scalar.one()}),
                          CotensorElement(spec, {ky: Scalar.one()}))
-        built = star(CotensorElement.from_word(spec, hx) if key_degree(hx) else
-                     CotensorElement(spec, {hx: Scalar.one()}),
-                     CotensorElement(spec, {hy: Scalar.one()}))
+        built = star(CotensorElement.from_word(spec, hx), CotensorElement(spec, {hy: Scalar.one()}))
         assert list(built._terms.items()) == list(canonical._terms.items())
 
 

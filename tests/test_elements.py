@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cofreehopf.braid import flip_braiding
-from cofreehopf.elements import Element, apply_local, canonical_key, pack_word, render_element
+from cofreehopf.elements import Element, apply_local, pack_word, render_element
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec, diagonal_images
 from cofreehopf.qalg import BraidedAlgebraSpec
@@ -209,59 +209,31 @@ def test_core_defaults_to_the_class_and_alphabet_of_the_element():
         x.bilinear(_Tagged({(1,): 3}, "B"), lambda u, v: Element.from_word(u + v))
 
 
+@pytest.mark.parametrize("kind", ["tensor words", "smash keys", "word pairs", "(g, word) pairs"])
 @pytest.mark.parametrize("group", [AbelianGroup(1, (2,)), AbelianGroup(2)],
                          ids=["rank1-torsion2", "rank2"])
-def test_canonical_key_orders_every_key_kind_as_the_recursive_key(group):
-    r = random.Random(7)
-
-    def g():
-        return group.element([r.randint(-1, 1) for _ in range(group.n_generators)])
-
-    def word():
-        return tuple(r.randrange(3) for _ in range(r.randint(0, 3)))
-
-    def chain_word():
-        return tuple((r.randrange(3), g()) for _ in range(r.randint(1, 3)))
-
-    def cotensor_key():
-        return g() if r.random() < 0.3 else chain_word()
-
-    kinds = {
-        "tensor words": word,
-        "chain words": chain_word,
-        "cotensor keys": cotensor_key,
-        "smash keys": lambda: (word(), g()),
-        "group elements": g,
-        "word pairs": lambda: (word(), word()),
-    }
-    for kind, draw in kinds.items():
-        keys = [draw() for _ in range(60)]
-        for a, b in itertools.product(keys, repeat=2):
-            assert (canonical_key(a) < canonical_key(b)) == (letter_key(a) < letter_key(b)), \
-                (kind, a, b)
-        assert sorted(keys, key=canonical_key) == sorted(keys, key=letter_key), kind
-
-
-@pytest.mark.parametrize("group", [AbelianGroup(1, (2,)), AbelianGroup(2)],
-                         ids=["rank1-torsion2", "rank2"])
-def test_canonical_key_orders_packed_words_as_their_letters(group):
-    # code-point order is the letters' lexicographic order: the empty word
-    # first, a word before its extensions, letters of 256 and more included
+def test_an_element_sorts_each_key_kind_as_the_recursive_key(group, kind):
+    # no element mixes key kinds, so support() sorts the keys of one kind by
+    # themselves: packed, they sort as letter_key sorts them written out, the
+    # empty word first, a word before its extensions, letters of 256 and more
+    # included, a group element by its free, then its torsion exponents
     r = random.Random(36)
     alphabet = (0, 1, 2, 255, 256, 257, 0xD7FF, 0x10FFFF)
     words = [tuple(r.choice(alphabet) for _ in range(r.randint(0, 4))) for _ in range(40)]
     words += [w[:k] for w in words[:10] for k in range(len(w))] + [()]
-    tags = [group.element([r.randint(-1, 1) for _ in range(group.n_generators)])
-            for _ in range(len(words))]
-    kinds = {
+
+    def g():
+        return group.element([r.randint(-1, 1) for _ in range(group.n_generators)])
+
+    keys, pack = {
         "tensor words": (words, pack_word),
-        "smash keys": (list(zip(words, tags)), lambda key: (pack_word(key[0]), key[1])),
-        "word pairs": (list(zip(words, reversed(words))),
-                       lambda key: (pack_word(key[0]), pack_word(key[1]))),
-    }
-    for kind, (keys, pack) in kinds.items():
-        for a, b in itertools.product(keys, repeat=2):
-            assert (canonical_key(pack(a)) < canonical_key(pack(b))) \
-                == (canonical_key(a) < canonical_key(b)), (kind, a, b)
-        assert sorted(map(pack, keys), key=canonical_key) \
-            == list(map(pack, sorted(keys, key=canonical_key))), kind
+        "smash keys": ([(w, g()) for w in words], lambda key: (pack_word(key[0]), key[1])),
+        "word pairs": (list(zip(words, reversed(words))), lambda key: tuple(map(pack_word, key))),
+        "(g, word) pairs": ([(g(), w) for w in words], lambda key: (key[0], pack_word(key[1]))),
+    }[kind]
+    keys = list(dict.fromkeys(keys))
+    for a, b in itertools.product(keys, repeat=2):
+        assert (pack(a) < pack(b)) == (letter_key(a) < letter_key(b)), (a, b)
+    x = Element({pack(key): 1 for key in reversed(keys)})
+    assert x.support() == [pack(key) for key in sorted(keys, key=letter_key)]
+    assert [key for key, _ in x.terms()] == x.support()

@@ -12,7 +12,7 @@ from cofreehopf import linalg
 from cofreehopf.braid import check_yang_baxter, flip_braiding
 from cofreehopf.config import ConfigDocument, emit_config, parse_config
 from cofreehopf.cotensor import chain_lift, render_cotensor, star
-from cofreehopf.elements import Element, accumulate, canonical_key
+from cofreehopf.elements import Element, accumulate
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import (
     AbelianGroup,
@@ -436,19 +436,6 @@ def test_group_element_never_equals_a_chain_word_or_a_smash_key(clifford2):
     for a, b in itertools.combinations(keys, 2):
         assert a != b and b != a and not a == b and not b == a
     assert len(dict.fromkeys(keys)) == len(keys)
-
-
-def test_letter_key_puts_group_elements_between_letters_and_words():
-    """``canonical_key`` sorts group elements before the tuple keys they can
-    share an element with: words, with the empty word first, smash keys and
-    chain words."""
-    group = AbelianGroup(rank=1, torsion=(2,))
-    g, h = group.element([-5, 0]), group.element([3, 1])
-    for words in ([(), (0,), (0, 2), (1, 0)],
-                  [((), g), ((), h), ((0,), g)],
-                  [((0, g),), ((0, h), (1, g)), ((1, g),)]):
-        ordered = sorted([h, *reversed(words), g], key=canonical_key)
-        assert ordered == [g, h, *words]  # the empty word sorts after every group element
 
 
 def test_group_element_survives_pickle_and_deepcopy():

@@ -24,22 +24,22 @@ The product is evaluated through the universal property of the cotensor
 coalgebra: project the tensor square onto the group algebra (degree-0
 part) and onto the module (degree-1 part pi1: left action, right action
 and the module multiplication).  On two words the product is the series
-S(x, y) = pi1(x, y) + sum of S(x1, y1) . pi1(x2, y2) over the coproduct
-splits of the tensor square (by coassociativity), the dot appending a
-letter.  pi1 kills a pair with a leg of degree two or more, or with both
-legs of degree 0, so only three splits survive: the last pair is (right
-degree, last letter), (last letter, right degree) or (last letter, last
-letter), and the first legs are prefixes (prefix 0 is the left degree,
-prefix n the word).  So S lives on the prefix pairs a_i, b_j of the two
-keys, in one table filled row by row:
+S(x, y) = sum of S(x1, y1) . pi1(x2, y2) over the coproduct splits of
+the tensor square (by coassociativity), the dot appending a letter, and
+on two keys of degree 0 it is their product in the group.  pi1 kills a
+pair with a leg of degree two or more, or with both legs of degree 0, so
+only three splits survive: the last pair is (last letter, last letter),
+(right degree, last letter) or (last letter, right degree), and the
+first legs are prefixes (prefix 0 is the left degree, prefix n the
+word).  So S lives on the prefix pairs a_i, b_j of the two keys, in one
+table filled row by row from T(0, 0), the empty word:
 
-    T(i, j) = pi1(a_i, b_j) + T(i, j-1) . pi1(rd a_i, last b_j)
+    T(i, j) = T(i-1, j-1) . pi1(last a_i, last b_j)
+              + T(i, j-1) . pi1(rd a_i, last b_j)
               + T(i-1, j) . pi1(last a_i, rd b_j)
-              + T(i-1, j-1) . pi1(last a_i, last b_j)
 
-The product of the two keys is T(n, m); for two keys of degree 0, whose
-table is the one empty cell T(0, 0), it is their product in the group,
-the empty word.  pi1(a_i, b_j) can be nonzero only for i, j <= 1.  The
+Every cell reads its three neighbours in that order: the merge, the left
+action, the right action.  The product of the two keys is T(n, m).  The
 table keeps one row: ``above``, row i-1 overwritten by row i up to column j-1,
 with the cells ``left`` and ``diagonal`` beside it, and the last row is
 not stored, so one letter times a word of n letters keeps row 0, one
@@ -55,17 +55,15 @@ letters and one group element, g = rd(a_i): the right action appends
 v_i itself, the left action g.w_j and the merge m(v_i, g.w_j).
 Products are not memoised, but the last two are, on the spec
 (``spec._cache["pi1"]``), per (v_i or None, g, w_j): the letters with
-their coefficients (None for 1), summed on a miss straight from the
-term dicts of a letter image and of the multiplication table, and a
-flag, whether every letter u has the degree the chain needs there,
-deg(u) = deg(w_j) or deg(v_i) * deg(w_j).  That is the chain guard: a
-letter appended to a word of the source cell makes a cut, which holds
-exactly when the letter has that degree.  Where the flag is false, on
-data outside the theorem's hypotheses, the letters' components are
-compared with the source's, by value, and the first that fails raises,
-naming the word built.  The right action needs no guard, since
-deg(v_i) * g_i = g_(i-1) by construction, and a letter appended to the
-empty word makes no cut.
+their coefficients (None for 1), summed on a miss straight from the term
+dicts of a letter image and of the multiplication table, and the first
+letter u whose degree breaks the chain, or None.  The chain needs
+deg(u) = deg(w_j) or deg(v_i) * deg(w_j): a letter appended to a word
+of the source cell makes a cut, which holds exactly when the letter has
+that degree.  So where the entry names a letter, on data outside the
+theorem's hypotheses, appending it to a word raises, naming the word
+built.  The right action breaks nothing, since deg(v_i) * g_i = g_(i-1)
+by construction, and a letter appended to the empty word makes no cut.
 
 The canonical term order (see ``elements``) compares chain words letter
 by letter, each letter (v_k, g_k); the packed keys compare word first,
@@ -205,14 +203,11 @@ def coproduct(x: CotensorElement) -> Element:
 # -- the universal-property product ------------------------------------------
 
 
-def _star_key(spec: YDSpec, kx: Key, ky: Key) -> CotensorElement:
-    return CotensorElement._wrap(_prefix_table(spec, kx, ky), spec)
-
-
 def _pi1(spec: YDSpec, v: str | None, g: GroupElement, w: str) -> tuple:
     """pi1 on letters: the left action g.w when v is None, else the merge
-    m(v, g.w), as ((letter, coefficient or None for 1), ...), and whether
-    every letter has the degree the chain needs, deg w or deg v * deg w."""
+    m(v, g.w), as ((letter, coefficient or None for 1), ...), and the first
+    letter whose degree is not the one the chain needs, deg w or deg v *
+    deg w, or None."""
     terms, degree = spec.act_letter(g, ord(w))._terms, spec.degrees[ord(w)]
     if v is not None:
         image, terms, one = terms, {}, Scalar.one()
@@ -221,71 +216,58 @@ def _pi1(spec: YDSpec, v: str | None, g: GroupElement, w: str) -> tuple:
                 accumulate(terms, k, d if c is one else d * c)
         degree = spec.group.multiply(spec.degrees[ord(v)], degree)
     return (tuple((u, None if d is Scalar.one() else d) for u, d in terms.items()),
-            all(spec.degrees[ord(u)] == degree for u in terms))
+            next((u for u in terms if spec.degrees[ord(u)] != degree), None))
 
 
-def _prefix_table(spec: YDSpec, kx: Key, ky: Key) -> dict[Key, Scalar]:
-    """T(n, m) of the module docstring, filled one row of prefix pairs at a
-    time over one stored row; a cell holds packed words, which all end in
-    the component rd(a_i) * rd(b_j)."""
+def _prefix_table(spec: YDSpec, kx: Key, ky: Key) -> CotensorElement:
+    """The product of two keys: T(n, m) of the module docstring, filled
+    from T(0, 0), the empty word, one row of prefix pairs at a time over
+    one stored row; a cell holds packed words, which all end in the
+    component rd(a_i) * rd(b_j)."""
     (x, gs), (y, hs) = _chain(spec, kx), _chain(spec, ky)
     memo = spec._cache.setdefault("pi1", {})
-    unit = {"": Scalar.one()}
 
-    def append(cell, source, v, i, w, j):
-        """cell (i, j) += source . pi1: the right action v when w is None,
-        else pi1 read at (v, g_i, w); source is cell (i, j - 1) when v is
-        None, else (i - 1, j - 1), and its cuts are guarded unless graded."""
-        if not source:
-            return
-        if w is None:  # on the chain by construction: deg(v_i) * g_i = g_(i-1)
-            for word, c in source.items():
-                accumulate(cell, word + v, c)
-            return
-        entry = memo.get((v, gs[i], w))
+    def append(cell, source, key, i, j):
+        """cell (i, j) += source . pi1 read at key (v, g_i, w): the merge
+        from cell (i - 1, j - 1), or the left action (v None) from (i, j - 1).
+        The entry's breaking letter raises unless the source is the empty
+        word."""
+        entry = memo.get(key)
         if entry is None:
-            entry = memo[(v, gs[i], w)] = _pi1(spec, v, gs[i], w)
-        terms, graded = entry
-        if not graded and source is not unit:
-            end = spec.group.multiply(gs[i - (v is not None)], hs[j - 1])
+            entry = memo[key] = _pi1(spec, *key)
+        terms, broken = entry
+        if broken is not None and (word := next(iter(source))):
+            end = spec.group.multiply(gs[i - (key[0] is not None)], hs[j - 1])
             g = spec.group.multiply(gs[i], hs[j])
-            for u, _ in terms:
-                if spec.group.multiply(spec.degrees[ord(u)], g) != end:
-                    word = next(iter(source))
-                    raise StructuralError("product left the cotensor subspace: chain word "
-                                          f"{ChainWalk(spec).text((word, end))}[]"
-                                          f"{ChainWalk(spec).text((u, g))} breaks at cut {len(word)}")
+            raise StructuralError("product left the cotensor subspace: chain word "
+                                  f"{ChainWalk(spec).text((word, end))}[]"
+                                  f"{ChainWalk(spec).text((broken, g))} breaks at cut {len(word)}")
         for u, d in terms:
             for word, c in source.items():
                 accumulate(cell, word + u, c if d is None else c * d)
 
-    above = [{}] * len(hs)
-    for i in range(len(gs)):
-        v = x[i - 1] if i else None
+    above, ws = [{}] * len(hs), (None, *y)
+    for i, (v, g) in enumerate(zip((None, *x), gs)):
         left = diagonal = {}
-        for j in range(len(hs)):
-            w = y[j - 1] if j else None
-            cell = {}
-            if i < 2 and j < 2 and i + j:  # pi1(a_i, b_j); it vanishes at degree 2 or more
-                append(cell, unit, v, i, w, j)
-            if j:
-                append(cell, left, None, i, w, j)
-            if i:
-                append(cell, above[j], v, i, None, j)
-                if j:
-                    append(cell, diagonal, v, i, w, j)
+        for j, w in enumerate(ws):
+            cell = {} if i or j else {"": Scalar.one()}
+            if diagonal:
+                append(cell, diagonal, (v, g, w), i, j)
+            if left:
+                append(cell, left, (None, g, w), i, j)
+            for word, c in above[j].items():  # the right action: v_i itself
+                accumulate(cell, word + v, c)
             diagonal, left = above[j], cell
             above[j] = cell if i < len(gs) - 1 else {}  # the last row is not stored
     g = spec.group.multiply(gs[-1], hs[-1])
-    # two keys of degree 0 fill no cell: their product is the empty word at g
-    return {(word, g): c for word, c in (left if x or y else unit).items()}
+    return CotensorElement._wrap({(word, g): c for word, c in left.items()}, spec)
 
 
 def star(x: CotensorElement, y: CotensorElement) -> CotensorElement:
     """The associative product induced by the universal property."""
     if x.spec is not y.spec:
         raise StructuralError("cotensor elements over different module data")
-    return x.bilinear(y, partial(_star_key, x.spec))
+    return x.bilinear(y, partial(_prefix_table, x.spec))
 
 
 # -- right coinvariants --------------------------------------------------------
@@ -303,7 +285,8 @@ def coinvariant_projection(x: CotensorElement) -> CotensorElement:
     legs = x.rekey(lambda key: [(k1, ("", spec.group.inverse(k2[1])))
                                 for k1, k2 in coproduct_pairs(spec, key) if not k2[0]],
                    cls=Element, alphabet=_pair_alphabet(spec))
-    return legs.map_words(lambda pair: _star_key(spec, *pair), cls=CotensorElement, alphabet=spec)
+    return legs.map_words(lambda pair: _prefix_table(spec, *pair), cls=CotensorElement,
+                          alphabet=spec)
 
 
 def coinvariant_projection_direct(x: CotensorElement) -> CotensorElement:

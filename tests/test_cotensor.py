@@ -723,16 +723,20 @@ def test_smash_route_runs_without_the_prefix_table(clifford2, uqg_a2, monkeypatc
         assert from_smash(smash_product(to_smash(x), to_smash(y))) == expected
 
 
-def test_star_raises_when_the_product_leaves_the_chain_words():
+@pytest.mark.parametrize("action, mult, x, y, witness", [
     # a b -> b breaks the degree: the data of CI's degree.cfg, which check alg refuses
+    ("q, q^-1", "a b -> b", (1, 0), (0, 1), "b.K{3}[]a.K{2}[]b.K{0} breaks at cut 2"),
+    # b b -> a breaks it in cell (2, 2) on its diagonal source, cell (1, 1), whose
+    # first word is the merge a a -> a: each cell appends its diagonal first
+    ("1, 1", "a a -> a\nb b -> a", (0, 1), (0, 1), "a.K{2}[]a.K{0} breaks at cut 1"),
+], ids=["degree-cfg", "diagonal-first"])
+def test_star_raises_when_the_product_leaves_the_chain_words(action, mult, x, y, witness):
     spec = parse_config("[group]\nrank = 1\n\n[basis]\na = 1\nb = 1\n\n[action]\n"
-                        "g1 = q, q^-1\n\n[mult]\na b -> b\n").spec
-    ba, ab = (CotensorElement.from_word(spec, chain_lift_word(spec, word))
-              for word in [(1, 0), (0, 1)])
+                        f"g1 = {action}\n\n[mult]\n{mult}\n").spec
+    x, y = (CotensorElement.from_word(spec, chain_lift_word(spec, word)) for word in [x, y])
     with pytest.raises(StructuralError) as info:
-        star(ba, ab)
-    assert str(info.value) == ("product left the cotensor subspace: chain word "
-                               "b.K{3}[]a.K{2}[]b.K{0} breaks at cut 2")
+        star(x, y)
+    assert str(info.value) == "product left the cotensor subspace: chain word " + witness
 
 
 def test_star_checks_the_chain_in_the_table_not_on_its_output(monkeypatch):
@@ -840,8 +844,8 @@ def test_projection_memo_belongs_to_its_spec():
             assert star(x, y) == from_smash(smash_product(to_smash(x), to_smash(y)))
     assert first._cache["pi1"] is not second._cache["pi1"]
     for spec in (first, second):  # the groups are equal; each memo holds its own elements
-        for (v, g, w), (terms, graded) in spec._cache["pi1"].items():
-            assert v in (None, "\0", "\1") and w in ("\0", "\1") and graded
+        for (v, g, w), (terms, broken) in spec._cache["pi1"].items():
+            assert v in (None, "\0", "\1") and w in ("\0", "\1") and broken is None
             assert g is spec.group.element(g.exponents())
             assert all(type(u) is str and (d is None or isinstance(d, Scalar)) for u, d in terms)
 

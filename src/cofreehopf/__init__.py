@@ -17,8 +17,8 @@ _EXPORTS = {
     "errors": ("ConfigError", "StructuralError"),
     "checks": ("CheckResult",),
     "braid": ("BraidingTable", "block_braiding", "check_yang_baxter", "flip_braiding"),
-    "qalg": ("BraidedAlgebraSpec", "adjoin_unit", "check_braided_algebra",
-             "check_quasi_shuffle_bialgebra", "deconcat", "quasi_shuffle"),
+    "qalg": ("check_braided_algebra", "check_quasi_shuffle_bialgebra", "deconcat",
+             "quasi_shuffle"),
     "grouphopf": ("AbelianGroup", "GroupElement", "YDSpec", "braided_spec",
                   "check_yd_module_algebra", "check_yetter_drinfeld"),
     "cotensor": ("CotensorElement", "SmashElement", "chain_lift", "check_chain_condition",

@@ -33,9 +33,10 @@ class BraidingTable:
     invertibility on V tensor V over the fraction field
     (``linalg.is_invertible``); ``_trusted`` skips both, for a table whose
     maker has already proved them: the braiding induced by YD data, the
-    flip and ``adjoin_unit``'s extension.  So only a table given from
-    outside, a ``[braiding]`` override or one built by hand, loads
-    ``linalg``.
+    flip, a checked table copied over the ``YDSpec`` it is given to, and
+    ``YDSpec.with_unit``'s extension of such a table.  So only a table
+    given from outside, a ``[braiding]`` override or one built by hand,
+    loads ``linalg``.
     """
 
     __slots__ = ("dim", "entries", "alphabet")

@@ -15,14 +15,15 @@ failed check.
 A shell call runs one command in a fresh process, which pays for every
 module imported here.  So a module that some command never runs is
 imported in the code that runs it: ``json`` in ``_emit``, ``presets`` in
-``_cmd_preset``, ``rotabaxter`` in ``_rb_operator`` and ``_check_rb``,
-``qalg`` and ``braid`` in ``_qsh`` and the ``yb``, ``alg``, ``bialg`` and
-``rb`` checks.  ``star``, ``comul``, ``psi``, ``phi`` and ``check yd``
-load none of these three, and ``preset`` loads neither ``qalg`` nor
-``braid``.  ``linalg`` loads only with a config's ``[braiding]``
-override, the one braiding table checked for invertibility.  Tests
-patch such a function on its own module (``qalg``, ``rotabaxter``),
-and ``star`` here.
+``_cmd_preset``, ``rotabaxter`` (and with it ``qalg``) in
+``_rb_operator`` and ``_check_rb``, ``qalg`` in ``_qsh`` and the
+``alg`` and ``bialg`` checks, and ``braid`` with the first braiding a
+command reads.  ``star``, ``comul``, ``psi``, ``phi`` and ``check yd``
+load none of these three, on a config with a ``[braiding]`` override
+too, and ``preset`` loads neither ``qalg`` nor ``braid``.  ``linalg``
+loads only with such an override, the one braiding table checked for
+invertibility.  Tests patch such a function on its own module
+(``qalg``, ``rotabaxter``), and ``star`` here.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import re
 import sys
 from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING
 
 from .checks import CheckResult
 from .config import (
@@ -65,9 +65,6 @@ from .errors import ConfigError, StructuralError
 from .expr import parse_element_text, parse_int_list
 from .grouphopf import GroupElement, YDSpec, check_yd_module_algebra, check_yetter_drinfeld
 from .scalars import render_scalar
-
-if TYPE_CHECKING:  # qalg loads in the commands that run it
-    from .qalg import BraidedAlgebraSpec
 
 
 def _common_flags(suppress: bool) -> argparse.ArgumentParser:
@@ -196,11 +193,11 @@ COMMANDS = {
 }
 
 
-def _words_up_to(spec: BraidedAlgebraSpec, total: int):
+def _words_up_to(spec: YDSpec, total: int):
     return chain.from_iterable(spec.braiding.basis_words(length) for length in range(total + 1))
 
 
-def _pairs_up_to(spec: BraidedAlgebraSpec, total: int):
+def _pairs_up_to(spec: YDSpec, total: int):
     """Each word u by length, then each word v with |v| <= total - |u|."""
     for u in _words_up_to(spec, total):
         for v in _words_up_to(spec, total - len(u)):
@@ -209,24 +206,24 @@ def _pairs_up_to(spec: BraidedAlgebraSpec, total: int):
 
 def _check_yb(doc: ConfigDocument, n: int) -> tuple[YDSpec, CheckResult]:
     from .braid import check_yang_baxter
-    return doc.spec, check_yang_baxter(doc.braided().braiding)
+    return doc.braided(), check_yang_baxter(doc.braided().braiding)
 
 
 def _check_alg(doc: ConfigDocument, n: int) -> tuple[YDSpec, CheckResult]:
     from .qalg import check_braided_algebra  # check_yd_module_algebra runs it too
-    return doc.spec, (check_yd_module_algebra(doc.spec) if doc.override is None
-                      else check_braided_algebra(doc.override))
+    return doc.braided(), (check_yd_module_algebra(doc.spec) if doc.override is None
+                           else check_braided_algebra(doc.override))
 
 
 def _check_bialg(doc: ConfigDocument, n: int) -> tuple[YDSpec, CheckResult]:
     from .qalg import check_quasi_shuffle_bialgebra
-    return doc.spec, check_quasi_shuffle_bialgebra(doc.braided(), _pairs_up_to(doc.braided(), n))
+    spec = doc.braided()
+    return spec, check_quasi_shuffle_bialgebra(spec, _pairs_up_to(spec, n))
 
 
-def _check_rb(doc: ConfigDocument, max_degree: int) -> tuple[BraidedAlgebraSpec, CheckResult]:
-    from .qalg import adjoin_unit
+def _check_rb(doc: ConfigDocument, max_degree: int) -> tuple[YDSpec, CheckResult]:
     from .rotabaxter import check_rota_baxter, qsh_rb_instance
-    unital = adjoin_unit(doc.braided())  # a config names no unit letter
+    unital = doc.braided().with_unit()  # a config names no unit letter
     return unital, check_rota_baxter(qsh_rb_instance(unital), (
         (Element.from_word(u, alphabet=unital.alphabet),
          Element.from_word(v, alphabet=unital.alphabet))
@@ -234,8 +231,8 @@ def _check_rb(doc: ConfigDocument, max_degree: int) -> tuple[BraidedAlgebraSpec,
 
 
 # check name -> checker(document, --max-degree) -> (spec, result): the result
-# renders through the letter names of the spec the check ran on, which for rb
-# holds the adjoined unit letter
+# renders through the spec the check ran on, whose words it holds: the
+# override's for yb, alg and bialg, and for rb one with the unit letter adjoined
 CHECKS = {
     "yb": _check_yb,
     "alg": _check_alg,

@@ -24,11 +24,13 @@ tables); the mathematical axiom checkers are exposed as commands so
 that their failures are reportable.
 
 A loaded document (:class:`ConfigDocument`) is the spec itself: the
-module algebra as a :class:`YDSpec` (``doc.spec``), the
-:class:`BraidedAlgebraSpec` of a [braiding] override (``None`` without
-one), and the loading notes.  ``doc.braided()`` is the braided algebra
-the products run on: the override when there is one, else ``doc.spec``
-itself, whose braiding is the induced one.
+module algebra as a :class:`YDSpec` (``doc.spec``), the braided algebra
+of a [braiding] override (``None`` without one), and the loading notes.
+The override is a second ``YDSpec`` over the same group, letters, action
+and [mult], with the checked table given as its braiding.
+``doc.braided()`` is the braided algebra the quasi-shuffle runs on: the
+override when there is one, else ``doc.spec`` itself, whose braiding is
+the induced one.
 Emission reads the same objects back out, so a document written by
 :func:`emit_config` parses to the same data and emits the same text.
 """
@@ -36,7 +38,6 @@ Emission reads the same objects back out, so a document written by
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING
 
 from .elements import Element, accumulate, pack_word, render_element
 from .errors import ConfigError, Frozen, StructuralError
@@ -45,9 +46,6 @@ from .grouphopf import AbelianGroup, GroupElement, YDSpec, diagonal_images
 from .scalars import Scalar, split_sign
 from .cotensor import (CotensorElement, SmashElement, chain_lift_word, check_chain_condition,
                        render_letter)
-
-if TYPE_CHECKING:  # qalg loads with the first override, not with the config
-    from .qalg import BraidedAlgebraSpec
 
 _SECTIONS = ("group", "basis", "action", "mult", "braiding")
 _RESERVED = ("q", "K")
@@ -61,13 +59,13 @@ class ConfigDocument(Frozen):
 
     _fields = ("spec", "override", "notes")
 
-    def __init__(self, spec: YDSpec, override: BraidedAlgebraSpec | None = None,
+    def __init__(self, spec: YDSpec, override: YDSpec | None = None,
                  notes: tuple[str, ...] = ()):
         if spec.unit is not None:
             raise StructuralError("a spec with a unit letter has no config document")
         self._set(spec=spec, override=override, notes=notes)
 
-    def braided(self) -> BraidedAlgebraSpec | YDSpec:
+    def braided(self) -> YDSpec:
         """The braided algebra of the document: the override, or else the
         module algebra itself, with the braiding it induces."""
         return self.spec if self.override is None else self.override
@@ -189,13 +187,12 @@ def parse_config(text: str) -> ConfigDocument:
     override = None
     if braiding is not None:
         from .braid import BraidingTable
-        from .qalg import BraidedAlgebraSpec
         try:  # the entries were parsed before the spec existed: tag them with it
             table = BraidingTable(dim, {pair: Element(value._terms, spec)
                                         for pair, value in braiding.items()}, alphabet=spec)
         except StructuralError as exc:
             raise ConfigError(f"braiding override: {exc}") from exc
-        override = BraidedAlgebraSpec(dim, table, spec.mult, names=spec.names, alphabet=spec)
+        override = YDSpec(group, spec.names, spec.degrees, spec.action, mult, braiding=table)
     return ConfigDocument(spec, override, tuple(notes))
 
 

@@ -311,23 +311,6 @@ def letters_over(value: Element, dim: int, alphabet, what: str) -> Element:
     return Element._wrap(dict(value._terms), alphabet)
 
 
-def adjoin_unit_letter(mult: Mapping, dim: int, names):
-    """``mult`` and ``names`` extended by letter ``dim`` as a two-sided unit.
-
-    The unit is named ``one``, with ``_`` appended until it is fresh;
-    ``names`` may be None (unnamed letters).
-    """
-    table = dict(mult)
-    for a in range(dim + 1):
-        table[(dim, a)] = table[(a, dim)] = Element.from_word((a,))
-    if names is not None:
-        name = "one"
-        while name in names:
-            name += "_"
-        names = names + (name,)
-    return table, names
-
-
 MINUS = "−"  # canonical term separator uses the minus-sign character
 
 

@@ -55,7 +55,10 @@ words are tagged with the spec itself (``spec.alphabet``), and
 tensor v``, built on first read.  So the braiding and the quasi-shuffle
 memos live in the spec's one ``_cache`` and die with it, and no second
 spec holds a copy of its tables.  ``braided_spec(spec)`` returns the
-spec.
+spec.  A braiding table may instead be given to the constructor, a
+config's [braiding] override or data built by hand on rank 0: then
+``spec.braiding`` is that table, copied over the spec, and
+``with_unit`` extends it by the flip on the unit letter.
 """
 
 from __future__ import annotations
@@ -66,8 +69,7 @@ from operator import add, index, neg
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .checks import PASS, CheckResult, fail
-from .elements import (Element, accumulate, adjoin_unit_letter, letter_table, letters_over,
-                       pack_word)
+from .elements import Element, accumulate, letter_table, letters_over, pack_word
 from .errors import Frozen, StructuralError
 from .scalars import Scalar
 
@@ -228,18 +230,29 @@ class YDSpec(Frozen):
     are given whole at construction, checked and copied over the spec,
     and ``_cache`` memoises what is derived from them, starting with the
     letter images of the identity, of each generator (``action[k]``
-    itself) and of each free generator's inverse.  The spec is the
-    braided algebra it induces (``alphabet`` and ``braiding``), so its
-    quasi-shuffle and crossing memos go in the same ``_cache``.
+    itself) and of each free generator's inverse.  The spec is a braided
+    algebra (``alphabet`` and ``braiding``), so its quasi-shuffle and
+    crossing memos go in the same ``_cache``.  Its braiding is the one it
+    induces, or ``braiding`` when given: a table on the letters, checked
+    by its maker, whose entries are copied over the spec.
     """
 
     _fields = ("group", "names", "degrees", "action", "mult", "unit")
 
     def __init__(self, group: AbelianGroup, names: tuple[str, ...],
                  degrees: tuple[GroupElement, ...], action: tuple[tuple[Element, ...], ...],
-                 mult: dict[tuple[int, int], Element] | None = None, unit: int | None = None):
-        self._set(group=group, names=names, degrees=degrees, unit=unit, alphabet=self, _cache={})
+                 mult: dict[tuple[int, int], Element] | None = None, unit: int | None = None,
+                 braiding: BraidingTable | None = None):
+        self._set(group=group, names=names, degrees=degrees, unit=unit, alphabet=self, _cache={},
+                  _given=braiding is not None)
         dim = len(names)
+        if braiding is not None:
+            if braiding.dim != dim:
+                raise StructuralError("braiding dimension does not match the basis size")
+            from .braid import BraidingTable
+            self._cache["braiding"] = BraidingTable._trusted(dim, {
+                pair: Element._wrap(value._terms, self)
+                for pair, value in braiding.entries.items()}, self)
         if len(degrees) != dim:
             raise StructuralError("one degree per letter is required")
         if len(action) != group.n_generators:
@@ -324,10 +337,11 @@ class YDSpec(Frozen):
 
     @property
     def braiding(self) -> BraidingTable:
-        """The induced braiding sigma(v tensor w) = degree(v).w tensor v, built once.
+        """The given braiding, or else the induced one
+        sigma(v tensor w) = degree(v).w tensor v, built once.
 
-        Its table is total and invertible by construction, so it is not
-        checked: sigma carries v tensor V onto V tensor v by the action of
+        The induced table is total and invertible by construction, so it
+        is not checked: sigma carries v tensor V onto V tensor v by the action of
         degree(v), a product of generator actions to each of which the
         constructor found a Laurent inverse.  On YD data
         sigma^-1(w tensor v) = v tensor degree(v)^-1.w."""
@@ -341,15 +355,30 @@ class YDSpec(Frozen):
         return cached
 
     def with_unit(self) -> YDSpec:
-        """Adjoin a unit letter with neutral degree and trivial action."""
+        """Adjoin a unit letter with neutral degree and trivial action, named
+        ``one`` with ``_`` appended until it is fresh.  A given braiding is
+        extended by the flip on the unit pairs, unchecked: that is a direct
+        sum, total and invertible exactly when the given table is."""
         if self.unit is not None:
             raise StructuralError("spec already has a unit letter")
         dim = self.dim
-        mult, names = adjoin_unit_letter(self.mult, dim, self.names)
-        degrees = self.degrees + (self.group.identity(),)
+        mult = dict(self.mult)
+        for a in range(dim + 1):
+            mult[(dim, a)] = mult[(a, dim)] = Element.from_word((a,))
+        name = "one"
+        while name in self.names:
+            name += "_"
+        braiding = None
+        if self._given:
+            from .braid import BraidingTable
+            entries = dict(self.braiding.entries)
+            for a in range(dim + 1):
+                entries[(a, dim)] = Element.from_word((dim, a))
+                entries[(dim, a)] = Element.from_word((a, dim))
+            braiding = BraidingTable._trusted(dim + 1, entries)
         fixed = Element.from_word((dim,))
-        return YDSpec(self.group, names, degrees,
-                      tuple(images + (fixed,) for images in self.action), mult, dim)
+        return YDSpec(self.group, self.names + (name,), self.degrees + (self.group.identity(),),
+                      tuple(images + (fixed,) for images in self.action), mult, dim, braiding)
 
 
 def check_yetter_drinfeld(spec: YDSpec) -> CheckResult:

@@ -2,12 +2,11 @@
 
 A braided algebra is a based space with a braiding table and structure
 constants for an associative multiplication compatible with the
-braiding.  A ``grouphopf.YDSpec`` is one, with the braiding its
-Yetter-Drinfeld structure induces, and is passed as it is;
-:class:`BraidedAlgebraSpec` holds the others: a [braiding] override,
-the extension by ``adjoin_unit`` and data given by hand.  Both kinds
-read alike (``dim``, ``braiding``, ``mult``, ``unit``, ``names``,
-``alphabet``, ``_cache``).
+braiding.  Every one the package computes with is a
+``grouphopf.YDSpec``: with the braiding its Yetter-Drinfeld structure
+induces, or with a table given at construction (a [braiding] override,
+or data built by hand on a rank-0 spec), and ``YDSpec.with_unit`` is
+the one extension by a unit letter.
 
 On the tensor space the quasi-shuffle product is one clause for every
 length pattern, three moves on the heads of the two factor words: keep
@@ -30,21 +29,32 @@ the longest proper suffix of u whose product is in that dict, copied
 under its prefix, and adds the cuts before it in the order the
 recursion would, so every term comes out in the same order.
 
+A left factor of one letter a has an empty tail, so a qsh v unrolls
+too, over the cuts of v, carrying a rightwards by the braiding: a level
+holds terms (p, y), p the k letters that a has crossed into, y the
+letter carried, and each cut adds the keep p y v[k:] and the merge
+p m(y, v_k) v[k+1:], and feeds the braid move sigma(y v_k) into the
+next level.  On YD data the letter carried stays a and p runs over the
+words of deg(a).v[:k]: one on a diagonal action, up to 2^k on the
+Jordan plane, as many as the output holds.  Its products go into
+the word-pair memo, with no level under them.  The clause takes it for
+a right factor of two letters or more, so a 1x1 product keeps the loop
+above.
+
 A word is packed, one code point per letter, as everywhere in the
 package, so a prepend copies characters and each word is hashed once.
 The memo is one ``lru_cache`` per spec, ``spec._cache["qsh"]``, from
-packed word pairs to dicts over packed words, and dies with the spec;
-on a module algebra that is the ``YDSpec``'s own cache, beside its
-action images and its braiding.
+packed word pairs to dicts over packed words, and dies with the spec:
+it is the ``YDSpec``'s own cache, beside its action images and its
+braiding.
 ``qsh_words`` reads it for one pair of words and wraps the memo's dict
 as it is, with no copy and no conversion, so an element it returns must
 not be changed in place (no operation of the package does);
 ``quasi_shuffle``, the smash product and the diamond product all go
-through it.  With a right factor of two letters or more, each letter of
+through it.  With two letters or more on both sides, each letter of
 the deeper factor costs 3 frames (the memo's wrapper, the memoised
-function and the clause, which calls the memo itself): one more per
-level stops one letter times a 300-letter word under the default
-recursion limit.  Those frames also guard such products: a word of a
+function and the clause, which calls the memo itself).  Those frames
+also guard such products: a word of a
 few hundred letters times two is refused by the recursion limit before
 anything is built, where the finished product would hold tens of
 megabytes, so a recursion-free clause for them needs a bound on memory
@@ -82,37 +92,23 @@ from functools import lru_cache, partial
 
 from .braid import BraidingTable, block_braiding
 from .checks import PASS, CheckResult, fail, first_failure, nonempty
-from .elements import (Element, _pair_alphabet, accumulate, adjoin_unit_letter, apply_local,
-                       letter_table, pack_word)
-from .errors import Frozen, StructuralError
+from .elements import Element, _pair_alphabet, accumulate, apply_local, pack_word
+from .errors import StructuralError
+from .grouphopf import AbelianGroup, YDSpec
 from .scalars import _ONE, Scalar
 
 
-class BraidedAlgebraSpec(Frozen):
-    """Structure constants of a finite-dimensional braided algebra.
-
-    ``mult`` maps letter pairs to combinations of letters; a spec stores
-    the total table that ``letter_table`` builds from it, zero at every
-    missing pair.  ``unit``, when present, is a two-sided unit letter that
-    the braiding flips trivially.  ``alphabet`` tags the words (the spec
-    itself when not given).  A spec is immutable: ``mult`` is given whole
-    at construction, checked and copied over ``alphabet``.  A YD module
-    algebra needs none: the ``YDSpec`` is its own braided algebra.
-    """
-
-    _fields = ("dim", "braiding", "mult", "unit", "names", "alphabet")
-
-    def __init__(self, dim: int, braiding: BraidingTable, mult: dict[tuple[int, int], Element],
-                 unit: int | None = None, names: tuple[str, ...] | None = None,
-                 alphabet: object = None):
-        self._set(dim=dim, braiding=braiding, mult=mult, unit=unit, names=names,
-                  alphabet=self if alphabet is None else alphabet, _cache={})
-        if braiding.dim != dim:
-            raise StructuralError("braiding dimension does not match the basis size")
-        self._set(mult=letter_table(mult, dim, self.alphabet))
+def BraidedAlgebraSpec(dim: int, braiding: BraidingTable, mult: dict[tuple[int, int], Element],
+                       names: tuple[str, ...], alphabet: object) -> YDSpec:
+    """The rank-0 ``YDSpec`` on ``names`` with ``braiding`` given.  Its
+    entries and ``mult``, tagged with ``alphabet``, are copied over the
+    spec.  Only ``perfbench/fixtures.py`` calls it, by this name, until the
+    benchmark's fixtures next change (ROADMAP items 1 and 17)."""
+    group = AbelianGroup(0)
+    return YDSpec(group, names, (group.identity(),) * dim, (), mult, braiding=braiding)
 
 
-def check_braided_algebra(spec: BraidedAlgebraSpec) -> CheckResult:
+def check_braided_algebra(spec: YDSpec) -> CheckResult:
     """Associativity, the two braiding/multiplication exchange laws, and
     (when a unit is declared) the unit laws, on all basis words.
 
@@ -155,33 +151,13 @@ def check_braided_algebra(spec: BraidedAlgebraSpec) -> CheckResult:
     return PASS
 
 
-def adjoin_unit(spec: BraidedAlgebraSpec) -> BraidedAlgebraSpec:
-    """Extend a non-unital spec by a fresh unit letter.
-
-    Multiplication gains the unit laws, the braiding flips the unit
-    across every letter, and every original entry is kept.  The extended
-    table is built unchecked: it is sigma on V tensor V plus the flip on
-    the unit pairs, a direct sum, so it is total and invertible exactly
-    when sigma is, as every ``BraidingTable`` is.
-    """
-    if spec.unit is not None:
-        raise StructuralError("spec already has a unit")
-    dim = spec.dim
-    unit = dim
-    entries = {}
-    alphabet = object()
-    for (a, b), value in spec.braiding.entries.items():
-        entries[(a, b)] = Element(dict(value._terms), alphabet)
-    for a in range(dim + 1):
-        entries[(a, unit)] = Element.from_word((unit, a), alphabet=alphabet)
-        if a != unit:
-            entries[(unit, a)] = Element.from_word((a, unit), alphabet=alphabet)
-    mult, names = adjoin_unit_letter(spec.mult, dim, spec.names)
-    braiding = BraidingTable._trusted(dim + 1, entries, alphabet)
-    return BraidedAlgebraSpec(dim + 1, braiding, mult, unit, names, alphabet)
+def adjoin_unit(spec: YDSpec) -> YDSpec:
+    """``spec.with_unit()``, under the name ``perfbench/fixtures.py`` calls,
+    until the benchmark's fixtures next change (ROADMAP items 1 and 17)."""
+    return spec.with_unit()
 
 
-def _qsh_packed(spec: BraidedAlgebraSpec):
+def _qsh_packed(spec: YDSpec):
     """The spec's memo ``memo(spec, u, v)``, the terms of u qsh v over packed
     words: an ``lru_cache`` over ``_qsh_words`` made on first use, with the
     dict of one-letter products beside it."""
@@ -192,27 +168,30 @@ def _qsh_packed(spec: BraidedAlgebraSpec):
     return memo
 
 
-def qsh_words(spec: BraidedAlgebraSpec, u: str, v: str) -> Element:
+def qsh_words(spec: YDSpec, u: str, v: str) -> Element:
     """u qsh v for two packed words: the spec's memo entry, wrapped."""
     return Element._wrap(_qsh_packed(spec)(spec, u, v), spec.alphabet)
 
 
-def _qsh_words(spec: BraidedAlgebraSpec, u: str, v: str) -> dict[str, Scalar]:
+def _qsh_words(spec: YDSpec, u: str, v: str) -> dict[str, Scalar]:
     return _qsh_general(spec, u, v, spec._cache["qsh"], _memo_crossings, spec._cache["qsh1"])
 
 
-def _qsh_general(spec: BraidedAlgebraSpec, u: str, v: str, rec, crossings,
+def _qsh_general(spec: YDSpec, u: str, v: str, rec, crossings,
                  singles: dict) -> dict[str, Scalar]:
     """u qsh v over packed words: u_0 (u' qsh v), then c w_0 (w' qsh v') for
     each term c w of B(u, v_0), then c m(u_0, w_0) (w' qsh v') for each term
     c w of B(u', v_0).  A word times the empty word is that word; a word
-    times one letter takes ``_qsh_one_letter``."""
+    times one letter takes ``_qsh_one_letter``, and one letter times a
+    longer word ``_qsh_letter_times``."""
     if type(u) is not str or type(v) is not str:  # once per memo miss, before any use
         raise StructuralError("the quasi-shuffle takes packed words (Element.from_word, pack_word)")
     if not u or not v:
         return {u + v: _ONE}
     if len(v) == 1:
         return _qsh_one_letter(spec, u, v, crossings, singles)
+    if len(u) == 1:
+        return _qsh_letter_times(spec, u, v)
     head, rest = u[0], v[1:]
     out = {head + w: c for w, c in rec(spec, u[1:], v).items()}
     shifted, moved = crossings(spec, u, v[0])
@@ -228,7 +207,7 @@ def _qsh_general(spec: BraidedAlgebraSpec, u: str, v: str, rec, crossings,
     return out
 
 
-def _qsh_one_letter(spec: BraidedAlgebraSpec, u: str, b: str, crossings,
+def _qsh_one_letter(spec: YDSpec, u: str, b: str, crossings,
                     singles: dict) -> dict[str, Scalar]:
     """u qsh b for a nonempty word u and a letter b: the clause unrolled over
     the cuts of u, u b + sum_k u[:k] (B(u[k:], b) + m(u_k, B(u[k+1:], b))).
@@ -254,7 +233,31 @@ def _qsh_one_letter(spec: BraidedAlgebraSpec, u: str, b: str, crossings,
     return out
 
 
-def crossing(spec: BraidedAlgebraSpec, u: str, b: str) -> Element:
+def _qsh_letter_times(spec: YDSpec, a: str, v: str) -> dict[str, Scalar]:
+    """a qsh v for a letter a and a word v: the clause unrolled over the cuts
+    of v.  Level k holds terms c (p, y), p a word of k letters and y a
+    letter, starting from ("", a); at cut k each term adds c p y v[k:] (the
+    keep move) and c p m(y, v_k) v[k+1:] (the merge), and feeds
+    c e (p x, y') into level k + 1 for each term e x y' of sigma(y v_k)."""
+    out: dict[str, Scalar] = {}
+    level = {("", a): _ONE}
+    sigma, mult = spec.braiding.entries, spec.mult
+    for k, b in enumerate(v):
+        rest, below = v[k + 1:], {}
+        for (p, y), c in level.items():
+            accumulate(out, p + y + v[k:], c)
+            pair = (ord(y), ord(b))
+            for d, e in mult[pair]._terms.items():
+                accumulate(out, p + d + rest, e if c is _ONE else c * e)
+            for w, e in sigma[pair]._terms.items():
+                accumulate(below, (p + w[0], w[1]), e if c is _ONE else c * e)
+        level = below
+    for (p, y), c in level.items():
+        accumulate(out, p + y, c)
+    return out
+
+
+def crossing(spec: YDSpec, u: str, b: str) -> Element:
     """B(u, b) = beta_{|u|,1}(u (x) b): the letter b braided across the word u,
     both packed.
 
@@ -272,14 +275,14 @@ def crossing(spec: BraidedAlgebraSpec, u: str, b: str) -> Element:
     return out
 
 
-def _memo_crossings(spec: BraidedAlgebraSpec, u: str, b: str) -> tuple[Element, Element]:
+def _memo_crossings(spec: YDSpec, u: str, b: str) -> tuple[Element, Element]:
     """(B(u', b), B(u, b)) from the spec's memo, which holds B(u', b) once
     ``crossing`` has filled in B(u, b)."""
     moved, rest = crossing(spec, u, b), u[1:]
     return (spec._cache["crossing"][(rest, b)] if rest else crossing(spec, rest, b)), moved
 
 
-def _swept_crossings(spec: BraidedAlgebraSpec, u: str, b: str) -> tuple[Element, Element]:
+def _swept_crossings(spec: YDSpec, u: str, b: str) -> tuple[Element, Element]:
     """(B(u', b), B(u, b)) for the oracle: one block sweep, then sigma_1."""
     shifted = block_braiding(
         spec.braiding, len(u) - 1, 1, Element._wrap({u[1:] + b: _ONE}, spec.alphabet))
@@ -290,12 +293,12 @@ def _prepend(letter: str, x: Element) -> Element:
     return Element._wrap({letter + w: c for w, c in x._terms.items()}, x.alphabet)
 
 
-def quasi_shuffle(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
+def quasi_shuffle(spec: YDSpec, x: Element, y: Element) -> Element:
     """Bilinear quantum quasi-shuffle product on the tensor space."""
     return x.bilinear(y, partial(qsh_words, spec), cls=Element, alphabet=spec.alphabet)
 
 
-def quasi_shuffle_general_clause(spec: BraidedAlgebraSpec, x: Element, y: Element) -> Element:
+def quasi_shuffle_general_clause(spec: YDSpec, x: Element, y: Element) -> Element:
     """Internal oracle: the same clause, with the crossings swept, not memoised,
     through memos of this call alone."""
     singles: dict = {}
@@ -318,7 +321,7 @@ def deconcat(x: Element) -> Element:
                    cls=Element, alphabet=_pair_alphabet(x.alphabet))
 
 
-def check_quasi_shuffle_bialgebra(spec: BraidedAlgebraSpec,
+def check_quasi_shuffle_bialgebra(spec: YDSpec,
                                   pairs) -> CheckResult:
     """Coproduct compatibility of the quasi-shuffle product.
 

@@ -22,7 +22,8 @@ from .checks import PASS, CheckResult, fail, nonempty
 from .cotensor import CotensorElement, SmashElement, from_smash, smash_product, star, to_smash
 from .elements import Element
 from .errors import Record, StructuralError
-from .qalg import BraidedAlgebraSpec, crossing, qsh_words, quasi_shuffle
+from .grouphopf import YDSpec
+from .qalg import crossing, qsh_words, quasi_shuffle
 from .scalars import Scalar
 
 
@@ -71,13 +72,13 @@ def _unit(spec) -> str:
     return chr(spec.unit)
 
 
-def unit_prepend(spec: BraidedAlgebraSpec, x: Element) -> Element:
+def unit_prepend(spec: YDSpec, x: Element) -> Element:
     """The weight-1 operator: scalars to the unit letter, words get it prepended."""
     unit = _unit(spec)
     return x.relabel(lambda w: unit + w)
 
 
-def diamond_product(spec: BraidedAlgebraSpec, u: Element, w: Element) -> Element:
+def diamond_product(spec: YDSpec, u: Element, w: Element) -> Element:
     """Product on head-distinguished words: multiply the heads after
     braiding the right head across the left tail, quasi-shuffle the tails."""
     if "" in u._terms:
@@ -99,7 +100,7 @@ def diamond_product(spec: BraidedAlgebraSpec, u: Element, w: Element) -> Element
     return u.bilinear(w, on_words, cls=Element, alphabet=spec.alphabet)
 
 
-def head_shift(spec: BraidedAlgebraSpec, x: Element) -> Element:
+def head_shift(spec: YDSpec, x: Element) -> Element:
     """The operator of the head-distinguished algebra: new unit head."""
     _unit(spec)  # a missing unit is reported before an empty word
     if "" in x._terms:
@@ -107,7 +108,7 @@ def head_shift(spec: BraidedAlgebraSpec, x: Element) -> Element:
     return unit_prepend(spec, x)
 
 
-def qsh_rb_instance(spec: BraidedAlgebraSpec) -> RBInstance:
+def qsh_rb_instance(spec: YDSpec) -> RBInstance:
     return RBInstance(
         lambda x, y: quasi_shuffle(spec, x, y),
         lambda x: unit_prepend(spec, x),
@@ -115,7 +116,7 @@ def qsh_rb_instance(spec: BraidedAlgebraSpec) -> RBInstance:
     )
 
 
-def diamond_rb_instance(spec: BraidedAlgebraSpec) -> RBInstance:
+def diamond_rb_instance(spec: YDSpec) -> RBInstance:
     return RBInstance(
         lambda x, y: diamond_product(spec, x, y),
         lambda x: head_shift(spec, x),
@@ -123,7 +124,7 @@ def diamond_rb_instance(spec: BraidedAlgebraSpec) -> RBInstance:
     )
 
 
-def check_double_product_isomorphism(spec: BraidedAlgebraSpec,
+def check_double_product_isomorphism(spec: YDSpec,
                                      samples: Iterable[tuple[Element, Element]]) -> CheckResult:
     """The double product of the head-distinguished algebra equals the
     quasi-shuffle product under the identity on underlying words."""

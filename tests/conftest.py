@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import sys
 from functools import lru_cache
 
 import pytest
 
+import cofreehopf
 from cofreehopf.braid import BraidingTable
 from cofreehopf.checks import PASS, fail
 from cofreehopf.config import ConfigDocument, parse_config
 from cofreehopf.cotensor import CotensorElement, SmashElement, chain_lift_word, smash_product, star
 from cofreehopf.elements import Element
-from cofreehopf.grouphopf import GroupElement, YDSpec
+from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec
 from cofreehopf.presets import build_clifford, build_uqg
-from cofreehopf.qalg import BraidedAlgebraSpec
 from cofreehopf.scalars import Scalar
 
 
@@ -52,6 +54,34 @@ def hoffman_spec(n: int) -> YDSpec:
 @pytest.fixture(scope="session")
 def hoffman4():
     return hoffman_spec(4)
+
+
+PACKAGE = os.path.join(os.path.dirname(cofreehopf.__file__), "")  # with a trailing separator
+
+
+def executed_lines(call) -> int:
+    """The number of package lines that ``call()`` executes: the line events of
+    ``sys.settrace`` in frames whose code lies in the package.  An exact work
+    count, the same on every run, where a time spreads.  The tracer that was
+    set before (a coverage tool's, a debugger's) is restored afterwards."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def on_call(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(PACKAGE) else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 def letters(word: str) -> tuple[int, ...]:
@@ -195,10 +225,26 @@ def diagonal_braiding(dim: int, exponents, alphabet=None) -> BraidingTable:
         for a in range(dim) for b in range(dim)}, alphabet)
 
 
+def given_spec(braiding: BraidingTable, mult=None, unit=None, names=None,
+               over: YDSpec | None = None) -> YDSpec:
+    """Hand-made braided-algebra data: a ``YDSpec`` with ``braiding`` given.
+    Over the spec ``over`` it has that spec's group, letters, action and
+    product, as a config's [braiding] override has; otherwise it is of
+    rank 0 on ``braiding.dim`` letters, named ``names`` (x1, x2, ... by
+    default), with the structure constants ``mult`` and the unit letter
+    ``unit``.  Its words are tagged with the spec itself."""
+    if over is not None:
+        return YDSpec(over.group, over.names, over.degrees, over.action, over.mult,
+                      braiding=braiding)
+    group = AbelianGroup(0)
+    if names is None:
+        names = tuple(f"x{a + 1}" for a in range(braiding.dim))
+    return YDSpec(group, names, (group.identity(),) * len(names), (), mult, unit, braiding)
+
+
 def override_document(spec, table):
     """The config document of ``spec`` under the [braiding] override ``table``."""
-    return ConfigDocument(spec, BraidedAlgebraSpec(spec.dim, table, spec.mult, names=spec.names,
-                                                   alphabet=spec))
+    return ConfigDocument(spec, given_spec(table, over=spec))
 
 
 # -- permutations and braid lifts, the oracles of the block braiding ---------------

@@ -28,7 +28,6 @@ from cofreehopf.cotensor import (
 from cofreehopf.elements import Element
 from cofreehopf.grouphopf import AbelianGroup, YDSpec, braided_spec, diagonal_images
 from cofreehopf.qalg import (
-    adjoin_unit,
     check_quasi_shuffle_bialgebra,
     quasi_shuffle,
 )
@@ -231,7 +230,7 @@ def test_criterion_07_coinvariant_isomorphisms(clifford2, uqg_a2):
 
 
 def test_criterion_08_rota_baxter_suite(clifford2):
-    unital = adjoin_unit(braided_spec(clifford2.spec))
+    unital = braided_spec(clifford2.spec).with_unit()
     words = [()] + [ (a,) for a in range(unital.dim)] \
         + list(itertools.product(range(unital.dim), repeat=2))
     pairs = [(Element.from_word(u, alphabet=unital.alphabet),

@@ -32,7 +32,6 @@ from cofreehopf.elements import Element, render_element
 from cofreehopf.grouphopf import AbelianGroup, YDSpec, diagonal_images
 from cofreehopf.presets import Preset
 from cofreehopf.errors import StructuralError
-from cofreehopf.qalg import BraidedAlgebraSpec, adjoin_unit
 from cofreehopf.rotabaxter import RBInstance, diamond_product, head_shift
 from cofreehopf.scalars import Scalar
 
@@ -224,10 +223,8 @@ def test_record_constructors_keep_their_parameters():
         ConfigDocument: [("spec", None), ("override", None), ("notes", ())],
         AbelianGroup: [("rank", None), ("torsion", ())],
         YDSpec: [("group", None), ("names", None), ("degrees", None), ("action", None),
-                 ("mult", None), ("unit", None)],
+                 ("mult", None), ("unit", None), ("braiding", None)],
         Preset: [("spec", None)],
-        BraidedAlgebraSpec: [("dim", None), ("braiding", None), ("mult", None), ("unit", None),
-                             ("names", None), ("alphabet", None)],
         RBInstance: [("product", None), ("operator", None), ("weight", None)],
     }
     for cls, params in expected.items():
@@ -249,11 +246,6 @@ def test_record_reprs_are_pinned():
     assert repr(spec) == text and "_cache" not in repr(spec)
     assert repr(ConfigDocument(spec)) \
         == f"ConfigDocument(spec={text}, override=None, notes=())"
-    # a spec that is its own alphabet reads ``...`` there
-    bspec = BraidedAlgebraSpec(1, flip_braiding(1), {})
-    assert repr(bspec).startswith("BraidedAlgebraSpec(dim=1, braiding=<")
-    assert repr(bspec).endswith(">, mult={(0, 0): Element({})}, unit=None, names=None, "
-                                "alphabet=...)")
 
 
 def test_groups_compare_and_hash_by_value():
@@ -294,11 +286,12 @@ def _shape_errors():
         (r"braiding entry for \(0, 0\) has an invalid word \(0,\)",
          lambda: BraidingTable(1, {(0, 0): Element.from_word((0,), alphabet=alphabet)})),
         ("braiding dimension does not match",
-         lambda: BraidedAlgebraSpec(2, flip_braiding(1, alphabet), {}, alphabet=alphabet)),
+         lambda: YDSpec(AbelianGroup(0), ("a", "b"), (AbelianGroup(0).identity(),) * 2, (),
+                        braiding=flip_braiding(1))),
         ("head-distinguished words must be nonempty", lambda: diamond_product(hoffman, empty, head)),
         ("head-distinguished words must be nonempty", lambda: diamond_product(hoffman, head, empty)),
         ("head-distinguished words must be nonempty",
-         lambda: head_shift(adjoin_unit(hoffman), Element.from_word(()))),
+         lambda: head_shift(hoffman.with_unit(), Element.from_word(()))),
         ("cotensor elements over different module data",
          lambda: star(CotensorElement.unit(spec), CotensorElement.unit(other))),
         ("smash elements over different module data",

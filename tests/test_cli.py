@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from cofreehopf import qalg
 from cofreehopf.braid import BraidingTable, flip_braiding
 from cofreehopf.checks import fail
 from cofreehopf.cli import _pairs_up_to, _read_cartan, _render_any, main
@@ -22,10 +21,11 @@ from cofreehopf.cotensor import (CotensorElement, SmashElement, chain_lift_word,
                                  flatten_coinvariant, from_smash, right_translate, star, to_smash)
 from cofreehopf.elements import Element, render_terms
 from cofreehopf.errors import ConfigError
-from cofreehopf.qalg import BraidedAlgebraSpec, deconcat, quasi_shuffle
+from cofreehopf.grouphopf import YDSpec
+from cofreehopf.qalg import deconcat, quasi_shuffle
 from cofreehopf.scalars import Scalar
 
-from conftest import chain_word, letter_key, override_document
+from conftest import chain_word, given_spec, letter_key, override_document
 
 HOFFMAN = """
 [group]
@@ -113,9 +113,8 @@ def test_python_dash_m_runs_the_command_line(module, run):
                          ids=["long-times-v1", "v1-times-long"])
 def test_long_times_one_letter_product_stays_within_the_recursion_limit(
         clifford_config, long_first, length):
-    # A word times one letter is a loop, at any length.  One letter times a
-    # word costs about 3 recursion-limit units per letter: 300 letters leave
-    # little room under the default limit, so a costlier clause fails here.
+    # A word times one letter and one letter times a word are loops over the
+    # cuts, so no length meets the recursion limit of a fresh process.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -144,6 +143,24 @@ def test_the_pinned_1000_letter_outputs_are_the_star_route(clifford_config, run)
             ("qsh", flatten_coinvariant(product), "bdfdd8895a8b7127351ab64ed7356927"),
             ("smash-star", to_smash(product), "f29a03d815a1e5a103e3fa741a9c5eb6")):
         code, out, err = run("--config", clifford_config, command, word, "v1")
+        assert (code, err) == (0, "")
+        assert out == render(want) + "\n"
+        assert hashlib.md5(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_one_letter_times_the_1000_letter_word_is_the_star_route(clifford_config, run):
+    # the one-letter left factor is a loop: no internal RecursionError at the
+    # default limit; CI's entry-point gate pins the md5 of these two outputs
+    word = _periodic_word(1000)
+    spec = parse_config(Path(clifford_config).read_text(encoding="utf-8")).spec
+    x, y = (SmashElement.of(spec, tuple(map(spec.letter, w.split("@")))) for w in ("v1", word))
+    product = star(from_smash(x), from_smash(y))
+    render = _render_any(spec)
+    assert sys.getrecursionlimit() == 1000
+    for command, want, digest in (
+            ("qsh", flatten_coinvariant(product), "1290e5a5c5bad991ef68631f29034ca7"),
+            ("smash-star", to_smash(product), "18aaef15e667c3287f25e900e1b2f82a")):
+        code, out, err = run("--config", clifford_config, command, "v1", word)
         assert (code, err) == (0, "")
         assert out == render(want) + "\n"
         assert hashlib.md5(out.encode("utf-8")).hexdigest() == digest
@@ -230,17 +247,26 @@ def test_checks_pass_on_presets(run, clifford_config):
 
 
 def test_a_yd_config_needs_no_second_braided_spec(run, clifford_config, monkeypatch):
-    # the module algebra is its own braided algebra: no command on a config
-    # without a [braiding] override builds a BraidedAlgebraSpec
-    def refuse(*args, **kwargs):
-        raise AssertionError("a BraidedAlgebraSpec was built")
+    # the module algebra is its own braided algebra: a command on a config
+    # without a [braiding] override builds no YDSpec beyond doc.spec, and
+    # check rb one more, the unit extension
+    built = []
+    init = YDSpec.__init__
 
-    monkeypatch.setattr(qalg.BraidedAlgebraSpec, "__init__", refuse)
-    for argv in (("qsh", "v1@v2", "v1"), ("smash-star", "v1#K{1}", "v2@xi12"),
-                 ("check", "yb"), ("check", "alg"), ("check", "bialg", "--max-degree", "2")):
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(YDSpec, "__init__", counted)
+    for argv, specs in ((("qsh", "v1@v2", "v1"), 1), (("smash-star", "v1#K{1}", "v2@xi12"), 1),
+                        (("check", "yb"), 1), (("check", "alg"), 1),
+                        (("check", "bialg", "--max-degree", "2"), 1),
+                        (("check", "rb", "--max-degree", "2"), 2)):
+        built.clear()
         code, out, err = run("--config", clifford_config, *argv)
         assert (code, err) == (0, ""), argv
         assert out.strip(), argv
+        assert len(built) == specs, argv
 
 
 def test_corrupted_braiding_fails_check_yb(run, tmp_path, clifford2):
@@ -288,7 +314,7 @@ def test_config_notes_go_to_stderr(run, tmp_path):
 def test_check_pairs_come_in_a_fixed_order():
     # each u by length, then each v with |u| + |v| <= 2: the first
     # counterexample a check prints depends on this order
-    spec = BraidedAlgebraSpec(2, flip_braiding(2), {})
+    spec = given_spec(flip_braiding(2))
     words = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
     expected = ([((), v) for v in words] + [((0,), v) for v in words[:3]]
                 + [((1,), v) for v in words[:3]] + [(u, ()) for u in words[3:]])

@@ -10,10 +10,9 @@ from cofreehopf.braid import flip_braiding
 from cofreehopf.elements import Element, apply_local, pack_word, render_element
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec, diagonal_images
-from cofreehopf.qalg import BraidedAlgebraSpec
 from cofreehopf.scalars import Scalar
 
-from conftest import letter_key, letters
+from conftest import given_spec, letter_key, letters
 
 
 def _flip_table(dim):
@@ -77,9 +76,9 @@ def test_apply_local_errors():
 def test_mult_keys_must_be_pairs_of_letters(key):
     g = AbelianGroup(rank=1)
     letter = Element.from_word((0,))
-    assert BraidedAlgebraSpec(1, flip_braiding(1), {(0, 0): letter}).mult[(0, 0)] == letter
+    assert given_spec(flip_braiding(1), {(0, 0): letter}).mult[(0, 0)] == letter
     with pytest.raises(StructuralError, match="not a pair of letters"):
-        BraidedAlgebraSpec(1, flip_braiding(1), {(0, 0): letter, key: letter})
+        given_spec(flip_braiding(1), {(0, 0): letter, key: letter})
     with pytest.raises(StructuralError, match="not a pair of letters"):
         YDSpec(g, ("a",), (g.identity(),), (diagonal_images([Scalar.one()]),),
                {(0, 0): letter, key: letter})
@@ -88,7 +87,7 @@ def test_mult_keys_must_be_pairs_of_letters(key):
 def test_mult_values_must_be_elements():
     g = AbelianGroup(rank=1)
     with pytest.raises(StructuralError, match=r"mult entry for \(0, 0\) must be a combination"):
-        BraidedAlgebraSpec(1, flip_braiding(1), {(0, 0): 1})
+        given_spec(flip_braiding(1), {(0, 0): 1})
     with pytest.raises(StructuralError, match=r"mult entry for \(0, 0\) must be a combination"):
         YDSpec(g, ("a",), (g.identity(),), (diagonal_images([Scalar.one()]),), {(0, 0): 1})
 

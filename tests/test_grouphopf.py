@@ -25,10 +25,9 @@ from cofreehopf.grouphopf import (
     diagonal_images,
 )
 from cofreehopf.presets import build_clifford, build_uqg
-from cofreehopf.qalg import adjoin_unit
 from cofreehopf.scalars import Scalar
 
-from conftest import CARTAN_A2, assert_frozen, column_images, graded_yd_config
+from conftest import CARTAN_A2, assert_frozen, column_images, given_spec, graded_yd_config
 
 
 def test_group_normalization_and_inverse():
@@ -182,7 +181,8 @@ def test_the_induced_braiding_is_built_unchecked_and_inverted_by_inverse_degrees
         clifford2, uqg_a2, monkeypatch):
     # sigma^-1(w (x) v) = v (x) degree(v)^-1.w: the induced table is invertible
     # by construction, so building it runs no elimination; nor do the flip, its
-    # own inverse, and adjoin_unit's extension, sigma plus the flip on the unit
+    # own inverse, and sigma plus the flip on a unit letter, induced on the
+    # spec with the unit adjoined or extended from sigma given as a table
     texts = [emit_config(ConfigDocument(p.spec)) for p in (clifford2, uqg_a2)]
     texts += [JORDAN] + [graded_yd_config(seed) for seed in range(8)]
 
@@ -207,7 +207,9 @@ def test_the_induced_braiding_is_built_unchecked_and_inverted_by_inverse_degrees
     for text in texts:
         spec = parse_config(text).spec  # a fresh spec builds its braiding here
         cases += [(spec.braiding, induced_inverse(spec)),
-                  (adjoin_unit(spec).braiding, extended_inverse(spec))]
+                  (spec.with_unit().braiding, extended_inverse(spec)),
+                  (given_spec(spec.braiding, over=spec).with_unit().braiding,
+                   extended_inverse(spec))]
     for table, inverse in cases:
         for a, b in itertools.product(range(table.dim), repeat=2):
             back: dict = {}

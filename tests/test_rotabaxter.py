@@ -12,7 +12,7 @@ from cofreehopf.cotensor import (CotensorElement, SmashElement, chain_lift_word,
 from cofreehopf.elements import Element
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import braided_spec
-from cofreehopf.qalg import adjoin_unit, quasi_shuffle
+from cofreehopf.qalg import quasi_shuffle
 from cofreehopf.rotabaxter import (
     RBInstance,
     check_double_product_isomorphism,
@@ -34,7 +34,7 @@ from test_qsh_properties import diagonal_yd_specs
 
 @pytest.fixture(scope="module")
 def unital_clifford(clifford2):
-    return adjoin_unit(braided_spec(clifford2.spec))
+    return braided_spec(clifford2.spec).with_unit()
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +279,7 @@ def _multi_term(data, max_length, dim, term):
 @BOUNDED
 @given(st.data())
 def test_quasi_shuffle_instance_is_rota_baxter_on_diagonal_data(data):
-    uspec = adjoin_unit(braided_spec(data.draw(diagonal_yd_specs())))
+    uspec = braided_spec(data.draw(diagonal_yd_specs())).with_unit()
     x, y = (_multi_term(data, n, uspec.dim,
                         lambda word, c: Element.from_word(word, c, uspec.alphabet))
             for n in _degrees(data, 4))

@@ -21,13 +21,18 @@ A right factor of one letter b has empty tails, so its keep moves
 unroll into one loop over the cuts of u, with no recursion (R.-Q. Jian
 and M. Rosso, *Braided cofree Hopf algebras and quantum multi-brace
 algebras*, J. reine angew. Math. 667, 2012, give the clause):
-u qsh b = u b + sum_k u[:k] (B(u[k:], b) + m(u_k, B(u[k+1:], b))).
-Its products are kept in a plain dict, ``spec._cache["qsh1"]``, which
-holds the pairs asked for and no level under them, so a long product
-leaves one result behind, not one per suffix.  The loop starts behind
-the longest proper suffix of u whose product is in that dict, copied
-under its prefix, and adds the cuts before it in the order the
-recursion would, so every term comes out in the same order.
+u qsh b = u b + sum_k u[:k] (B(u[k:], b) + m(u_k, B(u[k+1:], b))),
+B the crossing below.  The loop carries the crossing down the cuts:
+B(u[k:], b) = sigma_1(u_k . B(u[k+1:], b)), one braiding at position 1
+read off the table, so B(u[k+1:], b) feeds cut k's merge move and is
+braided once into the next crossing, and no crossing is memoised.  Its
+products are kept in a plain dict, ``spec._cache["qsh1"]``, which holds
+(u qsh b, B(u, b)) for each pair (u, b) asked for and no level under
+it, so a long product leaves one result behind, not one per suffix.
+The loop starts behind the longest proper suffix of u whose product is
+in that dict, copied under its prefix, carries on from the crossing
+stored with it, and adds the cuts before it in the order the recursion
+would, so every term comes out in the same order.
 
 A left factor of one letter a has an empty tail, so a qsh v unrolls
 too, over the cuts of v, carrying a rightwards by the braiding: a level
@@ -68,17 +73,22 @@ head b across the left word: B(u', b) feeds the merge move and B(u, b)
 the braid move.  Since B(u, b) = sigma_1(u_0 . B(u', b)) with B("", b) = b,
 ``crossing`` memoises B per (packed suffix, packed letter) in
 ``spec._cache["crossing"]`` and fills it by a loop from the right end of
-the word, so each suffix is braided once, with one braiding at position
-1, however many levels ask for it.  The memo holds every suffix of each
-word it holds, so a level calls ``crossing`` once, for B(u, b), and then
-reads B(u', b) from it.  Each level recurses on (u', v)
-before it braids, so a word too deep for the recursion fails before any
-braiding work is spent on it.  An internal oracle,
-``quasi_shuffle_general_clause``, runs the same clauses without the
-crossing memo: it sweeps B(u', b) with ``block_braiding`` at every
-level and every cut, as an independent check on that memo.  Its
-word-pair memo and its dict of one-letter products are made and emptied
-by each call, so no spec outlives the call in them.
+the word, with the one-letter loop's braiding step, so each suffix is
+braided once however many levels ask for it.  The memo serves the
+clause with two letters or more on both sides and
+``rotabaxter.diamond_product``, no one-letter product.  It holds every
+suffix of each word it holds, so a level's ``crossing`` for B(u', b),
+after the one for B(u, b), finds it at once.  Each level recurses on
+(u', v) before it braids, so a word too deep for the recursion fails
+before any braiding work is spent on it.  The product passes
+``crossing`` and the braiding step to the clause as its crossing
+readers.  An internal oracle, ``quasi_shuffle_general_clause``, runs
+the same clauses with readers of its own: every crossing it reads,
+B(u, b) and B(u', b) at a level and B(u[k:], b) at a cut of the
+one-letter loop, is one ``block_braiding`` sweep of the word followed
+by the letter, an independent check on the memo and on the step.  Its
+word-pair memo and its dict of one-letter products are made and
+emptied by each call, so no spec outlives the call in them.
 
 ``check_braided_algebra`` evaluates its laws on V^3 through
 ``checks.first_failure``, sharing m and sigma at 1 and 2 among the three.
@@ -160,7 +170,7 @@ def adjoin_unit(spec: YDSpec) -> YDSpec:
 def _qsh_packed(spec: YDSpec):
     """The spec's memo ``memo(spec, u, v)``, the terms of u qsh v over packed
     words: an ``lru_cache`` over ``_qsh_words`` made on first use, with the
-    dict of one-letter products beside it."""
+    dict of one-letter products and their crossings beside it."""
     memo = spec._cache.get("qsh")
     if memo is None:
         spec._cache["qsh1"] = {}
@@ -174,27 +184,27 @@ def qsh_words(spec: YDSpec, u: str, v: str) -> Element:
 
 
 def _qsh_words(spec: YDSpec, u: str, v: str) -> dict[str, Scalar]:
-    return _qsh_general(spec, u, v, spec._cache["qsh"], _memo_crossings, spec._cache["qsh1"])
+    return _qsh_general(spec, u, v, spec._cache["qsh"], crossing, _braid_step, spec._cache["qsh1"])
 
 
-def _qsh_general(spec: YDSpec, u: str, v: str, rec, crossings,
-                 singles: dict) -> dict[str, Scalar]:
+def _qsh_general(spec: YDSpec, u: str, v: str, rec, cross, step, singles) -> dict[str, Scalar]:
     """u qsh v over packed words: u_0 (u' qsh v), then c w_0 (w' qsh v') for
     each term c w of B(u, v_0), then c m(u_0, w_0) (w' qsh v') for each term
-    c w of B(u', v_0).  A word times the empty word is that word; a word
-    times one letter takes ``_qsh_one_letter``, and one letter times a
-    longer word ``_qsh_letter_times``."""
+    c w of B(u', v_0), each B read by ``cross(spec, word, letter)``.  A word
+    times the empty word is that word; a word times one letter takes
+    ``_qsh_one_letter`` with ``step``, and one letter times a longer word
+    ``_qsh_letter_times``."""
     if type(u) is not str or type(v) is not str:  # once per memo miss, before any use
         raise StructuralError("the quasi-shuffle takes packed words (Element.from_word, pack_word)")
     if not u or not v:
         return {u + v: _ONE}
     if len(v) == 1:
-        return _qsh_one_letter(spec, u, v, crossings, singles)
+        return _qsh_one_letter(spec, u, v, step, singles)
     if len(u) == 1:
         return _qsh_letter_times(spec, u, v)
     head, rest = u[0], v[1:]
     out = {head + w: c for w, c in rec(spec, u[1:], v).items()}
-    shifted, moved = crossings(spec, u, v[0])
+    moved, shifted = cross(spec, u, v[0]), cross(spec, u[1:], v[0])
     steps = [(word[0], coeff, word[1:]) for word, coeff in moved._terms.items()]
     mult, left = spec.mult, ord(head)
     for word, coeff in shifted._terms.items():
@@ -207,29 +217,32 @@ def _qsh_general(spec: YDSpec, u: str, v: str, rec, crossings,
     return out
 
 
-def _qsh_one_letter(spec: YDSpec, u: str, b: str, crossings,
-                    singles: dict) -> dict[str, Scalar]:
+def _qsh_one_letter(spec: YDSpec, u: str, b: str, step, singles: dict) -> dict[str, Scalar]:
     """u qsh b for a nonempty word u and a letter b: the clause unrolled over
     the cuts of u, u b + sum_k u[:k] (B(u[k:], b) + m(u_k, B(u[k+1:], b))).
 
     The cuts run from the right, as the recursion would add them, behind a
     copy of the longest proper suffix product u[k:] qsh b found in
-    ``singles``; u qsh b is stored there, and no level under it."""
+    ``singles``, and the crossing is carried down the loop: each cut makes
+    B(u[k:], b) from B(u[k+1:], b) by ``step(spec, u, k, b, carried)``,
+    starting from b or from the crossing stored with that suffix.
+    ``singles`` keeps (u qsh b, B(u, b)) under (u, b), and no level under it."""
     start = 1
     while start < len(u) and (u[start:], b) not in singles:
         start += 1
-    out = ({u[:start] + w: c for w, c in singles[(u[start:], b)].items()} if start < len(u)
-           else {u + b: _ONE})
+    below, carried = singles.get((u[start:], b), ({b: _ONE}, {b: _ONE}))
+    out = {u[:start] + w: c for w, c in below.items()}
     mult = spec.mult
     for k in range(start - 1, -1, -1):
         prefix, left = u[:k], ord(u[k])
-        shifted, moved = crossings(spec, u[k:], b)
-        for word, coeff in moved._terms.items():
+        moved = step(spec, u, k, b, carried)
+        for word, coeff in moved.items():
             accumulate(out, prefix + word, coeff)
-        for word, coeff in shifted._terms.items():
+        for word, coeff in carried.items():
             for d, c in mult[(left, ord(word[0]))]._terms.items():
                 accumulate(out, prefix + d + word[1:], coeff * c)
-    singles[(u, b)] = out
+        carried = moved
+    singles[(u, b)] = out, carried
     return out
 
 
@@ -257,12 +270,23 @@ def _qsh_letter_times(spec: YDSpec, a: str, v: str) -> dict[str, Scalar]:
     return out
 
 
+def _braid_step(spec: YDSpec, u: str, k: int, b: str, carried: dict) -> dict[str, Scalar]:
+    """B(u[k:], b) = sigma_1(u_k . B(u[k+1:], b)) over term dicts, from the
+    terms of B(u[k+1:], b): one braiding at position 1, read off the table."""
+    out: dict[str, Scalar] = {}
+    sigma, left = spec.braiding.entries, ord(u[k])
+    for word, c in carried.items():
+        for d, e in sigma[(left, ord(word[0]))]._terms.items():
+            accumulate(out, d + word[1:], e if c is _ONE else c * e)
+    return out
+
+
 def crossing(spec: YDSpec, u: str, b: str) -> Element:
     """B(u, b) = beta_{|u|,1}(u (x) b): the letter b braided across the word u,
     both packed.
 
     Memoised per (suffix, letter) on the spec; a miss extends the longest
-    memoised suffix of u leftwards by B(u, b) = sigma_1(u_0 . B(u', b)).
+    memoised suffix of u leftwards by ``_braid_step``.
     """
     memo = spec._cache.setdefault("crossing", {})
     k = 0
@@ -270,27 +294,18 @@ def crossing(spec: YDSpec, u: str, b: str) -> Element:
         k += 1
     out = memo[(u[k:], b)] if k < len(u) else Element._wrap({b: _ONE}, spec.alphabet)
     for i in range(k - 1, -1, -1):
-        out = spec.braiding.apply(_prepend(u[i], out))
-        memo[(u[i:], b)] = out
+        out = memo[(u[i:], b)] = Element._wrap(_braid_step(spec, u, i, b, out._terms), out.alphabet)
     return out
 
 
-def _memo_crossings(spec: YDSpec, u: str, b: str) -> tuple[Element, Element]:
-    """(B(u', b), B(u, b)) from the spec's memo, which holds B(u', b) once
-    ``crossing`` has filled in B(u, b)."""
-    moved, rest = crossing(spec, u, b), u[1:]
-    return (spec._cache["crossing"][(rest, b)] if rest else crossing(spec, rest, b)), moved
+def _swept(spec: YDSpec, u: str, b: str) -> Element:
+    """B(u, b) for the oracle: one block sweep of u b."""
+    return block_braiding(spec.braiding, len(u), 1, Element._wrap({u + b: _ONE}, spec.alphabet))
 
 
-def _swept_crossings(spec: YDSpec, u: str, b: str) -> tuple[Element, Element]:
-    """(B(u', b), B(u, b)) for the oracle: one block sweep, then sigma_1."""
-    shifted = block_braiding(
-        spec.braiding, len(u) - 1, 1, Element._wrap({u[1:] + b: _ONE}, spec.alphabet))
-    return shifted, spec.braiding.apply(_prepend(u[0], shifted))
-
-
-def _prepend(letter: str, x: Element) -> Element:
-    return Element._wrap({letter + w: c for w, c in x._terms.items()}, x.alphabet)
+def _swept_step(spec: YDSpec, u: str, k: int, b: str, carried) -> dict[str, Scalar]:
+    """B(u[k:], b) for the oracle: its own sweep, whatever was carried."""
+    return _swept(spec, u[k:], b)._terms
 
 
 def quasi_shuffle(spec: YDSpec, x: Element, y: Element) -> Element:
@@ -305,7 +320,7 @@ def quasi_shuffle_general_clause(spec: YDSpec, x: Element, y: Element) -> Elemen
 
     @lru_cache(maxsize=None)
     def words(spec, u: str, v: str) -> dict[str, Scalar]:
-        return _qsh_general(spec, u, v, words, _swept_crossings, singles)
+        return _qsh_general(spec, u, v, words, _swept, _swept_step, singles)
 
     try:
         return x.bilinear(y, lambda u, v: Element._wrap(words(spec, u, v), spec.alphabet),

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 from functools import reduce
@@ -18,6 +19,7 @@ from cofreehopf.cotensor import (SmashElement, chain_lift, flatten_coinvariant, 
 from cofreehopf.elements import Element, pack_word
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import YDSpec, braided_spec
+from cofreehopf.presets import build_clifford
 from cofreehopf.qalg import (
     check_braided_algebra,
     check_quasi_shuffle_bialgebra,
@@ -283,10 +285,12 @@ def test_crossing_has_the_closed_form_of_yd_data(uqg_a2):
 
 
 def test_the_crossing_memo_holds_every_suffix_of_each_word_it_holds(uqg_a2):
-    # so a clause level reads B(u', b) from the memo after crossing(spec, u, b)
+    # so a clause level reads B(u', b) from the memo after crossing(spec, u, b);
+    # a word times one letter carries its crossing instead, so the 40-letter
+    # word has a two-letter partner
     spec = parse_config(emit_config(ConfigDocument(uqg_a2.spec))).spec  # cold memos
     r = random.Random(12)
-    for n, m in ((4, 4), (3, 2), (5, 1), (40, 1), (1, 5)):
+    for n, m in ((4, 4), (3, 2), (5, 1), (40, 2), (1, 5)):
         x, y = (Element.from_word(tuple(r.randrange(spec.dim) for _ in range(k)), alphabet=spec)
                 for k in (n, m))
         assert quasi_shuffle(spec, x, y) == quasi_shuffle_general_clause(spec, x, y)
@@ -318,6 +322,45 @@ def test_a_word_times_one_letter_stores_its_pair_and_no_suffix_level():
     quasi_shuffle(spec, Element.from_word(u, alphabet=spec), Element.from_word(b, alphabet=spec))
     assert list(spec._cache["qsh1"]) == [(u, b)]
     assert spec._cache["qsh"].cache_info().currsize == 1
+
+
+def test_a_word_times_one_letter_carries_its_crossing_and_keeps_no_crossing_memo():
+    # each cut braids the crossing of the one after it, so the 1000x1 product
+    # leaves its own pair behind and nothing else: about 0.9 MB, where a
+    # crossing memo of every suffix of the word held about 1.4 MB more
+    spec = build_clifford(2).spec  # cold memos
+    r = random.Random(5)
+    u, b = pack_word(tuple(r.randrange(spec.dim) for _ in range(1000))), "\0"
+    x, y = (Element.from_word(w, alphabet=spec) for w in (u, b))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        quasi_shuffle(spec, x, y)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert "crossing" not in spec._cache
+    assert list(spec._cache["qsh1"]) == [(u, b)]
+    assert retained < 1_200_000, retained
+    moved = spec._cache["qsh1"][(u, b)][1]  # B(u, b), beside the product
+    assert Element._wrap(moved, spec) == block_braiding(spec.braiding, 1000, 1, x.tensor(y))
+
+
+def test_a_word_times_one_letter_carries_on_from_a_stored_suffix():
+    # the longer product starts behind the stored suffix and carries on from
+    # its crossing; on the Jordan plane B(u, x2) = (|u| x1 + x2) u has two
+    # terms.  Each oracle call starts from nothing, so it seeds nothing.
+    spec = parse_config(JORDAN).spec  # cold memos
+    r = random.Random(47)
+    u = pack_word(tuple(r.randrange(spec.dim) for _ in range(30)))
+    for b in ("\0", "\1"):
+        for word in (u[20:], u[7:], u):
+            x, y = (Element.from_word(w, alphabet=spec) for w in (word, b))
+            assert quasi_shuffle(spec, x, y) == quasi_shuffle_general_clause(spec, x, y)
+    assert len(spec._cache["qsh1"]) == 6 and "crossing" not in spec._cache
+    assert len(spec._cache["qsh1"][(u, "\1")][1]) == 2
 
 
 def test_the_general_clause_multiplies_600_letters_by_one_under_the_recursion_limit(clifford2):

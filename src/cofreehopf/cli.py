@@ -163,7 +163,9 @@ def _json_terms(kind: str, spec: YDSpec, value) -> list[dict]:
         return {"word": walk.text(key).split("[]")}
 
     order = walk.order if kind in ("cotensor", "pairs") else None
-    return [{"coeff": render_scalar(c), **fields(key)} for key, c in value.terms(order)]
+    texts: dict[int, str] = {}  # by identity: value keeps each coefficient alive
+    return [{"coeff": texts.get(id(c)) or texts.setdefault(id(c), render_scalar(c)), **fields(key)}
+            for key, c in value.terms(order)]
 
 
 def _qsh(doc: ConfigDocument):

@@ -326,8 +326,9 @@ def render_terms(x: Element, key_text: Callable, order=None) -> str:
     if x.is_zero():
         return "0"
     chunks: list[str] = []
+    signs: dict[int, tuple[bool, str]] = {}  # by identity: x keeps each coefficient alive
     for key, coeff in x.terms(order):
-        neg, atom = split_sign(coeff)
+        neg, atom = signs.get(id(coeff)) or signs.setdefault(id(coeff), split_sign(coeff))
         body = key_text(key)
         if not body:
             body = atom

@@ -27,12 +27,16 @@ B(u[k:], b) = sigma_1(u_k . B(u[k+1:], b)), one braiding at position 1
 read off the table, so B(u[k+1:], b) feeds cut k's merge move and is
 braided once into the next crossing, and no crossing is memoised.  Its
 products are kept in a plain dict, ``spec._cache["qsh1"]``, which holds
-(u qsh b, B(u, b)) for each pair (u, b) asked for and no level under
+(u qsh b, B(u, b)) for each pair (u, b) it computes and no level under
 it, so a long product leaves one result behind, not one per suffix.
-The loop starts behind the longest proper suffix of u whose product is
-in that dict, copied under its prefix, carries on from the crossing
-stored with it, and adds the cuts before it in the order the recursion
-would, so every term comes out in the same order.
+When u[1:] qsh b is in that dict, the loop starts behind it, copied
+under the first letter of u, carries on from the crossing stored with
+it and adds the one cut before it; otherwise it walks every cut.  Either
+way the cuts are added in the order the recursion would add them, so
+every term comes out in the same order.  u[1:] is the one suffix looked
+for: inside a product with a longer right factor the clause asks for
+u[i+1:] qsh b just before u[i:] qsh b, and looking for any shorter one
+would slice and hash every suffix of a fresh word.
 
 A left factor of one letter a has an empty tail, so a qsh v unrolls
 too, over the cuts of v, carrying a rightwards by the braiding: a level
@@ -41,32 +45,49 @@ letter carried, and each cut adds the keep p y v[k:] and the merge
 p m(y, v_k) v[k+1:], and feeds the braid move sigma(y v_k) into the
 next level.  On YD data the letter carried stays a and p runs over the
 words of deg(a).v[:k]: one on a diagonal action, up to 2^k on the
-Jordan plane, as many as the output holds.  Its products go into
-the word-pair memo, with no level under them.  The clause takes it for
+Jordan plane, as many as the output holds.  Its products are kept
+in the memo below, with no level under them.  The clause takes it for
 a right factor of two letters or more, so a 1x1 product keeps the loop
 above.
 
 A word is packed, one code point per letter, as everywhere in the
 package, so a prepend copies characters and each word is hashed once.
-The memo is one ``lru_cache`` per spec, ``spec._cache["qsh"]``, from
+The memo is one plain dict per spec, ``spec._cache["qsh"]``, from
 packed word pairs to dicts over packed words, and dies with the spec:
 it is the ``YDSpec``'s own cache, beside its action images and its
-braiding.
-``qsh_words`` reads it for one pair of words and wraps the memo's dict
-as it is, with no copy and no conversion, so an element it returns must
-not be changed in place (no operation of the package does);
-``quasi_shuffle``, the smash product and the diamond product all go
-through it.  With two letters or more on both sides, each letter of
-the deeper factor costs 3 frames (the memo's wrapper, the memoised
-function and the clause, which calls the memo itself).  Those frames
-also guard such products: a word of a
-few hundred letters times two is refused by the recursion limit before
+braiding.  It keeps finished products, not levels, of three kinds:
+
+- each pair a caller asks for;
+- the tails the clause of an asked pair reads directly, its keep, braid
+  and merge products;
+- every product with one letter on a side, the two loops' products.
+
+The tails are what is asked next.  On a unital spec, with P prepending
+the unit, the three moves of Px qsh Py are P(x qsh Py), P(Px qsh y) and
+P(x qsh y), the right side of the weight-1 Rota-Baxter identity (L. Guo
+and W. Keigher, *Baxter algebras and shuffle products*, Adv. Math. 150,
+2000, for mixable shuffles), which ``check rb``, its smash instance and
+the double-product check ask for right after the left side.  The
+levels below the tails live in the level table,
+``spec._cache["qsh_levels"]``, an ``lru_cache`` emptied when the asked
+product is finished, so an n x 2 product leaves its pair, its tails and
+its one-letter products behind, not n levels of up to n^2 words each.
+``qsh_words`` reads the memo for one pair of words, one dict read on a
+hit, and wraps the memo's dict as it is, with no copy and no conversion,
+so an element it returns must not be changed in place (no operation of
+the package does); ``quasi_shuffle``, the smash product, the diamond
+product and ``check_quasi_shuffle_bialgebra`` all go through it.  With
+two letters or more on both sides, each letter of the deeper factor
+costs 3 frames (the level table's wrapper, the function it memoises and
+the clause, which calls the table itself), as many as a memo of every
+level cost.  Those frames also guard such products: a word of a few
+hundred letters times two is refused by the recursion limit before
 anything is built, where the finished product would hold tens of
 megabytes, so a recursion-free clause for them needs a bound on memory
 first.  The clause refuses a word that is not packed (a tuple kept by a
 dict given to ``Element``) with a ``StructuralError``: the test runs
-once per memo miss, in the clause, so it adds no frame and a memo hit
-skips it.
+once per run of the clause, so it adds no frame and a memo hit skips
+it.
 
 Each level needs the crossing B(u, b) = beta_{|u|,1}(u (x) b) of the right
 head b across the left word: B(u', b) feeds the merge move and B(u, b)
@@ -167,24 +188,48 @@ def adjoin_unit(spec: YDSpec) -> YDSpec:
     return spec.with_unit()
 
 
-def _qsh_packed(spec: YDSpec):
-    """The spec's memo ``memo(spec, u, v)``, the terms of u qsh v over packed
-    words: an ``lru_cache`` over ``_qsh_words`` made on first use, with the
-    dict of one-letter products and their crossings beside it."""
-    memo = spec._cache.get("qsh")
-    if memo is None:
-        spec._cache["qsh1"] = {}
-        memo = spec._cache["qsh"] = lru_cache(maxsize=None)(_qsh_words)
-    return memo
-
-
 def qsh_words(spec: YDSpec, u: str, v: str) -> Element:
-    """u qsh v for two packed words: the spec's memo entry, wrapped."""
-    return Element._wrap(_qsh_packed(spec)(spec, u, v), spec.alphabet)
+    """u qsh v for two packed words: the memo's entry, wrapped, or on a miss
+    the product ``_qsh_asked`` finishes and keeps."""
+    products = spec._cache.get("qsh")
+    out = None if products is None else products.get((u, v))
+    return Element._wrap(_qsh_asked(spec, u, v) if out is None else out, spec.alphabet)
 
 
-def _qsh_words(spec: YDSpec, u: str, v: str) -> dict[str, Scalar]:
-    return _qsh_general(spec, u, v, spec._cache["qsh"], crossing, _braid_step, spec._cache["qsh1"])
+def _qsh_asked(spec: YDSpec, u: str, v: str) -> dict[str, Scalar]:
+    """u qsh v for a pair the memo lacks, kept: the clause, its tails read
+    through ``_qsh_tail`` and the levels below them through the level table,
+    which is emptied when the product is finished.  On first use it makes
+    the memo, the level table and the dict of one-letter products and their
+    crossings."""
+    cache = spec._cache
+    if "qsh" not in cache:
+        cache["qsh"], cache["qsh1"], cache["qsh_levels"] = {}, {}, lru_cache(None)(_qsh_level)
+    try:
+        out = cache["qsh"][(u, v)] = _qsh_general(spec, u, v, _qsh_tail, crossing, _braid_step,
+                                                  cache["qsh1"])
+    finally:
+        cache["qsh_levels"].cache_clear()
+    return out
+
+
+def _qsh_tail(spec: YDSpec, u: str, v: str) -> dict[str, Scalar]:
+    """A tail the asked pair's clause reads (keep, braid or merge): read
+    through the level table and kept in the memo."""
+    return spec._cache["qsh"].setdefault((u, v), spec._cache["qsh_levels"](spec, u, v))
+
+
+def _qsh_level(spec: YDSpec, u: str, v: str) -> dict[str, Scalar]:
+    """u qsh v below an asked pair, memoised by the level table: the memo's
+    entry, or the clause, recursing through the level table.  A product
+    with one letter on a side is kept in the memo."""
+    cache = spec._cache
+    out = cache["qsh"].get((u, v))
+    if out is None:
+        out = _qsh_general(spec, u, v, cache["qsh_levels"], crossing, _braid_step, cache["qsh1"])
+        if len(u) == 1 or len(v) == 1:
+            cache["qsh"][(u, v)] = out
+    return out
 
 
 def _qsh_general(spec: YDSpec, u: str, v: str, rec, cross, step, singles) -> dict[str, Scalar]:
@@ -222,14 +267,12 @@ def _qsh_one_letter(spec: YDSpec, u: str, b: str, step, singles: dict) -> dict[s
     the cuts of u, u b + sum_k u[:k] (B(u[k:], b) + m(u_k, B(u[k+1:], b))).
 
     The cuts run from the right, as the recursion would add them, behind a
-    copy of the longest proper suffix product u[k:] qsh b found in
-    ``singles``, and the crossing is carried down the loop: each cut makes
-    B(u[k:], b) from B(u[k+1:], b) by ``step(spec, u, k, b, carried)``,
-    starting from b or from the crossing stored with that suffix.
+    copy of u[1:] qsh b when ``singles`` holds it, and the crossing is
+    carried down the loop: each cut makes B(u[k:], b) from B(u[k+1:], b)
+    by ``step(spec, u, k, b, carried)``, starting from b or from the
+    crossing stored with u[1:].
     ``singles`` keeps (u qsh b, B(u, b)) under (u, b), and no level under it."""
-    start = 1
-    while start < len(u) and (u[start:], b) not in singles:
-        start += 1
+    start = 1 if (u[1:], b) in singles else len(u)
     below, carried = singles.get((u[start:], b), ({b: _ONE}, {b: _ONE}))
     out = {u[:start] + w: c for w, c in below.items()}
     mult = spec.mult
@@ -345,10 +388,10 @@ def check_quasi_shuffle_bialgebra(spec: YDSpec,
     deconcatenations componentwise after braiding the two middle tensor
     legs across each other.  A failure's witness is the pair as given.
     """
-    qsh = _qsh_packed(spec)
     for sample in nonempty(pairs):
         u, v = map(pack_word, sample)
-        lhs = deconcat(Element._wrap(qsh(spec, u, v), spec.alphabet))
+        lhs = deconcat(qsh_words(spec, u, v))
+        memo = spec._cache["qsh"]  # made by qsh_words: below, a hit is one dict read
         rhs: dict[tuple, Scalar] = {}
         for i in range(len(u) + 1):
             u1, u2 = u[:i], u[i:]
@@ -358,8 +401,8 @@ def check_quasi_shuffle_bialgebra(spec: YDSpec,
                     spec.braiding, len(u2), len(v1), Element._wrap({u2 + v1: _ONE}, spec.alphabet),
                 )._terms if u2 and v1 else {u2 + v1: _ONE}
                 for word, c in crossed.items():
-                    left = qsh(spec, u1, word[:len(v1)])
-                    right = qsh(spec, word[len(v1):], v2)
+                    left = memo.get((u1, word[:len(v1)])) or _qsh_asked(spec, u1, word[:len(v1)])
+                    right = memo.get((word[len(v1):], v2)) or _qsh_asked(spec, word[len(v1):], v2)
                     for wl, cl in left.items():
                         for wr, cr in right.items():
                             accumulate(rhs, (wl, wr), c * cl * cr)

@@ -11,6 +11,7 @@ from functools import reduce
 
 import pytest
 
+from cofreehopf import qalg
 from cofreehopf.braid import BraidingTable, block_braiding, flip_braiding
 from cofreehopf.checks import fail
 from cofreehopf.config import ConfigDocument, emit_config, parse_config
@@ -321,7 +322,8 @@ def test_a_word_times_one_letter_stores_its_pair_and_no_suffix_level():
     u, b = pack_word(tuple(r.randrange(spec.dim) for _ in range(300))), "\1"
     quasi_shuffle(spec, Element.from_word(u, alphabet=spec), Element.from_word(b, alphabet=spec))
     assert list(spec._cache["qsh1"]) == [(u, b)]
-    assert spec._cache["qsh"].cache_info().currsize == 1
+    assert list(spec._cache["qsh"]) == [(u, b)]
+    assert spec._cache["qsh_levels"].cache_info().currsize == 0
 
 
 def test_a_word_times_one_letter_carries_its_crossing_and_keeps_no_crossing_memo():
@@ -348,18 +350,27 @@ def test_a_word_times_one_letter_carries_its_crossing_and_keeps_no_crossing_memo
     assert Element._wrap(moved, spec) == block_braiding(spec.braiding, 1000, 1, x.tensor(y))
 
 
-def test_a_word_times_one_letter_carries_on_from_a_stored_suffix():
-    # the longer product starts behind the stored suffix and carries on from
-    # its crossing; on the Jordan plane B(u, x2) = (|u| x1 + x2) u has two
-    # terms.  Each oracle call starts from nothing, so it seeds nothing.
+def test_a_word_times_one_letter_carries_on_from_a_stored_suffix(monkeypatch):
+    # a product whose u[1:] times the same letter is stored starts behind it
+    # and carries on from its crossing: one cut, one braiding step.  Inside a
+    # product with a longer right factor the clause asks for u[i+1:] just
+    # before u[i:], so that is the one suffix looked for; u[7:] starts from
+    # nothing though u[20:] is stored.  On the Jordan plane
+    # B(u, x2) = (|u| x1 + x2) u has two terms.  Each oracle call starts
+    # from nothing, so it seeds nothing.
     spec = parse_config(JORDAN).spec  # cold memos
     r = random.Random(47)
     u = pack_word(tuple(r.randrange(spec.dim) for _ in range(30)))
+    step, cuts = qalg._braid_step, []
+    monkeypatch.setattr(qalg, "_braid_step", lambda *args: cuts.append(args[2]) or step(*args))
     for b in ("\0", "\1"):
-        for word in (u[20:], u[7:], u):
+        for word, walked in ((u[20:], 10), (u[7:], 23), (u[6:], 1), (u[5:], 1), (u[1:], 29),
+                             (u, 1)):
             x, y = (Element.from_word(w, alphabet=spec) for w in (word, b))
+            cuts.clear()
             assert quasi_shuffle(spec, x, y) == quasi_shuffle_general_clause(spec, x, y)
-    assert len(spec._cache["qsh1"]) == 6 and "crossing" not in spec._cache
+            assert cuts == list(range(walked - 1, -1, -1)), word
+    assert len(spec._cache["qsh1"]) == 12 and "crossing" not in spec._cache
     assert len(spec._cache["qsh1"][(u, "\1")][1]) == 2
 
 
@@ -379,7 +390,7 @@ def test_arithmetic_on_a_product_leaves_the_memo_unchanged(uqg_a2):
         for u, v in (((0,), (1,)), ((0, 1), (1,)), ((1, 0, 1), (0, 1)), ((), (0, 1)), ((1,), ())):
             x, y = _word(spec, *u), _word(spec, *v)
             z = quasi_shuffle(spec, x, y)
-            memo = spec._cache["qsh"](spec, pack_word(u), pack_word(v))
+            memo = spec._cache["qsh"][(pack_word(u), pack_word(v))]
             frozen = {w: dict(c._terms) for w, c in memo.items()}
             values = {w: dict(c._terms) for w, c in z._terms.items()}
             doubled, scaled = z + z, z.scale(q)
@@ -388,6 +399,78 @@ def test_arithmetic_on_a_product_leaves_the_memo_unchanged(uqg_a2):
             assert {w: dict(c._terms) for w, c in memo.items()} == frozen
             assert doubled == z.scale(2) and scaled.scale(q.inverse()) == z == again
             assert again == quasi_shuffle_general_clause(spec, x, y)
+
+
+def _periodic(n: int) -> str:
+    """The first n letters of the word CI repeats, (v1 v2 v2 v1 v2)*, packed."""
+    return pack_word(tuple((0, 1, 1, 0, 1)[k % 5] for k in range(n)))
+
+
+def _clause_tails(spec, u: str, v: str) -> set:
+    """The pairs the clause for u qsh v reads directly: the keep tail, and the
+    braid and merge tails of each term of B(u, v_0) and B(u[1:], v_0)."""
+    merged = {(w[1:], v[1:]) for w in crossing(spec, u[1:], v[0])._terms
+              if spec.mult[(ord(u[0]), ord(w[0]))]}
+    return {(u[1:], v)} | {(w[1:], v[1:]) for w in crossing(spec, u, v[0])._terms} | merged
+
+
+def _kept_levels(spec) -> set:
+    """The memo's pairs with two letters or more on both sides."""
+    return {(a, b) for a, b in spec._cache["qsh"] if len(a) > 1 and len(b) > 1}
+
+
+def test_a_long_product_with_two_letters_leaves_its_pair_and_its_tails_behind():
+    # the levels below the tails live in the level table, emptied when the
+    # product is finished: about 1.3 MB stays, where every level of the 80
+    # kept about 9.6 MB
+    spec = build_clifford(2).spec  # cold memos
+    u, v = _periodic(80), "\0\1"
+    x, y = (Element.from_word(w, alphabet=spec) for w in (u, v))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        quasi_shuffle(spec, x, y)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert retained < 2_500_000, retained
+    assert _kept_levels(spec) == {(u, v), (u[1:], v)}
+    assert spec._cache["qsh_levels"].cache_info().currsize == 0
+
+
+def test_the_memo_keeps_the_asked_pair_its_clause_tails_and_one_letter_products(uqg_a2):
+    # heads that merge (v1 v1 on clifford2, E1 F1 on uqg_a2), so all three
+    # tails have two letters or more on both sides
+    uqg = braided_spec(parse_config(emit_config(ConfigDocument(uqg_a2.spec))).spec)
+    for spec, u, v in ((build_clifford(2).spec, "\0\1\1\0\1\0", "\0\1\0\1"),
+                       (uqg, "\0\2\2\0\2\0", "\2\0\2\0")):  # cold memos
+        quasi_shuffle(spec, *(Element.from_word(w, alphabet=spec) for w in (u, v)))
+        tails = _clause_tails(spec, u, v)
+        assert len(tails) == 3 and all(len(a) > 1 and len(b) > 1 for a, b in tails)
+        assert _kept_levels(spec) == {(u, v)} | tails
+        memo = spec._cache["qsh"]
+        assert all(memo[pair] is kept for pair, (kept, _) in spec._cache["qsh1"].items())
+        assert spec._cache["qsh_levels"].cache_info().currsize == 0
+
+
+def test_the_rota_baxter_right_side_reads_the_tails_of_its_left_side(clifford2, monkeypatch):
+    # with P prepending the unit, the tails of Px qsh Py are x qsh Py,
+    # Px qsh y and x qsh y, so check rb finds its right side kept
+    spec = clifford2.spec.with_unit()
+    r, clause, ran = random.Random(48), qalg._qsh_general, []
+    monkeypatch.setattr(qalg, "_qsh_general", lambda *args: ran.append(args[1:3]) or clause(*args))
+    for _ in range(6):
+        x, y = (tuple(r.randrange(spec.dim) for _ in range(r.randint(1, 4))) for _ in "xy")
+        px, py = (spec.unit,) + x, (spec.unit,) + y
+        quasi_shuffle(spec, _word(spec, *px), _word(spec, *py))
+        assert ran
+        ran.clear()
+        pairs = [(_word(spec, *a), _word(spec, *b)) for a, b in ((x, py), (px, y), (x, y))]
+        right = [quasi_shuffle(spec, a, b) for a, b in pairs]
+        assert ran == [], ran
+        assert right == [quasi_shuffle_general_clause(spec, a, b) for a, b in pairs]
 
 
 def test_the_general_clause_keeps_no_spec_alive():

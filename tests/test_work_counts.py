@@ -16,11 +16,13 @@ import sys
 
 import pytest
 
+from cofreehopf import qalg
 from cofreehopf.cotensor import (CotensorElement, SmashElement, chain_lift_word, coproduct,
                                  smash_product)
 from cofreehopf.elements import Element, pack_word
-from cofreehopf.presets import build_clifford
-from cofreehopf.qalg import crossing, quasi_shuffle
+from cofreehopf.presets import build_clifford, build_uqg
+from cofreehopf.qalg import check_quasi_shuffle_bialgebra, crossing, quasi_shuffle
+from cofreehopf.rotabaxter import check_rota_baxter, qsh_rb_instance, smash_rb_instance
 
 from conftest import executed_lines
 
@@ -100,3 +102,44 @@ def test_the_line_count_reads_package_lines_and_restores_the_tracer():
     with pytest.raises(ValueError):
         executed_lines(failing)
     assert sys.gettrace() is previous
+
+
+# -- what the quasi-shuffle memo shares ---------------------------------------
+
+CLAUSES = ("_qsh_general", "_qsh_one_letter", "_qsh_letter_times")
+# the runs of each over the checks below, on fresh specs: the clause with
+# two letters or more on both sides, and the loops for one letter on the
+# right and on the left.  A memo that kept every level read the same.
+CLAUSE_RUNS = {"clifford2": (389, 125, 98), "uqg_a2": (398, 132, 90)}
+
+
+def _axiom_checks(spec) -> None:
+    """check rb on the quasi-shuffle and smash instances and check bialg on
+    fixed random pairs, as the criterion 06 and 08 checks sample them."""
+    r = random.Random(48)
+
+    def word(n: int, over) -> tuple[int, ...]:
+        return tuple(r.randrange(over.dim) for _ in range(n))
+    unital, yd_unital = spec.with_unit(), spec.with_unit()
+    tags = (spec.group.identity(), spec.group.generator(0))
+    for _ in range(30):
+        pair = [Element.from_word(word(r.randint(0, 2), unital), alphabet=unital) for _ in "xy"]
+        assert check_rota_baxter(qsh_rb_instance(unital), [pair])
+        pair = [SmashElement.of(yd_unital, word(r.randint(0, 2), yd_unital), r.choice(tags))
+                for _ in "xy"]
+        assert check_rota_baxter(smash_rb_instance(yd_unital), [pair])
+        du, dv = r.choice(((1, 1), (1, 2), (2, 1), (2, 3)))
+        assert check_quasi_shuffle_bialgebra(spec, [(word(du, spec), word(dv, spec))])
+
+
+@pytest.mark.parametrize("name", CLAUSE_RUNS)
+def test_the_axiom_checks_run_the_clause_as_often_as_a_memo_of_every_level(name, monkeypatch):
+    spec = build_clifford(2).spec if name == "clifford2" else build_uqg(((2, -1), (-1, 2))).spec
+    runs = dict.fromkeys(CLAUSES, 0)
+    for clause in CLAUSES:
+        def counted(*args, run=getattr(qalg, clause), clause=clause):
+            runs[clause] += 1
+            return run(*args)
+        monkeypatch.setattr(qalg, clause, counted)
+    _axiom_checks(spec)
+    assert tuple(runs.values()) == CLAUSE_RUNS[name], runs

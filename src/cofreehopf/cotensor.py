@@ -95,7 +95,7 @@ from .checks import PASS, CheckResult, fail
 from .elements import Element, accumulate, pack_word, render_terms
 from .errors import StructuralError
 from .grouphopf import GroupElement, YDSpec
-from .scalars import Scalar
+from .scalars import _ONE, Scalar
 
 Key = tuple  # (packed word, right degree) in every degree, ("", g) in degree 0
 
@@ -334,19 +334,29 @@ class SmashElement(_WordGroupElement):
 
 
 def smash_product(x: SmashElement, y: SmashElement) -> SmashElement:
-    """(u # g)(w # g') = (u qsh g.w) # gg', the group acting letterwise."""
+    """(u # g)(w # g') = (u qsh g.w) # gg' (D. E. Radford, *J. Algebra* 92,
+    1985), the group acting letterwise, in one pass over the pairs of
+    terms: each pair takes one group product and the words w' of g.w, and
+    each memoised u qsh w' goes straight into the result under the keys
+    (word, gg'), one scalar product per term, none for a coefficient of 1.
+    As in ``elements._extend``, the first product goes into the empty
+    result as it is, since nonzero scalars have a nonzero product."""
     if x.spec is not y.spec:
         raise StructuralError("smash elements over different module data")
-    import cofreehopf.qalg as qalg
-    spec = x.spec
-
-    def rule(kx, ky):
-        (u, g), (w, g2) = kx, ky
-        tag = spec.group.multiply(g, g2)
-        return spec.act_word(g, w).map_words(partial(qalg.qsh_words, spec, u)).relabel(
-            lambda word: (word, tag), cls=SmashElement)
-
-    return x.bilinear(y, rule)
+    from .qalg import qsh_words
+    spec, out = x.spec, {}
+    for (u, g), c in x._terms.items():
+        for (w, g2), d in y._terms.items():
+            tag, cd = spec.group.multiply(g, g2), c * d
+            for moved, e in spec.act_word(g, w)._terms.items():
+                scale, terms = cd * e, qsh_words(spec, u, moved)._terms
+                if out:
+                    for word, f in terms.items():
+                        accumulate(out, (word, tag), f if scale is _ONE else f * scale)
+                else:
+                    out = {(word, tag): f if scale is _ONE else f * scale
+                           for word, f in terms.items()}
+    return SmashElement._wrap(out, spec)
 
 
 def to_smash(x: CotensorElement) -> SmashElement:

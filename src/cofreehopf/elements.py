@@ -21,7 +21,12 @@ combinations here, and nowhere else: :meth:`Element.map_words` extends a
 rule from a key to a combination linearly, :meth:`Element.bilinear` a
 rule from a pair of keys to a combination bilinearly, and
 :meth:`Element.rekey` / :meth:`Element.relabel` a rule from a key to keys
-with coefficient 1.  Each builds its result in one dict.
+with coefficient 1.  Each builds its result in one dict, except that a
+linear or bilinear extension whose only image has coefficient 1 returns
+that image's dict as it is: the quasi-shuffle, ``star`` and the diamond
+product of two basis elements wrap the memo's or the prefix table's dict.
+So no result may be changed in place, whichever operation made it, and
+no operation of the package does: each writes into a dict of its own.
 
 Canonical form (no zero coefficients) holds after every operation.  The
 ``alphabet`` tag names the basis declaration the keys refer to: an
@@ -124,11 +129,6 @@ class Element:
     def from_word(cls, word, coeff: Scalar | int | Fraction = 1, alphabet=None) -> Element:
         """One word, packed by :func:`pack_word`, with coefficient ``coeff``."""
         return cls({pack_word(word): Scalar.coerce(coeff)}, alphabet)
-
-    @classmethod
-    def unit(cls, alphabet=None) -> Element:
-        """The empty word with coefficient 1."""
-        return cls({"": Scalar.one()}, alphabet)
 
     # -- structure ---------------------------------------------------------
 
@@ -236,13 +236,19 @@ class Element:
 def _extend(images) -> dict:
     """Sum ``c * image`` over ``(c, image)`` pairs; a coefficient of 1, the
     one interned unit, multiplies nothing.  Into an empty sum the terms
-    go as they are: a product of two nonzero scalars is nonzero."""
+    go as they are: a product of two nonzero scalars is nonzero.  An image
+    with coefficient 1 that comes first is the sum's dict itself, shared
+    with the image, and is copied only when a second image is added in."""
     out: dict = {}
+    shared = False
     for c, image in images:
         unit = c is _ONE
         if not out:
-            out = dict(image._terms) if unit else {k: d * c for k, d in image._terms.items()}
+            out = image._terms if unit else {k: d * c for k, d in image._terms.items()}
+            shared = unit
         else:
+            if shared:
+                out, shared = dict(out), False
             for key, d in image._terms.items():
                 accumulate(out, key, d if unit else d * c)
     return out

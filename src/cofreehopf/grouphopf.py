@@ -64,14 +64,13 @@ config's [braiding] override or data built by hand on rank 0: then
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from operator import add, index, neg
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .checks import PASS, CheckResult, fail
 from .elements import Element, accumulate, letter_table, letters_over, pack_word
 from .errors import Frozen, StructuralError
-from .scalars import Scalar
+from .scalars import _ONE, Scalar
 
 if TYPE_CHECKING:  # braid loads with the first braiding, not with the spec
     from .braid import BraidingTable
@@ -328,10 +327,15 @@ class YDSpec(Frozen):
 
     def act_word(self, g: GroupElement, word) -> Element:
         """Diagonal action of a group-like on a tensor word, packed or a tuple
-        of letters, letterwise."""
-        images = self.action_matrix(g)
-        return reduce(Element.tensor, (images[ord(letter)] for letter in pack_word(word)),
-                      Element.unit(self))
+        of letters, letterwise: one dict per letter, each word of the last
+        extended by each letter of the image.  No two of them meet, so
+        nothing is accumulated."""
+        images, terms = self.action_matrix(g), {"": _ONE}
+        for letter in pack_word(word):
+            image = images[ord(letter)]._terms
+            terms = {w + v: d if c is _ONE else c * d
+                     for w, c in terms.items() for v, d in image.items()}
+        return Element._wrap(terms, self)
 
     # -- the braided algebra it induces ----------------------------------------
 

@@ -74,9 +74,10 @@ product is finished, so an n x 2 product leaves its pair, its tails and
 its one-letter products behind, not n levels of up to n^2 words each.
 ``qsh_words`` reads the memo for one pair of words, one dict read on a
 hit, and wraps the memo's dict as it is, with no copy and no conversion,
-so an element it returns must not be changed in place (no operation of
-the package does); ``quasi_shuffle``, the smash product, the diamond
-product and ``check_quasi_shuffle_bialgebra`` all go through it.  With
+and ``quasi_shuffle`` of two basis elements returns that dict too (the
+rule of ``elements``: no result is changed in place); ``quasi_shuffle``,
+the smash product, the diamond product and
+``check_quasi_shuffle_bialgebra`` all go through it.  With
 two letters or more on both sides, each letter of the deeper factor
 costs 3 frames (the level table's wrapper, the function it memoises and
 the clause, which calls the table itself), as many as a memo of every

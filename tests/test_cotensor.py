@@ -5,6 +5,7 @@ import itertools
 import random
 import tracemalloc
 import weakref
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -32,7 +33,7 @@ from cofreehopf.elements import Element, accumulate, pack_word
 from cofreehopf.errors import StructuralError
 from cofreehopf.grouphopf import AbelianGroup, GroupElement, YDSpec, braided_spec, diagonal_images
 from cofreehopf.presets import build_uqg
-from cofreehopf.qalg import quasi_shuffle
+from cofreehopf.qalg import quasi_shuffle, quasi_shuffle_general_clause
 from cofreehopf.scalars import Scalar
 
 from conftest import (CARTAN_A2, chain_word, hoffman_spec, letter_key, letters, packed_key,
@@ -452,14 +453,19 @@ def test_smash_clifford_expansion(clifford2):
     assert expected._terms[("\0\1", e)] == Scalar.one()
 
 
+JORDAN = "[group]\nrank = 1\n\n[basis]\nx1 = 1\nx2 = 1\n\n[action]\ng1.x1 = 1, 0\ng1.x2 = 1, 1\n"
+
+
 def _smash_by_definition(x, y):
-    """Sum of c d (u qsh g.w) # gg' over the term pairs, from quasi_shuffle and act_word."""
-    spec = x.spec
-    bspec = braided_spec(spec)
-    out = SmashElement.zero(spec)
+    """Sum of c d (u qsh g.w) # gg' over the term pairs, g.w the tensor
+    product of the letters' images and qsh the oracle clause."""
+    spec, out = x.spec, SmashElement.zero(x.spec)
     for (u, g), c in x._terms.items():
+        images = spec.action_matrix(g)
         for (w, g2), d in y._terms.items():
-            word = quasi_shuffle(bspec, Element.from_word(u, alphabet=spec), spec.act_word(g, w))
+            moved = reduce(Element.tensor, (images[ord(v)] for v in w),
+                           Element.from_word((), alphabet=spec))
+            word = quasi_shuffle_general_clause(spec, Element.from_word(u, alphabet=spec), moved)
             tag = spec.group.multiply(g, g2)
             out = out + SmashElement(spec, {(v, tag): c * d * e for v, e in word._terms.items()})
     return out
@@ -472,6 +478,14 @@ def _random_smash(spec, rnd, tags, n_terms):
         for _ in range(n_terms)})
 
 
+def _smash_terms(spec, *terms):
+    """The sum of c (word # g), each word given by its letter names and g by
+    its exponents."""
+    return sum((SmashElement.of(spec, [spec.letter(name) for name in word.split("@")],
+                                spec.group.element(exponents)).scale(c)
+                for c, word, exponents in terms), SmashElement.zero(spec))
+
+
 def test_smash_product_of_multi_term_elements(clifford2, uqg_a2):
     rnd = random.Random(14)
     spec = clifford2.spec
@@ -480,7 +494,26 @@ def test_smash_product_of_multi_term_elements(clifford2, uqg_a2):
     cancelling = (v1 + v2, v1 + v2)
     assert smash_product(*cancelling) == smash_product(v1, v1) + smash_product(v2, v2) \
         + SmashElement.of(spec, (3,))
-    pairs = [cancelling]
+    # mixed tags, and q-power and rational coefficients chosen so that two
+    # term pairs cancel where their products meet: v1@v2 and v2@v1 on
+    # clifford2, E1@E2 on uqg_a2, x2@x1 on the Jordan plane, where g.w
+    # holds several words
+    q, cl, uq, jo = Scalar.q_power(1), clifford2.spec, uqg_a2.spec, parse_config(JORDAN).spec
+    met = [
+        (_smash_terms(cl, (Fraction(1, 2), "v1", [1]), (Fraction(1, 2), "v2", [1]),
+                      (q.inverse(), "v2@v1", [0])),
+         _smash_terms(cl, (1, "v2", [0]), (1, "v1", [0]),
+                      (Scalar.q_power(1, Fraction(-2, 3)), "xi12@v1", [1]))),
+        (_smash_terms(uq, (q, "E1", [1, 0]), (-q.inverse(), "E2", [1, 0]),
+                      (Fraction(3, 2), "F1@E2", [0, -1])),
+         _smash_terms(uq, (1, "E2", [0, 0]), (1, "E1", [0, 0]),
+                      (Scalar.q_power(2, Fraction(-1, 4)), "F2@xi1", [1, 0]))),
+        (_smash_terms(jo, (Fraction(5, 3), "x1", [1]), (Fraction(-5, 3), "x2", [1]),
+                      (Scalar.q_power(1, 2), "x2@x1", [-1])),
+         _smash_terms(jo, (1, "x2", [0]), (Scalar.q_power(-2, Fraction(1, 3)), "x2@x2@x1", [-1]))),
+    ]
+    assert len(jo.act_word(jo.group.generator(0), "\1\1\0")) == 4
+    pairs = [cancelling, *met]
     for preset in (clifford2, uqg_a2):
         spec = preset.spec
         group = spec.group
@@ -488,15 +521,18 @@ def test_smash_product_of_multi_term_elements(clifford2, uqg_a2):
         tags.append(group.inverse(tags[-1]))
         pairs.extend((_random_smash(spec, rnd, tags, 4), _random_smash(spec, rnd, tags, 3))
                      for _ in range(4))
-    for x, y in pairs:
+    for n, (x, y) in enumerate(pairs):
         assert len(x) > 1 and len(y) > 1
         out = smash_product(x, y)
-        termwise = SmashElement.zero(x.spec)
+        termwise, keys = SmashElement.zero(x.spec), set()
         for k, c in x._terms.items():
             for l, d in y._terms.items():
-                termwise = termwise + smash_product(SmashElement(x.spec, {k: c}),
-                                                    SmashElement(x.spec, {l: d}))
+                term = smash_product(SmashElement(x.spec, {k: c}), SmashElement(x.spec, {l: d}))
+                termwise, keys = termwise + term, keys | set(term._terms)
         assert out == termwise == _smash_by_definition(x, y)
+        assert n > len(met) or keys - set(out._terms), "no terms cancelled"
+    with pytest.raises(StructuralError, match="different module data"):
+        smash_product(SmashElement.of(jo, (0,)), SmashElement.of(parse_config(JORDAN).spec, (1,)))
 
 
 def test_to_smash_values(clifford2):

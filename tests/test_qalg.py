@@ -19,7 +19,7 @@ from cofreehopf.cotensor import (SmashElement, chain_lift, flatten_coinvariant, 
                                  star)
 from cofreehopf.elements import Element, pack_word
 from cofreehopf.errors import StructuralError
-from cofreehopf.grouphopf import YDSpec, braided_spec
+from cofreehopf.grouphopf import YDSpec, _compose, _inverse, braided_spec
 from cofreehopf.presets import build_clifford
 from cofreehopf.qalg import (
     check_braided_algebra,
@@ -29,6 +29,7 @@ from cofreehopf.qalg import (
     quasi_shuffle,
     quasi_shuffle_general_clause,
 )
+from cofreehopf.rotabaxter import diamond_product
 from cofreehopf.scalars import Scalar
 
 from conftest import diagonal_braiding, given_spec, hoffman_spec, letters, words_up_to
@@ -152,7 +153,7 @@ def test_scalars_multiply_through():
     x = _word(spec, 0, 1)
     assert quasi_shuffle(spec, lam, x) == x.scale(Scalar.q_power(2))
     assert quasi_shuffle(spec, x, lam) == x.scale(Scalar.q_power(2))
-    one = Element.unit(spec.alphabet)
+    one = Element.from_word((), alphabet=spec.alphabet)
     assert quasi_shuffle(spec, one, x) == x
     assert quasi_shuffle(spec, x, one) == x
 
@@ -381,24 +382,65 @@ def test_the_general_clause_multiplies_600_letters_by_one_under_the_recursion_li
     assert quasi_shuffle_general_clause(spec, x, y) == quasi_shuffle(spec, x, y)
 
 
+def _frozen(terms: dict) -> dict:
+    return {key: dict(c._terms) for key, c in terms.items()}
+
+
+def _frozen_memo(spec) -> dict:
+    return {pair: _frozen(terms) for pair, terms in spec._cache["qsh"].items()}
+
+
+def _operate_on(z, q) -> list:
+    """Every operation that makes a new element from z: none may write into z's dict."""
+    return [z + z, z - z, -z, z.scale(q), z.scale(2), z.relabel(lambda key: (key,)),
+            z.rekey(lambda key: (key, (key,))), z.tensor(z)]
+
+
 def test_arithmetic_on_a_product_leaves_the_memo_unchanged(uqg_a2):
-    # Memo terms hold shared scalars (the unit among them) and a product
-    # may reuse them: adding or scaling the result must write only into
-    # dicts of its own.
+    # A product of two basis elements wraps the memo's dict, or star's
+    # prefix table's, as it is, and memo terms hold shared scalars (the
+    # unit among them): operating on a result must write only into dicts of
+    # its own, and a second image copies the first before adding to it.
     q = Scalar.q_power(1)
     for spec in (braided_spec(uqg_a2.spec), hoffman_spec(3)):
+        unital = spec.with_unit()
+        g = spec.group.generator(0) if spec.group.n_generators else spec.group.identity()
         for u, v in (((0,), (1,)), ((0, 1), (1,)), ((1, 0, 1), (0, 1)), ((), (0, 1)), ((1,), ())):
             x, y = _word(spec, *u), _word(spec, *v)
             z = quasi_shuffle(spec, x, y)
             memo = spec._cache["qsh"][(pack_word(u), pack_word(v))]
-            frozen = {w: dict(c._terms) for w, c in memo.items()}
-            values = {w: dict(c._terms) for w, c in z._terms.items()}
-            doubled, scaled = z + z, z.scale(q)
-            again = quasi_shuffle(spec, x, y)
-            assert {w: dict(c._terms) for w, c in again._terms.items()} == values
-            assert {w: dict(c._terms) for w, c in memo.items()} == frozen
-            assert doubled == z.scale(2) and scaled.scale(q.inverse()) == z == again
-            assert again == quasi_shuffle_general_clause(spec, x, y)
+            assert z._terms is memo
+            products = [
+                lambda: quasi_shuffle(spec, x, y),
+                lambda: star(*(chain_lift(spec, w) for w in (x, y))),
+                lambda: smash_product(SmashElement.of(spec, u, g), SmashElement.of(spec, v)),
+                lambda: diamond_product(unital, _word(unital, spec.dim, *u),
+                                        _word(unital, *v, spec.dim)),
+                lambda: quasi_shuffle(spec, x + _word(spec, *v, coeff=q), y),  # a second image
+            ]
+            values = [_frozen(product()._terms) for product in products]
+            memos = [_frozen_memo(spec), _frozen_memo(unital)]
+            for product in products:
+                z = product()
+                doubled, zero, minus, scaled, *_ = _operate_on(z, q)
+                assert doubled == z.scale(2) and scaled.scale(q.inverse()) == z
+                assert not zero and minus == z.scale(-1)
+            assert [_frozen(product()._terms) for product in products] == values
+            assert [_frozen_memo(spec), _frozen_memo(unital)] == memos
+            assert quasi_shuffle(spec, x, y) == quasi_shuffle_general_clause(spec, x, y)
+
+
+def test_the_inverse_action_writes_only_into_dicts_of_its_own(uqg_a2):
+    # Faddeev-LeVerrier adds cI in place, into the images _compose made
+    spec = parse_config(JORDAN).spec
+    for images in (spec.action[0], spec.action_matrix(spec.group.identity()),
+                   uqg_a2.spec.action[1]):
+        before = _frozen(dict(enumerate(images)))
+        inverse = _inverse(images)
+        assert _frozen(dict(enumerate(images))) == before
+        assert not {id(image._terms) for image in inverse} & {id(image._terms) for image in images}
+        assert _compose(inverse, images) \
+            == tuple(Element.from_word((j,), alphabet=image.alphabet) for j, image in enumerate(images))
 
 
 def _periodic(n: int) -> str:
@@ -652,7 +694,7 @@ def test_bialgebra_check_over_no_samples_is_an_error(hoffman4):
 def test_deconcat_examples():
     x = Element.from_word((0,))
     assert deconcat(x) == Element({("", "\0"): 1, ("\0", ""): 1}, deconcat(x).alphabet)
-    empty = deconcat(Element.unit())
+    empty = deconcat(Element.from_word(()))
     assert empty == Element({("", ""): 1}, empty.alphabet)
 
 
@@ -881,7 +923,7 @@ def test_the_jordan_planes_satisfy_their_nichols_relations():
             assert not m(x2, x21) - m(x21, x2) - m(x1, x21)
             assert m(x2, x21) - m(x21, x2) + m(x1, x21)
         # GK-dimension 2: the products of d letters span d + 1 dimensions
-        products = [Element.unit(bspec.alphabet)]
+        products = [Element.from_word((), alphabet=bspec.alphabet)]
         for d in range(1, 6):
             products = [m(p, x) for p in products for x in (x1, x2)]
             assert _rank(products) == d + 1, (text, d)

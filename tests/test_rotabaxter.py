@@ -114,6 +114,52 @@ def test_scaled_operator_has_scaled_weight(unital_clifford):
         assert check_rota_baxter(inst.scaled(factor), pairs)
 
 
+def _prepend_twice_to_two_letters(unit: str, word: str) -> str:
+    return unit * (2 if len(word) == 2 else 1) + word
+
+
+def _faulty_instances(qspec, sspec):
+    """(name, instance, samples, first failing sample): a linear operator
+    wrong on two-letter words, and instances scaled by q and by 2 that keep
+    weight 1, on the quasi-shuffle and on the smash product."""
+    qu, su = chr(qspec.unit), chr(sspec.unit)
+    qsh, smash = qsh_rb_instance(qspec), smash_rb_instance(sspec)
+    words = [_elem(qspec, w) for w in _words(qspec, 2) if w]
+    qsh_pairs = [(a, b) for a in words[:qspec.dim] for b in words]
+    tags = [sspec.group.identity(), sspec.group.generator(0)]
+    elems = [SmashElement.of(sspec, w, t) for w in [(0,), (1,), (0, 1)] for t in tags]
+    smash_pairs = [(a, b) for a in elems for b in elems]
+    cases = [
+        ("qsh-twice", RBInstance(qsh.product, lambda x: x.rekey(
+            lambda w: (_prepend_twice_to_two_letters(qu, w),)), qsh.weight),
+         [(_elem(qspec, ()), b) for b in words] + qsh_pairs, (_elem(qspec, ()), words[0])),
+        ("smash-twice", RBInstance(smash.product, lambda s: s.rekey(
+            lambda key: ((_prepend_twice_to_two_letters(su, key[0]), key[1]),)), smash.weight),
+         [(SmashElement.of(sspec, ()), b) for b in elems] + smash_pairs,
+         (SmashElement.of(sspec, ()), elems[0])),
+    ]
+    for factor in (Scalar.q_power(1), Scalar.rational(2)):
+        cases += [
+            (f"qsh-scaled-{factor}", RBInstance(qsh.product, qsh.scaled(factor).operator,
+                                                qsh.weight), qsh_pairs, qsh_pairs[0]),
+            (f"smash-scaled-{factor}", RBInstance(smash.product, smash.scaled(factor).operator,
+                                                  smash.weight), smash_pairs, smash_pairs[0]),
+        ]
+    return cases
+
+
+def test_the_rb_check_catches_a_faulty_operator_or_weight(unital_clifford, unital_yd):
+    # each fails at the same sample whether P is applied once or three times,
+    # with the sides P(x)P(y) and P(xP(y)) + P(P(x)y) + weight * P(xy)
+    for name, inst, pairs, witness in _faulty_instances(unital_clifford, unital_yd):
+        result = check_rota_baxter(inst, pairs)
+        assert (result.ok, result.law, result.witness) == (False, "rota-baxter", witness), name
+        (x, y), prod, op = witness, inst.product, inst.operator
+        assert result.lhs == prod(op(x), op(y)) != result.rhs, name
+        assert result.rhs == op(prod(x, op(y))) + op(prod(op(x), y)) \
+            + op(prod(x, y)).scale(inst.weight), name
+
+
 # -- the double product ----------------------------------------------------------
 
 
@@ -137,7 +183,7 @@ def test_head_shift_formula(unital_clifford):
     assert head_shift(spec, _elem(spec, (0, 1))) \
         == _elem(spec, (spec.unit, 0, 1))
     with pytest.raises(StructuralError):
-        head_shift(spec, Element.unit(spec.alphabet))
+        head_shift(spec, Element.from_word((), alphabet=spec.alphabet))
 
 
 def test_diamond_product_associativity(unital_clifford):

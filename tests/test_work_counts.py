@@ -143,3 +143,35 @@ def test_the_axiom_checks_run_the_clause_as_often_as_a_memo_of_every_level(name,
         monkeypatch.setattr(qalg, clause, counted)
     _axiom_checks(spec)
     assert tuple(runs.values()) == CLAUSE_RUNS[name], runs
+
+
+# -- what a smash product and a Rota-Baxter check build ------------------------
+
+# package lines of one warm pass of check rb over 30 seed-7 pairs at commit
+# 576e30b, where a smash product built four dicts per pair of keys and the
+# check applied P three times
+BEFORE_ONE_PASS = {("clifford2", "smash"): 22405, ("clifford2", "qsh"): 10461,
+                   ("uqg_a2", "smash"): 25256, ("uqg_a2", "qsh"): 10393}
+# the smash instance builds each product's terms once; on the quasi-shuffle
+# instance only P applied once is left, which three applications exceed
+AT_MOST = {"smash": 0.75, "qsh": 0.95}
+
+
+@pytest.mark.parametrize("name, instance", BEFORE_ONE_PASS)
+def test_a_warm_rota_baxter_check_builds_each_product_once(name, instance):
+    spec = (build_clifford(2) if name == "clifford2" else build_uqg(((2, -1), (-1, 2)))).spec
+    spec = spec.with_unit()
+    r = random.Random(7)
+    tags = (spec.group.identity(), spec.group.generator(0))
+
+    def word() -> tuple[int, ...]:
+        return tuple(r.randrange(spec.dim) for _ in range(r.randint(0, 2)))
+    if instance == "smash":
+        inst = smash_rb_instance(spec)
+        pairs = [[SmashElement.of(spec, word(), r.choice(tags)) for _ in "xy"] for _ in range(30)]
+    else:
+        inst = qsh_rb_instance(spec)
+        pairs = [[Element.from_word(word(), alphabet=spec) for _ in "xy"] for _ in range(30)]
+    assert check_rota_baxter(inst, pairs)  # fills the memos: the count below reads them
+    count = executed_lines(lambda: check_rota_baxter(inst, pairs))
+    assert count <= AT_MOST[instance] * BEFORE_ONE_PASS[name, instance], count
